@@ -1,19 +1,19 @@
 // Ablation: incremental (pipelined) synchronization. Sect. 3.2 notes the
 // coordinator "can synchronize H with those sub-results it has already
-// received ... rather than having to wait for all of H". The
-// AsyncExecutor implements exactly that: sites run concurrently and the
-// coordinator merges fragments in completion order. This bench compares
-// real wall-clock time of the sequential executor, the parallel-sites
-// executor (sites concurrent, merge after a barrier), and the async
-// executor (sites concurrent, merge overlapped), on a compute-heavy
-// unoptimized plan where per-site work dominates.
+// received ... rather than having to wait for all of H". With
+// parallel_sites the star driver runs exactly that way: sites evaluate
+// concurrently and the coordinator merges fragment i as soon as fragments
+// 0..i have arrived, overlapping merge work with slower sites while
+// keeping the sequential merge's output. This bench compares real
+// wall-clock time of the sequential run against the pipelined
+// parallel-sites run, on a compute-heavy unoptimized plan where per-site
+// work dominates.
 
 #include <cstdio>
 #include <thread>
 
 #include "bench_common.h"
 #include "common/stopwatch.h"
-#include "dist/async_exec.h"
 
 namespace skalla {
 namespace {
@@ -72,20 +72,11 @@ void Run() {
                            MakeSites(partitions, kSites), NetworkConfig{},
                            options),
                        plan, &stats);
-    std::printf("%-22s %12.2f\n", "parallel-sites",
-                timer.ElapsedSeconds() * 1e3);
-  }
-  {
-    Stopwatch timer;
-    ExecStats stats;
-    bench::ExecutePlan(
-        std::make_unique<AsyncExecutor>(MakeSites(partitions, kSites)),
-        plan, &stats);
     double wall = timer.ElapsedSeconds();
     double round_walls = 0;
     for (const RoundStats& r : stats.rounds) round_walls += r.wall_time;
     std::printf("%-22s %12.2f  (merge overlapped with site compute)\n",
-                "async-pipelined", wall * 1e3);
+                "parallel-sites", wall * 1e3);
     std::printf("%-22s %12.2f\n", "  sum of round walls", round_walls * 1e3);
   }
 }

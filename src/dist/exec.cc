@@ -1,13 +1,10 @@
 #include "dist/exec.h"
 
 #include <algorithm>
-#include <functional>
-#include <mutex>
+#include <string>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "net/serde.h"
 #include "obs/obs.h"
 #include "relalg/operators.h"
@@ -18,51 +15,12 @@ namespace skalla {
 DistributedExecutor::DistributedExecutor(std::vector<Site> sites,
                                          NetworkConfig net_config,
                                          ExecutorOptions options)
-    : sites_(std::move(sites)),
+    : fleet_{std::move(sites), {}},
       network_(net_config),
       options_(options) {}
 
 void DistributedExecutor::AddReplica(size_t partition, Site replica) {
-  replicas_[partition].push_back(std::move(replica));
-}
-
-std::vector<int> DistributedExecutor::ReplicaIds(size_t i) const {
-  std::vector<int> ids{sites_[i].id()};
-  auto it = replicas_.find(i);
-  if (it != replicas_.end()) {
-    for (const Site& replica : it->second) ids.push_back(replica.id());
-  }
-  return ids;
-}
-
-Site& DistributedExecutor::ReplicaSite(size_t i, size_t r) {
-  return r == 0 ? sites_[i] : replicas_.at(i)[r - 1];
-}
-
-Status DistributedExecutor::ForEachSite(
-    const std::function<Status(size_t)>& fn) {
-  if (!options_.parallel_sites || sites_.size() <= 1) {
-    for (size_t i = 0; i < sites_.size(); ++i) {
-      SKALLA_RETURN_NOT_OK(fn(i));
-    }
-    return Status::OK();
-  }
-  size_t workers = options_.num_threads == 0 ? sites_.size()
-                                             : options_.num_threads;
-  ThreadPool pool(workers);
-  std::mutex mu;
-  Status first_error;
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    pool.Submit([&, i] {
-      Status s = fn(i);
-      if (!s.ok()) {
-        std::lock_guard<std::mutex> lock(mu);
-        if (first_error.ok()) first_error = s;
-      }
-    });
-  }
-  pool.Wait();
-  return first_error;
+  fleet_.replicas[partition].push_back(std::move(replica));
 }
 
 namespace {
@@ -87,13 +45,12 @@ Result<Table> ShipFramed(SimulatedNetwork* network, const Table& table,
 }
 
 // Ships `table` over the network with real serialization; returns the
-// deserialized copy on the receiving end, charging bytes/time to `stats`.
-// With `block_rows` > 0, the table travels as row blocks of at most that
-// many rows, each block its own message (receivers reassemble).
+// deserialized copy on the receiving end. With `block_rows` > 0, the
+// table travels as row blocks of at most that many rows, each block its
+// own message (receivers reassemble).
 Result<Table> Ship(SimulatedNetwork* network, const Table& table, int from,
                    int to, size_t block_rows, uint64_t* bytes_acc,
-                   uint64_t* tuples_acc, double* comm_acc) {
-  *tuples_acc += table.num_rows();
+                   double* comm_acc) {
   if (block_rows == 0 || table.num_rows() <= block_rows) {
     return ShipFramed(network, table, from, to, bytes_acc, comm_acc);
   }
@@ -120,359 +77,127 @@ Result<Table> Ship(SimulatedNetwork* network, const Table& table, int from,
   return assembled;
 }
 
+// The in-process SiteLink: sites are Site objects in this process, X and
+// fragments cross the simulated network with real serialization, and the
+// sites' carried-over structures live here — so every round, even one
+// continuing a site's local structure, may fail over to a replica.
+class InProcessLink : public SiteLink {
+ public:
+  InProcessLink(SiteFleet* fleet, SimulatedNetwork* network,
+                const ExecutorOptions& options)
+      : fleet_(fleet),
+        network_(network),
+        options_(options),
+        input_(fleet->sites.size()),
+        input_round_(fleet->sites.size()),
+        output_(fleet->sites.size()) {}
+
+  size_t num_sites() const override { return fleet_->sites.size(); }
+
+  Status BeginPlan(uint64_t, ExecStats*) override {
+    return fleet_->Prepare(options_);
+  }
+
+  Result<SchemaPtr> TableSchema(const std::string& table) override {
+    SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
+                            fleet_->sites[0].catalog().GetProvider(table));
+    return provider->schema();
+  }
+
+  std::vector<int> ReplicaChain(size_t i, bool) override {
+    return fleet_->ReplicaIds(i);
+  }
+
+  Status ShipBase(size_t i, const Table& x, SiteTraffic* traffic) override {
+    traffic->tuples_to_sites += x.num_rows();
+    SKALLA_ASSIGN_OR_RETURN(
+        input_[i],
+        Ship(network_, x, kCoordinatorId, fleet_->sites[i].id(),
+             options_.ship_block_rows, &traffic->bytes_to_sites,
+             &traffic->comm_time));
+    return Status::OK();
+  }
+
+  Result<Table> Attempt(size_t i, size_t r, const SiteRound& round,
+                        SiteAttempt* attempt, SiteTraffic* traffic) override {
+    Site& site = fleet_->Replica(i, r);
+    SKALLA_TRACE_SPAN_UNDER(site_span, "site.eval", "site",
+                            round.eval.trace_parent_span);
+    SKALLA_SPAN_ATTR(site_span, "site", static_cast<int64_t>(site.id()));
+    SKALLA_SPAN_ATTR(site_span, "round", round.label);
+    Stopwatch timer;
+    EvalProfile eval_profile;
+    Result<Table> result = Status::Internal("unset");
+    if (round.stage == nullptr) {
+      result = site.ExecuteBaseQuery(*round.base);
+    } else {
+      if (!round.self_contained && input_round_[i] != round.label) {
+        input_[i] = std::move(output_[i]);
+        input_round_[i] = round.label;
+      }
+      EvalContext context = round.eval;
+      context.profile = &eval_profile;
+      SKALLA_OBS_ONLY(context.trace_parent_span = site_span.id());
+      result = site.EvalGmdjRound(input_[i], round.stage->op, context);
+      if (result.ok() && context.compute_rng) {
+        result = ApplyRngFilter(*result);
+      }
+    }
+    SKALLA_RETURN_NOT_OK(result.status());
+    const uint64_t eval_us =
+        static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
+    SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us",
+                            static_cast<double>(eval_us));
+
+    SiteRoundProfile& profile = attempt->profile;
+    profile.site_id = site.id();
+    profile.wall_us = eval_us;
+    profile.eval_us = eval_us;
+    profile.morsel_us = eval_profile.morsel_us.load(std::memory_order_relaxed);
+    profile.rows_scanned =
+        eval_profile.rows_scanned.load(std::memory_order_relaxed);
+    profile.rows_matched =
+        eval_profile.rows_matched.load(std::memory_order_relaxed);
+    profile.index_hits =
+        eval_profile.index_hits.load(std::memory_order_relaxed);
+    profile.engines_used =
+        eval_profile.engines_used.load(std::memory_order_relaxed);
+    profile.result_rows = result->num_rows();
+    profile.bytes_in = traffic->bytes_to_sites;
+    if (!round.synchronized) {
+      output_[i] = std::move(*result);
+      return Table();
+    }
+    SKALLA_ASSIGN_OR_RETURN(
+        Table received,
+        Ship(network_, *result, site.id(), kCoordinatorId,
+             options_.ship_block_rows, &attempt->bytes_to_coord,
+             &attempt->comm_time));
+    profile.bytes_out = attempt->bytes_to_coord;
+    return received;
+  }
+
+ private:
+  SiteFleet* fleet_;
+  SimulatedNetwork* network_;
+  const ExecutorOptions& options_;
+  // Per-site base-result structures. input_[i] is what site i's GMDJ
+  // round evaluates against: the shipped X, or the previous round's
+  // output_[i], moved over on the first attempt of a round that carries
+  // it. input_round_[i] names that round, so a retry after a discarded
+  // success re-reads the same input instead of its own output.
+  std::vector<Table> input_;
+  std::vector<std::string> input_round_;
+  std::vector<Table> output_;
+};
+
 }  // namespace
 
 Result<Table> DistributedExecutor::Execute(const DistributedPlan& plan,
                                            const QueryRun& run,
                                            ExecStats* stats) {
-  if (sites_.empty()) {
-    return Status::InvalidArgument("executor has no sites");
-  }
-  if (!plan.stages.empty() && !plan.stages.back().sync_after) {
-    return Status::InvalidArgument(
-        "the final plan stage must synchronize at the coordinator");
-  }
-  if (plan.stages.empty() && !plan.sync_base) {
-    return Status::InvalidArgument(
-        "a plan without GMDJ stages must synchronize its base query");
-  }
-  for (const PlanStage& stage : plan.stages) {
-    if (!stage.site_base_filters.empty() &&
-        stage.site_base_filters.size() != sites_.size()) {
-      return Status::InvalidArgument(
-          StrCat("stage has ", stage.site_base_filters.size(),
-                 " site filters for ", sites_.size(), " sites"));
-    }
-  }
-  for (const auto& [partition, replicas] : replicas_) {
-    if (partition >= sites_.size()) {
-      return Status::InvalidArgument(
-          StrCat("replica registered for partition ", partition, " but only ",
-                 sites_.size(), " partitions exist"));
-    }
-    (void)replicas;
-  }
-  if (options_.columnar_sites) {
-    for (Site& site : sites_) {
-      if (!site.columnar_enabled()) {
-        SKALLA_RETURN_NOT_OK(site.EnableColumnarCache());
-      }
-    }
-    for (auto& [partition, replicas] : replicas_) {
-      (void)partition;
-      for (Site& replica : replicas) {
-        if (!replica.columnar_enabled()) {
-          SKALLA_RETURN_NOT_OK(replica.EnableColumnarCache());
-        }
-      }
-    }
-  }
-
-  const size_t n = sites_.size();
-  ExecStats local_stats;
-  ExecStats& st = stats == nullptr ? local_stats : *stats;
-  st.rounds.clear();
-
-  // Tag every span and metric this execution records with the run's
-  // query id (worker threads re-establish the scope per site).
-  const uint64_t query_id = ResolveQueryId(run);
-  obs::QueryIdScope query_scope(query_id);
-  st.query_id = query_id;
-
-  SKALLA_TRACE_SPAN(exec_span, "exec.plan", "executor");
-  SKALLA_SPAN_ATTR(exec_span, "sites", static_cast<uint64_t>(n));
-  SKALLA_SPAN_ATTR(exec_span, "stages",
-                   static_cast<uint64_t>(plan.stages.size()));
-  SKALLA_COUNTER_ADD("skalla.exec.plans", 1);
-
-  Coordinator coordinator(plan.key_columns,
-                          ResolveCoordinatorShards(
-                              options_.coordinator_shards));
-  std::vector<Table> local_base(n);
-  bool have_global = false;
-  const QueryDeadline deadline(options_, run);
-  // Partitions whose every replica is gone; only OnSiteLoss::kDegrade
-  // sets these — the query completes over the survivors and the loss is
-  // reported in st.lost_sites / RoundStats::sites_lost.
-  std::vector<uint8_t> lost(n, 0);
-  st.lost_sites.clear();
-
-  // Schema inference chain: upstream schema entering each stage.
-  SKALLA_ASSIGN_OR_RETURN(const DataProvider* probe,
-                          sites_[0].catalog().GetProvider(plan.base.table));
-  SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
-                          plan.base.OutputSchema(*probe->schema()));
-
-  // ---- Base-values stage -------------------------------------------------
-  {
-    RoundStats rs;
-    rs.label = "base";
-    rs.synchronized = plan.sync_base;
-    SKALLA_TRACE_SPAN(round_span, "round:base", "executor");
-    SKALLA_SPAN_ATTR(round_span, "sync",
-                     plan.sync_base ? "true" : "false");
-    CancellationToken round_cancel;
-    SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
-    std::vector<SiteRoundProfile> profiles(n);
-    std::mutex mu;
-    Status status = ForEachSite([&](size_t i) -> Status {
-      obs::QueryIdScope site_scope(query_id);
-      SKALLA_TRACE_SPAN(site_span, "site.eval", "site");
-      SKALLA_SPAN_ATTR(site_span, "site",
-                       static_cast<int64_t>(sites_[i].id()));
-      SKALLA_SPAN_ATTR(site_span, "round", rs.label);
-      Stopwatch timer;
-      SiteRoundCounts counts;
-      Result<Table> b_i = ExecuteSiteRoundReplicated(
-          options_, ReplicaIds(i), rs.label,
-          [&](size_t r) {
-            return ReplicaSite(i, r).ExecuteBaseQuery(plan.base);
-          },
-          &counts, &round_cancel);
-      double elapsed = timer.ElapsedSeconds();
-      std::lock_guard<std::mutex> lock(mu);
-      rs.site_retries += counts.retries;
-      rs.site_failovers += counts.failovers;
-      if (!b_i.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            b_i.status().IsDeadlineExceeded()) {
-          return b_i.status();
-        }
-        lost[i] = 1;
-        st.lost_sites.push_back(sites_[i].id());
-        local_base[i] = Table();
-        return Status::OK();
-      }
-      SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us", elapsed * 1e6);
-      rs.site_time_max = std::max(rs.site_time_max, elapsed);
-      rs.site_time_sum += elapsed;
-      profiles[i].site_id = sites_[i].id();
-      profiles[i].wall_us = static_cast<uint64_t>(elapsed * 1e6);
-      profiles[i].eval_us = profiles[i].wall_us;
-      profiles[i].result_rows = b_i->num_rows();
-      local_base[i] = std::move(*b_i);
-      return Status::OK();
-    });
-    SKALLA_RETURN_NOT_OK(status);
-    for (size_t i = 0; i < n; ++i) rs.sites_lost += lost[i];
-
-    if (plan.sync_base) {
-      SKALLA_RETURN_NOT_OK(coordinator.InitBase(upstream));
-      for (size_t i = 0; i < n; ++i) {
-        if (lost[i]) continue;
-        uint64_t bytes_before = rs.bytes_to_coord;
-        SKALLA_ASSIGN_OR_RETURN(
-            Table received,
-            Ship(&network_, local_base[i], sites_[i].id(), kCoordinatorId,
-                 options_.ship_block_rows, &rs.bytes_to_coord,
-                 &rs.tuples_to_coord, &rs.comm_time));
-        profiles[i].bytes_out = rs.bytes_to_coord - bytes_before;
-        Stopwatch merge_timer;
-        SKALLA_RETURN_NOT_OK(coordinator.MergeBaseFragment(received));
-        rs.coord_time += merge_timer.ElapsedSeconds();
-        local_base[i] = Table();
-      }
-      {
-        Stopwatch finalize_timer;
-        SKALLA_RETURN_NOT_OK(coordinator.FinalizeBase());
-        rs.coord_time += finalize_timer.ElapsedSeconds();
-      }
-      have_global = true;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (!lost[i]) rs.site_profiles.push_back(profiles[i]);
-    }
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
-    st.rounds.push_back(std::move(rs));
-  }
-
-  // ---- GMDJ stages ---------------------------------------------------------
-  for (size_t k = 0; k < plan.stages.size(); ++k) {
-    const PlanStage& stage = plan.stages[k];
-    RoundStats rs;
-    rs.label = StrCat("md", k + 1);
-    rs.synchronized = stage.sync_after;
-    SKALLA_TRACE_SPAN(round_span, StrCat("round:", rs.label), "executor");
-    SKALLA_SPAN_ATTR(round_span, "sync",
-                     stage.sync_after ? "true" : "false");
-
-    SKALLA_ASSIGN_OR_RETURN(const DataProvider* detail_probe,
-                            sites_[0].catalog().GetProvider(stage.op.detail_table));
-    const Schema& detail_schema = *detail_probe->schema();
-
-    // Distribute the global structure to the sites, applying
-    // distribution-aware group reduction where the optimizer derived
-    // per-site predicates. A site whose reduced structure is empty holds
-    // no group that could match: it sits the round out entirely
-    // (S_MD_k ⊂ S_B, Sect. 3.2).
-    CancellationToken round_cancel;
-    SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
-
-    std::vector<SiteRoundProfile> profiles(n);
-    std::vector<uint8_t> active(n, 1);
-    if (have_global) {
-      const Table& x = coordinator.result();
-      for (size_t i = 0; i < n; ++i) {
-        if (lost[i]) continue;
-        const ExprPtr& filter = stage.site_base_filters.empty()
-                                    ? nullptr
-                                    : stage.site_base_filters[i];
-        Table to_send;
-        {
-          Stopwatch coord_timer;
-          if (filter != nullptr) {
-            SKALLA_ASSIGN_OR_RETURN(to_send, FilterBaseRows(x, filter));
-          } else {
-            to_send = x;
-          }
-          rs.coord_time += coord_timer.ElapsedSeconds();
-        }
-        // Only synchronized stages may drop a site outright: a local
-        // continuation stage still needs the (empty, but schema-typed)
-        // structure to evaluate the next operator against.
-        if (filter != nullptr && to_send.empty() && stage.sync_after) {
-          active[i] = 0;
-          ++rs.sites_skipped;
-          local_base[i] = Table();
-          continue;
-        }
-        uint64_t bytes_before = rs.bytes_to_sites;
-        SKALLA_ASSIGN_OR_RETURN(
-            local_base[i],
-            Ship(&network_, to_send, kCoordinatorId, sites_[i].id(),
-                 options_.ship_block_rows, &rs.bytes_to_sites,
-                 &rs.tuples_to_sites, &rs.comm_time));
-        profiles[i].bytes_in = rs.bytes_to_sites - bytes_before;
-      }
-    }
-
-    // Local GMDJ evaluation at every site.
-    EvalContext eval_context = StageEvalContext(options_, run, stage);
-    eval_context.cancellation = &round_cancel;
-    eval_context.query_id = query_id;
-    std::vector<Table> outputs(n);
-    std::mutex mu;
-    Status status = ForEachSite([&](size_t i) -> Status {
-      if (!active[i] || lost[i]) return Status::OK();
-      obs::QueryIdScope site_scope(query_id);
-      SKALLA_TRACE_SPAN(site_span, "site.eval", "site");
-      SKALLA_SPAN_ATTR(site_span, "site",
-                       static_cast<int64_t>(sites_[i].id()));
-      SKALLA_SPAN_ATTR(site_span, "round", rs.label);
-      Stopwatch timer;
-      SiteRoundCounts counts;
-      EvalProfile eval_profile;
-      EvalContext site_context = eval_context;
-      site_context.profile = &eval_profile;
-      SKALLA_OBS_ONLY(site_context.trace_parent_span = site_span.id());
-      Result<Table> attempt_result = ExecuteSiteRoundReplicated(
-          options_, ReplicaIds(i), rs.label,
-          [&](size_t r) {
-            return ReplicaSite(i, r).EvalGmdjRound(local_base[i], stage.op,
-                                                   site_context);
-          },
-          &counts, &round_cancel);
-      double elapsed = timer.ElapsedSeconds();
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        rs.site_retries += counts.retries;
-        rs.site_failovers += counts.failovers;
-      }
-      if (!attempt_result.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            attempt_result.status().IsDeadlineExceeded()) {
-          return attempt_result.status();
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        lost[i] = 1;
-        st.lost_sites.push_back(sites_[i].id());
-        outputs[i] = Table();
-        local_base[i] = Table();
-        return Status::OK();
-      }
-      Table result = std::move(*attempt_result);
-      if (eval_context.compute_rng) {
-        SKALLA_ASSIGN_OR_RETURN(result, ApplyRngFilter(result));
-      }
-      SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us", elapsed * 1e6);
-      std::lock_guard<std::mutex> lock(mu);
-      rs.site_time_max = std::max(rs.site_time_max, elapsed);
-      rs.site_time_sum += elapsed;
-      profiles[i].site_id = sites_[i].id();
-      profiles[i].wall_us = static_cast<uint64_t>(elapsed * 1e6);
-      profiles[i].eval_us = profiles[i].wall_us;
-      profiles[i].morsel_us =
-          eval_profile.morsel_us.load(std::memory_order_relaxed);
-      profiles[i].rows_scanned =
-          eval_profile.rows_scanned.load(std::memory_order_relaxed);
-      profiles[i].rows_matched =
-          eval_profile.rows_matched.load(std::memory_order_relaxed);
-      profiles[i].index_hits =
-          eval_profile.index_hits.load(std::memory_order_relaxed);
-      profiles[i].engines_used =
-          eval_profile.engines_used.load(std::memory_order_relaxed);
-      profiles[i].result_rows = result.num_rows();
-      outputs[i] = std::move(result);
-      return Status::OK();
-    });
-    SKALLA_RETURN_NOT_OK(status);
-    for (size_t i = 0; i < n; ++i) rs.sites_lost += lost[i];
-
-    if (stage.sync_after) {
-      Stopwatch coord_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.BeginRound(
-          stage.op, *upstream, detail_schema, /*from_scratch=*/!have_global));
-      double begin_time = coord_timer.ElapsedSeconds();
-      rs.coord_time += begin_time;
-      for (size_t i = 0; i < n; ++i) {
-        if (!active[i] || lost[i]) continue;
-        uint64_t bytes_before = rs.bytes_to_coord;
-        SKALLA_ASSIGN_OR_RETURN(
-            Table received,
-            Ship(&network_, outputs[i], sites_[i].id(), kCoordinatorId,
-                 options_.ship_block_rows, &rs.bytes_to_coord,
-                 &rs.tuples_to_coord, &rs.comm_time));
-        profiles[i].bytes_out = rs.bytes_to_coord - bytes_before;
-        Stopwatch merge_timer;
-        SKALLA_RETURN_NOT_OK(coordinator.MergeFragment(received));
-        rs.coord_time += merge_timer.ElapsedSeconds();
-        outputs[i] = Table();
-        local_base[i] = Table();
-      }
-      Stopwatch finalize_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.FinalizeRound());
-      rs.coord_time += finalize_timer.ElapsedSeconds();
-      have_global = true;
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        local_base[i] = std::move(outputs[i]);
-      }
-      have_global = false;
-    }
-
-    SKALLA_ASSIGN_OR_RETURN(
-        upstream, stage.op.OutputSchema(*upstream, detail_schema));
-    for (size_t i = 0; i < n; ++i) {
-      if (active[i] && !lost[i]) {
-        st.engines_used |= profiles[i].engines_used;
-        rs.site_profiles.push_back(profiles[i]);
-      }
-    }
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_sites", rs.bytes_to_sites);
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_sites", rs.tuples_to_sites);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
-    st.rounds.push_back(std::move(rs));
-  }
-
-  if (!have_global) {
-    return Status::Internal("plan finished without a global result");
-  }
-  // Losses are recorded in completion order, which parallel_sites makes
-  // nondeterministic; report them sorted.
-  std::sort(st.lost_sites.begin(), st.lost_sites.end());
-  return coordinator.result();
+  InProcessLink link(&fleet_, &network_, options_);
+  return RunStarPlan(plan, run, options_, link, stats);
 }
 
 }  // namespace skalla

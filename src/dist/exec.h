@@ -1,27 +1,28 @@
-// DistributedExecutor: Alg. GMDJDistribEval of the paper. Executes a
-// DistributedPlan against a set of Skalla sites and a coordinator over a
-// simulated network, producing the query result plus detailed per-round
-// cost accounting (bytes, tuples, site/coordinator compute time, modeled
-// communication time). Implements the unified skalla::Executor interface
+// DistributedExecutor: Alg. GMDJDistribEval over in-process Skalla sites
+// and a simulated network, producing the query result plus detailed
+// per-round cost accounting (bytes, tuples, site/coordinator compute
+// time, modeled communication time). The round protocol itself is the
+// shared star driver (dist/star_driver.h); this engine supplies the
+// in-process link. Implements the unified skalla::Executor interface
 // (dist/executor.h).
 
 #ifndef SKALLA_DIST_EXEC_H_
 #define SKALLA_DIST_EXEC_H_
 
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "common/result.h"
-#include "dist/coordinator.h"
 #include "dist/executor.h"
 #include "dist/plan.h"
 #include "dist/site.h"
+#include "dist/star_driver.h"
 #include "net/network.h"
 
 namespace skalla {
 
-/// Synchronous star executor. Owns the sites and the simulated network.
+/// Star executor. Owns the sites and the simulated network. Sites run
+/// sequentially unless options.parallel_sites — then concurrently, with
+/// fragments merging as they arrive (results stay byte-identical).
 class DistributedExecutor : public Executor {
  public:
   explicit DistributedExecutor(std::vector<Site> sites,
@@ -38,22 +39,12 @@ class DistributedExecutor : public Executor {
   void AddReplica(size_t partition, Site replica);
 
   const char* name() const override { return "star"; }
-  size_t num_sites() const override { return sites_.size(); }
-  const std::vector<Site>& sites() const { return sites_; }
+  size_t num_sites() const override { return fleet_.sites.size(); }
+  const std::vector<Site>& sites() const { return fleet_.sites; }
   SimulatedNetwork& network() { return network_; }
 
  private:
-  // Runs fn(site_index) for every site, sequentially or on the pool;
-  // returns the first non-OK status.
-  Status ForEachSite(const std::function<Status(size_t)>& fn);
-
-  // Site ids of partition i's evaluation chain: primary, then replicas.
-  std::vector<int> ReplicaIds(size_t i) const;
-  // Replica r of partition i (r == 0 is the primary).
-  Site& ReplicaSite(size_t i, size_t r);
-
-  std::vector<Site> sites_;
-  std::map<size_t, std::vector<Site>> replicas_;
+  SiteFleet fleet_;
   SimulatedNetwork network_;
   ExecutorOptions options_;
 };

@@ -198,8 +198,14 @@ Result<Table> ExecuteSiteRoundReplicated(
   return result;
 }
 
+bool DegradesOnLoss(const ExecutorOptions& options, const Status& loss) {
+  return options.on_site_loss == OnSiteLoss::kDegrade &&
+         !loss.IsDeadlineExceeded();
+}
+
 Status QueryDeadline::ArmRound(const std::string& round,
-                               CancellationToken* token) const {
+                               CancellationToken* token,
+                               uint64_t* budget_ms) const {
   if (external_ != nullptr) {
     // Chain the round token under the submission-level token so a
     // session Cancel stops this round's morsel loops; refuse to start
@@ -226,6 +232,7 @@ Status QueryDeadline::ArmRound(const std::string& round,
     bounded = true;
   }
   if (bounded) token->ArmDeadline(budget, StrCat("round ", round));
+  if (budget_ms != nullptr) *budget_ms = budget;
   return Status::OK();
 }
 

@@ -1,10 +1,12 @@
-// The unified executor API. Every engine — synchronous star
-// (DistributedExecutor), pipelined (AsyncExecutor), multi-tier
-// (TreeExecutor) — implements skalla::Executor, is configured through the
-// one shared ExecutorOptions struct, and reports per-round accounting
-// into the one shared ExecStats. Engines differ only in *how* they move
-// fragments; results are bit-identical across all of them, and byte
-// counts are identical wherever the accounting is defined the same way.
+// The unified executor API. Every engine — star over in-process sites
+// (DistributedExecutor), star over site processes (RpcExecutor), and
+// multi-tier (TreeExecutor) — implements skalla::Executor, is configured
+// through the one shared ExecutorOptions struct, and reports per-round
+// accounting into the one shared ExecStats. Engines differ only in *how*
+// they move fragments; results are bit-identical across all of them —
+// same rows in the same order, since every engine merges fragments in
+// site order — and byte counts are identical wherever the accounting is
+// defined the same way.
 //
 // See docs/EXECUTORS.md for the option-by-option semantics per engine.
 
@@ -42,14 +44,15 @@ enum class OnSiteLoss {
 /// is meaningful for it (documented per field and in docs/EXECUTORS.md);
 /// none of the knobs changes query results or transfer byte counts.
 struct ExecutorOptions {
-  /// Evaluate sites concurrently on a thread pool. Off by default: byte
-  /// counts are identical either way, and sequential execution gives
-  /// stable compute timings. AsyncExecutor is inherently concurrent and
-  /// ignores the flag; TreeExecutor evaluates sites sequentially (its
-  /// cost model already charges the per-level maximum).
+  /// Run a round's sites concurrently on a thread pool; the coordinator
+  /// merges fragment i as soon as fragments 0..i have arrived. Off by
+  /// default: results and byte counts are identical either way, and
+  /// sequential execution gives stable compute timings. Honored by the
+  /// star-shaped engines (for rpc: requests fan out over the per-site
+  /// connections); TreeExecutor evaluates sites sequentially (its cost
+  /// model already charges the per-level maximum).
   bool parallel_sites = false;
-  /// Worker count for site evaluation when it is concurrent
-  /// (parallel_sites here, always in AsyncExecutor); 0 = one per site.
+  /// Worker count when parallel_sites is on; 0 = one per site.
   size_t num_threads = 0;
 
   /// Row blocking (one of the classical distributed optimizations the
@@ -229,8 +232,9 @@ struct RoundStats {
   /// Modeled communication time (coordinator link serialized; per-level
   /// maxima for the tree executor).
   double comm_time = 0;
-  /// Real elapsed duration of the round (only the AsyncExecutor fills
-  /// this in; it reflects actual site/merge overlap).
+  /// Real elapsed duration of the round. Every star engine fills it
+  /// (under parallel_sites it reflects the site/merge overlap); the tree
+  /// engine leaves it 0.
   double wall_time = 0;
 
   /// Bytes over the root coordinator's own links. Only the TreeExecutor
@@ -239,9 +243,10 @@ struct RoundStats {
   /// degenerate star tree. The flat executors leave it 0.
   uint64_t root_bytes = 0;
 
-  /// Per-site profiles for this round, ordered by site id. Filled by the
-  /// star, async, and rpc engines; empty for the tree engine (its
-  /// multi-tier topology has no per-site round boundary at the root).
+  /// Per-site profiles for this round, in partition order (sites skipped
+  /// or lost this round have none). Filled by the star and rpc engines;
+  /// empty for the tree engine (its multi-tier topology has no per-site
+  /// round boundary at the root).
   std::vector<SiteRoundProfile> site_profiles;
 
   /// Framed wire bytes this round moved (headers + payloads + CRCs).
@@ -385,6 +390,12 @@ Result<Table> ExecuteSiteRoundReplicated(
     const std::function<Result<Table>(size_t)>& attempt,
     SiteRoundCounts* counts, CancellationToken* cancel = nullptr);
 
+/// The degrade rung of the ladder: whether a partition whose replica
+/// chain failed with `loss` drops out of the answer (OnSiteLoss::kDegrade)
+/// instead of failing the query. A fired deadline is never degraded away
+/// — the budget is gone for every partition alike.
+bool DegradesOnLoss(const ExecutorOptions& options, const Status& loss);
+
 /// Per-query deadline bookkeeping shared by every engine: one instance
 /// per Execute() call; ArmRound arms a round's CancellationToken with
 /// the tighter of round_deadline_ms and the remaining query budget, or
@@ -408,7 +419,10 @@ class QueryDeadline {
                                             : options.query_deadline_ms),
         external_(run.cancellation) {}
 
-  Status ArmRound(const std::string& round, CancellationToken* token) const;
+  /// `budget_ms` (may be nullptr) receives the armed budget, 0 = none —
+  /// what the rpc engine ships to its sites with each round request.
+  Status ArmRound(const std::string& round, CancellationToken* token,
+                  uint64_t* budget_ms = nullptr) const;
 
   /// Milliseconds of query budget left: 0 = spent, negative = unbounded.
   int64_t RemainingQueryMs() const;

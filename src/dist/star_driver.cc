@@ -1,0 +1,343 @@
+#include "dist/star_driver.h"
+
+#include <algorithm>
+#include <condition_variable>
+#include <functional>
+#include <memory>
+#include <mutex>
+
+#include "common/macros.h"
+#include "common/stopwatch.h"
+#include "common/thread_pool.h"
+#include "dist/coordinator.h"
+#include "obs/obs.h"
+
+namespace skalla {
+
+namespace {
+
+// One site's share of one round: written by that site's task, read by
+// the coordinator thread once the task is done, and folded into the
+// RoundStats in site order after the fan-out — so accounting never races
+// and its sums do not depend on completion order.
+struct SiteSlot {
+  int site_id = 0;  // the partition's primary id (reported when lost)
+  bool skipped = false;
+  bool lost = false;
+  double filter_time = 0;
+  double site_time = 0;
+  SiteRoundCounts counts;
+  SiteTraffic traffic;
+  SiteAttempt attempt;
+  Table fragment;
+  uint64_t fragment_rows = 0;
+};
+
+// Runs site(i) for every i, and merge(i) on the calling thread in index
+// order, each as soon as sites 0..i are done. Inline when `pool` is
+// null. On the first error, cancels `cancel` so in-flight site work stops
+// early, waits for every task (they reference the caller's frame), and
+// returns that error.
+Status FanOut(size_t n, ThreadPool* pool, CancellationToken* cancel,
+              const std::function<Status(size_t)>& site,
+              const std::function<Status(size_t)>& merge) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      SKALLA_RETURN_NOT_OK(site(i));
+      SKALLA_RETURN_NOT_OK(merge(i));
+    }
+    return Status::OK();
+  }
+  std::mutex mu;
+  std::condition_variable arrived;
+  std::vector<uint8_t> done(n, 0);
+  Status first_error;
+  for (size_t i = 0; i < n; ++i) {
+    pool->Submit([&, i] {
+      Status s = site(i);
+      std::lock_guard<std::mutex> lock(mu);
+      if (!s.ok() && first_error.ok()) first_error = std::move(s);
+      done[i] = 1;
+      arrived.notify_one();
+    });
+  }
+  Status status;
+  for (size_t next = 0; next < n && status.ok(); ++next) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      arrived.wait(lock, [&] { return done[next] || !first_error.ok(); });
+      status = first_error;
+    }
+    if (status.ok()) status = merge(next);
+  }
+  if (!status.ok()) cancel->Cancel(status);
+  pool->Wait();
+  return status;
+}
+
+}  // namespace
+
+Status ValidatePlan(const DistributedPlan& plan, size_t num_sites) {
+  if (num_sites == 0) {
+    return Status::InvalidArgument("executor has no sites");
+  }
+  if (!plan.stages.empty() && !plan.stages.back().sync_after) {
+    return Status::InvalidArgument(
+        "the final plan stage must synchronize at the coordinator");
+  }
+  if (plan.stages.empty() && !plan.sync_base) {
+    return Status::InvalidArgument(
+        "a plan without GMDJ stages must synchronize its base query");
+  }
+  for (const PlanStage& stage : plan.stages) {
+    if (!stage.site_base_filters.empty() &&
+        stage.site_base_filters.size() != num_sites) {
+      return Status::InvalidArgument(
+          StrCat("stage has ", stage.site_base_filters.size(),
+                 " site filters for ", num_sites, " sites"));
+    }
+  }
+  return Status::OK();
+}
+
+std::vector<int> SiteFleet::ReplicaIds(size_t i) const {
+  std::vector<int> ids{sites[i].id()};
+  auto it = replicas.find(i);
+  if (it != replicas.end()) {
+    for (const Site& replica : it->second) ids.push_back(replica.id());
+  }
+  return ids;
+}
+
+Site& SiteFleet::Replica(size_t i, size_t r) {
+  return r == 0 ? sites[i] : replicas.at(i)[r - 1];
+}
+
+Status SiteFleet::Prepare(const ExecutorOptions& options) {
+  SKALLA_RETURN_NOT_OK(ValidateReplicaPartitions(replicas, sites.size()));
+  if (!options.columnar_sites) return Status::OK();
+  for (Site& site : sites) SKALLA_RETURN_NOT_OK(site.EnableColumnarCache());
+  for (auto& entry : replicas) {
+    for (Site& site : entry.second) {
+      SKALLA_RETURN_NOT_OK(site.EnableColumnarCache());
+    }
+  }
+  return Status::OK();
+}
+
+Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
+                          const ExecutorOptions& options, SiteLink& link,
+                          ExecStats* stats) {
+  const size_t n = link.num_sites();
+  SKALLA_RETURN_NOT_OK(ValidatePlan(plan, n));
+
+  ExecStats local_stats;
+  ExecStats& st = stats == nullptr ? local_stats : *stats;
+  st.rounds.clear();
+  st.lost_sites.clear();
+  st.engines_used = 0;
+  st.setup_wire_bytes = 0;
+
+  // Tag every span and metric this execution records with the run's
+  // query id (site tasks re-establish the scope on their threads).
+  const uint64_t query_id = ResolveQueryId(run);
+  obs::QueryIdScope query_scope(query_id);
+  st.query_id = query_id;
+
+  SKALLA_TRACE_SPAN(exec_span, "exec.plan", "executor");
+  SKALLA_SPAN_ATTR(exec_span, "sites", static_cast<uint64_t>(n));
+  SKALLA_SPAN_ATTR(exec_span, "stages",
+                   static_cast<uint64_t>(plan.stages.size()));
+  SKALLA_COUNTER_ADD("skalla.exec.plans", 1);
+  SKALLA_RETURN_NOT_OK(link.BeginPlan(query_id, &st));
+
+  Coordinator coordinator(plan.key_columns,
+                          ResolveCoordinatorShards(options.coordinator_shards));
+  const QueryDeadline deadline(options, run);
+  std::unique_ptr<ThreadPool> pool;
+  if (options.parallel_sites && n > 1) {
+    pool = std::make_unique<ThreadPool>(
+        options.num_threads == 0 ? n : options.num_threads);
+  }
+  // Partitions whose every replica is gone; only DegradesOnLoss sets
+  // these — the query completes over the survivors and the loss is
+  // reported in st.lost_sites / RoundStats::sites_lost.
+  std::vector<uint8_t> lost(n, 0);
+  bool have_global = false;
+
+  // Schema inference chain: upstream schema entering each stage.
+  SKALLA_ASSIGN_OR_RETURN(SchemaPtr base_schema,
+                          link.TableSchema(plan.base.table));
+  SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
+                          plan.base.OutputSchema(*base_schema));
+
+  // Round 0 is the base round; round k evaluates plan.stages[k - 1].
+  for (size_t k = 0; k <= plan.stages.size(); ++k) {
+    const PlanStage* stage = k == 0 ? nullptr : &plan.stages[k - 1];
+    RoundStats rs;
+    rs.label = k == 0 ? "base" : StrCat("md", k);
+    rs.synchronized = stage == nullptr ? plan.sync_base : stage->sync_after;
+    SKALLA_TRACE_SPAN(round_span, StrCat("round:", rs.label), "executor");
+    SKALLA_SPAN_ATTR(round_span, "sync", rs.synchronized ? "true" : "false");
+    Stopwatch wall;
+
+    // X ships with every GMDJ round that follows a synchronization.
+    const bool distribute = stage != nullptr && have_global;
+    CancellationToken round_cancel;
+    SiteRound round;
+    round.label = rs.label;
+    round.base = &plan.base;
+    round.stage = stage;
+    round.synchronized = rs.synchronized;
+    round.self_contained = stage == nullptr || distribute;
+    SKALLA_RETURN_NOT_OK(
+        deadline.ArmRound(rs.label, &round_cancel, &round.deadline_ms));
+    if (stage != nullptr) round.eval = StageEvalContext(options, run, *stage);
+    round.eval.cancellation = &round_cancel;
+    round.eval.query_id = query_id;
+    SKALLA_OBS_ONLY(if (round_span.armed()) {
+      round.eval.trace_parent_span = round_span.id();
+    });
+
+    SchemaPtr detail_schema;
+    if (stage != nullptr) {
+      SKALLA_ASSIGN_OR_RETURN(detail_schema,
+                              link.TableSchema(stage->op.detail_table));
+    }
+    // Synchronization starts before the sites do, so each fragment can
+    // merge as soon as it is next in line.
+    if (rs.synchronized) {
+      Stopwatch begin_timer;
+      SKALLA_RETURN_NOT_OK(
+          stage == nullptr
+              ? coordinator.InitBase(upstream)
+              : coordinator.BeginRound(stage->op, *upstream, *detail_schema,
+                                       /*from_scratch=*/!have_global));
+      rs.coord_time += begin_timer.ElapsedSeconds();
+    }
+
+    std::vector<SiteSlot> slots(n);
+    auto run_site = [&](size_t i) -> Status {
+      if (lost[i]) return Status::OK();
+      SiteSlot& slot = slots[i];
+      obs::QueryIdScope site_scope(query_id);
+      if (distribute) {
+        // Distribution-aware group reduction: site i receives only the
+        // rows of X some of its tuples can match.
+        const Table& x = coordinator.result();
+        const ExprPtr& filter = stage->site_base_filters.empty()
+                                    ? nullptr
+                                    : stage->site_base_filters[i];
+        Table reduced;
+        if (filter != nullptr) {
+          Stopwatch filter_timer;
+          SKALLA_ASSIGN_OR_RETURN(reduced, FilterBaseRows(x, filter));
+          slot.filter_time = filter_timer.ElapsedSeconds();
+          // An empty reduced structure means the site holds no group that
+          // could match: it sits the round out entirely (S_MD_k ⊂ S_B,
+          // Sect. 3.2). Only synchronized stages may drop a site — a
+          // continuation still needs the (empty, but schema-typed)
+          // structure to evaluate the next operator against.
+          if (reduced.empty() && stage->sync_after) {
+            slot.skipped = true;
+            return Status::OK();
+          }
+        }
+        SKALLA_RETURN_NOT_OK(
+            link.ShipBase(i, filter != nullptr ? reduced : x, &slot.traffic));
+      }
+      const std::vector<int> chain = link.ReplicaChain(i, round.self_contained);
+      slot.site_id = chain.front();
+      Stopwatch timer;
+      Result<Table> fragment = ExecuteSiteRoundReplicated(
+          options, chain, rs.label,
+          [&](size_t r) {
+            slot.attempt = SiteAttempt();
+            return link.Attempt(i, r, round, &slot.attempt, &slot.traffic);
+          },
+          &slot.counts, &round_cancel);
+      slot.site_time = timer.ElapsedSeconds();
+      if (!fragment.ok()) {
+        // Every replica is exhausted: degrade or fail the query.
+        if (!DegradesOnLoss(options, fragment.status())) {
+          return fragment.status();
+        }
+        slot.lost = true;
+        return Status::OK();
+      }
+      slot.fragment_rows = fragment->num_rows();
+      slot.fragment = std::move(*fragment);
+      return Status::OK();
+    };
+    auto merge = [&](size_t i) -> Status {
+      SiteSlot& slot = slots[i];
+      if (!rs.synchronized || lost[i] || slot.skipped || slot.lost) {
+        return Status::OK();
+      }
+      Stopwatch merge_timer;
+      SKALLA_RETURN_NOT_OK(stage == nullptr
+                               ? coordinator.MergeBaseFragment(slot.fragment)
+                               : coordinator.MergeFragment(slot.fragment));
+      rs.coord_time += merge_timer.ElapsedSeconds();
+      slot.fragment = Table();
+      return Status::OK();
+    };
+    SKALLA_RETURN_NOT_OK(FanOut(n, pool.get(), &round_cancel, run_site, merge));
+    if (rs.synchronized) {
+      Stopwatch finalize_timer;
+      SKALLA_RETURN_NOT_OK(stage == nullptr ? coordinator.FinalizeBase()
+                                            : coordinator.FinalizeRound());
+      rs.coord_time += finalize_timer.ElapsedSeconds();
+    }
+    have_global = rs.synchronized;
+
+    for (size_t i = 0; i < n; ++i) {
+      if (lost[i]) continue;  // lost in an earlier round; never ran
+      const SiteSlot& slot = slots[i];
+      rs.coord_time += slot.filter_time;
+      rs.bytes_to_sites += slot.traffic.bytes_to_sites;
+      rs.tuples_to_sites += slot.traffic.tuples_to_sites;
+      rs.comm_time += slot.traffic.comm_time;
+      rs.wire_bytes += slot.traffic.wire_bytes;
+      st.setup_wire_bytes += slot.traffic.setup_wire_bytes;
+      rs.site_retries += slot.counts.retries;
+      rs.site_failovers += slot.counts.failovers;
+      if (slot.skipped) {
+        ++rs.sites_skipped;
+        continue;
+      }
+      if (slot.lost) {
+        lost[i] = 1;
+        st.lost_sites.push_back(slot.site_id);
+        continue;
+      }
+      rs.site_time_max = std::max(rs.site_time_max, slot.site_time);
+      rs.site_time_sum += slot.site_time;
+      rs.comm_time += slot.attempt.comm_time;
+      if (rs.synchronized) {
+        rs.bytes_to_coord += slot.attempt.bytes_to_coord;
+        rs.tuples_to_coord += slot.fragment_rows;
+      }
+      st.engines_used |= slot.attempt.profile.engines_used;
+      rs.site_profiles.push_back(slot.attempt.profile);
+    }
+    for (uint8_t l : lost) rs.sites_lost += l;
+    if (stage != nullptr) {
+      SKALLA_ASSIGN_OR_RETURN(
+          upstream, stage->op.OutputSchema(*upstream, *detail_schema));
+    }
+    rs.wall_time = wall.ElapsedSeconds();
+    SKALLA_COUNTER_ADD("skalla.round.bytes_to_sites", rs.bytes_to_sites);
+    SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
+    SKALLA_COUNTER_ADD("skalla.round.tuples_to_sites", rs.tuples_to_sites);
+    SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
+    st.rounds.push_back(std::move(rs));
+  }
+
+  std::sort(st.lost_sites.begin(), st.lost_sites.end());
+  st.total_wire_bytes = st.setup_wire_bytes;
+  for (const RoundStats& rs : st.rounds) st.total_wire_bytes += rs.wire_bytes;
+  return coordinator.result();
+}
+
+}  // namespace skalla

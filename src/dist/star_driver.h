@@ -1,0 +1,158 @@
+// The star round protocol — Alg. GMDJDistribEval — written once for every
+// star-shaped engine. RunStarPlan drives a DistributedPlan: a base round,
+// then per GMDJ round it distributes the base-result structure X (with
+// distribution-aware reduction and the S_MD ⊂ S_B site skip), evaluates
+// sub-aggregates at the sites through the retry -> failover -> degrade
+// ladder, and synchronizes the fragments at the coordinator. It owns all
+// per-round accounting (RoundStats, site profiles, lost sites).
+//
+// What differs per engine — how a site is reached — sits behind a small
+// per-Execute SiteLink: DistributedExecutor's in-process sites over the
+// simulated network (dist/exec.cc) and RpcExecutor's site processes
+// (rpc/rpc_executor.cc).
+//
+// Fan-out: sequential by default; with options.parallel_sites the sites
+// of a round run on a pool of options.num_threads workers (0 = one per
+// site). Either way the coordinator merges fragment i as soon as
+// fragments 0..i have arrived, so a concurrent run overlaps merging with
+// slower sites (Sect. 3.2's incremental synchronization) and still
+// produces output byte-identical to the sequential merge.
+
+#ifndef SKALLA_DIST_STAR_DRIVER_H_
+#define SKALLA_DIST_STAR_DRIVER_H_
+
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/result.h"
+#include "common/string_util.h"
+#include "core/eval_context.h"
+#include "dist/executor.h"
+#include "dist/plan.h"
+#include "dist/site.h"
+#include "storage/table.h"
+#include "types/schema.h"
+
+namespace skalla {
+
+/// One GMDJDistribEval round as the driver hands it to a SiteLink.
+struct SiteRound {
+  /// "base", "md1", ...: the fault injector's round key.
+  std::string label;
+  /// The base round's query; GMDJ rounds carry `stage` instead.
+  const BaseQuery* base = nullptr;
+  /// The GMDJ round's stage; nullptr for the base round.
+  const PlanStage* stage = nullptr;
+  /// Fragments return to the coordinator; otherwise outputs stay at the
+  /// sites as the next round's carried-over structures.
+  bool synchronized = false;
+  /// The round needs no carried-over site state (the base round, or X
+  /// ships with it), so any replica may evaluate it.
+  bool self_contained = true;
+  /// Site evaluation context: cancellation (the armed round token),
+  /// query id, the round span as trace parent, and for GMDJ rounds the
+  /// StageEvalContext settings.
+  EvalContext eval;
+  /// The armed round budget in milliseconds, 0 = unbounded.
+  uint64_t deadline_ms = 0;
+};
+
+/// Transfer accounting for one site in one round, summed over every
+/// attempt. Written only by that site's task.
+struct SiteTraffic {
+  uint64_t bytes_to_sites = 0;   // accounted X payload bytes
+  uint64_t tuples_to_sites = 0;
+  double comm_time = 0;          // modeled time of the X shipment
+  uint64_t wire_bytes = 0;       // framed round traffic, retries included
+  uint64_t setup_wire_bytes = 0; // non-round traffic (BeginPlan re-sends)
+};
+
+/// What one site-round attempt reported besides its fragment. Only the
+/// successful attempt's report is accounted.
+struct SiteAttempt {
+  SiteRoundProfile profile;
+  uint64_t bytes_to_coord = 0;  // accounted fragment payload bytes
+  double comm_time = 0;         // modeled time of the fragment shipment
+};
+
+/// How the driver reaches the sites of one execution. Calls for site i
+/// come from one task at a time (its own pool thread under
+/// parallel_sites), so per-site link state needs no locking.
+class SiteLink {
+ public:
+  virtual ~SiteLink() = default;
+
+  /// Number of partitions (primary sites).
+  virtual size_t num_sites() const = 0;
+
+  /// Called once, after plan validation and before the first round:
+  /// validates replica registrations and readies the sites. Setup
+  /// traffic goes to stats->setup_wire_bytes.
+  virtual Status BeginPlan(uint64_t query_id, ExecStats* stats) = 0;
+
+  /// Schema of a site-resident relation.
+  virtual Result<SchemaPtr> TableSchema(const std::string& table) = 0;
+
+  /// Site ids of partition i's evaluation chain (primary first). A round
+  /// that is not self-contained may be restricted to the primary.
+  virtual std::vector<int> ReplicaChain(size_t i, bool self_contained) = 0;
+
+  /// Ships `x` (X, already reduction-filtered for site i) to site i.
+  virtual Status ShipBase(size_t i, const Table& x, SiteTraffic* traffic) = 0;
+
+  /// One attempt of `round` at replica r of partition i. Returns the
+  /// fragment (empty when the round is not synchronized) and fills
+  /// *attempt.
+  virtual Result<Table> Attempt(size_t i, size_t r, const SiteRound& round,
+                                SiteAttempt* attempt,
+                                SiteTraffic* traffic) = 0;
+};
+
+/// Runs `plan` over `link` under the per-submission parameters in `run`;
+/// returns the final base-result structure. `stats` (may be nullptr)
+/// receives per-round accounting.
+Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
+                          const ExecutorOptions& options, SiteLink& link,
+                          ExecStats* stats);
+
+/// Rejects plans no engine can run over `num_sites` sites: no sites, an
+/// unsynchronized final stage (or base-only plan), and per-site filter
+/// lists of the wrong length.
+Status ValidatePlan(const DistributedPlan& plan, size_t num_sites);
+
+/// Rejects replicas registered for a partition that does not exist.
+/// `replicas` maps partition -> replicas (any mapped type).
+template <typename ReplicaMap>
+Status ValidateReplicaPartitions(const ReplicaMap& replicas,
+                                 size_t num_sites) {
+  for (const auto& entry : replicas) {
+    if (entry.first >= num_sites) {
+      return Status::InvalidArgument(
+          StrCat("replica registered for partition ", entry.first,
+                 " but only ", num_sites, " partitions exist"));
+    }
+  }
+  return Status::OK();
+}
+
+/// The in-process engines' sites: partition i's primary plus the
+/// replicas registered for it.
+struct SiteFleet {
+  std::vector<Site> sites;
+  std::map<size_t, std::vector<Site>> replicas;
+
+  /// Site ids of partition i's chain: primary, then replicas in
+  /// registration order.
+  std::vector<int> ReplicaIds(size_t i) const;
+  /// Replica r of partition i (r == 0 is the primary).
+  Site& Replica(size_t i, size_t r);
+  /// Validates the replica registrations and, with
+  /// options.columnar_sites, warms every site's columnar cache.
+  Status Prepare(const ExecutorOptions& options);
+};
+
+}  // namespace skalla
+
+#endif  // SKALLA_DIST_STAR_DRIVER_H_

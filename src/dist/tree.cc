@@ -92,26 +92,13 @@ std::vector<int> CoordinatorTree::SitesUnder(int node) const {
 
 TreeExecutor::TreeExecutor(std::vector<Site> sites, CoordinatorTree tree,
                            NetworkConfig net_config, ExecutorOptions options)
-    : sites_(std::move(sites)),
+    : fleet_{std::move(sites), {}},
       tree_(std::move(tree)),
       network_(net_config),
       options_(options) {}
 
 void TreeExecutor::AddReplica(size_t partition, Site replica) {
-  replicas_[partition].push_back(std::move(replica));
-}
-
-std::vector<int> TreeExecutor::ReplicaIds(size_t i) const {
-  std::vector<int> ids{sites_[i].id()};
-  auto it = replicas_.find(i);
-  if (it != replicas_.end()) {
-    for (const Site& replica : it->second) ids.push_back(replica.id());
-  }
-  return ids;
-}
-
-Site& TreeExecutor::ReplicaSite(size_t i, size_t r) {
-  return r == 0 ? sites_[i] : replicas_.at(i)[r - 1];
+  fleet_.replicas[partition].push_back(std::move(replica));
 }
 
 namespace {
@@ -187,46 +174,8 @@ void FoldAccum(const CoordinatorTree& tree, const RoundAccum& accum,
 
 Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
                                     const QueryRun& run, ExecStats* stats) {
-  if (sites_.empty()) {
-    return Status::InvalidArgument("executor has no sites");
-  }
-  if (!plan.stages.empty() && !plan.stages.back().sync_after) {
-    return Status::InvalidArgument(
-        "the final plan stage must synchronize at the coordinator");
-  }
-  if (plan.stages.empty() && !plan.sync_base) {
-    return Status::InvalidArgument(
-        "a plan without GMDJ stages must synchronize its base query");
-  }
-  for (const PlanStage& stage : plan.stages) {
-    if (!stage.site_base_filters.empty() &&
-        stage.site_base_filters.size() != sites_.size()) {
-      return Status::InvalidArgument("site filter count mismatch");
-    }
-  }
-  for (const auto& [partition, replicas] : replicas_) {
-    if (partition >= sites_.size()) {
-      return Status::InvalidArgument(
-          StrCat("replica registered for partition ", partition, " but only ",
-                 sites_.size(), " partitions exist"));
-    }
-    (void)replicas;
-  }
-  if (options_.columnar_sites) {
-    for (Site& site : sites_) {
-      if (!site.columnar_enabled()) {
-        SKALLA_RETURN_NOT_OK(site.EnableColumnarCache());
-      }
-    }
-    for (auto& [partition, replicas] : replicas_) {
-      (void)partition;
-      for (Site& replica : replicas) {
-        if (!replica.columnar_enabled()) {
-          SKALLA_RETURN_NOT_OK(replica.EnableColumnarCache());
-        }
-      }
-    }
-  }
+  SKALLA_RETURN_NOT_OK(ValidatePlan(plan, fleet_.sites.size()));
+  SKALLA_RETURN_NOT_OK(fleet_.Prepare(options_));
 
   ExecStats local_stats;
   ExecStats& st = stats == nullptr ? local_stats : *stats;
@@ -238,12 +187,12 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
   obs::QueryIdScope query_scope(query_id);
   st.query_id = query_id;
 
-  const size_t n = sites_.size();
+  const size_t n = fleet_.sites.size();
   std::vector<Table> local_base(n);
   bool have_global = false;
   const QueryDeadline deadline(options_, run);
-  // Partitions whose every replica is gone; only OnSiteLoss::kDegrade
-  // sets these — the query completes over the survivors and the loss is
+  // Partitions whose every replica is gone; only DegradesOnLoss sets
+  // these — the query completes over the survivors and the loss is
   // reported in st.lost_sites / RoundStats::sites_lost.
   std::vector<uint8_t> lost(n, 0);
   st.lost_sites.clear();
@@ -255,8 +204,9 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
   if (shards > 1) merge_pool = std::make_unique<ThreadPool>(shards - 1);
   Coordinator root(plan.key_columns, shards, merge_pool.get());
 
-  SKALLA_ASSIGN_OR_RETURN(const DataProvider* probe,
-                          sites_[0].catalog().GetProvider(plan.base.table));
+  SKALLA_ASSIGN_OR_RETURN(
+      const DataProvider* probe,
+      fleet_.sites[0].catalog().GetProvider(plan.base.table));
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
                           plan.base.OutputSchema(*probe->schema()));
 
@@ -272,20 +222,17 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
       Stopwatch timer;
       SiteRoundCounts counts;
       Result<Table> b_i = ExecuteSiteRoundReplicated(
-          options_, ReplicaIds(i), rs.label,
+          options_, fleet_.ReplicaIds(i), rs.label,
           [&](size_t r) {
-            return ReplicaSite(i, r).ExecuteBaseQuery(plan.base);
+            return fleet_.Replica(i, r).ExecuteBaseQuery(plan.base);
           },
           &counts, &round_cancel);
       rs.site_retries += counts.retries;
       rs.site_failovers += counts.failovers;
       if (!b_i.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            b_i.status().IsDeadlineExceeded()) {
-          return b_i.status();
-        }
+        if (!DegradesOnLoss(options_, b_i.status())) return b_i.status();
         lost[i] = 1;
-        st.lost_sites.push_back(sites_[i].id());
+        st.lost_sites.push_back(fleet_.sites[i].id());
         local_base[i] = Table();
         continue;
       }
@@ -348,8 +295,9 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
     CancellationToken round_cancel;
     SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
 
-    SKALLA_ASSIGN_OR_RETURN(const DataProvider* detail_probe,
-                            sites_[0].catalog().GetProvider(stage.op.detail_table));
+    SKALLA_ASSIGN_OR_RETURN(
+        const DataProvider* detail_probe,
+        fleet_.sites[0].catalog().GetProvider(stage.op.detail_table));
     const Schema& detail_schema = *detail_probe->schema();
 
     // Bind the per-site aware-GR filters once against the upstream schema.
@@ -448,42 +396,26 @@ Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
       Stopwatch timer;
       SiteRoundCounts counts;
       Result<Table> attempt_result = ExecuteSiteRoundReplicated(
-          options_, ReplicaIds(i), rs.label,
+          options_, fleet_.ReplicaIds(i), rs.label,
           [&](size_t r) {
-            return ReplicaSite(i, r).EvalGmdjRound(local_base[i], stage.op,
-                                                   eval_context);
+            return fleet_.Replica(i, r).EvalGmdjRound(local_base[i],
+                                                      stage.op, eval_context);
           },
           &counts, &round_cancel);
       rs.site_retries += counts.retries;
       rs.site_failovers += counts.failovers;
       if (!attempt_result.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            attempt_result.status().IsDeadlineExceeded()) {
+        if (!DegradesOnLoss(options_, attempt_result.status())) {
           return attempt_result.status();
         }
         lost[i] = 1;
-        st.lost_sites.push_back(sites_[i].id());
+        st.lost_sites.push_back(fleet_.sites[i].id());
         local_base[i] = Table();
         continue;
       }
       Table result = std::move(*attempt_result);
       if (eval_context.compute_rng) {
-        // Reuse the flat executor's filter semantics: keep |RNG| > 0 rows
-        // and drop the indicator column.
-        int rng_idx = result.schema()->IndexOf(kRngCountColumn);
-        if (rng_idx < 0) return Status::Internal("missing __rng column");
-        std::vector<size_t> keep;
-        for (size_t c = 0; c < result.num_columns(); ++c) {
-          if (c != static_cast<size_t>(rng_idx)) keep.push_back(c);
-        }
-        Table filtered(result.schema()->Project(keep));
-        for (size_t r = 0; r < result.num_rows(); ++r) {
-          const Value& flag = result.at(r, static_cast<size_t>(rng_idx));
-          if (!flag.is_null() && flag.AsDouble() > 0) {
-            filtered.AppendUnchecked(ProjectRow(result.row(r), keep));
-          }
-        }
-        result = std::move(filtered);
+        SKALLA_ASSIGN_OR_RETURN(result, ApplyRngFilter(result));
       }
       double elapsed = timer.ElapsedSeconds();
       rs.site_time_max = std::max(rs.site_time_max, elapsed);

@@ -15,7 +15,6 @@
 #ifndef SKALLA_DIST_TREE_H_
 #define SKALLA_DIST_TREE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "dist/executor.h"
 #include "dist/plan.h"
 #include "dist/site.h"
+#include "dist/star_driver.h"
 #include "net/network.h"
 
 namespace skalla {
@@ -83,17 +83,11 @@ class TreeExecutor : public Executor {
   void AddReplica(size_t partition, Site replica);
 
   const char* name() const override { return "tree"; }
-  size_t num_sites() const override { return sites_.size(); }
+  size_t num_sites() const override { return fleet_.sites.size(); }
   const CoordinatorTree& tree() const { return tree_; }
 
  private:
-  // Site ids of partition i's evaluation chain: primary, then replicas.
-  std::vector<int> ReplicaIds(size_t i) const;
-  // Replica r of partition i (r == 0 is the primary).
-  Site& ReplicaSite(size_t i, size_t r);
-
-  std::vector<Site> sites_;
-  std::map<size_t, std::vector<Site>> replicas_;
+  SiteFleet fleet_;
   CoordinatorTree tree_;
   SimulatedNetwork network_;
   ExecutorOptions options_;

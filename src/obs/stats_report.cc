@@ -40,7 +40,7 @@ std::string RoundLine(const RoundStats& r) {
 }
 
 // Per-site breakdown under a round, present when the engine recorded
-// SiteRoundProfiles (star, async, and rpc do; the tree engine aggregates
+// SiteRoundProfiles (the star engines do; the tree engine aggregates
 // through intermediate tiers and leaves the vector empty).
 std::string SiteProfileLines(const RoundStats& r) {
   std::string out;

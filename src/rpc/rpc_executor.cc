@@ -6,7 +6,7 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "dist/coordinator.h"
+#include "dist/star_driver.h"
 #include "net/serde.h"
 #include "obs/obs.h"
 #include "rpc/plan_serde.h"
@@ -53,10 +53,10 @@ std::vector<size_t> RpcExecutor::ReplicaEndpoints(size_t i) const {
   return endpoints;
 }
 
-bool RpcExecutor::TolerableLoss(size_t endpoint) const {
+bool RpcExecutor::TolerableLoss(size_t endpoint, const Status& loss) const {
   if (endpoint >= num_sites()) return true;  // a replica: only matters
                                              // if failover reaches it
-  if (options_.on_site_loss == OnSiteLoss::kDegrade) return true;
+  if (DegradesOnLoss(options_, loss)) return true;
   auto it = replica_endpoints_.find(endpoint);
   return it != replica_endpoints_.end() && !it->second.empty();
 }
@@ -65,16 +65,7 @@ Status RpcExecutor::Connect() {
   // Serialized: concurrent Executes race to be the first dialer; the
   // loser blocks here, then sees the populated state and returns.
   std::lock_guard<std::mutex> connect_lock(connect_mu_);
-  const size_t n = transport_->num_sites();
-  if (n == 0) return Status::InvalidArgument("transport has no sites");
-  if (connections_.empty()) {
-    connections_.resize(n);
-    connection_mu_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      connection_mu_[i] = std::make_unique<std::mutex>();
-      SKALLA_ASSIGN_OR_RETURN(connections_[i], transport_->Connect(i));
-    }
-  }
+  SKALLA_RETURN_NOT_OK(DialLocked());
   if (!schemas_.empty()) return Status::OK();
   // The catalog request doubles as the liveness probe: it forces the
   // handshake on every connection before the first round. Sites hold
@@ -83,11 +74,11 @@ Status RpcExecutor::Connect() {
   // probe — fatal unless the retry -> failover -> degrade ladder can
   // absorb the loss (TolerableLoss), in which case the round machinery
   // deals with it.
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < connections_.size(); ++i) {
     Result<Frame> probed =
         connections_[i]->Call(MessageType::kCatalogRequest, {});
     if (!probed.ok()) {
-      if (!TolerableLoss(i)) return probed.status();
+      if (!TolerableLoss(i, probed.status())) return probed.status();
       continue;
     }
     Frame response = std::move(*probed);
@@ -108,6 +99,22 @@ Status RpcExecutor::Connect() {
   if (schemas_.empty()) {
     return Status::IOError("no live site answered the catalog probe");
   }
+  return Status::OK();
+}
+
+Status RpcExecutor::DialLocked() {
+  if (!connections_.empty()) return Status::OK();
+  const size_t n = transport_->num_sites();
+  if (n == 0) return Status::InvalidArgument("transport has no sites");
+  // All or nothing: a failed dial leaves no half-populated state behind.
+  std::vector<std::unique_ptr<Connection>> connections(n);
+  std::vector<std::unique_ptr<std::mutex>> locks(n);
+  for (size_t i = 0; i < n; ++i) {
+    locks[i] = std::make_unique<std::mutex>();
+    SKALLA_ASSIGN_OR_RETURN(connections[i], transport_->Connect(i));
+  }
+  connections_ = std::move(connections);
+  connection_mu_ = std::move(locks);
   return Status::OK();
 }
 
@@ -141,8 +148,10 @@ Result<Frame> RpcExecutor::CallLocked(size_t i, MessageType type,
 
 Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
                                      const std::vector<uint8_t>& payload,
-                                     RoundCallStats* call_stats) {
-  SKALLA_TRACE_SPAN(span, "rpc.round", "rpc");
+                                     RoundCallStats* call_stats,
+                                     uint64_t parent_span) {
+  SKALLA_TRACE_SPAN_UNDER(span, "rpc.round", "rpc", parent_span);
+  (void)parent_span;
   SKALLA_SPAN_ATTR(span, "site", static_cast<int64_t>(i));
   Stopwatch timer;
   // Coordinator clock just before the request leaves: remote span
@@ -202,404 +211,191 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
   }
 }
 
+// The rpc SiteLink: sites are separate processes reached through the
+// transport. X travels inside the round request; a round that continues
+// a site's carried-over structure stays on the primary (a replica process
+// never built that structure). Per-endpoint state is touched only by the
+// task of the partition owning the endpoint (BeginPlan rejects an
+// endpoint registered twice), so it needs no lock under parallel_sites.
+class RpcExecutor::Link : public SiteLink {
+ public:
+  Link(RpcExecutor* executor, const QueryRun& run)
+      : executor_(executor),
+        run_eval_threads_(run.eval_threads),
+        base_bytes_(executor->num_sites()) {}
+
+  // Best-effort per-query state release at the sites (sites also cap and
+  // evict, so a lost coordinator leaks nothing). Runs after the stats
+  // are final, so it stays out of the query's wire accounting.
+  ~Link() override {
+    if (!begun_) return;
+    const std::vector<uint8_t> payload = EncodeEndPlanRequest(query_id_);
+    for (size_t e = 0; e < endpoint_down_.size(); ++e) {
+      if (!endpoint_down_[e].ok()) continue;
+      (void)executor_->CallLocked(e, MessageType::kEndPlan, payload, nullptr);
+    }
+  }
+
+  size_t num_sites() const override { return executor_->num_sites(); }
+
+  Status BeginPlan(uint64_t query_id, ExecStats* stats) override {
+    const size_t n = num_sites();
+    const size_t total_endpoints = executor_->transport_->num_sites();
+    SKALLA_RETURN_NOT_OK(
+        ValidateReplicaPartitions(executor_->replica_endpoints_, n));
+    std::vector<uint8_t> claimed(total_endpoints, 0);
+    for (const auto& [partition, endpoints] : executor_->replica_endpoints_) {
+      for (size_t endpoint : endpoints) {
+        if (endpoint < n || endpoint >= total_endpoints) {
+          return Status::InvalidArgument(
+              StrCat("replica endpoint ", endpoint,
+                     " must index a transport endpoint in [", n, ", ",
+                     total_endpoints, ")"));
+        }
+        if (claimed[endpoint]) {
+          return Status::InvalidArgument(
+              StrCat("replica endpoint ", endpoint,
+                     " is registered more than once (partition ", partition,
+                     ")"));
+        }
+        claimed[endpoint] = 1;
+      }
+    }
+    SKALLA_RETURN_NOT_OK(executor_->Connect());
+
+    // Reset every site's round state (and forward the per-plan knobs).
+    // Not routed through the retry loop: BeginPlan is not a site round,
+    // and it is idempotent anyway.
+    const ExecutorOptions& options = executor_->options_;
+    BeginPlanRequest begin;
+    begin.columnar_sites = options.columnar_sites;
+    begin.eval_threads = run_eval_threads_ > 0 ? run_eval_threads_
+                                               : options.eval_threads;
+    begin.query_id = query_id;
+    begin.engine = options.engine;
+    begin_payload_ = EncodeBeginPlanRequest(begin);
+    query_id_ = query_id;
+    // Broadcast to every endpoint, replicas included: a replica must be
+    // in the same per-plan state as its primary to take over a round. An
+    // endpoint unreachable here is marked down instead of failing the
+    // query — when the retry -> failover -> degrade ladder can absorb the
+    // loss; a round attempt at a down endpoint first re-tries BeginPlan,
+    // so an endpoint that comes back mid-query rejoins.
+    endpoint_down_.assign(total_endpoints, Status::OK());
+    for (size_t e = 0; e < total_endpoints; ++e) {
+      RoundCallStats call;
+      Status begun =
+          executor_->CallRound(e, MessageType::kBeginPlan, begin_payload_,
+                               &call)
+              .status();
+      stats->setup_wire_bytes += call.wire_bytes;
+      if (begun.ok()) continue;
+      if (!executor_->TolerableLoss(e, begun)) return begun;
+      endpoint_down_[e] = std::move(begun);
+    }
+    begun_ = true;
+    return Status::OK();
+  }
+
+  Result<SchemaPtr> TableSchema(const std::string& table) override {
+    return executor_->TableSchema(table);
+  }
+
+  std::vector<int> ReplicaChain(size_t i, bool self_contained) override {
+    std::vector<int> ids;
+    for (size_t endpoint : Endpoints(i, self_contained)) {
+      ids.push_back(static_cast<int>(endpoint));
+    }
+    return ids;
+  }
+
+  Status ShipBase(size_t i, const Table& x, SiteTraffic* traffic) override {
+    base_bytes_[i].clear();
+    WriteTable(x, &base_bytes_[i]);
+    traffic->bytes_to_sites += base_bytes_[i].size();
+    traffic->tuples_to_sites += x.num_rows();
+    return Status::OK();
+  }
+
+  Result<Table> Attempt(size_t i, size_t r, const SiteRound& round,
+                        SiteAttempt* attempt, SiteTraffic* traffic) override {
+    const size_t endpoint = Endpoints(i, round.self_contained)[r];
+    SKALLA_RETURN_NOT_OK(EnsureBegun(endpoint, traffic));
+    TraceContext trace;
+    trace.query_id = round.eval.query_id;
+    if (round.eval.trace_parent_span != 0) {
+      trace.trace_id = round.eval.query_id;
+      trace.parent_span_id = round.eval.trace_parent_span;
+    }
+    MessageType type;
+    std::vector<uint8_t> payload;
+    if (round.stage == nullptr) {
+      BaseRoundRequest request;
+      request.query = *round.base;
+      request.ship_result = round.synchronized;
+      request.deadline_ms = round.deadline_ms;
+      request.trace = trace;
+      type = MessageType::kBaseRound;
+      payload = EncodeBaseRoundRequest(request);
+    } else {
+      GmdjRoundRequest request;
+      request.op = round.stage->op;
+      request.label = round.label;
+      request.sub_aggregates = round.eval.sub_aggregates;
+      request.apply_rng = round.eval.compute_rng;
+      request.ship_result = round.synchronized;
+      request.has_base = round.self_contained;
+      request.deadline_ms = round.deadline_ms;
+      request.trace = trace;
+      type = MessageType::kGmdjRound;
+      payload = EncodeGmdjRoundRequest(
+          request, round.self_contained ? base_bytes_[i]
+                                        : std::vector<uint8_t>{});
+    }
+    RoundCallStats call;
+    Result<Table> fragment = executor_->CallRound(
+        endpoint, type, payload, &call, round.eval.trace_parent_span);
+    traffic->wire_bytes += call.wire_bytes;
+    attempt->bytes_to_coord = call.table_bytes;
+    attempt->profile = ToSiteProfile(call.profile);
+    return fragment;
+  }
+
+ private:
+  std::vector<size_t> Endpoints(size_t i, bool self_contained) const {
+    return self_contained ? executor_->ReplicaEndpoints(i)
+                          : std::vector<size_t>{i};
+  }
+
+  // A down endpoint must re-run BeginPlan before serving a round: it
+  // must not serve this plan with a stale round state.
+  Status EnsureBegun(size_t endpoint, SiteTraffic* traffic) {
+    if (endpoint_down_[endpoint].ok()) return Status::OK();
+    RoundCallStats call;
+    Status begun = executor_
+                       ->CallRound(endpoint, MessageType::kBeginPlan,
+                                   begin_payload_, &call)
+                       .status();
+    traffic->setup_wire_bytes += call.wire_bytes;
+    if (!begun.ok()) return endpoint_down_[endpoint];
+    endpoint_down_[endpoint] = Status::OK();
+    return Status::OK();
+  }
+
+  RpcExecutor* executor_;
+  size_t run_eval_threads_;  // the run's override, shipped in BeginPlan
+  bool begun_ = false;
+  uint64_t query_id_ = 0;
+  std::vector<uint8_t> begin_payload_;
+  std::vector<Status> endpoint_down_;
+  // Serialized X per site for the current round's requests.
+  std::vector<std::vector<uint8_t>> base_bytes_;
+};
+
 Result<Table> RpcExecutor::Execute(const DistributedPlan& plan,
                                    const QueryRun& run, ExecStats* stats) {
-  const size_t total_endpoints = transport_->num_sites();
-  const size_t n = num_sites();
-  if (n == 0) return Status::InvalidArgument("executor has no sites");
-  for (const auto& [partition, endpoints] : replica_endpoints_) {
-    if (partition >= n) {
-      return Status::InvalidArgument(
-          StrCat("replica registered for partition ", partition, " but only ",
-                 n, " partitions exist"));
-    }
-    for (size_t endpoint : endpoints) {
-      if (endpoint < n || endpoint >= total_endpoints) {
-        return Status::InvalidArgument(
-            StrCat("replica endpoint ", endpoint,
-                   " must index a transport endpoint in [", n, ", ",
-                   total_endpoints, ")"));
-      }
-    }
-  }
-  if (!plan.stages.empty() && !plan.stages.back().sync_after) {
-    return Status::InvalidArgument(
-        "the final plan stage must synchronize at the coordinator");
-  }
-  if (plan.stages.empty() && !plan.sync_base) {
-    return Status::InvalidArgument(
-        "a plan without GMDJ stages must synchronize its base query");
-  }
-  for (const PlanStage& stage : plan.stages) {
-    if (!stage.site_base_filters.empty() &&
-        stage.site_base_filters.size() != n) {
-      return Status::InvalidArgument(
-          StrCat("stage has ", stage.site_base_filters.size(),
-                 " site filters for ", n, " sites"));
-    }
-  }
-  SKALLA_RETURN_NOT_OK(Connect());
-
-  ExecStats local_stats;
-  ExecStats& st = stats == nullptr ? local_stats : *stats;
-  st.rounds.clear();
-
-  // Every span, instant, and metric below carries this query's id; the
-  // sites inherit it through the TraceContext each round request ships,
-  // and key their per-query round state on it (protocol v5).
-  const uint64_t query_id = ResolveQueryId(run);
-  obs::QueryIdScope query_scope(query_id);
-  st.query_id = query_id;
-  // Wire accounting accumulates per call rather than diffing the shared
-  // connection counters, so concurrent queries don't see each other's
-  // traffic.
-  uint64_t exec_wire = 0;
-
-  SKALLA_TRACE_SPAN(exec_span, "exec.plan", "executor");
-  SKALLA_SPAN_ATTR(exec_span, "sites", static_cast<uint64_t>(n));
-  SKALLA_SPAN_ATTR(exec_span, "stages",
-                   static_cast<uint64_t>(plan.stages.size()));
-  SKALLA_SPAN_ATTR(exec_span, "mode", "rpc");
-  SKALLA_COUNTER_ADD("skalla.exec.plans", 1);
-
-  // Reset every site's round state (and forward the columnar knob).
-  // Not routed through the retry loop: BeginPlan is not a site round,
-  // and it is idempotent anyway.
-  BeginPlanRequest begin;
-  begin.columnar_sites = options_.columnar_sites;
-  begin.eval_threads =
-      run.eval_threads > 0 ? run.eval_threads : options_.eval_threads;
-  begin.query_id = query_id;
-  begin.engine = options_.engine;
-  const std::vector<uint8_t> begin_payload = EncodeBeginPlanRequest(begin);
-  // An endpoint unreachable at BeginPlan is marked down instead of
-  // failing the query — when the retry -> failover -> degrade ladder
-  // can absorb the loss. Round attempts at a down endpoint first re-try
-  // BeginPlan (the site must not serve this plan with a stale round
-  // state), so an endpoint that comes back mid-query rejoins.
-  std::vector<Status> endpoint_down(total_endpoints, Status::OK());
-  {
-    // Broadcast to every endpoint, replicas included: a replica must be
-    // in the same per-plan state as its primary to take over a round.
-    for (size_t i = 0; i < total_endpoints; ++i) {
-      RoundCallStats begin_call;
-      Status begun =
-          CallRound(i, MessageType::kBeginPlan, begin_payload, &begin_call)
-              .status();
-      exec_wire += begin_call.wire_bytes;
-      if (begun.ok()) continue;
-      if (!TolerableLoss(i)) return begun;
-      endpoint_down[i] = std::move(begun);
-    }
-  }
-  auto ensure_begun = [&](size_t endpoint) -> Status {
-    if (endpoint_down[endpoint].ok()) return Status::OK();
-    RoundCallStats begin_call;
-    Status begun =
-        CallRound(endpoint, MessageType::kBeginPlan, begin_payload,
-                  &begin_call)
-            .status();
-    exec_wire += begin_call.wire_bytes;
-    if (begun.ok()) {
-      endpoint_down[endpoint] = Status::OK();
-      return Status::OK();
-    }
-    return endpoint_down[endpoint];
-  };
-  // Best-effort per-query state release at the sites on every exit path
-  // (sites also cap and evict, so a lost coordinator leaks nothing).
-  // Excluded from this query's wire accounting: it runs after the stats
-  // are finalized.
-  struct EndPlanSender {
-    RpcExecutor* self;
-    uint64_t query_id;
-    const std::vector<Status>* endpoint_down;
-    ~EndPlanSender() {
-      const std::vector<uint8_t> payload = EncodeEndPlanRequest(query_id);
-      for (size_t i = 0; i < endpoint_down->size(); ++i) {
-        if (!(*endpoint_down)[i].ok()) continue;
-        (void)self->CallLocked(i, MessageType::kEndPlan, payload, nullptr);
-      }
-    }
-  } end_plan{this, query_id, &endpoint_down};
-  (void)end_plan;
-
-  Coordinator coordinator(plan.key_columns,
-                          ResolveCoordinatorShards(
-                              options_.coordinator_shards));
-  bool have_global = false;
-  const QueryDeadline deadline(options_, run);
-  // Partitions whose every replica is gone; only OnSiteLoss::kDegrade
-  // sets these — the query completes over the survivors and the loss is
-  // reported in st.lost_sites / RoundStats::sites_lost.
-  std::vector<uint8_t> lost(n, 0);
-  st.lost_sites.clear();
-  // The deadline each round request ships to the sites: the tighter of
-  // the per-round deadline and the remaining query budget, 0 = none.
-  auto shipped_deadline_ms = [&]() -> uint64_t {
-    uint64_t ms = options_.round_deadline_ms;
-    int64_t left = deadline.RemainingQueryMs();
-    if (left >= 0) {
-      uint64_t left_ms = left == 0 ? 1 : static_cast<uint64_t>(left);
-      ms = ms == 0 ? left_ms : std::min(ms, left_ms);
-    }
-    return ms;
-  };
-
-  // Schema inference chain, driven from the catalog schemas fetched at
-  // Connect (the coordinator holds no partitions of its own).
-  SKALLA_ASSIGN_OR_RETURN(SchemaPtr base_schema,
-                          TableSchema(plan.base.table));
-  SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
-                          plan.base.OutputSchema(*base_schema));
-
-  // ---- Base-values stage -------------------------------------------------
-  {
-    RoundStats rs;
-    rs.label = "base";
-    rs.synchronized = plan.sync_base;
-    SKALLA_TRACE_SPAN(round_span, "round:base", "executor");
-    SKALLA_SPAN_ATTR(round_span, "sync", plan.sync_base ? "true" : "false");
-    Stopwatch wall;
-    CancellationToken round_cancel;
-    SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
-
-    BaseRoundRequest request;
-    request.query = plan.base;
-    request.ship_result = plan.sync_base;
-    request.deadline_ms = shipped_deadline_ms();
-    request.trace.query_id = query_id;
-    SKALLA_OBS_ONLY(if (round_span.armed()) {
-      request.trace.trace_id = query_id;
-      request.trace.parent_span_id = round_span.id();
-    });
-    std::vector<uint8_t> payload = EncodeBaseRoundRequest(request);
-
-    if (plan.sync_base) SKALLA_RETURN_NOT_OK(coordinator.InitBase(upstream));
-    for (size_t i = 0; i < n; ++i) {
-      Stopwatch timer;
-      SiteRoundCounts counts;
-      RoundCallStats call;
-      const std::vector<size_t> endpoints = ReplicaEndpoints(i);
-      std::vector<int> ids;
-      for (size_t endpoint : endpoints) {
-        ids.push_back(static_cast<int>(endpoint));
-      }
-      Result<Table> fragment = ExecuteSiteRoundReplicated(
-          options_, ids, rs.label,
-          [&](size_t r) -> Result<Table> {
-            SKALLA_RETURN_NOT_OK(ensure_begun(endpoints[r]));
-            call = RoundCallStats();
-            Result<Table> attempt = CallRound(
-                endpoints[r], MessageType::kBaseRound, payload, &call);
-            rs.wire_bytes += call.wire_bytes;
-            exec_wire += call.wire_bytes;
-            return attempt;
-          },
-          &counts, &round_cancel);
-      rs.site_retries += counts.retries;
-      rs.site_failovers += counts.failovers;
-      if (!fragment.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            fragment.status().IsDeadlineExceeded()) {
-          return fragment.status();
-        }
-        lost[i] = 1;
-        st.lost_sites.push_back(static_cast<int>(i));
-        continue;
-      }
-      double elapsed = timer.ElapsedSeconds();
-      rs.site_time_max = std::max(rs.site_time_max, elapsed);
-      rs.site_time_sum += elapsed;
-      if (call.has_profile) {
-        rs.site_profiles.push_back(ToSiteProfile(call.profile));
-      }
-      if (plan.sync_base) {
-        rs.bytes_to_coord += call.table_bytes;
-        rs.tuples_to_coord += fragment->num_rows();
-        Stopwatch merge_timer;
-        SKALLA_RETURN_NOT_OK(coordinator.MergeBaseFragment(*fragment));
-        rs.coord_time += merge_timer.ElapsedSeconds();
-      }
-    }
-    if (plan.sync_base) {
-      Stopwatch finalize_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.FinalizeBase());
-      rs.coord_time += finalize_timer.ElapsedSeconds();
-      have_global = true;
-    }
-    for (size_t i = 0; i < n; ++i) rs.sites_lost += lost[i];
-    rs.wall_time = wall.ElapsedSeconds();
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
-    st.rounds.push_back(std::move(rs));
-  }
-
-  // ---- GMDJ stages ---------------------------------------------------------
-  for (size_t k = 0; k < plan.stages.size(); ++k) {
-    const PlanStage& stage = plan.stages[k];
-    RoundStats rs;
-    rs.label = StrCat("md", k + 1);
-    rs.synchronized = stage.sync_after;
-    SKALLA_TRACE_SPAN(round_span, StrCat("round:", rs.label), "executor");
-    SKALLA_SPAN_ATTR(round_span, "sync", stage.sync_after ? "true" : "false");
-    Stopwatch wall;
-    CancellationToken round_cancel;
-    SKALLA_RETURN_NOT_OK(deadline.ArmRound(rs.label, &round_cancel));
-
-    SKALLA_ASSIGN_OR_RETURN(SchemaPtr detail_schema,
-                            TableSchema(stage.op.detail_table));
-
-    GmdjRoundRequest request;
-    request.op = stage.op;
-    request.label = rs.label;
-    request.sub_aggregates = stage.sync_after;
-    request.apply_rng = stage.sync_after && stage.indep_group_reduction;
-    request.ship_result = stage.sync_after;
-    request.deadline_ms = shipped_deadline_ms();
-    request.trace.query_id = query_id;
-    SKALLA_OBS_ONLY(if (round_span.armed()) {
-      request.trace.trace_id = query_id;
-      request.trace.parent_span_id = round_span.id();
-    });
-
-    // Distribution: with a global structure, each site gets its
-    // (possibly reduction-filtered) copy inside the round request; a
-    // site whose filtered structure is empty sits a synchronized round
-    // out entirely, exactly like DistributedExecutor.
-    std::vector<uint8_t> active(n, 1);
-    std::vector<std::vector<uint8_t>> payloads(n);
-    if (have_global) {
-      request.has_base = true;
-      const Table& x = coordinator.result();
-      for (size_t i = 0; i < n; ++i) {
-        if (lost[i]) continue;
-        const ExprPtr& filter = stage.site_base_filters.empty()
-                                    ? nullptr
-                                    : stage.site_base_filters[i];
-        Table to_send;
-        {
-          Stopwatch coord_timer;
-          if (filter != nullptr) {
-            SKALLA_ASSIGN_OR_RETURN(to_send, FilterBaseRows(x, filter));
-          } else {
-            to_send = x;
-          }
-          rs.coord_time += coord_timer.ElapsedSeconds();
-        }
-        if (filter != nullptr && to_send.empty() && stage.sync_after) {
-          active[i] = 0;
-          ++rs.sites_skipped;
-          continue;
-        }
-        std::vector<uint8_t> base_bytes;
-        WriteTable(to_send, &base_bytes);
-        rs.bytes_to_sites += base_bytes.size();
-        rs.tuples_to_sites += to_send.num_rows();
-        payloads[i] = EncodeGmdjRoundRequest(request, base_bytes);
-      }
-    } else {
-      request.has_base = false;
-      std::vector<uint8_t> shared = EncodeGmdjRoundRequest(request, {});
-      for (size_t i = 0; i < n; ++i) payloads[i] = shared;
-    }
-
-    // Site evaluation (and, for synchronized stages, fragment return).
-    // A round that carries the base structure in the request is
-    // self-contained and may fail over to a replica endpoint; a round
-    // consuming the site's carried-over local structure must stay on
-    // the primary (the replica process never built that structure).
-    std::vector<Table> outputs(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (!active[i] || lost[i]) continue;
-      Stopwatch timer;
-      SiteRoundCounts counts;
-      RoundCallStats call;
-      std::vector<size_t> endpoints =
-          request.has_base ? ReplicaEndpoints(i) : std::vector<size_t>{i};
-      std::vector<int> ids;
-      for (size_t endpoint : endpoints) {
-        ids.push_back(static_cast<int>(endpoint));
-      }
-      Result<Table> fragment = ExecuteSiteRoundReplicated(
-          options_, ids, rs.label,
-          [&](size_t r) -> Result<Table> {
-            SKALLA_RETURN_NOT_OK(ensure_begun(endpoints[r]));
-            call = RoundCallStats();
-            Result<Table> attempt = CallRound(
-                endpoints[r], MessageType::kGmdjRound, payloads[i], &call);
-            rs.wire_bytes += call.wire_bytes;
-            exec_wire += call.wire_bytes;
-            return attempt;
-          },
-          &counts, &round_cancel);
-      rs.site_retries += counts.retries;
-      rs.site_failovers += counts.failovers;
-      if (!fragment.ok()) {
-        if (options_.on_site_loss != OnSiteLoss::kDegrade ||
-            fragment.status().IsDeadlineExceeded()) {
-          return fragment.status();
-        }
-        lost[i] = 1;
-        st.lost_sites.push_back(static_cast<int>(i));
-        continue;
-      }
-      double elapsed = timer.ElapsedSeconds();
-      rs.site_time_max = std::max(rs.site_time_max, elapsed);
-      rs.site_time_sum += elapsed;
-      if (call.has_profile) {
-        st.engines_used |= call.profile.engines_used;
-        rs.site_profiles.push_back(ToSiteProfile(call.profile));
-      }
-      if (stage.sync_after) {
-        rs.bytes_to_coord += call.table_bytes;
-        rs.tuples_to_coord += fragment->num_rows();
-        outputs[i] = std::move(*fragment);
-      }
-    }
-
-    if (stage.sync_after) {
-      Stopwatch begin_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.BeginRound(
-          stage.op, *upstream, *detail_schema,
-          /*from_scratch=*/!have_global));
-      rs.coord_time += begin_timer.ElapsedSeconds();
-      for (size_t i = 0; i < n; ++i) {
-        if (!active[i] || lost[i]) continue;
-        Stopwatch merge_timer;
-        SKALLA_RETURN_NOT_OK(coordinator.MergeFragment(outputs[i]));
-        rs.coord_time += merge_timer.ElapsedSeconds();
-        outputs[i] = Table();
-      }
-      Stopwatch finalize_timer;
-      SKALLA_RETURN_NOT_OK(coordinator.FinalizeRound());
-      rs.coord_time += finalize_timer.ElapsedSeconds();
-      have_global = true;
-    } else {
-      // Outputs stay at the sites (their carried-over structures).
-      have_global = false;
-    }
-
-    SKALLA_ASSIGN_OR_RETURN(upstream,
-                            stage.op.OutputSchema(*upstream, *detail_schema));
-    for (size_t i = 0; i < n; ++i) rs.sites_lost += lost[i];
-    rs.wall_time = wall.ElapsedSeconds();
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_sites", rs.bytes_to_sites);
-    SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_sites", rs.tuples_to_sites);
-    SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
-    st.rounds.push_back(std::move(rs));
-  }
-
-  if (!have_global) {
-    return Status::Internal("plan finished without a global result");
-  }
-  std::sort(st.lost_sites.begin(), st.lost_sites.end());
-  st.total_wire_bytes = exec_wire;
-  uint64_t round_wire = 0;
-  for (const RoundStats& rs : st.rounds) round_wire += rs.wire_bytes;
-  st.setup_wire_bytes = st.total_wire_bytes - round_wire;
-  return coordinator.result();
+  Link link(this, run);
+  return RunStarPlan(plan, run, options_, link, stats);
 }
 
 Result<StatsResult> RpcExecutor::SiteStats(size_t endpoint) {
@@ -621,23 +417,12 @@ Result<StatsResult> RpcExecutor::SiteStats(size_t endpoint) {
 }
 
 Status RpcExecutor::Shutdown() {
-  if (connections_.empty()) {
+  {
     std::lock_guard<std::mutex> connect_lock(connect_mu_);
-    const size_t n = transport_->num_sites();
-    if (connections_.empty()) {
-      connections_.resize(n);
-      connection_mu_.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        connection_mu_[i] = std::make_unique<std::mutex>();
-        Result<std::unique_ptr<Connection>> connection =
-            transport_->Connect(i);
-        if (connection.ok()) connections_[i] = std::move(*connection);
-      }
-    }
+    SKALLA_RETURN_NOT_OK(DialLocked());
   }
   Status first_error;
   for (size_t i = 0; i < connections_.size(); ++i) {
-    if (connections_[i] == nullptr) continue;
     Status s = CallRound(i, MessageType::kShutdown, {}, nullptr).status();
     if (!s.ok() && first_error.ok()) first_error = s;
   }

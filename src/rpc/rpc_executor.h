@@ -49,9 +49,10 @@ class RpcExecutor : public Executor {
   /// max_site_retries drive the retry loop (with the TCP transport, a
   /// retry reconnects with backoff); columnar_sites is forwarded to the
   /// sites via kBeginPlan; ship_block_rows is ignored (fragments ship
-  /// whole, like AsyncExecutor); parallel_sites/num_threads are ignored
-  /// (rounds are driven sequentially per site); coordinator_shards works
-  /// unchanged.
+  /// whole); parallel_sites/num_threads fan a round's requests out over
+  /// the per-site connections concurrently (default: one site after the
+  /// other), with results, byte counts and profiles identical either
+  /// way; coordinator_shards works unchanged.
   RpcExecutor(std::unique_ptr<Transport> transport, ExecutorOptions options);
 
   /// Dials every site (TCP: kHello handshake) and fetches the catalog
@@ -114,9 +115,12 @@ class RpcExecutor : public Executor {
   /// pre-v4 shapes; kError decodes back to the site's original Status.
   /// `call_stats` (may be nullptr) receives per-call accounting even
   /// when the call fails.
+  /// The call's rpc.round span nests under `parent_span` (0 = the
+  /// calling thread's innermost open span).
   Result<Table> CallRound(size_t i, MessageType type,
                           const std::vector<uint8_t>& payload,
-                          RoundCallStats* call_stats);
+                          RoundCallStats* call_stats,
+                          uint64_t parent_span = 0);
 
   /// One Call against endpoint `i` under its connection lock; the wire
   /// delta the call moved lands in *wire_delta (exact even when other
@@ -128,15 +132,23 @@ class RpcExecutor : public Executor {
                            const std::vector<uint8_t>& payload,
                            uint64_t* wire_delta);
 
+  /// Creates the per-endpoint connections on first use (all or
+  /// nothing). Caller holds connect_mu_.
+  Status DialLocked();
+
+  // The per-Execute SiteLink the star driver runs the plan over.
+  class Link;
+
   // Endpoint indices of partition i's evaluation chain: primary, then
   // replicas in registration order.
   std::vector<size_t> ReplicaEndpoints(size_t i) const;
 
   // Whether losing `endpoint` entirely (unreachable at connect or
-  // BeginPlan) can be absorbed by the retry -> failover -> degrade
-  // ladder instead of failing the query up front: true for replica
-  // endpoints, under kDegrade, and for primaries that have replicas.
-  bool TolerableLoss(size_t endpoint) const;
+  // BeginPlan, failing with `loss`) can be absorbed by the retry ->
+  // failover -> degrade ladder instead of failing the query up front:
+  // true for replica endpoints, when the loss degrades (DegradesOnLoss),
+  // and for primaries that have replicas.
+  bool TolerableLoss(size_t endpoint, const Status& loss) const;
 
   std::unique_ptr<Transport> transport_;
   ExecutorOptions options_;

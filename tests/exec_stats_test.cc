@@ -1,16 +1,18 @@
 // ExecStats / RoundStats accounting invariants — on hand-built stats and
-// on stats produced by really executing plans on both executors — plus
-// the EXPLAIN ANALYZE report's consistency with the stats it renders.
+// on stats produced by really executing plans, sequentially and with
+// parallel sites — plus the EXPLAIN ANALYZE report's consistency with the
+// stats it renders.
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "dist/async_exec.h"
+#include "dist/exec.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
 #include "obs/stats_report.h"
 #include "storage/partition.h"
+#include "types/row.h"
 
 namespace skalla {
 namespace {
@@ -144,7 +146,7 @@ TEST(ExecStatsTest, ExecutedPlanSatisfiesInvariants) {
   }
 }
 
-TEST(ExecStatsTest, AsyncExecutorSatisfiesInvariants) {
+TEST(ExecStatsTest, ParallelSitesSatisfyInvariants) {
   Table flow = MakeFlowTable(11, 600);
   DistributedWarehouse dw(3);
   dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
@@ -159,10 +161,22 @@ TEST(ExecStatsTest, AsyncExecutorSatisfiesInvariants) {
     catalog.Register("flow", parts[i]);
     sites.emplace_back(static_cast<int>(i), std::move(catalog));
   }
-  AsyncExecutor executor(std::move(sites));
+  std::vector<Site> sequential_sites = sites;
+  ExecutorOptions parallel;
+  parallel.parallel_sites = true;
+  DistributedExecutor executor(std::move(sites), NetworkConfig{}, parallel);
   ExecStats stats;
-  ASSERT_TRUE(executor.Execute(plan, &stats).ok());
+  Result<Table> result = executor.Execute(plan, &stats);
+  ASSERT_TRUE(result.ok());
   CheckInvariants(plan, stats);
+
+  // And the concurrent run is the sequential one, row for row.
+  DistributedExecutor sequential(std::move(sequential_sites));
+  Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
+  ASSERT_EQ(result->num_rows(), expected.num_rows());
+  for (size_t r = 0; r < expected.num_rows(); ++r) {
+    EXPECT_TRUE(RowEquals(result->row(r), expected.row(r))) << "row " << r;
+  }
 }
 
 // --- EXPLAIN ANALYZE consistency --------------------------------------------

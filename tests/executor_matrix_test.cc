@@ -1,21 +1,20 @@
 // Cross-executor consistency matrix: the same optimized plan executed by
-// every engine variant — synchronous star, parallel sites, row-blocked,
-// columnar sites, asynchronous/pipelined, and coordinator trees of two
-// fanouts — through the unified skalla::Executor interface, crossed with
-// coordinator_shards ∈ {1, 4}. Every combination must produce results
-// identical to the centralized evaluator; sharding must leave results
-// (including row order, for the engines with deterministic fragment
-// arrival), transfer bytes, and tuple counts exactly as the sequential
-// merge produced them; where byte accounting is defined the same way as
-// the star's (all variants but the tree), byte counts match the star
-// baseline too.
+// every engine variant — synchronous star, parallel sites (one worker per
+// site, and two workers), row-blocked, columnar sites, and coordinator
+// trees of two fanouts — through the unified skalla::Executor interface,
+// crossed with coordinator_shards ∈ {1, 4}. Every combination must
+// produce results identical to the centralized evaluator; every
+// star-shaped variant must reproduce the star baseline row for row;
+// sharding must leave results (row order included), transfer bytes, and
+// tuple counts exactly as the sequential merge produced them; where byte
+// accounting is defined the same way as the star's (all variants but the
+// tree), byte counts match the star baseline too.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "common/random.h"
-#include "dist/async_exec.h"
 #include "dist/tree.h"
 #include "dist/warehouse.h"
 #include "sql/parser.h"
@@ -77,10 +76,6 @@ struct Variant {
 std::unique_ptr<Executor> MakeExecutor(const std::string& name,
                                        const std::vector<Table>& parts,
                                        const ExecutorOptions& options) {
-  if (name == "async") {
-    return std::make_unique<AsyncExecutor>(MakeSites(parts), NetworkConfig{},
-                                           options);
-  }
   if (name == "tree2" || name == "tree3") {
     size_t fanout = name == "tree2" ? 2 : 3;
     return std::make_unique<TreeExecutor>(
@@ -113,14 +108,16 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
 
   ExecutorOptions parallel;
   parallel.parallel_sites = true;
+  ExecutorOptions parallel2 = parallel;
+  parallel2.num_threads = 2;
   ExecutorOptions blocked;
   blocked.ship_block_rows = 11;
   ExecutorOptions columnar;
   columnar.columnar_sites = true;
   const Variant variants[] = {
-      {"star", {}, true},        {"parallel", parallel, true},
-      {"blocked", blocked, false}, {"columnar", columnar, true},
-      {"async", {}, true},       {"tree2", {}, false},
+      {"star", {}, true},          {"parallel", parallel, true},
+      {"parallel2", parallel2, true}, {"blocked", blocked, false},
+      {"columnar", columnar, true}, {"tree2", {}, false},
       {"tree3", {}, false},
   };
 
@@ -136,12 +133,9 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
 
     // Star baseline for cross-variant byte accounting.
     ExecStats star_stats;
-    {
-      std::unique_ptr<Executor> star = MakeExecutor("star", parts, {});
-      Table star_result = star->Execute(plan, &star_stats).ValueOrDie();
-      ASSERT_TRUE(star_result.SameRows(reference))
-          << "star, opts " << opt_mask;
-    }
+    std::unique_ptr<Executor> star = MakeExecutor("star", parts, {});
+    Table star_result = star->Execute(plan, &star_stats).ValueOrDie();
+    ASSERT_TRUE(star_result.SameRows(reference)) << "star, opts " << opt_mask;
 
     for (const Variant& variant : variants) {
       // Sequential-merge run: the pinned baseline for this variant.
@@ -161,19 +155,15 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
             << variant.name << ", opts " << opt_mask;
       }
       if (std::string(variant.name).rfind("tree", 0) != 0) {
+        EXPECT_TRUE(ExactlyEqual(seq_result, star_result))
+            << variant.name << ", opts " << opt_mask;
         EXPECT_EQ(seq_stats.TotalTuplesTransferred(),
                   star_stats.TotalTuplesTransferred())
             << variant.name << ", opts " << opt_mask;
       }
 
       // Sharded-merge run: results (row for row), bytes, and tuples must
-      // be exactly what the sequential merge produced. The async engine
-      // is the one exception to row-order pinning: its output order
-      // follows fragment *arrival* order, which varies between two
-      // executions regardless of the shard count (the sharded merge
-      // reproduces the sequential merge for a given arrival stream —
-      // pinned at the coordinator level in coordinator_test.cc — but two
-      // async runs see different streams).
+      // be exactly what the sequential merge produced.
       ExecutorOptions sharded_options = variant.options;
       sharded_options.coordinator_shards = 4;
       std::unique_ptr<Executor> sharded_exec =
@@ -181,13 +171,8 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       ExecStats sharded_stats;
       Table sharded_result =
           sharded_exec->Execute(plan, &sharded_stats).ValueOrDie();
-      if (std::string(variant.name) == "async") {
-        EXPECT_TRUE(sharded_result.SameRows(seq_result))
-            << variant.name << " shards=4, opts " << opt_mask;
-      } else {
-        EXPECT_TRUE(ExactlyEqual(sharded_result, seq_result))
-            << variant.name << " shards=4, opts " << opt_mask;
-      }
+      EXPECT_TRUE(ExactlyEqual(sharded_result, seq_result))
+          << variant.name << " shards=4, opts " << opt_mask;
       EXPECT_EQ(sharded_stats.TotalBytes(), seq_stats.TotalBytes())
           << variant.name << " shards=4, opts " << opt_mask;
       EXPECT_EQ(sharded_stats.TotalBytesToSites(),
@@ -203,8 +188,8 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
           << variant.name << " shards=4, opts " << opt_mask;
 
       // Intra-site parallel run: eval_threads is scheduling-only, so
-      // results (row for row, async excepted as above) and every byte
-      // count must be exactly the sequential-evaluation baseline's.
+      // results (row for row) and every byte count must be exactly the
+      // sequential-evaluation baseline's.
       ExecutorOptions threaded_options = variant.options;
       threaded_options.eval_threads = 4;
       std::unique_ptr<Executor> threaded_exec =
@@ -212,13 +197,8 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       ExecStats threaded_stats;
       Table threaded_result =
           threaded_exec->Execute(plan, &threaded_stats).ValueOrDie();
-      if (std::string(variant.name) == "async") {
-        EXPECT_TRUE(threaded_result.SameRows(seq_result))
-            << variant.name << " eval_threads=4, opts " << opt_mask;
-      } else {
-        EXPECT_TRUE(ExactlyEqual(threaded_result, seq_result))
-            << variant.name << " eval_threads=4, opts " << opt_mask;
-      }
+      EXPECT_TRUE(ExactlyEqual(threaded_result, seq_result))
+          << variant.name << " eval_threads=4, opts " << opt_mask;
       EXPECT_EQ(threaded_stats.TotalBytes(), seq_stats.TotalBytes())
           << variant.name << " eval_threads=4, opts " << opt_mask;
       EXPECT_EQ(threaded_stats.TotalTuplesTransferred(),

@@ -1,4 +1,5 @@
-// Fault injection and recovery across all four engines: site retries,
+// Fault injection and recovery across every engine — star (sequential
+// and with parallel sites), tree, and rpc: site retries,
 // replica failover, degraded execution (OnSiteLoss::kDegrade), and
 // query/round deadlines, which share one policy via ExecutorOptions.
 
@@ -14,7 +15,6 @@
 #include "common/random.h"
 #include "core/cancellation.h"
 #include "core/local_eval.h"
-#include "dist/async_exec.h"
 #include "dist/exec.h"
 #include "dist/tree.h"
 #include "dist/warehouse.h"
@@ -22,6 +22,7 @@
 #include "rpc/rpc_executor.h"
 #include "rpc/transport.h"
 #include "storage/partition.h"
+#include "types/row.h"
 
 namespace skalla {
 namespace {
@@ -54,6 +55,23 @@ GmdjExpr SimpleQuery() {
       And(Eq(RCol("SAS"), BCol("SAS")), Ge(RCol("NB"), BCol("a")))});
   expr.ops = {md1, md2};
   return expr;
+}
+
+// Row-for-row equality including order: the parallel star is pinned to
+// the sequential one exactly, not just as a row set.
+bool ExactlyEqual(const Table& a, const Table& b) {
+  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
+    return false;
+  }
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    if (!RowEquals(a.row(r), b.row(r))) return false;
+  }
+  return true;
+}
+
+ExecutorOptions ParallelSites(ExecutorOptions options) {
+  options.parallel_sites = true;
+  return options;
 }
 
 Result<Table> RunWithFaults(const Table& flow, FaultInjector* injector,
@@ -121,11 +139,11 @@ TEST(FaultTest, RecoveryWorksUnderAllOptimizations) {
   EXPECT_TRUE(result.SameRows(expected));
 }
 
-// Same scenario through the AsyncExecutor: plans built by the warehouse,
-// sites constructed directly so the executor choice is explicit.
-Result<Table> RunAsyncWithFaults(const Table& flow, FaultInjector* injector,
-                                 size_t retries, ExecStats* stats,
-                                 const OptimizerOptions& opts) {
+// Same scenario through the star with parallel sites: plans built by the
+// warehouse, sites constructed directly so the options are explicit.
+Result<Table> RunParallelWithFaults(const Table& flow, FaultInjector* injector,
+                                    size_t retries, ExecStats* stats,
+                                    const OptimizerOptions& opts) {
   const size_t kSites = 4;
   DistributedWarehouse dw(kSites);
   Status s = dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"});
@@ -142,23 +160,24 @@ Result<Table> RunAsyncWithFaults(const Table& flow, FaultInjector* injector,
   ExecutorOptions exec_options;
   exec_options.fault_injector = injector;
   exec_options.max_site_retries = retries;
-  AsyncExecutor executor(std::move(sites), NetworkConfig{}, exec_options);
+  DistributedExecutor executor(std::move(sites), NetworkConfig{},
+                               ParallelSites(exec_options));
   return executor.Execute(plan, stats);
 }
 
-TEST(FaultTest, AsyncTransientFailuresRecoverWithRetry) {
+TEST(FaultTest, ParallelTransientFailuresRecoverWithRetry) {
   Table flow = MakeFlow(600);
-  DistributedWarehouse reference_dw(4);
-  reference_dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"}).Check();
-  Table expected =
-      reference_dw.ExecuteCentralized(SimpleQuery()).ValueOrDie();
+  TransientFaultInjector seq_injector(/*failures=*/1);
+  Table expected = RunWithFaults(flow, &seq_injector, /*retries=*/2, nullptr,
+                                 OptimizerOptions::None())
+                       .ValueOrDie();
 
   TransientFaultInjector injector(/*failures=*/1);
   ExecStats stats;
-  Table result = RunAsyncWithFaults(flow, &injector, /*retries=*/2, &stats,
-                                    OptimizerOptions::None())
+  Table result = RunParallelWithFaults(flow, &injector, /*retries=*/2,
+                                       &stats, OptimizerOptions::None())
                      .ValueOrDie();
-  EXPECT_TRUE(result.SameRows(expected));
+  EXPECT_TRUE(ExactlyEqual(result, expected));
   EXPECT_GT(injector.injected(), 0);
   size_t total_retries = 0;
   for (const RoundStats& r : stats.rounds) total_retries += r.site_retries;
@@ -166,20 +185,20 @@ TEST(FaultTest, AsyncTransientFailuresRecoverWithRetry) {
   EXPECT_EQ(total_retries, 12u);
 }
 
-TEST(FaultTest, AsyncExhaustedRetriesSurfaceTheFailure) {
+TEST(FaultTest, ParallelExhaustedRetriesSurfaceTheFailure) {
   Table flow = MakeFlow(200);
   TransientFaultInjector injector(/*failures=*/3);
-  auto result = RunAsyncWithFaults(flow, &injector, /*retries=*/1, nullptr,
-                                   OptimizerOptions::None());
+  auto result = RunParallelWithFaults(flow, &injector, /*retries=*/1, nullptr,
+                                      OptimizerOptions::None());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError());
 }
 
-TEST(FaultTest, AsyncPermanentSiteFailureAborts) {
+TEST(FaultTest, ParallelPermanentSiteFailureAborts) {
   Table flow = MakeFlow(200);
   PermanentSiteFailure injector(/*site=*/2);
-  auto result = RunAsyncWithFaults(flow, &injector, /*retries=*/5, nullptr,
-                                   OptimizerOptions::None());
+  auto result = RunParallelWithFaults(flow, &injector, /*retries=*/5, nullptr,
+                                      OptimizerOptions::None());
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("site 2"), std::string::npos);
 }
@@ -327,10 +346,10 @@ TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
                 OptimizerOptions::None())
       .ValueOrDie();
 
-  TransientFaultInjector async_injector(/*failures=*/1);
-  ExecStats async_stats;
-  RunAsyncWithFaults(flow, &async_injector, /*retries=*/2, &async_stats,
-                     OptimizerOptions::None())
+  TransientFaultInjector parallel_injector(/*failures=*/1);
+  ExecStats parallel_stats;
+  RunParallelWithFaults(flow, &parallel_injector, /*retries=*/2,
+                        &parallel_stats, OptimizerOptions::None())
       .ValueOrDie();
 
   TransientFaultInjector tree_injector(/*failures=*/1);
@@ -345,22 +364,22 @@ TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
                    OptimizerOptions::None())
       .ValueOrDie();
 
-  ASSERT_EQ(dist_stats.rounds.size(), async_stats.rounds.size());
+  ASSERT_EQ(dist_stats.rounds.size(), parallel_stats.rounds.size());
   ASSERT_EQ(dist_stats.rounds.size(), tree_stats.rounds.size());
   ASSERT_EQ(dist_stats.rounds.size(), rpc_stats.rounds.size());
   for (size_t r = 0; r < dist_stats.rounds.size(); ++r) {
     SCOPED_TRACE(dist_stats.rounds[r].label);
-    EXPECT_EQ(async_stats.rounds[r].label, dist_stats.rounds[r].label);
+    EXPECT_EQ(parallel_stats.rounds[r].label, dist_stats.rounds[r].label);
     EXPECT_EQ(tree_stats.rounds[r].label, dist_stats.rounds[r].label);
     EXPECT_EQ(rpc_stats.rounds[r].label, dist_stats.rounds[r].label);
-    EXPECT_EQ(async_stats.rounds[r].site_retries,
+    EXPECT_EQ(parallel_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
     EXPECT_EQ(tree_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
     EXPECT_EQ(rpc_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
   }
-  EXPECT_EQ(dist_injector.injected(), async_injector.injected());
+  EXPECT_EQ(dist_injector.injected(), parallel_injector.injected());
   EXPECT_EQ(dist_injector.injected(), tree_injector.injected());
   EXPECT_EQ(dist_injector.injected(), rpc_injector.injected());
 }
@@ -437,16 +456,22 @@ TEST(FailoverTest, StarFailsOverToReplicaOnPermanentLoss) {
   EXPECT_TRUE(stats.lost_sites.empty());
 }
 
-TEST(FailoverTest, AsyncFailsOverToReplicaOnPermanentLoss) {
+TEST(FailoverTest, ParallelFailsOverToReplicaOnPermanentLoss) {
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   PermanentSiteFailure injector(/*site=*/2);
-  AsyncExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                         FaultOptions(&injector, /*retries=*/1));
+  DistributedExecutor sequential(fleet.sites, NetworkConfig{},
+                                 FaultOptions(&injector, /*retries=*/1));
+  sequential.AddReplica(2, MakeReplica(fleet, 2));
+  Table expected = sequential.Execute(fleet.plan, nullptr).ValueOrDie();
+
+  DistributedExecutor executor(
+      std::move(fleet.sites), NetworkConfig{},
+      ParallelSites(FaultOptions(&injector, /*retries=*/1)));
   executor.AddReplica(2, MakeReplica(fleet, 2));
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
-  EXPECT_TRUE(result.SameRows(fleet.expected));
+  EXPECT_TRUE(ExactlyEqual(result, expected));
   EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
   EXPECT_TRUE(stats.complete());
 }
@@ -578,19 +603,27 @@ TEST(DegradeTest, DegradePrefersReplicaWhenOneExists) {
   EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
 }
 
-TEST(DegradeTest, AsyncDegradeCompletesOverSurvivors) {
+TEST(DegradeTest, ParallelDegradeCompletesOverSurvivors) {
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  Table expected = DegradedExpected(fleet, 2);
   PermanentSiteFailure injector(/*site=*/2);
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
   options.on_site_loss = OnSiteLoss::kDegrade;
-  AsyncExecutor executor(std::move(fleet.sites), NetworkConfig{}, options);
+  DistributedExecutor sequential(fleet.sites, NetworkConfig{}, options);
+  ExecStats seq_stats;
+  Table expected = sequential.Execute(fleet.plan, &seq_stats).ValueOrDie();
+
+  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
+                               ParallelSites(options));
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
-  EXPECT_TRUE(result.SameRows(expected));
+  EXPECT_TRUE(ExactlyEqual(result, expected));
   ASSERT_EQ(stats.lost_sites.size(), 1u);
   EXPECT_EQ(stats.lost_sites[0], 2);
+  ASSERT_EQ(stats.rounds.size(), seq_stats.rounds.size());
+  for (size_t r = 0; r < stats.rounds.size(); ++r) {
+    EXPECT_EQ(stats.rounds[r].sites_lost, seq_stats.rounds[r].sites_lost);
+  }
 }
 
 TEST(DegradeTest, TreeDegradeCompletesOverSurvivors) {
@@ -659,13 +692,14 @@ TEST(DeadlineTest, StarQueryDeadlineSurfacesTyped) {
       << result.status().ToString();
 }
 
-TEST(DeadlineTest, AsyncQueryDeadlineSurfacesTyped) {
+TEST(DeadlineTest, ParallelQueryDeadlineSurfacesTyped) {
   Table flow = MakeFlow(400);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   DelayInjector injector(/*ms=*/5);
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/3);
   options.query_deadline_ms = 1;
-  AsyncExecutor executor(std::move(fleet.sites), NetworkConfig{}, options);
+  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
+                               ParallelSites(options));
   auto result = executor.Execute(fleet.plan, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded())

@@ -13,7 +13,6 @@
 
 #include "data/flow_gen.h"
 #include "data/tpcr_gen.h"
-#include "dist/async_exec.h"
 #include "dist/exec.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
@@ -315,9 +314,10 @@ TEST_F(RpcExecutorTest, RoundProfilesReconcileWithRoundStats) {
 }
 
 TEST_F(RpcExecutorTest, ProfilesMatchAcrossEngines) {
-  // The same plan through star, async, and rpc engines must agree on the
-  // reconciliation-relevant profile columns (bytes shipped per site,
-  // result rows) — the engines differ only in transport.
+  // The same plan through the star (sequential and with parallel sites)
+  // and rpc engines must agree on the reconciliation-relevant profile
+  // columns (bytes shipped per site, result rows) — the engines differ
+  // only in transport.
   GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
@@ -326,22 +326,24 @@ TEST_F(RpcExecutorTest, ProfilesMatchAcrossEngines) {
   ExecStats star_stats;
   ASSERT_TRUE(star.Execute(plan, &star_stats).ok());
 
-  AsyncExecutor async(MakeSites(), NetworkConfig{}, {});
-  ExecStats async_stats;
-  ASSERT_TRUE(async.Execute(plan, &async_stats).ok());
+  ExecutorOptions parallel_options;
+  parallel_options.parallel_sites = true;
+  DistributedExecutor parallel(MakeSites(), NetworkConfig{}, parallel_options);
+  ExecStats parallel_stats;
+  ASSERT_TRUE(parallel.Execute(plan, &parallel_stats).ok());
 
   RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()), {});
   ExecStats rpc_stats;
   ASSERT_TRUE(rpc.Execute(plan, &rpc_stats).ok());
 
   ASSERT_EQ(star_stats.rounds.size(), rpc_stats.rounds.size());
-  ASSERT_EQ(async_stats.rounds.size(), rpc_stats.rounds.size());
+  ASSERT_EQ(parallel_stats.rounds.size(), rpc_stats.rounds.size());
   for (size_t r = 0; r < rpc_stats.rounds.size(); ++r) {
     SCOPED_TRACE(rpc_stats.rounds[r].label);
     const std::vector<SiteRoundProfile>& a =
         star_stats.rounds[r].site_profiles;
     const std::vector<SiteRoundProfile>& b =
-        async_stats.rounds[r].site_profiles;
+        parallel_stats.rounds[r].site_profiles;
     const std::vector<SiteRoundProfile>& c =
         rpc_stats.rounds[r].site_profiles;
     ASSERT_EQ(a.size(), c.size());

@@ -112,7 +112,9 @@ class Cluster {
       servers_.push_back(
           std::make_unique<rpc::SiteServer>(services_.back().get(), options));
       servers_.back()->Start().Check();
-      threads_.emplace_back([this, i] { (void)servers_[i]->Serve(); });
+      // Capture the server itself: servers_ reallocates as it grows.
+      threads_.emplace_back(
+          [server = servers_.back().get()] { (void)server->Serve(); });
     }
   }
 

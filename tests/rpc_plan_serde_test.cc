@@ -451,7 +451,7 @@ TEST(PlanSerdeTest, RoundResultRoundTripsWithAndWithoutTable) {
   ExpectProfileEq(with_table.profile, profile);
   ASSERT_TRUE(with_table.has_table);
   // The table tail must account byte-for-byte: this is what feeds
-  // bytes_to_coord, pinned equal across all four engines.
+  // bytes_to_coord, pinned equal across every engine.
   EXPECT_EQ(with_table.table_bytes, table_bytes.size());
   ASSERT_EQ(with_table.table.num_rows(), 2u);
   EXPECT_EQ(with_table.table.at(1, 0).int64(), 9);

@@ -98,7 +98,10 @@ class Cluster {
       servers_.push_back(
           std::make_unique<SiteServer>(services_.back().get(), options));
       servers_.back()->Start().Check();
-      serve_status_.push_back(Status::OK());
+    }
+    // Serve threads start once the vectors stop growing: they index them.
+    serve_status_.assign(servers_.size(), Status::OK());
+    for (size_t i = 0; i < servers_.size(); ++i) {
       threads_.emplace_back([this, i] {
         serve_status_[i] = servers_[i]->Serve();
       });

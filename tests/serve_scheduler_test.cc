@@ -1,9 +1,10 @@
 // QueryScheduler determinism: the same batch of queries submitted
 // through a QuerySession at admission width 1 (strictly sequential) and
 // width 8 (everything in flight at once, sites shared) must resolve to
-// byte-identical per-query results, for every engine — star, async,
-// tree, and rpc over real loopback sockets. Also covers admission
-// bookkeeping, cancellation, and queue-expired deadlines.
+// byte-identical per-query results, for every engine — star (sequential
+// and with parallel sites), tree, and rpc over real loopback sockets.
+// Also covers admission bookkeeping, cancellation, and queue-expired
+// deadlines.
 
 #include "serve/scheduler.h"
 
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "dist/async_exec.h"
 #include "dist/tree.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
@@ -57,8 +57,7 @@ std::vector<Site> MakeSites(const std::vector<Table>& parts) {
   return sites;
 }
 
-std::vector<uint8_t> TableBytes(Table t) {
-  t.SortRows();  // canonical order: async merges in arrival order
+std::vector<uint8_t> TableBytes(const Table& t) {
   std::vector<uint8_t> bytes;
   WriteTable(t, &bytes);
   return bytes;
@@ -115,7 +114,7 @@ std::vector<std::vector<uint8_t>> RunBatch(
     }
     EXPECT_FALSE(answer->stats.from_cache);
     EXPECT_FALSE(answer->stats.rounds.empty());
-    results.push_back(TableBytes(std::move(answer->table)));
+    results.push_back(TableBytes(answer->table));
   }
   return results;
 }
@@ -150,8 +149,9 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
     servers.push_back(
         std::make_unique<rpc::SiteServer>(services.back().get(), options));
     servers.back()->Start().Check();
+    // Capture the server itself: `servers` reallocates as it grows.
     server_threads.emplace_back(
-        [&servers, i] { (void)servers[i]->Serve(); });
+        [server = servers.back().get()] { (void)server->Serve(); });
   }
   std::vector<rpc::SiteEndpoint> endpoints;
   for (const auto& server : servers) {
@@ -163,9 +163,12 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
          return std::make_unique<DistributedExecutor>(MakeSites(p));
        }},
-      {"async",
+      {"parallel",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
-         return std::make_unique<AsyncExecutor>(MakeSites(p));
+         ExecutorOptions options;
+         options.parallel_sites = true;
+         return std::make_unique<DistributedExecutor>(MakeSites(p),
+                                                      NetworkConfig{}, options);
        }},
       {"tree2",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
@@ -211,7 +214,11 @@ TEST(ServeSchedulerTest, CancelQueuedQueryResolvesCancelled) {
     std::vector<Table> copy = parts;
     dw.AddPartitionedTable("d", std::move(copy), {"g", "h", "v"}).Check();
   }
-  auto session = serve::QuerySession::Open(&dw).ValueOrDie();
+  // Caching off: repeats of the plan must not resolve as instant hits
+  // before the cancel lands.
+  serve::SessionOptions options;
+  options.scheduler.cache_max_bytes = 0;
+  auto session = serve::QuerySession::Open(&dw, options).ValueOrDie();
   DistributedPlan plan = PlanBatch(dw)[0];
 
   // Saturate the width-4 admission, then cancel the queued tail.

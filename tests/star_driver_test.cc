@@ -1,0 +1,424 @@
+// The shared star driver under parallel_sites: a concurrent fan-out must
+// be byte-identical to the sequential run — results row for row, and
+// every RoundStats byte and tuple count — whatever order the sites finish
+// in, because fragments merge in site order as soon as their
+// predecessors have arrived. Also: site errors raised while other site
+// tasks are still running return promptly and cleanly, and the rpc engine
+// over loopback TCP honors parallel_sites with identical results,
+// accounting, and per-site profiles, across a replica failover too.
+
+#include "dist/star_driver.h"
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#include "common/random.h"
+#include "dist/exec.h"
+#include "dist/fault.h"
+#include "dist/warehouse.h"
+#include "expr/builder.h"
+#include "rpc/rpc_executor.h"
+#include "rpc/server.h"
+#include "rpc/site_service.h"
+#include "rpc/tcp.h"
+#include "storage/partition.h"
+#include "types/row.h"
+
+namespace skalla {
+namespace {
+
+Table MakeFlow(uint64_t seed, size_t rows) {
+  Random rng(seed);
+  SchemaPtr schema = Schema::Make({{"SAS", ValueType::kInt64},
+                                   {"DAS", ValueType::kInt64},
+                                   {"NB", ValueType::kInt64}})
+                         .ValueOrDie();
+  Table t(schema);
+  for (size_t i = 0; i < rows; ++i) {
+    t.AppendUnchecked({Value(rng.UniformInt(0, 15)),
+                       Value(rng.UniformInt(0, 5)),
+                       Value(rng.UniformInt(1, 400))});
+  }
+  return t;
+}
+
+GmdjExpr Example1() {
+  GmdjExpr expr;
+  expr.base = BaseQuery{"flow", {"SAS", "DAS"}, true, nullptr};
+  ExprPtr group = And(Eq(RCol("SAS"), BCol("SAS")),
+                      Eq(RCol("DAS"), BCol("DAS")));
+  GmdjOp md1;
+  md1.detail_table = "flow";
+  md1.blocks.push_back(GmdjBlock{
+      {{AggKind::kCountStar, "", "cnt1"}, {AggKind::kSum, "NB", "sum1"}},
+      group});
+  GmdjOp md2;
+  md2.detail_table = "flow";
+  md2.blocks.push_back(
+      GmdjBlock{{{AggKind::kCountStar, "", "cnt2"}},
+                And(group, Ge(RCol("NB"), Div(BCol("sum1"), BCol("cnt1"))))});
+  expr.ops = {md1, md2};
+  return expr;
+}
+
+Catalog FlowCatalog(const Table& part) {
+  Catalog catalog;
+  catalog.Register("flow", part);
+  return catalog;
+}
+
+std::vector<Site> MakeSites(const std::vector<Table>& parts) {
+  std::vector<Site> sites;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    sites.emplace_back(static_cast<int>(i), FlowCatalog(parts[i]));
+  }
+  return sites;
+}
+
+bool ExactlyEqual(const Table& a, const Table& b) {
+  if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
+    return false;
+  }
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    if (!RowEquals(a.row(r), b.row(r))) return false;
+  }
+  return true;
+}
+
+ExecutorOptions Parallel(ExecutorOptions options = {}) {
+  options.parallel_sites = true;
+  return options;
+}
+
+// Every deterministic accounting field, round by round and site by site:
+// only timings may differ between a sequential and a concurrent run (and
+// round wire bytes, whose varint-encoded site profiles carry timings).
+void ExpectSameAccounting(const ExecStats& a, const ExecStats& b) {
+  ASSERT_EQ(a.rounds.size(), b.rounds.size());
+  for (size_t r = 0; r < a.rounds.size(); ++r) {
+    const RoundStats& x = a.rounds[r];
+    const RoundStats& y = b.rounds[r];
+    SCOPED_TRACE(x.label);
+    EXPECT_EQ(x.label, y.label);
+    EXPECT_EQ(x.synchronized, y.synchronized);
+    EXPECT_EQ(x.bytes_to_sites, y.bytes_to_sites);
+    EXPECT_EQ(x.bytes_to_coord, y.bytes_to_coord);
+    EXPECT_EQ(x.tuples_to_sites, y.tuples_to_sites);
+    EXPECT_EQ(x.tuples_to_coord, y.tuples_to_coord);
+    EXPECT_EQ(x.sites_skipped, y.sites_skipped);
+    EXPECT_EQ(x.site_retries, y.site_retries);
+    EXPECT_EQ(x.site_failovers, y.site_failovers);
+    EXPECT_EQ(x.sites_lost, y.sites_lost);
+    ASSERT_EQ(x.site_profiles.size(), y.site_profiles.size());
+    for (size_t i = 0; i < x.site_profiles.size(); ++i) {
+      const SiteRoundProfile& p = x.site_profiles[i];
+      const SiteRoundProfile& q = y.site_profiles[i];
+      SCOPED_TRACE(p.site_id);
+      EXPECT_EQ(p.site_id, q.site_id);
+      EXPECT_EQ(p.bytes_in, q.bytes_in);
+      EXPECT_EQ(p.bytes_out, q.bytes_out);
+      EXPECT_EQ(p.result_rows, q.result_rows);
+      EXPECT_EQ(p.rows_scanned, q.rows_scanned);
+      EXPECT_EQ(p.rows_matched, q.rows_matched);
+      EXPECT_EQ(p.index_hits, q.index_hits);
+      EXPECT_EQ(p.engines_used, q.engines_used);
+    }
+  }
+  EXPECT_EQ(a.lost_sites, b.lost_sites);
+  EXPECT_EQ(a.engines_used, b.engines_used);
+  EXPECT_EQ(a.setup_wire_bytes, b.setup_wire_bytes);
+}
+
+class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelEquivalenceTest, MatchesSequentialExactly) {
+  int mask = GetParam();
+  OptimizerOptions opts;
+  opts.coalescing = mask & 1;
+  opts.indep_group_reduction = mask & 2;
+  opts.aware_group_reduction = mask & 4;
+  opts.sync_reduction = mask & 8;
+
+  const size_t kSites = 6;
+  Table flow = MakeFlow(71, 800);
+  DistributedWarehouse dw(kSites);
+  dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
+  DistributedPlan plan = dw.Plan(Example1(), opts).ValueOrDie();
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+
+  DistributedExecutor sequential(MakeSites(parts));
+  ExecStats seq_stats;
+  Table seq_result = sequential.Execute(plan, &seq_stats).ValueOrDie();
+
+  DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, Parallel());
+  ExecStats par_stats;
+  Table par_result = parallel.Execute(plan, &par_stats).ValueOrDie();
+
+  EXPECT_TRUE(ExactlyEqual(par_result, seq_result)) << "mask " << mask;
+  ExpectSameAccounting(par_stats, seq_stats);
+  // Every star engine reports real wall time per round.
+  for (const ExecStats* stats : {&seq_stats, &par_stats}) {
+    for (const RoundStats& r : stats->rounds) EXPECT_GT(r.wall_time, 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OptMasks, ParallelEquivalenceTest,
+                         ::testing::Values(0, 1, 2, 4, 8, 15));
+
+TEST(StarDriverTest, RepeatedParallelRunsAreByteIdentical) {
+  // Completion order varies across runs; merged results must not.
+  const size_t kSites = 5;
+  Table flow = MakeFlow(73, 600);
+  std::vector<Table> parts = PartitionRoundRobin(flow, kSites).ValueOrDie();
+  DistributedWarehouse dw(kSites);
+  dw.AddPartitionedTable("flow", parts, {"SAS", "DAS", "NB"}).Check();
+  DistributedPlan plan =
+      dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
+
+  DistributedExecutor sequential(MakeSites(parts));
+  Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
+  for (int run = 0; run < 5; ++run) {
+    DistributedExecutor parallel(MakeSites(parts), NetworkConfig{},
+                                 Parallel());
+    Table result = parallel.Execute(plan, nullptr).ValueOrDie();
+    EXPECT_TRUE(ExactlyEqual(result, expected)) << "run " << run;
+  }
+}
+
+TEST(StarDriverTest, ParallelSiteErrorsPropagate) {
+  // Site 1's catalog is missing the detail relation: the error must
+  // surface, not hang or crash.
+  Table flow = MakeFlow(79, 100);
+  std::vector<Table> parts = PartitionRoundRobin(flow, 3).ValueOrDie();
+  std::vector<Site> sites;
+  for (size_t i = 0; i < 3; ++i) {
+    sites.emplace_back(static_cast<int>(i),
+                       i == 1 ? Catalog() : FlowCatalog(parts[i]));
+  }
+  DistributedWarehouse dw(3);
+  dw.AddPartitionedTable("flow", parts, {}).Check();
+  DistributedPlan plan =
+      dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
+
+  DistributedExecutor parallel(std::move(sites), NetworkConfig{}, Parallel());
+  auto result = parallel.Execute(plan, nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+}
+
+TEST(StarDriverTest, SingleWorkerStillExact) {
+  Table flow = MakeFlow(83, 300);
+  std::vector<Table> parts = PartitionByValue(flow, "SAS", 4).ValueOrDie();
+  DistributedWarehouse dw(4);
+  dw.AddPartitionedTable("flow", parts, {"SAS", "DAS", "NB"}).Check();
+  DistributedPlan plan =
+      dw.Plan(Example1(), OptimizerOptions::All()).ValueOrDie();
+
+  DistributedExecutor sequential(MakeSites(parts));
+  ExecStats seq_stats;
+  Table expected = sequential.Execute(plan, &seq_stats).ValueOrDie();
+
+  ExecutorOptions options = Parallel();
+  options.num_threads = 1;
+  DistributedExecutor single(MakeSites(parts), NetworkConfig{}, options);
+  ExecStats stats;
+  Table result = single.Execute(plan, &stats).ValueOrDie();
+  EXPECT_TRUE(ExactlyEqual(result, expected));
+  ExpectSameAccounting(stats, seq_stats);
+}
+
+// Holds site 0 back at the start of every round, so under parallel_sites
+// the later sites finish first; records the order attempts complete in.
+class SlowFirstSite : public FaultInjector {
+ public:
+  explicit SlowFirstSite(int ms) : ms_(ms) {}
+
+  Status BeforeSiteRound(int site, const std::string&) override {
+    if (site == 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms_));
+    return Status::OK();
+  }
+  Status AfterSiteRound(int site, const std::string& round,
+                        const Status&) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (round == "md1") md1_order_.push_back(site);
+    return Status::OK();
+  }
+  std::vector<int> md1_order() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return md1_order_;
+  }
+
+ private:
+  int ms_;
+  mutable std::mutex mu_;
+  std::vector<int> md1_order_;
+};
+
+TEST(StarDriverTest, ReverseCompletionStillMergesInSiteOrder) {
+  const size_t kSites = 4;
+  Table flow = MakeFlow(89, 800);
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  DistributedWarehouse dw(kSites);
+  dw.AddPartitionedTable("flow", parts, {"SAS", "DAS", "NB"}).Check();
+
+  for (const OptimizerOptions& opts :
+       {OptimizerOptions::None(), OptimizerOptions::All()}) {
+    SCOPED_TRACE(opts.ToString());
+    DistributedPlan plan = dw.Plan(Example1(), opts).ValueOrDie();
+    DistributedExecutor sequential(MakeSites(parts));
+    ExecStats seq_stats;
+    Table expected = sequential.Execute(plan, &seq_stats).ValueOrDie();
+
+    SlowFirstSite injector(/*ms=*/40);
+    ExecutorOptions options = Parallel();
+    options.fault_injector = &injector;
+    DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, options);
+    ExecStats stats;
+    Table result = parallel.Execute(plan, &stats).ValueOrDie();
+
+    EXPECT_TRUE(ExactlyEqual(result, expected));
+    ExpectSameAccounting(stats, seq_stats);
+    // The scenario really ran: site 0 finished md1 after the others.
+    std::vector<int> order = injector.md1_order();
+    ASSERT_EQ(order.size(), kSites);
+    EXPECT_EQ(order.back(), 0);
+  }
+}
+
+// Fails every attempt at one site and holds site 0 back, so the failure
+// lands while site 0's task is still running.
+class FailWhileSlow : public SlowFirstSite {
+ public:
+  FailWhileSlow(int ms, int failing) : SlowFirstSite(ms), failing_(failing) {}
+  Status BeforeSiteRound(int site, const std::string& round) override {
+    if (site == failing_) {
+      return Status::IOError(StrCat("injected: site ", site, " is down"));
+    }
+    return SlowFirstSite::BeforeSiteRound(site, round);
+  }
+
+ private:
+  int failing_;
+};
+
+TEST(StarDriverTest, ErrorWhileOtherSitesRunReturnsThatError) {
+  const size_t kSites = 4;
+  Table flow = MakeFlow(97, 400);
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  DistributedWarehouse dw(kSites);
+  dw.AddPartitionedTable("flow", parts, {"SAS", "DAS", "NB"}).Check();
+  DistributedPlan plan =
+      dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
+
+  FailWhileSlow injector(/*ms=*/100, /*failing=*/2);
+  ExecutorOptions options = Parallel();
+  options.fault_injector = &injector;
+  DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, options);
+  ExecStats stats;
+  auto result = parallel.Execute(plan, &stats);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_NE(result.status().message().find("site 2"), std::string::npos)
+      << result.status().ToString();
+  // The executor is reusable afterwards: no task outlived the call.
+  DistributedExecutor again(MakeSites(parts), NetworkConfig{}, Parallel());
+  EXPECT_TRUE(again.Execute(plan, nullptr).ok());
+}
+
+// ---- The rpc engine over loopback TCP ------------------------------------
+
+/// Site servers on loopback sockets, one thread each.
+class LoopbackCluster {
+ public:
+  explicit LoopbackCluster(std::vector<Site> sites) {
+    for (Site& site : sites) {
+      services_.push_back(std::make_unique<rpc::SiteService>(std::move(site)));
+      rpc::SiteServerOptions options;
+      options.accept_timeout_s = 0.05;
+      options.io_timeout_s = 5.0;
+      servers_.push_back(
+          std::make_unique<rpc::SiteServer>(services_.back().get(), options));
+      servers_.back()->Start().Check();
+    }
+    for (auto& server : servers_) {
+      threads_.emplace_back([s = server.get()] { (void)s->Serve(); });
+    }
+  }
+
+  ~LoopbackCluster() {
+    for (auto& server : servers_) server->Stop();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  std::unique_ptr<rpc::Transport> Dial() const {
+    std::vector<rpc::SiteEndpoint> endpoints;
+    for (const auto& server : servers_) {
+      endpoints.push_back({"127.0.0.1", server->port()});
+    }
+    rpc::TcpOptions tcp;
+    tcp.io_timeout_s = 5.0;
+    tcp.backoff_initial_s = 0.005;
+    return std::make_unique<rpc::TcpTransport>(endpoints, tcp);
+  }
+
+ private:
+  std::vector<std::unique_ptr<rpc::SiteService>> services_;
+  std::vector<std::unique_ptr<rpc::SiteServer>> servers_;
+  std::vector<std::thread> threads_;
+};
+
+TEST(StarDriverTest, RpcParallelSitesMatchSequentialOverTcp) {
+  const size_t kSites = 4;
+  Table flow = MakeFlow(101, 900);
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  DistributedWarehouse dw(kSites);
+  dw.AddPartitionedTable("flow", parts, {"SAS", "DAS", "NB"}).Check();
+
+  // Endpoint 4 is a replica process for partition 2; site 2 is dead, so
+  // every round fails over to it. None(): every round is self-contained,
+  // so rpc failover stays legal in all of them.
+  std::vector<Site> sites = MakeSites(parts);
+  sites.emplace_back(static_cast<int>(kSites), FlowCatalog(parts[2]));
+  LoopbackCluster cluster(std::move(sites));
+
+  for (bool failover : {false, true}) {
+    SCOPED_TRACE(failover ? "failover" : "healthy");
+    DistributedPlan plan =
+        dw.Plan(Example1(), failover ? OptimizerOptions::None()
+                                     : OptimizerOptions::All())
+            .ValueOrDie();
+    PermanentSiteFailure dead(/*site=*/2);
+    ExecutorOptions base_options;
+    if (failover) {
+      base_options.fault_injector = &dead;
+      base_options.max_site_retries = 1;
+    }
+    auto run = [&](const ExecutorOptions& options, ExecStats* stats) {
+      rpc::RpcExecutor executor(cluster.Dial(), options);
+      executor.AddReplica(2, kSites);
+      return executor.Execute(plan, stats).ValueOrDie();
+    };
+    ExecStats seq_stats;
+    Table expected = run(base_options, &seq_stats);
+    ExecStats par_stats;
+    Table result = run(Parallel(base_options), &par_stats);
+
+    EXPECT_TRUE(ExactlyEqual(result, expected));
+    EXPECT_EQ(par_stats.TotalBytesToSites(), seq_stats.TotalBytesToSites());
+    EXPECT_EQ(par_stats.TotalBytesToCoord(), seq_stats.TotalBytesToCoord());
+    ExpectSameAccounting(par_stats, seq_stats);
+    EXPECT_EQ(par_stats.TotalSiteFailovers(), failover ? 3u : 0u);
+  }
+}
+
+}  // namespace
+}  // namespace skalla
