@@ -1,19 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// components: local GMDJ evaluation (indexed vs naive vs columnar, each
-// honoring --eval-threads=N for intra-site morsel parallelism), hash
-// index build and probe, serialization, and coordinator merge.
+// components: local GMDJ evaluation (the columnar kernel over
+// MemoryDataProvider chunk views, honoring --eval-threads=N for
+// intra-site morsel parallelism, and the row oracle's indexed and
+// nested-loop modes), hash index build and probe, serialization, and
+// coordinator merge.
 //
 // Flags beyond google-benchmark's own:
 //   --eval-threads=N   EvalContext::eval_threads for the GMDJ benches
 //                      (0 = one worker per hardware thread)
-//   --engine=auto|row|columnar
+//   --engine=columnar|row|nested
 //                      EvalContext::engine for the BM_GmdjEvaluate bench
 //                      (the core::EvaluateGmdj routing path). On startup
 //                      the binary prints a `gmdj digest:` line — the
 //                      FNV-1a hash of a deterministic evaluation's
-//                      serialized bytes under the selected engine — so a
-//                      smoke job can run --engine=row and
-//                      --engine=columnar and assert identical bytes.
+//                      serialized bytes under the selected engine, over
+//                      one grouped, one candidates and one scan block —
+//                      so a smoke job can run every engine and assert
+//                      identical bytes.
 //   --trace-out=PATH / --metrics-out=PATH   (bench_common.h ObsSession)
 //
 // The GMDJ benches record each evaluation into the skalla.site.eval_us
@@ -40,11 +43,12 @@
 #include "net/serde.h"
 #include "obs/obs.h"
 #include "relalg/operators.h"
+#include "storage/data_provider.h"
 #include "storage/hash_index.h"
 
 // Set by main from --eval-threads= / --engine= before benchmarks run.
 static size_t g_eval_threads = 1;
-static skalla::EvalEngine g_engine = skalla::EvalEngine::kAuto;
+static skalla::EvalEngine g_engine = skalla::EvalEngine::kColumnar;
 
 namespace skalla {
 namespace {
@@ -84,6 +88,7 @@ void BM_GmdjIndexed(benchmark::State& state) {
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   GmdjOp op = SimpleOp();
   EvalContext context = BenchContext();
+  context.engine = EvalEngine::kRow;
   for (auto _ : state) {
     SKALLA_OBS_ONLY(Stopwatch watch;)
     Table out = EvalGmdj(base, detail, op, context).ValueOrDie();
@@ -95,14 +100,17 @@ void BM_GmdjIndexed(benchmark::State& state) {
 BENCHMARK(BM_GmdjIndexed)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_GmdjColumnar(benchmark::State& state) {
-  Table detail = MakeDetail(static_cast<size_t>(state.range(0)), 256);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
-  Table base = Project(detail, {"g"}, true).ValueOrDie();
+  // A resident relation's chunk views, built once and reused by every
+  // iteration — what an in-process site round reads.
+  auto detail = std::make_shared<const Table>(
+      MakeDetail(static_cast<size_t>(state.range(0)), 256));
+  MemoryDataProvider provider(detail);
+  Table base = Project(*detail, {"g"}, true).ValueOrDie();
   GmdjOp op = SimpleOp();
   EvalContext context = BenchContext();
   for (auto _ : state) {
     SKALLA_OBS_ONLY(Stopwatch watch;)
-    Table out = EvalGmdjColumnar(base, columnar, op, context).ValueOrDie();
+    Table out = EvalGmdjColumnar(base, provider, op, context).ValueOrDie();
     SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us", watch.ElapsedMicros());
     benchmark::DoNotOptimize(out);
   }
@@ -111,13 +119,12 @@ void BM_GmdjColumnar(benchmark::State& state) {
 BENCHMARK(BM_GmdjColumnar)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_GmdjEvaluate(benchmark::State& state) {
-  // The redesigned routing path: core::EvaluateGmdj against a warmed
-  // catalog, honoring --engine (kAuto picks the columnar cache here).
+  // The routing path: core::EvaluateGmdj against a resident catalog
+  // (its MemoryDataProvider), honoring --engine.
   Table detail = MakeDetail(static_cast<size_t>(state.range(0)), 256);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   Catalog catalog;
   catalog.Register("d", detail);
-  catalog.WarmColumnar().Check();
   GmdjOp op = SimpleOp();
   EvalContext context = BenchContext();
   for (auto _ : state) {
@@ -132,19 +139,27 @@ void BM_GmdjEvaluate(benchmark::State& state) {
 BENCHMARK(BM_GmdjEvaluate)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // A deterministic evaluation under the selected engine, reduced to an
-// FNV-1a hash of the serialized result bytes. Two runs of the binary
-// with different --engine values must print identical digests — the
-// byte-identity contract, checkable from a shell.
+// FNV-1a hash of the serialized result bytes. The operator has one block
+// per columnar path — grouped (equality atoms only), candidates
+// (equality + a correlated conjunct), scan (no equality atom) — so runs
+// of the binary with different --engine values print identical digests
+// only if every path is byte-identical to both row oracle modes.
 void PrintEngineDigest() {
   Table detail = skalla::MakeDetail(20000, 128);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   Catalog catalog;
   catalog.Register("d", detail);
-  catalog.WarmColumnar().Check();
   GmdjOp op = SimpleOp();
   op.blocks.push_back(GmdjBlock{
       {{AggKind::kSum, "v", "s"}, {AggKind::kMax, "v", "m"}},
       And(Eq(RCol("g"), BCol("g")), Gt(RCol("v"), Lit(Value(int64_t{250}))))});
+  op.blocks.push_back(GmdjBlock{
+      {{AggKind::kCountStar, "", "above"}, {AggKind::kAvg, "v", "va"}},
+      And(Eq(RCol("g"), BCol("g")),
+          Gt(RCol("v"), Mul(BCol("g"), Lit(Value(int64_t{8})))))});
+  op.blocks.push_back(GmdjBlock{
+      {{AggKind::kCountStar, "", "lower"}, {AggKind::kMin, "v", "lo"}},
+      And(Lt(RCol("g"), BCol("g")), Lt(RCol("v"), Lit(Value(int64_t{20}))))});
   EvalContext context = BenchContext();
   Table out = EvaluateGmdj(base, op, catalog, context).ValueOrDie();
   std::vector<uint8_t> bytes;
@@ -159,22 +174,12 @@ void PrintEngineDigest() {
               std::string(EvalEngineName(g_engine)).c_str());
 }
 
-void BM_ColumnTableConvert(benchmark::State& state) {
-  Table detail = MakeDetail(static_cast<size_t>(state.range(0)), 256);
-  for (auto _ : state) {
-    ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
-    benchmark::DoNotOptimize(columnar);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ColumnTableConvert)->Arg(10000)->Arg(100000);
-
 void BM_GmdjNaive(benchmark::State& state) {
   Table detail = MakeDetail(static_cast<size_t>(state.range(0)), 64);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   GmdjOp op = SimpleOp();
   EvalContext context = BenchContext();
-  context.use_index = false;
+  context.engine = EvalEngine::kNestedLoop;
   for (auto _ : state) {
     SKALLA_OBS_ONLY(Stopwatch watch;)
     Table out = EvalGmdj(base, detail, op, context).ValueOrDie();
@@ -282,18 +287,18 @@ int main(int argc, char** argv) {
   flags.Func(
       "--engine",
       [](const std::string& value) {
-        if (value == "auto") {
-          g_engine = skalla::EvalEngine::kAuto;
+        if (value == "columnar") {
+          g_engine = skalla::EvalEngine::kColumnar;
         } else if (value == "row") {
           g_engine = skalla::EvalEngine::kRow;
-        } else if (value == "columnar") {
-          g_engine = skalla::EvalEngine::kColumnar;
+        } else if (value == "nested") {
+          g_engine = skalla::EvalEngine::kNestedLoop;
         } else {
           return skalla::Status::InvalidArgument("unknown --engine: " + value);
         }
         return skalla::Status::OK();
       },
-      "GMDJ engine for BM_GmdjEvaluate: auto|row|columnar");
+      "GMDJ engine for BM_GmdjEvaluate: columnar|row|nested");
   // ObsSession already read these from the original argv; consume them
   // here so benchmark::Initialize never sees them.
   auto drop = [](const std::string&) { return skalla::Status::OK(); };

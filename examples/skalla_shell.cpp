@@ -115,7 +115,7 @@ class Shell {
     if (name == ".help") {
       std::printf(
           ".tables | .schema <t> | .opt all|none|+coal|+igr|+agr|+sync | "
-          ".engine auto|row|columnar | "
+          ".engine columnar|row|nested | "
           ".explain on|off | .analyze on|off | .trace <path>|off | "
           ".load <csv> <name> <col> | .save <dir> | .quit\n");
     } else if (name == ".tables") {
@@ -148,12 +148,12 @@ class Shell {
     } else if (name == ".engine" && args.size() >= 2) {
       // Byte-identical either way (docs/KERNELS.md); EXPLAIN ANALYZE's
       // `engines:` line reports what actually ran.
-      if (args[1] == "auto") warehouse_.set_engine(EvalEngine::kAuto);
+      if (args[1] == "columnar") warehouse_.set_engine(EvalEngine::kColumnar);
       else if (args[1] == "row") warehouse_.set_engine(EvalEngine::kRow);
-      else if (args[1] == "columnar")
-        warehouse_.set_engine(EvalEngine::kColumnar);
+      else if (args[1] == "nested")
+        warehouse_.set_engine(EvalEngine::kNestedLoop);
       else {
-        std::printf("unknown engine %s (auto|row|columnar)\n",
+        std::printf("unknown engine %s (columnar|row|nested)\n",
                     args[1].c_str());
         return true;
       }

@@ -9,7 +9,7 @@
 // same keep-earlier-on-ties extremes — over tables whose cell
 // representations match their declared column types (the well-typed
 // contract every columnar materialization enforces), so results are
-// byte-identical to the row engine.
+// byte-identical to the row oracle.
 //
 // Three fold shapes cover the engine's evaluation paths:
 //  - fold_dense: one tight pass over a column, row r folding into slot

@@ -106,26 +106,6 @@ uint64_t Column::HashAt(size_t i) const {
   }
 }
 
-bool Column::CellEquals(size_t i, const Column& other, size_t j) const {
-  bool null_i = IsNull(i);
-  bool null_j = other.IsNull(j);
-  if (null_i || null_j) return null_i && null_j;
-  if (type_ == other.type_) {
-    switch (type_) {
-      case ValueType::kInt64:
-        return ints_[i] == other.ints_[j];
-      case ValueType::kFloat64:
-        return doubles_[i] == other.doubles_[j];
-      case ValueType::kString:
-        return strings_[i] == other.strings_[j];
-      default:
-        return false;
-    }
-  }
-  // Cross-type numeric comparison mirrors Value::Equals.
-  return GetValue(i).Equals(other.GetValue(j));
-}
-
 void Column::Reserve(size_t n) {
   valid_.reserve(n);
   switch (type_) {

@@ -42,10 +42,6 @@ class Column {
   /// Hash of cell i, consistent with Value::Hash of the boxed value.
   uint64_t HashAt(size_t i) const;
 
-  /// Whether cells i (here) and j (in `other`) are equal under the
-  /// engine's grouping semantics (NULL == NULL).
-  bool CellEquals(size_t i, const Column& other, size_t j) const;
-
   void Reserve(size_t n);
 
  private:

@@ -207,8 +207,8 @@ ColRangeFromPartition(const PartitionInfo& info, size_t site) {
 }
 
 void EvalDetailSelection(const CompiledPredicate& pred,
-                         const ColumnSource& src, std::vector<uint8_t>* sel) {
-  const size_t n = src.num_rows();
+                         const Chunk& chunk, std::vector<uint8_t>* sel) {
+  const size_t n = chunk.num_rows();
   sel->assign(n, 1);
   Row scratch;
   for (const DetailConjunct& c : pred.detail) {
@@ -221,28 +221,28 @@ void EvalDetailSelection(const CompiledPredicate& pred,
     };
     switch (c.kind) {
       case DetailConjunct::Kind::kCmpInt: {
-        const Column& col = src.column(c.col);
+        const Column& col = chunk.column(c.col);
         filter([&](size_t r) {
           return !col.IsNull(r) && CmpOp(c.op, col.Int64At(r), c.ilit);
         });
         break;
       }
       case DetailConjunct::Kind::kCmpDouble: {
-        const Column& col = src.column(c.col);
+        const Column& col = chunk.column(c.col);
         filter([&](size_t r) {
           return !col.IsNull(r) && CmpOp(c.op, CellAsDouble(col, r), c.dlit);
         });
         break;
       }
       case DetailConjunct::Kind::kCmpString: {
-        const Column& col = src.column(c.col);
+        const Column& col = chunk.column(c.col);
         filter([&](size_t r) {
           return !col.IsNull(r) && CmpOp(c.op, col.StringAt(r), c.slit);
         });
         break;
       }
       case DetailConjunct::Kind::kInSet: {
-        const Column& col = src.column(c.col);
+        const Column& col = chunk.column(c.col);
         filter([&](size_t r) {
           return !col.IsNull(r) && c.set->Contains(col.GetValue(r));
         });
@@ -252,7 +252,7 @@ void EvalDetailSelection(const CompiledPredicate& pred,
         scratch.assign(pred.detail_width, Value::Null());
         filter([&](size_t r) {
           for (size_t col : c.ref_cols) {
-            scratch[col] = src.column(col).GetValue(r);
+            scratch[col] = chunk.column(col).GetValue(r);
           }
           return c.bound->EvalBool(nullptr, &scratch);
         });
@@ -322,7 +322,7 @@ BasePredState PrepareBaseRow(const CompiledPredicate& pred,
 }
 
 bool MatchDetailRow(const CompiledPredicate& pred, const BasePredState& state,
-                    const Row& base_row, const ColumnSource& src, size_t r,
+                    const Row& base_row, const Chunk& chunk, size_t r,
                     Row* scratch) {
   for (size_t i = 0; i < pred.correlated.size(); ++i) {
     const CorrelatedConjunct& c = pred.correlated[i];
@@ -331,28 +331,28 @@ bool MatchDetailRow(const CompiledPredicate& pred, const BasePredState& state,
       case BasePredState::Prep::Mode::kFalse:
         return false;
       case BasePredState::Prep::Mode::kInt: {
-        const Column& col = src.column(c.detail_col);
+        const Column& col = chunk.column(c.detail_col);
         if (col.IsNull(r) || !CmpOp(c.op, prep.i, col.Int64At(r))) {
           return false;
         }
         break;
       }
       case BasePredState::Prep::Mode::kDouble: {
-        const Column& col = src.column(c.detail_col);
+        const Column& col = chunk.column(c.detail_col);
         if (col.IsNull(r) || !CmpOp(c.op, prep.d, CellAsDouble(col, r))) {
           return false;
         }
         break;
       }
       case BasePredState::Prep::Mode::kString: {
-        const Column& col = src.column(c.detail_col);
+        const Column& col = chunk.column(c.detail_col);
         if (col.IsNull(r) || !CmpOp(c.op, prep.s, col.StringAt(r))) {
           return false;
         }
         break;
       }
       case BasePredState::Prep::Mode::kBoxed: {
-        const Column& col = src.column(c.detail_col);
+        const Column& col = chunk.column(c.detail_col);
         if (col.IsNull(r)) return false;
         if (!CmpBoxed(c.op, prep.boxed, col.GetValue(r))) return false;
         break;
@@ -362,7 +362,7 @@ bool MatchDetailRow(const CompiledPredicate& pred, const BasePredState& state,
           scratch->assign(pred.detail_width, Value::Null());
         }
         for (size_t col : c.ref_cols) {
-          (*scratch)[col] = src.column(col).GetValue(r);
+          (*scratch)[col] = chunk.column(col).GetValue(r);
         }
         if (!c.bound->EvalBool(&base_row, scratch)) return false;
         break;

@@ -27,7 +27,7 @@
 // Everything here replicates expr.cc evaluation semantics exactly
 // (comparisons with NULL are false, Value::Equals/Compare numeric
 // coercion), so the selection equals row-by-row EvalBool of the same
-// conjuncts — the byte-identity contract with the row engine.
+// conjuncts — the byte-identity contract with the row oracle.
 
 #ifndef SKALLA_COLUMNAR_PREDICATE_EVAL_H_
 #define SKALLA_COLUMNAR_PREDICATE_EVAL_H_
@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "columnar/column_table.h"
 #include "common/result.h"
 #include "expr/analysis.h"
 #include "expr/expr.h"
@@ -50,25 +49,6 @@
 #include "types/value_set.h"
 
 namespace skalla {
-
-/// Non-owning columnar view: either a resident ColumnTable or one pinned
-/// Chunk. Lets the kernels share one code path across both.
-class ColumnSource {
- public:
-  explicit ColumnSource(const ColumnTable& table) : table_(&table) {}
-  explicit ColumnSource(const Chunk& chunk) : chunk_(&chunk) {}
-
-  const Column& column(size_t i) const {
-    return table_ != nullptr ? table_->column(i) : chunk_->column(i);
-  }
-  size_t num_rows() const {
-    return table_ != nullptr ? table_->num_rows() : chunk_->num_rows();
-  }
-
- private:
-  const ColumnTable* table_ = nullptr;
-  const Chunk* chunk_ = nullptr;
-};
 
 /// One compiled detail-only conjunct. The kind picks the typed loop;
 /// kGeneric evaluates the bound expression against a scratch row.
@@ -148,11 +128,11 @@ Result<CompiledPredicate> CompilePredicate(
 std::function<std::optional<Interval>(const std::string&)>
 ColRangeFromPartition(const PartitionInfo& info, size_t site);
 
-/// Evaluates the detail-only conjuncts over `src` into `sel` (resized to
-/// src.num_rows(); 1 = row passes every conjunct). Equivalent to
+/// Evaluates the detail-only conjuncts over `chunk` into `sel` (resized
+/// to chunk.num_rows(); 1 = row passes every conjunct). Equivalent to
 /// EvalBool of their conjunction on each row.
 void EvalDetailSelection(const CompiledPredicate& pred,
-                         const ColumnSource& src, std::vector<uint8_t>* sel);
+                         const Chunk& chunk, std::vector<uint8_t>* sel);
 
 /// Whether `stats` prove no row of a chunk can satisfy `c`. Only
 /// meaningful for prunable conjuncts; conservative under the doubled
@@ -187,12 +167,12 @@ struct BasePredState {
 BasePredState PrepareBaseRow(const CompiledPredicate& pred,
                              const Row& base_row);
 
-/// Whether detail row `r` of `src` satisfies every correlated conjunct
+/// Whether detail row `r` of `chunk` satisfies every correlated conjunct
 /// against the prepared base row. `scratch` must be a row of
 /// pred.detail_width cells (reused across calls). The base-only gate
 /// (state.pass) is the caller's job.
 bool MatchDetailRow(const CompiledPredicate& pred, const BasePredState& state,
-                    const Row& base_row, const ColumnSource& src, size_t r,
+                    const Row& base_row, const Chunk& chunk, size_t r,
                     Row* scratch);
 
 }  // namespace skalla

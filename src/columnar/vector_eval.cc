@@ -14,8 +14,8 @@
 #include "columnar/predicate_eval.h"
 #include "common/hash.h"
 #include "common/macros.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "core/local_eval.h"
 #include "core/morsels.h"
 #include "expr/analysis.h"
 #include "obs/obs.h"
@@ -125,103 +125,12 @@ MakeProviderColRange(const DataProvider& detail) {
   };
 }
 
-// --- Grouping (resident) ---------------------------------------------------
+// --- Grouping --------------------------------------------------------------
 
-// Dense group assignment over the detail key columns.
-struct GroupMap {
-  // Group id per detail row; kNoSlot for rows the selection removed.
-  std::vector<uint32_t> row_group;
-  // Representative detail row per group (defines the group's key).
-  std::vector<uint32_t> representatives;
-  // hash -> candidate group ids.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-  // Selected detail rows per group, ascending (candidates path only).
-  std::vector<std::vector<uint32_t>> group_rows;
-};
-
-uint64_t DetailKeyHash(const ColumnTable& detail,
-                       const std::vector<size_t>& key_cols, size_t row) {
-  uint64_t h = 0x5ca11aULL;  // Must match HashRowKey's seed.
-  for (size_t c : key_cols) {
-    h = HashCombine(h, detail.column(c).HashAt(row));
-  }
-  return h;
-}
-
-bool DetailKeysEqual(const ColumnTable& detail,
-                     const std::vector<size_t>& key_cols, size_t a,
-                     size_t b) {
-  for (size_t c : key_cols) {
-    if (!detail.column(c).CellEquals(a, detail.column(c), b)) return false;
-  }
-  return true;
-}
-
-// Groups the selected detail rows (sel == nullptr selects everything) in
-// first-occurrence order; unselected rows get kNoSlot.
-GroupMap BuildGroups(const ColumnTable& detail,
-                     const std::vector<size_t>& key_cols, const uint8_t* sel,
-                     bool collect_rows) {
-  GroupMap map;
-  map.row_group.resize(detail.num_rows());
-  for (size_t r = 0; r < detail.num_rows(); ++r) {
-    if (sel != nullptr && !sel[r]) {
-      map.row_group[r] = kNoSlot;
-      continue;
-    }
-    uint64_t h = DetailKeyHash(detail, key_cols, r);
-    std::vector<uint32_t>& bucket = map.buckets[h];
-    int64_t group = -1;
-    for (uint32_t g : bucket) {
-      if (DetailKeysEqual(detail, key_cols, r, map.representatives[g])) {
-        group = g;
-        break;
-      }
-    }
-    if (group < 0) {
-      group = static_cast<int64_t>(map.representatives.size());
-      bucket.push_back(static_cast<uint32_t>(group));
-      map.representatives.push_back(static_cast<uint32_t>(r));
-      if (collect_rows) map.group_rows.emplace_back();
-    }
-    map.row_group[r] = static_cast<uint32_t>(group);
-    if (collect_rows) {
-      map.group_rows[static_cast<size_t>(group)].push_back(
-          static_cast<uint32_t>(r));
-    }
-  }
-  return map;
-}
-
-// Probes a block's group map with a base row.
-int64_t LookupGroup(const GroupMap& map, const ColumnTable& detail,
-                    const std::vector<size_t>& detail_cols,
-                    const Row& base_row,
-                    const std::vector<size_t>& base_cols) {
-  uint64_t h = HashRowKey(base_row, base_cols);
-  auto it = map.buckets.find(h);
-  if (it == map.buckets.end()) return -1;
-  for (uint32_t g : it->second) {
-    size_t repr = map.representatives[g];
-    bool equal = true;
-    for (size_t c = 0; c < detail_cols.size(); ++c) {
-      if (!base_row[base_cols[c]].Equals(
-              detail.column(detail_cols[c]).GetValue(repr))) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return g;
-  }
-  return -1;
-}
-
-// --- Grouping (chunked) ----------------------------------------------------
-
-// Group map over a chunk-paged relation. Unlike GroupMap it owns boxed
+// Dense group assignment over the detail key columns. The map owns boxed
 // copies of its representative keys: the chunk a representative row
 // lives in may be evicted between the build and the probe.
-struct ChunkedGroups {
+struct GroupMap {
   std::vector<uint32_t> row_group;  // global row -> group id / kNoSlot
   std::vector<Row> keys;            // boxed key per group, detail_cols order
   std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
@@ -229,8 +138,8 @@ struct ChunkedGroups {
   std::vector<std::vector<uint32_t>> group_rows;
 };
 
-int64_t LookupGroupChunked(const ChunkedGroups& groups, const Row& base_row,
-                           const std::vector<size_t>& base_cols) {
+int64_t LookupGroup(const GroupMap& groups, const Row& base_row,
+                    const std::vector<size_t>& base_cols) {
   uint64_t h = HashRowKey(base_row, base_cols);
   auto it = groups.buckets.find(h);
   if (it == groups.buckets.end()) return -1;
@@ -249,9 +158,9 @@ int64_t LookupGroupChunked(const ChunkedGroups& groups, const Row& base_row,
 }
 
 // Finds or creates the group of chunk-local row `r`; returns its id.
-int64_t AssignGroupChunked(ChunkedGroups* groups, const Chunk& chunk,
-                           const std::vector<size_t>& key_cols, size_t r,
-                           Row* scratch, bool collect_rows) {
+int64_t AssignGroup(GroupMap* groups, const Chunk& chunk,
+                    const std::vector<size_t>& key_cols, size_t r,
+                    Row* scratch, bool collect_rows) {
   uint64_t h = 0x5ca11aULL;  // Must match HashRowKey's seed.
   for (size_t c : key_cols) {
     h = HashCombine(h, chunk.column(c).HashAt(r));
@@ -279,44 +188,21 @@ int64_t AssignGroupChunked(ChunkedGroups* groups, const Chunk& chunk,
 
 // --- Shared helpers --------------------------------------------------------
 
-Result<SchemaPtr> ColumnarOutSchema(const GmdjOp& op,
-                                    const Schema& base_schema,
-                                    const Schema& detail_schema,
-                                    const EvalContext& context) {
-  SKALLA_ASSIGN_OR_RETURN(
-      SchemaPtr out_schema,
-      context.sub_aggregates
-          ? op.PartialSchema(base_schema, detail_schema, context.compute_rng)
-          : op.OutputSchema(base_schema, detail_schema));
-  if (!context.sub_aggregates && context.compute_rng) {
-    SKALLA_ASSIGN_OR_RETURN(
-        out_schema,
-        out_schema->AddField(Field{kRngCountColumn, ValueType::kInt64}));
-  }
-  return out_schema;
-}
-
 Status CheckColumnarPreconditions(const EvalContext& context) {
   SKALLA_RETURN_NOT_OK(ValidateEvalContext(context));
   if (context.cancellation != nullptr) {
     SKALLA_RETURN_NOT_OK(context.cancellation->Check());
   }
-  if (!context.use_index) {
-    return Status::InvalidArgument(
-        "EvalGmdjColumnar has no nested-loop oracle mode (use_index = "
-        "false); core::EvaluateGmdj routes such requests to the row engine");
-  }
   return Status::OK();
 }
 
-// Per-part input columns resolved against one source (the whole resident
-// table, or one pinned chunk).
+// Per-part input columns resolved against one pinned chunk.
 std::vector<const Column*> PartColumns(const std::vector<AggPart>& parts,
-                                       const ColumnSource& src) {
+                                       const Chunk& chunk) {
   std::vector<const Column*> cols(parts.size(), nullptr);
   for (size_t i = 0; i < parts.size(); ++i) {
     if (parts[i].input_col >= 0) {
-      cols[i] = &src.column(static_cast<size_t>(parts[i].input_col));
+      cols[i] = &chunk.column(static_cast<size_t>(parts[i].input_col));
     }
   }
   return cols;
@@ -359,8 +245,8 @@ struct EvaledBlockView {
   bool count_probe_stats = true;
 };
 
-// Output assembly shared by the resident and chunked paths: probe each
-// block per base row, finalize or emit sub-aggregates. The parallel
+// Output assembly: probe each block per base row, finalize or emit
+// sub-aggregates. The parallel
 // variant writes rows into pre-sized slots in base-row chunks and
 // appends in order, so output is byte-identical to the sequential pass.
 Result<Table> AssembleColumnar(const Table& base, const GmdjOp& op,
@@ -423,7 +309,7 @@ Result<Table> AssembleColumnar(const Table& base, const GmdjOp& op,
       }
     }
     if (context.compute_rng) {
-      row.push_back(Value(int64_t{matched ? 1 : 0}));
+      row.emplace_back(int64_t{matched ? 1 : 0});
     }
     if (counted_match) ++counts->matched;
     return row;
@@ -464,67 +350,24 @@ Result<Table> AssembleColumnar(const Table& base, const GmdjOp& op,
 // Per-block evaluation state shared by the path implementations.
 struct BlockExec {
   CompiledBlock compiled;
-  GroupMap groups;        // grouped/candidates, resident
-  ChunkedGroups cgroups;  // grouped/candidates, chunked
+  GroupMap groups;  // grouped/candidates
   // Candidates/scan: matched[b] = some detail row paired with base row b.
   std::vector<uint8_t> matched;
 };
 
 // --- Grouped path ----------------------------------------------------------
 
-// Equality atoms only (plus detail-only / base-only conjuncts): selection
-// bitmap, dense groups over selected rows, one dense typed fold per part
-// (parallel across parts — each part's state is private and its fold
-// order is exactly the sequential one).
-void EvalGroupedBlock(const ColumnTable& detail, BlockExec* exec,
-                      const EvalContext& context, ThreadPool* pool) {
-  const CompiledPredicate& pred = exec->compiled.pred;
-  ColumnSource src(detail);
-  std::vector<uint8_t> sel;
-  const uint8_t* selp = nullptr;
-  if (pred.has_detail()) {
-    EvalDetailSelection(pred, src, &sel);
-    selp = sel.data();
-  }
-  exec->groups =
-      BuildGroups(detail, exec->compiled.detail_cols, selp,
-                  /*collect_rows=*/false);
-  const size_t num_groups = exec->groups.representatives.size();
-  std::vector<AggPart>& parts = exec->compiled.parts;
-  auto fold_part = [&](size_t pi) {
-    AggPart& part = parts[pi];
-    EnsureSlots(&part, num_groups);
-    const Column* in =
-        part.input_col >= 0
-            ? &detail.column(static_cast<size_t>(part.input_col))
-            : nullptr;
-    AggPart::FoldDenseFn fold =
-        selp != nullptr ? part.fold_dense_checked : part.fold_dense;
-    fold(part, in, exec->groups.row_group.data(), detail.num_rows());
-  };
-  if (pool != nullptr && parts.size() > 1) {
-    pool->ParallelFor(parts.size(), fold_part);
-  } else {
-    for (size_t pi = 0; pi < parts.size(); ++pi) fold_part(pi);
-  }
-  if (context.profile != nullptr) {
-    // Selection + group build + typed folds stream the whole detail
-    // partition once.
-    context.profile->rows_scanned.fetch_add(detail.num_rows(),
-                                            std::memory_order_relaxed);
-  }
-}
-
-// Chunked grouped: streams the detail chunks once — per-chunk selection,
-// fused group assignment, and part folds while the chunk is pinned.
+// Equality atoms only (plus detail-only / base-only conjuncts): streams
+// the detail chunks once — per-chunk selection bitmap, fused dense group
+// assignment, and one typed fold per part while the chunk is pinned.
 // Chunks whose stats prove an all-false selection are skipped without
 // pinning; their rows are exactly the rows the selection would have
 // removed, so results are byte-identical with pruning on or off.
-Status EvalGroupedBlockChunked(const DataProvider& detail, BlockExec* exec,
-                               const EvalContext& context) {
+Status EvalGroupedBlock(const DataProvider& detail, BlockExec* exec,
+                        const EvalContext& context) {
   const std::vector<size_t>& key_cols = exec->compiled.detail_cols;
   const CompiledPredicate& pred = exec->compiled.pred;
-  ChunkedGroups& groups = exec->cgroups;
+  GroupMap& groups = exec->groups;
   groups.row_group.resize(detail.num_rows());
   std::vector<AggPart>& parts = exec->compiled.parts;
   Row scratch;
@@ -545,7 +388,7 @@ Status EvalGroupedBlockChunked(const DataProvider& detail, BlockExec* exec,
     const size_t n = chunk.num_rows();
     const uint8_t* selp = nullptr;
     if (pred.has_detail()) {
-      EvalDetailSelection(pred, ColumnSource(chunk), &sel);
+      EvalDetailSelection(pred, chunk, &sel);
       selp = sel.data();
     }
     for (size_t r = 0; r < n; ++r) {
@@ -553,8 +396,8 @@ Status EvalGroupedBlockChunked(const DataProvider& detail, BlockExec* exec,
         groups.row_group[row_base + r] = kNoSlot;
         continue;
       }
-      int64_t group = AssignGroupChunked(&groups, chunk, key_cols, r,
-                                         &scratch, /*collect_rows=*/false);
+      int64_t group = AssignGroup(&groups, chunk, key_cols, r, &scratch,
+                                  /*collect_rows=*/false);
       groups.row_group[row_base + r] = static_cast<uint32_t>(group);
     }
     const size_t num_groups = groups.keys.size();
@@ -578,84 +421,22 @@ Status EvalGroupedBlockChunked(const DataProvider& detail, BlockExec* exec,
 
 // --- Candidates path -------------------------------------------------------
 
-// Equality atoms + correlated conjuncts: per base row, probe the group
-// map for the selected same-key detail rows, filter them with the
-// hoisted correlated comparisons, and fold matches through single-row
-// kernels into per-base-row slots. Base-row morsels partition the slot
-// space, so concurrent folds never touch the same slot; per-slot fold
-// order is the ascending candidate order — exactly the row engine's
-// indexed path.
-void EvalCandidatesBlock(const Table& base, const ColumnTable& detail,
-                         BlockExec* exec, const EvalContext& context,
-                         ThreadPool* pool) {
-  const CompiledPredicate& pred = exec->compiled.pred;
-  ColumnSource src(detail);
-  std::vector<uint8_t> sel;
-  const uint8_t* selp = nullptr;
-  if (pred.has_detail()) {
-    EvalDetailSelection(pred, src, &sel);
-    selp = sel.data();
-  }
-  exec->groups = BuildGroups(detail, exec->compiled.detail_cols, selp,
-                             /*collect_rows=*/true);
-  const size_t num_base = base.num_rows();
-  std::vector<AggPart>& parts = exec->compiled.parts;
-  for (AggPart& part : parts) EnsureSlots(&part, num_base);
-  exec->matched.assign(num_base, 0);
-  std::vector<const Column*> part_cols = PartColumns(parts, src);
-  CancellationToken* cancel = context.cancellation;
-  EvalProfile* profile = context.profile;
-  RunMorsels(pool, MorselCount(num_base, context.morsel_rows), context,
-             [&](size_t m) {
-    if (cancel != nullptr && !cancel->Check().ok()) return;
-    const size_t lo = m * context.morsel_rows;
-    const size_t hi = std::min(lo + context.morsel_rows, num_base);
-    uint64_t hits = 0, scanned = 0, pairs = 0;
-    Row scratch;
-    for (size_t b = lo; b < hi; ++b) {
-      const Row& base_row = base.row(b);
-      BasePredState state = PrepareBaseRow(pred, base_row);
-      if (!state.pass) continue;
-      int64_t g = LookupGroup(exec->groups, detail, exec->compiled.detail_cols,
-                              base_row, exec->compiled.base_cols);
-      if (g < 0) continue;
-      const std::vector<uint32_t>& cand =
-          exec->groups.group_rows[static_cast<size_t>(g)];
-      hits += cand.size();
-      scanned += cand.size();
-      for (uint32_t r : cand) {
-        if (!MatchDetailRow(pred, state, base_row, src, r, &scratch)) {
-          continue;
-        }
-        exec->matched[b] = 1;
-        ++pairs;
-        for (size_t pi = 0; pi < parts.size(); ++pi) {
-          parts[pi].fold_one(parts[pi], b, part_cols[pi], r);
-        }
-      }
-    }
-    if (profile != nullptr) {
-      profile->index_hits.fetch_add(hits, std::memory_order_relaxed);
-      profile->rows_scanned.fetch_add(scanned, std::memory_order_relaxed);
-      profile->rows_matched.fetch_add(pairs, std::memory_order_relaxed);
-    }
-  });
-}
-
-// Chunked candidates, three passes: (1) stream chunks building the group
-// map + global candidate lists over selected rows (pruned chunks
-// skipped without pinning — their rows are unselected either way);
+// Equality atoms + correlated conjuncts, three passes: (1) stream chunks
+// building the group map + global candidate lists over selected rows
+// (pruned chunks skipped without pinning — their rows are unselected
+// either way);
 // (2) per base row, hoist the correlated base sides and probe the map;
 // (3) chunk-outer / base-morsel-inner folding, candidate lists sliced to
 // the pinned chunk's row range — ascending global candidate order, so
-// per-slot folds match the resident path byte for byte.
-Status EvalCandidatesBlockChunked(const Table& base,
-                                  const DataProvider& detail, BlockExec* exec,
-                                  const EvalContext& context,
-                                  ThreadPool* pool) {
+// per-slot folds match the row oracle's indexed mode byte for byte.
+// Base-row morsels partition the slot space, so concurrent folds never
+// touch the same slot.
+Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
+                           BlockExec* exec, const EvalContext& context,
+                           ThreadPool* pool) {
   const std::vector<size_t>& key_cols = exec->compiled.detail_cols;
   const CompiledPredicate& pred = exec->compiled.pred;
-  ChunkedGroups& groups = exec->cgroups;
+  GroupMap& groups = exec->groups;
   std::vector<uint8_t> chunk_any(detail.num_chunks(), 0);
   {
     Row scratch;
@@ -673,13 +454,13 @@ Status EvalCandidatesBlockChunked(const Table& base,
       const size_t row_base = detail.chunk_row_begin(ci);
       const uint8_t* selp = nullptr;
       if (pred.has_detail()) {
-        EvalDetailSelection(pred, ColumnSource(chunk), &sel);
+        EvalDetailSelection(pred, chunk, &sel);
         selp = sel.data();
       }
       for (size_t r = 0; r < chunk.num_rows(); ++r) {
         if (selp != nullptr && !selp[r]) continue;
-        int64_t g = AssignGroupChunked(&groups, chunk, key_cols, r, &scratch,
-                                       /*collect_rows=*/true);
+        int64_t g = AssignGroup(&groups, chunk, key_cols, r, &scratch,
+                                /*collect_rows=*/true);
         groups.group_rows[static_cast<size_t>(g)].push_back(
             static_cast<uint32_t>(row_base + r));
         chunk_any[ci] = 1;
@@ -697,7 +478,7 @@ Status EvalCandidatesBlockChunked(const Table& base,
       states[b] = PrepareBaseRow(pred, base_row);
       if (!states[b].pass) continue;
       int64_t g =
-          LookupGroupChunked(groups, base_row, exec->compiled.base_cols);
+          LookupGroup(groups, base_row, exec->compiled.base_cols);
       group_of[b] = g;
       if (g >= 0) {
         const size_t n = groups.group_rows[static_cast<size_t>(g)].size();
@@ -724,9 +505,9 @@ Status EvalCandidatesBlockChunked(const Table& base,
     const Chunk& chunk = *pin;
     const uint32_t chunk_lo =
         static_cast<uint32_t>(detail.chunk_row_begin(ci));
-    const uint32_t chunk_hi = static_cast<uint32_t>(chunk_lo + chunk.num_rows());
-    ColumnSource src(chunk);
-    std::vector<const Column*> part_cols = PartColumns(parts, src);
+    const uint32_t chunk_hi =
+        static_cast<uint32_t>(chunk_lo + chunk.num_rows());
+    std::vector<const Column*> part_cols = PartColumns(parts, chunk);
     RunMorsels(pool, MorselCount(num_base, context.morsel_rows), context,
                [&](size_t m) {
       if (cancel != nullptr && !cancel->Check().ok()) return;
@@ -744,7 +525,7 @@ Status EvalCandidatesBlockChunked(const Table& base,
         const Row& base_row = base.row(b);
         for (auto it = begin; it != end; ++it) {
           const size_t local = *it - chunk_lo;
-          if (!MatchDetailRow(pred, states[b], base_row, src, local,
+          if (!MatchDetailRow(pred, states[b], base_row, chunk, local,
                               &scratch)) {
             continue;
           }
@@ -790,109 +571,16 @@ void MergeScanPartial(const ScanPartial& partial, std::vector<AggPart>* parts,
   }
 }
 
-// No equality atoms: the vectorized selection prefilters the detail
-// relation, then every (base row, selected detail row) pair evaluates
-// the correlated conjuncts. Morsel decomposition and partial-merge order
-// are exactly the row engine's nested-loop ones (a pure function of
-// morsel_rows), so results are byte-identical at any thread count.
-void EvalScanBlock(const Table& base, const ColumnTable& detail,
-                   BlockExec* exec, const EvalContext& context,
-                   ThreadPool* pool) {
-  const CompiledPredicate& pred = exec->compiled.pred;
-  ColumnSource src(detail);
-  std::vector<uint8_t> sel;
-  const uint8_t* selp = nullptr;
-  if (pred.has_detail()) {
-    EvalDetailSelection(pred, src, &sel);
-    selp = sel.data();
-  }
-  const size_t num_base = base.num_rows();
-  const size_t num_detail = detail.num_rows();
-  std::vector<BasePredState> states(num_base);
-  for (size_t b = 0; b < num_base; ++b) {
-    states[b] = PrepareBaseRow(pred, base.row(b));
-  }
-  std::vector<AggPart>& parts = exec->compiled.parts;
-  const std::vector<AggPart> protos = parts;  // pristine, slot-less
-  for (AggPart& part : parts) EnsureSlots(&part, num_base);
-  exec->matched.assign(num_base, 0);
-  std::vector<const Column*> part_cols = PartColumns(parts, src);
-
-  const size_t morsel_rows = context.morsel_rows;
-  const size_t morsels = MorselCount(num_detail, morsel_rows);
-  CancellationToken* cancel = context.cancellation;
-  EvalProfile* profile = context.profile;
-  auto record = [&](size_t lo, size_t hi, uint64_t pairs) {
-    if (profile == nullptr) return;
-    profile->rows_scanned.fetch_add(
-        static_cast<uint64_t>(num_base) * (hi - lo),
-        std::memory_order_relaxed);
-    profile->rows_matched.fetch_add(pairs, std::memory_order_relaxed);
-  };
-  auto fold = [&](ScanPartial* partial, size_t lo, size_t hi,
-                  uint64_t* pairs) {
-    Row scratch;
-    for (size_t b = 0; b < num_base; ++b) {
-      if (!states[b].pass) continue;
-      const Row& base_row = base.row(b);
-      for (size_t r = lo; r < hi; ++r) {
-        if (selp != nullptr && !selp[r]) continue;
-        if (!MatchDetailRow(pred, states[b], base_row, src, r, &scratch)) {
-          continue;
-        }
-        partial->matched[b] = 1;
-        ++*pairs;
-        for (size_t pi = 0; pi < partial->parts.size(); ++pi) {
-          partial->parts[pi].fold_one(partial->parts[pi], b, part_cols[pi],
-                                      r);
-        }
-      }
-    }
-  };
-
-  if (pool == nullptr || morsels <= 1) {
-    // Stream morsels in order through a scratch partial, merging each as
-    // it completes: the merge sequence is identical to the parallel
-    // path's, just without holding every partial live at once.
-    RunMorsels(nullptr, morsels, context, [&](size_t m) {
-      if (cancel != nullptr && !cancel->Check().ok()) return;
-      ScanPartial partial = MakeScanPartial(protos, num_base);
-      const size_t lo = m * morsel_rows;
-      const size_t hi = std::min((m + 1) * morsel_rows, num_detail);
-      uint64_t pairs = 0;
-      fold(&partial, lo, hi, &pairs);
-      record(lo, hi, pairs);
-      MergeScanPartial(partial, &parts, &exec->matched);
-    });
-    return;
-  }
-  std::vector<ScanPartial> partials(morsels);
-  RunMorsels(pool, morsels, context, [&](size_t m) {
-    if (cancel != nullptr && !cancel->Check().ok()) return;
-    partials[m] = MakeScanPartial(protos, num_base);
-    const size_t lo = m * morsel_rows;
-    const size_t hi = std::min((m + 1) * morsel_rows, num_detail);
-    uint64_t pairs = 0;
-    fold(&partials[m], lo, hi, &pairs);
-    record(lo, hi, pairs);
-  });
-  for (const ScanPartial& partial : partials) {
-    // A cancelled morsel leaves its partial empty; the caller surfaces
-    // the cancellation status, so skipping it here is safe.
-    if (partial.parts.size() != parts.size()) continue;
-    MergeScanPartial(partial, &parts, &exec->matched);
-  }
-}
-
-// Chunked scan: a pre-pass computes the global selection chunk by chunk
-// (pruned chunks zero-filled without pinning), then the morsel folds
-// walk the chunk segments covering their row range — detail-outer /
-// base-inner, same per-slot order — skipping segments with no selected
-// rows without pinning. Decomposition and merge order are the global
-// ones, so results match the resident scan byte for byte.
-Status EvalScanBlockChunked(const Table& base, const DataProvider& detail,
-                            BlockExec* exec, const EvalContext& context,
-                            ThreadPool* pool) {
+// No equality atoms: a pre-pass computes the global selection chunk by
+// chunk (pruned chunks zero-filled without pinning), then the morsel
+// folds walk the chunk segments covering their row range — detail-outer
+// / base-inner, same per-slot order — skipping segments with no selected
+// rows without pinning. Morsel decomposition and partial-merge order are
+// the row oracle's nested-loop ones (a pure function of morsel_rows), so
+// results match it byte for byte at any thread count.
+Status EvalScanBlock(const Table& base, const DataProvider& detail,
+                     BlockExec* exec, const EvalContext& context,
+                     ThreadPool* pool) {
   const CompiledPredicate& pred = exec->compiled.pred;
   const size_t num_base = base.num_rows();
   const size_t num_detail = detail.num_rows();
@@ -914,7 +602,7 @@ Status EvalScanBlockChunked(const Table& base, const DataProvider& detail,
       }
       SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
       const Chunk& chunk = *pin;
-      EvalDetailSelection(pred, ColumnSource(chunk), &chunk_sel);
+      EvalDetailSelection(pred, chunk, &chunk_sel);
       uint8_t any = 0;
       for (size_t r = 0; r < chunk_sel.size(); ++r) {
         sel[row_base + r] = chunk_sel[r];
@@ -959,15 +647,14 @@ Status EvalScanBlockChunked(const Table& base, const DataProvider& detail,
       }
       SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
       const Chunk& chunk = *pin;
-      ColumnSource src(chunk);
       std::vector<const Column*> part_cols =
-          PartColumns(partial->parts, src);
+          PartColumns(partial->parts, chunk);
       for (; r < seg_hi; ++r) {
         if (selp != nullptr && !selp[r]) continue;
         const size_t local = r - chunk_lo;
         for (size_t b = 0; b < num_base; ++b) {
           if (!states[b].pass) continue;
-          if (!MatchDetailRow(pred, states[b], base.row(b), src, local,
+          if (!MatchDetailRow(pred, states[b], base.row(b), chunk, local,
                               &scratch)) {
             continue;
           }
@@ -1034,77 +721,6 @@ bool BaseOnlyPass(const CompiledPredicate& pred, const Row& base_row) {
 
 }  // namespace
 
-Result<Table> EvalGmdjColumnar(const Table& base, const ColumnTable& detail,
-                               const GmdjOp& op, const EvalContext& context) {
-  SKALLA_RETURN_NOT_OK(CheckColumnarPreconditions(context));
-  const Schema& base_schema = *base.schema();
-  const Schema& detail_schema = *detail.schema();
-  SKALLA_ASSIGN_OR_RETURN(
-      SchemaPtr out_schema,
-      ColumnarOutSchema(op, base_schema, detail_schema, context));
-
-  std::vector<BlockExec> blocks(op.blocks.size());
-  for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
-    SKALLA_RETURN_NOT_OK(CompileBlock(op.blocks[bi], base_schema,
-                                      detail_schema, /*col_range=*/{},
-                                      &blocks[bi].compiled));
-  }
-
-  const size_t threads = ResolveEvalThreads(context.eval_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-  // Blocks evaluate in order; parallelism lives inside each block (part
-  // folds, base-row morsels, detail-row morsels), where it cannot
-  // perturb any fold or merge order.
-  for (BlockExec& exec : blocks) {
-    if (context.cancellation != nullptr &&
-        !context.cancellation->Check().ok()) {
-      break;
-    }
-    switch (PathOf(exec.compiled)) {
-      case BlockPath::kGrouped:
-        EvalGroupedBlock(detail, &exec, context, pool.get());
-        break;
-      case BlockPath::kCandidates:
-        EvalCandidatesBlock(base, detail, &exec, context, pool.get());
-        break;
-      case BlockPath::kScan:
-        EvalScanBlock(base, detail, &exec, context, pool.get());
-        break;
-    }
-  }
-
-  // Cancelled blocks left their state empty — surface the cancellation
-  // before any of it could be misread as a result.
-  if (context.cancellation != nullptr) {
-    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
-  }
-
-  std::vector<EvaledBlockView> views(blocks.size());
-  for (size_t bi = 0; bi < blocks.size(); ++bi) {
-    BlockExec& exec = blocks[bi];
-    views[bi].parts = &exec.compiled.parts;
-    views[bi].agg_part_ranges = &exec.compiled.agg_part_ranges;
-    if (PathOf(exec.compiled) == BlockPath::kGrouped) {
-      views[bi].probe = [&exec, &detail](size_t, const Row& base_row) {
-        if (!BaseOnlyPass(exec.compiled.pred, base_row)) {
-          return int64_t{-1};
-        }
-        return LookupGroup(exec.groups, detail, exec.compiled.detail_cols,
-                           base_row, exec.compiled.base_cols);
-      };
-      views[bi].count_probe_stats = true;
-    } else {
-      views[bi].probe = [&exec](size_t b, const Row&) {
-        return exec.matched[b] ? static_cast<int64_t>(b) : int64_t{-1};
-      };
-      views[bi].count_probe_stats = false;
-    }
-  }
-  return AssembleColumnar(base, op, context, out_schema, views, pool.get());
-}
-
 Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
                                const GmdjOp& op, const EvalContext& context) {
   SKALLA_RETURN_NOT_OK(CheckColumnarPreconditions(context));
@@ -1112,7 +728,7 @@ Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
   const Schema& detail_schema = *detail.schema();
   SKALLA_ASSIGN_OR_RETURN(
       SchemaPtr out_schema,
-      ColumnarOutSchema(op, base_schema, detail_schema, context));
+      EvalOutputSchema(op, base_schema, detail_schema, context));
 
   std::function<std::optional<Interval>(const std::string&)> col_range =
       MakeProviderColRange(detail);
@@ -1134,15 +750,15 @@ Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
     }
     switch (PathOf(exec.compiled)) {
       case BlockPath::kGrouped:
-        SKALLA_RETURN_NOT_OK(EvalGroupedBlockChunked(detail, &exec, context));
+        SKALLA_RETURN_NOT_OK(EvalGroupedBlock(detail, &exec, context));
         break;
       case BlockPath::kCandidates:
-        SKALLA_RETURN_NOT_OK(EvalCandidatesBlockChunked(base, detail, &exec,
-                                                        context, pool.get()));
+        SKALLA_RETURN_NOT_OK(
+            EvalCandidatesBlock(base, detail, &exec, context, pool.get()));
         break;
       case BlockPath::kScan:
         SKALLA_RETURN_NOT_OK(
-            EvalScanBlockChunked(base, detail, &exec, context, pool.get()));
+            EvalScanBlock(base, detail, &exec, context, pool.get()));
         break;
     }
   }
@@ -1161,8 +777,7 @@ Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
         if (!BaseOnlyPass(exec.compiled.pred, base_row)) {
           return int64_t{-1};
         }
-        return LookupGroupChunked(exec.cgroups, base_row,
-                                  exec.compiled.base_cols);
+        return LookupGroup(exec.groups, base_row, exec.compiled.base_cols);
       };
       views[bi].count_probe_stats = true;
     } else {

@@ -6,14 +6,14 @@ namespace skalla {
 
 std::string_view EvalEngineName(EvalEngine engine) {
   switch (engine) {
-    case EvalEngine::kAuto:
-      return "auto";
-    case EvalEngine::kRow:
-      return "row";
     case EvalEngine::kColumnar:
       return "columnar";
+    case EvalEngine::kRow:
+      return "row";
+    case EvalEngine::kNestedLoop:
+      return "nested";
   }
-  return "auto";
+  return "columnar";
 }
 
 std::string_view EngineSetToString(uint8_t engines_used) {

@@ -1,12 +1,10 @@
 // EvalContext: the single options surface for GMDJ evaluation.
 //
 // One struct travels from the executor layer (ExecutorOptions) through
-// Site::EvalGmdjRound into both evaluation engines — the row kernel
-// (core/local_eval.h) and the vectorized columnar kernel
-// (columnar/vector_eval.h). It absorbs what used to be three fragmented
-// knobs: the old GmdjEvalOptions struct, the columnar path's silently
-// ignored use_index flag, and the bare `bool use_index` parameter on
-// EvalCentralized.
+// Site::EvalGmdjRound into core::EvaluateGmdj, which hands it to the
+// columnar kernel (columnar/vector_eval.h) or to the row oracle
+// (core/local_eval.h). EvalContext::engine is the one kernel choice,
+// the row oracle's nested-loop mode included (EvalEngine::kNestedLoop).
 //
 // Determinism contract (Theorem 1): per-thread sub-aggregate partials
 // merge exactly like per-site ones, so intra-site parallelism cannot
@@ -29,19 +27,17 @@
 
 namespace skalla {
 
-/// Which GMDJ kernel evaluates an operator. kAuto (the default) picks
-/// the columnar engine whenever the detail relation is available in
-/// columnar form (a warmed catalog cache or a chunk-paged provider) and
-/// the evaluation is not an explicit nested-loop oracle request
-/// (use_index = false, which always takes the row engine — even under
-/// an explicit kColumnar request, as a transparent fallback).
+/// Which GMDJ kernel evaluates an operator. kColumnar (the default) is
+/// the production kernel; kRow and kNestedLoop are the row oracle's
+/// hash-indexed and naive nested-loop modes (core/local_eval.h). All
+/// three produce byte-identical results.
 enum class EvalEngine : uint8_t {
-  kAuto = 0,
+  kColumnar = 0,
   kRow = 1,
-  kColumnar = 2,
+  kNestedLoop = 2,
 };
 
-/// "auto", "row", or "columnar".
+/// "columnar", "row", or "nested".
 std::string_view EvalEngineName(EvalEngine engine);
 
 /// Bits of EvalProfile::engines_used / ExecStats::engines_used.
@@ -66,15 +62,15 @@ struct EvalProfile {
   /// Summed per-morsel wall time; with eval_threads > 1 morsels overlap,
   /// so this exceeds the evaluation's wall time.
   std::atomic<uint64_t> morsel_us{0};
-  /// Chunks skipped by min/max stat pruning (columnar chunked path).
+  /// Chunks skipped by min/max stat pruning (columnar kernel).
   std::atomic<uint64_t> chunks_pruned{0};
   /// kEngineBit* OR of the kernels that actually evaluated operators.
   std::atomic<uint8_t> engines_used{0};
 };
 
-/// Default number of rows per morsel (nested-loop detail morsels and
-/// indexed-path base-row ranges alike). Large enough that single-morsel
-/// inputs — every small table — take the exact pre-morsel code path.
+/// Default number of rows per morsel (scan and nested-loop detail
+/// morsels, candidates-path base-row ranges). Large enough that small
+/// tables fold as a single morsel.
 inline constexpr size_t kDefaultMorselRows = 1024;
 
 struct EvalContext {
@@ -87,27 +83,19 @@ struct EvalContext {
   /// reduction).
   bool compute_rng = false;
 
-  /// Which kernel evaluates the operator. kAuto prefers the columnar
-  /// engine whenever columnar data is available; kRow forces the
-  /// interpreted row kernel (the differential-test oracle);
-  /// kColumnar forces the vectorized kernel (building chunked columnar
-  /// views on demand for resident relations). use_index = false always
-  /// falls back to the row engine regardless of this field.
-  EvalEngine engine = EvalEngine::kAuto;
-
-  /// Use hash-index acceleration of equality atoms. Disable to get the
-  /// naive nested-loop oracle. The columnar kernel has no nested-loop
-  /// mode and rejects use_index = false with InvalidArgument;
-  /// core::EvaluateGmdj routes oracle requests to the row engine.
-  bool use_index = true;
+  /// Which kernel evaluates the operator (routing in core/evaluate.h):
+  /// the columnar kernel (default, streaming the relation's chunk views),
+  /// the row oracle's indexed mode, or its nested-loop mode.
+  EvalEngine engine = EvalEngine::kColumnar;
 
   /// Skip chunks whose persisted min/max ChunkColumnStats prove that a
-  /// detail-side comparison atom of θ can match no row (columnar chunked
-  /// path only). Results are byte-identical with pruning on or off; the
+  /// detail-side comparison atom of θ can match no row (columnar kernel
+  /// only). Results are byte-identical with pruning on or off; the
   /// flag exists so tests can pin that.
   bool chunk_pruning = true;
 
-  /// Worker threads for intra-site morsel-parallel evaluation.
+  /// Worker threads for intra-site morsel-parallel evaluation in the
+  /// columnar kernel (the row oracle is single-threaded).
   /// 1 (default) = evaluate on the calling thread; 0 = one worker per
   /// hardware thread. Results are byte-identical for every value.
   size_t eval_threads = 1;
@@ -119,10 +107,11 @@ struct EvalContext {
   size_t morsel_rows = kDefaultMorselRows;
 
   /// Cooperative cancellation (core/cancellation.h); nullptr = never
-  /// cancelled. Not owned. Both kernels poll it at morsel boundaries and
+  /// cancelled. Not owned. The columnar kernel polls it at morsel and
+  /// chunk boundaries, the row oracle before and after each block; both
   /// return its latched status (typically kDeadlineExceeded), so a fired
-  /// deadline stops in-flight evaluation within one morsel's worth of
-  /// work per thread.
+  /// deadline stops in-flight columnar evaluation within one morsel's
+  /// worth of work per thread.
   CancellationToken* cancellation = nullptr;
 
   /// The query this evaluation belongs to (0 = untagged). Worker threads

@@ -23,20 +23,16 @@ Result<Table> EvaluateGmdj(const Table& base, const GmdjOp& op,
                            const EvalContext& context) {
   SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
                           catalog.GetProvider(op.detail_table));
-  const ColumnTable* cached = catalog.Columnar(op.detail_table);
-  const bool want_columnar =
-      context.engine == EvalEngine::kColumnar ||
-      (context.engine == EvalEngine::kAuto &&
-       (cached != nullptr || provider->ResidentTable() == nullptr));
-  if (want_columnar && context.use_index) {
-    RecordEngine(context, kEngineBitColumnar);
-    if (cached != nullptr) {
-      return EvalGmdjColumnar(base, *cached, op, context);
-    }
-    return EvalGmdjColumnar(base, *provider, op, context);
+  switch (context.engine) {
+    case EvalEngine::kColumnar:
+      RecordEngine(context, kEngineBitColumnar);
+      return EvalGmdjColumnar(base, *provider, op, context);
+    case EvalEngine::kRow:
+    case EvalEngine::kNestedLoop:
+      RecordEngine(context, kEngineBitRow);
+      return EvalGmdj(base, *provider, op, context);
   }
-  RecordEngine(context, kEngineBitRow);
-  return EvalGmdj(base, *provider, op, context);
+  return Status::InvalidArgument("unknown eval engine");
 }
 
 }  // namespace skalla

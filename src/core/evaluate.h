@@ -2,28 +2,21 @@
 //
 // Callers (sites, executors, tests) name the detail relation through a
 // Catalog and pick an engine through EvalContext::engine; routing
-// between the row kernel (core/local_eval.h) and the vectorized
-// columnar kernels (columnar/vector_eval.h) lives here and nowhere
-// else. Both engines produce byte-identical results for every condition
-// shape, so the choice is purely a performance one:
+// between the columnar kernel (columnar/vector_eval.h) and the row
+// oracle (core/local_eval.h) lives here and nowhere else. All engines
+// produce byte-identical results for every condition shape:
 //
-//  - kAuto (default): columnar when the relation has typed arrays ready
-//    — a warmed catalog copy (Catalog::WarmColumnar) or a chunk-paged
-//    provider whose chunks already hold typed pages. Resident relations
-//    without a warm copy take the row engine rather than paying a
-//    per-query conversion.
-//  - kColumnar: always the columnar kernels; a resident relation
-//    without a warm copy streams through its provider's lazily built
-//    chunk views.
-//  - kRow: always the row kernel (the differential-test oracle).
-//
-// The columnar kernels have no nested-loop oracle mode, so
-// `use_index = false` routes to the row engine under every setting —
-// the transparent fallback EXPLAIN ANALYZE surfaces via engines_used.
+//  - kColumnar (default): the production kernel. It streams the
+//    relation's chunks through the DataProvider — chunk-file pages on a
+//    served site, MemoryDataProvider's cached chunk views for resident
+//    relations.
+//  - kRow: the row oracle's hash-indexed mode.
+//  - kNestedLoop: the row oracle's naive nested-loop mode.
 //
 // The engine actually used is recorded in
-// EvalContext::profile->engines_used (kEngineBitRow / kEngineBitColumnar)
-// for EXPLAIN ANALYZE and the per-site round profiles.
+// EvalContext::profile->engines_used (kEngineBitColumnar for kColumnar,
+// kEngineBitRow for both oracle modes) for EXPLAIN ANALYZE and the
+// per-site round profiles.
 
 #ifndef SKALLA_CORE_EVALUATE_H_
 #define SKALLA_CORE_EVALUATE_H_
@@ -36,8 +29,8 @@
 namespace skalla {
 
 /// Evaluates one GMDJ operator for the given base-values relation
-/// against `catalog`'s detail partition, routing to the engine
-/// EvalContext::engine selects (see file comment for the policy).
+/// against `catalog`'s detail partition with the engine
+/// EvalContext::engine selects.
 Result<Table> EvaluateGmdj(const Table& base, const GmdjOp& op,
                            const Catalog& catalog,
                            const EvalContext& context = {});

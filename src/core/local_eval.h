@@ -1,31 +1,24 @@
-// Local (single-site / centralized) evaluation of GMDJ operators.
+// The row oracle: a single-threaded, interpreted GMDJ evaluator over a
+// resident relation, kept small so that it is obviously right. The
+// production kernel is the columnar one (columnar/vector_eval.h); this
+// evaluator is what the differential tests hold it to, byte for byte.
 //
-// Conventional groupwise/hash aggregation does not directly apply to GMDJ
-// conditions because RNG(b1, R, θ) and RNG(b2, R, θ) may overlap
-// (Sect. 2.2). Following the centralized evaluation techniques of
-// [Akinde & Böhlen 2001; Chatziantoniou et al. 2001], the evaluator splits
-// each θ into hash-joinable equality atoms plus a residual predicate:
-// equality atoms key a hash index over the detail relation; candidates are
-// filtered by the residual. A naive nested-loop path (use_index = false)
-// serves as the test oracle.
+// It reads like the operator's definition: for each block (l_i, θ_i) and
+// each base row b, the aggregates l_i fold over
+// RNG(b, R, θ_i) = {r ∈ R | θ_i(b, r)} (Sect. 2.2). Two modes, picked by
+// EvalContext::engine:
+//  - indexed (any engine but kNestedLoop): θ splits into hash-joinable
+//    equality atoms plus a residual [Akinde & Böhlen 2001]; the atoms
+//    key a hash index over R, and each base row folds its candidates
+//    that pass the residual, in ascending detail order. Blocks without
+//    equality atoms take the nested loop.
+//  - nested loop (kNestedLoop): every (b, r) pair evaluates θ. R folds
+//    in morsels of morsel_rows whose partials merge in morsel order
+//    (Theorem 1), the decomposition the columnar scan path shares.
 //
-// Both paths are morsel-parallel under EvalContext::eval_threads:
-//  - indexed: base rows split into ranges of morsel_rows; each worker
-//    probes one shared immutable hash index per distinct key-column
-//    pairing (built once up front, concurrently per pairing) and owns
-//    its slice of the accumulator matrix outright;
-//  - nested-loop: the detail relation splits into morsels of morsel_rows;
-//    each worker folds its morsel into private BlockState partials, and
-//    partials merge in morsel order with the same sub-aggregate
-//    synchronization the coordinator applies to per-site partials
-//    (Theorem 1).
-// Work decomposition depends only on morsel_rows, so results are
-// byte-identical at every eval_threads value.
-//
-// The detail relation may also be chunk-paged (a DataProvider without a
-// resident table): chunks are pinned, scanned, and unpinned one at a
-// time, and every fold sequence is arranged so the bytes match the
-// in-memory evaluation at any buffer budget (see EvalGmdj below).
+// A chunk-paged detail relation (a DataProvider without a resident
+// table) is materialized once per call through MaterializeProvider.
+// Cancellation is checked before and after each block.
 
 #ifndef SKALLA_CORE_LOCAL_EVAL_H_
 #define SKALLA_CORE_LOCAL_EVAL_H_
@@ -44,18 +37,23 @@ namespace skalla {
 Result<Table> EvalGmdj(const Table& base, const Table& detail,
                        const GmdjOp& op, const EvalContext& context = {});
 
-/// Same, against a chunk-paged detail relation. Providers with a resident
-/// table take the exact in-memory path above; paged providers stream
-/// pin → scan → unpin with fold orders chosen to stay byte-identical to
-/// the in-memory evaluation at any buffer budget.
+/// Same, against any provider: its resident table when it has one, else
+/// a materialized copy of the relation.
 Result<Table> EvalGmdj(const Table& base, const DataProvider& detail,
                        const GmdjOp& op, const EvalContext& context = {});
 
+/// The output schema every GMDJ kernel produces for `op` under `context`:
+/// the base schema, then per block the finalized aggregates (or their
+/// sub-aggregate parts), then the `__rng` column when requested.
+Result<SchemaPtr> EvalOutputSchema(const GmdjOp& op, const Schema& base,
+                                   const Schema& detail,
+                                   const EvalContext& context);
+
 /// Reference semantics of a whole GMDJ expression against a centralized
-/// catalog: evaluates the base query, then each GMDJ in turn with full
-/// aggregates (the sub_aggregates / compute_rng fields of `context` are
-/// overridden — a reference evaluation always finalizes). Works for both
-/// resident and chunk-backed catalog entries.
+/// catalog: evaluates the base query, then each GMDJ in turn through the
+/// row oracle with full aggregates (the sub_aggregates / compute_rng
+/// fields of `context` are overridden — a reference evaluation always
+/// finalizes). Works for both resident and chunk-backed catalog entries.
 Result<Table> EvalCentralized(const GmdjExpr& expr, const Catalog& catalog,
                               const EvalContext& context = {});
 

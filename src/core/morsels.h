@@ -1,10 +1,8 @@
-// Morsel scheduling shared by the row and columnar GMDJ kernels: the
-// count of fixed-size morsels covering a row range, and a runner that
-// dispatches morsels over an optional ThreadPool while wrapping each one
-// in a site.eval.morsel span timed into skalla.site.morsel_us and
-// EvalContext::profile->morsel_us. Both kernels scheduling through one
-// runner is what keeps the per-morsel observability identical no matter
-// which engine evaluated a round.
+// Morsel scheduling for the columnar GMDJ kernel: the count of
+// fixed-size morsels covering a row range, and a runner that dispatches
+// morsels over an optional ThreadPool while wrapping each one in a
+// site.eval.morsel span timed into skalla.site.morsel_us and
+// EvalContext::profile->morsel_us.
 
 #ifndef SKALLA_CORE_MORSELS_H_
 #define SKALLA_CORE_MORSELS_H_

@@ -95,7 +95,7 @@ class InProcessLink : public SiteLink {
   size_t num_sites() const override { return fleet_->sites.size(); }
 
   Status BeginPlan(uint64_t, ExecStats*) override {
-    return fleet_->Prepare(options_);
+    return fleet_->Validate();
   }
 
   Result<SchemaPtr> TableSchema(const std::string& table) override {

@@ -64,19 +64,14 @@ struct ExecutorOptions {
   /// message per fragment.
   size_t ship_block_rows = 0;
 
-  /// Sites keep columnar copies of their partitions
-  /// (Catalog::WarmColumnar), so engine-kAuto GMDJ rounds on resident
-  /// partitions take the vectorized kernels over prebuilt typed arrays.
-  /// Honored by all engines (caches are built lazily on first Execute).
-  bool columnar_sites = false;
-
   /// Which GMDJ kernel sites evaluate rounds with
-  /// (EvalContext::engine; routing policy in core/evaluate.h). Results
-  /// are byte-identical across engines — this is a performance knob and
-  /// a differential-testing lever. Honored by all engines through
+  /// (EvalContext::engine; routing in core/evaluate.h): the columnar
+  /// kernel by default, or one of the row oracle's modes. Results are
+  /// byte-identical across engines — this is a differential-testing
+  /// lever. Honored by all engines through
   /// StageEvalContext; the rpc executor ships it to site servers in
   /// BeginPlan. ExecStats::engines_used reports what actually ran.
-  EvalEngine engine = EvalEngine::kAuto;
+  EvalEngine engine = EvalEngine::kColumnar;
 
   /// Fault hook (dist/fault.h); nullptr = no injection. Not owned.
   /// Honored by all engines.

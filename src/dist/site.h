@@ -58,21 +58,6 @@ class Site {
     return catalog_.Get(name);
   }
 
-  /// Precomputes columnar copies of every resident local relation
-  /// (Catalog::WarmColumnar), so engine-kAuto GMDJ rounds take the
-  /// vectorized kernels. Idempotent and safe to race: the first caller
-  /// through the round lock builds, the rest see the built cache and
-  /// return.
-  Status EnableColumnarCache() {
-    std::lock_guard<std::mutex> round(*round_mu_);
-    return catalog_.WarmColumnar();
-  }
-
-  bool columnar_enabled() const {
-    std::lock_guard<std::mutex> round(*round_mu_);
-    return catalog_.columnar_warm();
-  }
-
  private:
   int id_;
   Catalog catalog_;

@@ -113,16 +113,8 @@ Site& SiteFleet::Replica(size_t i, size_t r) {
   return r == 0 ? sites[i] : replicas.at(i)[r - 1];
 }
 
-Status SiteFleet::Prepare(const ExecutorOptions& options) {
-  SKALLA_RETURN_NOT_OK(ValidateReplicaPartitions(replicas, sites.size()));
-  if (!options.columnar_sites) return Status::OK();
-  for (Site& site : sites) SKALLA_RETURN_NOT_OK(site.EnableColumnarCache());
-  for (auto& entry : replicas) {
-    for (Site& site : entry.second) {
-      SKALLA_RETURN_NOT_OK(site.EnableColumnarCache());
-    }
-  }
-  return Status::OK();
+Status SiteFleet::Validate() const {
+  return ValidateReplicaPartitions(replicas, sites.size());
 }
 
 Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,

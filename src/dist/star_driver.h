@@ -148,9 +148,8 @@ struct SiteFleet {
   std::vector<int> ReplicaIds(size_t i) const;
   /// Replica r of partition i (r == 0 is the primary).
   Site& Replica(size_t i, size_t r);
-  /// Validates the replica registrations and, with
-  /// options.columnar_sites, warms every site's columnar cache.
-  Status Prepare(const ExecutorOptions& options);
+  /// Validates the replica registrations.
+  Status Validate() const;
 };
 
 }  // namespace skalla

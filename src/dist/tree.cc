@@ -175,7 +175,7 @@ void FoldAccum(const CoordinatorTree& tree, const RoundAccum& accum,
 Result<Table> TreeExecutor::Execute(const DistributedPlan& plan,
                                     const QueryRun& run, ExecStats* stats) {
   SKALLA_RETURN_NOT_OK(ValidatePlan(plan, fleet_.sites.size()));
-  SKALLA_RETURN_NOT_OK(fleet_.Prepare(options_));
+  SKALLA_RETURN_NOT_OK(fleet_.Validate());
 
   ExecStats local_stats;
   ExecStats& st = stats == nullptr ? local_stats : *stats;

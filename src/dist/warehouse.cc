@@ -243,7 +243,6 @@ std::unique_ptr<DistributedExecutor> DistributedWarehouse::MakeExecutor(
     NetworkConfig net_config, ExecutorOptions exec_options) const {
   std::vector<Site> sites;
   sites.reserve(num_sites_);
-  // Columnar caches are built by the executor itself (columnar_sites).
   for (size_t i = 0; i < num_sites_; ++i) {
     sites.emplace_back(static_cast<int>(i), site_catalogs_[i]);
   }

@@ -55,7 +55,12 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //      query_id (the EvalContext::engine every GMDJ round of the plan
 //      runs under), and RoundProfile grows an engines_used varint after
 //      chaos_faults (which kernels the round's evaluation actually used)
-inline constexpr uint8_t kProtocolVersion = 6;
+//   7  BeginPlan drops its flags byte (it carried only the retired
+//      columnar-cache warm-up flag): the payload is exactly the
+//      eval_threads, query_id and engine varints, engine values are
+//      0 columnar / 1 row / 2 nested, and BeginPlan/EndPlan payloads
+//      with trailing bytes are rejected
+inline constexpr uint8_t kProtocolVersion = 7;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// What a frame carries. Requests flow coordinator -> site; responses
@@ -67,7 +72,7 @@ enum class MessageType : uint8_t {
   kHello = 2,        // both ways: varint site id (connection handshake)
   kCatalogRequest = 3,   // request: empty payload
   kCatalogResponse = 4,  // response: table names + schemas
-  kBeginPlan = 5,    // request: per-plan flags; resets site round state
+  kBeginPlan = 5,    // request: per-plan knobs; resets site round state
   kBaseRound = 6,    // request: BaseRoundRequest
   kGmdjRound = 7,    // request: GmdjRoundRequest
   kTableResult = 8,  // response: net/serde table payload

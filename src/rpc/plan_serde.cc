@@ -352,7 +352,6 @@ Result<GmdjOp> ReadGmdjOp(ByteReader* reader) {
 
 std::vector<uint8_t> EncodeBeginPlanRequest(const BeginPlanRequest& req) {
   std::vector<uint8_t> out;
-  out.push_back(req.columnar_sites ? 1 : 0);
   PutVarint(&out, req.eval_threads);
   PutVarint(&out, req.query_id);
   PutVarint(&out, static_cast<uint64_t>(req.engine));
@@ -362,17 +361,18 @@ std::vector<uint8_t> EncodeBeginPlanRequest(const BeginPlanRequest& req) {
 Result<BeginPlanRequest> DecodeBeginPlanRequest(
     const std::vector<uint8_t>& payload) {
   ByteReader reader(payload.data(), payload.size());
-  SKALLA_ASSIGN_OR_RETURN(uint8_t flags, ReadFlags(&reader));
   BeginPlanRequest req;
-  req.columnar_sites = (flags & 1) != 0;
   SKALLA_ASSIGN_OR_RETURN(uint64_t eval_threads, reader.ReadVarint());
   req.eval_threads = static_cast<size_t>(eval_threads);
   SKALLA_ASSIGN_OR_RETURN(req.query_id, reader.ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(uint64_t engine_raw, reader.ReadVarint());
-  if (engine_raw > static_cast<uint64_t>(EvalEngine::kColumnar)) {
+  if (engine_raw > static_cast<uint64_t>(EvalEngine::kNestedLoop)) {
     return Status::IOError("unknown eval engine");
   }
   req.engine = static_cast<EvalEngine>(engine_raw);
+  if (reader.remaining() != 0) {
+    return Status::IOError("trailing bytes after begin-plan request");
+  }
   return req;
 }
 
@@ -385,6 +385,9 @@ std::vector<uint8_t> EncodeEndPlanRequest(uint64_t query_id) {
 Result<uint64_t> DecodeEndPlanRequest(const std::vector<uint8_t>& payload) {
   ByteReader reader(payload.data(), payload.size());
   SKALLA_ASSIGN_OR_RETURN(uint64_t query_id, reader.ReadVarint());
+  if (reader.remaining() != 0) {
+    return Status::IOError("trailing bytes after end-plan request");
+  }
   return query_id;
 }
 

@@ -268,7 +268,6 @@ class RpcExecutor::Link : public SiteLink {
     // and it is idempotent anyway.
     const ExecutorOptions& options = executor_->options_;
     BeginPlanRequest begin;
-    begin.columnar_sites = options.columnar_sites;
     begin.eval_threads = run_eval_threads_ > 0 ? run_eval_threads_
                                                : options.eval_threads;
     begin.query_id = query_id;

@@ -47,9 +47,9 @@ class RpcExecutor : public Executor {
  public:
   /// `options` maps as documented in docs/RPC.md: fault_injector and
   /// max_site_retries drive the retry loop (with the TCP transport, a
-  /// retry reconnects with backoff); columnar_sites is forwarded to the
-  /// sites via kBeginPlan; ship_block_rows is ignored (fragments ship
-  /// whole); parallel_sites/num_threads fan a round's requests out over
+  /// retry reconnects with backoff); engine and eval_threads are
+  /// forwarded to the sites via kBeginPlan; ship_block_rows is ignored
+  /// (fragments ship whole); parallel_sites/num_threads fan a round's requests out over
   /// the per-site connections concurrently (default: one site after the
   /// other), with results, byte counts and profiles identical either
   /// way; coordinator_shards works unchanged.

@@ -163,10 +163,6 @@ Result<Frame> SiteService::HandleBeginPlan(const Frame& request) {
   plan.last_input = Table();
   plan.eval_threads = req.eval_threads;
   plan.engine = req.engine;
-  if (req.columnar_sites && !site_.columnar_enabled()) {
-    Status built = site_.EnableColumnarCache();
-    if (!built.ok()) return ErrorFrame(built);
-  }
   return AckFrame();
 }
 

@@ -76,7 +76,7 @@ class SiteService {
 
     // GMDJ kernel selection for this plan, set by BeginPlan
     // (EvalContext::engine; never changes results).
-    EvalEngine engine = EvalEngine::kAuto;
+    EvalEngine engine = EvalEngine::kColumnar;
 
     // Carried-over base structure between unsynchronized rounds.
     Table local_base;

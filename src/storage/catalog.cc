@@ -1,6 +1,5 @@
 #include "storage/catalog.h"
 
-#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace skalla {
@@ -48,23 +47,6 @@ bool Catalog::Contains(std::string_view name) const {
 bool Catalog::IsChunkBacked(std::string_view name) const {
   auto it = tables_.find(std::string(name));
   return it != tables_.end() && it->second.table == nullptr;
-}
-
-Status Catalog::WarmColumnar() {
-  for (auto& [name, entry] : tables_) {
-    if (entry.table == nullptr || entry.columnar != nullptr) continue;
-    SKALLA_ASSIGN_OR_RETURN(ColumnTable columnar,
-                            ColumnTable::FromRowTable(*entry.table));
-    entry.columnar = std::make_shared<const ColumnTable>(std::move(columnar));
-  }
-  columnar_warm_ = true;
-  return Status::OK();
-}
-
-const ColumnTable* Catalog::Columnar(std::string_view name) const {
-  auto it = tables_.find(std::string(name));
-  if (it == tables_.end()) return nullptr;
-  return it->second.columnar.get();
 }
 
 std::vector<std::string> Catalog::TableNames() const {

@@ -6,8 +6,8 @@
 // table stays directly reachable through Get) or chunk-backed
 // (RegisterProvider with a paged DataProvider — Get fails and consumers
 // go through GetProvider, which works for both kinds). Evaluation code
-// should prefer GetProvider and take the ResidentTable() fast path when
-// it is non-null.
+// reads through GetProvider: the columnar kernel streams either kind's
+// chunks.
 
 #ifndef SKALLA_STORAGE_CATALOG_H_
 #define SKALLA_STORAGE_CATALOG_H_
@@ -18,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "columnar/column_table.h"
 #include "common/result.h"
 #include "storage/data_provider.h"
 #include "storage/table.h"
@@ -53,31 +52,12 @@ class Catalog {
 
   std::vector<std::string> TableNames() const;
 
-  /// Builds a columnar copy of every resident relation, so engine-kAuto
-  /// evaluation takes the vectorized path over typed arrays instead of
-  /// converting per query. Chunk-backed relations are skipped — their
-  /// chunks already hold typed pages. Idempotent; re-registering a name
-  /// drops its copy (warm it again if needed). Not safe against
-  /// concurrent mutation (same contract as Register).
-  Status WarmColumnar();
-
-  /// The warmed columnar copy of `name`, or nullptr when none exists
-  /// (never warmed, chunk-backed, or re-registered since the warm). The
-  /// pointer stays valid while the catalog lives and the name is not
-  /// re-registered.
-  const ColumnTable* Columnar(std::string_view name) const;
-
-  /// Whether WarmColumnar has completed on this catalog.
-  bool columnar_warm() const { return columnar_warm_; }
-
  private:
   struct Entry {
     std::shared_ptr<const Table> table;  // null for chunk-backed entries
     DataProviderPtr provider;
-    std::shared_ptr<const ColumnTable> columnar;  // set by WarmColumnar
   };
   std::unordered_map<std::string, Entry> tables_;
-  bool columnar_warm_ = false;
 };
 
 }  // namespace skalla

@@ -6,10 +6,11 @@
 //
 // Consumers read chunks two ways:
 //  - the columnar kernel folds the typed pages directly (column(i));
-//  - the row kernel asks for boxed rows (row(local)); the boxed view is
+//  - row-wise consumers (the base query, MaterializeProvider for the row
+//    oracle) ask for boxed rows (row(local)); the boxed view is
 //    materialized lazily, once per chunk, and cached for the chunk's
 //    resident lifetime — so a pinned chunk pays the boxing cost at most
-//    once no matter how many morsels scan it.
+//    once.
 //
 // Chunks are immutable once built and always heap-allocated
 // (shared_ptr): the lazy row cache uses std::once_flag, which pins the

@@ -1,14 +1,16 @@
-// DataProvider: the read interface both the row and columnar kernels
-// consume a relation through — modeled on the DataMgr/BufferMgr +
-// ArrowStorage split of hdk-style engines. A provider describes its
-// relation as an ordered sequence of chunks (contiguous global row
-// ranges) and serves each chunk on demand through Pin.
+// DataProvider: the read interface the columnar GMDJ kernel (and every
+// other chunk consumer) reads a relation through — modeled on the
+// DataMgr/BufferMgr + ArrowStorage split of hdk-style engines. A
+// provider describes its relation as an ordered sequence of chunks
+// (contiguous global row ranges) and serves each chunk on demand
+// through Pin.
 //
 // Implementations:
-//  - MemoryDataProvider wraps an in-memory Table. Its ResidentTable()
-//    shortcut lets consumers keep the zero-overhead direct path; chunked
-//    iteration is still available (chunks are built lazily and cached)
-//    so tests can force the paged code path over memory-backed data.
+//  - MemoryDataProvider wraps an in-memory Table. Its chunk views are
+//    built lazily and cached, and they back every in-process GMDJ round:
+//    the columnar kernel streams them exactly as it streams chunk-file
+//    pages. ResidentTable() exposes the table itself to row-wise
+//    consumers (the base query, the row oracle).
 //  - ChunkFileDataProvider pages chunks from a chunk file through a
 //    shared BufferManager; nothing is resident until pinned.
 //  - ConcatDataProvider concatenates providers in order — the
@@ -18,8 +20,9 @@
 // Row-identity contract: chunk c covers global rows
 // [chunk_row_begin(c), chunk_row_begin(c) + chunk_rows(c)), chunks are
 // ordered and gap-free, and boxing chunk rows yields exactly the rows of
-// the equivalent in-memory table in the same order. Every chunked kernel
-// path relies on this to stay byte-identical to the in-memory one.
+// the equivalent in-memory table in the same order. The columnar kernel
+// relies on this to stay byte-identical to the row oracle, which reads
+// the same rows as one table.
 
 #ifndef SKALLA_STORAGE_DATA_PROVIDER_H_
 #define SKALLA_STORAGE_DATA_PROVIDER_H_
@@ -51,8 +54,8 @@ class DataProvider {
   virtual Result<PinnedChunk> Pin(size_t chunk) const = 0;
 
   /// The whole relation as one resident Table when this provider is
-  /// memory-backed — the zero-overhead path consumers prefer when
-  /// non-null. Paged providers return nullptr.
+  /// memory-backed, for row-wise consumers. Paged providers return
+  /// nullptr.
   virtual const Table* ResidentTable() const { return nullptr; }
 
   /// Per-column min/max stats of chunk `chunk` when they are available
@@ -95,8 +98,8 @@ class MemoryDataProvider : public DataProvider {
   std::shared_ptr<const Table> table_;
   size_t chunk_rows_;
   size_t num_chunks_;
-  // Chunked views are only built when someone forces the paged path
-  // (tests); built once, cached.
+  // Chunk views, built on first Pin and cached for the provider's
+  // lifetime: every columnar round over this relation reuses them.
   mutable std::mutex mu_;
   mutable std::vector<ChunkPtr> cache_;
 };

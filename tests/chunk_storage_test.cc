@@ -177,7 +177,7 @@ TEST_F(ChunkStorageTest, NestedLoopChunkedMatchesResident) {
   Catalog eager;
   eager.Register("d", detail);
   EvalContext oracle;
-  oracle.use_index = false;
+  oracle.engine = EvalEngine::kNestedLoop;
   GmdjExpr query = TestQuery();
   const std::vector<uint8_t> expected =
       TableBytes(EvalCentralized(query, eager, oracle).ValueOrDie());

@@ -1,22 +1,29 @@
 // Columnar storage and the vectorized GMDJ evaluator: exact agreement
-// with the row engine across random data (including NULLs), engine
+// with the row oracle across random data (including NULLs), engine
 // routing through core::EvaluateGmdj, and end-to-end distributed
-// execution on columnar sites.
+// execution with columnar vs row sites.
 
 #include <gtest/gtest.h>
 
-#include "columnar/column_table.h"
 #include "columnar/predicate_eval.h"
 #include "columnar/vector_eval.h"
 #include "common/random.h"
 #include "core/evaluate.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
+#include "net/serde.h"
 #include "relalg/operators.h"
 #include "storage/catalog.h"
+#include "storage/data_provider.h"
 
 namespace skalla {
 namespace {
+
+std::vector<uint8_t> Bytes(const Table& t) {
+  std::vector<uint8_t> bytes;
+  WriteTable(t, &bytes);
+  return bytes;
+}
 
 Table MakeDetail(uint64_t seed, size_t rows) {
   Random rng(seed);
@@ -76,21 +83,6 @@ TEST(ColumnTest, HashMatchesValueHash) {
   EXPECT_EQ(s.HashAt(0), Value("k").Hash());
 }
 
-TEST(ColumnTableTest, RoundTrip) {
-  Table t = MakeDetail(1, 200);
-  ColumnTable ct = ColumnTable::FromRowTable(t).ValueOrDie();
-  EXPECT_EQ(ct.num_rows(), 200u);
-  EXPECT_EQ(ct.num_columns(), 4u);
-  Table back = ct.ToRowTable();
-  EXPECT_TRUE(back.SameRows(t));
-}
-
-TEST(ColumnTableTest, RejectsUntypedColumns) {
-  SchemaPtr schema = Schema::Make({{"x", ValueType::kNull}}).ValueOrDie();
-  Table t(schema);
-  EXPECT_TRUE(ColumnTable::FromRowTable(t).status().IsTypeError());
-}
-
 TEST(EvaluateGmdjTest, EngineRoutingAndReporting) {
   Table detail = MakeDetail(5, 120);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
@@ -102,41 +94,28 @@ TEST(EvaluateGmdjTest, EngineRoutingAndReporting) {
       {{AggKind::kCountStar, "", "c"}, {AggKind::kSum, "iv", "s"}},
       And(Eq(RCol("g"), BCol("g")), Gt(RCol("iv"), Lit(Value(0))))});
 
-  auto run = [&](EvalEngine engine, bool use_index) {
+  auto run = [&](EvalEngine engine) {
     EvalProfile profile;
     EvalContext context;
     context.engine = engine;
-    context.use_index = use_index;
     context.profile = &profile;
     Table out = EvaluateGmdj(base, op, catalog, context).ValueOrDie();
     return std::make_pair(std::move(out),
                           profile.engines_used.load());
   };
 
-  // kRow always runs the row engine; kColumnar the columnar kernels
-  // (over the provider's lazily built chunks — no warm needed).
-  auto [row_out, row_bits] = run(EvalEngine::kRow, true);
-  EXPECT_EQ(row_bits, kEngineBitRow);
-  auto [col_out, col_bits] = run(EvalEngine::kColumnar, true);
+  // The default engine on a resident relation that was never warmed is
+  // the columnar kernel, streaming the provider's lazily built chunks.
+  EXPECT_EQ(EvalContext{}.engine, EvalEngine::kColumnar);
+  auto [col_out, col_bits] = run(EvalContext{}.engine);
   EXPECT_EQ(col_bits, kEngineBitColumnar);
-  EXPECT_TRUE(col_out.SameRows(row_out));
 
-  // kAuto on a resident, unwarmed relation keeps the row engine...
-  EXPECT_EQ(run(EvalEngine::kAuto, true).second, kEngineBitRow);
-  // ...and flips to columnar once the catalog is warmed.
-  catalog.WarmColumnar().Check();
-  ASSERT_NE(catalog.Columnar("d"), nullptr);
-  auto [auto_out, auto_bits] = run(EvalEngine::kAuto, true);
-  EXPECT_EQ(auto_bits, kEngineBitColumnar);
-  EXPECT_TRUE(auto_out.SameRows(row_out));
-
-  // use_index = false has no columnar mode: every engine setting falls
-  // back to the row engine transparently and reports it.
-  for (EvalEngine engine :
-       {EvalEngine::kAuto, EvalEngine::kRow, EvalEngine::kColumnar}) {
-    auto [oracle_out, oracle_bits] = run(engine, false);
-    EXPECT_EQ(oracle_bits, kEngineBitRow);
-    EXPECT_TRUE(oracle_out.SameRows(row_out));
+  // Both oracle modes run the row kernel, report it, and agree byte for
+  // byte with the columnar result.
+  for (EvalEngine engine : {EvalEngine::kRow, EvalEngine::kNestedLoop}) {
+    auto [oracle_out, oracle_bits] = run(engine);
+    EXPECT_EQ(oracle_bits, kEngineBitRow) << EvalEngineName(engine);
+    EXPECT_EQ(Bytes(oracle_out), Bytes(col_out)) << EvalEngineName(engine);
   }
 }
 
@@ -145,7 +124,9 @@ class VectorEvalEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(VectorEvalEquivalenceTest, MatchesRowEngine) {
   Table detail = MakeDetail(GetParam(), 150 + GetParam() * 13);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  // Small chunks, so the kernel folds across chunk boundaries.
+  MemoryDataProvider columnar(std::make_shared<const Table>(detail),
+                              /*chunk_rows=*/64);
   Table base = Project(detail, {"g", "h"}, true).ValueOrDie();
   // Add a base row with no matches.
   base.AppendUnchecked({Value(int64_t{999}), Value("none")});
@@ -188,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorEvalEquivalenceTest,
 
 TEST(VectorEvalTest, ResidualConjunctsMatchRowEngine) {
   Table detail = MakeDetail(3, 50);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar(std::make_shared<const Table>(detail));
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   GmdjOp op;
   op.detail_table = "d";
@@ -198,23 +179,6 @@ TEST(VectorEvalTest, ResidualConjunctsMatchRowEngine) {
   Table row_result = EvalGmdj(base, detail, op).ValueOrDie();
   Table col_result = EvalGmdjColumnar(base, columnar, op).ValueOrDie();
   EXPECT_TRUE(col_result.SameRows(row_result));
-}
-
-TEST(VectorEvalTest, RejectsNestedLoopOracleMode) {
-  // The direct kernel entry point has no nested-loop mode; only
-  // core::EvaluateGmdj performs the transparent row fallback.
-  Table detail = MakeDetail(3, 50);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
-  Table base = Project(detail, {"g"}, true).ValueOrDie();
-  GmdjOp op;
-  op.detail_table = "d";
-  op.blocks.push_back(GmdjBlock{{{AggKind::kCountStar, "", "c"}},
-                                Eq(RCol("g"), BCol("g"))});
-  EvalContext context;
-  context.use_index = false;
-  auto result = EvalGmdjColumnar(base, columnar, op, context);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
 TEST(PredicateCompileTest, PartitionInfoSuppliesRangeHints) {
@@ -254,11 +218,13 @@ TEST(PredicateCompileTest, PartitionInfoSuppliesRangeHints) {
 }
 
 TEST(ColumnarSitesTest, DistributedExecutionMatches) {
+  // Sites evaluate with the default columnar kernel in one warehouse and
+  // with the row oracle in the other; answers must agree byte for byte.
   Table detail = MakeDetail(17, 900);
-  ExecutorOptions columnar_options;
-  columnar_options.columnar_sites = true;
-  DistributedWarehouse row_dw(4);
-  DistributedWarehouse col_dw(4, NetworkConfig{}, columnar_options);
+  ExecutorOptions row_options;
+  row_options.engine = EvalEngine::kRow;
+  DistributedWarehouse row_dw(4, NetworkConfig{}, row_options);
+  DistributedWarehouse col_dw(4);
   row_dw.AddTablePartitionedBy("d", detail, "g", {"h", "iv"}).Check();
   col_dw.AddTablePartitionedBy("d", detail, "g", {"h", "iv"}).Check();
 
@@ -280,10 +246,13 @@ TEST(ColumnarSitesTest, DistributedExecutionMatches) {
 
   for (const OptimizerOptions& opts :
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
-    Table row_result = row_dw.Execute(expr, opts).ValueOrDie();
-    Table col_result = col_dw.Execute(expr, opts).ValueOrDie();
-    EXPECT_TRUE(col_result.SameRows(row_result))
+    ExecStats row_stats, col_stats;
+    Table row_result = row_dw.Execute(expr, opts, &row_stats).ValueOrDie();
+    Table col_result = col_dw.Execute(expr, opts, &col_stats).ValueOrDie();
+    EXPECT_EQ(Bytes(col_result), Bytes(row_result))
         << "opts=" << opts.ToString();
+    EXPECT_EQ(row_stats.engines_used, kEngineBitRow);
+    EXPECT_EQ(col_stats.engines_used, kEngineBitColumnar);
   }
 }
 

@@ -2,7 +2,9 @@
 // the columnar kernels must reproduce its output BYTE for byte across
 // randomized condition shapes (equality atoms, ranges, IN-sets, NOT,
 // mixed residual conjuncts, correlated comparisons, empty base/detail),
-// thread counts, buffer budgets, and chunk pruning on/off.
+// thread counts, memory-backed chunk sizes, chunk-file buffer budgets,
+// and chunk pruning on/off. Both oracle modes (indexed and nested loop)
+// must agree with each other too.
 //
 // All generated values are representation-matching (int64 columns get
 // int64 Values, float64 columns get doubles), the well-typed-table
@@ -19,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "columnar/column_table.h"
 #include "columnar/vector_eval.h"
 #include "common/random.h"
 #include "core/local_eval.h"
@@ -176,7 +177,7 @@ TEST_P(EngineDifferentialTest, ColumnarMatchesRowOracleByteForByte) {
   const bool empty_base = seed % 7 == 5;
   Table detail = MakeDetail(seed, empty_detail ? 0 : 200 + seed * 37);
   Table base = MakeBase(detail, &rng, empty_base);
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  auto resident = std::make_shared<const Table>(detail);
   GmdjOp op = RandomOp(&rng);
 
   const std::string path =
@@ -196,17 +197,27 @@ TEST_P(EngineDifferentialTest, ColumnarMatchesRowOracleByteForByte) {
 
       Table oracle = EvalGmdj(base, detail, op, context).ValueOrDie();
       const std::vector<uint8_t> expected = Bytes(oracle);
+      EvalContext nested = context;
+      nested.engine = EvalEngine::kNestedLoop;
+      EXPECT_EQ(Bytes(EvalGmdj(base, detail, op, nested).ValueOrDie()),
+                expected)
+          << label << " nested loop";
 
       for (size_t threads : {size_t{1}, hw}) {
         context.eval_threads = threads;
 
-        // Resident columnar.
-        Table resident =
-            EvalGmdjColumnar(base, columnar, op, context).ValueOrDie();
-        EXPECT_EQ(Bytes(resident), expected)
-            << label << " threads=" << threads << "\noracle:\n"
-            << oracle.ToString(30) << "columnar:\n"
-            << resident.ToString(30);
+        // Memory-backed columnar: chunk views of 64 rows (evaluation
+        // crosses chunk boundaries) and of the default size.
+        for (size_t chunk_rows : {size_t{64}, kDefaultChunkRows}) {
+          MemoryDataProvider memory(resident, chunk_rows);
+          Table columnar =
+              EvalGmdjColumnar(base, memory, op, context).ValueOrDie();
+          EXPECT_EQ(Bytes(columnar), expected)
+              << label << " threads=" << threads
+              << " chunk_rows=" << chunk_rows << "\noracle:\n"
+              << oracle.ToString(30) << "columnar:\n"
+              << columnar.ToString(30);
+        }
 
         // Chunk-paged columnar at a tight and an unlimited buffer
         // budget, pruning on and off.

@@ -1,6 +1,6 @@
 // Cross-executor consistency matrix: the same optimized plan executed by
 // every engine variant — synchronous star, parallel sites (one worker per
-// site, and two workers), row-blocked, columnar sites, and coordinator
+// site, and two workers), row-blocked, row-oracle sites, and coordinator
 // trees of two fanouts — through the unified skalla::Executor interface,
 // crossed with coordinator_shards ∈ {1, 4}. Every combination must
 // produce results identical to the centralized evaluator; every
@@ -112,12 +112,12 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
   parallel2.num_threads = 2;
   ExecutorOptions blocked;
   blocked.ship_block_rows = 11;
-  ExecutorOptions columnar;
-  columnar.columnar_sites = true;
+  ExecutorOptions row;
+  row.engine = EvalEngine::kRow;
   const Variant variants[] = {
       {"star", {}, true},          {"parallel", parallel, true},
       {"parallel2", parallel2, true}, {"blocked", blocked, false},
-      {"columnar", columnar, true}, {"tree2", {}, false},
+      {"row", row, true},          {"tree2", {}, false},
       {"tree3", {}, false},
   };
 
@@ -136,6 +136,16 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
     std::unique_ptr<Executor> star = MakeExecutor("star", parts, {});
     Table star_result = star->Execute(plan, &star_stats).ValueOrDie();
     ASSERT_TRUE(star_result.SameRows(reference)) << "star, opts " << opt_mask;
+    // A default in-process run evaluates every GMDJ round with the
+    // columnar kernel at every site (base rounds run no kernel).
+    EXPECT_EQ(star_stats.engines_used, kEngineBitColumnar);
+    for (const RoundStats& round : star_stats.rounds) {
+      for (const SiteRoundProfile& site : round.site_profiles) {
+        EXPECT_EQ(site.engines_used,
+                  round.label == "base" ? 0 : kEngineBitColumnar)
+            << round.label << " site " << site.site_id;
+      }
+    }
 
     for (const Variant& variant : variants) {
       // Sequential-merge run: the pinned baseline for this variant.
@@ -149,6 +159,9 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
           << variant.name << ", opts " << opt_mask;
       EXPECT_EQ(seq_stats.rounds.size(), plan.stages.size() + 1)
           << variant.name << ", opts " << opt_mask;
+      if (std::string(variant.name) == "row") {
+        EXPECT_EQ(seq_stats.engines_used, kEngineBitRow);
+      }
 
       if (variant.bytes_match_star) {
         EXPECT_EQ(seq_stats.TotalBytes(), star_stats.TotalBytes())

@@ -144,7 +144,7 @@ TEST_P(PipelineFuzzTest, AllConfigurationsMatchNaiveOracle) {
   Catalog central;
   central.Register("d", fuzz.detail);
   EvalContext oracle_context;
-  oracle_context.use_index = false;
+  oracle_context.engine = EvalEngine::kNestedLoop;
   Table oracle =
       EvalCentralized(fuzz.expr, central, oracle_context).ValueOrDie();
 

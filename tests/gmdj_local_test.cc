@@ -245,10 +245,10 @@ TEST_P(GmdjIndexEquivalenceTest, IndexMatchesNaive) {
                                 Lt(RCol("v"), BCol("g"))});
 
   EvalContext indexed;
-  indexed.use_index = true;
+  indexed.engine = EvalEngine::kRow;
   indexed.compute_rng = true;
   EvalContext naive;
-  naive.use_index = false;
+  naive.engine = EvalEngine::kNestedLoop;
   naive.compute_rng = true;
 
   Table via_index = EvalGmdj(base, detail, op, indexed).ValueOrDie();

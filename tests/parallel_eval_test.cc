@@ -1,13 +1,12 @@
 // Morsel-parallel evaluation determinism: work decomposition is a pure
 // function of EvalContext::morsel_rows, and eval_threads only schedules
-// morsels onto workers, so every kernel must produce *byte-identical*
-// results at every thread count — for the indexed and nested-loop row
-// paths, the columnar path, sub- and super-aggregate modes, the __rng
-// indicator, empty inputs, and the full query suite end to end. Also
-// covers the EvalContext API surface itself: validation, the columnar
-// kernel's typed rejection of the nested-loop oracle, Site's routing of
-// oracle requests to the row engine, and the (base_cols, detail_cols)
-// index-cache pairing.
+// morsels onto workers, so the columnar kernel must produce
+// *byte-identical* results at every thread count — and the same bytes
+// as the single-threaded row oracle in both its modes — for sub- and
+// super-aggregate modes, the __rng indicator, empty inputs, and the full
+// query suite end to end. Also covers the EvalContext API surface
+// itself: validation, Site's routing of nested-loop requests to the row
+// oracle, and the (base_cols, detail_cols) index pairing.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "columnar/column_table.h"
 #include "columnar/vector_eval.h"
 #include "common/random.h"
 #include "core/local_eval.h"
@@ -26,6 +24,7 @@
 #include "net/serde.h"
 #include "relalg/operators.h"
 #include "sql/parser.h"
+#include "storage/data_provider.h"
 
 namespace skalla {
 namespace {
@@ -39,6 +38,9 @@ std::vector<uint8_t> Bytes(const Table& table) {
   WriteTable(table, &out);
   return out;
 }
+
+// The row oracle's two modes.
+const EvalEngine kOracleModes[] = {EvalEngine::kRow, EvalEngine::kNestedLoop};
 
 // Detail relation large enough to split into several morsels at small
 // morsel_rows: int64 group/measure columns plus a float64 measure (the
@@ -84,16 +86,20 @@ GmdjOp MixedOp() {
 }
 
 TEST(ParallelEvalTest, RowKernelByteIdenticalAcrossThreadCounts) {
+  // The row oracle is single-threaded, so eval_threads must not move its
+  // bytes; the columnar kernel must reproduce them at every thread count.
   Table detail = MakeDetail(7, 1400);  // > kDefaultMorselRows rows.
   Table base = Project(detail, {"g"}, true).ValueOrDie();
+  MemoryDataProvider memory(std::make_shared<const Table>(detail),
+                            /*chunk_rows=*/256);
   GmdjOp op = MixedOp();
 
-  for (bool use_index : {true, false}) {
+  for (EvalEngine engine : kOracleModes) {
     for (bool sub : {false, true}) {
       for (bool rng : {false, true}) {
         for (size_t morsel_rows : {kDefaultMorselRows, size_t{97}}) {
           EvalContext context;
-          context.use_index = use_index;
+          context.engine = engine;
           context.sub_aggregates = sub;
           context.compute_rng = rng;
           context.morsel_rows = morsel_rows;
@@ -105,9 +111,15 @@ TEST(ParallelEvalTest, RowKernelByteIdenticalAcrossThreadCounts) {
             context.eval_threads = threads;
             Table result = EvalGmdj(base, detail, op, context).ValueOrDie();
             EXPECT_EQ(Bytes(result), expected)
-                << "use_index=" << use_index << " sub=" << sub
+                << EvalEngineName(engine) << " sub=" << sub
                 << " rng=" << rng << " morsel_rows=" << morsel_rows
                 << " threads=" << threads;
+            if (engine != EvalEngine::kRow) continue;
+            Table columnar =
+                EvalGmdjColumnar(base, memory, op, context).ValueOrDie();
+            EXPECT_EQ(Bytes(columnar), expected)
+                << "columnar sub=" << sub << " rng=" << rng
+                << " morsel_rows=" << morsel_rows << " threads=" << threads;
           }
         }
       }
@@ -122,10 +134,10 @@ TEST(ParallelEvalTest, EmptyBaseAndEmptyDetail) {
   Table empty_detail(detail.schema());
   GmdjOp op = MixedOp();
 
-  for (bool use_index : {true, false}) {
+  for (EvalEngine engine : kOracleModes) {
     for (size_t threads : kThreadCounts) {
       EvalContext context;
-      context.use_index = use_index;
+      context.engine = engine;
       context.eval_threads = threads;
       context.compute_rng = true;
       context.morsel_rows = 64;
@@ -157,7 +169,7 @@ TEST(ParallelEvalTest, MorselRowsZeroIsRejected) {
   EvalContext context;
   context.morsel_rows = 0;
   EXPECT_TRUE(EvalGmdj(base, detail, op, context).status().IsInvalidArgument());
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar(std::make_shared<const Table>(detail));
   GmdjOp eligible;
   eligible.detail_table = "d";
   eligible.blocks.push_back(GmdjBlock{{{AggKind::kCountStar, "", "c"}},
@@ -167,24 +179,11 @@ TEST(ParallelEvalTest, MorselRowsZeroIsRejected) {
                   .IsInvalidArgument());
 }
 
-TEST(ParallelEvalTest, ColumnarKernelRejectsNestedLoopOracle) {
-  Table detail = MakeDetail(5, 80);
-  Table base = Project(detail, {"g"}, true).ValueOrDie();
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
-  GmdjOp op;
-  op.detail_table = "d";
-  op.blocks.push_back(GmdjBlock{{{AggKind::kCountStar, "", "c"}},
-                                Eq(RCol("g"), BCol("g"))});
-  EvalContext oracle;
-  oracle.use_index = false;
-  Status status = EvalGmdjColumnar(base, columnar, op, oracle).status();
-  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-}
-
 TEST(ParallelEvalTest, ColumnarKernelByteIdenticalAcrossThreadCounts) {
   Table detail = MakeDetail(13, 1300);
   Table base = Project(detail, {"g", "h"}, true).ValueOrDie();
-  ColumnTable columnar = ColumnTable::FromRowTable(detail).ValueOrDie();
+  MemoryDataProvider columnar(std::make_shared<const Table>(detail),
+                              /*chunk_rows=*/200);
   GmdjOp op;
   op.detail_table = "d";
   ExprPtr theta = And(Eq(RCol("g"), BCol("g")), Eq(RCol("h"), BCol("h")));
@@ -228,7 +227,6 @@ TEST(ParallelEvalTest, SiteRoutesOracleRequestsToRowEngine) {
   Catalog catalog;
   catalog.Register("d", detail);
   Site site(0, std::move(catalog));
-  ASSERT_TRUE(site.EnableColumnarCache().ok());
 
   GmdjOp op;
   op.detail_table = "d";
@@ -236,14 +234,20 @@ TEST(ParallelEvalTest, SiteRoutesOracleRequestsToRowEngine) {
       {{AggKind::kCountStar, "", "c"}, {AggKind::kSum, "iv", "si"}},
       Eq(RCol("g"), BCol("g"))});
 
-  EvalContext indexed;
-  Table via_columnar = site.EvalGmdjRound(base, op, indexed).ValueOrDie();
+  EvalProfile columnar_profile;
+  EvalContext columnar;
+  columnar.profile = &columnar_profile;
+  Table via_columnar = site.EvalGmdjRound(base, op, columnar).ValueOrDie();
+  EXPECT_EQ(columnar_profile.engines_used.load(), kEngineBitColumnar);
 
-  // With use_index = false the columnar kernel would fail; the site must
-  // route to the row engine's nested loop, which agrees on results.
+  // A nested-loop request must reach the row oracle, which agrees on
+  // results.
+  EvalProfile oracle_profile;
   EvalContext oracle;
-  oracle.use_index = false;
+  oracle.engine = EvalEngine::kNestedLoop;
+  oracle.profile = &oracle_profile;
   Table via_oracle = site.EvalGmdjRound(base, op, oracle).ValueOrDie();
+  EXPECT_EQ(oracle_profile.engines_used.load(), kEngineBitRow);
   EXPECT_TRUE(via_oracle.SameRows(via_columnar));
 }
 
@@ -284,9 +288,10 @@ TEST(ParallelEvalTest, IndexCacheKeyedOnFullPairing) {
 
   for (size_t threads : kThreadCounts) {
     EvalContext indexed;
+    indexed.engine = EvalEngine::kRow;
     indexed.eval_threads = threads;
     EvalContext naive = indexed;
-    naive.use_index = false;
+    naive.engine = EvalEngine::kNestedLoop;
     Table via_index = EvalGmdj(base, detail, op, indexed).ValueOrDie();
     Table via_naive = EvalGmdj(base, detail, op, naive).ValueOrDie();
     EXPECT_EQ(Bytes(via_index), Bytes(via_naive)) << "threads=" << threads;

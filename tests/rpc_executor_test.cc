@@ -378,7 +378,10 @@ TEST_F(RpcExecutorTest, SiteStatsReturnsMetricsJson) {
   EXPECT_FALSE(rpc.SiteStats(kSites + 7).ok());
 }
 
-TEST_F(RpcExecutorTest, ColumnarKnobForwardsToSites) {
+TEST_F(RpcExecutorTest, EngineKnobForwardsToSites) {
+  // The engine ships to every site in BeginPlan; the sites' round
+  // profiles report the kernel that actually ran, and both engines agree
+  // with the star byte for byte.
   GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
@@ -386,15 +389,19 @@ TEST_F(RpcExecutorTest, ColumnarKnobForwardsToSites) {
   DistributedExecutor star(MakeSites(), NetworkConfig{}, {});
   Table expected = star.Execute(plan, nullptr).ValueOrDie();
 
-  ExecutorOptions options;
-  options.columnar_sites = true;
-  auto transport = std::make_unique<InProcessTransport>(MakeSites());
-  InProcessTransport* raw = transport.get();
-  RpcExecutor rpc(std::move(transport), options);
-  Table result = rpc.Execute(plan, nullptr).ValueOrDie();
-  EXPECT_TRUE(ExactlyEqual(result, expected));
-  for (size_t i = 0; i < kSites; ++i) {
-    EXPECT_TRUE(raw->service(i)->site().columnar_enabled()) << "site " << i;
+  for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kRow,
+                            EvalEngine::kNestedLoop}) {
+    ExecutorOptions options;
+    options.engine = engine;
+    RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()),
+                    options);
+    ExecStats stats;
+    Table result = rpc.Execute(plan, &stats).ValueOrDie();
+    EXPECT_TRUE(ExactlyEqual(result, expected)) << EvalEngineName(engine);
+    EXPECT_EQ(stats.engines_used, engine == EvalEngine::kColumnar
+                                      ? kEngineBitColumnar
+                                      : kEngineBitRow)
+        << EvalEngineName(engine);
   }
 }
 

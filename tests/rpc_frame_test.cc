@@ -104,14 +104,13 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV6) {
-  // v6: BeginPlan carries the plan's EvalContext::engine and
-  // RoundProfile reports the engines a round actually used
-  // (docs/RPC.md). The version byte is the wire contract for all of
-  // that, so pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 6);
+TEST(FrameTest, ProtocolVersionIsV7) {
+  // v7: BeginPlan is exactly the eval_threads, query_id and engine
+  // varints — the v6 flags byte is gone (docs/RPC.md). The version byte
+  // is the wire contract for all of that, so pin it explicitly.
+  EXPECT_EQ(kProtocolVersion, 7);
   std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 6);
+  EXPECT_EQ(wire[4], 7);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {
