@@ -92,8 +92,8 @@ inline Table Execute(const DistributedWarehouse& dw, const GmdjExpr& query,
   return std::move(answer.table);
 }
 
-// Same, for an already-built plan on a caller-built engine (tree,
-// rpc, ...): wraps the engine in a session and submits through it.
+// Same, for an already-built plan on a caller-built engine (parallel
+// star, rpc, ...): wraps the engine in a session and submits through it.
 inline Table ExecutePlan(std::unique_ptr<Executor> executor,
                          const DistributedPlan& plan,
                          ExecStats* stats = nullptr) {

@@ -11,21 +11,16 @@
 
 namespace skalla {
 
-ThreadPool* Coordinator::MergePool() {
-  if (merge_pool_ != nullptr) return merge_pool_;
-  if (owned_pool_ == nullptr) {
-    // ParallelFor runs shard 0 inline, so num_shards - 1 workers suffice.
-    owned_pool_ = std::make_unique<ThreadPool>(num_shards_ - 1);
-  }
-  return owned_pool_.get();
-}
-
 void Coordinator::RunSharded(const std::function<void(size_t)>& fn) {
   if (num_shards_ == 1) {
     fn(0);
     return;
   }
-  MergePool()->ParallelFor(num_shards_, fn);
+  if (merge_pool_ == nullptr) {
+    // ParallelFor runs shard 0 inline, so num_shards - 1 workers suffice.
+    merge_pool_ = std::make_unique<ThreadPool>(num_shards_ - 1);
+  }
+  merge_pool_->ParallelFor(num_shards_, fn);
 }
 
 std::vector<Coordinator::HashedRows> Coordinator::BucketRows(
@@ -149,17 +144,6 @@ Status Coordinator::FinalizeBase() {
   base_shards_.clear();
   in_base_ = false;
   return Status::OK();
-}
-
-Result<Table> Coordinator::TakeBaseFragment() {
-  if (!in_base_) {
-    return Status::Internal("TakeBaseFragment outside a base round");
-  }
-  Table fragment = ConcatShards(base_shards_, base_schema_);
-  base_shards_.clear();
-  x_ = Table();
-  in_base_ = false;
-  return fragment;
 }
 
 // --- GMDJ round -----------------------------------------------------------
@@ -317,16 +301,6 @@ Status Coordinator::MergeFragment(const Table& h) {
   SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_us",
                           static_cast<double>(merge_timer.ElapsedMicros()));
   return Status::OK();
-}
-
-Result<Table> Coordinator::TakeWorkingFragment() {
-  if (!in_round_) {
-    return Status::Internal("TakeWorkingFragment outside a round");
-  }
-  Table fragment = ConcatShards(work_shards_, working_schema_);
-  work_shards_.clear();
-  in_round_ = false;
-  return fragment;
 }
 
 Status Coordinator::FinalizeRound() {

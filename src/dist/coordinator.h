@@ -38,18 +38,12 @@ namespace skalla {
 class Coordinator {
  public:
   /// `num_shards` (at least 1) splits the merge structures by key hash;
-  /// 1 keeps the sequential merge. Shard merges run on `merge_pool` when
-  /// given (not owned; must outlive the coordinator); with num_shards > 1
-  /// and no pool, the coordinator lazily creates its own. Sharing one
-  /// pool across coordinators (e.g. every tier of a coordinator tree) is
-  /// safe: dispatch uses ThreadPool::ParallelFor, which never waits on
-  /// another client's tasks.
+  /// 1 keeps the sequential merge. With num_shards > 1 the coordinator
+  /// lazily creates a pool for the shard merges.
   explicit Coordinator(std::vector<std::string> key_columns,
-                       size_t num_shards = 1,
-                       ThreadPool* merge_pool = nullptr)
+                       size_t num_shards = 1)
       : key_columns_(std::move(key_columns)),
-        num_shards_(num_shards == 0 ? 1 : num_shards),
-        merge_pool_(merge_pool) {}
+        num_shards_(num_shards == 0 ? 1 : num_shards) {}
 
   const std::vector<std::string>& key_columns() const { return key_columns_; }
   size_t num_shards() const { return num_shards_; }
@@ -92,18 +86,6 @@ class Coordinator {
   /// installs the round result as the new X.
   Status FinalizeRound();
 
-  /// For multi-tier coordinator topologies (Sect. 6's future-work
-  /// architecture): ends the round by returning the merged but NOT
-  /// finalized working structure (upstream columns + part columns). The
-  /// returned table is itself a valid fragment for a parent coordinator's
-  /// MergeFragment — super-aggregation is associative, so partials can be
-  /// combined level by level up a tree.
-  Result<Table> TakeWorkingFragment();
-
-  /// For multi-tier topologies, base round: returns the deduplicated
-  /// base-values union collected so far and ends the base round.
-  Result<Table> TakeBaseFragment();
-
   /// The current base-result structure.
   const Table& result() const { return x_; }
 
@@ -139,7 +121,7 @@ class Coordinator {
       const std::function<uint64_t(const Row&)>& hash_row) const;
 
   // Runs fn(shard) for every shard — inline when there is one shard,
-  // otherwise on the merge pool.
+  // otherwise on the merge pool (created on first use).
   void RunSharded(const std::function<void(size_t)>& fn);
 
   // Returns the row id in shard s holding `key_row`'s key, or -1.
@@ -157,12 +139,9 @@ class Coordinator {
   // order via the per-row sequence numbers.
   Table ConcatShards(std::vector<Shard>& shards, SchemaPtr schema);
 
-  ThreadPool* MergePool();
-
   std::vector<std::string> key_columns_;
   size_t num_shards_;
-  ThreadPool* merge_pool_;                    // Not owned; may be null.
-  std::unique_ptr<ThreadPool> owned_pool_;    // Lazily created fallback.
+  std::unique_ptr<ThreadPool> merge_pool_;  // Lazily created.
 
   Table x_;
 

@@ -1,13 +1,11 @@
 #include "dist/exec.h"
 
-#include <algorithm>
 #include <string>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "net/serde.h"
 #include "obs/obs.h"
-#include "relalg/operators.h"
 #include "rpc/frame.h"
 
 namespace skalla {
@@ -23,17 +21,33 @@ void DistributedExecutor::AddReplica(size_t partition, Site replica) {
   fleet_.replicas[partition].push_back(std::move(replica));
 }
 
+std::vector<int> SiteFleet::ReplicaIds(size_t i) const {
+  std::vector<int> ids{sites[i].id()};
+  auto it = replicas.find(i);
+  if (it != replicas.end()) {
+    for (const Site& replica : it->second) ids.push_back(replica.id());
+  }
+  return ids;
+}
+
+Site& SiteFleet::Replica(size_t i, size_t r) {
+  return r == 0 ? sites[i] : replicas.at(i)[r - 1];
+}
+
+Status SiteFleet::Validate() const {
+  return ValidateReplicaPartitions(replicas, sites.size());
+}
+
 namespace {
 
-// One framed transfer: serializes `table`, wraps it in the versioned
-// wire frame (rpc/frame.h) exactly as the TCP transport would, and
-// decodes it on the receiving end. Accounting counts the table payload
-// only — the constant per-message frame header is transport overhead,
-// excluded so byte counts stay comparable across transports and with the
-// paper's bounds.
-Result<Table> ShipFramed(SimulatedNetwork* network, const Table& table,
-                         int from, int to, uint64_t* bytes_acc,
-                         double* comm_acc) {
+// Ships `table` over the network with real serialization, wrapped in
+// the versioned wire frame (rpc/frame.h) exactly as the TCP transport
+// would, and returns the decoded copy on the receiving end. Accounting
+// counts the table payload only — the constant per-message frame header
+// is transport overhead, excluded so byte counts stay comparable across
+// transports and with the paper's bounds.
+Result<Table> Ship(SimulatedNetwork* network, const Table& table, int from,
+                   int to, uint64_t* bytes_acc, double* comm_acc) {
   std::vector<uint8_t> payload;
   WriteTable(table, &payload);
   *bytes_acc += payload.size();
@@ -44,50 +58,15 @@ Result<Table> ShipFramed(SimulatedNetwork* network, const Table& table,
   return ReadTable(frame.payload.data(), frame.payload.size());
 }
 
-// Ships `table` over the network with real serialization; returns the
-// deserialized copy on the receiving end. With `block_rows` > 0, the
-// table travels as row blocks of at most that many rows, each block its
-// own message (receivers reassemble).
-Result<Table> Ship(SimulatedNetwork* network, const Table& table, int from,
-                   int to, size_t block_rows, uint64_t* bytes_acc,
-                   double* comm_acc) {
-  if (block_rows == 0 || table.num_rows() <= block_rows) {
-    return ShipFramed(network, table, from, to, bytes_acc, comm_acc);
-  }
-  Table assembled;
-  bool first = true;
-  for (size_t start = 0; start < table.num_rows(); start += block_rows) {
-    size_t end = std::min(start + block_rows, table.num_rows());
-    Table block(table.schema());
-    block.Reserve(end - start);
-    for (size_t r = start; r < end; ++r) {
-      block.AppendUnchecked(table.row(r));
-    }
-    SKALLA_ASSIGN_OR_RETURN(
-        Table received,
-        ShipFramed(network, block, from, to, bytes_acc, comm_acc));
-    if (first) {
-      assembled = std::move(received);
-      first = false;
-    } else {
-      SKALLA_ASSIGN_OR_RETURN(assembled,
-                              UnionAll(assembled, received));
-    }
-  }
-  return assembled;
-}
-
 // The in-process SiteLink: sites are Site objects in this process, X and
 // fragments cross the simulated network with real serialization, and the
 // sites' carried-over structures live here — so every round, even one
 // continuing a site's local structure, may fail over to a replica.
 class InProcessLink : public SiteLink {
  public:
-  InProcessLink(SiteFleet* fleet, SimulatedNetwork* network,
-                const ExecutorOptions& options)
+  InProcessLink(SiteFleet* fleet, SimulatedNetwork* network)
       : fleet_(fleet),
         network_(network),
-        options_(options),
         input_(fleet->sites.size()),
         input_round_(fleet->sites.size()),
         output_(fleet->sites.size()) {}
@@ -113,8 +92,7 @@ class InProcessLink : public SiteLink {
     SKALLA_ASSIGN_OR_RETURN(
         input_[i],
         Ship(network_, x, kCoordinatorId, fleet_->sites[i].id(),
-             options_.ship_block_rows, &traffic->bytes_to_sites,
-             &traffic->comm_time));
+             &traffic->bytes_to_sites, &traffic->comm_time));
     return Status::OK();
   }
 
@@ -171,8 +149,7 @@ class InProcessLink : public SiteLink {
     SKALLA_ASSIGN_OR_RETURN(
         Table received,
         Ship(network_, *result, site.id(), kCoordinatorId,
-             options_.ship_block_rows, &attempt->bytes_to_coord,
-             &attempt->comm_time));
+             &attempt->bytes_to_coord, &attempt->comm_time));
     profile.bytes_out = attempt->bytes_to_coord;
     return received;
   }
@@ -180,7 +157,6 @@ class InProcessLink : public SiteLink {
  private:
   SiteFleet* fleet_;
   SimulatedNetwork* network_;
-  const ExecutorOptions& options_;
   // Per-site base-result structures. input_[i] is what site i's GMDJ
   // round evaluates against: the shipped X, or the previous round's
   // output_[i], moved over on the first attempt of a round that carries
@@ -196,7 +172,7 @@ class InProcessLink : public SiteLink {
 Result<Table> DistributedExecutor::Execute(const DistributedPlan& plan,
                                            const QueryRun& run,
                                            ExecStats* stats) {
-  InProcessLink link(&fleet_, &network_, options_);
+  InProcessLink link(&fleet_, &network_);
   return RunStarPlan(plan, run, options_, link, stats);
 }
 

@@ -9,6 +9,7 @@
 #ifndef SKALLA_DIST_EXEC_H_
 #define SKALLA_DIST_EXEC_H_
 
+#include <map>
 #include <vector>
 
 #include "common/result.h"
@@ -19,6 +20,21 @@
 #include "net/network.h"
 
 namespace skalla {
+
+/// The in-process engine's sites: partition i's primary plus the replicas
+/// registered for it.
+struct SiteFleet {
+  std::vector<Site> sites;
+  std::map<size_t, std::vector<Site>> replicas;
+
+  /// Site ids of partition i's chain: primary, then replicas in
+  /// registration order.
+  std::vector<int> ReplicaIds(size_t i) const;
+  /// Replica r of partition i (r == 0 is the primary).
+  Site& Replica(size_t i, size_t r);
+  /// Validates the replica registrations.
+  Status Validate() const;
+};
 
 /// Star executor. Owns the sites and the simulated network. Sites run
 /// sequentially unless options.parallel_sites — then concurrently, with

@@ -66,11 +66,6 @@ uint64_t ExecStats::TotalSiteRetries() const {
   for (const RoundStats& r : rounds) n += r.site_retries;
   return n;
 }
-uint64_t ExecStats::RootBytes() const {
-  uint64_t n = 0;
-  for (const RoundStats& r : rounds) n += r.root_bytes;
-  return n;
-}
 double ExecStats::TotalSiteTimeMax() const {
   double t = 0;
   for (const RoundStats& r : rounds) t += r.site_time_max;
@@ -138,22 +133,34 @@ std::string ExecStats::ToString() const {
   return out;
 }
 
+namespace {
+
+// A fired deadline or a cancelled query ends the escalation ladder: the
+// budget, or the caller, is as gone for a retry, a replica or the
+// degrade rung as it was for the failed attempt.
+bool EndsLadder(const Status& failure) {
+  return failure.IsDeadlineExceeded() || failure.IsCancelled();
+}
+
+// OK while `cancel` (may be nullptr) is live; its latched cause after.
+Status Live(CancellationToken* cancel) {
+  return cancel == nullptr ? Status::OK() : cancel->Check();
+}
+
+}  // namespace
+
 Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
                                const std::string& round,
                                const std::function<Result<Table>()>& attempt,
                                size_t* retries_out,
                                CancellationToken* cancel) {
-  Result<Table> result = Status::Internal("unset");
+  SKALLA_RETURN_NOT_OK(Live(cancel));
   for (size_t tries = 0;; ++tries) {
-    if (cancel != nullptr) {
-      Status live = cancel->Check();
-      if (!live.ok()) return live;
-    }
     Status injected = options.fault_injector == nullptr
                           ? Status::OK()
                           : options.fault_injector->BeforeSiteRound(site_id,
                                                                     round);
-    result = injected.ok() ? attempt() : Result<Table>(injected);
+    Result<Table> result = injected.ok() ? attempt() : Result<Table>(injected);
     if (options.fault_injector != nullptr) {
       // Response-path fault: the site computed, the answer was lost. The
       // result is discarded and the attempt counts as failed; re-running
@@ -163,14 +170,16 @@ Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
           site_id, round, result.status());
       if (result.ok() && !after.ok()) result = after;
     }
-    if (result.ok() || tries >= options.max_site_retries) break;
-    // A deadline failure is not transient: the budget is as gone for the
-    // retry as it was for the attempt.
-    if (result.status().IsDeadlineExceeded()) break;
+    if (result.ok()) return result;
+    // Once the round token is cancelled, its latched cause is the round's
+    // outcome, whatever the attempt itself reported.
+    SKALLA_RETURN_NOT_OK(Live(cancel));
+    if (EndsLadder(result.status()) || tries >= options.max_site_retries) {
+      return result;
+    }
     if (retries_out != nullptr) ++*retries_out;
     SKALLA_COUNTER_ADD("skalla.net.retries", 1);
   }
-  return result;
 }
 
 Result<Table> ExecuteSiteRoundReplicated(
@@ -192,15 +201,15 @@ Result<Table> ExecuteSiteRoundReplicated(
     result = ExecuteSiteRound(
         options, replica_site_ids[r], round, [&]() { return attempt(r); },
         counts == nullptr ? nullptr : &counts->retries, cancel);
-    if (result.ok()) return result;
-    if (result.status().IsDeadlineExceeded()) return result;
+    if (result.ok() || EndsLadder(result.status()) || !Live(cancel).ok()) {
+      return result;
+    }
   }
   return result;
 }
 
 bool DegradesOnLoss(const ExecutorOptions& options, const Status& loss) {
-  return options.on_site_loss == OnSiteLoss::kDegrade &&
-         !loss.IsDeadlineExceeded();
+  return options.on_site_loss == OnSiteLoss::kDegrade && !EndsLadder(loss);
 }
 
 Status QueryDeadline::ArmRound(const std::string& round,

@@ -1,14 +1,14 @@
-// The unified executor API. Every engine — star over in-process sites
-// (DistributedExecutor), star over site processes (RpcExecutor), and
-// multi-tier (TreeExecutor) — implements skalla::Executor, is configured
-// through the one shared ExecutorOptions struct, and reports per-round
-// accounting into the one shared ExecStats. Engines differ only in *how*
-// they move fragments; results are bit-identical across all of them —
-// same rows in the same order, since every engine merges fragments in
-// site order — and byte counts are identical wherever the accounting is
-// defined the same way.
+// The unified executor API. Both engines — the star over in-process sites
+// (DistributedExecutor) and the star over site processes (RpcExecutor) —
+// implement skalla::Executor, run the one round driver
+// (dist/star_driver.h), are configured through the one shared
+// ExecutorOptions struct, and report per-round accounting into the one
+// shared ExecStats. Engines differ only in *how* they reach the sites;
+// results are bit-identical across them — same rows in the same order,
+// since the driver merges fragments in site order — and so are the
+// accounted payload bytes and tuples.
 //
-// See docs/EXECUTORS.md for the option-by-option semantics per engine.
+// See docs/EXECUTORS.md for the option-by-option semantics.
 
 #ifndef SKALLA_DIST_EXECUTOR_H_
 #define SKALLA_DIST_EXECUTOR_H_
@@ -40,59 +40,47 @@ enum class OnSiteLoss {
   kDegrade,
 };
 
-/// Options shared by every executor. Each engine honors the subset that
-/// is meaningful for it (documented per field and in docs/EXECUTORS.md);
-/// none of the knobs changes query results or transfer byte counts.
+/// Options shared by every executor. Both engines honor every field
+/// (docs/EXECUTORS.md); none of the knobs changes query results or
+/// transfer byte counts.
 struct ExecutorOptions {
   /// Run a round's sites concurrently on a thread pool; the coordinator
   /// merges fragment i as soon as fragments 0..i have arrived. Off by
   /// default: results and byte counts are identical either way, and
-  /// sequential execution gives stable compute timings. Honored by the
-  /// star-shaped engines (for rpc: requests fan out over the per-site
-  /// connections); TreeExecutor evaluates sites sequentially (its cost
-  /// model already charges the per-level maximum).
+  /// sequential execution gives stable compute timings. For rpc, requests
+  /// fan out over the per-site connections.
   bool parallel_sites = false;
   /// Worker count when parallel_sites is on; 0 = one per site.
   size_t num_threads = 0;
-
-  /// Row blocking (one of the classical distributed optimizations the
-  /// paper notes carries over, Sect. 4): tables ship in blocks of at most
-  /// this many rows, each block its own message, merged incrementally as
-  /// it arrives. Bounds coordinator buffering at the cost of per-message
-  /// latency and repeated headers. 0 = one message per table. Only the
-  /// DistributedExecutor blocks shipments; the other engines send one
-  /// message per fragment.
-  size_t ship_block_rows = 0;
 
   /// Which GMDJ kernel sites evaluate rounds with
   /// (EvalContext::engine; routing in core/evaluate.h): the columnar
   /// kernel by default, or one of the row oracle's modes. Results are
   /// byte-identical across engines — this is a differential-testing
-  /// lever. Honored by all engines through
-  /// StageEvalContext; the rpc executor ships it to site servers in
-  /// BeginPlan. ExecStats::engines_used reports what actually ran.
+  /// lever. Applied through StageEvalContext; the rpc executor ships it
+  /// to site servers in BeginPlan. ExecStats::engines_used reports what
+  /// actually ran.
   EvalEngine engine = EvalEngine::kColumnar;
 
   /// Fault hook (dist/fault.h); nullptr = no injection. Not owned.
-  /// Honored by all engines.
   FaultInjector* fault_injector = nullptr;
 
   /// How many times a failed site round is re-attempted before the
   /// failure escalates (to a replica when one exists, else to the
   /// failure surfacing / degrading). Recovery re-runs the round against
-  /// the site's durable local partition. Honored by all engines.
+  /// the site's durable local partition.
   size_t max_site_retries = 0;
 
   /// Escalation policy once a partition is lost (every replica
-  /// exhausted its retries). Honored by all engines.
+  /// exhausted its retries).
   OnSiteLoss on_site_loss = OnSiteLoss::kFail;
 
   /// Deadline for one round / the whole query, in milliseconds; 0 =
   /// unbounded. A fired deadline cancels in-flight site evaluation via
   /// the CancellationToken in EvalContext (morsel-granular, so the grace
-  /// period is bounded) and surfaces as Status::DeadlineExceeded.
-  /// Honored by all engines; the rpc executor additionally ships the
-  /// remaining budget to site servers with each round request.
+  /// period is bounded) and surfaces as Status::DeadlineExceeded. The
+  /// rpc executor additionally ships the remaining budget to site
+  /// servers with each round request.
   uint64_t round_deadline_ms = 0;
   uint64_t query_deadline_ms = 0;
 
@@ -102,16 +90,15 @@ struct ExecutorOptions {
   /// finalizes shard-parallel too. 1 (default) = the sequential merge;
   /// 0 = one shard per hardware thread. Results and transfer byte counts
   /// are identical for every value (sub-aggregate merging is associative
-  /// and key-disjoint across shards). In TreeExecutor every tier's
-  /// coordinator shards.
+  /// and key-disjoint across shards).
   size_t coordinator_shards = 1;
 
   /// Worker threads for intra-site morsel-parallel GMDJ evaluation
   /// (EvalContext::eval_threads at every site): 1 (default) = evaluate
   /// each site round on one thread, 0 = one worker per hardware thread.
-  /// Honored by all engines through StageEvalContext — the rpc executor
-  /// ships the value to site servers in BeginPlan. Results are
-  /// byte-identical for every value (see core/eval_context.h).
+  /// Applied through StageEvalContext — the rpc executor ships the value
+  /// to site servers in BeginPlan. Results are byte-identical for every
+  /// value (see core/eval_context.h).
   size_t eval_threads = 1;
 };
 
@@ -121,7 +108,7 @@ size_t ResolveCoordinatorShards(size_t configured);
 
 /// Per-submission parameters, distinct from the per-engine
 /// ExecutorOptions an executor is constructed around: ExecutorOptions
-/// describe the engine (topology, shards, fault policy), a QueryRun
+/// describe the engine (sites, shards, fault policy), a QueryRun
 /// describes one query flowing through it. The scheduler submits many
 /// QueryRuns against one executor concurrently; each carries its own
 /// identity, cancellation hook, and budget carve-outs. Every field's
@@ -170,9 +157,9 @@ EvalContext StageEvalContext(const ExecutorOptions& options,
 
 /// What one site measured evaluating one round, as reported back to the
 /// coordinator. The rpc engine fills every field from the RoundProfile
-/// each kRoundResult carries; the in-process engines fill the fields the
+/// each kRoundResult carries; the in-process engine fills the fields the
 /// site-side EvalProfile provides (wall/eval timings and data-plane
-/// counts) and leave the transport-only ones zero.
+/// counts) and leaves the transport-only ones zero.
 struct SiteRoundProfile {
   int site_id = 0;
   uint64_t wall_us = 0;
@@ -221,27 +208,18 @@ struct RoundStats {
   /// Site compute: max over sites (parallel response time) and total work.
   double site_time_max = 0;
   double site_time_sum = 0;
-  /// Coordinator compute (filtering, merging, finalizing). For the tree
-  /// executor this is the per-level maximum summed over levels.
+  /// Coordinator compute: reduction filtering, merging, finalizing.
   double coord_time = 0;
-  /// Modeled communication time (coordinator link serialized; per-level
-  /// maxima for the tree executor).
+  /// Modeled communication time of the round's shipments (the simulated
+  /// network's model in-process; zero over real sockets, whose cost is in
+  /// wall_time).
   double comm_time = 0;
-  /// Real elapsed duration of the round. Every star engine fills it
-  /// (under parallel_sites it reflects the site/merge overlap); the tree
-  /// engine leaves it 0.
+  /// Real elapsed duration of the round; under parallel_sites it reflects
+  /// the site/merge overlap.
   double wall_time = 0;
 
-  /// Bytes over the root coordinator's own links. Only the TreeExecutor
-  /// distinguishes the root from the rest of the topology; for it,
-  /// root_bytes <= bytes_to_sites + bytes_to_coord, with equality in the
-  /// degenerate star tree. The flat executors leave it 0.
-  uint64_t root_bytes = 0;
-
-  /// Per-site profiles for this round, in partition order (sites skipped
-  /// or lost this round have none). Filled by the star and rpc engines;
-  /// empty for the tree engine (its multi-tier topology has no per-site
-  /// round boundary at the root).
+  /// Per-site profiles for this round, in partition order; sites skipped
+  /// or lost this round have none.
   std::vector<SiteRoundProfile> site_profiles;
 
   /// Framed wire bytes this round moved (headers + payloads + CRCs).
@@ -298,9 +276,6 @@ struct ExecStats {
   uint64_t TotalBytesToSites() const;
   uint64_t TotalBytesToCoord() const;
   uint64_t TotalTuplesTransferred() const;
-  /// Tree executor only: bytes over the root's own links (its star-vs-tree
-  /// bottleneck figure). Zero for the flat executors.
-  uint64_t RootBytes() const;
   double TotalSiteTimeMax() const;
   double TotalSiteTimeSum() const;
   double TotalCoordTime() const;
@@ -316,9 +291,9 @@ struct ExecStats {
   std::string ToString() const;
 };
 
-/// The one interface every engine implements. Call sites that do not care
-/// about engine-specific accessors (the tree shape, the network) should
-/// depend on this, not on a concrete executor.
+/// The one interface both engines implement. Call sites that do not care
+/// about engine-specific accessors (the simulated network, the transport)
+/// should depend on this, not on a concrete executor.
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -350,10 +325,12 @@ class Executor {
 /// successful attempt's result) and re-attempting up to
 /// options.max_site_retries times. Adds the number of retries performed
 /// to *retries_out (may be nullptr). `cancel` (may be nullptr) is
-/// checked between attempts; a latched cancellation — typically a fired
-/// deadline — stops retrying immediately, as does an attempt failing
-/// with kDeadlineExceeded (deadlines are not transient). Thread-safe as
-/// long as the injector is (the FaultInjector contract).
+/// checked before the first attempt and after every failed one: once it
+/// is cancelled — a fired deadline, a session Cancel — its latched cause
+/// is returned without another attempt. An attempt failing with
+/// kDeadlineExceeded or kCancelled is not retried either (neither is
+/// transient). Thread-safe as long as the injector is (the FaultInjector
+/// contract).
 Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
                                const std::string& round,
                                const std::function<Result<Table>()>& attempt,
@@ -376,9 +353,10 @@ struct SiteRoundCounts {
 /// failure does not condemn its replicas. `attempt(r)` evaluates the
 /// round at replica r; because every replica holds the same partition
 /// and the round runs under the same EvalContext, a failed-over round's
-/// result is byte-identical to the primary's. Deadline failures do not
-/// fail over (the budget is gone everywhere). Returns the last replica's
-/// error when all are exhausted.
+/// result is byte-identical to the primary's. Deadline and cancellation
+/// failures do not fail over (the budget, or the caller, is gone
+/// everywhere), nor does anything once `cancel` is cancelled. Returns the
+/// last replica's error when all are exhausted.
 Result<Table> ExecuteSiteRoundReplicated(
     const ExecutorOptions& options, const std::vector<int>& replica_site_ids,
     const std::string& round,
@@ -387,8 +365,9 @@ Result<Table> ExecuteSiteRoundReplicated(
 
 /// The degrade rung of the ladder: whether a partition whose replica
 /// chain failed with `loss` drops out of the answer (OnSiteLoss::kDegrade)
-/// instead of failing the query. A fired deadline is never degraded away
-/// — the budget is gone for every partition alike.
+/// instead of failing the query. A fired deadline or a cancelled query is
+/// never degraded away — the budget, or the caller, is gone for every
+/// partition alike.
 bool DegradesOnLoss(const ExecutorOptions& options, const Status& loss);
 
 /// Per-query deadline bookkeeping shared by every engine: one instance

@@ -100,23 +100,6 @@ Status ValidatePlan(const DistributedPlan& plan, size_t num_sites) {
   return Status::OK();
 }
 
-std::vector<int> SiteFleet::ReplicaIds(size_t i) const {
-  std::vector<int> ids{sites[i].id()};
-  auto it = replicas.find(i);
-  if (it != replicas.end()) {
-    for (const Site& replica : it->second) ids.push_back(replica.id());
-  }
-  return ids;
-}
-
-Site& SiteFleet::Replica(size_t i, size_t r) {
-  return r == 0 ? sites[i] : replicas.at(i)[r - 1];
-}
-
-Status SiteFleet::Validate() const {
-  return ValidateReplicaPartitions(replicas, sites.size());
-}
-
 Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
                           const ExecutorOptions& options, SiteLink& link,
                           ExecStats* stats) {

@@ -1,5 +1,5 @@
-// The star round protocol — Alg. GMDJDistribEval — written once for every
-// star-shaped engine. RunStarPlan drives a DistributedPlan: a base round,
+// The star round protocol — Alg. GMDJDistribEval — written once for both
+// engines. RunStarPlan drives a DistributedPlan: a base round,
 // then per GMDJ round it distributes the base-result structure X (with
 // distribution-aware reduction and the S_MD ⊂ S_B site skip), evaluates
 // sub-aggregates at the sites through the retry -> failover -> degrade
@@ -22,7 +22,6 @@
 #define SKALLA_DIST_STAR_DRIVER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "core/eval_context.h"
 #include "dist/executor.h"
 #include "dist/plan.h"
-#include "dist/site.h"
 #include "storage/table.h"
 #include "types/schema.h"
 
@@ -136,21 +134,6 @@ Status ValidateReplicaPartitions(const ReplicaMap& replicas,
   }
   return Status::OK();
 }
-
-/// The in-process engines' sites: partition i's primary plus the
-/// replicas registered for it.
-struct SiteFleet {
-  std::vector<Site> sites;
-  std::map<size_t, std::vector<Site>> replicas;
-
-  /// Site ids of partition i's chain: primary, then replicas in
-  /// registration order.
-  std::vector<int> ReplicaIds(size_t i) const;
-  /// Replica r of partition i (r == 0 is the primary).
-  Site& Replica(size_t i, size_t r);
-  /// Validates the replica registrations.
-  Status Validate() const;
-};
 
 }  // namespace skalla
 

@@ -39,9 +39,8 @@ std::string RoundLine(const RoundStats& r) {
   return out;
 }
 
-// Per-site breakdown under a round, present when the engine recorded
-// SiteRoundProfiles (the star engines do; the tree engine aggregates
-// through intermediate tiers and leaves the vector empty).
+// Per-site breakdown under a round, one line per SiteRoundProfile (sites
+// skipped or lost this round have none).
 std::string SiteProfileLines(const RoundStats& r) {
   std::string out;
   if (r.site_profiles.empty()) return out;

@@ -1,11 +1,11 @@
 // RpcExecutor: the coordinator side of the distributed runtime when
 // sites are real processes. Implements skalla::Executor against a
 // Transport (in-process services or TCP-connected skalla-site
-// processes), driving the same DistributedPlan round structure as
-// DistributedExecutor and filling the same ExecStats contract.
+// processes), running the same round driver as DistributedExecutor
+// (dist/star_driver.h) and filling the same ExecStats contract.
 //
 // Accounting semantics (docs/RPC.md): bytes_to_sites / bytes_to_coord
-// count table payload bytes only, exactly as the simulated engines do,
+// count table payload bytes only, exactly as the in-process engine does,
 // so results AND byte counts are identical across transports. Frame
 // headers and handshakes land in the skalla.rpc.bytes.sent/.recv
 // metrics and in RoundStats::wire_bytes / ExecStats::*_wire_bytes
@@ -48,11 +48,11 @@ class RpcExecutor : public Executor {
   /// `options` maps as documented in docs/RPC.md: fault_injector and
   /// max_site_retries drive the retry loop (with the TCP transport, a
   /// retry reconnects with backoff); engine and eval_threads are
-  /// forwarded to the sites via kBeginPlan; ship_block_rows is ignored
-  /// (fragments ship whole); parallel_sites/num_threads fan a round's requests out over
-  /// the per-site connections concurrently (default: one site after the
-  /// other), with results, byte counts and profiles identical either
-  /// way; coordinator_shards works unchanged.
+  /// forwarded to the sites via kBeginPlan; parallel_sites/num_threads
+  /// fan a round's requests out over the per-site connections
+  /// concurrently (default: one site after the other), with results,
+  /// byte counts and profiles identical either way; coordinator_shards
+  /// works unchanged.
   RpcExecutor(std::unique_ptr<Transport> transport, ExecutorOptions options);
 
   /// Dials every site (TCP: kHello handshake) and fetches the catalog

@@ -16,7 +16,7 @@
 // rounds and from_cache = true, and the sites never hear about it.
 //
 // Concurrency safety is the executor's contract (Executor::Execute with
-// distinct QueryRuns): the in-process engines serialize per-site rounds
+// distinct QueryRuns): the in-process engine serializes per-site rounds
 // on the Site round locks, the rpc engine interleaves tagged frames per
 // connection. The scheduler adds no cross-query ordering beyond
 // admission.

@@ -79,8 +79,8 @@ class QuerySession {
   static Result<QuerySession> Open(std::vector<rpc::SiteEndpoint> endpoints,
                                    SessionOptions options = {});
 
-  /// Wraps a caller-built executor (any engine: star, tree, rpc)
-  /// in a session. Plans with generic (distribution-free) optimization.
+  /// Wraps a caller-built executor (either engine: the in-process star
+  /// or rpc) in a session. Plans with generic (distribution-free) optimization.
   static QuerySession Wrap(std::unique_ptr<Executor> executor,
                            SessionOptions options = {});
 

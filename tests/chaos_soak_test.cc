@@ -2,8 +2,8 @@
 // ChaosInjector (request faults, response faults, dead sites) and under
 // transport-level chaos in the TCP server, and every engine must produce
 // byte-for-byte the result of a fault-free run — star (sequential and
-// with parallel sites), tree, and rpc. Faults are a pure function of the
-// seed, so every failure here replays exactly.
+// with parallel sites) and rpc. Faults are a pure function of the seed,
+// so every failure here replays exactly.
 
 #include "dist/fault.h"
 
@@ -16,7 +16,6 @@
 
 #include "common/random.h"
 #include "dist/exec.h"
-#include "dist/tree.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
 #include "net/serde.h"
@@ -189,27 +188,6 @@ TEST(ChaosSoakTest, StarByteIdenticalUnderChaos) {
         Table result = executor.Execute(plan, nullptr).ValueOrDie();
         EXPECT_EQ(TableBytes(result), expected);
       }
-    }
-  }
-}
-
-TEST(ChaosSoakTest, TreeByteIdenticalUnderChaos) {
-  Fixture fx;
-  for (const GmdjExpr& query : QuerySuite()) {
-    DistributedPlan plan =
-        fx.dw.Plan(query, OptimizerOptions::All()).ValueOrDie();
-    TreeExecutor clean(fx.MakeSites(), CoordinatorTree::Balanced(kSites, 2),
-                       NetworkConfig{}, {});
-    std::vector<uint8_t> expected =
-        TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
-    for (uint64_t seed : {3u, 19u}) {
-      SCOPED_TRACE(seed);
-      ChaosInjector injector(SoakChaos(seed));
-      TreeExecutor executor(fx.MakeSites(),
-                            CoordinatorTree::Balanced(kSites, 2),
-                            NetworkConfig{}, SoakOptions(&injector));
-      Table result = executor.Execute(plan, nullptr).ValueOrDie();
-      EXPECT_EQ(TableBytes(result), expected);
     }
   }
 }

@@ -166,8 +166,9 @@ TEST(CoordinatorTest, ShardedBaseDedupMatchesSequential) {
 }
 
 TEST(CoordinatorTest, ShardedWorkingFragmentMatchesSequential) {
-  // The tree executor's upward path: merge from scratch, then take the
-  // unfinalized working fragment. Sharding must not change it.
+  // A from-scratch round (Prop. 2 / Corollary 1 plans): fragments insert
+  // groups into an empty working structure as they arrive. Sharding must
+  // not change the finalized result.
   Table detail = MakeDetail(11, 200);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
   GmdjOp op = TestOp();
@@ -184,7 +185,8 @@ TEST(CoordinatorTest, ShardedWorkingFragmentMatchesSequential) {
     c.BeginRound(op, *base.schema(), *detail.schema(), /*from_scratch=*/true)
         .Check();
     for (const Table& f : fragments) c.MergeFragment(f).Check();
-    return c.TakeWorkingFragment().ValueOrDie();
+    c.FinalizeRound().Check();
+    return c.result();
   };
   Table sequential = run(1);
   Table sharded = run(4);

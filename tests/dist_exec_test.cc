@@ -294,34 +294,6 @@ TEST(DistExecTest, ConstantPredicatePruningSkipsSites) {
   EXPECT_EQ(stats.rounds[1].sites_skipped, 3u);
 }
 
-TEST(DistExecTest, RowBlockingPreservesResultsAndTuples) {
-  Table flow = MakeFlowTable(37, 400, 10, 4);
-  ExecutorOptions blocked;
-  blocked.ship_block_rows = 7;
-  DistributedWarehouse plain_dw(4);
-  DistributedWarehouse blocked_dw(4, NetworkConfig{}, blocked);
-  plain_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
-  blocked_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"})
-      .Check();
-
-  GmdjExpr expr = Example1Expr();
-  ExecStats plain_stats;
-  ExecStats blocked_stats;
-  Table plain =
-      plain_dw.Execute(expr, OptimizerOptions::None(), &plain_stats)
-          .ValueOrDie();
-  Table blocked_result =
-      blocked_dw.Execute(expr, OptimizerOptions::None(), &blocked_stats)
-          .ValueOrDie();
-  EXPECT_TRUE(plain.SameRows(blocked_result));
-  // Same tuples travel; blocking adds per-block header bytes and
-  // per-message latency.
-  EXPECT_EQ(plain_stats.TotalTuplesTransferred(),
-            blocked_stats.TotalTuplesTransferred());
-  EXPECT_GT(blocked_stats.TotalBytes(), plain_stats.TotalBytes());
-  EXPECT_GT(blocked_stats.TotalCommTime(), plain_stats.TotalCommTime());
-}
-
 TEST(DistExecTest, EmptyPartitionSitesAreHarmless) {
   // More sites than distinct partition values: some sites hold no rows.
   Table flow = MakeFlowTable(29, 100, 3, 2);

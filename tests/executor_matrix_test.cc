@@ -1,22 +1,22 @@
 // Cross-executor consistency matrix: the same optimized plan executed by
-// every engine variant — synchronous star, parallel sites (one worker per
-// site, and two workers), row-blocked, row-oracle sites, and coordinator
-// trees of two fanouts — through the unified skalla::Executor interface,
-// crossed with coordinator_shards ∈ {1, 4}. Every combination must
-// produce results identical to the centralized evaluator; every
-// star-shaped variant must reproduce the star baseline row for row;
-// sharding must leave results (row order included), transfer bytes, and
-// tuple counts exactly as the sequential merge produced them; where byte
-// accounting is defined the same way as the star's (all variants but the
-// tree), byte counts match the star baseline too.
+// every engine variant — the in-process star (sequential, parallel sites
+// with one worker per site and with two workers, row-oracle sites) and
+// the rpc engine over in-process site services (sequential and parallel
+// sites) — through the unified skalla::Executor interface, crossed with
+// coordinator_shards ∈ {1, 4} and eval_threads ∈ {1, 4}. Every
+// combination must produce results identical to the centralized
+// evaluator, reproduce the star baseline row for row, and move exactly
+// the star baseline's payload bytes and tuples; every round reports its
+// wall time.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "common/random.h"
-#include "dist/tree.h"
 #include "dist/warehouse.h"
+#include "rpc/rpc_executor.h"
+#include "rpc/transport.h"
 #include "sql/parser.h"
 #include "storage/partition.h"
 #include "types/row.h"
@@ -66,24 +66,25 @@ bool ExactlyEqual(const Table& a, const Table& b) {
 struct Variant {
   const char* name;
   ExecutorOptions options;
-  // How byte accounting relates to the star baseline: "exact" variants
-  // ship identical messages; "blocked" splits them (more headers);
-  // "tree" adds inter-coordinator links.
-  bool bytes_match_star;
 };
 
 // Builds the variant's engine behind the unified interface.
 std::unique_ptr<Executor> MakeExecutor(const std::string& name,
                                        const std::vector<Table>& parts,
                                        const ExecutorOptions& options) {
-  if (name == "tree2" || name == "tree3") {
-    size_t fanout = name == "tree2" ? 2 : 3;
-    return std::make_unique<TreeExecutor>(
-        MakeSites(parts), CoordinatorTree::Balanced(kSites, fanout),
-        NetworkConfig{}, options);
+  if (name.rfind("rpc", 0) == 0) {
+    return std::make_unique<rpc::RpcExecutor>(
+        std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
   }
   return std::make_unique<DistributedExecutor>(MakeSites(parts),
                                                NetworkConfig{}, options);
+}
+
+// Every engine times every round it runs.
+void ExpectRoundsTimed(const ExecStats& stats, const std::string& what) {
+  for (const RoundStats& round : stats.rounds) {
+    EXPECT_GT(round.wall_time, 0) << what << " " << round.label;
+  }
 }
 
 TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
@@ -110,15 +111,11 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
   parallel.parallel_sites = true;
   ExecutorOptions parallel2 = parallel;
   parallel2.num_threads = 2;
-  ExecutorOptions blocked;
-  blocked.ship_block_rows = 11;
   ExecutorOptions row;
   row.engine = EvalEngine::kRow;
   const Variant variants[] = {
-      {"star", {}, true},          {"parallel", parallel, true},
-      {"parallel2", parallel2, true}, {"blocked", blocked, false},
-      {"row", row, true},          {"tree2", {}, false},
-      {"tree3", {}, false},
+      {"star", {}},         {"parallel", parallel}, {"parallel2", parallel2},
+      {"row", row},         {"rpc", {}},            {"rpc_parallel", parallel},
   };
 
   for (int opt_mask : {0, 15}) {
@@ -136,6 +133,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
     std::unique_ptr<Executor> star = MakeExecutor("star", parts, {});
     Table star_result = star->Execute(plan, &star_stats).ValueOrDie();
     ASSERT_TRUE(star_result.SameRows(reference)) << "star, opts " << opt_mask;
+    ExpectRoundsTimed(star_stats, "star baseline");
     // A default in-process run evaluates every GMDJ round with the
     // columnar kernel at every site (base rounds run no kernel).
     EXPECT_EQ(star_stats.engines_used, kEngineBitColumnar);
@@ -163,17 +161,14 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
         EXPECT_EQ(seq_stats.engines_used, kEngineBitRow);
       }
 
-      if (variant.bytes_match_star) {
-        EXPECT_EQ(seq_stats.TotalBytes(), star_stats.TotalBytes())
-            << variant.name << ", opts " << opt_mask;
-      }
-      if (std::string(variant.name).rfind("tree", 0) != 0) {
-        EXPECT_TRUE(ExactlyEqual(seq_result, star_result))
-            << variant.name << ", opts " << opt_mask;
-        EXPECT_EQ(seq_stats.TotalTuplesTransferred(),
-                  star_stats.TotalTuplesTransferred())
-            << variant.name << ", opts " << opt_mask;
-      }
+      EXPECT_TRUE(ExactlyEqual(seq_result, star_result))
+          << variant.name << ", opts " << opt_mask;
+      EXPECT_EQ(seq_stats.TotalBytes(), star_stats.TotalBytes())
+          << variant.name << ", opts " << opt_mask;
+      EXPECT_EQ(seq_stats.TotalTuplesTransferred(),
+                star_stats.TotalTuplesTransferred())
+          << variant.name << ", opts " << opt_mask;
+      ExpectRoundsTimed(seq_stats, variant.name);
 
       // Sharded-merge run: results (row for row), bytes, and tuples must
       // be exactly what the sequential merge produced.
@@ -197,8 +192,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       EXPECT_EQ(sharded_stats.TotalTuplesTransferred(),
                 seq_stats.TotalTuplesTransferred())
           << variant.name << " shards=4, opts " << opt_mask;
-      EXPECT_EQ(sharded_stats.RootBytes(), seq_stats.RootBytes())
-          << variant.name << " shards=4, opts " << opt_mask;
+      ExpectRoundsTimed(sharded_stats, variant.name);
 
       // Intra-site parallel run: eval_threads is scheduling-only, so
       // results (row for row) and every byte count must be exactly the
@@ -217,6 +211,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       EXPECT_EQ(threaded_stats.TotalTuplesTransferred(),
                 seq_stats.TotalTuplesTransferred())
           << variant.name << " eval_threads=4, opts " << opt_mask;
+      ExpectRoundsTimed(threaded_stats, variant.name);
     }
   }
 }

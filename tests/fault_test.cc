@@ -1,14 +1,16 @@
 // Fault injection and recovery across every engine — star (sequential
-// and with parallel sites), tree, and rpc: site retries,
-// replica failover, degraded execution (OnSiteLoss::kDegrade), and
-// query/round deadlines, which share one policy via ExecutorOptions.
+// and with parallel sites) and rpc: site retries, replica failover,
+// degraded execution (OnSiteLoss::kDegrade), and query/round deadlines
+// and cancellation, which share one policy via ExecutorOptions.
 
 #include "dist/fault.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 
 #include "common/macros.h"
@@ -16,7 +18,6 @@
 #include "core/cancellation.h"
 #include "core/local_eval.h"
 #include "dist/exec.h"
-#include "dist/tree.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
 #include "rpc/rpc_executor.h"
@@ -203,74 +204,9 @@ TEST(FaultTest, ParallelPermanentSiteFailureAborts) {
   EXPECT_NE(result.status().message().find("site 2"), std::string::npos);
 }
 
-// Same scenario through the TreeExecutor: the retry loop is the shared
-// ExecuteSiteRound, so recovery and accounting must match the star.
-Result<Table> RunTreeWithFaults(const Table& flow, FaultInjector* injector,
-                                size_t retries, ExecStats* stats,
-                                const OptimizerOptions& opts) {
-  const size_t kSites = 4;
-  DistributedWarehouse dw(kSites);
-  Status s = dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"});
-  if (!s.ok()) return s;
-  SKALLA_ASSIGN_OR_RETURN(DistributedPlan plan, dw.Plan(SimpleQuery(), opts));
-  SKALLA_ASSIGN_OR_RETURN(std::vector<Table> parts,
-                          PartitionByValue(flow, "SAS", kSites));
-  std::vector<Site> sites;
-  for (size_t i = 0; i < kSites; ++i) {
-    Catalog catalog;
-    catalog.Register("flow", parts[i]);
-    sites.emplace_back(static_cast<int>(i), std::move(catalog));
-  }
-  ExecutorOptions exec_options;
-  exec_options.fault_injector = injector;
-  exec_options.max_site_retries = retries;
-  TreeExecutor executor(std::move(sites),
-                        CoordinatorTree::Balanced(kSites, 2), NetworkConfig{},
-                        exec_options);
-  return executor.Execute(plan, stats);
-}
-
-TEST(FaultTest, TreeTransientFailuresRecoverWithRetry) {
-  Table flow = MakeFlow(600);
-  DistributedWarehouse reference_dw(4);
-  reference_dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"}).Check();
-  Table expected =
-      reference_dw.ExecuteCentralized(SimpleQuery()).ValueOrDie();
-
-  TransientFaultInjector injector(/*failures=*/1);
-  ExecStats stats;
-  Table result = RunTreeWithFaults(flow, &injector, /*retries=*/2, &stats,
-                                   OptimizerOptions::None())
-                     .ValueOrDie();
-  EXPECT_TRUE(result.SameRows(expected));
-  EXPECT_GT(injector.injected(), 0);
-  size_t total_retries = 0;
-  for (const RoundStats& r : stats.rounds) total_retries += r.site_retries;
-  // Every (site, round) pair failed once: 4 sites x 3 rounds.
-  EXPECT_EQ(total_retries, 12u);
-}
-
-TEST(FaultTest, TreeExhaustedRetriesSurfaceTheFailure) {
-  Table flow = MakeFlow(200);
-  TransientFaultInjector injector(/*failures=*/3);
-  auto result = RunTreeWithFaults(flow, &injector, /*retries=*/1, nullptr,
-                                  OptimizerOptions::None());
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsIOError());
-}
-
-TEST(FaultTest, TreePermanentSiteFailureAborts) {
-  Table flow = MakeFlow(200);
-  PermanentSiteFailure injector(/*site=*/2);
-  auto result = RunTreeWithFaults(flow, &injector, /*retries=*/5, nullptr,
-                                  OptimizerOptions::None());
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("site 2"), std::string::npos);
-}
-
 // Same scenario again through the RpcExecutor (in-process transport):
 // the retry loop is the shared ExecuteSiteRound, so recovery and
-// accounting must be identical to the simulated engines.
+// accounting must be identical to the in-process engine.
 Result<Table> RunRpcWithFaults(const Table& flow, FaultInjector* injector,
                                size_t retries, ExecStats* stats,
                                const OptimizerOptions& opts) {
@@ -352,12 +288,6 @@ TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
                         &parallel_stats, OptimizerOptions::None())
       .ValueOrDie();
 
-  TransientFaultInjector tree_injector(/*failures=*/1);
-  ExecStats tree_stats;
-  RunTreeWithFaults(flow, &tree_injector, /*retries=*/2, &tree_stats,
-                    OptimizerOptions::None())
-      .ValueOrDie();
-
   TransientFaultInjector rpc_injector(/*failures=*/1);
   ExecStats rpc_stats;
   RunRpcWithFaults(flow, &rpc_injector, /*retries=*/2, &rpc_stats,
@@ -365,22 +295,17 @@ TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
       .ValueOrDie();
 
   ASSERT_EQ(dist_stats.rounds.size(), parallel_stats.rounds.size());
-  ASSERT_EQ(dist_stats.rounds.size(), tree_stats.rounds.size());
   ASSERT_EQ(dist_stats.rounds.size(), rpc_stats.rounds.size());
   for (size_t r = 0; r < dist_stats.rounds.size(); ++r) {
     SCOPED_TRACE(dist_stats.rounds[r].label);
     EXPECT_EQ(parallel_stats.rounds[r].label, dist_stats.rounds[r].label);
-    EXPECT_EQ(tree_stats.rounds[r].label, dist_stats.rounds[r].label);
     EXPECT_EQ(rpc_stats.rounds[r].label, dist_stats.rounds[r].label);
     EXPECT_EQ(parallel_stats.rounds[r].site_retries,
-              dist_stats.rounds[r].site_retries);
-    EXPECT_EQ(tree_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
     EXPECT_EQ(rpc_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
   }
   EXPECT_EQ(dist_injector.injected(), parallel_injector.injected());
-  EXPECT_EQ(dist_injector.injected(), tree_injector.injected());
   EXPECT_EQ(dist_injector.injected(), rpc_injector.injected());
 }
 
@@ -472,21 +397,6 @@ TEST(FailoverTest, ParallelFailsOverToReplicaOnPermanentLoss) {
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
-  EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
-  EXPECT_TRUE(stats.complete());
-}
-
-TEST(FailoverTest, TreeFailsOverToReplicaOnPermanentLoss) {
-  Table flow = MakeFlow(600);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  PermanentSiteFailure injector(/*site=*/2);
-  TreeExecutor executor(std::move(fleet.sites),
-                        CoordinatorTree::Balanced(4, 2), NetworkConfig{},
-                        FaultOptions(&injector, /*retries=*/1));
-  executor.AddReplica(2, MakeReplica(fleet, 2));
-  ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
-  EXPECT_TRUE(result.SameRows(fleet.expected));
   EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
   EXPECT_TRUE(stats.complete());
 }
@@ -626,23 +536,6 @@ TEST(DegradeTest, ParallelDegradeCompletesOverSurvivors) {
   }
 }
 
-TEST(DegradeTest, TreeDegradeCompletesOverSurvivors) {
-  Table flow = MakeFlow(600);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  Table expected = DegradedExpected(fleet, 2);
-  PermanentSiteFailure injector(/*site=*/2);
-  ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
-  options.on_site_loss = OnSiteLoss::kDegrade;
-  TreeExecutor executor(std::move(fleet.sites),
-                        CoordinatorTree::Balanced(4, 2), NetworkConfig{},
-                        options);
-  ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
-  EXPECT_TRUE(result.SameRows(expected));
-  ASSERT_EQ(stats.lost_sites.size(), 1u);
-  EXPECT_EQ(stats.lost_sites[0], 2);
-}
-
 TEST(DegradeTest, RpcDegradeCompletesOverSurvivors) {
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
@@ -700,21 +593,6 @@ TEST(DeadlineTest, ParallelQueryDeadlineSurfacesTyped) {
   options.query_deadline_ms = 1;
   DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
                                ParallelSites(options));
-  auto result = executor.Execute(fleet.plan, nullptr);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDeadlineExceeded())
-      << result.status().ToString();
-}
-
-TEST(DeadlineTest, TreeQueryDeadlineSurfacesTyped) {
-  Table flow = MakeFlow(400);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  DelayInjector injector(/*ms=*/5);
-  ExecutorOptions options = FaultOptions(&injector, /*retries=*/3);
-  options.query_deadline_ms = 1;
-  TreeExecutor executor(std::move(fleet.sites),
-                        CoordinatorTree::Balanced(4, 2), NetworkConfig{},
-                        options);
   auto result = executor.Execute(fleet.plan, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded())
@@ -781,6 +659,76 @@ TEST(DeadlineTest, CancellationStopsKernelEvaluation) {
       base, fleet.plan.stages[0].op, context);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
+}
+
+// ---- Cancellation --------------------------------------------------------
+
+// Injector that cancels the query's QueryRun token — what
+// QuerySession::Cancel does — when site 0 starts round `round`, and
+// counts every attempt of that round per site id.
+class CancelAtRoundInjector : public FaultInjector {
+ public:
+  CancelAtRoundInjector(CancellationToken* query, std::string round)
+      : query_(query), round_(std::move(round)) {}
+
+  Status BeforeSiteRound(int site, const std::string& round) override {
+    if (round != round_) return Status::OK();
+    std::lock_guard<std::mutex> lock(mu_);
+    ++attempts_[site];
+    if (site == 0) query_->Cancel(Status::Cancelled("test: query cancelled"));
+    return Status::OK();
+  }
+
+  std::map<int, int> attempts() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return attempts_;
+  }
+
+ private:
+  CancellationToken* query_;
+  std::string round_;
+  mutable std::mutex mu_;
+  std::map<int, int> attempts_;
+};
+
+// A cancelled query is not a lost site: under kDegrade the ladder must
+// not retry, fail over or degrade the cancelled partitions away — the
+// query surfaces Status::Cancelled.
+void ExpectCancellationIsNotDegraded(bool parallel_sites) {
+  Table flow = MakeFlow(600);
+  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
+  CancellationToken query;
+  CancelAtRoundInjector injector(
+      &query, "md" + std::to_string(fleet.plan.stages.size()));
+  ExecutorOptions options = FaultOptions(&injector, /*retries=*/2);
+  options.on_site_loss = OnSiteLoss::kDegrade;
+  options.parallel_sites = parallel_sites;
+  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
+                               options);
+  executor.AddReplica(1, MakeReplica(fleet, 1));
+  QueryRun run;
+  run.cancellation = &query;
+  ExecStats stats;
+  auto result = executor.Execute(fleet.plan, run, &stats);
+  ASSERT_FALSE(result.ok()) << "lost sites: " << stats.lost_sites.size();
+  EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  EXPECT_TRUE(stats.lost_sites.empty());
+  EXPECT_EQ(stats.TotalSiteRetries(), 0u);
+  EXPECT_EQ(stats.TotalSiteFailovers(), 0u);
+  // No site attempted the cancelled round twice, and no replica (ids
+  // 100 + i) took it over.
+  for (const auto& [site, attempts] : injector.attempts()) {
+    EXPECT_EQ(attempts, 1) << "site " << site;
+    EXPECT_LT(site, 100) << "failed over to replica " << site;
+  }
+}
+
+TEST(CancelTest, DegradeDoesNotSwallowCancellation) {
+  ExpectCancellationIsNotDegraded(/*parallel_sites=*/false);
+}
+
+TEST(CancelTest, ParallelDegradeDoesNotSwallowCancellation) {
+  ExpectCancellationIsNotDegraded(/*parallel_sites=*/true);
 }
 
 // ---- Injector satellites -------------------------------------------------

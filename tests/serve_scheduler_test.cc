@@ -2,7 +2,7 @@
 // through a QuerySession at admission width 1 (strictly sequential) and
 // width 8 (everything in flight at once, sites shared) must resolve to
 // byte-identical per-query results, for every engine — star (sequential
-// and with parallel sites), tree, and rpc over real loopback sockets.
+// and with parallel sites) and rpc over real loopback sockets.
 // Also covers admission bookkeeping, cancellation, and queue-expired
 // deadlines.
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "dist/tree.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
 #include "rpc/rpc_executor.h"
@@ -169,11 +168,6 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
          options.parallel_sites = true;
          return std::make_unique<DistributedExecutor>(MakeSites(p),
                                                       NetworkConfig{}, options);
-       }},
-      {"tree2",
-       [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
-         return std::make_unique<TreeExecutor>(
-             MakeSites(p), CoordinatorTree::Balanced(kSites, 2));
        }},
       {"rpc",
        [&](const std::vector<Table>&) -> std::unique_ptr<Executor> {

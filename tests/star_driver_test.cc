@@ -162,7 +162,7 @@ TEST_P(ParallelEquivalenceTest, MatchesSequentialExactly) {
 
   EXPECT_TRUE(ExactlyEqual(par_result, seq_result)) << "mask " << mask;
   ExpectSameAccounting(par_stats, seq_stats);
-  // Every star engine reports real wall time per round.
+  // Both engines report real wall time per round.
   for (const ExecStats* stats : {&seq_stats, &par_stats}) {
     for (const RoundStats& r : stats->rounds) EXPECT_GT(r.wall_time, 0.0);
   }
