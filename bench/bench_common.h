@@ -56,9 +56,18 @@ inline std::vector<Table> MakeTpcrPartitions(int64_t total_rows,
 // Builds a warehouse over the first `n` of the given partitions — the
 // paper's speed-up methodology (fix the 8-way partitioned data set, vary
 // the number of participating sites).
+// The fig benches model a round as comm + slowest site + coordinator, so
+// they evaluate sites one after another: concurrent sites on a machine
+// with fewer cores than sites would inflate the slowest site's time.
+inline ExecutorOptions SequentialFanOut() {
+  ExecutorOptions options;
+  options.fanout_threads = 1;
+  return options;
+}
+
 inline DistributedWarehouse MakeWarehouse(
-    const std::vector<Table>& partitions, size_t n,
-    NetworkConfig net = {}, ExecutorOptions exec_options = {}) {
+    const std::vector<Table>& partitions, size_t n, NetworkConfig net = {},
+    ExecutorOptions exec_options = SequentialFanOut()) {
   DistributedWarehouse dw(n, net, exec_options);
   std::vector<Table> subset(partitions.begin(),
                             partitions.begin() + static_cast<int64_t>(n));

@@ -18,7 +18,7 @@ void Run() {
   const size_t kSites = 8;
   std::vector<Table> partitions =
       bench::MakeTpcrPartitions(kRows, kCustomers, kSites);
-  DistributedWarehouse dw(kSites);
+  DistributedWarehouse dw(kSites, {}, bench::SequentialFanOut());
   {
     std::vector<Table> copy = partitions;
     dw.AddPartitionedTable("tpcr", std::move(copy),

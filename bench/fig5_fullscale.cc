@@ -188,7 +188,7 @@ RunRow RunOnce(const std::string& binary, const DistributedPlan& plan,
   {
     rpc::RpcExecutor executor(
         std::make_unique<rpc::TcpTransport>(std::move(endpoints)),
-        ExecutorOptions{});
+        bench::SequentialFanOut());
     ExecStats stats;
     auto started = std::chrono::steady_clock::now();
     auto result = executor.Execute(plan, &stats);

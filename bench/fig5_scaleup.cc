@@ -50,7 +50,7 @@ size_t g_shards = 1;
 size_t g_eval_threads = 1;
 
 ExecutorOptions ExecOptions() {
-  ExecutorOptions options;
+  ExecutorOptions options = bench::SequentialFanOut();
   options.coordinator_shards = g_shards;
   options.eval_threads = g_eval_threads;
   return options;

@@ -36,9 +36,10 @@ struct SiteFleet {
   Status Validate() const;
 };
 
-/// Star executor. Owns the sites and the simulated network. Sites run
-/// sequentially unless options.parallel_sites — then concurrently, with
-/// fragments merging as they arrive (results stay byte-identical).
+/// Star executor. Owns the sites and the simulated network. A round's
+/// sites run concurrently by default, with fragments merging in site
+/// order as they arrive; options.fanout_threads = 1 runs them one after
+/// another (results stay byte-identical either way).
 class DistributedExecutor : public Executor {
  public:
   explicit DistributedExecutor(std::vector<Site> sites,

@@ -44,14 +44,15 @@ enum class OnSiteLoss {
 /// (docs/EXECUTORS.md); none of the knobs changes query results or
 /// transfer byte counts.
 struct ExecutorOptions {
-  /// Run a round's sites concurrently on a thread pool; the coordinator
-  /// merges fragment i as soon as fragments 0..i have arrived. Off by
-  /// default: results and byte counts are identical either way, and
-  /// sequential execution gives stable compute timings. For rpc, requests
-  /// fan out over the per-site connections.
-  bool parallel_sites = false;
-  /// Worker count when parallel_sites is on; 0 = one per site.
-  size_t num_threads = 0;
+  /// How a round fans out to its sites: 0 (default) = concurrently, one
+  /// worker per site; 1 = one site after another, in site order, on the
+  /// calling thread; k = a pool of k workers. The coordinator merges
+  /// fragment i as soon as fragments 0..i have arrived, so a round costs
+  /// its slowest site, and results, byte counts and per-site profiles are
+  /// identical for every value. 1 gives stable per-site compute timings
+  /// (the in-process fig benches' modeled time). For rpc, requests fan
+  /// out over the per-site connections.
+  size_t fanout_threads = 0;
 
   /// Which GMDJ kernel sites evaluate rounds with
   /// (EvalContext::engine; routing in core/evaluate.h): the columnar
@@ -214,9 +215,14 @@ struct RoundStats {
   /// network's model in-process; zero over real sockets, whose cost is in
   /// wall_time).
   double comm_time = 0;
-  /// Real elapsed duration of the round; under parallel_sites it reflects
-  /// the site/merge overlap.
+  /// Real elapsed duration of the round; under a concurrent fan-out it
+  /// reflects the site/merge overlap.
   double wall_time = 0;
+  /// Time the coordinator thread spent in the fan-out waiting for the
+  /// next in-order fragment, its own merge time excluded: the sum of the
+  /// sites with fanout_threads = 1, about the slowest site when they run
+  /// concurrently. Always <= wall_time.
+  double fanout_wait = 0;
 
   /// Per-site profiles for this round, in partition order; sites skipped
   /// or lost this round have none.

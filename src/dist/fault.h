@@ -90,7 +90,7 @@ class PermanentSiteFailure : public FaultInjector {
 /// (site, round, attempt, phase) tuples. Every decision is a pure
 /// function of the seed and those coordinates — never of wall-clock time
 /// or thread interleaving — so a chaos run is exactly reproducible from
-/// its seed even under parallel_sites concurrency.
+/// its seed even under a concurrent site fan-out.
 ///
 /// Fault classes:
 ///   - request faults  (BeforeSiteRound, probability before_fail_prob)

@@ -34,10 +34,10 @@ struct SiteSlot {
 };
 
 // Runs site(i) for every i, and merge(i) on the calling thread in index
-// order, each as soon as sites 0..i are done. Inline when `pool` is
-// null. On the first error, cancels `cancel` so in-flight site work stops
-// early, waits for every task (they reference the caller's frame), and
-// returns that error.
+// order, each as soon as sites 0..i are done. Inline, in site order, when
+// `pool` is null. On the first error, cancels `cancel` so in-flight site
+// work stops early, waits for every task (they reference the caller's
+// frame), and returns that error.
 Status FanOut(size_t n, ThreadPool* pool, CancellationToken* cancel,
               const std::function<Status(size_t)>& site,
               const std::function<Status(size_t)>& merge) {
@@ -129,11 +129,11 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
   Coordinator coordinator(plan.key_columns,
                           ResolveCoordinatorShards(options.coordinator_shards));
   const QueryDeadline deadline(options, run);
+  // fanout_threads: 0 = one worker per site, 1 = inline on this thread.
+  const size_t width = std::min(
+      n, options.fanout_threads == 0 ? n : options.fanout_threads);
   std::unique_ptr<ThreadPool> pool;
-  if (options.parallel_sites && n > 1) {
-    pool = std::make_unique<ThreadPool>(
-        options.num_threads == 0 ? n : options.num_threads);
-  }
+  if (width > 1) pool = std::make_unique<ThreadPool>(width);
   // Partitions whose every replica is gone; only DegradesOnLoss sets
   // these — the query completes over the survivors and the loss is
   // reported in st.lost_sites / RoundStats::sites_lost.
@@ -244,6 +244,7 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
       slot.fragment = std::move(*fragment);
       return Status::OK();
     };
+    double merge_time = 0;
     auto merge = [&](size_t i) -> Status {
       SiteSlot& slot = slots[i];
       if (!rs.synchronized || lost[i] || slot.skipped || slot.lost) {
@@ -253,11 +254,14 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
       SKALLA_RETURN_NOT_OK(stage == nullptr
                                ? coordinator.MergeBaseFragment(slot.fragment)
                                : coordinator.MergeFragment(slot.fragment));
-      rs.coord_time += merge_timer.ElapsedSeconds();
+      merge_time += merge_timer.ElapsedSeconds();
       slot.fragment = Table();
       return Status::OK();
     };
+    Stopwatch fanout_timer;
     SKALLA_RETURN_NOT_OK(FanOut(n, pool.get(), &round_cancel, run_site, merge));
+    rs.fanout_wait = std::max(0.0, fanout_timer.ElapsedSeconds() - merge_time);
+    rs.coord_time += merge_time;
     if (rs.synchronized) {
       Stopwatch finalize_timer;
       SKALLA_RETURN_NOT_OK(stage == nullptr ? coordinator.FinalizeBase()
@@ -306,6 +310,8 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
     SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);
     SKALLA_COUNTER_ADD("skalla.round.tuples_to_sites", rs.tuples_to_sites);
     SKALLA_COUNTER_ADD("skalla.round.tuples_to_coord", rs.tuples_to_coord);
+    SKALLA_HISTOGRAM_RECORD("skalla.round.fanout_wait_us",
+                            rs.fanout_wait * 1e6);
     st.rounds.push_back(std::move(rs));
   }
 

@@ -11,12 +11,15 @@
 // simulated network (dist/exec.cc) and RpcExecutor's site processes
 // (rpc/rpc_executor.cc).
 //
-// Fan-out: sequential by default; with options.parallel_sites the sites
-// of a round run on a pool of options.num_threads workers (0 = one per
-// site). Either way the coordinator merges fragment i as soon as
-// fragments 0..i have arrived, so a concurrent run overlaps merging with
-// slower sites (Sect. 3.2's incremental synchronization) and still
-// produces output byte-identical to the sequential merge.
+// Fan-out: by default a round's sites run concurrently, one worker per
+// site, so a round costs its slowest site rather than the sum of them;
+// options.fanout_threads = 1 runs them one after another on the calling
+// thread, k > 1 on a pool of k workers. Either way the coordinator merges
+// fragment i as soon as fragments 0..i have arrived, so a concurrent run
+// overlaps merging with slower sites (Sect. 3.2's incremental
+// synchronization) and still produces output byte-identical to the
+// sequential merge. RoundStats::fanout_wait reports how long the
+// coordinator waited on the sites.
 
 #ifndef SKALLA_DIST_STAR_DRIVER_H_
 #define SKALLA_DIST_STAR_DRIVER_H_
@@ -76,8 +79,8 @@ struct SiteAttempt {
 };
 
 /// How the driver reaches the sites of one execution. Calls for site i
-/// come from one task at a time (its own pool thread under
-/// parallel_sites), so per-site link state needs no locking.
+/// come from one task at a time (a pool thread under a concurrent
+/// fan-out), so per-site link state needs no locking.
 class SiteLink {
  public:
   virtual ~SiteLink() = default;

@@ -29,8 +29,9 @@ std::string RoundLine(const RoundStats& r) {
                      r.sites_skipped, r.site_retries);
   }
   if (r.wall_time > 0) {
-    out += StrPrintf("              wall (overlapped) %.3f ms\n",
-                     r.wall_time * 1e3);
+    out += StrPrintf(
+        "              wall (overlapped) %.3f ms, fan-out wait %.3f ms\n",
+        r.wall_time * 1e3, r.fanout_wait * 1e3);
   }
   if (r.wire_bytes > 0) {
     out += StrPrintf("              wire %llu bytes (frame headers incl.)\n",

@@ -127,9 +127,14 @@ Result<SchemaPtr> RpcExecutor::TableSchema(const std::string& name) const {
 }
 
 uint64_t RpcExecutor::wire_bytes() const {
+  // connect_mu_ keeps the connection list stable (and the catalog probe,
+  // which calls without connection locks, out); each connection's lock
+  // orders the read after any exchange in flight on it.
+  std::lock_guard<std::mutex> connect_lock(connect_mu_);
   uint64_t total = 0;
-  for (const std::unique_ptr<Connection>& connection : connections_) {
-    if (connection != nullptr) total += connection->wire_bytes();
+  for (size_t i = 0; i < connections_.size(); ++i) {
+    std::lock_guard<std::mutex> lock(*connection_mu_[i]);
+    total += connections_[i]->wire_bytes();
   }
   return total;
 }
@@ -216,7 +221,8 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
 // a site's carried-over structure stays on the primary (a replica process
 // never built that structure). Per-endpoint state is touched only by the
 // task of the partition owning the endpoint (BeginPlan rejects an
-// endpoint registered twice), so it needs no lock under parallel_sites.
+// endpoint registered twice), so it needs no lock under a concurrent
+// fan-out.
 class RpcExecutor::Link : public SiteLink {
  public:
   Link(RpcExecutor* executor, const QueryRun& run)

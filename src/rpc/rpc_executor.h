@@ -48,11 +48,11 @@ class RpcExecutor : public Executor {
   /// `options` maps as documented in docs/RPC.md: fault_injector and
   /// max_site_retries drive the retry loop (with the TCP transport, a
   /// retry reconnects with backoff); engine and eval_threads are
-  /// forwarded to the sites via kBeginPlan; parallel_sites/num_threads
-  /// fan a round's requests out over the per-site connections
-  /// concurrently (default: one site after the other), with results,
-  /// byte counts and profiles identical either way; coordinator_shards
-  /// works unchanged.
+  /// forwarded to the sites via kBeginPlan; fanout_threads fans a
+  /// round's requests out over the per-site connections (default: all
+  /// sites at once; 1 = one site after the other), with results, byte
+  /// counts and profiles identical either way; coordinator_shards works
+  /// unchanged.
   RpcExecutor(std::unique_ptr<Transport> transport, ExecutorOptions options);
 
   /// Dials every site (TCP: kHello handshake) and fetches the catalog
@@ -98,6 +98,8 @@ class RpcExecutor : public Executor {
   Status Shutdown();
 
   /// Total wire bytes (frame headers included) over all connections.
+  /// Thread-safe: sums under each connection's lock, so it may run
+  /// beside concurrent Executes.
   uint64_t wire_bytes() const;
 
   /// Schema of a site-resident table, once connected.
@@ -157,7 +159,8 @@ class RpcExecutor : public Executor {
   // contract, so every exchange (and its wire-byte measurement) runs
   // under the matching lock. unique_ptr keeps the vector movable.
   std::vector<std::unique_ptr<std::mutex>> connection_mu_;
-  std::mutex connect_mu_;  // guards lazy init of connections_/schemas_
+  // Guards lazy init of connections_/schemas_; mutable for wire_bytes().
+  mutable std::mutex connect_mu_;
   std::map<size_t, std::vector<size_t>> replica_endpoints_;
   std::map<std::string, SchemaPtr> schemas_;
 };

@@ -33,31 +33,40 @@ uint64_t PlanFingerprint(const DistributedPlan& plan) {
 }
 
 std::optional<Table> SubAggregateCache::Lookup(uint64_t fingerprint,
-                                               uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(Key{fingerprint, epoch});
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    SKALLA_COUNTER_ADD("skalla.serve.cache.misses", 1);
-    return std::nullopt;
+                                               uint64_t epoch,
+                                               bool count_miss) {
+  std::shared_ptr<const Table> hit;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(Key{fingerprint, epoch});
+    if (it == entries_.end()) {
+      if (!count_miss) return std::nullopt;
+      ++stats_.misses;
+      SKALLA_COUNTER_ADD("skalla.serve.cache.misses", 1);
+      return std::nullopt;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    ++stats_.hits;
+    SKALLA_COUNTER_ADD("skalla.serve.cache.hits", 1);
+    SKALLA_COUNTER_ADD("skalla.serve.cache.hit_bytes", it->second.bytes);
+    hit = it->second.result;
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  ++stats_.hits;
-  SKALLA_COUNTER_ADD("skalla.serve.cache.hits", 1);
-  SKALLA_COUNTER_ADD("skalla.serve.cache.hit_bytes", it->second.bytes);
-  return it->second.result;
+  // The deep copy runs unlocked: concurrent hits do not serialize on it,
+  // and an eviction meanwhile only drops the cache's reference.
+  return *hit;
 }
 
 void SubAggregateCache::Insert(uint64_t fingerprint, uint64_t epoch,
                                const Table& result) {
   const uint64_t bytes = SerializedTableSize(result);
   if (bytes > max_bytes_) return;  // covers max_bytes_ == 0 (disabled)
+  auto shared = std::make_shared<const Table>(result);
   std::lock_guard<std::mutex> lock(mu_);
   const Key key{fingerprint, epoch};
   if (entries_.count(key) > 0) return;  // concurrent miss already filled it
   EvictLockedUntil(bytes);
   lru_.push_front(key);
-  entries_[key] = Entry{result, bytes, lru_.begin()};
+  entries_[key] = Entry{std::move(shared), bytes, lru_.begin()};
   ++stats_.insertions;
   stats_.resident_bytes += bytes;
   stats_.entries = entries_.size();

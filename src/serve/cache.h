@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -48,8 +49,10 @@ struct CacheStats {
 };
 
 /// Thread-safe LRU over (fingerprint, epoch) -> final result table,
-/// capacity-bounded by serialized result bytes. All methods lock; the
-/// scheduler calls Lookup/Insert from its worker threads.
+/// capacity-bounded by serialized result bytes. All methods lock, but
+/// only for bookkeeping: entries are immutable shared tables, so the
+/// copies Lookup returns and Insert stores are made outside the lock.
+/// The scheduler looks up from submitting threads and its workers.
 class SubAggregateCache {
  public:
   /// `max_bytes` bounds the sum of serialized entry sizes; 0 disables
@@ -57,9 +60,12 @@ class SubAggregateCache {
   explicit SubAggregateCache(uint64_t max_bytes) : max_bytes_(max_bytes) {}
 
   /// The cached result for this (fingerprint, epoch), or nullopt.
-  /// Counts a hit or miss either way (mirrored into the
-  /// skalla.serve.cache.* metrics).
-  std::optional<Table> Lookup(uint64_t fingerprint, uint64_t epoch);
+  /// Counts a hit, and a miss unless `count_miss` is false (mirrored
+  /// into the skalla.serve.cache.* metrics). The scheduler's probe at
+  /// submission passes false: a query that misses there is looked up
+  /// again, and counted, when a worker serves it.
+  std::optional<Table> Lookup(uint64_t fingerprint, uint64_t epoch,
+                              bool count_miss = true);
 
   /// Caches `result`. Entries larger than the whole capacity are not
   /// admitted; otherwise least-recently-used entries are evicted until
@@ -75,7 +81,7 @@ class SubAggregateCache {
  private:
   using Key = std::pair<uint64_t, uint64_t>;  // (fingerprint, epoch)
   struct Entry {
-    Table result;
+    std::shared_ptr<const Table> result;
     uint64_t bytes = 0;
     std::list<Key>::iterator lru_it;
   };

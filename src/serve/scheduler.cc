@@ -1,6 +1,7 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -50,23 +51,46 @@ QueryScheduler::Submission QueryScheduler::Submit(DistributedPlan plan,
   submission.query_id = ticket->query_id;
   submission.result = ticket->promise.get_future();
 
-  bool rejected = false;
+  bool admitted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      rejected = true;
-    } else {
+    admitted = !shutdown_;
+  }
+  if (admitted) {
+    ticket->fingerprint = PlanFingerprint(ticket->plan);
+    // A hit resolves here, on the caller's thread: it neither waits in
+    // the queue behind misses nor enters live_ (so it cannot be
+    // cancelled). A miss is counted once, when a worker serves it.
+    std::optional<Table> hit;
+    if (ticket->options.use_cache) {
+      hit = cache_.Lookup(ticket->fingerprint, partition_epoch(),
+                          /*count_miss=*/false);
+    }
+    if (hit.has_value()) {
+      obs::QueryIdScope query_scope(ticket->query_id);
+      SKALLA_TRACE_SPAN(serve_span, "serve.query", "serve");
+      SKALLA_SPAN_ATTR(serve_span, "query_id", ticket->query_id);
+      SKALLA_SPAN_ATTR(serve_span, "queue_wait_us", 0.0);
+      SKALLA_SPAN_ATTR(serve_span, "outcome", "cache_hit");
+      SKALLA_HISTOGRAM_RECORD("skalla.serve.queue_wait_us", 0.0);
+      SKALLA_COUNTER_ADD("skalla.serve.submitted", 1);
+      ResolveHit(*ticket, std::move(*hit));
+      return submission;
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    admitted = !shutdown_;
+    if (admitted) {
       queue_.push_back(ticket);
       live_[ticket->query_id] = ticket;
     }
   }
-  if (rejected) {
+  if (!admitted) {
     ticket->promise.set_value(
         Status::Cancelled("scheduler is shut down; query not admitted"));
-  } else {
-    SKALLA_COUNTER_ADD("skalla.serve.submitted", 1);
-    work_cv_.notify_one();
+    return submission;
   }
+  SKALLA_COUNTER_ADD("skalla.serve.submitted", 1);
+  work_cv_.notify_one();
   return submission;
 }
 
@@ -115,6 +139,14 @@ size_t QueryScheduler::running_queries() const {
 size_t QueryScheduler::queued_queries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
+}
+
+void QueryScheduler::ResolveHit(Ticket& ticket, Table table) {
+  QueryResult answer;
+  answer.table = std::move(table);
+  answer.stats.query_id = ticket.query_id;
+  answer.stats.from_cache = true;
+  ticket.promise.set_value(std::move(answer));
 }
 
 void QueryScheduler::WorkerLoop() {
@@ -179,21 +211,20 @@ void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
     eval_threads = std::max<size_t>(1, options_.global_eval_threads / width);
   }
 
-  const uint64_t fingerprint = PlanFingerprint(ticket->plan);
+  // Looked up again: an identical miss queued ahead may have filled the
+  // entry since Submit.
   const uint64_t epoch = partition_epoch();
-
-  QueryResult answer;
-  answer.stats.query_id = ticket->query_id;
   if (ticket->options.use_cache) {
-    std::optional<Table> hit = cache_.Lookup(fingerprint, epoch);
+    std::optional<Table> hit = cache_.Lookup(ticket->fingerprint, epoch);
     if (hit.has_value()) {
       SKALLA_SPAN_ATTR(serve_span, "outcome", "cache_hit");
-      answer.table = std::move(*hit);
-      answer.stats.from_cache = true;
-      ticket->promise.set_value(std::move(answer));
+      ResolveHit(*ticket, std::move(*hit));
       return;
     }
   }
+
+  QueryResult answer;
+  answer.stats.query_id = ticket->query_id;
 
   QueryRun run;
   run.query_id = ticket->query_id;
@@ -211,7 +242,7 @@ void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
   // Only exact answers are cacheable: a degraded (partial) result must
   // not be replayed after the lost sites come back.
   if (ticket->options.use_cache && answer.stats.complete()) {
-    cache_.Insert(fingerprint, epoch, answer.table);
+    cache_.Insert(ticket->fingerprint, epoch, answer.table);
   }
   ticket->promise.set_value(std::move(answer));
 }

@@ -13,7 +13,11 @@
 // Repeated queries are answered from the SubAggregateCache (cache.h)
 // when the plan fingerprint and partition epoch match a resident entry:
 // the promise resolves with the cached table, the stats show zero
-// rounds and from_cache = true, and the sites never hear about it.
+// rounds and from_cache = true, and the sites never hear about it. The
+// lookup runs in Submit, on the caller's thread, so a hit is resolved
+// before Submit returns — it bypasses the FIFO queue and cannot be
+// cancelled. A worker looks up again before executing, so a query
+// queued behind an identical miss still hits.
 //
 // Concurrency safety is the executor's contract (Executor::Execute with
 // distinct QueryRuns): the in-process engine serializes per-site rounds
@@ -104,14 +108,16 @@ class QueryScheduler {
     std::future<Result<QueryResult>> result;
   };
 
-  /// Enqueues the plan; returns immediately with the assigned query id
-  /// and the future the answer resolves through. Thread-safe.
+  /// Answers the plan from the cache when its result is resident (the
+  /// returned future is then already ready), else enqueues it; returns
+  /// without waiting for execution, with the assigned query id and the
+  /// future the answer resolves through. Thread-safe.
   Submission Submit(DistributedPlan plan, QueryOptions options = {});
 
   /// Cancels the query: a queued one resolves Cancelled without running;
   /// a running one stops at the next morsel/round boundary through the
   /// QueryRun cancellation chain. Returns false when the id is unknown
-  /// or already finished.
+  /// or already finished — a cache hit is finished when Submit returns.
   bool Cancel(uint64_t query_id);
 
   /// Marks the partition data changed: subsequent lookups miss, stale
@@ -130,6 +136,7 @@ class QueryScheduler {
   struct Ticket {
     uint64_t query_id = 0;
     DistributedPlan plan;
+    uint64_t fingerprint = 0;  // PlanFingerprint(plan), computed in Submit
     QueryOptions options;
     std::promise<Result<QueryResult>> promise;
     CancellationToken cancel;
@@ -138,6 +145,8 @@ class QueryScheduler {
 
   void WorkerLoop();
   void Serve(const std::shared_ptr<Ticket>& ticket);
+  // Resolves the ticket with a cached table (from_cache, zero rounds).
+  static void ResolveHit(Ticket& ticket, Table table);
 
   Executor* const executor_;
   const SchedulerOptions options_;

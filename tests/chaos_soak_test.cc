@@ -1,8 +1,8 @@
 // Deterministic chaos soak: the query suite runs under a seeded
 // ChaosInjector (request faults, response faults, dead sites) and under
 // transport-level chaos in the TCP server, and every engine must produce
-// byte-for-byte the result of a fault-free run — star (sequential and
-// with parallel sites) and rpc. Faults are a pure function of the seed,
+// byte-for-byte the result of a fault-free sequential run — star (at
+// every fan-out width) and rpc. Faults are a pure function of the seed,
 // so every failure here replays exactly.
 
 #include "dist/fault.h"
@@ -127,6 +127,13 @@ ChaosConfig SoakChaos(uint64_t seed, std::vector<int> dead_sites = {}) {
   return config;
 }
 
+// The fault-free reference: one site after another, in site order.
+ExecutorOptions CleanOptions() {
+  ExecutorOptions options;
+  options.fanout_threads = 1;
+  return options;
+}
+
 ExecutorOptions SoakOptions(FaultInjector* injector) {
   ExecutorOptions options;
   options.fault_injector = injector;
@@ -177,7 +184,8 @@ TEST(ChaosSoakTest, StarByteIdenticalUnderChaos) {
     SCOPED_TRACE(opts.ToString());
     for (const GmdjExpr& query : QuerySuite()) {
       DistributedPlan plan = fx.dw.Plan(query, opts).ValueOrDie();
-      DistributedExecutor clean(fx.MakeSites(), NetworkConfig{}, {});
+      DistributedExecutor clean(fx.MakeSites(), NetworkConfig{},
+                                CleanOptions());
       std::vector<uint8_t> expected =
           TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
       for (uint64_t seed : {3u, 19u, 101u}) {
@@ -192,25 +200,56 @@ TEST(ChaosSoakTest, StarByteIdenticalUnderChaos) {
   }
 }
 
-TEST(ChaosSoakTest, ParallelByteIdenticalUnderChaos) {
+TEST(ChaosSoakTest, EveryFanOutWidthByteIdenticalUnderChaos) {
   // Sites finish in a scheduling-dependent order under chaos; fragments
   // still merge in site order, so the bytes match the clean sequential
-  // run.
+  // run, and the chaos schedule is a function of (site, round, attempt),
+  // so one site after another (1), two workers (2) and one worker per
+  // site (0) account the same bytes, tuples and per-site profiles.
   Fixture fx;
   for (const GmdjExpr& query : QuerySuite()) {
     DistributedPlan plan =
         fx.dw.Plan(query, OptimizerOptions::All()).ValueOrDie();
-    DistributedExecutor clean(fx.MakeSites(), NetworkConfig{}, {});
+    DistributedExecutor clean(fx.MakeSites(), NetworkConfig{}, CleanOptions());
     std::vector<uint8_t> expected =
         TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
     for (uint64_t seed : {3u, 19u}) {
       SCOPED_TRACE(seed);
-      ChaosInjector injector(SoakChaos(seed));
-      ExecutorOptions options = SoakOptions(&injector);
-      options.parallel_sites = true;
-      DistributedExecutor executor(fx.MakeSites(), NetworkConfig{}, options);
-      Table result = executor.Execute(plan, nullptr).ValueOrDie();
-      EXPECT_EQ(TableBytes(result), expected);
+      ExecStats reference;
+      for (size_t width : {1, 0, 2}) {
+        SCOPED_TRACE(width);
+        ChaosInjector injector(SoakChaos(seed));
+        ExecutorOptions options = SoakOptions(&injector);
+        options.fanout_threads = width;
+        DistributedExecutor executor(fx.MakeSites(), NetworkConfig{},
+                                     options);
+        ExecStats stats;
+        Table result = executor.Execute(plan, &stats).ValueOrDie();
+        EXPECT_EQ(TableBytes(result), expected);
+        if (width == 1) {
+          reference = stats;
+          continue;
+        }
+        EXPECT_EQ(stats.TotalBytesToSites(), reference.TotalBytesToSites());
+        EXPECT_EQ(stats.TotalBytesToCoord(), reference.TotalBytesToCoord());
+        EXPECT_EQ(stats.TotalTuplesTransferred(),
+                  reference.TotalTuplesTransferred());
+        EXPECT_EQ(stats.TotalSiteRetries(), reference.TotalSiteRetries());
+        ASSERT_EQ(stats.rounds.size(), reference.rounds.size());
+        for (size_t r = 0; r < stats.rounds.size(); ++r) {
+          const auto& got = stats.rounds[r].site_profiles;
+          const auto& want = reference.rounds[r].site_profiles;
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].site_id, want[i].site_id);
+            EXPECT_EQ(got[i].bytes_in, want[i].bytes_in);
+            EXPECT_EQ(got[i].bytes_out, want[i].bytes_out);
+            EXPECT_EQ(got[i].result_rows, want[i].result_rows);
+            EXPECT_EQ(got[i].rows_scanned, want[i].rows_scanned);
+            EXPECT_EQ(got[i].rows_matched, want[i].rows_matched);
+          }
+        }
+      }
     }
   }
 }
@@ -223,7 +262,7 @@ TEST(ChaosSoakTest, RpcByteIdenticalUnderChaos) {
         fx.dw.Plan(query, OptimizerOptions::None()).ValueOrDie();
     rpc::RpcExecutor clean(
         std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
-        ExecutorOptions{});
+        CleanOptions());
     std::vector<uint8_t> expected =
         TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
     for (uint64_t seed : {3u, 19u}) {
@@ -245,7 +284,7 @@ TEST(ChaosSoakTest, PermanentLossWithReplicaStaysByteIdentical) {
   for (const GmdjExpr& query : QuerySuite()) {
     DistributedPlan plan =
         fx.dw.Plan(query, OptimizerOptions::None()).ValueOrDie();
-    DistributedExecutor clean(fx.MakeSites(), NetworkConfig{}, {});
+    DistributedExecutor clean(fx.MakeSites(), NetworkConfig{}, CleanOptions());
     std::vector<uint8_t> expected =
         TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
     ChaosInjector injector(SoakChaos(/*seed=*/43, /*dead_sites=*/{2}));
@@ -268,7 +307,7 @@ TEST(ChaosSoakTest, RpcPermanentLossFailsOverToReplicaEndpoint) {
       fx.dw.Plan(QuerySuite()[0], OptimizerOptions::None()).ValueOrDie();
   rpc::RpcExecutor clean(
       std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
-      ExecutorOptions{});
+      CleanOptions());
   std::vector<uint8_t> expected =
       TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
 
@@ -372,7 +411,7 @@ TEST(ChaosSoakTest, TcpTransportChaosIsSurvivedByteIdentically) {
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
     SCOPED_TRACE(opts.ToString());
     DistributedPlan plan = fx.dw.Plan(QuerySuite()[0], opts).ValueOrDie();
-    DistributedExecutor star(fx.MakeSites(), NetworkConfig{}, {});
+    DistributedExecutor star(fx.MakeSites(), NetworkConfig{}, CleanOptions());
     std::vector<uint8_t> expected =
         TableBytes(star.Execute(plan, nullptr).ValueOrDie());
 

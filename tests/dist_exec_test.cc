@@ -239,10 +239,10 @@ TEST(DistExecTest, Theorem2TransferBound) {
 
 TEST(DistExecTest, ParallelSitesMatchesSequential) {
   Table flow = MakeFlowTable(23, 500, 16, 4);
-  ExecutorOptions par;
-  par.parallel_sites = true;
-  DistributedWarehouse seq_dw(4);
-  DistributedWarehouse par_dw(4, NetworkConfig{}, par);
+  ExecutorOptions one_by_one;
+  one_by_one.fanout_threads = 1;
+  DistributedWarehouse seq_dw(4, NetworkConfig{}, one_by_one);
+  DistributedWarehouse par_dw(4);
   seq_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
   par_dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
 

@@ -119,6 +119,9 @@ void CheckInvariants(const DistributedPlan& plan, const ExecStats& stats) {
     tuples += r.tuples_to_sites + r.tuples_to_coord;
     response += r.ResponseTime();
     if (r.synchronized) ++sync_rounds;
+    // The coordinator's wait on the sites happens inside the round.
+    EXPECT_GE(r.fanout_wait, 0.0) << r.label;
+    EXPECT_LE(r.fanout_wait, r.wall_time) << r.label;
   }
   EXPECT_EQ(stats.TotalBytesToSites(), down);
   EXPECT_EQ(stats.TotalBytesToCoord(), up);
@@ -162,16 +165,17 @@ TEST(ExecStatsTest, ParallelSitesSatisfyInvariants) {
     sites.emplace_back(static_cast<int>(i), std::move(catalog));
   }
   std::vector<Site> sequential_sites = sites;
-  ExecutorOptions parallel;
-  parallel.parallel_sites = true;
-  DistributedExecutor executor(std::move(sites), NetworkConfig{}, parallel);
+  DistributedExecutor executor(std::move(sites));
   ExecStats stats;
   Result<Table> result = executor.Execute(plan, &stats);
   ASSERT_TRUE(result.ok());
   CheckInvariants(plan, stats);
 
   // And the concurrent run is the sequential one, row for row.
-  DistributedExecutor sequential(std::move(sequential_sites));
+  ExecutorOptions one_by_one;
+  one_by_one.fanout_threads = 1;
+  DistributedExecutor sequential(std::move(sequential_sites), NetworkConfig{},
+                                 one_by_one);
   Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
   ASSERT_EQ(result->num_rows(), expected.num_rows());
   for (size_t r = 0; r < expected.num_rows(); ++r) {

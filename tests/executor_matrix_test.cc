@@ -1,17 +1,19 @@
 // Cross-executor consistency matrix: the same optimized plan executed by
-// every engine variant — the in-process star (sequential, parallel sites
-// with one worker per site and with two workers, row-oracle sites) and
-// the rpc engine over in-process site services (sequential and parallel
-// sites) — through the unified skalla::Executor interface, crossed with
-// coordinator_shards ∈ {1, 4} and eval_threads ∈ {1, 4}. Every
-// combination must produce results identical to the centralized
-// evaluator, reproduce the star baseline row for row, and move exactly
-// the star baseline's payload bytes and tuples; every round reports its
-// wall time.
+// every engine variant — the in-process star (sequential fan-out, the
+// default concurrent fan-out with one worker per site, two workers,
+// row-oracle sites) and the rpc engine over in-process site services
+// (sequential and default fan-out) — through the unified skalla::Executor
+// interface, crossed with coordinator_shards ∈ {1, 4} and eval_threads ∈
+// {1, 4}. Every combination must produce results identical to the
+// centralized evaluator, reproduce the star baseline row for row, and
+// move exactly the star baseline's payload bytes and tuples; every round
+// reports its wall time.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "dist/warehouse.h"
@@ -80,6 +82,25 @@ std::unique_ptr<Executor> MakeExecutor(const std::string& name,
                                                NetworkConfig{}, options);
 }
 
+// Per-site profiles agree site by site in every round: whichever engine
+// and fan-out width ran them, the same sites shipped and returned the
+// same payload bytes and rows.
+void ExpectSameSiteProfiles(const ExecStats& a, const ExecStats& b,
+                            const std::string& what) {
+  ASSERT_EQ(a.rounds.size(), b.rounds.size()) << what;
+  for (size_t r = 0; r < a.rounds.size(); ++r) {
+    const std::vector<SiteRoundProfile>& x = a.rounds[r].site_profiles;
+    const std::vector<SiteRoundProfile>& y = b.rounds[r].site_profiles;
+    ASSERT_EQ(x.size(), y.size()) << what << " " << a.rounds[r].label;
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].site_id, y[i].site_id) << what;
+      EXPECT_EQ(x[i].bytes_in, y[i].bytes_in) << what;
+      EXPECT_EQ(x[i].bytes_out, y[i].bytes_out) << what;
+      EXPECT_EQ(x[i].result_rows, y[i].result_rows) << what;
+    }
+  }
+}
+
 // Every engine times every round it runs.
 void ExpectRoundsTimed(const ExecStats& stats, const std::string& what) {
   for (const RoundStats& round : stats.rounds) {
@@ -107,15 +128,15 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
        WHERE r.g = b.g AND r.v * 2 >= b.m1;
   )").ValueOrDie();
 
-  ExecutorOptions parallel;
-  parallel.parallel_sites = true;
-  ExecutorOptions parallel2 = parallel;
-  parallel2.num_threads = 2;
+  ExecutorOptions sequential;
+  sequential.fanout_threads = 1;
+  ExecutorOptions parallel2;
+  parallel2.fanout_threads = 2;
   ExecutorOptions row;
   row.engine = EvalEngine::kRow;
   const Variant variants[] = {
-      {"star", {}},         {"parallel", parallel}, {"parallel2", parallel2},
-      {"row", row},         {"rpc", {}},            {"rpc_parallel", parallel},
+      {"star", sequential}, {"parallel", {}},   {"parallel2", parallel2},
+      {"row", row},         {"rpc", sequential}, {"rpc_parallel", {}},
   };
 
   for (int opt_mask : {0, 15}) {
@@ -130,7 +151,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
 
     // Star baseline for cross-variant byte accounting.
     ExecStats star_stats;
-    std::unique_ptr<Executor> star = MakeExecutor("star", parts, {});
+    std::unique_ptr<Executor> star = MakeExecutor("star", parts, sequential);
     Table star_result = star->Execute(plan, &star_stats).ValueOrDie();
     ASSERT_TRUE(star_result.SameRows(reference)) << "star, opts " << opt_mask;
     ExpectRoundsTimed(star_stats, "star baseline");
@@ -168,6 +189,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       EXPECT_EQ(seq_stats.TotalTuplesTransferred(),
                 star_stats.TotalTuplesTransferred())
           << variant.name << ", opts " << opt_mask;
+      ExpectSameSiteProfiles(seq_stats, star_stats, variant.name);
       ExpectRoundsTimed(seq_stats, variant.name);
 
       // Sharded-merge run: results (row for row), bytes, and tuples must

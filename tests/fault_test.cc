@@ -70,15 +70,11 @@ bool ExactlyEqual(const Table& a, const Table& b) {
   return true;
 }
 
-ExecutorOptions ParallelSites(ExecutorOptions options) {
-  options.parallel_sites = true;
-  return options;
-}
-
 Result<Table> RunWithFaults(const Table& flow, FaultInjector* injector,
                             size_t retries, ExecStats* stats,
                             const OptimizerOptions& opts) {
   ExecutorOptions exec_options;
+  exec_options.fanout_threads = 1;  // the sequential ladder
   exec_options.fault_injector = injector;
   exec_options.max_site_retries = retries;
   DistributedWarehouse dw(4, NetworkConfig{}, exec_options);
@@ -140,8 +136,9 @@ TEST(FaultTest, RecoveryWorksUnderAllOptimizations) {
   EXPECT_TRUE(result.SameRows(expected));
 }
 
-// Same scenario through the star with parallel sites: plans built by the
-// warehouse, sites constructed directly so the options are explicit.
+// Same scenario through the star with the default concurrent fan-out:
+// plans built by the warehouse, sites constructed directly so the options
+// are explicit.
 Result<Table> RunParallelWithFaults(const Table& flow, FaultInjector* injector,
                                     size_t retries, ExecStats* stats,
                                     const OptimizerOptions& opts) {
@@ -162,7 +159,7 @@ Result<Table> RunParallelWithFaults(const Table& flow, FaultInjector* injector,
   exec_options.fault_injector = injector;
   exec_options.max_site_retries = retries;
   DistributedExecutor executor(std::move(sites), NetworkConfig{},
-                               ParallelSites(exec_options));
+                               exec_options);
   return executor.Execute(plan, stats);
 }
 
@@ -357,10 +354,18 @@ Site MakeReplica(const TestFleet& fleet, size_t i) {
   return Site(static_cast<int>(100 + i), std::move(catalog));
 }
 
+// Sequential fan-out; the Parallel* tests switch to the concurrent
+// default with ConcurrentFanOut.
 ExecutorOptions FaultOptions(FaultInjector* injector, size_t retries) {
   ExecutorOptions options;
+  options.fanout_threads = 1;
   options.fault_injector = injector;
   options.max_site_retries = retries;
+  return options;
+}
+
+ExecutorOptions ConcurrentFanOut(ExecutorOptions options) {
+  options.fanout_threads = 0;
   return options;
 }
 
@@ -392,7 +397,7 @@ TEST(FailoverTest, ParallelFailsOverToReplicaOnPermanentLoss) {
 
   DistributedExecutor executor(
       std::move(fleet.sites), NetworkConfig{},
-      ParallelSites(FaultOptions(&injector, /*retries=*/1)));
+      ConcurrentFanOut(FaultOptions(&injector, /*retries=*/1)));
   executor.AddReplica(2, MakeReplica(fleet, 2));
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
@@ -524,7 +529,7 @@ TEST(DegradeTest, ParallelDegradeCompletesOverSurvivors) {
   Table expected = sequential.Execute(fleet.plan, &seq_stats).ValueOrDie();
 
   DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               ParallelSites(options));
+                               ConcurrentFanOut(options));
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
@@ -592,7 +597,7 @@ TEST(DeadlineTest, ParallelQueryDeadlineSurfacesTyped) {
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/3);
   options.query_deadline_ms = 1;
   DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               ParallelSites(options));
+                               ConcurrentFanOut(options));
   auto result = executor.Execute(fleet.plan, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded())
@@ -694,7 +699,7 @@ class CancelAtRoundInjector : public FaultInjector {
 // A cancelled query is not a lost site: under kDegrade the ladder must
 // not retry, fail over or degrade the cancelled partitions away — the
 // query surfaces Status::Cancelled.
-void ExpectCancellationIsNotDegraded(bool parallel_sites) {
+void ExpectCancellationIsNotDegraded(bool concurrent) {
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   CancellationToken query;
@@ -702,7 +707,7 @@ void ExpectCancellationIsNotDegraded(bool parallel_sites) {
       &query, "md" + std::to_string(fleet.plan.stages.size()));
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/2);
   options.on_site_loss = OnSiteLoss::kDegrade;
-  options.parallel_sites = parallel_sites;
+  if (concurrent) options = ConcurrentFanOut(options);
   DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
                                options);
   executor.AddReplica(1, MakeReplica(fleet, 1));
@@ -724,11 +729,11 @@ void ExpectCancellationIsNotDegraded(bool parallel_sites) {
 }
 
 TEST(CancelTest, DegradeDoesNotSwallowCancellation) {
-  ExpectCancellationIsNotDegraded(/*parallel_sites=*/false);
+  ExpectCancellationIsNotDegraded(/*concurrent=*/false);
 }
 
 TEST(CancelTest, ParallelDegradeDoesNotSwallowCancellation) {
-  ExpectCancellationIsNotDegraded(/*parallel_sites=*/true);
+  ExpectCancellationIsNotDegraded(/*concurrent=*/true);
 }
 
 // ---- Injector satellites -------------------------------------------------

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "data/flow_gen.h"
 #include "data/tpcr_gen.h"
@@ -265,6 +268,40 @@ TEST_F(RpcExecutorTest, WireBytesExceedAccountedPayloadBytes) {
   EXPECT_GT(rpc.wire_bytes(), stats.TotalBytes());
 }
 
+TEST_F(RpcExecutorTest, WireBytesIsSafeBesideConcurrentQueries) {
+  // wire_bytes() reads every connection's counter while Executes on other
+  // threads move frames over the same connections (a data race without
+  // the per-connection locks; the TSan leg runs this). Each counter only
+  // grows, so successive sums never shrink.
+  GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
+  DistributedPlan plan =
+      warehouse_->Plan(expr, OptimizerOptions::All()).ValueOrDie();
+  RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()), {});
+  ASSERT_TRUE(rpc.Connect().ok());
+  std::atomic<int> running{3};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 3; ++c) {
+    clients.emplace_back([&] {
+      for (int q = 0; q < 4; ++q) {
+        EXPECT_TRUE(rpc.Execute(plan, nullptr).ok());
+      }
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t last = 0;
+  size_t reads = 0;
+  while (running.load() > 0) {
+    const uint64_t now = rpc.wire_bytes();
+    EXPECT_GE(now, last);
+    last = now;
+    ++reads;
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_GT(reads, 0u);
+  EXPECT_GE(rpc.wire_bytes(), last);
+  EXPECT_GT(last, 0u);
+}
+
 TEST_F(RpcExecutorTest, RoundProfilesReconcileWithRoundStats) {
   // Every round response embeds the site's RoundProfile; summed over the
   // sites these must reconcile byte-for-byte and row-for-row with the
@@ -314,21 +351,21 @@ TEST_F(RpcExecutorTest, RoundProfilesReconcileWithRoundStats) {
 }
 
 TEST_F(RpcExecutorTest, ProfilesMatchAcrossEngines) {
-  // The same plan through the star (sequential and with parallel sites)
-  // and rpc engines must agree on the reconciliation-relevant profile
-  // columns (bytes shipped per site, result rows) — the engines differ
-  // only in transport.
+  // The same plan through the star (sequential and with the default
+  // concurrent fan-out) and rpc engines must agree on the
+  // reconciliation-relevant profile columns (bytes shipped per site,
+  // result rows) — the engines differ only in transport.
   GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
 
-  DistributedExecutor star(MakeSites(), NetworkConfig{}, {});
+  ExecutorOptions sequential;
+  sequential.fanout_threads = 1;
+  DistributedExecutor star(MakeSites(), NetworkConfig{}, sequential);
   ExecStats star_stats;
   ASSERT_TRUE(star.Execute(plan, &star_stats).ok());
 
-  ExecutorOptions parallel_options;
-  parallel_options.parallel_sites = true;
-  DistributedExecutor parallel(MakeSites(), NetworkConfig{}, parallel_options);
+  DistributedExecutor parallel(MakeSites());
   ExecStats parallel_stats;
   ASSERT_TRUE(parallel.Execute(plan, &parallel_stats).ok());
 

@@ -1,15 +1,25 @@
 // SubAggregateCache correctness through the serving layer: a repeated
 // query is answered from the cache byte-identically with zero
-// evaluation rounds (and says so in EXPLAIN ANALYZE); bumping the
-// partition epoch invalidates; per-query opt-out works; fingerprints
-// distinguish distinct plans and match re-built identical ones.
+// evaluation rounds (and says so in EXPLAIN ANALYZE), resolved inside
+// Submit even while every worker is busy, and never after shutdown;
+// bumping the partition epoch invalidates; per-query opt-out works;
+// fingerprints distinguish distinct plans and match re-built identical
+// ones.
 
 #include "serve/cache.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "dist/fault.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
 #include "obs/stats_report.h"
@@ -47,6 +57,45 @@ std::vector<uint8_t> TableBytes(const Table& t) {
   std::vector<uint8_t> bytes;
   WriteTable(t, &bytes);
   return bytes;
+}
+
+// Holds every site round while closed, so the query running it keeps its
+// scheduler worker busy.
+class GateInjector : public FaultInjector {
+ public:
+  Status BeforeSiteRound(int, const std::string&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++held_;
+    changed_.notify_all();
+    changed_.wait(lock, [&] { return open_; });
+    return Status::OK();
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+    held_ = 0;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    changed_.notify_all();
+  }
+  // Returns once a round is held at the closed gate.
+  void WaitUntilHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [&] { return held_ > 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable changed_;
+  bool open_ = true;
+  int held_ = 0;
+};
+
+bool IsReady(const std::future<Result<serve::QueryResult>>& future) {
+  return future.wait_for(std::chrono::seconds(0)) ==
+         std::future_status::ready;
 }
 
 class ServeCacheTest : public ::testing::Test {
@@ -101,6 +150,88 @@ TEST_F(ServeCacheTest, ExplainAnalyzeShowsTheHit) {
       obs::FormatStatsReport(plan, hit.stats, kSites);
   EXPECT_NE(report.find("cache: HIT"), std::string::npos) << report;
   EXPECT_NE(report.find("0 evaluation rounds"), std::string::npos) << report;
+}
+
+TEST_F(ServeCacheTest, HitResolvesOnSubmitWhileWorkersBusy) {
+  GateInjector gate;
+  serve::SessionOptions options;
+  options.exec.fault_injector = &gate;
+  options.scheduler.max_concurrent_queries = 1;
+  auto session = serve::QuerySession::Open(&dw_, options).ValueOrDie();
+  serve::QueryResult first = Run(session);  // the miss fills the cache
+  ASSERT_FALSE(first.stats.from_cache);
+
+  // Park the only worker on an uncached run of the same query.
+  gate.Close();
+  serve::QueryOptions no_cache;
+  no_cache.use_cache = false;
+  auto busy = session.Submit(Query(), no_cache).ValueOrDie();
+  gate.WaitUntilHeld();
+
+  auto hit = session.Submit(Query()).ValueOrDie();
+  const bool ready = IsReady(hit.result);
+  const bool cancelled = session.Cancel(hit.query_id);
+  const size_t running = session.scheduler().running_queries();
+  const size_t queued = session.scheduler().queued_queries();
+  gate.Open();  // before any assertion can return early
+  EXPECT_TRUE(ready) << "the hit waited for the busy worker";
+  EXPECT_FALSE(cancelled) << "a hit is finished when Submit returns";
+  EXPECT_EQ(running, 1u);
+  EXPECT_EQ(queued, 0u);
+
+  Result<serve::QueryResult> answer = hit.result.get();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_TRUE(answer->stats.from_cache);
+  EXPECT_TRUE(answer->stats.rounds.empty());
+  EXPECT_EQ(answer->stats.query_id, hit.query_id);
+  EXPECT_EQ(TableBytes(answer->table), TableBytes(first.table));
+  Result<serve::QueryResult> busy_answer = busy.result.get();
+  ASSERT_TRUE(busy_answer.ok()) << busy_answer.status().ToString();
+  EXPECT_EQ(TableBytes(busy_answer->table), TableBytes(first.table));
+
+  const serve::CacheStats stats = session.scheduler().cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);  // the filling miss, counted once
+}
+
+TEST_F(ServeCacheTest, CachedPlanAfterShutdownIsRejected) {
+  GateInjector gate;
+  ExecutorOptions exec;
+  exec.fault_injector = &gate;
+  std::unique_ptr<Executor> executor = dw_.MakeExecutor(NetworkConfig{}, exec);
+  serve::SchedulerOptions options;
+  options.max_concurrent_queries = 1;
+  auto scheduler =
+      std::make_unique<serve::QueryScheduler>(executor.get(), options);
+  DistributedPlan plan =
+      dw_.Plan(Query(), OptimizerOptions::All()).ValueOrDie();
+  ASSERT_TRUE(scheduler->Submit(plan).result.get().ok());  // fills the cache
+  ASSERT_EQ(scheduler->cache().stats().entries, 1u);
+
+  // Hold the only worker, then run the destructor on another thread: it
+  // marks the scheduler shut down and waits for that worker to finish.
+  gate.Close();
+  serve::QueryOptions no_cache;
+  no_cache.use_cache = false;
+  auto busy = scheduler->Submit(plan, no_cache);
+  gate.WaitUntilHeld();
+  serve::QueryScheduler* draining = scheduler.get();
+  std::thread teardown([&scheduler] { scheduler.reset(); });
+  // Uncached probes queue until shutdown is marked, then are rejected at
+  // once.
+  while (!IsReady(draining->Submit(plan, no_cache).result)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  auto late = draining->Submit(plan);
+  const bool ready = IsReady(late.result);
+  gate.Open();
+  teardown.join();
+  EXPECT_TRUE(ready);
+  Result<serve::QueryResult> answer = late.result.get();
+  ASSERT_FALSE(answer.ok()) << "served from the cache after shutdown";
+  EXPECT_TRUE(answer.status().IsCancelled()) << answer.status().ToString();
+  EXPECT_TRUE(busy.result.get().ok());  // running queries finish
 }
 
 TEST_F(ServeCacheTest, EpochBumpInvalidates) {

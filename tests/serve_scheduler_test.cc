@@ -160,14 +160,14 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
   const EngineCase engines[] = {
       {"star",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
-         return std::make_unique<DistributedExecutor>(MakeSites(p));
+         ExecutorOptions options;
+         options.fanout_threads = 1;
+         return std::make_unique<DistributedExecutor>(MakeSites(p),
+                                                      NetworkConfig{}, options);
        }},
       {"parallel",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
-         ExecutorOptions options;
-         options.parallel_sites = true;
-         return std::make_unique<DistributedExecutor>(MakeSites(p),
-                                                      NetworkConfig{}, options);
+         return std::make_unique<DistributedExecutor>(MakeSites(p));
        }},
       {"rpc",
        [&](const std::vector<Table>&) -> std::unique_ptr<Executor> {

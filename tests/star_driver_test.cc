@@ -1,11 +1,13 @@
-// The shared star driver under parallel_sites: a concurrent fan-out must
-// be byte-identical to the sequential run — results row for row, and
-// every RoundStats byte and tuple count — whatever order the sites finish
-// in, because fragments merge in site order as soon as their
-// predecessors have arrived. Also: site errors raised while other site
-// tasks are still running return promptly and cleanly, and the rpc engine
-// over loopback TCP honors parallel_sites with identical results,
-// accounting, and per-site profiles, across a replica failover too.
+// The shared star driver's fan-out: the default concurrent fan-out (and a
+// pool narrower than the sites) must be byte-identical to the sequential
+// run (fanout_threads = 1) — results row for row, and every RoundStats
+// byte and tuple count — whatever order the sites finish in, because
+// fragments merge in site order as soon as their predecessors have
+// arrived. Also: site errors raised while other site tasks are still
+// running return promptly and cleanly; the rpc engine over loopback TCP
+// honors fanout_threads with identical results, accounting, and per-site
+// profiles, across a replica failover too; and a served query over TCP
+// with default options waits for its slowest site, not the sum of them.
 
 #include "dist/star_driver.h"
 
@@ -26,6 +28,7 @@
 #include "rpc/server.h"
 #include "rpc/site_service.h"
 #include "rpc/tcp.h"
+#include "serve/session.h"
 #include "storage/partition.h"
 #include "types/row.h"
 
@@ -90,8 +93,9 @@ bool ExactlyEqual(const Table& a, const Table& b) {
   return true;
 }
 
-ExecutorOptions Parallel(ExecutorOptions options = {}) {
-  options.parallel_sites = true;
+// One site after another, in site order, on the calling thread.
+ExecutorOptions Sequential(ExecutorOptions options = {}) {
+  options.fanout_threads = 1;
   return options;
 }
 
@@ -152,11 +156,12 @@ TEST_P(ParallelEquivalenceTest, MatchesSequentialExactly) {
   std::vector<Table> parts =
       PartitionByValue(flow, "SAS", kSites).ValueOrDie();
 
-  DistributedExecutor sequential(MakeSites(parts));
+  DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
+                                 Sequential());
   ExecStats seq_stats;
   Table seq_result = sequential.Execute(plan, &seq_stats).ValueOrDie();
 
-  DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, Parallel());
+  DistributedExecutor parallel(MakeSites(parts));
   ExecStats par_stats;
   Table par_result = parallel.Execute(plan, &par_stats).ValueOrDie();
 
@@ -181,11 +186,11 @@ TEST(StarDriverTest, RepeatedParallelRunsAreByteIdentical) {
   DistributedPlan plan =
       dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
 
-  DistributedExecutor sequential(MakeSites(parts));
+  DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
+                                 Sequential());
   Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
   for (int run = 0; run < 5; ++run) {
-    DistributedExecutor parallel(MakeSites(parts), NetworkConfig{},
-                                 Parallel());
+    DistributedExecutor parallel(MakeSites(parts));
     Table result = parallel.Execute(plan, nullptr).ValueOrDie();
     EXPECT_TRUE(ExactlyEqual(result, expected)) << "run " << run;
   }
@@ -206,13 +211,15 @@ TEST(StarDriverTest, ParallelSiteErrorsPropagate) {
   DistributedPlan plan =
       dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
 
-  DistributedExecutor parallel(std::move(sites), NetworkConfig{}, Parallel());
+  DistributedExecutor parallel(std::move(sites));
   auto result = parallel.Execute(plan, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
 }
 
-TEST(StarDriverTest, SingleWorkerStillExact) {
+TEST(StarDriverTest, NarrowPoolStillExact) {
+  // Two workers over four sites: sites queue for a worker, and fragments
+  // still merge in site order.
   Table flow = MakeFlow(83, 300);
   std::vector<Table> parts = PartitionByValue(flow, "SAS", 4).ValueOrDie();
   DistributedWarehouse dw(4);
@@ -220,21 +227,23 @@ TEST(StarDriverTest, SingleWorkerStillExact) {
   DistributedPlan plan =
       dw.Plan(Example1(), OptimizerOptions::All()).ValueOrDie();
 
-  DistributedExecutor sequential(MakeSites(parts));
+  DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
+                                 Sequential());
   ExecStats seq_stats;
   Table expected = sequential.Execute(plan, &seq_stats).ValueOrDie();
 
-  ExecutorOptions options = Parallel();
-  options.num_threads = 1;
-  DistributedExecutor single(MakeSites(parts), NetworkConfig{}, options);
+  ExecutorOptions options;
+  options.fanout_threads = 2;
+  DistributedExecutor narrow(MakeSites(parts), NetworkConfig{}, options);
   ExecStats stats;
-  Table result = single.Execute(plan, &stats).ValueOrDie();
+  Table result = narrow.Execute(plan, &stats).ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
   ExpectSameAccounting(stats, seq_stats);
 }
 
-// Holds site 0 back at the start of every round, so under parallel_sites
-// the later sites finish first; records the order attempts complete in.
+// Holds site 0 back at the start of every round, so under a concurrent
+// fan-out the later sites finish first; records the order attempts
+// complete in.
 class SlowFirstSite : public FaultInjector {
  public:
   explicit SlowFirstSite(int ms) : ms_(ms) {}
@@ -272,12 +281,16 @@ TEST(StarDriverTest, ReverseCompletionStillMergesInSiteOrder) {
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
     SCOPED_TRACE(opts.ToString());
     DistributedPlan plan = dw.Plan(Example1(), opts).ValueOrDie();
-    DistributedExecutor sequential(MakeSites(parts));
+    DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
+                                   Sequential());
     ExecStats seq_stats;
     Table expected = sequential.Execute(plan, &seq_stats).ValueOrDie();
 
+    // Two workers over four sites: one holds site 0 while the other
+    // runs sites 1..3.
     SlowFirstSite injector(/*ms=*/40);
-    ExecutorOptions options = Parallel();
+    ExecutorOptions options;
+    options.fanout_threads = 2;
     options.fault_injector = &injector;
     DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, options);
     ExecStats stats;
@@ -290,6 +303,27 @@ TEST(StarDriverTest, ReverseCompletionStillMergesInSiteOrder) {
     ASSERT_EQ(order.size(), kSites);
     EXPECT_EQ(order.back(), 0);
   }
+}
+
+TEST(StarDriverTest, DefaultOptionsFanOutConcurrently) {
+  // Nothing but the injector set: sites 1..3 must not wait for site 0.
+  const size_t kSites = 4;
+  Table flow = MakeFlow(91, 400);
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  DistributedWarehouse dw(kSites);
+  dw.AddPartitionedTable("flow", parts, {"SAS", "DAS", "NB"}).Check();
+  DistributedPlan plan =
+      dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
+
+  SlowFirstSite injector(/*ms=*/40);
+  ExecutorOptions options;
+  options.fault_injector = &injector;
+  DistributedExecutor executor(MakeSites(parts), NetworkConfig{}, options);
+  ASSERT_TRUE(executor.Execute(plan, nullptr).ok());
+  std::vector<int> order = injector.md1_order();
+  ASSERT_EQ(order.size(), kSites);
+  EXPECT_EQ(order.back(), 0);
 }
 
 // Fails every attempt at one site and holds site 0 back, so the failure
@@ -319,7 +353,7 @@ TEST(StarDriverTest, ErrorWhileOtherSitesRunReturnsThatError) {
       dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
 
   FailWhileSlow injector(/*ms=*/100, /*failing=*/2);
-  ExecutorOptions options = Parallel();
+  ExecutorOptions options;
   options.fault_injector = &injector;
   DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, options);
   ExecStats stats;
@@ -329,7 +363,7 @@ TEST(StarDriverTest, ErrorWhileOtherSitesRunReturnsThatError) {
   EXPECT_NE(result.status().message().find("site 2"), std::string::npos)
       << result.status().ToString();
   // The executor is reusable afterwards: no task outlived the call.
-  DistributedExecutor again(MakeSites(parts), NetworkConfig{}, Parallel());
+  DistributedExecutor again(MakeSites(parts));
   EXPECT_TRUE(again.Execute(plan, nullptr).ok());
 }
 
@@ -338,12 +372,12 @@ TEST(StarDriverTest, ErrorWhileOtherSitesRunReturnsThatError) {
 /// Site servers on loopback sockets, one thread each.
 class LoopbackCluster {
  public:
-  explicit LoopbackCluster(std::vector<Site> sites) {
+  explicit LoopbackCluster(std::vector<Site> sites,
+                           rpc::SiteServerOptions options = {}) {
+    options.accept_timeout_s = 0.05;
+    options.io_timeout_s = 5.0;
     for (Site& site : sites) {
       services_.push_back(std::make_unique<rpc::SiteService>(std::move(site)));
-      rpc::SiteServerOptions options;
-      options.accept_timeout_s = 0.05;
-      options.io_timeout_s = 5.0;
       servers_.push_back(
           std::make_unique<rpc::SiteServer>(services_.back().get(), options));
       servers_.back()->Start().Check();
@@ -358,15 +392,19 @@ class LoopbackCluster {
     for (std::thread& t : threads_) t.join();
   }
 
-  std::unique_ptr<rpc::Transport> Dial() const {
+  std::vector<rpc::SiteEndpoint> endpoints() const {
     std::vector<rpc::SiteEndpoint> endpoints;
     for (const auto& server : servers_) {
       endpoints.push_back({"127.0.0.1", server->port()});
     }
+    return endpoints;
+  }
+
+  std::unique_ptr<rpc::Transport> Dial() const {
     rpc::TcpOptions tcp;
     tcp.io_timeout_s = 5.0;
     tcp.backoff_initial_s = 0.005;
-    return std::make_unique<rpc::TcpTransport>(endpoints, tcp);
+    return std::make_unique<rpc::TcpTransport>(endpoints(), tcp);
   }
 
  private:
@@ -375,7 +413,7 @@ class LoopbackCluster {
   std::vector<std::thread> threads_;
 };
 
-TEST(StarDriverTest, RpcParallelSitesMatchSequentialOverTcp) {
+TEST(StarDriverTest, RpcConcurrentFanOutMatchesSequentialOverTcp) {
   const size_t kSites = 4;
   Table flow = MakeFlow(101, 900);
   std::vector<Table> parts =
@@ -408,15 +446,48 @@ TEST(StarDriverTest, RpcParallelSitesMatchSequentialOverTcp) {
       return executor.Execute(plan, stats).ValueOrDie();
     };
     ExecStats seq_stats;
-    Table expected = run(base_options, &seq_stats);
+    Table expected = run(Sequential(base_options), &seq_stats);
     ExecStats par_stats;
-    Table result = run(Parallel(base_options), &par_stats);
+    Table result = run(base_options, &par_stats);
 
     EXPECT_TRUE(ExactlyEqual(result, expected));
     EXPECT_EQ(par_stats.TotalBytesToSites(), seq_stats.TotalBytesToSites());
     EXPECT_EQ(par_stats.TotalBytesToCoord(), seq_stats.TotalBytesToCoord());
     ExpectSameAccounting(par_stats, seq_stats);
     EXPECT_EQ(par_stats.TotalSiteFailovers(), failover ? 3u : 0u);
+  }
+}
+
+TEST(StarDriverTest, ServedRoundWaitsForSlowestSiteNotTheSum) {
+  // Every site answers each round request after a fixed delay. With the
+  // session's default options the four requests of a round are in flight
+  // together, so a round costs about one delay; one site after another
+  // would cost four.
+  constexpr uint64_t kDelayMs = 150;
+  const size_t kSites = 4;
+  Table flow = MakeFlow(103, 400);
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  rpc::SiteServerOptions server_options;
+  server_options.chaos.seed = 1;
+  server_options.chaos.delay_prob = 1.0;
+  server_options.chaos.delay_ms = kDelayMs;
+  LoopbackCluster cluster(MakeSites(parts), server_options);
+
+  auto session =
+      serve::QuerySession::Open(cluster.endpoints(), serve::SessionOptions{})
+          .ValueOrDie();
+  auto submission = session.Submit(Example1()).ValueOrDie();
+  Result<serve::QueryResult> answer = submission.result.get();
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const ExecStats& stats = answer->stats;
+  ASSERT_FALSE(stats.rounds.empty());
+  for (const RoundStats& r : stats.rounds) {
+    SCOPED_TRACE(r.label);
+    EXPECT_GE(r.wall_time, kDelayMs / 1e3);
+    EXPECT_LT(r.wall_time, 2 * kDelayMs / 1e3);
+    EXPECT_GT(r.fanout_wait, 0.0);
+    EXPECT_LE(r.fanout_wait, r.wall_time);
   }
 }
 
