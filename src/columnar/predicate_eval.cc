@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <utility>
 
 #include "common/macros.h"
+#include "obs/obs.h"
 
 namespace skalla {
 
@@ -22,6 +24,21 @@ inline bool CmpOp(BinaryOp op, const T& a, const T& b) {
     case BinaryOp::kLe: return a <= b;
     case BinaryOp::kGt: return a > b;
     case BinaryOp::kGe: return a >= b;
+    default: return false;
+  }
+}
+
+// Doubles follow Value::Compare, under which NaN orders equal to every
+// number: NaN <= x and NaN >= x hold, while NaN < x, NaN > x and
+// NaN = x do not. Preferred over the template for double operands.
+inline bool CmpOp(BinaryOp op, double a, double b) {
+  switch (op) {
+    case BinaryOp::kEq: return a == b;
+    case BinaryOp::kNe: return a != b;
+    case BinaryOp::kLt: return a < b;
+    case BinaryOp::kLe: return !(a > b);
+    case BinaryOp::kGt: return a > b;
+    case BinaryOp::kGe: return !(a < b);
     default: return false;
   }
 }
@@ -206,6 +223,43 @@ ColRangeFromPartition(const PartitionInfo& info, size_t site) {
   };
 }
 
+std::function<std::optional<Interval>(const std::string&)>
+ColRangeFromProvider(const DataProvider& provider) {
+  const DataProvider* p = &provider;
+  auto cache =
+      std::make_shared<std::map<std::string, std::optional<Interval>>>();
+  return [p, cache](const std::string& name) -> std::optional<Interval> {
+    auto it = cache->find(name);
+    if (it != cache->end()) return it->second;
+    std::optional<Interval> out;
+    const int idx = p->schema()->IndexOf(name);
+    if (idx >= 0) {
+      bool complete = true, any = false;
+      double lo = 0.0, hi = 0.0;
+      for (size_t ci = 0; ci < p->num_chunks(); ++ci) {
+        const ChunkColumnStats* stats =
+            p->chunk_column_stats(ci, static_cast<size_t>(idx));
+        if (stats == nullptr) {
+          complete = false;
+          break;
+        }
+        if (!stats->has_range) continue;  // All-null chunk: no range.
+        if (!any) {
+          lo = stats->min;
+          hi = stats->max;
+          any = true;
+        } else {
+          lo = std::min(lo, stats->min);
+          hi = std::max(hi, stats->max);
+        }
+      }
+      if (complete && any) out = Interval{lo, hi};
+    }
+    (*cache)[name] = out;
+    return out;
+  };
+}
+
 void EvalDetailSelection(const CompiledPredicate& pred,
                          const Chunk& chunk, std::vector<uint8_t>* sel) {
   const size_t n = chunk.num_rows();
@@ -280,6 +334,26 @@ bool ChunkCannotSatisfy(const DetailConjunct& c,
     case BinaryOp::kGe: return hi < c.dlit;
     default: return false;
   }
+}
+
+bool ShouldPruneChunk(const CompiledPredicate& pred,
+                      const DataProvider& provider, size_t ci,
+                      const EvalContext& context) {
+  if (!context.chunk_pruning) return false;
+  for (const DetailConjunct& c : pred.detail) {
+    if (!c.prunable) continue;
+    const ChunkColumnStats* stats =
+        provider.chunk_column_stats(ci, static_cast<size_t>(c.col));
+    if (stats != nullptr && ChunkCannotSatisfy(c, *stats)) return true;
+  }
+  return false;
+}
+
+void RecordPrunedChunk(const EvalContext& context) {
+  if (context.profile != nullptr) {
+    context.profile->chunks_pruned.fetch_add(1, std::memory_order_relaxed);
+  }
+  SKALLA_COUNTER_ADD("skalla.storage.chunks_pruned", 1);
 }
 
 BasePredState PrepareBaseRow(const CompiledPredicate& pred,

@@ -40,9 +40,11 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/eval_context.h"
 #include "expr/analysis.h"
 #include "expr/expr.h"
 #include "storage/chunk.h"
+#include "storage/data_provider.h"
 #include "storage/partition.h"
 #include "types/row.h"
 #include "types/schema.h"
@@ -128,6 +130,13 @@ Result<CompiledPredicate> CompilePredicate(
 std::function<std::optional<Interval>(const std::string&)>
 ColRangeFromPartition(const PartitionInfo& info, size_t site);
 
+/// The same callback over a provider's persisted chunk stats: a column
+/// maps to the union of its chunks' [min, max], or nullopt when any
+/// chunk lacks stats. Results are cached per column; the callback
+/// references `provider`, which the caller keeps alive.
+std::function<std::optional<Interval>(const std::string&)>
+ColRangeFromProvider(const DataProvider& provider);
+
 /// Evaluates the detail-only conjuncts over `chunk` into `sel` (resized
 /// to chunk.num_rows(); 1 = row passes every conjunct). Equivalent to
 /// EvalBool of their conjunction on each row.
@@ -138,6 +147,18 @@ void EvalDetailSelection(const CompiledPredicate& pred,
 /// meaningful for prunable conjuncts; conservative under the doubled
 /// min/max (bounds widened one ulp before deciding).
 bool ChunkCannotSatisfy(const DetailConjunct& c, const ChunkColumnStats& stats);
+
+/// Whether chunk `ci` of `provider` can be skipped without pinning:
+/// pruning is on (EvalContext::chunk_pruning) and the chunk's persisted
+/// stats prove some prunable conjunct of `pred` false on every row.
+/// Never consults chunk payloads.
+bool ShouldPruneChunk(const CompiledPredicate& pred,
+                      const DataProvider& provider, size_t ci,
+                      const EvalContext& context);
+
+/// Counts one pruned chunk in context.profile and in the
+/// skalla.storage.chunks_pruned counter.
+void RecordPrunedChunk(const EvalContext& context);
 
 /// Per-base-row predicate state: the base-only gate plus each correlated
 /// conjunct's hoisted base side.

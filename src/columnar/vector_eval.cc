@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,7 +17,6 @@
 #include "core/local_eval.h"
 #include "core/morsels.h"
 #include "expr/analysis.h"
-#include "obs/obs.h"
 #include "types/row.h"
 
 namespace skalla {
@@ -83,46 +81,6 @@ Status CompileBlock(
     }
   }
   return Status::OK();
-}
-
-// Column-range knowledge for selectivity ordering, aggregated from the
-// provider's persisted chunk stats (nullopt when any chunk lacks them).
-// Heuristic only — never used for correctness.
-std::function<std::optional<Interval>(const std::string&)>
-MakeProviderColRange(const DataProvider& detail) {
-  const DataProvider* provider = &detail;
-  auto cache =
-      std::make_shared<std::map<std::string, std::optional<Interval>>>();
-  return [provider, cache](const std::string& name) -> std::optional<Interval> {
-    auto it = cache->find(name);
-    if (it != cache->end()) return it->second;
-    std::optional<Interval> out;
-    const int idx = provider->schema()->IndexOf(name);
-    if (idx >= 0) {
-      bool complete = true, any = false;
-      double lo = 0.0, hi = 0.0;
-      for (size_t ci = 0; ci < provider->num_chunks(); ++ci) {
-        const ChunkColumnStats* stats =
-            provider->chunk_column_stats(ci, static_cast<size_t>(idx));
-        if (stats == nullptr) {
-          complete = false;
-          break;
-        }
-        if (!stats->has_range) continue;  // All-null chunk: no range.
-        if (!any) {
-          lo = stats->min;
-          hi = stats->max;
-          any = true;
-        } else {
-          lo = std::min(lo, stats->min);
-          hi = std::max(hi, stats->max);
-        }
-      }
-      if (complete && any) out = Interval{lo, hi};
-    }
-    (*cache)[name] = out;
-    return out;
-  };
 }
 
 // --- Grouping --------------------------------------------------------------
@@ -206,28 +164,6 @@ std::vector<const Column*> PartColumns(const std::vector<AggPart>& parts,
     }
   }
   return cols;
-}
-
-// Whether the chunk's persisted stats prove every row fails a prunable
-// detail conjunct. Never consults chunk payloads.
-bool ShouldPruneChunk(const CompiledPredicate& pred,
-                      const DataProvider& detail, size_t ci,
-                      const EvalContext& context) {
-  if (!context.chunk_pruning) return false;
-  for (const DetailConjunct& c : pred.detail) {
-    if (!c.prunable) continue;
-    const ChunkColumnStats* stats =
-        detail.chunk_column_stats(ci, static_cast<size_t>(c.col));
-    if (stats != nullptr && ChunkCannotSatisfy(c, *stats)) return true;
-  }
-  return false;
-}
-
-void RecordPrunedChunk(const EvalContext& context) {
-  if (context.profile != nullptr) {
-    context.profile->chunks_pruned.fetch_add(1, std::memory_order_relaxed);
-  }
-  SKALLA_COUNTER_ADD("skalla.storage.chunks_pruned", 1);
 }
 
 // --- Output assembly -------------------------------------------------------
@@ -731,7 +667,7 @@ Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
       EvalOutputSchema(op, base_schema, detail_schema, context));
 
   std::function<std::optional<Interval>(const std::string&)> col_range =
-      MakeProviderColRange(detail);
+      ColRangeFromProvider(detail);
   std::vector<BlockExec> blocks(op.blocks.size());
   for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
     SKALLA_RETURN_NOT_OK(CompileBlock(op.blocks[bi], base_schema,

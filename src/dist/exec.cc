@@ -105,16 +105,16 @@ class InProcessLink : public SiteLink {
     SKALLA_SPAN_ATTR(site_span, "round", round.label);
     Stopwatch timer;
     EvalProfile eval_profile;
+    EvalContext context = round.eval;
+    context.profile = &eval_profile;
     Result<Table> result = Status::Internal("unset");
     if (round.stage == nullptr) {
-      result = site.ExecuteBaseQuery(*round.base);
+      result = site.ExecuteBaseQuery(*round.base, context);
     } else {
       if (!round.self_contained && input_round_[i] != round.label) {
         input_[i] = std::move(output_[i]);
         input_round_[i] = round.label;
       }
-      EvalContext context = round.eval;
-      context.profile = &eval_profile;
       SKALLA_OBS_ONLY(context.trace_parent_span = site_span.id());
       result = site.EvalGmdjRound(input_[i], round.stage->op, context);
       if (result.ok() && context.compute_rng) {
@@ -138,6 +138,8 @@ class InProcessLink : public SiteLink {
         eval_profile.rows_matched.load(std::memory_order_relaxed);
     profile.index_hits =
         eval_profile.index_hits.load(std::memory_order_relaxed);
+    profile.chunks_pruned =
+        eval_profile.chunks_pruned.load(std::memory_order_relaxed);
     profile.engines_used =
         eval_profile.engines_used.load(std::memory_order_relaxed);
     profile.result_rows = result->num_rows();

@@ -174,9 +174,11 @@ struct SiteRoundProfile {
   uint64_t result_rows = 0;
   uint64_t duplicate_rounds = 0;  // idempotency-cache replays (rpc only)
   uint64_t chaos_faults = 0;      // transport faults injected (rpc only)
+  uint64_t chunks_pruned = 0;     // chunks skipped unpinned by stat pruning
   /// Engines the site's evaluation actually used this round
   /// (kEngineBitRow / kEngineBitColumnar OR-ed; see
-  /// EvalProfile::engines_used).
+  /// EvalProfile::engines_used). Base rounds always report
+  /// kEngineBitColumnar: the base-query scan is columnar at any engine.
   uint8_t engines_used = 0;
 };
 
@@ -258,10 +260,11 @@ struct ExecStats {
   /// no bytes moved. Only the serving layer ever sets this.
   bool from_cache = false;
 
-  /// GMDJ kernels used across every site round of the execution
-  /// (kEngineBitRow / kEngineBitColumnar OR-ed over all
-  /// SiteRoundProfile::engines_used; EngineSetToString renders it).
-  /// EXPLAIN ANALYZE prints it per site and in the totals line.
+  /// GMDJ kernels used across the execution's GMDJ rounds
+  /// (kEngineBitRow / kEngineBitColumnar OR-ed over their
+  /// SiteRoundProfile::engines_used; EngineSetToString renders it). The
+  /// base round is left out: its scan is columnar whatever `engine`
+  /// selects. EXPLAIN ANALYZE prints it per site and in the totals line.
   uint8_t engines_used = 0;
 
   /// Rpc engine only: framed wire bytes this execution moved, measured

@@ -37,10 +37,13 @@ class Site {
   int id() const { return id_; }
   const Catalog& catalog() const { return catalog_; }
 
-  /// Evaluates the base-values query against the local partition.
-  Result<Table> ExecuteBaseQuery(const BaseQuery& query) const {
+  /// Evaluates the base-values query against the local partition. The
+  /// scan polls `context.cancellation` per chunk and fills
+  /// `context.profile` (BaseQuery::Execute).
+  Result<Table> ExecuteBaseQuery(const BaseQuery& query,
+                                 const EvalContext& context = {}) const {
     std::lock_guard<std::mutex> round(*round_mu_);
-    return query.Execute(catalog_);
+    return query.Execute(catalog_, context);
   }
 
   /// Evaluates one GMDJ operator against the local detail partition for

@@ -297,7 +297,11 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
         rs.bytes_to_coord += slot.attempt.bytes_to_coord;
         rs.tuples_to_coord += slot.fragment_rows;
       }
-      st.engines_used |= slot.attempt.profile.engines_used;
+      // The totals name the GMDJ kernel; base rounds scan columnar
+      // under every engine.
+      if (stage != nullptr) {
+        st.engines_used |= slot.attempt.profile.engines_used;
+      }
       rs.site_profiles.push_back(slot.attempt.profile);
     }
     for (uint8_t l : lost) rs.sites_lost += l;

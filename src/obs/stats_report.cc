@@ -62,6 +62,10 @@ std::string SiteProfileLines(const RoundStats& r) {
     if (p.engines_used != 0) {
       out += StrCat("  [", EngineSetToString(p.engines_used), "]");
     }
+    if (p.chunks_pruned > 0) {
+      out += StrPrintf("  (pruned %llu chunks)",
+                       static_cast<unsigned long long>(p.chunks_pruned));
+    }
     if (p.duplicate_rounds > 0 || p.chaos_faults > 0) {
       out += StrPrintf("  (dup %llu, chaos %llu)",
                        static_cast<unsigned long long>(p.duplicate_rounds),

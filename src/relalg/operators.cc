@@ -1,11 +1,14 @@
 #include "relalg/operators.h"
 
 #include <algorithm>
-
+#include <cstdint>
 #include <unordered_map>
 
+#include "columnar/predicate_eval.h"
+#include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "expr/analysis.h"
 #include "types/row.h"
 
 namespace skalla {
@@ -110,59 +113,128 @@ Result<Table> TopK(const Table& in, const std::string& column, size_t k,
   return out;
 }
 
-Result<Table> BaseQuery::Execute(const Catalog& catalog) const {
-  if (catalog.IsChunkBacked(table)) {
-    SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
-                            catalog.GetProvider(table));
-    return Execute(*provider);
+namespace {
+
+// Whether chunk row `r`, projected onto `cols`, equals `key` (boxed from
+// the same columns) under Value::Equals, without boxing the chunk cells:
+// NULL equals only NULL, doubles compare with == (so -0.0 equals 0.0
+// and NaN equals nothing).
+bool KeyEquals(const Chunk& chunk, const std::vector<size_t>& cols, size_t r,
+               const Row& key) {
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const Column& col = chunk.column(cols[k]);
+    if (col.IsNull(r) || key[k].is_null()) {
+      if (col.IsNull(r) != key[k].is_null()) return false;
+      continue;
+    }
+    bool equal = false;
+    switch (col.type()) {
+      case ValueType::kInt64:
+        equal = col.Int64At(r) == key[k].int64();
+        break;
+      case ValueType::kFloat64:
+        equal = col.Float64At(r) == key[k].float64();
+        break;
+      case ValueType::kString:
+        equal = col.StringAt(r) == key[k].str();
+        break;
+      case ValueType::kNull:
+        break;
+    }
+    if (!equal) return false;
   }
-  SKALLA_ASSIGN_OR_RETURN(const Table* source, catalog.Get(table));
-  if (where != nullptr) {
-    SKALLA_ASSIGN_OR_RETURN(Table filtered, Select(*source, where));
-    return Project(filtered, columns, distinct);
-  }
-  return Project(*source, columns, distinct);
+  return true;
 }
 
-Result<Table> BaseQuery::Execute(const DataProvider& provider) const {
+}  // namespace
+
+Result<Table> BaseQuery::Execute(const Catalog& catalog,
+                                 const EvalContext& context) const {
+  SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
+                          catalog.GetProvider(table));
+  return Execute(*provider, context);
+}
+
+Result<Table> BaseQuery::Execute(const DataProvider& provider,
+                                 const EvalContext& context) const {
   const SchemaPtr& schema = provider.schema();
-  ExprPtr bound;
-  if (where != nullptr) {
-    SKALLA_ASSIGN_OR_RETURN(bound, where->Bind(nullptr, schema.get()));
-  }
   std::vector<size_t> indices;
   indices.reserve(columns.size());
   for (const std::string& name : columns) {
     SKALLA_ASSIGN_OR_RETURN(size_t idx, schema->RequireIndex(name));
     indices.push_back(idx);
   }
+  // The WHERE splits like a GMDJ condition over an empty base side:
+  // detail conjuncts become the per-chunk selection, constant-only ones
+  // (base_only) decide once whether any row can pass.
+  CompiledPredicate pred;
+  bool constants_pass = true;
+  if (where != nullptr) {
+    // Binding the whole WHERE first rejects b.<col> references.
+    SKALLA_RETURN_NOT_OK(where->Bind(nullptr, schema.get()).status());
+    SKALLA_ASSIGN_OR_RETURN(SchemaPtr no_base, Schema::Make({}));
+    SKALLA_ASSIGN_OR_RETURN(
+        pred, CompilePredicate(ClassifyCondition(where), *no_base, *schema,
+                               ColRangeFromProvider(provider)));
+    const Row no_row;
+    for (const ExprPtr& conjunct : pred.base_only) {
+      if (!conjunct->EvalBool(&no_row, nullptr)) constants_pass = false;
+    }
+  }
+
   Table out(schema->Project(indices));
-  // First-occurrence dedup, identical to Distinct() but applied as rows
-  // stream so the filtered/projected intermediate never materializes.
-  std::unordered_map<uint64_t, std::vector<size_t>> seen;
-  for (size_t c = 0; c < provider.num_chunks(); ++c) {
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c));
-    for (size_t r = 0; r < pin->num_rows(); ++r) {
-      const Row& source_row = pin->row(r);
-      if (bound != nullptr && !bound->EvalBool(nullptr, &source_row)) {
-        continue;
-      }
-      Row row = ProjectRow(source_row, indices);
+  // First-occurrence distinct: out row g is key g. head maps a key hash
+  // to its newest group, next[g] to the previous group with that hash.
+  constexpr uint32_t kNone = UINT32_MAX;
+  std::unordered_map<uint64_t, uint32_t> head;
+  std::vector<uint32_t> next;
+  uint64_t rows_scanned = 0;
+  std::vector<uint8_t> sel;
+  for (size_t ci = 0; constants_pass && ci < provider.num_chunks(); ++ci) {
+    if (context.cancellation != nullptr) {
+      SKALLA_RETURN_NOT_OK(context.cancellation->Check());
+    }
+    if (ShouldPruneChunk(pred, provider, ci, context)) {
+      RecordPrunedChunk(context);
+      continue;
+    }
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(ci));
+    const Chunk& chunk = *pin;
+    const size_t n = chunk.num_rows();
+    rows_scanned += n;
+    const uint8_t* selp = nullptr;
+    if (pred.has_detail()) {
+      EvalDetailSelection(pred, chunk, &sel);
+      selp = sel.data();
+    }
+    for (size_t r = 0; r < n; ++r) {
+      if (selp != nullptr && !selp[r]) continue;
       if (distinct) {
-        uint64_t h = HashRow(row);
-        std::vector<size_t>& bucket = seen[h];
+        uint64_t h = 0x5ca11aULL;
+        for (size_t c : indices) h = HashCombine(h, chunk.column(c).HashAt(r));
+        uint32_t& newest = head.try_emplace(h, kNone).first->second;
         bool duplicate = false;
-        for (size_t prev : bucket) {
-          if (RowEquals(out.row(prev), row)) {
-            duplicate = true;
-            break;
-          }
+        for (uint32_t g = newest; g != kNone && !duplicate; g = next[g]) {
+          duplicate = KeyEquals(chunk, indices, r, out.row(g));
         }
         if (duplicate) continue;
-        bucket.push_back(out.num_rows());
+        next.push_back(newest);
+        newest = static_cast<uint32_t>(out.num_rows());
       }
+      Row row;
+      row.reserve(indices.size());
+      for (size_t c : indices) row.push_back(chunk.column(c).GetValue(r));
       out.AppendUnchecked(std::move(row));
     }
+  }
+  if (context.cancellation != nullptr) {
+    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
+  }
+  if (context.profile != nullptr) {
+    context.profile->rows_scanned.fetch_add(rows_scanned,
+                                            std::memory_order_relaxed);
+    context.profile->engines_used.fetch_or(kEngineBitColumnar,
+                                           std::memory_order_relaxed);
   }
   return out;
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/eval_context.h"
 #include "expr/expr.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -49,14 +50,23 @@ struct BaseQuery {
   bool distinct = true;
   ExprPtr where;  // Optional; references r.<col> of `table`.
 
-  /// Resident relations run σ then π over the table; chunk-backed ones
-  /// stream pin → filter → project → dedup one chunk at a time, which
-  /// yields the same rows in the same order (σ, π, and first-occurrence
-  /// dedup are all row-order preserving).
-  Result<Table> Execute(const Catalog& catalog) const;
+  /// Reads the relation through catalog.GetProvider (resident tables
+  /// through their MemoryDataProvider), so every relation takes the
+  /// columnar scan below.
+  Result<Table> Execute(const Catalog& catalog,
+                        const EvalContext& context = {}) const;
 
-  /// The streaming path, directly against a provider.
-  Result<Table> Execute(const DataProvider& provider) const;
+  /// The columnar scan, one chunk at a time: chunks whose stats prove the
+  /// WHERE false are skipped unpinned (context.chunk_pruning), the WHERE
+  /// becomes a selection bitmap over the typed columns, and a
+  /// first-occurrence typed distinct over the key columns boxes only the
+  /// projected cells of each new key. Yields exactly the rows of
+  /// Project(Select(table, where), columns, distinct), in the same order.
+  /// Polls context.cancellation once per chunk and returns its status;
+  /// fills context.profile's rows_scanned (rows of pinned chunks),
+  /// chunks_pruned and engines_used.
+  Result<Table> Execute(const DataProvider& provider,
+                        const EvalContext& context = {}) const;
 
   /// Schema of the result given the source relation's schema.
   Result<SchemaPtr> OutputSchema(const Schema& input) const;

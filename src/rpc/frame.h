@@ -60,7 +60,10 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //      eval_threads, query_id and engine varints, engine values are
 //      0 columnar / 1 row / 2 nested, and BeginPlan/EndPlan payloads
 //      with trailing bytes are rejected
-inline constexpr uint8_t kProtocolVersion = 7;
+//   8  RoundProfile grows a chunks_pruned varint after engines_used, and
+//      base rounds fill rows_scanned, chunks_pruned and engines_used
+//      (the base-query scan is columnar)
+inline constexpr uint8_t kProtocolVersion = 8;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// What a frame carries. Requests flow coordinator -> site; responses

@@ -142,6 +142,7 @@ void WriteRoundProfile(std::vector<uint8_t>* out,
   PutVarint(out, profile.duplicate_rounds);
   PutVarint(out, profile.chaos_faults);
   PutVarint(out, profile.engines_used);
+  PutVarint(out, profile.chunks_pruned);
   PutVarint(out, profile.spans.size());
   for (const obs::TraceEvent& e : profile.spans) {
     WriteString(out, e.name);
@@ -179,6 +180,7 @@ Result<RoundProfile> ReadRoundProfile(ByteReader* reader) {
     return Status::IOError("implausible engine set");
   }
   profile.engines_used = static_cast<uint8_t>(engines_raw);
+  SKALLA_ASSIGN_OR_RETURN(profile.chunks_pruned, reader->ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_spans, reader->ReadVarint());
   if (num_spans > kMaxProfileSpans) {
     return Status::IOError("implausible profile span count");

@@ -87,10 +87,13 @@ struct RoundProfile {
   uint64_t result_rows = 0;
   uint64_t duplicate_rounds = 0;  // Idempotency-cache replays so far.
   uint64_t chaos_faults = 0;      // Transport faults injected so far.
-  /// GMDJ kernels the round's evaluation used (kEngineBitRow /
-  /// kEngineBitColumnar OR-ed; zero for base rounds). Wire format:
-  /// varint after chaos_faults (protocol version 6).
+  /// Kernels the round's evaluation used (kEngineBitRow /
+  /// kEngineBitColumnar OR-ed; kEngineBitColumnar for base rounds). Wire
+  /// format: varint after chaos_faults (protocol version 6).
   uint8_t engines_used = 0;
+  /// Chunks the round skipped unpinned by stat pruning. Wire format:
+  /// varint after engines_used (protocol version 8).
+  uint64_t chunks_pruned = 0;
   /// The site's span subtree for this round (empty when untraced). Span
   /// ids/parents are site-local; the coordinator remaps them on import.
   std::vector<obs::TraceEvent> spans;

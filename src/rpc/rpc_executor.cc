@@ -31,6 +31,7 @@ SiteRoundProfile ToSiteProfile(const RoundProfile& p) {
   sp.duplicate_rounds = p.duplicate_rounds;
   sp.chaos_faults = p.chaos_faults;
   sp.engines_used = p.engines_used;
+  sp.chunks_pruned = p.chunks_pruned;
   return sp;
 }
 

@@ -154,6 +154,21 @@ Result<Frame> SiteService::Handle(const Frame& request) {
   }
 }
 
+void SiteService::FillEvalCounts(const EvalProfile& eval,
+                                 RoundProfile* profile) const {
+  profile->morsel_us = eval.morsel_us.load(std::memory_order_relaxed);
+  profile->rows_scanned = eval.rows_scanned.load(std::memory_order_relaxed);
+  profile->rows_matched = eval.rows_matched.load(std::memory_order_relaxed);
+  profile->index_hits = eval.index_hits.load(std::memory_order_relaxed);
+  profile->chunks_pruned = eval.chunks_pruned.load(std::memory_order_relaxed);
+  profile->engines_used = eval.engines_used.load(std::memory_order_relaxed);
+  profile->duplicate_rounds = duplicate_rounds_;
+  profile->chaos_faults =
+      chaos_faults_ == nullptr
+          ? 0
+          : static_cast<uint64_t>(chaos_faults_->load(std::memory_order_relaxed));
+}
+
 Result<Frame> SiteService::HandleBeginPlan(const Frame& request) {
   SKALLA_ASSIGN_OR_RETURN(BeginPlanRequest req,
                           DecodeBeginPlanRequest(request.payload));
@@ -190,16 +205,18 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
   obs::QueryIdScope query_scope(req.trace.query_id);
   RoundProfile profile;
   profile.site_id = site_.id();
-  // The coordinator ships the remaining round budget; a fired deadline
-  // surfaces as a typed kDeadlineExceeded error response. Base queries
-  // poll between pipeline steps rather than per-morsel, so the token
-  // mainly guards the (cheap) setup; evaluation itself is short.
+  // The coordinator ships the remaining round budget; the scan polls the
+  // token once per chunk, so a fired deadline stops paging the partition
+  // and surfaces as a typed kDeadlineExceeded error response.
   CancellationToken cancel;
   if (req.deadline_ms > 0) {
     cancel.ArmDeadline(req.deadline_ms, StrCat("site ", site_.id(), " base"));
   }
-  Status armed = cancel.Check();
-  if (!armed.ok()) return ErrorFrame(armed);
+  EvalProfile eval_profile;
+  EvalContext eval_context;
+  eval_context.cancellation = &cancel;
+  eval_context.query_id = req.trace.query_id;
+  eval_context.profile = &eval_profile;
   // Recomputing from the durable local partition makes retries of this
   // round naturally idempotent.
   Result<Table> base = Status::Internal("unset");
@@ -211,19 +228,11 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
       round_span.AddAttr("site", static_cast<int64_t>(site_.id()));
     }
     Stopwatch eval_watch;
-    base = site_.ExecuteBaseQuery(req.query);
+    base = site_.ExecuteBaseQuery(req.query, eval_context);
     profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
   }
-  if (base.ok()) {
-    Status after = cancel.Check();
-    if (!after.ok()) return ErrorFrame(after);
-  }
   if (!base.ok()) return ErrorFrame(base.status());
-  profile.duplicate_rounds = duplicate_rounds_;
-  profile.chaos_faults =
-      chaos_faults_ == nullptr
-          ? 0
-          : static_cast<uint64_t>(chaos_faults_->load(std::memory_order_relaxed));
+  FillEvalCounts(eval_profile, &profile);
   profile.result_rows = base->num_rows();
   if (req.ship_result) {
     profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
@@ -305,19 +314,7 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
     plan.last_round = req.label;
     plan.last_input = std::move(input);
   }
-  profile.morsel_us = eval_profile.morsel_us.load(std::memory_order_relaxed);
-  profile.rows_scanned =
-      eval_profile.rows_scanned.load(std::memory_order_relaxed);
-  profile.rows_matched =
-      eval_profile.rows_matched.load(std::memory_order_relaxed);
-  profile.index_hits = eval_profile.index_hits.load(std::memory_order_relaxed);
-  profile.engines_used =
-      eval_profile.engines_used.load(std::memory_order_relaxed);
-  profile.duplicate_rounds = duplicate_rounds_;
-  profile.chaos_faults =
-      chaos_faults_ == nullptr
-          ? 0
-          : static_cast<uint64_t>(chaos_faults_->load(std::memory_order_relaxed));
+  FillEvalCounts(eval_profile, &profile);
   profile.result_rows = h->num_rows();
   if (req.ship_result) {
     plan.local_base = Table();

@@ -29,6 +29,7 @@
 #include "common/result.h"
 #include "dist/site.h"
 #include "rpc/frame.h"
+#include "rpc/plan_serde.h"
 
 namespace skalla {
 namespace rpc {
@@ -94,6 +95,10 @@ class SiteService {
   Result<Frame> HandleEndPlan(const Frame& request);
   Result<Frame> HandleBaseRound(const Frame& request);
   Result<Frame> HandleGmdjRound(const Frame& request);
+
+  /// Copies one round's evaluation counters, plus the service's replay
+  /// and chaos tallies, into its wire profile.
+  void FillEvalCounts(const EvalProfile& eval, RoundProfile* profile) const;
 
   /// The round state for `query_id`, creating it (and evicting the
   /// oldest beyond kMaxOpenPlans) if absent. Caller holds mu_.

@@ -1,5 +1,7 @@
 #include "storage/chunk.h"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/macros.h"
@@ -45,11 +47,11 @@ Result<std::shared_ptr<const Chunk>> Chunk::Build(const Table& source,
                ") exceeds table of ", source.num_rows(), " rows"));
   }
   const Schema& schema = *source.schema();
-  auto chunk = std::shared_ptr<Chunk>(new Chunk());
-  chunk->schema_ = source.schema();
-  chunk->row_begin_ = row_begin;
-  chunk->num_rows_ = row_count;
-  chunk->columns_.reserve(schema.num_fields());
+  auto built = std::shared_ptr<Chunk>(new Chunk());
+  built->schema_ = source.schema();
+  built->row_begin_ = row_begin;
+  built->num_rows_ = row_count;
+  built->columns_.reserve(schema.num_fields());
   for (size_t c = 0; c < schema.num_fields(); ++c) {
     const ValueType type = schema.field(c).type;
     if (type != ValueType::kInt64 && type != ValueType::kFloat64 &&
@@ -63,26 +65,26 @@ Result<std::shared_ptr<const Chunk>> Chunk::Build(const Table& source,
     for (size_t r = 0; r < row_count; ++r) {
       SKALLA_RETURN_NOT_OK(col.Append(source.at(row_begin + r, c)));
     }
-    chunk->columns_.push_back(std::move(col));
+    built->columns_.push_back(std::move(col));
   }
-  chunk->ComputeStatsAndSize();
-  return std::shared_ptr<const Chunk>(std::move(chunk));
+  built->ComputeStatsAndSize();
+  return std::shared_ptr<const Chunk>(std::move(built));
 }
 
 std::shared_ptr<const Chunk> Chunk::FromColumns(
     SchemaPtr schema, size_t row_begin, std::vector<Column> columns,
     std::vector<ChunkColumnStats> stats) {
-  auto chunk = std::shared_ptr<Chunk>(new Chunk());
-  chunk->schema_ = std::move(schema);
-  chunk->row_begin_ = row_begin;
-  chunk->num_rows_ = columns.empty() ? 0 : columns[0].size();
-  chunk->columns_ = std::move(columns);
-  chunk->stats_ = std::move(stats);
-  if (chunk->stats_.size() != chunk->columns_.size()) {
-    chunk->stats_.clear();
+  auto built = std::shared_ptr<Chunk>(new Chunk());
+  built->schema_ = std::move(schema);
+  built->row_begin_ = row_begin;
+  built->num_rows_ = columns.empty() ? 0 : columns[0].size();
+  built->columns_ = std::move(columns);
+  built->stats_ = std::move(stats);
+  if (built->stats_.size() != built->columns_.size()) {
+    built->stats_.clear();
   }
-  chunk->ComputeStatsAndSize();
-  return std::shared_ptr<const Chunk>(std::move(chunk));
+  built->ComputeStatsAndSize();
+  return std::shared_ptr<const Chunk>(std::move(built));
 }
 
 void Chunk::ComputeStatsAndSize() {
@@ -94,6 +96,7 @@ void Chunk::ComputeStatsAndSize() {
     byte_size_ += EstimateColumnBytes(col);
     if (have_stats) continue;
     ChunkColumnStats& s = stats_[c];
+    bool saw_nan = false;
     for (size_t r = 0; r < col.size(); ++r) {
       if (col.IsNull(r)) {
         ++s.null_count;
@@ -107,6 +110,10 @@ void Chunk::ComputeStatsAndSize() {
       } else {
         continue;
       }
+      if (std::isnan(v)) {
+        saw_nan = true;
+        continue;
+      }
       if (!s.has_range) {
         s.has_range = true;
         s.min = s.max = v;
@@ -115,22 +122,14 @@ void Chunk::ComputeStatsAndSize() {
         if (v > s.max) s.max = v;
       }
     }
-  }
-}
-
-const Row& Chunk::row(size_t i) const {
-  std::call_once(rows_once_, [this] {
-    rows_.reserve(num_rows_);
-    for (size_t r = 0; r < num_rows_; ++r) {
-      Row row;
-      row.reserve(columns_.size());
-      for (const Column& col : columns_) {
-        row.push_back(col.GetValue(r));
-      }
-      rows_.push_back(std::move(row));
+    if (saw_nan) {
+      // NaN orders equal to every number (Value::Compare), so it can
+      // satisfy a <= or >= comparison against any literal: no bound holds.
+      s.has_range = true;
+      s.min = -std::numeric_limits<double>::infinity();
+      s.max = std::numeric_limits<double>::infinity();
     }
-  });
-  return rows_[i];
+  }
 }
 
 }  // namespace skalla

@@ -4,42 +4,39 @@
 // [row_begin, row_begin + num_rows), plus per-column min/max metadata
 // computed at build time.
 //
-// Consumers read chunks two ways:
-//  - the columnar kernel folds the typed pages directly (column(i));
-//  - row-wise consumers (the base query, MaterializeProvider for the row
-//    oracle) ask for boxed rows (row(local)); the boxed view is
-//    materialized lazily, once per chunk, and cached for the chunk's
-//    resident lifetime — so a pinned chunk pays the boxing cost at most
-//    once.
+// Consumers read the typed pages directly (column(i)): the GMDJ kernel
+// and the base-query scan fold them in place, and the row oracle's
+// MaterializeProvider boxes cells from them. A chunk keeps no boxed
+// view of its rows, so byte_size() is its whole resident footprint —
+// the bytes the BufferManager accounts are the bytes that are resident.
 //
 // Chunks are immutable once built and always heap-allocated
-// (shared_ptr): the lazy row cache uses std::once_flag, which pins the
-// object in place, and the BufferManager hands out shared ownership to
-// concurrent pinners anyway.
+// (shared_ptr): the BufferManager hands out shared ownership to
+// concurrent pinners.
 
 #ifndef SKALLA_STORAGE_CHUNK_H_
 #define SKALLA_STORAGE_CHUNK_H_
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "columnar/column.h"
 #include "common/result.h"
 #include "storage/table.h"
-#include "types/row.h"
 
 namespace skalla {
 
 /// Default rows per chunk. Small enough that eight resident chunks of
 /// the paper's widest relation stay well under typical buffer budgets,
-/// large enough that per-chunk overheads (pin, directory entry, lazy
-/// boxing) amortize.
+/// large enough that per-chunk overheads (pin, directory entry, stats)
+/// amortize.
 inline constexpr size_t kDefaultChunkRows = 16384;
 
 /// Per-column metadata computed when a chunk is built. Numeric columns
-/// carry the [min, max] over non-null cells; string columns only the
-/// null census. Feeds scan pruning and lazy distribution knowledge.
+/// carry the [min, max] over non-null cells, widened to the whole real
+/// line when a cell is NaN (NaN orders equal to every number under
+/// Value::Compare); string columns only the null census. Feeds scan
+/// pruning and lazy distribution knowledge.
 struct ChunkColumnStats {
   bool has_range = false;  // true iff a non-null numeric cell exists
   double min = 0.0;
@@ -70,10 +67,6 @@ class Chunk {
   const Column& column(size_t i) const { return columns_[i]; }
   const ChunkColumnStats& column_stats(size_t i) const { return stats_[i]; }
 
-  /// Boxed view of local row `i` (0-based within the chunk). The first
-  /// call materializes every row of the chunk; thread-safe.
-  const Row& row(size_t i) const;
-
   /// Resident footprint estimate in bytes — the BufferManager's
   /// accounting unit. Deterministic for a given chunk content, whether
   /// the chunk was built from a table or read from a file.
@@ -90,9 +83,6 @@ class Chunk {
   std::vector<Column> columns_;
   std::vector<ChunkColumnStats> stats_;
   uint64_t byte_size_ = 0;
-
-  mutable std::once_flag rows_once_;
-  mutable std::vector<Row> rows_;
 };
 
 using ChunkPtr = std::shared_ptr<const Chunk>;

@@ -148,8 +148,14 @@ Result<Table> MaterializeProvider(const DataProvider& provider) {
   out.Reserve(provider.num_rows());
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
     SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c));
-    for (size_t r = 0; r < pin->num_rows(); ++r) {
-      out.AppendUnchecked(pin->row(r));
+    const Chunk& chunk = *pin;
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      Row row;
+      row.reserve(chunk.num_columns());
+      for (size_t col = 0; col < chunk.num_columns(); ++col) {
+        row.push_back(chunk.column(col).GetValue(r));
+      }
+      out.AppendUnchecked(std::move(row));
     }
   }
   return out;

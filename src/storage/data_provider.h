@@ -7,10 +7,10 @@
 //
 // Implementations:
 //  - MemoryDataProvider wraps an in-memory Table. Its chunk views are
-//    built lazily and cached, and they back every in-process GMDJ round:
-//    the columnar kernel streams them exactly as it streams chunk-file
-//    pages. ResidentTable() exposes the table itself to row-wise
-//    consumers (the base query, the row oracle).
+//    built lazily and cached, and they back every in-process round: the
+//    columnar kernel and the base-query scan stream them exactly as they
+//    stream chunk-file pages. ResidentTable() exposes the table itself to the row oracle,
+//    the one row-wise consumer left (the base query scans chunks too).
 //  - ChunkFileDataProvider pages chunks from a chunk file through a
 //    shared BufferManager; nothing is resident until pinned.
 //  - ConcatDataProvider concatenates providers in order — the
@@ -168,9 +168,10 @@ class ConcatDataProvider : public DataProvider {
   size_t num_rows_ = 0;
 };
 
-/// Boxes the provider's whole relation into an in-memory Table (chunk by
-/// chunk; peak residency is one chunk above the buffer budget). The
-/// materialization of last resort for consumers with no chunked path.
+/// Boxes the provider's whole relation into an in-memory Table, chunk by
+/// chunk straight from the typed columns (peak residency is one chunk
+/// above the buffer budget). The materialization of last resort for the
+/// row oracle, the one consumer with no chunked path.
 Result<Table> MaterializeProvider(const DataProvider& provider);
 
 }  // namespace skalla

@@ -221,6 +221,27 @@ TEST(ExecStatsTest, StatsReportRendersPerStageAndTotalCounts) {
       report.find(StrCat(stats.NumSyncRounds(), " sync rounds")),
       std::string::npos)
       << report;
+  // The base round is profiled like the GMDJ rounds: every site's line
+  // carries the [columnar] tag of its scan, and the sites together
+  // scanned every flow row.
+  const size_t base_begin = report.find("  base: ");
+  const size_t base_end = report.find("  stage 1: ");
+  ASSERT_NE(base_begin, std::string::npos) << report;
+  ASSERT_NE(base_end, std::string::npos) << report;
+  const std::string base_section =
+      report.substr(base_begin, base_end - base_begin);
+  size_t tags = 0;
+  for (size_t pos = base_section.find("[columnar]");
+       pos != std::string::npos;
+       pos = base_section.find("[columnar]", pos + 1)) {
+    ++tags;
+  }
+  EXPECT_EQ(tags, stats.rounds[0].site_profiles.size()) << base_section;
+  uint64_t scanned = 0;
+  for (const SiteRoundProfile& p : stats.rounds[0].site_profiles) {
+    scanned += p.rows_scanned;
+  }
+  EXPECT_EQ(scanned, flow.num_rows());
 }
 
 TEST(ExecStatsTest, StatsReportFlagsMismatchedStats) {

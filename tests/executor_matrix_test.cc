@@ -155,15 +155,22 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
     Table star_result = star->Execute(plan, &star_stats).ValueOrDie();
     ASSERT_TRUE(star_result.SameRows(reference)) << "star, opts " << opt_mask;
     ExpectRoundsTimed(star_stats, "star baseline");
-    // A default in-process run evaluates every GMDJ round with the
-    // columnar kernel at every site (base rounds run no kernel).
+    // A default in-process run evaluates every round columnar at every
+    // site: the GMDJ rounds with the columnar kernel, the base round
+    // with the columnar base-query scan, which reads every row of its
+    // partition (the plan's base query has no WHERE).
     EXPECT_EQ(star_stats.engines_used, kEngineBitColumnar);
     for (const RoundStats& round : star_stats.rounds) {
       for (const SiteRoundProfile& site : round.site_profiles) {
-        EXPECT_EQ(site.engines_used,
-                  round.label == "base" ? 0 : kEngineBitColumnar)
+        EXPECT_EQ(site.engines_used, kEngineBitColumnar)
             << round.label << " site " << site.site_id;
       }
+    }
+    ASSERT_EQ(star_stats.rounds[0].site_profiles.size(), parts.size());
+    for (size_t i = 0; i < parts.size(); ++i) {
+      EXPECT_EQ(star_stats.rounds[0].site_profiles[i].rows_scanned,
+                parts[i].num_rows())
+          << "base site " << i;
     }
 
     for (const Variant& variant : variants) {

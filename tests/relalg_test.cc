@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+
 #include "expr/builder.h"
+#include "net/serde.h"
+#include "storage/chunk_file.h"
+#include "storage/data_provider.h"
 
 namespace skalla {
 namespace {
@@ -146,6 +152,118 @@ TEST(RelalgTest, EmptyProjectionYieldsSingleEmptyRowUnderDistinct) {
   Table empty(t.schema());
   Table pe = Project(empty, {}, true).ValueOrDie();
   EXPECT_EQ(pe.num_rows(), 0u);
+}
+
+TEST(RelalgTest, BaseQueryKeepsDuplicatesAndEmptyProjection) {
+  Catalog catalog;
+  catalog.Register("t", SampleTable());
+  Table all = BaseQuery{"t", {"g"}, false, nullptr}.Execute(catalog)
+                  .ValueOrDie();
+  EXPECT_EQ(all.num_rows(), 4u);
+  // Zero key columns: one empty row under DISTINCT, one per row without.
+  Table one = BaseQuery{"t", {}, true, nullptr}.Execute(catalog).ValueOrDie();
+  EXPECT_EQ(one.num_rows(), 1u);
+  EXPECT_EQ(one.num_columns(), 0u);
+  Table four =
+      BaseQuery{"t", {}, false, nullptr}.Execute(catalog).ValueOrDie();
+  EXPECT_EQ(four.num_rows(), 4u);
+}
+
+TEST(RelalgTest, BaseQueryRejectsBaseSideReferences) {
+  Catalog catalog;
+  catalog.Register("t", SampleTable());
+  BaseQuery q{"t", {"g"}, true, Eq(RCol("g"), BCol("g"))};
+  EXPECT_FALSE(q.Execute(catalog).ok());
+}
+
+// Wraps a provider and cancels `token` right after chunk `cancel_at` is
+// pinned, counting every Pin.
+class CancellingProvider : public DataProvider {
+ public:
+  CancellingProvider(const DataProvider& inner, size_t cancel_at,
+                     CancellationToken* token)
+      : inner_(inner), cancel_at_(cancel_at), token_(token) {}
+
+  const SchemaPtr& schema() const override { return inner_.schema(); }
+  size_t num_rows() const override { return inner_.num_rows(); }
+  size_t num_chunks() const override { return inner_.num_chunks(); }
+  size_t chunk_row_begin(size_t c) const override {
+    return inner_.chunk_row_begin(c);
+  }
+  size_t chunk_rows(size_t c) const override { return inner_.chunk_rows(c); }
+  Result<PinnedChunk> Pin(size_t chunk) const override {
+    ++pins_;
+    Result<PinnedChunk> pin = inner_.Pin(chunk);
+    if (chunk == cancel_at_) token_->Cancel(Status::Cancelled("test cancel"));
+    return pin;
+  }
+
+  size_t pins() const { return pins_; }
+
+ private:
+  const DataProvider& inner_;
+  size_t cancel_at_;
+  CancellationToken* token_;
+  mutable size_t pins_ = 0;
+};
+
+std::vector<uint8_t> Bytes(const Table& t) {
+  std::vector<uint8_t> bytes;
+  WriteTable(t, &bytes);
+  return bytes;
+}
+
+// 512 rows in 8 chunks of 64, `v` ascending: chunk c holds v in
+// [64c, 64c + 63].
+Table SortedTable() {
+  SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64},
+                                   {"v", ValueType::kInt64}})
+                         .ValueOrDie();
+  Table t(schema);
+  for (int64_t i = 0; i < 512; ++i) t.AppendUnchecked({Value(i % 5), Value(i)});
+  return t;
+}
+
+TEST(RelalgTest, BaseQueryStopsAtTheChunkAfterCancellation) {
+  auto table = std::make_shared<const Table>(SortedTable());
+  MemoryDataProvider memory(table, 64);
+  for (size_t k : {size_t{0}, size_t{3}, size_t{7}}) {
+    CancellationToken token;
+    CancellingProvider provider(memory, k, &token);
+    EvalContext context;
+    context.cancellation = &token;
+    Result<Table> result =
+        BaseQuery{"t", {"g"}, true, nullptr}.Execute(provider, context);
+    ASSERT_FALSE(result.ok()) << k;
+    EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+    EXPECT_EQ(provider.pins(), k + 1);
+  }
+}
+
+TEST(RelalgTest, BaseQueryWhereOverSortedColumnPinsOnlyUnprunedChunks) {
+  const Table table = SortedTable();
+  const std::string path = "/tmp/skalla_relalg_sorted_test.skc";
+  WriteChunkFile(table, path, /*chunk_rows=*/64).Check();
+  // v >= 400 can only hold in chunks 6 (v 384..447) and 7.
+  BaseQuery q{"t", {"g", "v"}, true, Ge(RCol("v"), Lit(Value(400)))};
+  Table expected =
+      Project(Select(table, q.where).ValueOrDie(), q.columns, true)
+          .ValueOrDie();
+  for (bool pruning : {true, false}) {
+    auto buffers = std::make_shared<BufferManager>(0);
+    auto provider = ChunkFileDataProvider::Open(path, buffers).ValueOrDie();
+    EvalProfile profile;
+    EvalContext context;
+    context.chunk_pruning = pruning;
+    context.profile = &profile;
+    Table result = q.Execute(*provider, context).ValueOrDie();
+    EXPECT_EQ(Bytes(result), Bytes(expected));
+    EXPECT_EQ(buffers->stats().misses, pruning ? 2u : 8u);
+    EXPECT_EQ(profile.chunks_pruned.load(), pruning ? 6u : 0u);
+    EXPECT_EQ(profile.rows_scanned.load(), pruning ? 128u : 512u);
+    EXPECT_EQ(profile.engines_used.load(), kEngineBitColumnar);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

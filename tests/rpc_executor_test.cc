@@ -439,6 +439,18 @@ TEST_F(RpcExecutorTest, EngineKnobForwardsToSites) {
                                       ? kEngineBitColumnar
                                       : kEngineBitRow)
         << EvalEngineName(engine);
+    // The base round's scan is columnar under every engine, and its
+    // profile crosses the wire with the rows it scanned: every flow row
+    // (the base query has no WHERE to prune with).
+    ASSERT_FALSE(stats.rounds.empty());
+    uint64_t scanned = 0, flow_rows = 0;
+    for (const SiteRoundProfile& p : stats.rounds[0].site_profiles) {
+      EXPECT_EQ(p.engines_used, kEngineBitColumnar) << EvalEngineName(engine);
+      EXPECT_EQ(p.chunks_pruned, 0u) << EvalEngineName(engine);
+      scanned += p.rows_scanned;
+    }
+    for (const Table& part : *flow_parts_) flow_rows += part.num_rows();
+    EXPECT_EQ(scanned, flow_rows) << EvalEngineName(engine);
   }
 }
 

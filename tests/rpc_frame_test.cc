@@ -104,13 +104,13 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV7) {
-  // v7: BeginPlan is exactly the eval_threads, query_id and engine
-  // varints — the v6 flags byte is gone (docs/RPC.md). The version byte
+TEST(FrameTest, ProtocolVersionIsV8) {
+  // v8: RoundProfile carries a chunks_pruned varint after engines_used,
+  // on top of v7's flag-free BeginPlan (docs/RPC.md). The version byte
   // is the wire contract for all of that, so pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 7);
+  EXPECT_EQ(kProtocolVersion, 8);
   std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 7);
+  EXPECT_EQ(wire[4], 8);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {

@@ -413,6 +413,7 @@ RoundProfile ExampleProfile() {
   profile.duplicate_rounds = 1;
   profile.chaos_faults = 2;
   profile.engines_used = kEngineBitRow | kEngineBitColumnar;
+  profile.chunks_pruned = 300;
   obs::TraceEvent span;
   span.name = "site.round:md1";
   span.category = "site";
@@ -446,6 +447,7 @@ void ExpectProfileEq(const RoundProfile& a, const RoundProfile& b) {
   EXPECT_EQ(a.duplicate_rounds, b.duplicate_rounds);
   EXPECT_EQ(a.chaos_faults, b.chaos_faults);
   EXPECT_EQ(a.engines_used, b.engines_used);
+  EXPECT_EQ(a.chunks_pruned, b.chunks_pruned);
   ASSERT_EQ(a.spans.size(), b.spans.size());
   for (size_t i = 0; i < a.spans.size(); ++i) {
     EXPECT_EQ(a.spans[i].name, b.spans[i].name);
