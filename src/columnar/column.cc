@@ -7,22 +7,26 @@
 
 namespace skalla {
 
+void Column::AppendNull() {
+  valid_.push_back(0);
+  switch (type_) {
+    case ValueType::kInt64:
+      ints_.push_back(0);
+      break;
+    case ValueType::kFloat64:
+      doubles_.push_back(0.0);
+      break;
+    case ValueType::kString:
+      strings_.emplace_back();
+      break;
+    default:
+      break;
+  }
+}
+
 Status Column::Append(const Value& v) {
   if (v.is_null()) {
-    valid_.push_back(0);
-    switch (type_) {
-      case ValueType::kInt64:
-        ints_.push_back(0);
-        break;
-      case ValueType::kFloat64:
-        doubles_.push_back(0.0);
-        break;
-      case ValueType::kString:
-        strings_.emplace_back();
-        break;
-      default:
-        break;
-    }
+    AppendNull();
     return Status::OK();
   }
   switch (type_) {
@@ -45,8 +49,7 @@ Status Column::Append(const Value& v) {
                      " cannot be stored in an INT64 column"));
         }
       }
-      valid_.push_back(1);
-      ints_.push_back(stored);
+      AppendInt64(stored);
       return Status::OK();
     }
     case ValueType::kFloat64:
@@ -54,16 +57,14 @@ Status Column::Append(const Value& v) {
         return Status::TypeError(
             StrCat("cannot store ", v.ToString(), " in a FLOAT64 column"));
       }
-      valid_.push_back(1);
-      doubles_.push_back(v.AsDouble());
+      AppendFloat64(v.AsDouble());
       return Status::OK();
     case ValueType::kString:
       if (!v.is_string()) {
         return Status::TypeError(
             StrCat("cannot store ", v.ToString(), " in a STRING column"));
       }
-      valid_.push_back(1);
-      strings_.push_back(v.str());
+      AppendString(v.str());
       return Status::OK();
     case ValueType::kNull:
       return Status::TypeError("cannot store values in an untyped column");

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -27,6 +28,23 @@ class Column {
   /// (INT64 accepts integral FLOAT64 per the engine's numeric
   /// compatibility and vice versa).
   Status Append(const Value& v);
+
+  /// Typed appends for callers that already hold the column's own type
+  /// (the chunk-file page decoder): no boxing, no coercion. The typed
+  /// ones must match type(); AppendNull fits every column.
+  void AppendNull();
+  void AppendInt64(int64_t v) {
+    valid_.push_back(1);
+    ints_.push_back(v);
+  }
+  void AppendFloat64(double v) {
+    valid_.push_back(1);
+    doubles_.push_back(v);
+  }
+  void AppendString(std::string v) {
+    valid_.push_back(1);
+    strings_.push_back(std::move(v));
+  }
 
   bool IsNull(size_t i) const { return valid_[i] == 0; }
 

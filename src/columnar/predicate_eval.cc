@@ -356,6 +356,33 @@ void RecordPrunedChunk(const EvalContext& context) {
   SKALLA_COUNTER_ADD("skalla.storage.chunks_pruned", 1);
 }
 
+Result<PinnedChunk> PinChunk(const DataProvider& provider, size_t ci,
+                             const std::vector<size_t>& columns,
+                             const EvalContext& context) {
+  SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(ci, columns));
+  if (context.profile != nullptr && pin.loads().pages > 0) {
+    context.profile->pages_loaded.fetch_add(pin.loads().pages,
+                                            std::memory_order_relaxed);
+    context.profile->bytes_loaded.fetch_add(pin.loads().bytes,
+                                            std::memory_order_relaxed);
+  }
+  return pin;
+}
+
+void AddPredicateReadSet(const CompiledPredicate& pred,
+                         std::vector<size_t>* out) {
+  for (const DetailConjunct& c : pred.detail) {
+    if (c.col >= 0) out->push_back(static_cast<size_t>(c.col));
+    out->insert(out->end(), c.ref_cols.begin(), c.ref_cols.end());
+  }
+  for (const CorrelatedConjunct& c : pred.correlated) {
+    if (c.detail_col >= 0) out->push_back(static_cast<size_t>(c.detail_col));
+    out->insert(out->end(), c.ref_cols.begin(), c.ref_cols.end());
+  }
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
+}
+
 BasePredState PrepareBaseRow(const CompiledPredicate& pred,
                              const Row& base_row) {
   BasePredState state;

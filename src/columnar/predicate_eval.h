@@ -160,6 +160,18 @@ bool ShouldPruneChunk(const CompiledPredicate& pred,
 /// skalla.storage.chunks_pruned counter.
 void RecordPrunedChunk(const EvalContext& context);
 
+/// Pins the pages of `columns` of chunk `ci` (DataProvider::Pin) and adds
+/// the pages the pin loaded to context.profile.
+Result<PinnedChunk> PinChunk(const DataProvider& provider, size_t ci,
+                             const std::vector<size_t>& columns,
+                             const EvalContext& context);
+
+/// The detail columns the compiled predicate reads: its detail
+/// conjuncts' columns (kGeneric ref_cols included) and its correlated
+/// conjuncts' detail_col / ref_cols, added to `out` (ascending, deduped).
+void AddPredicateReadSet(const CompiledPredicate& pred,
+                         std::vector<size_t>* out);
+
 /// Per-base-row predicate state: the base-only gate plus each correlated
 /// conjunct's hoisted base side.
 struct BasePredState {

@@ -1,10 +1,14 @@
 #include "columnar/vector_eval.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,6 +39,9 @@ struct CompiledBlock {
   CompiledPredicate pred;
   std::vector<AggPart> parts;
   std::vector<std::pair<size_t, size_t>> agg_part_ranges;
+  // Detail columns the block reads (equality keys, predicate columns,
+  // aggregate inputs), ascending: the read set every pin names.
+  std::vector<size_t> read_cols;
 };
 
 enum class BlockPath : uint8_t {
@@ -71,15 +78,21 @@ Status CompileBlock(
   SKALLA_ASSIGN_OR_RETURN(
       exec->pred,
       CompilePredicate(classes, base_schema, detail_schema, col_range));
+  std::vector<size_t>& reads = exec->read_cols;
+  reads = exec->detail_cols;
   for (const AggSpec& spec : block.aggs) {
     std::vector<SubAggregate> decomposed = Decompose(spec);
     exec->agg_part_ranges.emplace_back(exec->parts.size(), decomposed.size());
     for (SubAggregate& sub : decomposed) {
       SKALLA_ASSIGN_OR_RETURN(AggPart part,
                               CompileAggPart(std::move(sub), detail_schema));
+      if (part.input_col >= 0) {
+        reads.push_back(static_cast<size_t>(part.input_col));
+      }
       exec->parts.push_back(std::move(part));
     }
   }
+  AddPredicateReadSet(exec->pred, &reads);  // sorts and dedupes
   return Status::OK();
 }
 
@@ -319,7 +332,9 @@ Status EvalGroupedBlock(const DataProvider& detail, BlockExec* exec,
                   kNoSlot);
       continue;
     }
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+    SKALLA_ASSIGN_OR_RETURN(
+        PinnedChunk pin,
+        PinChunk(detail, ci, exec->compiled.read_cols, context));
     const Chunk& chunk = *pin;
     const size_t n = chunk.num_rows();
     const uint8_t* selp = nullptr;
@@ -385,7 +400,9 @@ Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
         RecordPrunedChunk(context);
         continue;
       }
-      SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+      SKALLA_ASSIGN_OR_RETURN(
+          PinnedChunk pin,
+          PinChunk(detail, ci, exec->compiled.read_cols, context));
       const Chunk& chunk = *pin;
       const size_t row_base = detail.chunk_row_begin(ci);
       const uint8_t* selp = nullptr;
@@ -437,7 +454,9 @@ Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
   for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
     if (!chunk_any[ci]) continue;
     if (cancel != nullptr) SKALLA_RETURN_NOT_OK(cancel->Check());
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+    SKALLA_ASSIGN_OR_RETURN(
+        PinnedChunk pin,
+        PinChunk(detail, ci, exec->compiled.read_cols, context));
     const Chunk& chunk = *pin;
     const uint32_t chunk_lo =
         static_cast<uint32_t>(detail.chunk_row_begin(ci));
@@ -497,6 +516,29 @@ ScanPartial MakeScanPartial(const std::vector<AggPart>& protos,
   return partial;
 }
 
+// The chunk a worker last folded, kept pinned across its consecutive
+// morsel segments. A morsel is much smaller than a chunk; unpinning per
+// segment would, under a budget below one chunk, evict the pages at
+// every unpin and reload them for the next morsel.
+struct HeldChunk {
+  size_t ci = SIZE_MAX;
+  PinnedChunk pin;
+};
+
+// One HeldChunk per thread running scan morsels; the pins release when
+// the scan ends.
+class WorkerChunks {
+ public:
+  HeldChunk* ForThisThread() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return &held_[std::this_thread::get_id()];  // map nodes are stable
+  }
+
+ private:
+  std::mutex mu_;
+  std::map<std::thread::id, HeldChunk> held_;
+};
+
 void MergeScanPartial(const ScanPartial& partial, std::vector<AggPart>* parts,
                       std::vector<uint8_t>* matched) {
   for (size_t pi = 0; pi < parts->size(); ++pi) {
@@ -536,7 +578,9 @@ Status EvalScanBlock(const Table& base, const DataProvider& detail,
         chunk_any[ci] = 0;
         continue;
       }
-      SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
+      SKALLA_ASSIGN_OR_RETURN(
+          PinnedChunk pin,
+          PinChunk(detail, ci, exec->compiled.read_cols, context));
       const Chunk& chunk = *pin;
       EvalDetailSelection(pred, chunk, &chunk_sel);
       uint8_t any = 0;
@@ -569,8 +613,10 @@ Status EvalScanBlock(const Table& base, const DataProvider& detail,
         std::memory_order_relaxed);
     profile->rows_matched.fetch_add(pairs, std::memory_order_relaxed);
   };
+  WorkerChunks worker_chunks;
   auto fold = [&](ScanPartial* partial, size_t lo, size_t hi,
                   uint64_t* pairs) -> Status {
+    HeldChunk* held = worker_chunks.ForThisThread();
     Row scratch;
     size_t r = lo;
     while (r < hi) {
@@ -581,8 +627,15 @@ Status EvalScanBlock(const Table& base, const DataProvider& detail,
         r = seg_hi;
         continue;
       }
-      SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, detail.Pin(ci));
-      const Chunk& chunk = *pin;
+      if (held->ci != ci) {
+        held->pin.Release();
+        held->ci = SIZE_MAX;
+        SKALLA_ASSIGN_OR_RETURN(
+            held->pin,
+            PinChunk(detail, ci, exec->compiled.read_cols, context));
+        held->ci = ci;
+      }
+      const Chunk& chunk = *held->pin;
       std::vector<const Column*> part_cols =
           PartColumns(partial->parts, chunk);
       for (; r < seg_hi; ++r) {

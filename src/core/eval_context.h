@@ -64,6 +64,10 @@ struct EvalProfile {
   std::atomic<uint64_t> morsel_us{0};
   /// Chunks skipped by min/max stat pruning (columnar kernel).
   std::atomic<uint64_t> chunks_pruned{0};
+  /// Column pages the evaluation's pins loaded (buffer misses) and their
+  /// estimated resident bytes. Zero over memory-backed relations.
+  std::atomic<uint64_t> pages_loaded{0};
+  std::atomic<uint64_t> bytes_loaded{0};
   /// kEngineBit* OR of the kernels that actually evaluated operators.
   std::atomic<uint8_t> engines_used{0};
 };

@@ -249,7 +249,15 @@ Result<Table> EvalGmdj(const Table& base, const DataProvider& detail,
   if (context.cancellation != nullptr) {
     SKALLA_RETURN_NOT_OK(context.cancellation->Check());
   }
-  SKALLA_ASSIGN_OR_RETURN(Table materialized, MaterializeProvider(detail));
+  PageLoads loads;
+  SKALLA_ASSIGN_OR_RETURN(Table materialized,
+                          MaterializeProvider(detail, &loads));
+  if (context.profile != nullptr) {
+    context.profile->pages_loaded.fetch_add(loads.pages,
+                                            std::memory_order_relaxed);
+    context.profile->bytes_loaded.fetch_add(loads.bytes,
+                                            std::memory_order_relaxed);
+  }
   return EvalGmdj(base, materialized, op, context);
 }
 

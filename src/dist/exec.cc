@@ -140,6 +140,10 @@ class InProcessLink : public SiteLink {
         eval_profile.index_hits.load(std::memory_order_relaxed);
     profile.chunks_pruned =
         eval_profile.chunks_pruned.load(std::memory_order_relaxed);
+    profile.pages_loaded =
+        eval_profile.pages_loaded.load(std::memory_order_relaxed);
+    profile.bytes_loaded =
+        eval_profile.bytes_loaded.load(std::memory_order_relaxed);
     profile.engines_used =
         eval_profile.engines_used.load(std::memory_order_relaxed);
     profile.result_rows = result->num_rows();

@@ -175,6 +175,8 @@ struct SiteRoundProfile {
   uint64_t duplicate_rounds = 0;  // idempotency-cache replays (rpc only)
   uint64_t chaos_faults = 0;      // transport faults injected (rpc only)
   uint64_t chunks_pruned = 0;     // chunks skipped unpinned by stat pruning
+  uint64_t pages_loaded = 0;      // column pages the round's pins loaded
+  uint64_t bytes_loaded = 0;      // their estimated resident bytes
   /// Engines the site's evaluation actually used this round
   /// (kEngineBitRow / kEngineBitColumnar OR-ed; see
   /// EvalProfile::engines_used). Base rounds always report

@@ -66,6 +66,11 @@ std::string SiteProfileLines(const RoundStats& r) {
       out += StrPrintf("  (pruned %llu chunks)",
                        static_cast<unsigned long long>(p.chunks_pruned));
     }
+    if (p.pages_loaded > 0) {
+      out += StrPrintf("  (loaded %llu pages, %llu B)",
+                       static_cast<unsigned long long>(p.pages_loaded),
+                       static_cast<unsigned long long>(p.bytes_loaded));
+    }
     if (p.duplicate_rounds > 0 || p.chaos_faults > 0) {
       out += StrPrintf("  (dup %llu, chaos %llu)",
                        static_cast<unsigned long long>(p.duplicate_rounds),

@@ -182,6 +182,10 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider,
     }
   }
 
+  // Pins read the projection plus the WHERE's columns, nothing else.
+  std::vector<size_t> reads = indices;
+  AddPredicateReadSet(pred, &reads);  // sorts and dedupes
+
   Table out(schema->Project(indices));
   // First-occurrence distinct: out row g is key g. head maps a key hash
   // to its newest group, next[g] to the previous group with that hash.
@@ -198,7 +202,8 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider,
       RecordPrunedChunk(context);
       continue;
     }
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(ci));
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin,
+                            PinChunk(provider, ci, reads, context));
     const Chunk& chunk = *pin;
     const size_t n = chunk.num_rows();
     rows_scanned += n;

@@ -10,17 +10,30 @@ namespace rpc {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table;
+// kCrcTables[k][i] is the CRC of byte i followed by k zero bytes, so one
+// step folds eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < 8; ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFF] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
 void PutLe32(std::vector<uint8_t>* out, uint32_t v) {
   out->push_back(static_cast<uint8_t>(v));
@@ -39,9 +52,20 @@ uint32_t GetLe32(const uint8_t* p) {
 uint32_t Crc32Init() { return 0xFFFFFFFFu; }
 
 uint32_t Crc32Update(uint32_t state, const uint8_t* data, size_t size) {
-  static const std::array<uint32_t, 256> kTable = MakeCrcTable();
-  for (size_t i = 0; i < size; ++i) {
-    state = kTable[(state ^ data[i]) & 0xFF] ^ (state >> 8);
+  const CrcTables& t = kCrcTables;
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const uint8_t* p = data + i;
+    const uint32_t lo = state ^ (static_cast<uint32_t>(p[0]) |
+                                 static_cast<uint32_t>(p[1]) << 8 |
+                                 static_cast<uint32_t>(p[2]) << 16 |
+                                 static_cast<uint32_t>(p[3]) << 24);
+    state = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+            t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+            t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; i < size; ++i) {
+    state = t[0][(state ^ data[i]) & 0xFF] ^ (state >> 8);
   }
   return state;
 }

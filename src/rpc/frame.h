@@ -63,7 +63,10 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //   8  RoundProfile grows a chunks_pruned varint after engines_used, and
 //      base rounds fill rows_scanned, chunks_pruned and engines_used
 //      (the base-query scan is columnar)
-inline constexpr uint8_t kProtocolVersion = 8;
+//   9  RoundProfile grows pages_loaded and bytes_loaded varints after
+//      chunks_pruned: the column pages the round's pins loaded (its
+//      buffer misses) and their estimated bytes, in both round kinds
+inline constexpr uint8_t kProtocolVersion = 9;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// What a frame carries. Requests flow coordinator -> site; responses

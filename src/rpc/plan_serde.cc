@@ -143,6 +143,8 @@ void WriteRoundProfile(std::vector<uint8_t>* out,
   PutVarint(out, profile.chaos_faults);
   PutVarint(out, profile.engines_used);
   PutVarint(out, profile.chunks_pruned);
+  PutVarint(out, profile.pages_loaded);
+  PutVarint(out, profile.bytes_loaded);
   PutVarint(out, profile.spans.size());
   for (const obs::TraceEvent& e : profile.spans) {
     WriteString(out, e.name);
@@ -181,6 +183,8 @@ Result<RoundProfile> ReadRoundProfile(ByteReader* reader) {
   }
   profile.engines_used = static_cast<uint8_t>(engines_raw);
   SKALLA_ASSIGN_OR_RETURN(profile.chunks_pruned, reader->ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(profile.pages_loaded, reader->ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(profile.bytes_loaded, reader->ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_spans, reader->ReadVarint());
   if (num_spans > kMaxProfileSpans) {
     return Status::IOError("implausible profile span count");

@@ -94,6 +94,11 @@ struct RoundProfile {
   /// Chunks the round skipped unpinned by stat pruning. Wire format:
   /// varint after engines_used (protocol version 8).
   uint64_t chunks_pruned = 0;
+  /// Column pages the round's pins loaded (buffer misses) and their
+  /// estimated bytes. Wire format: two varints after chunks_pruned
+  /// (protocol version 9).
+  uint64_t pages_loaded = 0;
+  uint64_t bytes_loaded = 0;
   /// The site's span subtree for this round (empty when untraced). Span
   /// ids/parents are site-local; the coordinator remaps them on import.
   std::vector<obs::TraceEvent> spans;

@@ -32,6 +32,8 @@ SiteRoundProfile ToSiteProfile(const RoundProfile& p) {
   sp.chaos_faults = p.chaos_faults;
   sp.engines_used = p.engines_used;
   sp.chunks_pruned = p.chunks_pruned;
+  sp.pages_loaded = p.pages_loaded;
+  sp.bytes_loaded = p.bytes_loaded;
   return sp;
 }
 

@@ -161,6 +161,8 @@ void SiteService::FillEvalCounts(const EvalProfile& eval,
   profile->rows_matched = eval.rows_matched.load(std::memory_order_relaxed);
   profile->index_hits = eval.index_hits.load(std::memory_order_relaxed);
   profile->chunks_pruned = eval.chunks_pruned.load(std::memory_order_relaxed);
+  profile->pages_loaded = eval.pages_loaded.load(std::memory_order_relaxed);
+  profile->bytes_loaded = eval.bytes_loaded.load(std::memory_order_relaxed);
   profile->engines_used = eval.engines_used.load(std::memory_order_relaxed);
   profile->duplicate_rounds = duplicate_rounds_;
   profile->chaos_faults =

@@ -2,65 +2,119 @@
 
 #include <atomic>
 
+#include "common/string_util.h"
 #include "obs/obs.h"
 
 namespace skalla {
 
-Result<PinnedChunk> BufferManager::Pin(uint64_t owner, size_t chunk_index,
-                                       const Loader& loader) {
-  const Key key{owner, chunk_index};
+Result<PinnedPages> BufferManager::Pin(uint64_t owner, size_t chunk_index,
+                                       const std::vector<size_t>& columns,
+                                       const PageLoader& loader) {
+  std::vector<ColumnPtr> pages(columns.size());
+  std::vector<size_t> missing;  // positions in `columns`
   std::unique_lock<std::mutex> lock(mu_);
+  // Wait out other pinners' in-flight loads of any requested page; a
+  // waiter claims nothing, so waits cannot form a cycle.
   for (;;) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) break;  // we load it below
-    Entry& entry = it->second;
-    if (!entry.loading) {
-      ++entry.pins;
-      entry.lru = ++lru_tick_;
-      ++hits_;
-      SKALLA_COUNTER_ADD("skalla.storage.buffer.hit", 1);
-      return MakeHandle(key, entry.chunk);
+    bool busy = false;
+    for (size_t c : columns) {
+      auto it = entries_.find(Key{owner, chunk_index, c});
+      if (it != entries_.end() && it->second.loading) {
+        busy = true;
+        break;
+      }
     }
-    // Another pinner is loading this chunk; wait for it and re-check
-    // (the entry disappears if the load failed).
+    if (!busy) break;
     load_cv_.wait(lock);
   }
+  uint64_t hits = 0;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    auto [it, inserted] =
+        entries_.try_emplace(Key{owner, chunk_index, columns[i]});
+    Entry& entry = it->second;
+    if (inserted) {
+      entry.loading = true;
+      missing.push_back(i);
+      continue;
+    }
+    ++entry.pins;
+    entry.lru = ++lru_tick_;
+    pages[i] = entry.page;
+    ++hits;
+  }
+  hits_ += hits;
+  SKALLA_COUNTER_ADD("skalla.storage.buffer.hit", hits);
+  if (missing.empty()) {
+    return PinnedPages(std::move(pages),
+                       MakeUnpin(owner, chunk_index, columns), PageLoads{});
+  }
 
-  entries_[key].loading = true;
+  std::vector<size_t> to_load;
+  to_load.reserve(missing.size());
+  for (size_t i : missing) to_load.push_back(columns[i]);
   lock.unlock();
-  Result<ChunkPtr> loaded = loader();
+  Result<std::vector<ColumnPtr>> loaded = loader(to_load);
+  if (loaded.ok() && loaded->size() != to_load.size()) {
+    loaded = Status::Internal(StrCat("page loader returned ", loaded->size(),
+                                     " pages for ", to_load.size(),
+                                     " columns"));
+  }
   lock.lock();
   if (!loaded.ok()) {
-    entries_.erase(key);
+    for (size_t i : missing) {
+      entries_.erase(Key{owner, chunk_index, columns[i]});
+    }
+    for (size_t i = 0; i < columns.size(); ++i) {
+      if (pages[i] != nullptr) UnpinLocked(Key{owner, chunk_index, columns[i]});
+    }
+    EvictLocked();
+    SetResidentGaugeLocked();
     load_cv_.notify_all();
     return loaded.status();
   }
-  Entry& entry = entries_[key];
-  entry.chunk = std::move(*loaded);
-  entry.bytes = entry.chunk->byte_size();
-  entry.pins = 1;
-  entry.lru = ++lru_tick_;
-  entry.loading = false;
-  resident_bytes_ += entry.bytes;
-  ++misses_;
-  SKALLA_COUNTER_ADD("skalla.storage.buffer.miss", 1);
-  ChunkPtr chunk = entry.chunk;
+  uint64_t bytes_loaded = 0;
+  for (size_t k = 0; k < missing.size(); ++k) {
+    const size_t i = missing[k];
+    Entry& entry = entries_[Key{owner, chunk_index, columns[i]}];
+    entry.page = std::move((*loaded)[k]);
+    entry.bytes = EstimateColumnBytes(*entry.page);
+    entry.pins = 1;
+    entry.lru = ++lru_tick_;
+    entry.loading = false;
+    resident_bytes_ += entry.bytes;
+    bytes_loaded += entry.bytes;
+    pages[i] = entry.page;
+  }
+  misses_ += missing.size();
+  loaded_bytes_ += bytes_loaded;
+  SKALLA_COUNTER_ADD("skalla.storage.buffer.miss", missing.size());
+  SKALLA_COUNTER_ADD("skalla.storage.buffer.load_bytes", bytes_loaded);
   EvictLocked();
   SetResidentGaugeLocked();
   load_cv_.notify_all();
-  return MakeHandle(key, std::move(chunk));
+  return PinnedPages(std::move(pages), MakeUnpin(owner, chunk_index, columns),
+                     PageLoads{missing.size(), bytes_loaded});
 }
 
-PinnedChunk BufferManager::MakeHandle(Key key, ChunkPtr chunk) {
+std::function<void()> BufferManager::MakeUnpin(
+    uint64_t owner, size_t chunk_index, const std::vector<size_t>& columns) {
   // The closure holds shared ownership of the manager, so a handle that
   // outlives every provider still unpins safely.
   auto self = shared_from_this();
-  return PinnedChunk(std::move(chunk),
-                     [self, key] { self->Unpin(key); });
+  return [self, owner, chunk_index, columns] {
+    self->Unpin(owner, chunk_index, columns);
+  };
 }
 
-void BufferManager::Unpin(Key key) {
+void BufferManager::Unpin(uint64_t owner, size_t chunk_index,
+                          const std::vector<size_t>& columns) {
   std::lock_guard<std::mutex> lock(mu_);
+  for (size_t c : columns) UnpinLocked(Key{owner, chunk_index, c});
+  EvictLocked();
+  SetResidentGaugeLocked();
+}
+
+void BufferManager::UnpinLocked(const Key& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
   Entry& entry = it->second;
@@ -68,19 +122,13 @@ void BufferManager::Unpin(Key key) {
   if (entry.pins == 0 && entry.dropped) {
     resident_bytes_ -= entry.bytes;
     entries_.erase(it);
-    SetResidentGaugeLocked();
-    return;
-  }
-  if (entry.pins == 0) {
-    EvictLocked();
-    SetResidentGaugeLocked();
   }
 }
 
 void BufferManager::DropOwner(uint64_t owner) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.lower_bound(Key{owner, 0});
-  while (it != entries_.end() && it->first.first == owner) {
+  auto it = entries_.lower_bound(Key{owner, 0, 0});
+  while (it != entries_.end() && std::get<0>(it->first) == owner) {
     Entry& entry = it->second;
     if (entry.pins == 0 && !entry.loading) {
       resident_bytes_ -= entry.bytes;
@@ -122,11 +170,12 @@ BufferStats BufferManager::stats() const {
   s.hits = hits_;
   s.misses = misses_;
   s.evictions = evictions_;
+  s.loaded_bytes = loaded_bytes_;
   s.resident_bytes = resident_bytes_;
   for (const auto& [key, entry] : entries_) {
     if (entry.loading) continue;
-    ++s.resident_chunks;
-    if (entry.pins > 0) ++s.pinned_chunks;
+    ++s.resident_pages;
+    if (entry.pins > 0) ++s.pinned_pages;
   }
   return s;
 }

@@ -13,7 +13,10 @@ namespace skalla {
 
 namespace {
 
-constexpr char kChunkMagic[8] = {'S', 'K', 'A', 'L', 'L', 'A', 'C', '1'};
+constexpr char kChunkMagic[8] = {'S', 'K', 'A', 'L', 'L', 'A', 'C', '2'};
+// The magic prefix shared by every chunk file version; byte 7 is the
+// version digit.
+constexpr size_t kMagicPrefix = 7;
 
 void PutU32(std::vector<uint8_t>* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -68,17 +71,114 @@ Result<SchemaPtr> DecodeSchema(ByteReader* reader) {
   return Schema::Make(std::move(fields));
 }
 
-// Serializes chunk `payload` (cells column-major) from typed pages.
-void EncodeChunkPayload(const Chunk& chunk, std::vector<uint8_t>* out) {
-  for (size_t c = 0; c < chunk.num_columns(); ++c) {
-    const Column& col = chunk.column(c);
-    for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      WriteValue(out, col.GetValue(r));
+// Reads one LEB128 varint at *p (< end), advancing *p; false on
+// truncation or overlong input, the limits of ByteReader::ReadVarint.
+// Inline rather than ByteReader because page decode calls it per cell.
+inline bool ReadPageVarint(const uint8_t** p, const uint8_t* end,
+                           uint64_t* out) {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (*p >= end) return false;
+    const uint8_t b = *(*p)++;
+    v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) {
+      *out = v;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+void EncodeColumnPage(const Column& col, std::vector<uint8_t>* out) {
+  const uint8_t null_tag = static_cast<uint8_t>(ValueType::kNull);
+  const uint8_t tag = static_cast<uint8_t>(col.type());
+  for (size_t r = 0; r < col.size(); ++r) {
+    if (col.IsNull(r)) {
+      out->push_back(null_tag);
+      continue;
+    }
+    out->push_back(tag);
+    switch (col.type()) {
+      case ValueType::kInt64:
+        PutVarint(out, ZigzagEncode(col.Int64At(r)));
+        break;
+      case ValueType::kFloat64:
+        PutF64(out, col.Float64At(r));
+        break;
+      case ValueType::kString: {
+        const std::string& str = col.StringAt(r);
+        PutVarint(out, str.size());
+        out->insert(out->end(), str.begin(), str.end());
+        break;
+      }
+      case ValueType::kNull:
+        break;
     }
   }
 }
 
-}  // namespace
+Result<Column> DecodeColumnPage(const uint8_t* data, size_t size,
+                                ValueType type, size_t rows) {
+  const uint8_t null_tag = static_cast<uint8_t>(ValueType::kNull);
+  const uint8_t tag = static_cast<uint8_t>(type);
+  const uint8_t* p = data;
+  const uint8_t* const end = data + size;
+  Column col(type);
+  col.Reserve(rows);
+  auto truncated = [&] {
+    return Status::IOError(
+        StrCat("truncated ", ValueTypeToString(type), " page: ",
+               col.size(), " of ", rows, " cells decoded"));
+  };
+  for (size_t r = 0; r < rows; ++r) {
+    if (p >= end) return truncated();
+    const uint8_t cell_tag = *p++;
+    if (cell_tag == null_tag) {
+      col.AppendNull();
+      continue;
+    }
+    if (cell_tag != tag) {
+      return Status::IOError(StrCat("cell tag ", int{cell_tag}, " in a ",
+                                    ValueTypeToString(type), " page"));
+    }
+    switch (type) {
+      case ValueType::kInt64: {
+        uint64_t raw;
+        if (!ReadPageVarint(&p, end, &raw)) return truncated();
+        col.AppendInt64(ZigzagDecode(raw));
+        break;
+      }
+      case ValueType::kFloat64: {
+        if (end - p < 8) return truncated();
+        double d;
+        std::memcpy(&d, p, 8);
+        p += 8;
+        col.AppendFloat64(d);
+        break;
+      }
+      case ValueType::kString: {
+        uint64_t len;
+        if (!ReadPageVarint(&p, end, &len) ||
+            len > static_cast<uint64_t>(end - p)) {
+          return truncated();
+        }
+        col.AppendString(std::string(reinterpret_cast<const char*>(p), len));
+        p += len;
+        break;
+      }
+      case ValueType::kNull:
+        return Status::IOError("page of an untyped column");
+    }
+  }
+  if (p != end) {
+    return Status::IOError(StrCat(end - p, " trailing bytes after a ", rows,
+                                  "-cell ", ValueTypeToString(type),
+                                  " page"));
+  }
+  return col;
+}
 
 // --- ChunkFileWriter -------------------------------------------------------
 
@@ -126,18 +226,23 @@ Status ChunkFileWriter::FlushBuffered() {
   SKALLA_RETURN_NOT_OK(EnsureOpen());
   SKALLA_ASSIGN_OR_RETURN(ChunkPtr chunk, Chunk::Build(buffer_, 0, n));
   std::vector<uint8_t> payload;
-  EncodeChunkPayload(*chunk, &payload);
-
   ChunkEntry entry;
   entry.row_begin = rows_written_ - n;
   entry.row_count = n;
   entry.offset = write_offset_;
-  entry.length = payload.size();
-  entry.crc = rpc::Crc32(payload.data(), payload.size());
   entry.column_stats.reserve(chunk->num_columns());
+  entry.pages.reserve(chunk->num_columns());
   for (size_t c = 0; c < chunk->num_columns(); ++c) {
+    const size_t page_begin = payload.size();
+    EncodeColumnPage(chunk->column(c), &payload);
+    ChunkPage page;
+    page.offset = write_offset_ + page_begin;
+    page.length = payload.size() - page_begin;
+    page.crc = rpc::Crc32(payload.data() + page_begin, page.length);
+    entry.pages.push_back(page);
     entry.column_stats.push_back(chunk->column_stats(c));
   }
+  entry.length = payload.size();
   entries_.push_back(std::move(entry));
 
   auto* out = static_cast<std::ofstream*>(out_);
@@ -164,14 +269,16 @@ Status ChunkFileWriter::Finish() {
     PutVarint(&footer, entry.row_count);
     PutVarint(&footer, entry.offset);
     PutVarint(&footer, entry.length);
-    PutU32(&footer, entry.crc);
-    for (const ChunkColumnStats& s : entry.column_stats) {
+    for (size_t c = 0; c < entry.pages.size(); ++c) {
+      const ChunkColumnStats& s = entry.column_stats[c];
       footer.push_back(s.has_range ? 1 : 0);
       if (s.has_range) {
         PutF64(&footer, s.min);
         PutF64(&footer, s.max);
       }
       PutVarint(&footer, s.null_count);
+      PutVarint(&footer, entry.pages[c].length);
+      PutU32(&footer, entry.pages[c].crc);
     }
   }
   std::vector<uint8_t> trailer;
@@ -210,8 +317,14 @@ Result<std::shared_ptr<const ChunkFile>> ChunkFile::Open(std::string path) {
   char magic[sizeof(kChunkMagic)];
   in.seekg(0);
   in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kChunkMagic, sizeof(magic)) != 0) {
+  if (!in || std::memcmp(magic, kChunkMagic, kMagicPrefix) != 0) {
     return Status::IOError(StrCat("'", path, "' is not a chunk file"));
+  }
+  if (magic[kMagicPrefix] != kChunkMagic[kMagicPrefix]) {
+    return Status::IOError(StrCat(
+        "'", path, "' is a version ", std::string(1, magic[kMagicPrefix]),
+        " chunk file (", std::string(magic, sizeof(magic)),
+        "); this build reads only version 2 (SKALLAC2): rewrite it"));
   }
   uint8_t trailer[8];
   in.seekg(static_cast<std::streamoff>(file_size - 8));
@@ -239,6 +352,12 @@ Result<std::shared_ptr<const ChunkFile>> ChunkFile::Open(std::string path) {
   file->num_rows_ = num_rows;
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_chunks, reader.ReadVarint());
   const size_t num_columns = file->schema_->num_fields();
+  const uint64_t data_end = file_size - 8 - footer_len;
+  auto bad_entry = [&](uint64_t i, const char* what) {
+    return Status::IOError(
+        StrCat("chunk ", i, " of '", file->path_, "': ", what));
+  };
+  size_t rows_seen = 0;
   file->entries_.reserve(num_chunks);
   for (uint64_t i = 0; i < num_chunks; ++i) {
     ChunkEntry entry;
@@ -248,9 +367,17 @@ Result<std::shared_ptr<const ChunkFile>> ChunkFile::Open(std::string path) {
     SKALLA_ASSIGN_OR_RETURN(entry.length, reader.ReadVarint());
     entry.row_begin = row_begin;
     entry.row_count = row_count;
-    SKALLA_ASSIGN_OR_RETURN(const uint8_t* crc_bytes, reader.ReadBytes(4));
-    entry.crc = GetU32(crc_bytes);
+    if (row_begin != rows_seen) {
+      return bad_entry(i, "row range does not follow the previous chunk's");
+    }
+    rows_seen += row_count;
+    if (entry.offset < sizeof(kChunkMagic) || entry.offset > data_end ||
+        entry.length > data_end - entry.offset) {
+      return bad_entry(i, "payload lies outside the file's data region");
+    }
     entry.column_stats.resize(num_columns);
+    entry.pages.resize(num_columns);
+    uint64_t page_offset = entry.offset;
     for (size_t c = 0; c < num_columns; ++c) {
       ChunkColumnStats& s = entry.column_stats[c];
       SKALLA_ASSIGN_OR_RETURN(uint8_t has_range, reader.ReadByte());
@@ -260,49 +387,72 @@ Result<std::shared_ptr<const ChunkFile>> ChunkFile::Open(std::string path) {
         SKALLA_ASSIGN_OR_RETURN(s.max, ReadF64(&reader));
       }
       SKALLA_ASSIGN_OR_RETURN(s.null_count, reader.ReadVarint());
+      ChunkPage& page = entry.pages[c];
+      SKALLA_ASSIGN_OR_RETURN(page.length, reader.ReadVarint());
+      SKALLA_ASSIGN_OR_RETURN(const uint8_t* crc_bytes, reader.ReadBytes(4));
+      page.crc = GetU32(crc_bytes);
+      page.offset = page_offset;
+      if (page.length > entry.offset + entry.length - page_offset) {
+        return bad_entry(i, "column pages overrun the chunk payload");
+      }
+      page_offset += page.length;
+    }
+    if (page_offset != entry.offset + entry.length) {
+      return bad_entry(i, "column pages do not tile the chunk payload");
     }
     file->entries_.push_back(std::move(entry));
+  }
+  if (rows_seen != file->num_rows_ || reader.remaining() != 0) {
+    return Status::IOError(
+        StrCat("footer of '", file->path_, "' is inconsistent"));
   }
   return std::shared_ptr<const ChunkFile>(std::move(file));
 }
 
-Result<ChunkPtr> ChunkFile::ReadChunk(size_t i) const {
-  if (i >= entries_.size()) {
+Result<std::vector<ColumnPtr>> ChunkFile::ReadPages(
+    size_t chunk, const std::vector<size_t>& columns) const {
+  if (chunk >= entries_.size()) {
     return Status::InvalidArgument(
-        StrCat("chunk ", i, " out of range (file has ", entries_.size(),
+        StrCat("chunk ", chunk, " out of range (file has ", entries_.size(),
                " chunks)"));
   }
-  const ChunkEntry& entry = entries_[i];
+  const ChunkEntry& entry = entries_[chunk];
   std::ifstream in(path_, std::ios::binary);
   if (!in) {
     return Status::IOError(StrCat("cannot open '", path_, "' for reading"));
   }
-  std::vector<uint8_t> payload(entry.length);
-  in.seekg(static_cast<std::streamoff>(entry.offset));
-  in.read(reinterpret_cast<char*>(payload.data()),
-          static_cast<std::streamsize>(entry.length));
-  if (!in) {
-    return Status::IOError(
-        StrCat("failed reading chunk ", i, " of '", path_, "'"));
-  }
-  if (rpc::Crc32(payload.data(), payload.size()) != entry.crc) {
-    return Status::IOError(
-        StrCat("checksum mismatch in chunk ", i, " of '", path_, "'"));
-  }
-  ByteReader reader(payload.data(), payload.size());
-  std::vector<Column> columns;
-  columns.reserve(schema_->num_fields());
-  for (size_t c = 0; c < schema_->num_fields(); ++c) {
-    Column col(schema_->field(c).type);
-    col.Reserve(entry.row_count);
-    for (size_t r = 0; r < entry.row_count; ++r) {
-      SKALLA_ASSIGN_OR_RETURN(Value v, ReadValue(&reader));
-      SKALLA_RETURN_NOT_OK(col.Append(v));
+  std::vector<ColumnPtr> pages;
+  pages.reserve(columns.size());
+  std::vector<uint8_t> bytes;
+  for (size_t c : columns) {
+    if (c >= entry.pages.size()) {
+      return Status::InvalidArgument(
+          StrCat("column ", c, " out of range in '", path_, "'"));
     }
-    columns.push_back(std::move(col));
+    const ChunkPage& page = entry.pages[c];
+    bytes.resize(page.length);
+    in.seekg(static_cast<std::streamoff>(page.offset));
+    in.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(page.length));
+    if (!in) {
+      return Status::IOError(StrCat("failed reading column ", c, " of chunk ",
+                                    chunk, " of '", path_, "'"));
+    }
+    if (rpc::Crc32(bytes.data(), bytes.size()) != page.crc) {
+      return Status::IOError(StrCat("checksum mismatch in column ", c,
+                                    " of chunk ", chunk, " of '", path_,
+                                    "'"));
+    }
+    Result<Column> col = DecodeColumnPage(
+        bytes.data(), bytes.size(), schema_->field(c).type, entry.row_count);
+    if (!col.ok()) {
+      return Status::IOError(StrCat("column ", c, " of chunk ", chunk,
+                                    " of '", path_, "': ",
+                                    col.status().message()));
+    }
+    pages.push_back(std::make_shared<const Column>(std::move(*col)));
   }
-  return Chunk::FromColumns(schema_, entry.row_begin, std::move(columns),
-                            entry.column_stats);
+  return pages;
 }
 
 }  // namespace skalla

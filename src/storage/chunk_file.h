@@ -1,22 +1,29 @@
 // On-disk chunk files: the persistent form of one relation partition,
-// written as a sequence of independently loadable columnar chunks plus a
-// CRC-checked footer describing them.
+// written as a sequence of chunks, each a run of independently loadable
+// column pages, plus a CRC-checked footer describing them.
 //
-// Layout (little-endian):
+// Layout (version 2, little-endian):
 //
-//   file   := magic "SKALLAC1" chunk_payload* footer
+//   file   := magic "SKALLAC2" chunk_payload* footer
 //             footer_len:u32 footer_crc:u32
 //   footer := schema (serde field encoding)
 //             num_rows:varint nchunks:varint entry*
 //   entry  := row_begin:varint row_count:varint offset:varint
-//             length:varint payload_crc:u32 colstats*
+//             length:varint column*
+//   column := colstats page_length:varint page_crc:u32
 //   colstats := has_range:u8 [min:f64 max:f64] null_count:varint
-//   chunk_payload := cells column-major, one WriteValue cell each
+//   chunk_payload := page*           one per column, in schema order
+//   page   := cell*                  one WriteValue cell per row
 //
-// Both the footer and every chunk payload carry a CRC-32 (the rpc
-// framing polynomial); a bit flip anywhere is detected at open / read
-// time rather than silently corrupting results. Offsets are absolute, so
-// a chunk reads with one seek — the unit the BufferManager pages.
+// A page's offset is the chunk's offset plus the lengths of the pages
+// before it; Open checks that the pages tile each chunk payload and the
+// chunks their row ranges. The footer and every page carry a CRC-32
+// (the rpc framing polynomial), so a bit flip is detected at open time
+// or when the damaged page is read, and every decoded byte is checked.
+// The column page is the unit of storage I/O: ReadPages reads, checks
+// and decodes only the pages a caller names. A version 1 file
+// ("SKALLAC1", one CRC per chunk payload) fails Open with an IOError
+// naming its version; rewrite it with this build.
 //
 // ChunkFileWriter streams rows through a bounded buffer: a chunk's rows
 // are the only ones resident while writing, which is what lets
@@ -37,15 +44,32 @@
 
 namespace skalla {
 
+/// Where one column page of a chunk lives.
+struct ChunkPage {
+  uint64_t offset = 0;  // absolute file offset
+  uint64_t length = 0;  // page bytes
+  uint32_t crc = 0;     // CRC-32 of the page
+};
+
 /// Directory entry for one chunk of a chunk file.
 struct ChunkEntry {
   size_t row_begin = 0;
   size_t row_count = 0;
   uint64_t offset = 0;  // absolute file offset of the payload
-  uint64_t length = 0;  // payload bytes
-  uint32_t crc = 0;     // CRC-32 of the payload
+  uint64_t length = 0;  // payload bytes (the pages' lengths summed)
   std::vector<ChunkColumnStats> column_stats;  // one per column
+  std::vector<ChunkPage> pages;                // one per column
 };
+
+/// Appends `col`'s page: one WriteValue cell (net/serde.h) per row,
+/// written straight from the typed vectors.
+void EncodeColumnPage(const Column& col, std::vector<uint8_t>* out);
+
+/// Decodes a page of exactly `rows` cells into a column of `type`. Each
+/// cell must carry the NULL tag or `type`'s own tag; truncation and
+/// trailing bytes are IOErrors.
+Result<Column> DecodeColumnPage(const uint8_t* data, size_t size,
+                                ValueType type, size_t rows);
 
 /// Streams rows into a chunk file, flushing a chunk every `chunk_rows`
 /// rows. Usage: construct, Append rows (or tables), then Finish — the
@@ -88,8 +112,8 @@ Status WriteChunkFile(const Table& table, const std::string& path,
                       size_t chunk_rows = kDefaultChunkRows);
 
 /// An opened chunk file: the parsed footer plus the ability to read any
-/// chunk. Reads are independent (each opens its own stream), so
-/// concurrent ReadChunk calls from buffer-manager loaders are safe.
+/// column page. Reads are independent (each opens its own stream), so
+/// concurrent ReadPages calls from buffer-manager loaders are safe.
 class ChunkFile {
  public:
   static Result<std::shared_ptr<const ChunkFile>> Open(std::string path);
@@ -100,8 +124,10 @@ class ChunkFile {
   size_t num_chunks() const { return entries_.size(); }
   const ChunkEntry& entry(size_t i) const { return entries_[i]; }
 
-  /// Reads, CRC-checks, and decodes chunk `i`.
-  Result<ChunkPtr> ReadChunk(size_t i) const;
+  /// Reads, CRC-checks, and decodes the pages of `columns` (schema
+  /// indices) of chunk `chunk`, in the order given.
+  Result<std::vector<ColumnPtr>> ReadPages(
+      size_t chunk, const std::vector<size_t>& columns) const;
 
  private:
   std::string path_;

@@ -39,7 +39,8 @@ size_t MemoryDataProvider::chunk_rows(size_t chunk) const {
   return (end > rows ? rows : end) - begin;
 }
 
-Result<PinnedChunk> MemoryDataProvider::Pin(size_t chunk) const {
+Result<PinnedChunk> MemoryDataProvider::Pin(
+    size_t chunk, const std::vector<size_t>& /*columns*/) const {
   if (chunk >= num_chunks_) {
     return Status::InvalidArgument(
         StrCat("chunk ", chunk, " out of range (", num_chunks_, ")"));
@@ -50,8 +51,8 @@ Result<PinnedChunk> MemoryDataProvider::Pin(size_t chunk) const {
         cache_[chunk],
         Chunk::Build(*table_, chunk_row_begin(chunk), chunk_rows(chunk)));
   }
-  // Memory-backed chunks are always resident; no unpin bookkeeping.
-  return PinnedChunk(cache_[chunk], nullptr);
+  // Memory-backed chunks are always resident and whole: no pin.
+  return PinnedChunk(cache_[chunk]);
 }
 
 const ChunkColumnStats* MemoryDataProvider::chunk_column_stats(
@@ -83,15 +84,37 @@ ChunkFileDataProvider::~ChunkFileDataProvider() {
   buffers_->DropOwner(owner_id_);
 }
 
-Result<PinnedChunk> ChunkFileDataProvider::Pin(size_t chunk) const {
+Result<PinnedChunk> ChunkFileDataProvider::Pin(
+    size_t chunk, const std::vector<size_t>& columns) const {
   if (chunk >= file_->num_chunks()) {
     return Status::InvalidArgument(
         StrCat("chunk ", chunk, " out of range (", file_->num_chunks(),
                ") in '", file_->path(), "'"));
   }
+  const size_t num_fields = schema()->num_fields();
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i] >= num_fields || (i > 0 && columns[i] <= columns[i - 1])) {
+      return Status::InvalidArgument(
+          StrCat("read set of '", file_->path(),
+                 "' must be ascending column indices below ", num_fields));
+    }
+  }
   std::shared_ptr<const ChunkFile> file = file_;
-  return buffers_->Pin(owner_id_, chunk,
-                       [file, chunk] { return file->ReadChunk(chunk); });
+  SKALLA_ASSIGN_OR_RETURN(
+      PinnedPages pinned,
+      buffers_->Pin(owner_id_, chunk, columns,
+                    [file, chunk](const std::vector<size_t>& missing) {
+                      return file->ReadPages(chunk, missing);
+                    }));
+  const ChunkEntry& entry = file_->entry(chunk);
+  std::vector<ColumnPtr> pages(num_fields);
+  for (size_t i = 0; i < columns.size(); ++i) {
+    pages[columns[i]] = pinned.pages()[i];
+  }
+  ChunkPtr view = Chunk::FromPages(schema(), entry.row_begin,
+                                   entry.row_count, std::move(pages),
+                                   entry.column_stats);
+  return PinnedChunk(std::move(view), std::move(pinned));
 }
 
 const ChunkColumnStats* ChunkFileDataProvider::chunk_column_stats(
@@ -125,13 +148,14 @@ size_t ConcatDataProvider::chunk_rows(size_t chunk) const {
   return parts_[ref.part]->chunk_rows(ref.local_chunk);
 }
 
-Result<PinnedChunk> ConcatDataProvider::Pin(size_t chunk) const {
+Result<PinnedChunk> ConcatDataProvider::Pin(
+    size_t chunk, const std::vector<size_t>& columns) const {
   if (chunk >= chunk_map_.size()) {
     return Status::InvalidArgument(
         StrCat("chunk ", chunk, " out of range (", chunk_map_.size(), ")"));
   }
   const ChunkRef& ref = chunk_map_[chunk];
-  return parts_[ref.part]->Pin(ref.local_chunk);
+  return parts_[ref.part]->Pin(ref.local_chunk, columns);
 }
 
 const ChunkColumnStats* ConcatDataProvider::chunk_column_stats(
@@ -143,18 +167,23 @@ const ChunkColumnStats* ConcatDataProvider::chunk_column_stats(
 
 // --- Materialization -------------------------------------------------------
 
-Result<Table> MaterializeProvider(const DataProvider& provider) {
+Result<Table> MaterializeProvider(const DataProvider& provider,
+                                  PageLoads* loads) {
   Table out(provider.schema());
   out.Reserve(provider.num_rows());
+  std::vector<size_t> columns(provider.schema()->num_fields());
+  for (size_t c = 0; c < columns.size(); ++c) columns[c] = c;
   for (size_t c = 0; c < provider.num_chunks(); ++c) {
-    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c));
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin, provider.Pin(c, columns));
+    if (loads != nullptr) {
+      loads->pages += pin.loads().pages;
+      loads->bytes += pin.loads().bytes;
+    }
     const Chunk& chunk = *pin;
     for (size_t r = 0; r < chunk.num_rows(); ++r) {
       Row row;
-      row.reserve(chunk.num_columns());
-      for (size_t col = 0; col < chunk.num_columns(); ++col) {
-        row.push_back(chunk.column(col).GetValue(r));
-      }
+      row.reserve(columns.size());
+      for (size_t col : columns) row.push_back(chunk.column(col).GetValue(r));
       out.AppendUnchecked(std::move(row));
     }
   }

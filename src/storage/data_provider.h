@@ -1,18 +1,23 @@
 // DataProvider: the read interface the columnar GMDJ kernel (and every
 // other chunk consumer) reads a relation through — modeled on the
-// DataMgr/BufferMgr + ArrowStorage split of hdk-style engines. A
-// provider describes its relation as an ordered sequence of chunks
-// (contiguous global row ranges) and serves each chunk on demand
-// through Pin.
+// DataMgr/BufferMgr + ArrowStorage split of hdk-style engines, whose
+// buffer key includes the column id. A provider describes its relation
+// as an ordered sequence of chunks (contiguous global row ranges) and
+// serves each chunk on demand through Pin(chunk, columns): the caller
+// names the columns it reads (its read set) and gets a chunk view
+// holding exactly those column pages. Reading any other column of the
+// view is a checked error (storage/chunk.h).
 //
 // Implementations:
 //  - MemoryDataProvider wraps an in-memory Table. Its chunk views are
-//    built lazily and cached, and they back every in-process round: the
-//    columnar kernel and the base-query scan stream them exactly as they
-//    stream chunk-file pages. ResidentTable() exposes the table itself to the row oracle,
-//    the one row-wise consumer left (the base query scans chunks too).
-//  - ChunkFileDataProvider pages chunks from a chunk file through a
-//    shared BufferManager; nothing is resident until pinned.
+//    built lazily, hold every column (it ignores the read set) and are
+//    cached; they back every in-process round: the columnar kernel and
+//    the base-query scan stream them exactly as they stream chunk-file
+//    pages. ResidentTable() exposes the table itself to the row oracle,
+//    the one row-wise consumer left.
+//  - ChunkFileDataProvider pages column pages from a chunk file through
+//    a shared BufferManager; nothing is resident until pinned, and a pin
+//    loads, CRC-checks and decodes only the pages it names.
 //  - ConcatDataProvider concatenates providers in order — the
 //    centralized union of per-site partitions for reference evaluation,
 //    without materializing the union.
@@ -50,8 +55,11 @@ class DataProvider {
   virtual size_t chunk_row_begin(size_t chunk) const = 0;
   virtual size_t chunk_rows(size_t chunk) const = 0;
 
-  /// Pins chunk `chunk` resident and returns the handle. Thread-safe.
-  virtual Result<PinnedChunk> Pin(size_t chunk) const = 0;
+  /// Pins the pages of `columns` (schema indices, strictly ascending)
+  /// of chunk `chunk` resident and returns a view holding them; the
+  /// handle reports the pages the pin loaded. Thread-safe.
+  virtual Result<PinnedChunk> Pin(size_t chunk,
+                                  const std::vector<size_t>& columns) const = 0;
 
   /// The whole relation as one resident Table when this provider is
   /// memory-backed, for row-wise consumers. Paged providers return
@@ -89,7 +97,8 @@ class MemoryDataProvider : public DataProvider {
     return chunk * chunk_rows_;
   }
   size_t chunk_rows(size_t chunk) const override;
-  Result<PinnedChunk> Pin(size_t chunk) const override;
+  Result<PinnedChunk> Pin(size_t chunk,
+                          const std::vector<size_t>& columns) const override;
   const Table* ResidentTable() const override { return table_.get(); }
   const ChunkColumnStats* chunk_column_stats(size_t chunk,
                                              size_t col) const override;
@@ -122,7 +131,8 @@ class ChunkFileDataProvider : public DataProvider {
   size_t chunk_rows(size_t chunk) const override {
     return file_->entry(chunk).row_count;
   }
-  Result<PinnedChunk> Pin(size_t chunk) const override;
+  Result<PinnedChunk> Pin(size_t chunk,
+                          const std::vector<size_t>& columns) const override;
   const ChunkColumnStats* chunk_column_stats(size_t chunk,
                                              size_t col) const override;
 
@@ -152,7 +162,8 @@ class ConcatDataProvider : public DataProvider {
   size_t num_chunks() const override { return chunk_map_.size(); }
   size_t chunk_row_begin(size_t chunk) const override;
   size_t chunk_rows(size_t chunk) const override;
-  Result<PinnedChunk> Pin(size_t chunk) const override;
+  Result<PinnedChunk> Pin(size_t chunk,
+                          const std::vector<size_t>& columns) const override;
   const ChunkColumnStats* chunk_column_stats(size_t chunk,
                                              size_t col) const override;
 
@@ -169,10 +180,12 @@ class ConcatDataProvider : public DataProvider {
 };
 
 /// Boxes the provider's whole relation into an in-memory Table, chunk by
-/// chunk straight from the typed columns (peak residency is one chunk
-/// above the buffer budget). The materialization of last resort for the
-/// row oracle, the one consumer with no chunked path.
-Result<Table> MaterializeProvider(const DataProvider& provider);
+/// chunk straight from the typed columns, reading every column (peak
+/// residency is one chunk above the buffer budget). The materialization
+/// of last resort for the row oracle, the one consumer with no chunked
+/// path. Adds what its pins loaded to `loads` when given.
+Result<Table> MaterializeProvider(const DataProvider& provider,
+                                  PageLoads* loads = nullptr);
 
 }  // namespace skalla
 

@@ -7,8 +7,12 @@
 
 #include <sys/stat.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,6 +20,7 @@
 #include "data/tpcr_gen.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
+#include "rpc/frame.h"
 #include "sql/parser.h"
 #include "storage/chunk_file.h"
 #include "storage/data_provider.h"
@@ -76,7 +81,9 @@ TEST_F(ChunkStorageTest, ChunkFileRoundTrip) {
   EXPECT_EQ(file->num_chunks(), (original.num_rows() + 127) / 128);
 
   for (size_t c = 0; c < file->num_chunks(); ++c) {
-    EXPECT_EQ(file->ReadChunk(c).ValueOrDie()->row_begin(), c * 128);
+    EXPECT_EQ(file->entry(c).row_begin, c * 128);
+    std::vector<ColumnPtr> pages = file->ReadPages(c, {0, 1, 2}).ValueOrDie();
+    EXPECT_EQ(pages[2]->size(), file->entry(c).row_count);
   }
   // Boxing every chunk's typed columns reproduces the table exactly, in
   // order — under a budget far below one chunk, too.
@@ -88,12 +95,12 @@ TEST_F(ChunkStorageTest, ChunkFileRoundTrip) {
   }
 
   // Numeric column stats survive the round trip.
-  ChunkPtr first = file->ReadChunk(0).ValueOrDie();
-  const ChunkColumnStats& g_stats = first->column_stats(0);
+  const ChunkEntry& first = file->entry(0);
+  const ChunkColumnStats& g_stats = first.column_stats[0];
   EXPECT_TRUE(g_stats.has_range);
   EXPECT_GE(g_stats.min, 0.0);
   EXPECT_LE(g_stats.max, 12.0);
-  EXPECT_FALSE(first->column_stats(1).has_range);  // string column
+  EXPECT_FALSE(first.column_stats[1].has_range);  // string column
 }
 
 TEST_F(ChunkStorageTest, CorruptionIsDetected) {
@@ -114,8 +121,8 @@ TEST_F(ChunkStorageTest, CorruptionIsDetected) {
     f.write(&byte, 1);
   }
   auto damaged = ChunkFile::Open(path).ValueOrDie();  // footer still fine
-  EXPECT_TRUE(damaged->ReadChunk(0).ok());
-  EXPECT_TRUE(damaged->ReadChunk(1).status().IsIOError());
+  EXPECT_TRUE(damaged->ReadPages(0, {0, 1, 2}).ok());
+  EXPECT_TRUE(damaged->ReadPages(1, {0, 1, 2}).status().IsIOError());
 
   // Truncate into the footer: the file no longer opens at all.
   const std::string truncated = Path("truncated.skc");
@@ -277,6 +284,243 @@ TEST_F(ChunkStorageTest, LoadSiteCatalogServesChunkedPartitions) {
   query.distinct = true;
   EXPECT_EQ(TableBytes(query.Execute(site0).ValueOrDie()),
             TableBytes(query.Execute(eager0).ValueOrDie()));
+}
+
+// --- Chunk file v2: column pages ---------------------------------------------
+
+// A table with every cell shape a page must carry: NULLs in each type,
+// -0.0, NaN, infinities, empty strings, int64 extremes.
+Table EdgeCaseTable(size_t rows) {
+  SchemaPtr schema = Schema::Make({{"i", ValueType::kInt64},
+                                   {"d", ValueType::kFloat64},
+                                   {"s", ValueType::kString}})
+                         .ValueOrDie();
+  const double doubles[] = {-0.0, 0.0, std::nan(""), 1e308, -1.5,
+                            std::numeric_limits<double>::infinity()};
+  const int64_t ints[] = {0, -1, std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(), 63, -64};
+  const char* strings[] = {"", "a", "", "longer string with spaces", "z"};
+  Table t(schema);
+  for (size_t r = 0; r < rows; ++r) {
+    Row row = {Value(ints[r % 6]), Value(doubles[r % 6]),
+               Value(std::string(strings[r % 5]))};
+    if (r % 7 == 3) row[0] = Value::Null();
+    if (r % 5 == 1) row[1] = Value::Null();
+    if (r % 4 == 2) row[2] = Value::Null();
+    t.AppendUnchecked(std::move(row));
+  }
+  return t;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// Cell-for-cell, bit-for-bit equality of two columns.
+void ExpectSameColumn(const Column& a, const Column& b) {
+  ASSERT_EQ(a.type(), b.type());
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a.IsNull(r), b.IsNull(r)) << r;
+    if (a.IsNull(r)) continue;
+    switch (a.type()) {
+      case ValueType::kInt64:
+        EXPECT_EQ(a.Int64At(r), b.Int64At(r)) << r;
+        break;
+      case ValueType::kFloat64: {
+        const double x = a.Float64At(r), y = b.Float64At(r);
+        EXPECT_EQ(std::memcmp(&x, &y, sizeof(x)), 0) << r;
+        break;
+      }
+      case ValueType::kString:
+        EXPECT_EQ(a.StringAt(r), b.StringAt(r)) << r;
+        break;
+      case ValueType::kNull:
+        break;
+    }
+  }
+}
+
+TEST_F(ChunkStorageTest, TypedPageDecodeMatchesBoxedDecode) {
+  Table original = EdgeCaseTable(250);
+  const std::string path = Path("edge.skc");
+  WriteChunkFile(original, path, /*chunk_rows=*/100).Check();
+  auto file = ChunkFile::Open(path).ValueOrDie();
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+
+  for (size_t ci = 0; ci < file->num_chunks(); ++ci) {
+    const ChunkEntry& entry = file->entry(ci);
+    std::vector<ColumnPtr> pages =
+        file->ReadPages(ci, {0, 1, 2}).ValueOrDie();
+    for (size_t c = 0; c < 3; ++c) {
+      const ChunkPage& page = entry.pages[c];
+      const uint8_t* data = bytes.data() + page.offset;
+      // The boxed decode: one ReadValue + Column::Append per cell.
+      Column boxed(original.schema()->field(c).type);
+      ByteReader reader(data, page.length);
+      std::vector<uint8_t> cells;  // the same cells via WriteValue
+      for (size_t r = 0; r < entry.row_count; ++r) {
+        Value v = ReadValue(&reader).ValueOrDie();
+        boxed.Append(v).Check();
+        WriteValue(&cells, original.at(entry.row_begin + r, c));
+      }
+      EXPECT_EQ(reader.remaining(), 0u);
+      ExpectSameColumn(*pages[c], boxed);
+      ExpectSameColumn(
+          DecodeColumnPage(data, page.length, boxed.type(), entry.row_count)
+              .ValueOrDie(),
+          boxed);
+      // The typed encoder writes exactly the WriteValue cell bytes.
+      std::vector<uint8_t> encoded;
+      EncodeColumnPage(*pages[c], &encoded);
+      EXPECT_EQ(encoded, std::vector<uint8_t>(data, data + page.length));
+      EXPECT_EQ(encoded, cells);
+    }
+  }
+  auto provider = ChunkFileDataProvider::Open(
+                      path, std::make_shared<BufferManager>(1))
+                      .ValueOrDie();
+  EXPECT_EQ(TableBytes(MaterializeProvider(*provider).ValueOrDie()),
+            TableBytes(original));
+}
+
+TEST_F(ChunkStorageTest, PageDecodeRejectsForeignTagsTruncationAndTrailing) {
+  std::vector<uint8_t> ints;
+  WriteValue(&ints, Value(int64_t{7}));
+  WriteValue(&ints, Value::Null());
+  EXPECT_TRUE(DecodeColumnPage(ints.data(), ints.size(), ValueType::kInt64, 2)
+                  .ok());
+  // An INT64 cell in a FLOAT64 page is not the declared tag.
+  EXPECT_TRUE(DecodeColumnPage(ints.data(), ints.size(), ValueType::kFloat64,
+                               2)
+                  .status()
+                  .IsIOError());
+  // One cell short, one cell over, a cut-off cell.
+  EXPECT_TRUE(DecodeColumnPage(ints.data(), ints.size(), ValueType::kInt64, 3)
+                  .status()
+                  .IsIOError());
+  EXPECT_TRUE(DecodeColumnPage(ints.data(), ints.size(), ValueType::kInt64, 1)
+                  .status()
+                  .IsIOError());
+  std::vector<uint8_t> str;
+  WriteValue(&str, Value(std::string("hello")));
+  EXPECT_TRUE(DecodeColumnPage(str.data(), str.size() - 1,
+                               ValueType::kString, 1)
+                  .status()
+                  .IsIOError());
+  std::vector<uint8_t> bad_tag = {9};
+  EXPECT_TRUE(DecodeColumnPage(bad_tag.data(), bad_tag.size(),
+                               ValueType::kString, 1)
+                  .status()
+                  .IsIOError());
+}
+
+// A flipped byte in page c of chunk i fails exactly the pins that read
+// that page; every other page still loads.
+TEST_F(ChunkStorageTest, CorruptPageFailsOnlyPinsThatReadIt) {
+  Table original = MakeDetail(9, 300);
+  const std::string clean_path = Path("pages_clean.skc");
+  WriteChunkFile(original, clean_path, /*chunk_rows=*/100).Check();
+  auto clean = ChunkFile::Open(clean_path).ValueOrDie();
+  const std::vector<uint8_t> clean_bytes = ReadFileBytes(clean_path);
+  const size_t damaged_chunk = 1;
+
+  for (size_t damaged_col = 0; damaged_col < 3; ++damaged_col) {
+    const ChunkPage& page = clean->entry(damaged_chunk).pages[damaged_col];
+    std::vector<uint8_t> bytes = clean_bytes;
+    bytes[page.offset + page.length / 2] ^= 0x40;
+    const std::string path = Path("pages_damaged.skc");
+    WriteFileBytes(path, bytes);
+
+    auto provider = ChunkFileDataProvider::Open(
+                        path, std::make_shared<BufferManager>(0))
+                        .ValueOrDie();
+    for (size_t ci = 0; ci < provider->num_chunks(); ++ci) {
+      for (size_t col = 0; col < 3; ++col) {
+        Result<PinnedChunk> pin = provider->Pin(ci, {col});
+        const bool hit = ci == damaged_chunk && col == damaged_col;
+        EXPECT_EQ(pin.ok(), !hit) << ci << "/" << col;
+        if (hit) {
+          EXPECT_TRUE(pin.status().IsIOError());
+        }
+      }
+      EXPECT_EQ(provider->Pin(ci, {0, 1, 2}).ok(), ci != damaged_chunk);
+    }
+  }
+}
+
+// Builds a one-column INT64 chunk file by hand whose only chunk's page
+// claims `page_length` bytes.
+std::vector<uint8_t> HandBuiltChunkFile(const char* magic,
+                                        int64_t page_length_delta) {
+  std::vector<uint8_t> payload;
+  WriteValue(&payload, Value(int64_t{1}));
+  WriteValue(&payload, Value(int64_t{2}));
+  std::vector<uint8_t> footer;
+  PutVarint(&footer, 1);  // schema: one field
+  PutVarint(&footer, 1);
+  footer.push_back('x');
+  footer.push_back(static_cast<uint8_t>(ValueType::kInt64));
+  PutVarint(&footer, 2);  // num_rows
+  PutVarint(&footer, 1);  // nchunks
+  PutVarint(&footer, 0);  // row_begin
+  PutVarint(&footer, 2);  // row_count
+  PutVarint(&footer, 8);  // offset
+  PutVarint(&footer, payload.size());
+  footer.push_back(0);    // has_range
+  PutVarint(&footer, 0);  // null_count
+  PutVarint(&footer, static_cast<uint64_t>(
+                         static_cast<int64_t>(payload.size()) +
+                         page_length_delta));
+  auto put_u32 = [](std::vector<uint8_t>* out, uint32_t v) {
+    for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  };
+  put_u32(&footer, rpc::Crc32(payload.data(), payload.size()));
+
+  std::vector<uint8_t> file;
+  for (int i = 0; i < 8; ++i) file.push_back(static_cast<uint8_t>(magic[i]));
+  for (uint8_t b : payload) file.push_back(b);
+  for (uint8_t b : footer) file.push_back(b);
+  put_u32(&file, static_cast<uint32_t>(footer.size()));
+  put_u32(&file, rpc::Crc32(footer.data(), footer.size()));
+  return file;
+}
+
+TEST_F(ChunkStorageTest, FooterPagesMustTileThePayload) {
+  const std::string path = Path("tiling.skc");
+  WriteFileBytes(path, HandBuiltChunkFile("SKALLAC2", 0));
+  auto file = ChunkFile::Open(path).ValueOrDie();  // control: tiles
+  EXPECT_EQ(file->ReadPages(0, {0}).ValueOrDie()[0]->Int64At(1), 2);
+
+  for (int64_t delta : {-1, 1}) {
+    WriteFileBytes(path, HandBuiltChunkFile("SKALLAC2", delta));
+    Result<std::shared_ptr<const ChunkFile>> bad = ChunkFile::Open(path);
+    ASSERT_TRUE(bad.status().IsIOError()) << delta;
+    EXPECT_NE(bad.status().message().find("pages"), std::string::npos)
+        << bad.status().message();
+  }
+}
+
+TEST_F(ChunkStorageTest, VersionOneFilesAreRejectedByVersion) {
+  const std::string path = Path("v1.skc");
+  WriteChunkFile(MakeDetail(2, 50), path).Check();
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes[7], '2');
+  bytes[7] = '1';
+  WriteFileBytes(path, bytes);
+  Result<std::shared_ptr<const ChunkFile>> opened = ChunkFile::Open(path);
+  ASSERT_TRUE(opened.status().IsIOError());
+  EXPECT_NE(opened.status().message().find("version 1"), std::string::npos)
+      << opened.status().message();
+  EXPECT_NE(opened.status().message().find("SKALLAC1"), std::string::npos);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -248,6 +249,152 @@ TEST_P(EngineDifferentialTest, ColumnarMatchesRowOracleByteForByte) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferentialTest,
                          ::testing::Range(uint64_t{0}, uint64_t{14}));
 
+// --- Read sets: pins load only the column pages a block reads --------------
+
+// Detail relation where every column has one reader: `gen` only a
+// kGeneric conjunct, `cor` only a correlated conjunct, `agg` only an
+// aggregate, and `pad` nothing at all.
+Table MakeReadSetDetail(size_t rows) {
+  SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64},
+                                   {"gen", ValueType::kInt64},
+                                   {"cor", ValueType::kFloat64},
+                                   {"agg", ValueType::kFloat64},
+                                   {"pad", ValueType::kString}})
+                         .ValueOrDie();
+  Random rng(4242);
+  Table t(schema);
+  for (size_t i = 0; i < rows; ++i) {
+    Row row = {Value(rng.UniformInt(0, 5)), Value(rng.UniformInt(-6, 6)),
+               Value(static_cast<double>(rng.UniformInt(-40, 40)) / 4.0),
+               Value(static_cast<double>(rng.UniformInt(-90, 90)) / 8.0),
+               Value(std::string(1 + rng.Uniform(20), 'p'))};
+    if (rng.Bernoulli(0.1)) row[1] = Value::Null();
+    if (rng.Bernoulli(0.1)) row[2] = Value::Null();
+    if (rng.Bernoulli(0.1)) row[3] = Value::Null();
+    t.AppendUnchecked(std::move(row));
+  }
+  return t;
+}
+
+Table MakeReadSetBase() {
+  SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64},
+                                   {"bd", ValueType::kFloat64}})
+                         .ValueOrDie();
+  Table base(schema);
+  for (int64_t g = 0; g <= 6; ++g) {
+    base.AppendUnchecked({Value(g), Value(static_cast<double>(g) - 2.5)});
+  }
+  return base;
+}
+
+GmdjBlock ReadSetBlock(ExprPtr theta, std::vector<AggSpec> aggs,
+                       const std::string& suffix) {
+  for (AggSpec& agg : aggs) agg.output += suffix;
+  return GmdjBlock{std::move(aggs), std::move(theta)};
+}
+
+// One block per path, each reading a column no other block reads.
+GmdjOp ReadSetOp() {
+  GmdjOp op;
+  op.detail_table = "d";
+  // Grouped: a kGeneric conjunct (arithmetic) is the only reader of gen.
+  op.blocks.push_back(ReadSetBlock(
+      And(Eq(RCol("g"), BCol("g")),
+          Lt(Add(RCol("gen"), Lit(Value(int64_t{1}))), Lit(Value(int64_t{3})))),
+      {{AggKind::kCountStar, "", "c"}}, "_gen"));
+  // Candidates: a correlated conjunct is the only reader of cor.
+  op.blocks.push_back(ReadSetBlock(
+      And(Eq(RCol("g"), BCol("g")), Lt(RCol("cor"), BCol("bd"))),
+      {{AggKind::kCountStar, "", "c"}}, "_cor"));
+  // Grouped: an aggregate is the only reader of agg.
+  op.blocks.push_back(ReadSetBlock(Eq(RCol("g"), BCol("g")),
+                                   {{AggKind::kSum, "agg", "s"},
+                                    {AggKind::kMax, "agg", "hi"}},
+                                   "_agg"));
+  // Scan: no equality atom, correlated cor plus aggregate agg.
+  op.blocks.push_back(ReadSetBlock(Ge(RCol("cor"), BCol("bd")),
+                                   {{AggKind::kAvg, "agg", "a"},
+                                    {AggKind::kCountStar, "", "c"}},
+                                   "_scan"));
+  return op;
+}
+
+TEST(ReadSetDifferentialTest, ProjectedPinsMatchResidentAtEveryBudget) {
+  const std::string dir = "/tmp/skalla_engine_differential_test";
+  mkdir(dir.c_str(), 0755);
+  const std::string path = dir + "/read_set.skc";
+  Table detail = MakeReadSetDetail(600);
+  WriteChunkFile(detail, path, /*chunk_rows=*/64).Check();
+  Table base = MakeReadSetBase();
+  GmdjOp op = ReadSetOp();
+  auto resident = std::make_shared<const Table>(detail);
+  const size_t hw = std::max<size_t>(2, std::thread::hardware_concurrency());
+
+  for (bool sub : {false, true}) {
+    EvalContext context;
+    context.sub_aggregates = sub;
+    context.morsel_rows = 40;  // several morsels per chunk
+    const std::vector<uint8_t> expected =
+        Bytes(EvalGmdj(base, detail, op, context).ValueOrDie());
+    MemoryDataProvider memory(resident, 64);
+    EXPECT_EQ(Bytes(EvalGmdjColumnar(base, memory, op, context).ValueOrDie()),
+              expected);
+    for (size_t threads : {size_t{1}, hw}) {
+      context.eval_threads = threads;
+      for (uint64_t budget : {uint64_t{1}, uint64_t{2048}, uint64_t{0}}) {
+        for (bool pruning : {true, false}) {
+          auto buffers = std::make_shared<BufferManager>(budget);
+          auto provider =
+              ChunkFileDataProvider::Open(path, buffers).ValueOrDie();
+          context.chunk_pruning = pruning;
+          Table chunked =
+              EvalGmdjColumnar(base, *provider, op, context).ValueOrDie();
+          EXPECT_EQ(Bytes(chunked), expected)
+              << "sub=" << sub << " threads=" << threads
+              << " budget=" << budget << " pruning=" << pruning;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Scan-path blocks keep a worker's chunk pinned across its consecutive
+// morsels: at a budget below one page, a single worker loads each page
+// of each chunk exactly once however many morsels the chunk spans.
+TEST(ReadSetDifferentialTest, ScanPathLoadsEachChunkPageOnce) {
+  const std::string dir = "/tmp/skalla_engine_differential_test";
+  mkdir(dir.c_str(), 0755);
+  const std::string path = dir + "/scan_pages.skc";
+  Table detail = MakeReadSetDetail(512);
+  WriteChunkFile(detail, path, /*chunk_rows=*/128).Check();
+  Table base = MakeReadSetBase();
+  GmdjOp op;
+  op.detail_table = "d";
+  op.blocks.push_back(ReadSetBlock(Lt(RCol("cor"), BCol("bd")),
+                                   {{AggKind::kSum, "agg", "s"}}, ""));
+  EvalContext context;
+  context.eval_threads = 1;
+  context.morsel_rows = 16;  // 8 morsels per chunk
+  const std::vector<uint8_t> expected =
+      Bytes(EvalGmdj(base, detail, op, context).ValueOrDie());
+
+  auto buffers = std::make_shared<BufferManager>(1);
+  auto provider = ChunkFileDataProvider::Open(path, buffers).ValueOrDie();
+  EvalProfile profile;
+  context.profile = &profile;
+  EXPECT_EQ(Bytes(EvalGmdjColumnar(base, *provider, op, context).ValueOrDie()),
+            expected);
+  // No detail-only conjunct, so nothing prunes and the only pins are the
+  // folds': 4 chunks x 2 pages (cor, agg).
+  const BufferStats stats = buffers->stats();
+  EXPECT_EQ(profile.chunks_pruned.load(), 0u);
+  EXPECT_EQ(stats.misses, provider->num_chunks() * 2);
+  EXPECT_EQ(profile.pages_loaded.load(), stats.misses);
+  EXPECT_EQ(profile.bytes_loaded.load(), stats.loaded_bytes);
+  std::remove(path.c_str());
+}
+
 TEST(EnginePruningTest, StatsPruneChunksWithoutChangingBytes) {
   // Clustered detail: chunk-sized runs of disjoint iv ranges, so a
   // range conjunct disqualifies most chunks by min/max alone.
@@ -389,6 +536,18 @@ ExprPtr RandomBaseWhere(Random* rng, bool* never_true) {
   return where;
 }
 
+// The column pages one chunk pin of `query` reads: its projection plus
+// its WHERE's columns.
+size_t BaseReadPages(const BaseQuery& query, const Schema& schema) {
+  std::vector<std::string> names = query.columns;
+  if (query.where != nullptr) {
+    query.where->CollectColumns(ExprSide::kDetail, &names);
+  }
+  std::set<int> cols;
+  for (const std::string& name : names) cols.insert(schema.IndexOf(name));
+  return cols.size();
+}
+
 Table BaseOracle(const Table& detail, const BaseQuery& query) {
   if (query.where == nullptr) {
     return Project(detail, query.columns, query.distinct).ValueOrDie();
@@ -456,15 +615,20 @@ TEST_P(BaseQueryDifferentialTest, ColumnarScanMatchesSelectProject) {
             << "scan:\n" << scanned.ToString(30);
         EXPECT_EQ(profile.engines_used.load(), kEngineBitColumnar);
         // A false constant conjunct pins nothing; otherwise every chunk
-        // is pinned once or pruned, and only pinned rows count as
-        // scanned.
+        // is pinned once or pruned, each pin loads the pages the query
+        // reads, and only pinned rows count as scanned.
         const uint64_t pruned = profile.chunks_pruned.load();
         const uint64_t misses = buffers->stats().misses;
         if (!pruning || never_true) {
           EXPECT_EQ(pruned, 0u) << label;
         }
-        EXPECT_EQ(misses, never_true ? 0 : provider->num_chunks() - pruned)
+        const uint64_t pages = BaseReadPages(query, *detail.schema());
+        EXPECT_EQ(misses,
+                  never_true ? 0 : (provider->num_chunks() - pruned) * pages)
             << label << " budget=" << budget << " pruning=" << pruning;
+        EXPECT_EQ(profile.pages_loaded.load(), misses) << label;
+        EXPECT_EQ(profile.bytes_loaded.load(), buffers->stats().loaded_bytes)
+            << label;
         if (pruned == 0) {
           EXPECT_EQ(profile.rows_scanned.load(),
                     never_true ? 0 : detail.num_rows())

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
+#include <vector>
 
 namespace skalla {
 namespace rpc {
@@ -32,6 +35,57 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
     state = Crc32Update(state, data, split);
     state = Crc32Update(state, data + split, 9 - split);
     EXPECT_EQ(Crc32Final(state), 0xCBF43926u) << "split at " << split;
+  }
+}
+
+// The bytewise table CRC the slicing-by-8 implementation must match.
+uint32_t ReferenceCrc32Update(uint32_t state, const uint8_t* data,
+                              size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    state ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state & 1) ? (0xEDB88320u ^ (state >> 1)) : (state >> 1);
+    }
+  }
+  return state;
+}
+
+std::vector<uint8_t> RandomBytes(std::mt19937* rng, size_t n) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>((*rng)() & 0xFF);
+  return bytes;
+}
+
+TEST(Crc32Test, SlicingMatchesBytewiseAtEveryAlignmentAndLength) {
+  std::mt19937 rng(17);
+  const std::vector<uint8_t> buf = RandomBytes(&rng, 64 + 8);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const uint8_t* p = buf.data() + align;
+      EXPECT_EQ(Crc32(p, len),
+                ReferenceCrc32Update(0xFFFFFFFFu, p, len) ^ 0xFFFFFFFFu)
+          << "align=" << align << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32Test, SlicingMatchesBytewiseOnRandomBuffersAndSplits) {
+  std::mt19937 rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<uint8_t> buf = RandomBytes(&rng, rng() % 5000);
+    const uint32_t expected =
+        ReferenceCrc32Update(0xFFFFFFFFu, buf.data(), buf.size()) ^
+        0xFFFFFFFFu;
+    EXPECT_EQ(Crc32(buf.data(), buf.size()), expected) << trial;
+    // The same bytes folded in random pieces.
+    uint32_t state = Crc32Init();
+    size_t pos = 0;
+    while (pos < buf.size()) {
+      const size_t piece = std::min<size_t>(buf.size() - pos, rng() % 40);
+      state = Crc32Update(state, buf.data() + pos, piece);
+      pos += piece;
+    }
+    EXPECT_EQ(Crc32Final(state), expected) << trial;
   }
 }
 
@@ -104,13 +158,14 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV8) {
-  // v8: RoundProfile carries a chunks_pruned varint after engines_used,
-  // on top of v7's flag-free BeginPlan (docs/RPC.md). The version byte
-  // is the wire contract for all of that, so pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 8);
+TEST(FrameTest, ProtocolVersionIsV9) {
+  // v9: RoundProfile carries pages_loaded and bytes_loaded varints after
+  // v8's chunks_pruned, on top of v7's flag-free BeginPlan
+  // (docs/RPC.md). The version byte is the wire contract for all of
+  // that, so pin it explicitly.
+  EXPECT_EQ(kProtocolVersion, 9);
   std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 8);
+  EXPECT_EQ(wire[4], 9);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {
