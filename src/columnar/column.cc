@@ -86,24 +86,64 @@ Value Column::GetValue(size_t i) const {
   }
 }
 
+namespace {
+
+// Value::Hash of a FLOAT64: integral doubles hash as their integer value,
+// so Equals and Hash agree across INT64/FLOAT64 (and -0.0 with 0.0).
+uint64_t HashDouble(double d) {
+  if (d >= -9.2e18 && d <= 9.2e18 && d == std::floor(d)) {
+    return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
+  }
+  uint64_t bits;
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return Mix64(bits);
+}
+
+constexpr uint64_t kNullHash = 0x6b7bull;  // Matches Value::Hash for NULL.
+
+}  // namespace
+
 uint64_t Column::HashAt(size_t i) const {
-  if (IsNull(i)) return 0x6b7bull;  // Matches Value::Hash for NULL.
+  if (IsNull(i)) return kNullHash;
   switch (type_) {
     case ValueType::kInt64:
       return Mix64(static_cast<uint64_t>(ints_[i]));
-    case ValueType::kFloat64: {
-      double d = doubles_[i];
-      if (d >= -9.2e18 && d <= 9.2e18 && d == std::floor(d)) {
-        return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return Mix64(bits);
-    }
+    case ValueType::kFloat64:
+      return HashDouble(doubles_[i]);
     case ValueType::kString:
       return HashString(strings_[i]);
     default:
       return 0;
+  }
+}
+
+void Column::CombineHashes(uint64_t* hashes) const {
+  const size_t n = size();
+  switch (type_) {
+    case ValueType::kInt64:
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(
+            hashes[i],
+            valid_[i] ? Mix64(static_cast<uint64_t>(ints_[i])) : kNullHash);
+      }
+      return;
+    case ValueType::kFloat64:
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(
+            hashes[i], valid_[i] ? HashDouble(doubles_[i]) : kNullHash);
+      }
+      return;
+    case ValueType::kString:
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(
+            hashes[i], valid_[i] ? HashString(strings_[i]) : kNullHash);
+      }
+      return;
+    default:
+      for (size_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(hashes[i], HashAt(i));
+      }
+      return;
   }
 }
 

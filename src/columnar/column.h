@@ -60,6 +60,10 @@ class Column {
   /// Hash of cell i, consistent with Value::Hash of the boxed value.
   uint64_t HashAt(size_t i) const;
 
+  /// hashes[i] = HashCombine(hashes[i], HashAt(i)) for every cell: HashAt
+  /// a column at a time, the type dispatched once.
+  void CombineHashes(uint64_t* hashes) const;
+
   void Reserve(size_t n);
 
  private:

@@ -15,12 +15,13 @@
 
 #include "columnar/agg_kernels.h"
 #include "columnar/predicate_eval.h"
-#include "common/hash.h"
 #include "common/macros.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/local_eval.h"
 #include "core/morsels.h"
 #include "expr/analysis.h"
+#include "relalg/key_groups.h"
 #include "types/row.h"
 
 namespace skalla {
@@ -98,64 +99,8 @@ Status CompileBlock(
 
 // --- Grouping --------------------------------------------------------------
 
-// Dense group assignment over the detail key columns. The map owns boxed
-// copies of its representative keys: the chunk a representative row
-// lives in may be evicted between the build and the probe.
-struct GroupMap {
-  std::vector<uint32_t> row_group;  // global row -> group id / kNoSlot
-  std::vector<Row> keys;            // boxed key per group, detail_cols order
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-  // Selected global detail rows per group, ascending (candidates path).
-  std::vector<std::vector<uint32_t>> group_rows;
-};
-
-int64_t LookupGroup(const GroupMap& groups, const Row& base_row,
-                    const std::vector<size_t>& base_cols) {
-  uint64_t h = HashRowKey(base_row, base_cols);
-  auto it = groups.buckets.find(h);
-  if (it == groups.buckets.end()) return -1;
-  for (uint32_t g : it->second) {
-    const Row& key = groups.keys[g];
-    bool equal = true;
-    for (size_t c = 0; c < key.size(); ++c) {
-      if (!base_row[base_cols[c]].Equals(key[c])) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return g;
-  }
-  return -1;
-}
-
-// Finds or creates the group of chunk-local row `r`; returns its id.
-int64_t AssignGroup(GroupMap* groups, const Chunk& chunk,
-                    const std::vector<size_t>& key_cols, size_t r,
-                    Row* scratch, bool collect_rows) {
-  uint64_t h = 0x5ca11aULL;  // Must match HashRowKey's seed.
-  for (size_t c : key_cols) {
-    h = HashCombine(h, chunk.column(c).HashAt(r));
-  }
-  scratch->clear();
-  for (size_t c : key_cols) scratch->push_back(chunk.column(c).GetValue(r));
-  std::vector<uint32_t>& bucket = groups->buckets[h];
-  for (uint32_t g : bucket) {
-    const Row& key = groups->keys[g];
-    bool equal = true;
-    for (size_t c = 0; c < key.size(); ++c) {
-      if (!(*scratch)[c].Equals(key[c])) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) return g;
-  }
-  int64_t group = static_cast<int64_t>(groups->keys.size());
-  bucket.push_back(static_cast<uint32_t>(group));
-  groups->keys.push_back(*scratch);
-  if (collect_rows) groups->group_rows.emplace_back();
-  return group;
-}
+static_assert(KeyGroups::kNoGroup == kNoSlot,
+              "unselected rows must fold nowhere");
 
 // --- Shared helpers --------------------------------------------------------
 
@@ -299,7 +244,12 @@ Result<Table> AssembleColumnar(const Table& base, const GmdjOp& op,
 // Per-block evaluation state shared by the path implementations.
 struct BlockExec {
   CompiledBlock compiled;
-  GroupMap groups;  // grouped/candidates
+  // Grouped/candidates: dense groups over the detail key columns. They
+  // own boxed copies of their keys, since the chunk a key was first met
+  // in may be evicted between the build and the probe.
+  KeyGroups groups{{}};
+  // Candidates: selected global detail rows per group, ascending.
+  std::vector<std::vector<uint32_t>> group_rows;
   // Candidates/scan: matched[b] = some detail row paired with base row b.
   std::vector<uint8_t> matched;
 };
@@ -314,53 +264,39 @@ struct BlockExec {
 // removed, so results are byte-identical with pruning on or off.
 Status EvalGroupedBlock(const DataProvider& detail, BlockExec* exec,
                         const EvalContext& context) {
-  const std::vector<size_t>& key_cols = exec->compiled.detail_cols;
   const CompiledPredicate& pred = exec->compiled.pred;
-  GroupMap& groups = exec->groups;
-  groups.row_group.resize(detail.num_rows());
+  KeyGroups& groups = exec->groups;
+  groups = KeyGroups(exec->compiled.detail_cols);
   std::vector<AggPart>& parts = exec->compiled.parts;
-  Row scratch;
   std::vector<uint8_t> sel;
+  std::vector<uint32_t> row_group;
   for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
     if (context.cancellation != nullptr) {
       SKALLA_RETURN_NOT_OK(context.cancellation->Check());
     }
-    const size_t row_base = detail.chunk_row_begin(ci);
     if (ShouldPruneChunk(pred, detail, ci, context)) {
       RecordPrunedChunk(context);
-      std::fill_n(groups.row_group.begin() + row_base, detail.chunk_rows(ci),
-                  kNoSlot);
       continue;
     }
     SKALLA_ASSIGN_OR_RETURN(
         PinnedChunk pin,
         PinChunk(detail, ci, exec->compiled.read_cols, context));
     const Chunk& chunk = *pin;
-    const size_t n = chunk.num_rows();
     const uint8_t* selp = nullptr;
     if (pred.has_detail()) {
       EvalDetailSelection(pred, chunk, &sel);
       selp = sel.data();
     }
-    for (size_t r = 0; r < n; ++r) {
-      if (selp != nullptr && !selp[r]) {
-        groups.row_group[row_base + r] = kNoSlot;
-        continue;
-      }
-      int64_t group = AssignGroup(&groups, chunk, key_cols, r, &scratch,
-                                  /*collect_rows=*/false);
-      groups.row_group[row_base + r] = static_cast<uint32_t>(group);
-    }
-    const size_t num_groups = groups.keys.size();
+    groups.Assign(chunk, selp, &row_group);
     for (AggPart& part : parts) {
-      EnsureSlots(&part, num_groups);
+      EnsureSlots(&part, groups.size());
       const Column* in =
           part.input_col >= 0
               ? &chunk.column(static_cast<size_t>(part.input_col))
               : nullptr;
       AggPart::FoldDenseFn fold =
           selp != nullptr ? part.fold_dense_checked : part.fold_dense;
-      fold(part, in, groups.row_group.data() + row_base, n);
+      fold(part, in, row_group.data(), chunk.num_rows());
     }
   }
   if (context.profile != nullptr) {
@@ -385,13 +321,14 @@ Status EvalGroupedBlock(const DataProvider& detail, BlockExec* exec,
 Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
                            BlockExec* exec, const EvalContext& context,
                            ThreadPool* pool) {
-  const std::vector<size_t>& key_cols = exec->compiled.detail_cols;
   const CompiledPredicate& pred = exec->compiled.pred;
-  GroupMap& groups = exec->groups;
+  KeyGroups& groups = exec->groups;
+  groups = KeyGroups(exec->compiled.detail_cols);
+  std::vector<std::vector<uint32_t>>& group_rows = exec->group_rows;
   std::vector<uint8_t> chunk_any(detail.num_chunks(), 0);
   {
-    Row scratch;
     std::vector<uint8_t> sel;
+    std::vector<uint32_t> row_group;
     for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
       if (context.cancellation != nullptr) {
         SKALLA_RETURN_NOT_OK(context.cancellation->Check());
@@ -410,11 +347,11 @@ Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
         EvalDetailSelection(pred, chunk, &sel);
         selp = sel.data();
       }
+      groups.Assign(chunk, selp, &row_group);
+      group_rows.resize(groups.size());
       for (size_t r = 0; r < chunk.num_rows(); ++r) {
-        if (selp != nullptr && !selp[r]) continue;
-        int64_t g = AssignGroup(&groups, chunk, key_cols, r, &scratch,
-                                /*collect_rows=*/true);
-        groups.group_rows[static_cast<size_t>(g)].push_back(
+        if (row_group[r] == kNoSlot) continue;
+        group_rows[row_group[r]].push_back(
             static_cast<uint32_t>(row_base + r));
         chunk_any[ci] = 1;
       }
@@ -430,11 +367,10 @@ Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
       const Row& base_row = base.row(b);
       states[b] = PrepareBaseRow(pred, base_row);
       if (!states[b].pass) continue;
-      int64_t g =
-          LookupGroup(groups, base_row, exec->compiled.base_cols);
+      int64_t g = groups.Find(base_row, exec->compiled.base_cols);
       group_of[b] = g;
       if (g >= 0) {
-        const size_t n = groups.group_rows[static_cast<size_t>(g)].size();
+        const size_t n = group_rows[static_cast<size_t>(g)].size();
         hits += n;
         scanned += n;
       }
@@ -474,7 +410,7 @@ Status EvalCandidatesBlock(const Table& base, const DataProvider& detail,
         int64_t g = group_of[b];
         if (g < 0) continue;
         const std::vector<uint32_t>& cand =
-            groups.group_rows[static_cast<size_t>(g)];
+            group_rows[static_cast<size_t>(g)];
         auto begin = std::lower_bound(cand.begin(), cand.end(), chunk_lo);
         auto end = std::lower_bound(begin, cand.end(), chunk_hi);
         const Row& base_row = base.row(b);
@@ -766,7 +702,7 @@ Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
         if (!BaseOnlyPass(exec.compiled.pred, base_row)) {
           return int64_t{-1};
         }
-        return LookupGroup(exec.groups, base_row, exec.compiled.base_cols);
+        return exec.groups.Find(base_row, exec.compiled.base_cols);
       };
       views[bi].count_probe_stats = true;
     } else {
@@ -777,6 +713,170 @@ Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
     }
   }
   return AssembleColumnar(base, op, context, out_schema, views, pool.get());
+}
+
+bool FusesBaseQuery(const BaseQuery& base, const GmdjOp& op) {
+  if (!base.distinct || base.where != nullptr || base.columns.empty() ||
+      base.table != op.detail_table) {
+    return false;
+  }
+  for (const GmdjBlock& block : op.blocks) {
+    if (block.theta == nullptr) return false;
+    ConjunctClasses classes = ClassifyCondition(block.theta);
+    if (!classes.correlated.empty() || !classes.base_only.empty()) {
+      return false;
+    }
+    std::vector<uint8_t> covered(base.columns.size(), 0);
+    for (const EquiAtom& atom : classes.equi_atoms) {
+      auto it = std::find(base.columns.begin(), base.columns.end(),
+                          atom.base_col);
+      if (atom.detail_col != atom.base_col || it == base.columns.end()) {
+        return false;
+      }
+      covered[static_cast<size_t>(it - base.columns.begin())] = 1;
+    }
+    if (std::find(covered.begin(), covered.end(), 0) != covered.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<Table> EvalBaseAndGmdjColumnar(const BaseQuery& base,
+                                      const DataProvider& detail,
+                                      const GmdjOp& op,
+                                      const EvalContext& context) {
+  SKALLA_RETURN_NOT_OK(CheckColumnarPreconditions(context));
+  if (!FusesBaseQuery(base, op)) {
+    return Status::InvalidArgument(
+        StrCat("base query '", base.ToString(),
+               "' does not fuse into the GMDJ round over ", op.detail_table));
+  }
+  const Schema& detail_schema = *detail.schema();
+  std::vector<size_t> key_cols;
+  key_cols.reserve(base.columns.size());
+  for (const std::string& name : base.columns) {
+    SKALLA_ASSIGN_OR_RETURN(size_t idx, detail_schema.RequireIndex(name));
+    key_cols.push_back(idx);
+  }
+  SKALLA_ASSIGN_OR_RETURN(SchemaPtr base_schema,
+                          base.OutputSchema(detail_schema));
+  SKALLA_ASSIGN_OR_RETURN(
+      SchemaPtr out_schema,
+      EvalOutputSchema(op, *base_schema, detail_schema, context));
+  std::function<std::optional<Interval>(const std::string&)> col_range =
+      ColRangeFromProvider(detail);
+  std::vector<BlockExec> blocks(op.blocks.size());
+  for (size_t bi = 0; bi < op.blocks.size(); ++bi) {
+    SKALLA_RETURN_NOT_OK(CompileBlock(op.blocks[bi], *base_schema,
+                                      detail_schema, col_range,
+                                      &blocks[bi].compiled));
+  }
+
+  // Group g is B's row g: every row opens or finds its key's group, so
+  // the groups are the base query's first-occurrence DISTINCT. A block
+  // folds a row into its group when the row passes the block's
+  // detail-only conjuncts — the rows the grouped path would have put in
+  // the group its probe of B's row g finds. A key holding a NaN equals
+  // no key, so such a group's B row matches no detail row (its probe
+  // would have missed): nothing folds into it.
+  KeyGroups groups(key_cols);
+  std::vector<uint8_t> unmatchable;
+  // hit[bi][g]: block bi folded some row into group g.
+  std::vector<std::vector<uint8_t>> hit(blocks.size());
+  std::vector<uint8_t> live(blocks.size());
+  std::vector<size_t> reads;
+  std::vector<uint32_t> row_group;
+  std::vector<uint32_t> block_group;
+  std::vector<uint8_t> sel;
+  for (size_t ci = 0; ci < detail.num_chunks(); ++ci) {
+    if (context.cancellation != nullptr) {
+      SKALLA_RETURN_NOT_OK(context.cancellation->Check());
+    }
+    // Key pages are read for every chunk (B has no WHERE to prune by);
+    // a block's other pages only where its stats do not prune it.
+    reads = key_cols;
+    for (size_t bi = 0; bi < blocks.size(); ++bi) {
+      const CompiledBlock& block = blocks[bi].compiled;
+      live[bi] = !ShouldPruneChunk(block.pred, detail, ci, context);
+      if (!live[bi]) {
+        RecordPrunedChunk(context);
+        continue;
+      }
+      reads.insert(reads.end(), block.read_cols.begin(),
+                   block.read_cols.end());
+    }
+    std::sort(reads.begin(), reads.end());
+    reads.erase(std::unique(reads.begin(), reads.end()), reads.end());
+    SKALLA_ASSIGN_OR_RETURN(PinnedChunk pin,
+                            PinChunk(detail, ci, reads, context));
+    const Chunk& chunk = *pin;
+    const size_t n = chunk.num_rows();
+    groups.Assign(chunk, nullptr, &row_group);
+    for (size_t g = unmatchable.size(); g < groups.size(); ++g) {
+      const Row& key = groups.key(g);
+      unmatchable.push_back(std::any_of(
+          key.begin(), key.end(), [](const Value& v) { return !v.Equals(v); }));
+    }
+    block_group.resize(n);
+    for (size_t bi = 0; bi < blocks.size(); ++bi) {
+      if (!live[bi]) continue;
+      CompiledBlock& block = blocks[bi].compiled;
+      const uint8_t* selp = nullptr;
+      if (block.pred.has_detail()) {
+        EvalDetailSelection(block.pred, chunk, &sel);
+        selp = sel.data();
+      }
+      std::vector<uint8_t>& block_hit = hit[bi];
+      block_hit.resize(groups.size(), 0);
+      bool skips = false;
+      for (size_t r = 0; r < n; ++r) {
+        const uint32_t g = row_group[r];
+        if ((selp != nullptr && !selp[r]) || unmatchable[g]) {
+          block_group[r] = kNoSlot;
+          skips = true;
+        } else {
+          block_group[r] = g;
+          block_hit[g] = 1;
+        }
+      }
+      for (AggPart& part : block.parts) {
+        EnsureSlots(&part, groups.size());
+        const Column* in =
+            part.input_col >= 0
+                ? &chunk.column(static_cast<size_t>(part.input_col))
+                : nullptr;
+        AggPart::FoldDenseFn fold =
+            skips ? part.fold_dense_checked : part.fold_dense;
+        fold(part, in, block_group.data(), n);
+      }
+    }
+  }
+  if (context.cancellation != nullptr) {
+    SKALLA_RETURN_NOT_OK(context.cancellation->Check());
+  }
+  if (context.profile != nullptr) {
+    context.profile->rows_scanned.fetch_add(detail.num_rows(),
+                                            std::memory_order_relaxed);
+  }
+
+  Table b(base_schema);
+  std::vector<Row> keys = groups.TakeKeys();
+  b.Reserve(keys.size());
+  for (Row& key : keys) b.AppendUnchecked(std::move(key));
+  std::vector<EvaledBlockView> views(blocks.size());
+  for (size_t bi = 0; bi < blocks.size(); ++bi) {
+    hit[bi].resize(b.num_rows(), 0);
+    views[bi].parts = &blocks[bi].compiled.parts;
+    views[bi].agg_part_ranges = &blocks[bi].compiled.agg_part_ranges;
+    views[bi].probe = [&block_hit = hit[bi]](size_t row, const Row&) {
+      return block_hit[row] ? static_cast<int64_t>(row) : int64_t{-1};
+    };
+  }
+  const size_t threads = ResolveEvalThreads(context.eval_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  return AssembleColumnar(b, op, context, out_schema, views, pool.get());
 }
 
 }  // namespace skalla

@@ -32,6 +32,11 @@
 // decomposition and merge order depend only on morsel_rows, so results
 // are byte-identical at every thread count. Grouped folds are sequential.
 //
+// A Prop. 2 plan's first round also evaluates the base query:
+// EvalBaseAndGmdjColumnar computes B and the grouped blocks over it in
+// one pass, sharing one KeyGroups (relalg/key_groups.h) whose groups are
+// B's rows.
+//
 // Group maps own boxed representative keys, so chunks may be evicted
 // between build and probe; chunks whose persisted min/max stats prove no
 // row can pass a comparison conjunct are skipped without pinning
@@ -44,6 +49,7 @@
 #include "common/result.h"
 #include "core/eval_context.h"
 #include "core/gmdj.h"
+#include "relalg/operators.h"
 #include "storage/data_provider.h"
 
 namespace skalla {
@@ -53,6 +59,27 @@ namespace skalla {
 Result<Table> EvalGmdjColumnar(const Table& base, const DataProvider& detail,
                                const GmdjOp& op,
                                const EvalContext& context = {});
+
+/// Whether EvalBaseAndGmdjColumnar evaluates `op` over `base`'s result:
+/// `base` is a plain DISTINCT projection of op's detail relation (no
+/// WHERE), and every block's θ is the equalities r.k = b.k over exactly
+/// base's columns plus detail-only conjuncts — the grouped path with the
+/// base key as its group key. An extra equality atom, a base-only or
+/// correlated conjunct, or any other base query does not fuse.
+bool FusesBaseQuery(const BaseQuery& base, const GmdjOp& op);
+
+/// The fused Prop. 2 round: base's result B and `op` evaluated over it
+/// in one pass over `detail`. Every row opens or finds its key's group
+/// (so the groups are B, in first-occurrence order), and a row passing a
+/// block's detail-only conjuncts folds into that block's parts. Key pages
+/// are pinned for every chunk, a block's other pages only for chunks its
+/// stats do not prune. Byte-identical to EvalGmdjColumnar(base.Execute(
+/// detail), detail, op, context); InvalidArgument unless
+/// FusesBaseQuery(base, op).
+Result<Table> EvalBaseAndGmdjColumnar(const BaseQuery& base,
+                                      const DataProvider& detail,
+                                      const GmdjOp& op,
+                                      const EvalContext& context = {});
 
 }  // namespace skalla
 

@@ -70,6 +70,9 @@ struct EvalProfile {
   std::atomic<uint64_t> bytes_loaded{0};
   /// kEngineBit* OR of the kernels that actually evaluated operators.
   std::atomic<uint8_t> engines_used{0};
+  /// 1 when a base-and-GMDJ round ran as one fused pass, 0 when it ran
+  /// the base scan and then the GMDJ kernel (core/evaluate.h).
+  std::atomic<uint8_t> fused_base{0};
 };
 
 /// Default number of rows per morsel (scan and nested-loop detail

@@ -24,6 +24,7 @@
 #include "common/result.h"
 #include "core/eval_context.h"
 #include "core/gmdj.h"
+#include "relalg/operators.h"
 #include "storage/catalog.h"
 
 namespace skalla {
@@ -34,6 +35,17 @@ namespace skalla {
 Result<Table> EvaluateGmdj(const Table& base, const GmdjOp& op,
                            const Catalog& catalog,
                            const EvalContext& context = {});
+
+/// One Prop. 2 round in one request: `base`'s result B_i computed from
+/// `catalog`'s partition, then `op` evaluated over it. Under kColumnar,
+/// when FusesBaseQuery(base, op) holds (columnar/vector_eval.h), both run
+/// as one pass over the detail relation and profile->fused_base is set.
+/// Every other shape, and the row oracle, runs the base scan and then
+/// EvaluateGmdj. The output is byte-identical either way;
+/// profile->engines_used names the GMDJ kernel only.
+Result<Table> EvaluateBaseAndGmdj(const BaseQuery& base, const GmdjOp& op,
+                                  const Catalog& catalog,
+                                  const EvalContext& context = {});
 
 }  // namespace skalla
 

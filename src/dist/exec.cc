@@ -83,7 +83,7 @@ class InProcessLink : public SiteLink {
     return provider->schema();
   }
 
-  std::vector<int> ReplicaChain(size_t i, bool) override {
+  std::vector<int> ReplicaChain(size_t i, const SiteRound&) override {
     return fleet_->ReplicaIds(i);
   }
 
@@ -116,7 +116,10 @@ class InProcessLink : public SiteLink {
         input_round_[i] = round.label;
       }
       SKALLA_OBS_ONLY(context.trace_parent_span = site_span.id());
-      result = site.EvalGmdjRound(input_[i], round.stage->op, context);
+      result = round.base != nullptr
+                   ? site.EvalBaseAndGmdjRound(*round.base, round.stage->op,
+                                               context)
+                   : site.EvalGmdjRound(input_[i], round.stage->op, context);
       if (result.ok() && context.compute_rng) {
         result = ApplyRngFilter(*result);
       }
@@ -146,6 +149,8 @@ class InProcessLink : public SiteLink {
         eval_profile.bytes_loaded.load(std::memory_order_relaxed);
     profile.engines_used =
         eval_profile.engines_used.load(std::memory_order_relaxed);
+    profile.fused =
+        eval_profile.fused_base.load(std::memory_order_relaxed) != 0;
     profile.result_rows = result->num_rows();
     profile.bytes_in = traffic->bytes_to_sites;
     if (!round.synchronized) {

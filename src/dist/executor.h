@@ -182,12 +182,20 @@ struct SiteRoundProfile {
   /// EvalProfile::engines_used). Base rounds always report
   /// kEngineBitColumnar: the base-query scan is columnar at any engine.
   uint8_t engines_used = 0;
+  /// A fused_base round's site evaluated B_i and the GMDJ operator in one
+  /// pass; false where it ran the base scan and then the GMDJ kernel
+  /// (shapes the fused pass does not cover, or the row oracle).
+  bool fused = false;
 };
 
 /// Cost accounting for one round (base stage or one GMDJ stage).
 struct RoundStats {
   std::string label;
   bool synchronized = false;
+  /// The round computed each site's base B_i itself: a Prop. 2 plan's
+  /// first GMDJ round, which carries the base query (no base round ran
+  /// before it).
+  bool fused_base = false;
 
   uint64_t bytes_to_sites = 0;
   uint64_t bytes_to_coord = 0;

@@ -56,6 +56,16 @@ class Site {
     return EvaluateGmdj(base, op, catalog_, context);
   }
 
+  /// The fused first round of a Prop. 2 plan: the base query's local
+  /// result B_i and the GMDJ operator over it, in one request and — when
+  /// the shapes allow — one pass over the partition
+  /// (core::EvaluateBaseAndGmdj, which also holds the fallback).
+  Result<Table> EvalBaseAndGmdjRound(const BaseQuery& base, const GmdjOp& op,
+                                     const EvalContext& context) const {
+    std::lock_guard<std::mutex> round(*round_mu_);
+    return EvaluateBaseAndGmdj(base, op, catalog_, context);
+  }
+
   /// The local partition of the named detail relation.
   Result<const Table*> DetailTable(std::string_view name) const {
     return catalog_.Get(name);

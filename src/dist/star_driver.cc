@@ -146,12 +146,16 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
                           plan.base.OutputSchema(*base_schema));
 
-  // Round 0 is the base round; round k evaluates plan.stages[k - 1].
-  for (size_t k = 0; k <= plan.stages.size(); ++k) {
+  // Round 0 is the base round; round k evaluates plan.stages[k - 1]. A
+  // Prop. 2 plan (sync_base = false) has no base round: its first GMDJ
+  // round carries the base query, and each site computes its B_i inside
+  // that round (fused_base).
+  for (size_t k = plan.sync_base ? 0 : 1; k <= plan.stages.size(); ++k) {
     const PlanStage* stage = k == 0 ? nullptr : &plan.stages[k - 1];
     RoundStats rs;
     rs.label = k == 0 ? "base" : StrCat("md", k);
-    rs.synchronized = stage == nullptr ? plan.sync_base : stage->sync_after;
+    rs.synchronized = stage == nullptr || stage->sync_after;
+    rs.fused_base = k == 1 && !plan.sync_base;
     SKALLA_TRACE_SPAN(round_span, StrCat("round:", rs.label), "executor");
     SKALLA_SPAN_ATTR(round_span, "sync", rs.synchronized ? "true" : "false");
     Stopwatch wall;
@@ -161,10 +165,10 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
     CancellationToken round_cancel;
     SiteRound round;
     round.label = rs.label;
-    round.base = &plan.base;
+    round.base = stage == nullptr || rs.fused_base ? &plan.base : nullptr;
     round.stage = stage;
     round.synchronized = rs.synchronized;
-    round.self_contained = stage == nullptr || distribute;
+    round.self_contained = round.base != nullptr || distribute;
     SKALLA_RETURN_NOT_OK(
         deadline.ArmRound(rs.label, &round_cancel, &round.deadline_ms));
     if (stage != nullptr) round.eval = StageEvalContext(options, run, *stage);
@@ -221,7 +225,7 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
         SKALLA_RETURN_NOT_OK(
             link.ShipBase(i, filter != nullptr ? reduced : x, &slot.traffic));
       }
-      const std::vector<int> chain = link.ReplicaChain(i, round.self_contained);
+      const std::vector<int> chain = link.ReplicaChain(i, round);
       slot.site_id = chain.front();
       Stopwatch timer;
       Result<Table> fragment = ExecuteSiteRoundReplicated(

@@ -38,19 +38,23 @@
 
 namespace skalla {
 
-/// One GMDJDistribEval round as the driver hands it to a SiteLink.
+/// One GMDJDistribEval round as the driver hands it to a SiteLink. The
+/// base round is synchronized whenever it runs: a plan that skips the
+/// base synchronization (Prop. 2) sends no base round at all.
 struct SiteRound {
   /// "base", "md1", ...: the fault injector's round key.
   std::string label;
-  /// The base round's query; GMDJ rounds carry `stage` instead.
+  /// The base query, when the round evaluates it: the synchronized base
+  /// round (no `stage`), or a Prop. 2 plan's first GMDJ round, where each
+  /// site computes its B_i and evaluates `stage` over it in one request.
   const BaseQuery* base = nullptr;
   /// The GMDJ round's stage; nullptr for the base round.
   const PlanStage* stage = nullptr;
   /// Fragments return to the coordinator; otherwise outputs stay at the
   /// sites as the next round's carried-over structures.
   bool synchronized = false;
-  /// The round needs no carried-over site state (the base round, or X
-  /// ships with it), so any replica may evaluate it.
+  /// The round needs no carried-over site state (it evaluates the base
+  /// query, or X ships with it).
   bool self_contained = true;
   /// Site evaluation context: cancellation (the armed round token),
   /// query id, the round span as trace parent, and for GMDJ rounds the
@@ -96,9 +100,10 @@ class SiteLink {
   /// Schema of a site-resident relation.
   virtual Result<SchemaPtr> TableSchema(const std::string& table) = 0;
 
-  /// Site ids of partition i's evaluation chain (primary first). A round
-  /// that is not self-contained may be restricted to the primary.
-  virtual std::vector<int> ReplicaChain(size_t i, bool self_contained) = 0;
+  /// Site ids of partition i's evaluation chain for `round` (primary
+  /// first). A link whose sites hold the carried-over structures
+  /// restricts rounds that read or leave one to the primary.
+  virtual std::vector<int> ReplicaChain(size_t i, const SiteRound& round) = 0;
 
   /// Ships `x` (X, already reduction-filtered for site i) to site i.
   virtual Status ShipBase(size_t i, const Table& x, SiteTraffic* traffic) = 0;

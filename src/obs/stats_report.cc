@@ -62,6 +62,9 @@ std::string SiteProfileLines(const RoundStats& r) {
     if (p.engines_used != 0) {
       out += StrCat("  [", EngineSetToString(p.engines_used), "]");
     }
+    if (r.fused_base) {
+      out += p.fused ? "  [fused]" : StrCat("  [base, then ", r.label, "]");
+    }
     if (p.chunks_pruned > 0) {
       out += StrPrintf("  (pruned %llu chunks)",
                        static_cast<unsigned long long>(p.chunks_pruned));
@@ -102,24 +105,32 @@ std::string FormatStatsReport(const DistributedPlan& plan,
     return out;
   }
 
-  if (stats.rounds.size() != plan.stages.size() + 1) {
+  // A Prop. 2 plan sends no base round: its first GMDJ round computes
+  // each site's base.
+  const size_t base_rounds = plan.sync_base ? 1 : 0;
+  if (stats.rounds.size() != plan.stages.size() + base_rounds) {
     out += StrPrintf(
-        "  (stats have %zu rounds for a plan with %zu stages + base; "
-        "was this ExecStats produced by this plan?)\n",
-        stats.rounds.size(), plan.stages.size());
+        "  (stats have %zu rounds for a plan with %zu stages%s; was this "
+        "ExecStats produced by this plan?)\n",
+        stats.rounds.size(), plan.stages.size(),
+        plan.sync_base ? " + base" : "");
     out += stats.ToString();
     return out;
   }
 
   out += StrCat("  base: ", plan.base.ToString(),
-                plan.sync_base ? " [sync]" : " [no-sync]", "\n");
-  out += RoundLine(stats.rounds[0]);
-  out += SiteProfileLines(stats.rounds[0]);
+                plan.sync_base ? " [sync]" : " [no-sync, fused into md1]",
+                "\n");
+  if (plan.sync_base) {
+    out += RoundLine(stats.rounds[0]);
+    out += SiteProfileLines(stats.rounds[0]);
+  }
   for (size_t k = 0; k < plan.stages.size(); ++k) {
+    const RoundStats& round = stats.rounds[k + base_rounds];
     out += StrCat("  stage ", k + 1, ": ",
                   plan.stages[k].ToString(num_sites), "\n");
-    out += RoundLine(stats.rounds[k + 1]);
-    out += SiteProfileLines(stats.rounds[k + 1]);
+    out += RoundLine(round);
+    out += SiteProfileLines(round);
   }
 
   out += StrPrintf(

@@ -26,9 +26,13 @@ struct StatsReportOptions {
 };
 
 /// Renders the EXPLAIN ANALYZE report for an executed plan. `stats` must
-/// come from executing `plan` (rounds[0] is the base stage; rounds[k+1]
-/// annotates plan.stages[k]); a mismatched pair yields a diagnostic
-/// header instead of per-stage rows.
+/// come from executing `plan`: with a synchronized base, rounds[0] is the
+/// base round and rounds[k+1] annotates plan.stages[k]; a Prop. 2 plan
+/// has no base round, so rounds[k] annotates plan.stages[k] and the
+/// first stage's site lines say whether each site ran the base query
+/// fused into that round ([fused]) or as a scan before it ([base, then
+/// md1]). A mismatched pair yields a diagnostic header instead of
+/// per-stage rows.
 std::string FormatStatsReport(const DistributedPlan& plan,
                               const ExecStats& stats, size_t num_sites,
                               const StatsReportOptions& options = {});

@@ -21,8 +21,8 @@ std::string ExplainPlan(const GmdjExpr& expr, const DistributedPlan& plan,
   }
   if (!plan.sync_base) {
     notes.push_back(
-        "Prop. 2: base-values synchronization skipped (sites compute "
-        "their base locally)");
+        "Prop. 2: base-values synchronization skipped (each site "
+        "computes its base locally, inside the first round)");
   }
   size_t skipped = 0;
   for (const PlanStage& stage : plan.stages) {

@@ -5,10 +5,10 @@
 #include <unordered_map>
 
 #include "columnar/predicate_eval.h"
-#include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "expr/analysis.h"
+#include "relalg/key_groups.h"
 #include "types/row.h"
 
 namespace skalla {
@@ -113,41 +113,6 @@ Result<Table> TopK(const Table& in, const std::string& column, size_t k,
   return out;
 }
 
-namespace {
-
-// Whether chunk row `r`, projected onto `cols`, equals `key` (boxed from
-// the same columns) under Value::Equals, without boxing the chunk cells:
-// NULL equals only NULL, doubles compare with == (so -0.0 equals 0.0
-// and NaN equals nothing).
-bool KeyEquals(const Chunk& chunk, const std::vector<size_t>& cols, size_t r,
-               const Row& key) {
-  for (size_t k = 0; k < cols.size(); ++k) {
-    const Column& col = chunk.column(cols[k]);
-    if (col.IsNull(r) || key[k].is_null()) {
-      if (col.IsNull(r) != key[k].is_null()) return false;
-      continue;
-    }
-    bool equal = false;
-    switch (col.type()) {
-      case ValueType::kInt64:
-        equal = col.Int64At(r) == key[k].int64();
-        break;
-      case ValueType::kFloat64:
-        equal = col.Float64At(r) == key[k].float64();
-        break;
-      case ValueType::kString:
-        equal = col.StringAt(r) == key[k].str();
-        break;
-      case ValueType::kNull:
-        break;
-    }
-    if (!equal) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<Table> BaseQuery::Execute(const Catalog& catalog,
                                  const EvalContext& context) const {
   SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
@@ -187,13 +152,10 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider,
   AddPredicateReadSet(pred, &reads);  // sorts and dedupes
 
   Table out(schema->Project(indices));
-  // First-occurrence distinct: out row g is key g. head maps a key hash
-  // to its newest group, next[g] to the previous group with that hash.
-  constexpr uint32_t kNone = UINT32_MAX;
-  std::unordered_map<uint64_t, uint32_t> head;
-  std::vector<uint32_t> next;
+  KeyGroups groups(indices);  // DISTINCT: out row g is group g's key
   uint64_t rows_scanned = 0;
   std::vector<uint8_t> sel;
+  std::vector<uint32_t> row_groups;
   for (size_t ci = 0; constants_pass && ci < provider.num_chunks(); ++ci) {
     if (context.cancellation != nullptr) {
       SKALLA_RETURN_NOT_OK(context.cancellation->Check());
@@ -212,25 +174,22 @@ Result<Table> BaseQuery::Execute(const DataProvider& provider,
       EvalDetailSelection(pred, chunk, &sel);
       selp = sel.data();
     }
+    if (distinct) {
+      groups.Assign(chunk, selp, &row_groups);
+      continue;
+    }
     for (size_t r = 0; r < n; ++r) {
       if (selp != nullptr && !selp[r]) continue;
-      if (distinct) {
-        uint64_t h = 0x5ca11aULL;
-        for (size_t c : indices) h = HashCombine(h, chunk.column(c).HashAt(r));
-        uint32_t& newest = head.try_emplace(h, kNone).first->second;
-        bool duplicate = false;
-        for (uint32_t g = newest; g != kNone && !duplicate; g = next[g]) {
-          duplicate = KeyEquals(chunk, indices, r, out.row(g));
-        }
-        if (duplicate) continue;
-        next.push_back(newest);
-        newest = static_cast<uint32_t>(out.num_rows());
-      }
       Row row;
       row.reserve(indices.size());
       for (size_t c : indices) row.push_back(chunk.column(c).GetValue(r));
       out.AppendUnchecked(std::move(row));
     }
+  }
+  if (distinct) {
+    std::vector<Row> keys = groups.TakeKeys();
+    out.Reserve(keys.size());
+    for (Row& key : keys) out.AppendUnchecked(std::move(key));
   }
   if (context.cancellation != nullptr) {
     SKALLA_RETURN_NOT_OK(context.cancellation->Check());

@@ -66,7 +66,12 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //   9  RoundProfile grows pages_loaded and bytes_loaded varints after
 //      chunks_pruned: the column pages the round's pins loaded (its
 //      buffer misses) and their estimated bytes, in both round kinds
-inline constexpr uint8_t kProtocolVersion = 9;
+//  10  a Prop. 2 plan's first GmdjRound carries the base query (flag bit
+//      16) and the site computes B_i inside it; BaseRound drops its
+//      flags byte (a base round always ships its result, so there is no
+//      carried base); RoundProfile grows a `fused` varint after
+//      bytes_loaded
+inline constexpr uint8_t kProtocolVersion = 10;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// What a frame carries. Requests flow coordinator -> site; responses

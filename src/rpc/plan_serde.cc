@@ -145,6 +145,7 @@ void WriteRoundProfile(std::vector<uint8_t>* out,
   PutVarint(out, profile.chunks_pruned);
   PutVarint(out, profile.pages_loaded);
   PutVarint(out, profile.bytes_loaded);
+  PutVarint(out, profile.fused ? 1 : 0);
   PutVarint(out, profile.spans.size());
   for (const obs::TraceEvent& e : profile.spans) {
     WriteString(out, e.name);
@@ -185,6 +186,9 @@ Result<RoundProfile> ReadRoundProfile(ByteReader* reader) {
   SKALLA_ASSIGN_OR_RETURN(profile.chunks_pruned, reader->ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(profile.pages_loaded, reader->ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(profile.bytes_loaded, reader->ReadVarint());
+  SKALLA_ASSIGN_OR_RETURN(uint64_t fused, reader->ReadVarint());
+  if (fused > 1) return Status::IOError("bad fused flag");
+  profile.fused = fused != 0;
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_spans, reader->ReadVarint());
   if (num_spans > kMaxProfileSpans) {
     return Status::IOError("implausible profile span count");
@@ -283,7 +287,7 @@ Status ReadStatusPayload(const std::vector<uint8_t>& payload) {
   if (!code.ok()) {
     return Status::IOError("truncated status payload");
   }
-  if (*code > static_cast<uint8_t>(StatusCode::kDeadlineExceeded)) {
+  if (*code > static_cast<uint8_t>(StatusCode::kFailedPrecondition)) {
     return Status::IOError(StrCat("bad status code tag ", int{*code}));
   }
   Result<std::string> message = ReadString(&reader);
@@ -399,7 +403,6 @@ Result<uint64_t> DecodeEndPlanRequest(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeBaseRoundRequest(const BaseRoundRequest& req) {
   std::vector<uint8_t> out;
-  out.push_back(req.ship_result ? 1 : 0);
   PutVarint(&out, req.deadline_ms);
   WriteTraceContext(&out, req.trace);
   WriteBaseQuery(&out, req.query);
@@ -409,9 +412,7 @@ std::vector<uint8_t> EncodeBaseRoundRequest(const BaseRoundRequest& req) {
 Result<BaseRoundRequest> DecodeBaseRoundRequest(
     const std::vector<uint8_t>& payload) {
   ByteReader reader(payload.data(), payload.size());
-  SKALLA_ASSIGN_OR_RETURN(uint8_t flags, ReadFlags(&reader));
   BaseRoundRequest req;
-  req.ship_result = (flags & 1) != 0;
   SKALLA_ASSIGN_OR_RETURN(req.deadline_ms, reader.ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(req.trace, ReadTraceContext(&reader));
   SKALLA_ASSIGN_OR_RETURN(req.query, ReadBaseQuery(&reader));
@@ -430,11 +431,13 @@ std::vector<uint8_t> EncodeGmdjRoundRequest(
   if (req.apply_rng) flags |= 2;
   if (req.ship_result) flags |= 4;
   if (req.has_base) flags |= 8;
+  if (req.has_base_query) flags |= 16;
   out.push_back(flags);
   PutVarint(&out, req.deadline_ms);
   WriteTraceContext(&out, req.trace);
   WriteString(&out, req.label);
   WriteGmdjOp(&out, req.op);
+  if (req.has_base_query) WriteBaseQuery(&out, req.base_query);
   if (req.has_base) {
     out.insert(out.end(), base_table_bytes.begin(), base_table_bytes.end());
   }
@@ -450,10 +453,18 @@ Result<GmdjRoundRequest> DecodeGmdjRoundRequest(
   req.apply_rng = (flags & 2) != 0;
   req.ship_result = (flags & 4) != 0;
   req.has_base = (flags & 8) != 0;
+  req.has_base_query = (flags & 16) != 0;
+  if (req.has_base && req.has_base_query) {
+    return Status::IOError(
+        "gmdj-round request carries both X and a base query");
+  }
   SKALLA_ASSIGN_OR_RETURN(req.deadline_ms, reader.ReadVarint());
   SKALLA_ASSIGN_OR_RETURN(req.trace, ReadTraceContext(&reader));
   SKALLA_ASSIGN_OR_RETURN(req.label, ReadString(&reader));
   SKALLA_ASSIGN_OR_RETURN(req.op, ReadGmdjOp(&reader));
+  if (req.has_base_query) {
+    SKALLA_ASSIGN_OR_RETURN(req.base_query, ReadBaseQuery(&reader));
+  }
   size_t table_offset = payload.size() - reader.remaining();
   if (req.has_base) {
     req.base_table_bytes = payload.size() - table_offset;

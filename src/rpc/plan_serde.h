@@ -99,6 +99,10 @@ struct RoundProfile {
   /// (protocol version 9).
   uint64_t pages_loaded = 0;
   uint64_t bytes_loaded = 0;
+  /// A round carrying the base query ran it fused into the GMDJ pass
+  /// (EvalProfile::fused_base). Wire format: varint 0/1 after
+  /// bytes_loaded (protocol version 10).
+  bool fused = false;
   /// The site's span subtree for this round (empty when untraced). Span
   /// ids/parents are site-local; the coordinator remaps them on import.
   std::vector<obs::TraceEvent> spans;
@@ -138,17 +142,16 @@ std::vector<uint8_t> EncodeEndPlanRequest(uint64_t query_id);
 /// Rejects truncated payloads and trailing bytes.
 Result<uint64_t> DecodeEndPlanRequest(const std::vector<uint8_t>& payload);
 
-/// kBaseRound: evaluate the base-values query. With ship_result the
-/// response is the table (kTableResult); without, the site keeps the
-/// result as its carried-over base structure and responds kAck (the
-/// Prop. 2 unsynchronized base round — no bytes travel back).
+/// kBaseRound: evaluate the base-values query and ship the table back
+/// (the synchronized base round). A plan that skips the base
+/// synchronization (Prop. 2) sends no base round: its first kGmdjRound
+/// carries the base query instead. Wire format (protocol version 10):
+/// deadline_ms, the trace context, then the base query.
 struct BaseRoundRequest {
   BaseQuery query;
-  bool ship_result = true;
   /// Round deadline in milliseconds, 0 = none. The site arms a
   /// CancellationToken for the round's evaluation; a fired deadline
-  /// surfaces as a kDeadlineExceeded error response. Wire format:
-  /// varint after the flags byte (protocol version 3).
+  /// surfaces as a kDeadlineExceeded error response.
   uint64_t deadline_ms = 0;
   /// Distributed trace propagation (protocol version 4).
   TraceContext trace;
@@ -159,7 +162,10 @@ Result<BaseRoundRequest> DecodeBaseRoundRequest(
 
 /// kGmdjRound: evaluate one GMDJ operator. When has_base, the request
 /// tail carries the (coordinator-filtered) base structure, encoded with
-/// net/serde exactly as the simulated transports ship it; otherwise the
+/// net/serde exactly as the simulated transports ship it. When
+/// has_base_query (a Prop. 2 plan's first round), the site computes its
+/// base B_i from the carried base query and evaluates the operator over
+/// it in the same request (Site::EvalBaseAndGmdjRound). Otherwise the
 /// site evaluates against its carried-over local structure (Theorem 5
 /// unsynchronized continuation). apply_rng mirrors Prop. 1: the site
 /// drops |RNG| = 0 groups before shipping.
@@ -170,6 +176,10 @@ struct GmdjRoundRequest {
   bool apply_rng = false;
   bool ship_result = true;
   bool has_base = false;
+  /// Flag bit 16; the serialized BaseQuery follows the operator
+  /// (protocol version 10). Never set together with has_base.
+  bool has_base_query = false;
+  BaseQuery base_query;  // meaningful when has_base_query
   /// Round deadline in milliseconds, 0 = none (varint after the flags
   /// byte, protocol version 3). See BaseRoundRequest::deadline_ms.
   uint64_t deadline_ms = 0;

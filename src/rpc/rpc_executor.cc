@@ -34,6 +34,7 @@ SiteRoundProfile ToSiteProfile(const RoundProfile& p) {
   sp.chunks_pruned = p.chunks_pruned;
   sp.pages_loaded = p.pages_loaded;
   sp.bytes_loaded = p.bytes_loaded;
+  sp.fused = p.fused;
   return sp;
 }
 
@@ -220,12 +221,12 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
 }
 
 // The rpc SiteLink: sites are separate processes reached through the
-// transport. X travels inside the round request; a round that continues
-// a site's carried-over structure stays on the primary (a replica process
-// never built that structure). Per-endpoint state is touched only by the
-// task of the partition owning the endpoint (BeginPlan rejects an
-// endpoint registered twice), so it needs no lock under a concurrent
-// fan-out.
+// transport. X (or, in a Prop. 2 plan's first round, the base query)
+// travels inside the round request; a round that continues a site's
+// carried-over structure, or leaves one, stays on the primary.
+// Per-endpoint state is touched only by the task of the partition owning
+// the endpoint (BeginPlan rejects an endpoint registered twice), so it
+// needs no lock under a concurrent fan-out.
 class RpcExecutor::Link : public SiteLink {
  public:
   Link(RpcExecutor* executor, const QueryRun& run)
@@ -309,9 +310,9 @@ class RpcExecutor::Link : public SiteLink {
     return executor_->TableSchema(table);
   }
 
-  std::vector<int> ReplicaChain(size_t i, bool self_contained) override {
+  std::vector<int> ReplicaChain(size_t i, const SiteRound& round) override {
     std::vector<int> ids;
-    for (size_t endpoint : Endpoints(i, self_contained)) {
+    for (size_t endpoint : Endpoints(i, round)) {
       ids.push_back(static_cast<int>(endpoint));
     }
     return ids;
@@ -327,7 +328,7 @@ class RpcExecutor::Link : public SiteLink {
 
   Result<Table> Attempt(size_t i, size_t r, const SiteRound& round,
                         SiteAttempt* attempt, SiteTraffic* traffic) override {
-    const size_t endpoint = Endpoints(i, round.self_contained)[r];
+    const size_t endpoint = Endpoints(i, round)[r];
     SKALLA_RETURN_NOT_OK(EnsureBegun(endpoint, traffic));
     TraceContext trace;
     trace.query_id = round.eval.query_id;
@@ -340,7 +341,6 @@ class RpcExecutor::Link : public SiteLink {
     if (round.stage == nullptr) {
       BaseRoundRequest request;
       request.query = *round.base;
-      request.ship_result = round.synchronized;
       request.deadline_ms = round.deadline_ms;
       request.trace = trace;
       type = MessageType::kBaseRound;
@@ -352,13 +352,14 @@ class RpcExecutor::Link : public SiteLink {
       request.sub_aggregates = round.eval.sub_aggregates;
       request.apply_rng = round.eval.compute_rng;
       request.ship_result = round.synchronized;
-      request.has_base = round.self_contained;
+      request.has_base_query = round.base != nullptr;
+      if (request.has_base_query) request.base_query = *round.base;
+      request.has_base = round.self_contained && !request.has_base_query;
       request.deadline_ms = round.deadline_ms;
       request.trace = trace;
       type = MessageType::kGmdjRound;
       payload = EncodeGmdjRoundRequest(
-          request, round.self_contained ? base_bytes_[i]
-                                        : std::vector<uint8_t>{});
+          request, request.has_base ? base_bytes_[i] : std::vector<uint8_t>{});
     }
     RoundCallStats call;
     Result<Table> fragment = executor_->CallRound(
@@ -370,9 +371,13 @@ class RpcExecutor::Link : public SiteLink {
   }
 
  private:
-  std::vector<size_t> Endpoints(size_t i, bool self_contained) const {
-    return self_contained ? executor_->ReplicaEndpoints(i)
-                          : std::vector<size_t>{i};
+  // A replica process holds no structure it did not build: a round that
+  // reads a carried structure, or leaves its output at the site for the
+  // next one, stays on the primary.
+  std::vector<size_t> Endpoints(size_t i, const SiteRound& round) const {
+    return round.self_contained && round.synchronized
+               ? executor_->ReplicaEndpoints(i)
+               : std::vector<size_t>{i};
   }
 
   // A down endpoint must re-run BeginPlan before serving a round: it

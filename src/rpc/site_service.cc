@@ -164,6 +164,7 @@ void SiteService::FillEvalCounts(const EvalProfile& eval,
   profile->pages_loaded = eval.pages_loaded.load(std::memory_order_relaxed);
   profile->bytes_loaded = eval.bytes_loaded.load(std::memory_order_relaxed);
   profile->engines_used = eval.engines_used.load(std::memory_order_relaxed);
+  profile->fused = eval.fused_base.load(std::memory_order_relaxed) != 0;
   profile->duplicate_rounds = duplicate_rounds_;
   profile->chaos_faults =
       chaos_faults_ == nullptr
@@ -175,7 +176,7 @@ Result<Frame> SiteService::HandleBeginPlan(const Frame& request) {
   SKALLA_ASSIGN_OR_RETURN(BeginPlanRequest req,
                           DecodeBeginPlanRequest(request.payload));
   PlanState& plan = PlanFor(req.query_id);
-  plan.local_base = Table();
+  plan.local_base.reset();
   plan.last_round.clear();
   plan.last_input = Table();
   plan.eval_threads = req.eval_threads;
@@ -199,7 +200,6 @@ Result<Frame> SiteService::HandleEndPlan(const Frame& request) {
 Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
   SKALLA_ASSIGN_OR_RETURN(BaseRoundRequest req,
                           DecodeBaseRoundRequest(request.payload));
-  PlanState& plan = PlanFor(req.trace.query_id);
   Stopwatch wall;
   const bool traced =
       req.trace.parent_span_id != 0 || req.trace.trace_id != 0;
@@ -220,7 +220,7 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
   eval_context.query_id = req.trace.query_id;
   eval_context.profile = &eval_profile;
   // Recomputing from the durable local partition makes retries of this
-  // round naturally idempotent.
+  // round naturally idempotent; the base round keeps no state.
   Result<Table> base = Status::Internal("unset");
   {
     obs::Span round_span =
@@ -235,18 +235,9 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
   }
   if (!base.ok()) return ErrorFrame(base.status());
   FillEvalCounts(eval_profile, &profile);
-  profile.result_rows = base->num_rows();
-  if (req.ship_result) {
-    profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
-    profile.spans = capture.Drain();
-    return RoundResultFrame(&profile, &*base);
-  }
-  plan.local_base = std::move(*base);
-  plan.last_round.clear();
-  plan.last_input = Table();
   profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
   profile.spans = capture.Drain();
-  return RoundResultFrame(&profile, nullptr);
+  return RoundResultFrame(&profile, &*base);
 }
 
 Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
@@ -262,16 +253,28 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   profile.site_id = site_.id();
   profile.bytes_in = req.base_table_bytes;
 
-  Table input;
-  if (req.has_base) {
-    input = std::move(req.base);
-  } else if (!req.label.empty() && req.label == plan.last_round) {
-    // A coordinator retry of the round that already consumed the carried
-    // structure: re-evaluate from the saved input, do not double-apply.
-    ++duplicate_rounds_;
-    input = plan.last_input;
-  } else {
-    input = std::move(plan.local_base);
+  // What the operator evaluates over: the shipped X, the base query's
+  // local result (computed inside the round), or the structure an
+  // earlier unsynchronized round left here. A carried round reads that
+  // structure in place, so a failed evaluation leaves it for the retry.
+  const bool carried = !req.has_base && !req.has_base_query;
+  const Table* input = &req.base;
+  bool replay = false;
+  if (carried) {
+    if (!req.label.empty() && req.label == plan.last_round) {
+      // A coordinator retry of the round that already consumed the
+      // carried structure: re-evaluate from the saved input, do not
+      // double-apply.
+      ++duplicate_rounds_;
+      input = &plan.last_input;
+      replay = true;
+    } else if (plan.local_base.has_value()) {
+      input = &*plan.local_base;
+    } else {
+      return ErrorFrame(Status::FailedPrecondition(
+          StrCat("site ", site_.id(), " holds no carried structure for round ",
+                 req.label, " of query ", req.trace.query_id)));
+    }
   }
 
   // Arm the coordinator-shipped round deadline; the morsel loops poll
@@ -303,23 +306,30 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
     }
     eval_context.trace_parent_span = round_span.id();
     Stopwatch eval_watch;
-    h = site_.EvalGmdjRound(input, req.op, eval_context);
+    h = req.has_base_query
+            ? site_.EvalBaseAndGmdjRound(req.base_query, req.op, eval_context)
+            : site_.EvalGmdjRound(*input, req.op, eval_context);
     if (h.ok() && req.apply_rng) h = ApplyRngFilter(*h);
+    if (round_span.armed() && req.has_base_query) {
+      round_span.AddAttr("base", eval_profile.fused_base.load() != 0
+                                     ? std::string("fused")
+                                     : StrCat("base, then ", req.label));
+    }
     profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
   }
   if (!h.ok()) return ErrorFrame(h.status());
 
-  if (req.has_base) {
+  if (!carried) {
     plan.last_round.clear();
     plan.last_input = Table();
-  } else {
+  } else if (!replay) {
     plan.last_round = req.label;
-    plan.last_input = std::move(input);
+    plan.last_input = std::move(*plan.local_base);
   }
   FillEvalCounts(eval_profile, &profile);
   profile.result_rows = h->num_rows();
   if (req.ship_result) {
-    plan.local_base = Table();
+    plan.local_base.reset();
     profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
     profile.spans = capture.Drain();
     return RoundResultFrame(&profile, &*h);

@@ -1,7 +1,9 @@
 // SiteService: the server half of the rpc protocol. Handles decoded
 // request frames against one Site and owns the site's state between
-// rounds — the carried-over local base-result structure that
-// unsynchronized plans rely on (Prop. 2 / Theorem 5).
+// rounds — the output an unsynchronized GMDJ round leaves at the site
+// for the next round to continue (Theorem 5). A Prop. 2 plan's base
+// B_i is never carried: the first GMDJ round computes it in the same
+// request.
 //
 // Since protocol v5 the service multiplexes queries: it holds one round
 // state per in-flight query id (BeginPlan opens one, EndPlan releases
@@ -23,6 +25,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -79,8 +82,9 @@ class SiteService {
     // (EvalContext::engine; never changes results).
     EvalEngine engine = EvalEngine::kColumnar;
 
-    // Carried-over base structure between unsynchronized rounds.
-    Table local_base;
+    // Carried-over base structure: the output of the last round that
+    // did not ship its result; absent until such a round ran.
+    std::optional<Table> local_base;
 
     // Idempotent retries: the label of the last round that consumed the
     // carried structure, and the input it consumed. A re-sent round (a

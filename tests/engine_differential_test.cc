@@ -25,6 +25,7 @@
 
 #include "columnar/vector_eval.h"
 #include "common/random.h"
+#include "core/evaluate.h"
 #include "core/local_eval.h"
 #include "expr/builder.h"
 #include "net/serde.h"
@@ -642,6 +643,280 @@ TEST_P(BaseQueryDifferentialTest, ColumnarScanMatchesSelectProject) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BaseQueryDifferentialTest,
                          ::testing::Range(uint64_t{0}, uint64_t{18}));
+
+// --- Fused Prop. 2 rounds: one pass equals the base scan, then md1 ---------
+
+// How a fused-round case departs from the shape the one-pass kernel
+// takes. Every departure must fall back to the base scan and then the
+// GMDJ kernel, inside the same call.
+enum class FusedShape {
+  kFused = 0,
+  kExtraEquality,     // an equality atom beyond r.k = b.k
+  kBaseOnly,          // a conjunct over the base side alone
+  kCorrelated,        // a conjunct over both sides
+  kMissingKey,        // θ leaves a base column unconstrained
+  kBaseWhere,         // the base query has a WHERE (not Prop. 2)
+  kRowEngine,         // the row oracle evaluates the GMDJ
+  kNumShapes,
+};
+
+const char* ShapeName(FusedShape shape) {
+  static const char* kNames[] = {"fused",       "extra-equality",
+                                 "base-only",   "correlated",
+                                 "missing-key", "base-where",
+                                 "row-engine"};
+  return kNames[static_cast<int>(shape)];
+}
+
+// One detail-only conjunct over MakeBaseDetail's columns: none, a range
+// that prunes some chunks of the clustered (odd-seed) relations, one
+// that prunes every chunk, and unprunable typed / generic ones.
+ExprPtr RandomFusedConjunct(Random* rng) {
+  switch (rng->Uniform(6)) {
+    case 0:
+      return Gt(RCol("iv"), Lit(Value(rng->UniformInt(-25, 25))));
+    case 1:
+      return Gt(RCol("iv"), Lit(Value(int64_t{1000})));  // prunes all
+    case 2:
+      return Ne(RCol("h"), Lit(Value("y")));
+    case 3:
+      return Le(RCol("fk"), Lit(Value(1.5)));
+    case 4:
+      return Not(Lt(RCol("fk"), Lit(Value(0.5))));  // generic
+    default:
+      return nullptr;
+  }
+}
+
+// A GMDJ block whose θ is the key equalities (shuffled) plus 0-2
+// detail-only conjuncts, bent into `shape`.
+GmdjBlock FusedBlock(const std::vector<std::string>& keys, FusedShape shape,
+                     size_t b, Random* rng) {
+  std::vector<ExprPtr> conjuncts;
+  const size_t skip =
+      shape == FusedShape::kMissingKey ? rng->Uniform(keys.size()) : SIZE_MAX;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    if (k != skip) conjuncts.push_back(Eq(RCol(keys[k]), BCol(keys[k])));
+  }
+  for (size_t i = rng->Uniform(3); i > 0; --i) {
+    if (ExprPtr c = RandomFusedConjunct(rng)) conjuncts.push_back(c);
+  }
+  switch (shape) {
+    case FusedShape::kExtraEquality:
+      conjuncts.push_back(
+          Eq(RCol(keys[0] == "iv" ? "g" : "iv"), BCol(keys[0])));
+      break;
+    case FusedShape::kBaseOnly:
+      conjuncts.push_back(Ne(BCol(keys.back()), Lit(Value(int64_t{3}))));
+      break;
+    case FusedShape::kCorrelated:
+      conjuncts.push_back(Le(RCol(keys[0]), BCol(keys[0])));
+      break;
+    default:
+      break;
+  }
+  if (conjuncts.empty()) {  // a single key left out
+    conjuncts.push_back(Ge(RCol("g"), Lit(Value(int64_t{0}))));
+  }
+  for (size_t i = conjuncts.size(); i > 1; --i) {
+    std::swap(conjuncts[i - 1], conjuncts[rng->Uniform(i)]);
+  }
+  ExprPtr theta;
+  for (ExprPtr& c : conjuncts) {
+    theta = theta == nullptr ? std::move(c)
+                             : And(std::move(theta), std::move(c));
+  }
+  GmdjBlock block{{{AggKind::kCountStar, "", "c"},
+                   {AggKind::kCount, "iv", "ci"},
+                   {AggKind::kSum, "iv", "si"},
+                   {AggKind::kAvg, "iv", "ai"},
+                   {AggKind::kSum, "fk", "sf"},
+                   {AggKind::kMin, "fk", "lf"},
+                   {AggKind::kMax, "iv", "hi"}},
+                  theta};
+  for (AggSpec& agg : block.aggs) agg.output += std::to_string(b);
+  return block;
+}
+
+// Distinct key columns a query's pins read on every chunk.
+size_t KeyPages(const std::vector<std::string>& keys) {
+  return std::set<std::string>(keys.begin(), keys.end()).size();
+}
+
+class FusedBaseRoundDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override {
+    dir_ = "/tmp/skalla_engine_differential_test";
+    mkdir(dir_.c_str(), 0755);
+  }
+  std::string dir_;
+};
+
+TEST_P(FusedBaseRoundDifferentialTest, OnePassMatchesBaseThenGmdj) {
+  const uint64_t seed = GetParam();
+  Random rng(seed * 15485863 + 11);
+  const size_t rows = seed % 11 == 6 ? 0 : 120 + seed * 53;
+  Table detail = MakeBaseDetail(seed, rows);
+  auto resident = std::make_shared<const Table>(detail);
+  const std::string path = dir_ + "/fused_" + std::to_string(seed) + ".skc";
+  WriteChunkFile(detail, path, /*chunk_rows=*/32).Check();
+  Catalog catalog;
+  catalog.Register("d", detail);
+
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"g"}, {"fk"}, {"h"}, {"h", "fk", "g"}, {"iv", "h"}};
+  for (int s = 0; s < static_cast<int>(FusedShape::kNumShapes); ++s) {
+    const FusedShape shape = static_cast<FusedShape>(s);
+    // Across the seeds every shape meets every key set: int, float
+    // (NULL, -0.0, 0.0, NaN), string (NULL) and multi-column keys.
+    const std::vector<std::string>& keys =
+        key_sets[(seed + static_cast<uint64_t>(s)) % key_sets.size()];
+    BaseQuery query{"d", keys, true, nullptr};
+    if (shape == FusedShape::kBaseWhere) {
+      query.where = Gt(RCol("iv"), Lit(Value(int64_t{0})));
+    }
+    GmdjOp op;
+    op.detail_table = "d";
+    const size_t blocks = 1 + rng.Uniform(3);  // single and coalesced
+    for (size_t b = 0; b < blocks; ++b) {
+      op.blocks.push_back(FusedBlock(keys, shape, b, &rng));
+    }
+    const bool fuses =
+        shape == FusedShape::kFused || shape == FusedShape::kRowEngine;
+    EXPECT_EQ(FusesBaseQuery(query, op), fuses) << ShapeName(shape);
+    const EvalEngine engine = shape == FusedShape::kRowEngine
+                                  ? EvalEngine::kRow
+                                  : EvalEngine::kColumnar;
+
+    for (bool sub : {false, true}) {
+      for (bool compute_rng : {false, true}) {
+        EvalContext context;
+        context.sub_aggregates = sub;
+        context.compute_rng = compute_rng;
+        context.engine = engine;
+        const std::string label =
+            "seed=" + std::to_string(seed) + " " + ShapeName(shape) + " " +
+            query.ToString() + " blocks=" + std::to_string(blocks) +
+            " sub=" + std::to_string(sub) +
+            " rng=" + std::to_string(compute_rng);
+
+        // Base + md1 run separately: the reference, itself pinned to the
+        // row oracle.
+        Table b = query.Execute(catalog).ValueOrDie();
+        EvalContext columnar = context;
+        columnar.engine = EvalEngine::kColumnar;
+        const std::vector<uint8_t> expected =
+            Bytes(EvaluateGmdj(b, op, catalog, columnar).ValueOrDie());
+        ASSERT_EQ(Bytes(EvalGmdj(b, detail, op, context).ValueOrDie()),
+                  expected)
+            << label << " oracle";
+
+        {
+          EvalProfile profile;
+          EvalContext run = context;
+          run.profile = &profile;
+          EXPECT_EQ(Bytes(EvaluateBaseAndGmdj(query, op, catalog, run)
+                              .ValueOrDie()),
+                    expected)
+              << label << " resident";
+          EXPECT_EQ(profile.fused_base.load(), shape == FusedShape::kFused)
+              << label;
+          EXPECT_EQ(profile.engines_used.load(),
+                    engine == EvalEngine::kRow ? kEngineBitRow
+                                               : kEngineBitColumnar)
+              << label;
+        }
+        for (size_t chunk_rows : {size_t{16}, kDefaultChunkRows}) {
+          Catalog memory;
+          memory.RegisterProvider(
+              "d", std::make_shared<MemoryDataProvider>(resident, chunk_rows));
+          EXPECT_EQ(Bytes(EvaluateBaseAndGmdj(query, op, memory, context)
+                              .ValueOrDie()),
+                    expected)
+              << label << " chunk_rows=" << chunk_rows;
+        }
+        for (uint64_t budget : {uint64_t{1}, uint64_t{2048}, uint64_t{0}}) {
+          for (bool pruning : {true, false}) {
+            auto buffers = std::make_shared<BufferManager>(budget);
+            Catalog paged;
+            paged.RegisterProvider(
+                "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
+            EvalProfile profile;
+            EvalContext run = context;
+            run.chunk_pruning = pruning;
+            run.profile = &profile;
+            Table fused =
+                EvaluateBaseAndGmdj(query, op, paged, run).ValueOrDie();
+            EXPECT_EQ(Bytes(fused), expected)
+                << label << " budget=" << budget << " pruning=" << pruning
+                << "\nfused:\n" << fused.ToString(30);
+            EXPECT_EQ(profile.pages_loaded.load(), buffers->stats().misses)
+                << label;
+            if (shape == FusedShape::kFused) {
+              // One pass: every chunk's key pages load once (B has no
+              // WHERE), never more pages than the chunk's read set.
+              const uint64_t chunks = paged.GetProvider("d").ValueOrDie()
+                                          ->num_chunks();
+              EXPECT_GE(buffers->stats().misses, chunks * KeyPages(keys))
+                  << label;
+              EXPECT_LE(buffers->stats().misses,
+                        chunks * detail.num_columns())
+                  << label;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FusedBaseRoundDifferentialTest,
+                         ::testing::Range(uint64_t{0}, uint64_t{16}));
+
+TEST(FusedBaseRoundTest, PrunedBlocksPinOnlyTheKeyPages) {
+  // A fused round reads the key pages of every chunk — the base has no
+  // WHERE to prune by — and a block's other pages only where its stats
+  // do not prune it: with every chunk pruned, only the key pages load.
+  Table detail = MakeBaseDetail(/*seed=*/3, 480);  // iv clustered by row
+  const std::string path =
+      "/tmp/skalla_engine_differential_test_fused_pruned.skc";
+  WriteChunkFile(detail, path, /*chunk_rows=*/32).Check();
+  BaseQuery query{"d", {"h", "g"}, true, nullptr};
+  GmdjOp op;
+  op.detail_table = "d";
+  op.blocks.push_back(GmdjBlock{
+      {{AggKind::kSum, "fk", "sf"}},
+      And(And(Eq(RCol("g"), BCol("g")), Eq(RCol("h"), BCol("h"))),
+          Gt(RCol("iv"), Lit(Value(int64_t{1000}))))});
+  Catalog resident;
+  resident.Register("d", detail);
+  Table b = query.Execute(resident).ValueOrDie();
+  const std::vector<uint8_t> expected =
+      Bytes(EvaluateGmdj(b, op, resident).ValueOrDie());
+  for (bool pruning : {true, false}) {
+    auto buffers = std::make_shared<BufferManager>(/*budget=*/1);
+    Catalog paged;
+    paged.RegisterProvider(
+        "d", ChunkFileDataProvider::Open(path, buffers).ValueOrDie());
+    const uint64_t chunks = paged.GetProvider("d").ValueOrDie()->num_chunks();
+    EvalProfile profile;
+    EvalContext context;
+    context.chunk_pruning = pruning;
+    context.profile = &profile;
+    Table fused = EvaluateBaseAndGmdj(query, op, paged, context).ValueOrDie();
+    EXPECT_EQ(Bytes(fused), expected) << "pruning=" << pruning;
+    EXPECT_EQ(profile.fused_base.load(), 1u);
+    EXPECT_EQ(profile.rows_scanned.load(), detail.num_rows());
+    // g, h always; fk and iv only for unpruned chunks.
+    EXPECT_EQ(buffers->stats().misses, chunks * (pruning ? 2 : 4))
+        << "pruning=" << pruning;
+    EXPECT_EQ(profile.chunks_pruned.load(), pruning ? chunks : 0)
+        << "pruning=" << pruning;
+  }
+  std::remove(path.c_str());
+}
 
 }  // namespace
 }  // namespace skalla

@@ -107,8 +107,14 @@ GmdjExpr CorrelatedExpr() {
 }
 
 void CheckInvariants(const DistributedPlan& plan, const ExecStats& stats) {
-  // One RoundStats per stage plus the base round.
-  ASSERT_EQ(stats.rounds.size(), plan.stages.size() + 1);
+  // One RoundStats per stage, plus the base round when the plan
+  // synchronizes its base; a Prop. 2 plan computes the base inside md1.
+  ASSERT_EQ(stats.rounds.size(), plan.stages.size() + (plan.sync_base ? 1 : 0));
+  EXPECT_EQ(stats.rounds[0].label, plan.sync_base ? "base" : "md1");
+  for (size_t k = 0; k < stats.rounds.size(); ++k) {
+    EXPECT_EQ(stats.rounds[k].fused_base, k == 0 && !plan.sync_base)
+        << stats.rounds[k].label;
+  }
 
   uint64_t down = 0, up = 0, tuples = 0;
   double response = 0;
@@ -242,6 +248,40 @@ TEST(ExecStatsTest, StatsReportRendersPerStageAndTotalCounts) {
     scanned += p.rows_scanned;
   }
   EXPECT_EQ(scanned, flow.num_rows());
+}
+
+TEST(ExecStatsTest, StatsReportShowsTheFusedBaseRound) {
+  // A Prop. 2 plan has no base round: the report says where the base
+  // went and tags each first-round site line with how that site ran it —
+  // one fused pass under the columnar kernel, the base scan and then
+  // the kernel under the row oracle.
+  Table flow = MakeFlowTable(13, 500);
+  DistributedWarehouse dw(3);
+  dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
+  DistributedPlan plan =
+      dw.Plan(CorrelatedExpr(), OptimizerOptions::All()).ValueOrDie();
+  ASSERT_FALSE(plan.sync_base);
+  for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kRow}) {
+    ExecutorOptions options;
+    options.engine = engine;
+    ExecStats stats;
+    ASSERT_TRUE(
+        dw.MakeExecutor({}, options)->Execute(plan, &stats).ok());
+    std::string report = obs::FormatStatsReport(plan, stats, 3);
+    EXPECT_NE(report.find("[no-sync, fused into md1]"), std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("was this ExecStats"), std::string::npos)
+        << report;
+    const std::string tag =
+        engine == EvalEngine::kColumnar ? "[fused]" : "[base, then md1]";
+    size_t tags = 0;
+    for (size_t pos = report.find(tag); pos != std::string::npos;
+         pos = report.find(tag, pos + 1)) {
+      ++tags;
+    }
+    EXPECT_EQ(tags, stats.rounds[0].site_profiles.size()) << report;
+    EXPECT_EQ(tags, 3u) << report;
+  }
 }
 
 TEST(ExecStatsTest, StatsReportFlagsMismatchedStats) {

@@ -158,14 +158,14 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV9) {
-  // v9: RoundProfile carries pages_loaded and bytes_loaded varints after
-  // v8's chunks_pruned, on top of v7's flag-free BeginPlan
-  // (docs/RPC.md). The version byte is the wire contract for all of
-  // that, so pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 9);
+TEST(FrameTest, ProtocolVersionIsV10) {
+  // v10: a GmdjRound may carry the base query (flag bit 16), BaseRound
+  // has no flags byte, and RoundProfile ends with a `fused` varint after
+  // v9's pages_loaded / bytes_loaded (docs/RPC.md). The version byte is
+  // the wire contract for all of that, so pin it explicitly.
+  EXPECT_EQ(kProtocolVersion, 10);
   std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 9);
+  EXPECT_EQ(wire[4], 10);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {

@@ -76,6 +76,8 @@ TEST(PlanSerdeTest, StatusCodesSurviveTheWire) {
       Status::Internal("boom"),           Status::IOError("disk"),
       Status::TypeError("t"),             Status::VersionMismatch("v"),
       Status::DeadlineExceeded("round budget spent"),
+      Status::Cancelled("query cancelled"),
+      Status::FailedPrecondition("no carried structure for round md2"),
   };
   for (const Status& status : statuses) {
     std::vector<uint8_t> payload;
@@ -238,13 +240,45 @@ TEST(PlanSerdeTest, BeginPlanRequestRejectsTruncatedPayload) {
 TEST(PlanSerdeTest, BaseRoundRequestRoundTrips) {
   BaseRoundRequest request;
   request.query = BaseQuery{"flow", {"SourceAS"}, true, nullptr};
-  request.ship_result = false;
   BaseRoundRequest decoded =
       DecodeBaseRoundRequest(EncodeBaseRoundRequest(request)).ValueOrDie();
   EXPECT_EQ(decoded.query.table, "flow");
   EXPECT_EQ(decoded.query.columns, request.query.columns);
-  EXPECT_FALSE(decoded.ship_result);
   EXPECT_EQ(decoded.deadline_ms, 0u);
+}
+
+TEST(PlanSerdeTest, GmdjRoundRequestCarriesTheBaseQuery) {
+  // Protocol v10: a Prop. 2 plan's first round carries the base query
+  // (flag bit 16) after the operator, and the site computes B_i itself.
+  GmdjRoundRequest request;
+  request.op = ExampleOp();
+  request.label = "md1";
+  request.ship_result = false;
+  request.has_base_query = true;
+  request.base_query = BaseQuery{"flow", {"SourceAS", "DestAS"}, true, nullptr};
+  std::vector<uint8_t> wire = EncodeGmdjRoundRequest(request, {});
+  GmdjRoundRequest decoded = DecodeGmdjRoundRequest(wire).ValueOrDie();
+  EXPECT_TRUE(decoded.has_base_query);
+  EXPECT_FALSE(decoded.has_base);
+  EXPECT_FALSE(decoded.ship_result);
+  EXPECT_EQ(decoded.base_query.ToString(), request.base_query.ToString());
+  EXPECT_EQ(decoded.op.detail_table, "flow");
+  EXPECT_EQ(decoded.base_table_bytes, 0u);
+
+  // Truncated inside the base query, or followed by trailing bytes: both
+  // rejected.
+  for (size_t len = 0; len < wire.size(); ++len) {
+    std::vector<uint8_t> prefix(wire.begin(), wire.begin() + len);
+    EXPECT_FALSE(DecodeGmdjRoundRequest(prefix).ok()) << "len=" << len;
+  }
+  std::vector<uint8_t> trailing = wire;
+  trailing.push_back(0);
+  EXPECT_FALSE(DecodeGmdjRoundRequest(trailing).ok());
+
+  // X and a base query together are malformed.
+  std::vector<uint8_t> both = wire;
+  both[0] |= 8;
+  EXPECT_FALSE(DecodeGmdjRoundRequest(both).ok());
 }
 
 TEST(PlanSerdeTest, RoundRequestDeadlinesSurviveTheWire) {
@@ -414,6 +448,9 @@ RoundProfile ExampleProfile() {
   profile.chaos_faults = 2;
   profile.engines_used = kEngineBitRow | kEngineBitColumnar;
   profile.chunks_pruned = 300;
+  profile.pages_loaded = 12;
+  profile.bytes_loaded = 4096;
+  profile.fused = true;
   obs::TraceEvent span;
   span.name = "site.round:md1";
   span.category = "site";
@@ -448,6 +485,9 @@ void ExpectProfileEq(const RoundProfile& a, const RoundProfile& b) {
   EXPECT_EQ(a.chaos_faults, b.chaos_faults);
   EXPECT_EQ(a.engines_used, b.engines_used);
   EXPECT_EQ(a.chunks_pruned, b.chunks_pruned);
+  EXPECT_EQ(a.pages_loaded, b.pages_loaded);
+  EXPECT_EQ(a.bytes_loaded, b.bytes_loaded);
+  EXPECT_EQ(a.fused, b.fused);
   ASSERT_EQ(a.spans.size(), b.spans.size());
   for (size_t i = 0; i < a.spans.size(); ++i) {
     EXPECT_EQ(a.spans[i].name, b.spans[i].name);

@@ -13,12 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/random.h"
 #include "dist/exec.h"
 #include "dist/fault.h"
@@ -28,6 +32,7 @@
 #include "rpc/server.h"
 #include "rpc/site_service.h"
 #include "rpc/tcp.h"
+#include "rpc/transport.h"
 #include "serve/session.h"
 #include "storage/partition.h"
 #include "types/row.h"
@@ -175,6 +180,119 @@ TEST_P(ParallelEquivalenceTest, MatchesSequentialExactly) {
 
 INSTANTIATE_TEST_SUITE_P(OptMasks, ParallelEquivalenceTest,
                          ::testing::Values(0, 1, 2, 4, 8, 15));
+
+// Records the round label of every site-round attempt the driver makes.
+class RoundRecorder : public FaultInjector {
+ public:
+  Status BeforeSiteRound(int, const std::string& round) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    rounds_.insert(round);
+    return Status::OK();
+  }
+  std::set<std::string> rounds() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return rounds_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::set<std::string> rounds_;
+};
+
+// In-process sites behind a transport that counts the requests it
+// carries, by message type.
+class CountingTransport : public rpc::Transport {
+ public:
+  explicit CountingTransport(std::vector<Site> sites)
+      : inner_(std::move(sites)) {}
+
+  size_t num_sites() const override { return inner_.num_sites(); }
+
+  Result<std::unique_ptr<rpc::Connection>> Connect(size_t site) override {
+    SKALLA_ASSIGN_OR_RETURN(std::unique_ptr<rpc::Connection> inner,
+                            inner_.Connect(site));
+    return std::unique_ptr<rpc::Connection>(
+        new Counted(std::move(inner), this));
+  }
+
+  int requests(rpc::MessageType type) const {
+    return counts_[static_cast<uint8_t>(type)].load();
+  }
+
+ private:
+  class Counted : public rpc::Connection {
+   public:
+    Counted(std::unique_ptr<rpc::Connection> inner, CountingTransport* owner)
+        : inner_(std::move(inner)), owner_(owner) {}
+    Result<rpc::Frame> Call(rpc::MessageType type,
+                            const std::vector<uint8_t>& payload) override {
+      owner_->counts_[static_cast<uint8_t>(type)].fetch_add(1);
+      return inner_->Call(type, payload);
+    }
+    uint64_t wire_bytes() const override { return inner_->wire_bytes(); }
+
+   private:
+    std::unique_ptr<rpc::Connection> inner_;
+    CountingTransport* owner_;
+  };
+
+  rpc::InProcessTransport inner_;
+  std::atomic<int> counts_[256] = {};
+};
+
+TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
+  // A plan that skips the base synchronization (Prop. 2) computes each
+  // site's base inside md1: no base round on either engine, one round
+  // per stage, and the first round fused at every site. A plan that
+  // synchronizes its base still sends one base round per site.
+  const size_t kSites = 4;
+  Table flow = MakeFlow(79, 700);
+  DistributedWarehouse dw(kSites);
+  dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  Table expected = dw.ExecuteCentralized(Example1()).ValueOrDie();
+  OptimizerOptions prop2 = OptimizerOptions::None();
+  prop2.sync_reduction = true;
+  for (const OptimizerOptions& opts : {OptimizerOptions::None(), prop2}) {
+    DistributedPlan plan = dw.Plan(Example1(), opts).ValueOrDie();
+    SCOPED_TRACE(plan.sync_base ? "sync base" : "Prop. 2");
+    const size_t rounds = plan.stages.size() + (plan.sync_base ? 1 : 0);
+
+    RoundRecorder recorder;
+    ExecutorOptions options;
+    options.fault_injector = &recorder;
+    DistributedExecutor star(MakeSites(parts), NetworkConfig{}, options);
+    ExecStats star_stats;
+    Table star_result = star.Execute(plan, &star_stats).ValueOrDie();
+    EXPECT_TRUE(star_result.SameRows(expected));
+    EXPECT_EQ(recorder.rounds().count("base"), plan.sync_base ? 1u : 0u);
+    EXPECT_EQ(recorder.rounds().size(), rounds);
+
+    auto transport = std::make_unique<CountingTransport>(MakeSites(parts));
+    CountingTransport* counting = transport.get();
+    rpc::RpcExecutor rpc(std::move(transport), ExecutorOptions{});
+    ExecStats rpc_stats;
+    Table rpc_result = rpc.Execute(plan, &rpc_stats).ValueOrDie();
+    EXPECT_TRUE(ExactlyEqual(rpc_result, star_result));
+    EXPECT_EQ(counting->requests(rpc::MessageType::kBaseRound),
+              plan.sync_base ? static_cast<int>(kSites) : 0);
+    EXPECT_EQ(counting->requests(rpc::MessageType::kGmdjRound),
+              static_cast<int>(kSites * plan.stages.size()));
+
+    for (const ExecStats* stats : {&star_stats, &rpc_stats}) {
+      ASSERT_EQ(stats->rounds.size(), rounds);
+      EXPECT_EQ(stats->NumSyncRounds(), plan.NumSyncRounds());
+      const RoundStats& first = stats->rounds[0];
+      EXPECT_EQ(first.label, plan.sync_base ? "base" : "md1");
+      EXPECT_EQ(first.fused_base, !plan.sync_base);
+      ASSERT_EQ(first.site_profiles.size(), kSites);
+      for (const SiteRoundProfile& p : first.site_profiles) {
+        EXPECT_EQ(p.fused, !plan.sync_base) << "site " << p.site_id;
+      }
+    }
+  }
+}
 
 TEST(StarDriverTest, RepeatedParallelRunsAreByteIdentical) {
   // Completion order varies across runs; merged results must not.
