@@ -3,7 +3,7 @@
 //
 // All benches print deterministic byte/tuple counts (exact, from real
 // serialization) alongside wall-clock-derived timings (compute measured,
-// communication modeled by the simulated network).
+// communication modeled by the network cost model in net/network.h).
 
 #ifndef SKALLA_BENCH_BENCH_COMMON_H_
 #define SKALLA_BENCH_BENCH_COMMON_H_

@@ -1,7 +1,7 @@
 // Ablation: network parameters. The paper argues its setting differs
 // from Shatdal & Naughton's parallel-machine work because communication
 // is NOT cheap in a distributed warehouse. This bench sweeps the
-// simulated network from parallel-machine-like (high bandwidth, low
+// modeled network from parallel-machine-like (high bandwidth, low
 // latency) to WAN-like and shows where the Sect. 4 optimizations matter:
 // the slower the network, the larger the optimized/unoptimized gap;
 // on a fast interconnect the gap collapses toward the pure-compute

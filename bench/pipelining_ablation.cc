@@ -18,30 +18,15 @@
 namespace skalla {
 namespace {
 
-std::vector<Site> MakeSites(const std::vector<Table>& parts, size_t n) {
-  std::vector<Site> sites;
-  for (size_t i = 0; i < n; ++i) {
-    Catalog catalog;
-    catalog.Register("tpcr", parts[i]);
-    sites.emplace_back(static_cast<int>(i), std::move(catalog));
-  }
-  return sites;
-}
-
 void Run() {
   const size_t kSites = 8;
   const int64_t kRows = 96000;
   const int64_t kCustomers = 12000;
-  std::vector<Table> partitions =
-      bench::MakeTpcrPartitions(kRows, kCustomers, kSites);
-
   DistributedWarehouse dw(kSites);
-  {
-    std::vector<Table> copy = partitions;
-    dw.AddPartitionedTable("tpcr", std::move(copy),
-                           bench::TrackedColumns())
-        .Check();
-  }
+  dw.AddPartitionedTable("tpcr",
+                         bench::MakeTpcrPartitions(kRows, kCustomers, kSites),
+                         bench::TrackedColumns())
+      .Check();
   GmdjExpr query = bench::CorrelatedQuery("CustKey");
   DistributedPlan plan =
       dw.Plan(query, OptimizerOptions::None()).ValueOrDie();
@@ -58,18 +43,16 @@ void Run() {
   {
     Stopwatch timer;
     ExecStats stats;
-    bench::ExecutePlan(std::make_unique<DistributedExecutor>(
-                           MakeSites(partitions, kSites), NetworkConfig{},
-                           bench::SequentialFanOut()),
-                       plan, &stats);
+    bench::ExecutePlan(
+        dw.MakeExecutor(NetworkConfig{}, bench::SequentialFanOut()), plan,
+        &stats);
     std::printf("%-22s %12.2f\n", "sequential", timer.ElapsedSeconds() * 1e3);
   }
   {
     Stopwatch timer;
     ExecStats stats;
-    bench::ExecutePlan(
-        std::make_unique<DistributedExecutor>(MakeSites(partitions, kSites)),
-        plan, &stats);
+    bench::ExecutePlan(dw.MakeExecutor(NetworkConfig{}, ExecutorOptions{}),
+                       plan, &stats);
     double wall = timer.ElapsedSeconds();
     double round_walls = 0;
     for (const RoundStats& r : stats.rounds) round_walls += r.wall_time;

@@ -1,12 +1,11 @@
-// The unified executor API. Both engines — the star over in-process sites
-// (DistributedExecutor) and the star over site processes (RpcExecutor) —
-// implement skalla::Executor, run the one round driver
-// (dist/star_driver.h), are configured through the one shared
-// ExecutorOptions struct, and report per-round accounting into the one
-// shared ExecStats. Engines differ only in *how* they reach the sites;
-// results are bit-identical across them — same rows in the same order,
-// since the driver merges fragments in site order — and so are the
-// accounted payload bytes and tuples.
+// The executor API. One engine implements it: rpc::RpcExecutor
+// (rpc/rpc_executor.h), which runs the one round driver
+// (dist/star_driver.h) over a Transport — in-process SiteServices (what
+// DistributedWarehouse runs on) or skalla-site processes over TCP. It is
+// configured through ExecutorOptions and reports per-round accounting
+// into ExecStats. Results are bit-identical across transports — same
+// rows in the same order, since the driver merges fragments in site
+// order — and so are the accounted payload bytes and tuples.
 //
 // See docs/EXECUTORS.md for the option-by-option semantics.
 
@@ -40,7 +39,7 @@ enum class OnSiteLoss {
   kDegrade,
 };
 
-/// Options shared by every executor. Both engines honor every field
+/// Executor options. Every field is honored over every transport
 /// (docs/EXECUTORS.md); none of the knobs changes query results or
 /// transfer byte counts.
 struct ExecutorOptions {
@@ -157,10 +156,7 @@ EvalContext StageEvalContext(const ExecutorOptions& options,
                              const QueryRun& run, const PlanStage& stage);
 
 /// What one site measured evaluating one round, as reported back to the
-/// coordinator. The rpc engine fills every field from the RoundProfile
-/// each kRoundResult carries; the in-process engine fills the fields the
-/// site-side EvalProfile provides (wall/eval timings and data-plane
-/// counts) and leaves the transport-only ones zero.
+/// coordinator: filled from the RoundProfile each kRoundResult carries.
 struct SiteRoundProfile {
   int site_id = 0;
   uint64_t wall_us = 0;
@@ -223,9 +219,9 @@ struct RoundStats {
   double site_time_sum = 0;
   /// Coordinator compute: reduction filtering, merging, finalizing.
   double coord_time = 0;
-  /// Modeled communication time of the round's shipments (the simulated
-  /// network's model in-process; zero over real sockets, whose cost is in
-  /// wall_time).
+  /// Modeled communication time of the round's accounted shipments
+  /// (Transport::TransferTime: the net/network.h model in-process; zero
+  /// over real sockets, whose cost is in site_time_* and wall_time).
   double comm_time = 0;
   /// Real elapsed duration of the round; under a concurrent fan-out it
   /// reflects the site/merge overlap.
@@ -240,10 +236,9 @@ struct RoundStats {
   /// or lost this round have none.
   std::vector<SiteRoundProfile> site_profiles;
 
-  /// Framed wire bytes this round moved (headers + payloads + CRCs).
-  /// Only the rpc engine fills it; always >= bytes_to_sites +
-  /// bytes_to_coord there, since the byte-accounting fields count table
-  /// payload bytes only.
+  /// Framed wire bytes this round moved (headers + payloads + CRCs);
+  /// always >= bytes_to_sites + bytes_to_coord, since the
+  /// byte-accounting fields count table payload bytes only.
   uint64_t wire_bytes = 0;
 
   /// Contribution of this round to plan response time.
@@ -277,10 +272,9 @@ struct ExecStats {
   /// selects. EXPLAIN ANALYZE prints it per site and in the totals line.
   uint8_t engines_used = 0;
 
-  /// Rpc engine only: framed wire bytes this execution moved, measured
-  /// from after Connect (the once-per-session hello/catalog traffic is
-  /// excluded); setup_wire_bytes is the non-round share — BeginPlan and
-  /// its acks. Zero elsewhere.
+  /// Framed wire bytes this execution moved, measured from after
+  /// Connect (the once-per-session hello/catalog traffic is excluded);
+  /// setup_wire_bytes is the non-round share — BeginPlan and its acks.
   uint64_t total_wire_bytes = 0;
   uint64_t setup_wire_bytes = 0;
 
@@ -310,9 +304,9 @@ struct ExecStats {
   std::string ToString() const;
 };
 
-/// The one interface both engines implement. Call sites that do not care
-/// about engine-specific accessors (the simulated network, the transport)
-/// should depend on this, not on a concrete executor.
+/// The executor interface. Call sites that do not need the transport
+/// accessors (replicas, site stats, shutdown) should depend on this, not
+/// on rpc::RpcExecutor.
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -322,8 +316,7 @@ class Executor {
   /// per-round accounting. Engines are safe to call concurrently from
   /// multiple threads with distinct runs: per-query state lives on the
   /// Execute stack, and the shared site pool serializes per-site rounds
-  /// internally (Site round locks in-process, per-connection locks over
-  /// rpc).
+  /// internally (per-connection locks, and Site round locks in-process).
   virtual Result<Table> Execute(const DistributedPlan& plan,
                                 const QueryRun& run, ExecStats* stats) = 0;
 
@@ -389,7 +382,7 @@ Result<Table> ExecuteSiteRoundReplicated(
 /// partition alike.
 bool DegradesOnLoss(const ExecutorOptions& options, const Status& loss);
 
-/// Per-query deadline bookkeeping shared by every engine: one instance
+/// Per-query deadline bookkeeping: one instance
 /// per Execute() call; ArmRound arms a round's CancellationToken with
 /// the tighter of round_deadline_ms and the remaining query budget, or
 /// returns DeadlineExceeded outright when the query budget is already
@@ -432,8 +425,8 @@ class QueryDeadline {
 Result<Table> FilterBaseRows(const Table& table, const ExprPtr& predicate);
 
 /// Drops rows whose `__rng` indicator is 0 and projects the indicator
-/// column away (Prop. 1 site-side group reduction). Shared by every
-/// engine and by the rpc site service, so the shipped bytes agree.
+/// column away (Prop. 1 site-side group reduction), at the site service
+/// before the fragment ships.
 Result<Table> ApplyRngFilter(const Table& h);
 
 }  // namespace skalla

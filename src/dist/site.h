@@ -18,15 +18,16 @@
 
 namespace skalla {
 
-/// One Skalla site. Stateless across rounds: the distributed executor
-/// owns the per-site base-result structures.
+/// One Skalla site. Stateless across rounds: its SiteService
+/// (rpc/site_service.h) holds the per-query structure an unsynchronized
+/// round leaves for the next one.
 ///
 /// Concurrency: a site evaluates one round at a time. Every entry point
 /// that touches local data takes the site's round lock, so concurrent
-/// queries sharing one site pool queue behind each other per site — the
-/// in-process analogue of the RPC path's per-connection serialization.
-/// The lock is shared across copies of a Site (executors copy sites out
-/// of a warehouse), so the queue covers every handle to the partition.
+/// queries sharing one site pool queue behind each other per site. The
+/// lock is shared across copies of a Site (each executor a warehouse
+/// builds copies its sites), so the queue covers every handle to the
+/// partition.
 class Site {
  public:
   Site(int id, Catalog catalog)

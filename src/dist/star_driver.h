@@ -1,15 +1,15 @@
-// The star round protocol — Alg. GMDJDistribEval — written once for both
-// engines. RunStarPlan drives a DistributedPlan: a base round,
+// The star round protocol — Alg. GMDJDistribEval — written once.
+// RunStarPlan drives a DistributedPlan: a base round,
 // then per GMDJ round it distributes the base-result structure X (with
 // distribution-aware reduction and the S_MD ⊂ S_B site skip), evaluates
 // sub-aggregates at the sites through the retry -> failover -> degrade
 // ladder, and synchronizes the fragments at the coordinator. It owns all
 // per-round accounting (RoundStats, site profiles, lost sites).
 //
-// What differs per engine — how a site is reached — sits behind a small
-// per-Execute SiteLink: DistributedExecutor's in-process sites over the
-// simulated network (dist/exec.cc) and RpcExecutor's site processes
-// (rpc/rpc_executor.cc).
+// How a site is reached — request encoding, per-plan setup and
+// teardown, connection locking — sits behind a small per-Execute
+// SiteLink, implemented by RpcExecutor (rpc/rpc_executor.cc) over any
+// Transport.
 //
 // Fan-out: by default a round's sites run concurrently, one worker per
 // site, so a round costs its slowest site rather than the sum of them;

@@ -239,20 +239,21 @@ Result<Table> DistributedWarehouse::ExecutePlan(const DistributedPlan& plan,
   return MakeExecutor(net_config_, exec_options_)->Execute(plan, stats);
 }
 
-std::unique_ptr<DistributedExecutor> DistributedWarehouse::MakeExecutor(
+std::unique_ptr<rpc::RpcExecutor> DistributedWarehouse::MakeExecutor(
     NetworkConfig net_config, ExecutorOptions exec_options) const {
+  // Endpoint e hosts site id e: the primaries first, then replica r of
+  // partition i at num_sites + (r-1)*num_sites + i.
+  const size_t endpoints = num_sites_ * replication_;
   std::vector<Site> sites;
-  sites.reserve(num_sites_);
-  for (size_t i = 0; i < num_sites_; ++i) {
-    sites.emplace_back(static_cast<int>(i), site_catalogs_[i]);
+  sites.reserve(endpoints);
+  for (size_t e = 0; e < endpoints; ++e) {
+    sites.emplace_back(static_cast<int>(e), site_catalogs_[e % num_sites_]);
   }
-  auto executor = std::make_unique<DistributedExecutor>(
-      std::move(sites), net_config, exec_options);
-  for (size_t r = 1; r < replication_; ++r) {
-    for (size_t i = 0; i < num_sites_; ++i) {
-      int replica_id = static_cast<int>(num_sites_ + (r - 1) * num_sites_ + i);
-      executor->AddReplica(i, Site(replica_id, site_catalogs_[i]));
-    }
+  auto executor = std::make_unique<rpc::RpcExecutor>(
+      std::make_unique<rpc::InProcessTransport>(std::move(sites), net_config),
+      exec_options);
+  for (size_t e = num_sites_; e < endpoints; ++e) {
+    executor->AddReplica(e % num_sites_, e);
   }
   return executor;
 }

@@ -19,10 +19,10 @@
 #include "common/result.h"
 #include "core/gmdj.h"
 #include "core/local_eval.h"
-#include "dist/exec.h"
 #include "dist/plan.h"
 #include "net/network.h"
 #include "opt/optimizer.h"
+#include "rpc/rpc_executor.h"
 #include "storage/buffer_manager.h"
 #include "storage/partition.h"
 
@@ -124,13 +124,15 @@ class DistributedWarehouse {
   Result<Table> ExecutePlan(const DistributedPlan& plan,
                             ExecStats* stats = nullptr) const;
 
-  /// Builds a star executor over this warehouse's partitions (replicas
-  /// included per SetReplication) with the given network/executor
-  /// configuration. ExecutePlan builds one per call with the
-  /// warehouse's own configuration; the serving layer builds one here
-  /// and keeps it, so every query it admits shares one pool of sites —
-  /// concurrent rounds queue on the per-site round locks.
-  std::unique_ptr<DistributedExecutor> MakeExecutor(
+  /// Builds the executor over this warehouse's partitions: an
+  /// rpc::RpcExecutor over an rpc::InProcessTransport that hosts one
+  /// SiteService per site (replicas included per SetReplication) and
+  /// models `net_config`. Site i is transport endpoint i, and each
+  /// replica's endpoint is its site id. ExecutePlan builds one per call
+  /// with the warehouse's own configuration; the serving layer builds
+  /// one here and keeps it, so every query it admits shares one pool of
+  /// sites — concurrent rounds queue on the per-site round locks.
+  std::unique_ptr<rpc::RpcExecutor> MakeExecutor(
       NetworkConfig net_config, ExecutorOptions exec_options) const;
 
   /// Hosts every partition at `factor` sites (the primary plus
@@ -138,7 +140,10 @@ class DistributedWarehouse {
   /// own site id). Replica site ids are num_sites + (r-1)*num_sites + i
   /// for replica r of partition i. Combined with
   /// ExecutorOptions::max_site_retries this lets ExecutePlan survive a
-  /// permanent site loss with byte-identical results; see docs/FAULTS.md.
+  /// permanent site loss with byte-identical results. Failover follows
+  /// the rpc rules: only self-contained, synchronized rounds move to a
+  /// replica, since a replica holds no structure a carried round left
+  /// at its primary; see docs/FAULTS.md.
   void SetReplication(size_t factor) { replication_ = factor == 0 ? 1 : factor; }
   size_t replication() const { return replication_; }
 

@@ -1,25 +1,17 @@
-// SimulatedNetwork: accounting and cost model for coordinator <-> site
-// traffic.
+// The paper's network cost model for coordinator <-> site traffic.
 //
 // Byte counts come from real serialization (net/serde.h), so they are
 // exact. Time is modeled: each message costs a fixed latency plus
-// bytes / bandwidth. The coordinator's link is the shared bottleneck —
-// messages it sends or receives are serialized on that link — which is
-// what turns quadratic byte growth into quadratic response-time growth in
-// the paper's speed-up experiments.
+// bytes / bandwidth. The in-process transport (rpc/transport.h) charges
+// it per accounted table payload into RoundStats::comm_time; over TCP the
+// network is real and nothing is modeled.
 
 #ifndef SKALLA_NET_NETWORK_H_
 #define SKALLA_NET_NETWORK_H_
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <utility>
 
 namespace skalla {
-
-/// Endpoint id of the coordinator (sites use their non-negative ids).
-inline constexpr int kCoordinatorId = -1;
 
 struct NetworkConfig {
   /// Per-message fixed latency, seconds. Default 1 ms (WAN-ish RTT/2).
@@ -29,52 +21,13 @@ struct NetworkConfig {
   double bandwidth_bytes_per_s = 10.0 * 1000 * 1000;
 };
 
-struct LinkStats {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-};
-
-/// Records transfers and charges modeled time. Thread-safe: concurrent
-/// queries sharing one executor record transfers from multiple threads
-/// (accounting serializes on an internal mutex; the modeled time is a
-/// pure function of the byte count).
-class SimulatedNetwork {
- public:
-  SimulatedNetwork() = default;
-  explicit SimulatedNetwork(NetworkConfig config) : config_(config) {}
-
-  /// Records a message of `bytes` from endpoint `from` to `to` and
-  /// returns its modeled transfer time in seconds.
-  double Transfer(int from, int to, uint64_t bytes);
-
-  /// Modeled time for a message of `bytes`, without recording it.
-  double TransferTime(uint64_t bytes) const {
-    return config_.latency_s +
-           static_cast<double>(bytes) / config_.bandwidth_bytes_per_s;
-  }
-
-  const NetworkConfig& config() const { return config_; }
-  uint64_t total_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return total_bytes_;
-  }
-  uint64_t total_messages() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return total_messages_;
-  }
-
-  /// Stats for the (from, to) directed link.
-  LinkStats Link(int from, int to) const;
-
-  void Reset();
-
- private:
-  NetworkConfig config_;
-  mutable std::mutex mu_;  // guards the counters and the link map
-  uint64_t total_bytes_ = 0;
-  uint64_t total_messages_ = 0;
-  std::map<std::pair<int, int>, LinkStats> links_;
-};
+/// Modeled time, in seconds, to move one message of `bytes` under
+/// `config`.
+inline double ModeledTransferTime(const NetworkConfig& config,
+                                  uint64_t bytes) {
+  return config.latency_s +
+         static_cast<double>(bytes) / config.bandwidth_bytes_per_s;
+}
 
 }  // namespace skalla
 

@@ -1,7 +1,6 @@
 // Binary (de)serialization of rows and tables. Every transfer between
 // Skalla sites and the coordinator serializes through this module, so the
-// byte counts reported by the simulated network are real encoded sizes,
-// not estimates.
+// reported byte counts are real encoded sizes, not estimates.
 //
 // Wire format (little-endian, varint-based):
 //   table   := field_count:varint field* row_count:varint row*

@@ -7,7 +7,6 @@
 //   skalla.round.bytes_to_sites     counter   bytes shipped down
 //   skalla.site.eval_us             histogram per-site round eval time
 //   skalla.coord.merge_us           histogram per-fragment merge time
-//   skalla.net.messages             counter   simulated-network messages
 //   skalla.net.retries              counter   site-round retry attempts
 //
 // All instruments are lock-free on the update path (atomics); the

@@ -12,7 +12,7 @@
 
 #include <string>
 
-#include "dist/exec.h"
+#include "dist/executor.h"
 #include "dist/plan.h"
 
 namespace skalla {

@@ -1,8 +1,8 @@
 // Binary encoding of the query-shaped halves of the rpc protocol:
 // expressions, base queries, GMDJ operators, schemas, and statuses. Table
-// payloads reuse net/serde (the same bytes the simulated network has
-// always shipped); this module covers everything else a site must decode
-// to evaluate a round it has never seen.
+// payloads reuse net/serde (the bytes the paper's accounting counts);
+// this module covers everything else a site must decode to evaluate a
+// round it has never seen.
 //
 // All encodings are varint/tag based, little-endian, and carry no frame
 // header — framing (magic, version, checksum) is rpc/frame.h's job.

@@ -57,6 +57,44 @@ std::vector<size_t> RpcExecutor::ReplicaEndpoints(size_t i) const {
   return endpoints;
 }
 
+size_t RpcExecutor::NumReplicaEndpoints() const {
+  size_t replicas = 0;
+  for (const auto& entry : replica_endpoints_) replicas += entry.second.size();
+  return replicas;
+}
+
+Status RpcExecutor::ValidateReplicas() const {
+  const size_t total_endpoints = transport_->num_sites();
+  const size_t replicas = NumReplicaEndpoints();
+  if (replicas >= total_endpoints) {
+    return Status::InvalidArgument(
+        StrCat(replicas, " replica endpoints registered, but the transport ",
+               "has ", total_endpoints,
+               " endpoints: at least one must remain a primary"));
+  }
+  const size_t n = num_sites();
+  SKALLA_RETURN_NOT_OK(ValidateReplicaPartitions(replica_endpoints_, n));
+  std::vector<uint8_t> claimed(total_endpoints, 0);
+  for (const auto& [partition, endpoints] : replica_endpoints_) {
+    for (size_t endpoint : endpoints) {
+      if (endpoint < n || endpoint >= total_endpoints) {
+        return Status::InvalidArgument(
+            StrCat("replica endpoint ", endpoint,
+                   " must index a transport endpoint in [", n, ", ",
+                   total_endpoints, ")"));
+      }
+      if (claimed[endpoint]) {
+        return Status::InvalidArgument(
+            StrCat("replica endpoint ", endpoint,
+                   " is registered more than once (partition ", partition,
+                   ")"));
+      }
+      claimed[endpoint] = 1;
+    }
+  }
+  return Status::OK();
+}
+
 bool RpcExecutor::TolerableLoss(size_t endpoint, const Status& loss) const {
   if (endpoint >= num_sites()) return true;  // a replica: only matters
                                              // if failover reaches it
@@ -70,7 +108,7 @@ Status RpcExecutor::Connect() {
   // loser blocks here, then sees the populated state and returns.
   std::lock_guard<std::mutex> connect_lock(connect_mu_);
   SKALLA_RETURN_NOT_OK(DialLocked());
-  if (!schemas_.empty()) return Status::OK();
+  if (catalog_probed_) return Status::OK();
   // The catalog request doubles as the liveness probe: it forces the
   // handshake on every connection before the first round. Sites hold
   // partitions of the same relations, so any live site's schemas serve
@@ -92,15 +130,16 @@ Status RpcExecutor::Connect() {
     if (response.type != MessageType::kCatalogResponse) {
       return Status::IOError("unexpected catalog response type");
     }
-    if (schemas_.empty()) {
+    if (!catalog_probed_) {
       SKALLA_ASSIGN_OR_RETURN(std::vector<CatalogEntry> entries,
                               DecodeCatalogResponse(response.payload));
       for (CatalogEntry& entry : entries) {
         schemas_[entry.name] = std::move(entry.schema);
       }
+      catalog_probed_ = true;
     }
   }
-  if (schemas_.empty()) {
+  if (!catalog_probed_) {
     return Status::IOError("no live site answered the catalog probe");
   }
   return Status::OK();
@@ -249,28 +288,7 @@ class RpcExecutor::Link : public SiteLink {
   size_t num_sites() const override { return executor_->num_sites(); }
 
   Status BeginPlan(uint64_t query_id, ExecStats* stats) override {
-    const size_t n = num_sites();
     const size_t total_endpoints = executor_->transport_->num_sites();
-    SKALLA_RETURN_NOT_OK(
-        ValidateReplicaPartitions(executor_->replica_endpoints_, n));
-    std::vector<uint8_t> claimed(total_endpoints, 0);
-    for (const auto& [partition, endpoints] : executor_->replica_endpoints_) {
-      for (size_t endpoint : endpoints) {
-        if (endpoint < n || endpoint >= total_endpoints) {
-          return Status::InvalidArgument(
-              StrCat("replica endpoint ", endpoint,
-                     " must index a transport endpoint in [", n, ", ",
-                     total_endpoints, ")"));
-        }
-        if (claimed[endpoint]) {
-          return Status::InvalidArgument(
-              StrCat("replica endpoint ", endpoint,
-                     " is registered more than once (partition ", partition,
-                     ")"));
-        }
-        claimed[endpoint] = 1;
-      }
-    }
     SKALLA_RETURN_NOT_OK(executor_->Connect());
 
     // Reset every site's round state (and forward the per-plan knobs).
@@ -323,6 +341,8 @@ class RpcExecutor::Link : public SiteLink {
     WriteTable(x, &base_bytes_[i]);
     traffic->bytes_to_sites += base_bytes_[i].size();
     traffic->tuples_to_sites += x.num_rows();
+    traffic->comm_time +=
+        executor_->transport_->TransferTime(base_bytes_[i].size());
     return Status::OK();
   }
 
@@ -367,6 +387,10 @@ class RpcExecutor::Link : public SiteLink {
     traffic->wire_bytes += call.wire_bytes;
     attempt->bytes_to_coord = call.table_bytes;
     attempt->profile = ToSiteProfile(call.profile);
+    if (fragment.ok() && round.synchronized) {
+      attempt->comm_time =
+          executor_->transport_->TransferTime(call.table_bytes);
+    }
     return fragment;
   }
 
@@ -407,6 +431,7 @@ class RpcExecutor::Link : public SiteLink {
 
 Result<Table> RpcExecutor::Execute(const DistributedPlan& plan,
                                    const QueryRun& run, ExecStats* stats) {
+  SKALLA_RETURN_NOT_OK(ValidateReplicas());
   Link link(this, run);
   return RunStarPlan(plan, run, options_, link, stats);
 }

@@ -1,18 +1,19 @@
-// RpcExecutor: the coordinator side of the distributed runtime when
-// sites are real processes. Implements skalla::Executor against a
-// Transport (in-process services or TCP-connected skalla-site
-// processes), running the same round driver as DistributedExecutor
-// (dist/star_driver.h) and filling the same ExecStats contract.
+// RpcExecutor: the coordinator side of the distributed runtime — the one
+// engine. Implements skalla::Executor against a Transport (in-process
+// SiteServices, which is what DistributedWarehouse runs on, or
+// TCP-connected skalla-site processes), driving Alg. GMDJDistribEval
+// through the shared round driver (dist/star_driver.h).
 //
 // Accounting semantics (docs/RPC.md): bytes_to_sites / bytes_to_coord
-// count table payload bytes only, exactly as the in-process engine does,
-// so results AND byte counts are identical across transports. Frame
-// headers and handshakes land in the skalla.rpc.bytes.sent/.recv
+// count table payload bytes only, so results AND byte counts are
+// identical across transports and comparable with the paper's bounds.
+// Frame headers and handshakes land in the skalla.rpc.bytes.sent/.recv
 // metrics and in RoundStats::wire_bytes / ExecStats::*_wire_bytes
-// instead.
-// site_time_* is the measured request round-trip (it includes real
-// network time — there is no simulated model to separate it, so
-// comm_time stays 0); wall_time is real elapsed time per round.
+// instead. comm_time charges Transport::TransferTime for each accounted
+// payload (the X shipment, a synchronized round's fragment): modeled
+// in-process, 0 over TCP, where site_time_* (the measured request
+// round-trip) already includes the real network. wall_time is real
+// elapsed time per round.
 
 #ifndef SKALLA_RPC_RPC_EXECUTOR_H_
 #define SKALLA_RPC_RPC_EXECUTOR_H_
@@ -83,14 +84,12 @@ class RpcExecutor : public Executor {
   const char* name() const override { return "rpc"; }
 
   /// Number of partitions (primary endpoints); replica endpoints are
-  /// not counted.
+  /// not counted. 0 when more replicas are registered than the transport
+  /// has endpoints (Execute rejects that registration).
   size_t num_sites() const override {
-    size_t replicas = 0;
-    for (const auto& [partition, endpoints] : replica_endpoints_) {
-      (void)partition;
-      replicas += endpoints.size();
-    }
-    return transport_->num_sites() - replicas;
+    const size_t replicas = NumReplicaEndpoints();
+    const size_t endpoints = transport_->num_sites();
+    return replicas >= endpoints ? 0 : endpoints - replicas;
   }
 
   /// Asks every site process to exit (kShutdown). Best effort: returns
@@ -145,6 +144,13 @@ class RpcExecutor : public Executor {
   // replicas in registration order.
   std::vector<size_t> ReplicaEndpoints(size_t i) const;
 
+  size_t NumReplicaEndpoints() const;
+
+  // Rejects replica registrations the transport cannot host: a partition
+  // that does not exist, an endpoint outside [num_sites(), endpoints), or
+  // one registered twice. Runs before any per-partition state is sized.
+  Status ValidateReplicas() const;
+
   // Whether losing `endpoint` entirely (unreachable at connect or
   // BeginPlan, failing with `loss`) can be absorbed by the retry ->
   // failover -> degrade ladder instead of failing the query up front:
@@ -162,6 +168,8 @@ class RpcExecutor : public Executor {
   // Guards lazy init of connections_/schemas_; mutable for wire_bytes().
   mutable std::mutex connect_mu_;
   std::map<size_t, std::vector<size_t>> replica_endpoints_;
+  // Set once a catalog probe got an answer, even an empty catalog.
+  bool catalog_probed_ = false;
   std::map<std::string, SchemaPtr> schemas_;
 };
 

@@ -32,10 +32,12 @@ Frame AckFrame() {
 /// it once the round's spans have ended. When the request is traced but
 /// this process isn't exporting a trace of its own, the tracer is
 /// enabled just for the capture window and drained afterwards so the
-/// per-thread buffers don't grow without bound across rounds.
+/// per-thread buffers don't grow without bound across rounds. A service
+/// that ships no spans captures nothing: its spans stay where the shared
+/// tracer recorded them.
 class RoundTraceCapture {
  public:
-  explicit RoundTraceCapture(bool traced) : traced_(traced) {
+  RoundTraceCapture(bool traced, bool ship) : traced_(traced && ship) {
     obs::Tracer& tracer = obs::Tracer::Global();
     if (traced_ && !tracer.enabled()) {
       owned_ = true;
@@ -203,7 +205,7 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
   Stopwatch wall;
   const bool traced =
       req.trace.parent_span_id != 0 || req.trace.trace_id != 0;
-  RoundTraceCapture capture(traced);
+  RoundTraceCapture capture(traced, ship_spans_);
   obs::QueryIdScope query_scope(req.trace.query_id);
   RoundProfile profile;
   profile.site_id = site_.id();
@@ -233,6 +235,8 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
     base = site_.ExecuteBaseQuery(req.query, eval_context);
     profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
   }
+  SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us",
+                          static_cast<double>(profile.eval_us));
   if (!base.ok()) return ErrorFrame(base.status());
   FillEvalCounts(eval_profile, &profile);
   profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
@@ -247,7 +251,7 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   Stopwatch wall;
   const bool traced =
       req.trace.parent_span_id != 0 || req.trace.trace_id != 0;
-  RoundTraceCapture capture(traced);
+  RoundTraceCapture capture(traced, ship_spans_);
   obs::QueryIdScope query_scope(req.trace.query_id);
   RoundProfile profile;
   profile.site_id = site_.id();
@@ -317,6 +321,8 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
     }
     profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
   }
+  SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us",
+                          static_cast<double>(profile.eval_us));
   if (!h.ok()) return ErrorFrame(h.status());
 
   if (!carried) {

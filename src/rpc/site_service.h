@@ -42,7 +42,14 @@ Frame ErrorFrame(const Status& status);
 
 class SiteService {
  public:
-  explicit SiteService(Site site) : site_(std::move(site)) {}
+  /// `ship_spans`: whether a traced round returns the spans it recorded
+  /// in its RoundProfile, for the coordinator to import. A site process
+  /// ships them; a service in the coordinator's own process records into
+  /// the coordinator's tracer already, so it ships none (shipping would
+  /// duplicate every span, and under a concurrent fan-out the capture
+  /// window would also catch other sites' spans).
+  explicit SiteService(Site site, bool ship_spans = true)
+      : site_(std::move(site)), ship_spans_(ship_spans) {}
 
   int site_id() const { return site_.id(); }
   const Site& site() const { return site_; }
@@ -115,6 +122,7 @@ class SiteService {
   static constexpr size_t kMaxOpenPlans = 64;
 
   Site site_;
+  const bool ship_spans_;
 
   mutable std::mutex mu_;  // serializes Handle (concurrent callers)
 

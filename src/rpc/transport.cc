@@ -49,10 +49,13 @@ class InProcessConnection : public Connection {
 
 }  // namespace
 
-InProcessTransport::InProcessTransport(std::vector<Site> sites) {
+InProcessTransport::InProcessTransport(std::vector<Site> sites,
+                                       NetworkConfig network)
+    : network_(network) {
   services_.reserve(sites.size());
   for (Site& site : sites) {
-    services_.push_back(std::make_unique<SiteService>(std::move(site)));
+    services_.push_back(
+        std::make_unique<SiteService>(std::move(site), /*ship_spans=*/false));
   }
 }
 

@@ -6,9 +6,11 @@
 //   - InProcessTransport: sites live in this process as SiteService
 //     objects; every exchange still round-trips through EncodeFrame /
 //     DecodeFrame, so the in-process path exercises the identical wire
-//     bytes the TCP path ships.
+//     bytes the TCP path ships. The network is modeled
+//     (net/network.h): TransferTime fills RoundStats::comm_time.
 //   - TcpTransport (rpc/tcp.h): sites are separate skalla-site processes
-//     reached over sockets, with timeouts and reconnect backoff.
+//     reached over sockets, with timeouts and reconnect backoff. The
+//     network is real, so nothing is modeled.
 
 #ifndef SKALLA_RPC_TRANSPORT_H_
 #define SKALLA_RPC_TRANSPORT_H_
@@ -18,6 +20,7 @@
 
 #include "common/result.h"
 #include "dist/site.h"
+#include "net/network.h"
 #include "rpc/frame.h"
 #include "rpc/site_service.h"
 
@@ -51,18 +54,29 @@ class Transport {
 
   /// Opens (or reopens) the connection to site `site_index`.
   virtual Result<std::unique_ptr<Connection>> Connect(size_t site_index) = 0;
+
+  /// Modeled seconds to move an accounted table payload of `bytes`
+  /// (RoundStats::comm_time); 0 when the network is real.
+  virtual double TransferTime(uint64_t /*bytes*/) const { return 0; }
 };
 
 /// Sites hosted in this process. Owns one SiteService per site; the
 /// services' round state persists across Connect calls, like a site
-/// process that outlives a dropped coordinator connection.
+/// process that outlives a dropped coordinator connection. The services
+/// record their spans straight into this process's tracer, so they ship
+/// none back.
 class InProcessTransport : public Transport {
  public:
-  explicit InProcessTransport(std::vector<Site> sites);
+  explicit InProcessTransport(std::vector<Site> sites,
+                              NetworkConfig network = {});
 
   size_t num_sites() const override { return services_.size(); }
 
   Result<std::unique_ptr<Connection>> Connect(size_t site_index) override;
+
+  double TransferTime(uint64_t bytes) const override {
+    return ModeledTransferTime(network_, bytes);
+  }
 
   SiteService* service(size_t site_index) {
     return services_[site_index].get();
@@ -70,6 +84,7 @@ class InProcessTransport : public Transport {
 
  private:
   std::vector<std::unique_ptr<SiteService>> services_;
+  NetworkConfig network_;
 };
 
 }  // namespace rpc

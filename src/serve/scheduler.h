@@ -20,9 +20,9 @@
 // queued behind an identical miss still hits.
 //
 // Concurrency safety is the executor's contract (Executor::Execute with
-// distinct QueryRuns): the in-process engine serializes per-site rounds
-// on the Site round locks, the rpc engine interleaves tagged frames per
-// connection. The scheduler adds no cross-query ordering beyond
+// distinct QueryRuns): the executor interleaves tagged frames per site
+// connection, and in-process sites also serialize rounds on their Site
+// round locks. The scheduler adds no cross-query ordering beyond
 // admission.
 
 #ifndef SKALLA_SERVE_SCHEDULER_H_

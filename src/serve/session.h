@@ -44,7 +44,7 @@ struct SessionOptions {
   /// is a serving configuration of its own).
   ExecutorOptions exec;
 
-  /// Network cost model for the in-process path (ignored over rpc —
+  /// Network cost model for the in-process path (ignored over TCP —
   /// the network is real there).
   NetworkConfig net;
 
@@ -67,8 +67,9 @@ class QuerySession {
   using Planner = std::function<Result<DistributedPlan>(const GmdjExpr&)>;
 
   /// Opens a session over a warehouse's partitions: builds one
-  /// persistent star executor (sites shared by every query this session
-  /// admits) and plans with the warehouse's distribution knowledge.
+  /// persistent executor over in-process sites (shared by every query
+  /// this session admits) and plans with the warehouse's distribution
+  /// knowledge.
   /// `warehouse` is borrowed and must outlive the session.
   static Result<QuerySession> Open(const DistributedWarehouse* warehouse,
                                    SessionOptions options = {});
@@ -79,8 +80,8 @@ class QuerySession {
   static Result<QuerySession> Open(std::vector<rpc::SiteEndpoint> endpoints,
                                    SessionOptions options = {});
 
-  /// Wraps a caller-built executor (either engine: the in-process star
-  /// or rpc) in a session. Plans with generic (distribution-free) optimization.
+  /// Wraps a caller-built executor (in-process or TCP transport) in a
+  /// session. Plans with generic (distribution-free) optimization.
   static QuerySession Wrap(std::unique_ptr<Executor> executor,
                            SessionOptions options = {});
 
@@ -112,7 +113,8 @@ class QuerySession {
   size_t num_sites() const { return executor_->num_sites(); }
 
   /// The underlying rpc executor when this session was opened over
-  /// endpoints (for site stats / site shutdown); nullptr otherwise.
+  /// endpoints (for site stats / site shutdown); nullptr for in-process
+  /// sites.
   rpc::RpcExecutor* rpc_executor() { return rpc_; }
 
  private:

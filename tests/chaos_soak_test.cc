@@ -1,9 +1,9 @@
 // Deterministic chaos soak: the query suite runs under a seeded
 // ChaosInjector (request faults, response faults, dead sites) and under
-// transport-level chaos in the TCP server, and every engine must produce
-// byte-for-byte the result of a fault-free sequential run — star (at
-// every fan-out width) and rpc. Faults are a pure function of the seed,
-// so every failure here replays exactly.
+// transport-level chaos in the TCP server, and every run must produce
+// byte-for-byte the result of a fault-free sequential run — in-process
+// at every fan-out width, and over TCP. Faults are a pure function of
+// the seed, so every failure here replays exactly.
 
 #include "dist/fault.h"
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "dist/exec.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
 #include "net/serde.h"
@@ -104,14 +103,6 @@ struct Fixture {
     }
     return sites;
   }
-
-  // A replica of partition `i` under its own site id (100 + i), so chaos
-  // aimed at primary ids never hits the replicas.
-  Site MakeReplica(size_t i) const {
-    Catalog catalog;
-    catalog.Register("flow", parts[i]);
-    return Site(static_cast<int>(100 + i), std::move(catalog));
-  }
 };
 
 // The chaos budget and the retry budget line up: at most one fault per
@@ -149,8 +140,9 @@ TEST(ChaosSoakTest, ScheduleIsReproducibleFromSeed) {
   std::vector<uint8_t> first_bytes;
   for (int run = 0; run < 2; ++run) {
     ChaosInjector injector(SoakChaos(/*seed=*/17));
-    DistributedExecutor executor(fx.MakeSites(), NetworkConfig{},
-                                 SoakOptions(&injector));
+    rpc::RpcExecutor executor(
+        std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
+        SoakOptions(&injector));
     Table result = executor.Execute(plan, nullptr).ValueOrDie();
     if (run == 0) {
       first_injected = injector.injected();
@@ -168,8 +160,9 @@ TEST(ChaosSoakTest, ResetReplaysTheSameSchedule) {
   DistributedPlan plan =
       fx.dw.Plan(QuerySuite()[0], OptimizerOptions::None()).ValueOrDie();
   ChaosInjector injector(SoakChaos(/*seed=*/17));
-  DistributedExecutor executor(fx.MakeSites(), NetworkConfig{},
-                               SoakOptions(&injector));
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
+      SoakOptions(&injector));
   executor.Execute(plan, nullptr).ValueOrDie();
   int64_t after_first = injector.injected();
   injector.Reset();
@@ -177,22 +170,24 @@ TEST(ChaosSoakTest, ResetReplaysTheSameSchedule) {
   EXPECT_EQ(injector.injected() - after_first, after_first);
 }
 
-TEST(ChaosSoakTest, StarByteIdenticalUnderChaos) {
+TEST(ChaosSoakTest, ByteIdenticalUnderChaos) {
   Fixture fx;
   for (const OptimizerOptions& opts :
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
     SCOPED_TRACE(opts.ToString());
     for (const GmdjExpr& query : QuerySuite()) {
       DistributedPlan plan = fx.dw.Plan(query, opts).ValueOrDie();
-      DistributedExecutor clean(fx.MakeSites(), NetworkConfig{},
-                                CleanOptions());
+      rpc::RpcExecutor clean(
+          std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
+          CleanOptions());
       std::vector<uint8_t> expected =
           TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
       for (uint64_t seed : {3u, 19u, 101u}) {
         SCOPED_TRACE(seed);
         ChaosInjector injector(SoakChaos(seed));
-        DistributedExecutor executor(fx.MakeSites(), NetworkConfig{},
-                                     SoakOptions(&injector));
+        rpc::RpcExecutor executor(
+            std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
+            SoakOptions(&injector));
         Table result = executor.Execute(plan, nullptr).ValueOrDie();
         EXPECT_EQ(TableBytes(result), expected);
       }
@@ -210,7 +205,9 @@ TEST(ChaosSoakTest, EveryFanOutWidthByteIdenticalUnderChaos) {
   for (const GmdjExpr& query : QuerySuite()) {
     DistributedPlan plan =
         fx.dw.Plan(query, OptimizerOptions::All()).ValueOrDie();
-    DistributedExecutor clean(fx.MakeSites(), NetworkConfig{}, CleanOptions());
+    rpc::RpcExecutor clean(
+        std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
+        CleanOptions());
     std::vector<uint8_t> expected =
         TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
     for (uint64_t seed : {3u, 19u}) {
@@ -221,8 +218,8 @@ TEST(ChaosSoakTest, EveryFanOutWidthByteIdenticalUnderChaos) {
         ChaosInjector injector(SoakChaos(seed));
         ExecutorOptions options = SoakOptions(&injector);
         options.fanout_threads = width;
-        DistributedExecutor executor(fx.MakeSites(), NetworkConfig{},
-                                     options);
+        rpc::RpcExecutor executor(
+            std::make_unique<rpc::InProcessTransport>(fx.MakeSites()), options);
         ExecStats stats;
         Table result = executor.Execute(plan, &stats).ValueOrDie();
         EXPECT_EQ(TableBytes(result), expected);
@@ -254,10 +251,15 @@ TEST(ChaosSoakTest, EveryFanOutWidthByteIdenticalUnderChaos) {
   }
 }
 
-TEST(ChaosSoakTest, RpcByteIdenticalUnderChaos) {
+TEST(ChaosSoakTest, PermanentLossWithReplicaStaysByteIdentical) {
+  // The acceptance bar: transient chaos plus one permanently dead
+  // primary, whose replica absorbs the round via failover. Replicas sit
+  // at endpoints 4..7 (SetReplication's site ids), so chaos aimed at
+  // primary ids never hits them. None(): every round is self-contained,
+  // so every round may fail over.
   Fixture fx;
+  fx.dw.SetReplication(2);
   for (const GmdjExpr& query : QuerySuite()) {
-    // None(): every round self-contained, so rpc failover stays legal.
     DistributedPlan plan =
         fx.dw.Plan(query, OptimizerOptions::None()).ValueOrDie();
     rpc::RpcExecutor clean(
@@ -265,70 +267,16 @@ TEST(ChaosSoakTest, RpcByteIdenticalUnderChaos) {
         CleanOptions());
     std::vector<uint8_t> expected =
         TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
-    for (uint64_t seed : {3u, 19u}) {
-      SCOPED_TRACE(seed);
-      ChaosInjector injector(SoakChaos(seed));
-      rpc::RpcExecutor executor(
-          std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
-          SoakOptions(&injector));
-      Table result = executor.Execute(plan, nullptr).ValueOrDie();
-      EXPECT_EQ(TableBytes(result), expected);
-    }
-  }
-}
-
-TEST(ChaosSoakTest, PermanentLossWithReplicaStaysByteIdentical) {
-  // The acceptance bar: transient chaos plus one permanently dead
-  // primary, whose replica absorbs the round via failover.
-  Fixture fx;
-  for (const GmdjExpr& query : QuerySuite()) {
-    DistributedPlan plan =
-        fx.dw.Plan(query, OptimizerOptions::None()).ValueOrDie();
-    DistributedExecutor clean(fx.MakeSites(), NetworkConfig{}, CleanOptions());
-    std::vector<uint8_t> expected =
-        TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
     ChaosInjector injector(SoakChaos(/*seed=*/43, /*dead_sites=*/{2}));
-    DistributedExecutor executor(fx.MakeSites(), NetworkConfig{},
-                                 SoakOptions(&injector));
-    for (size_t i = 0; i < kSites; ++i) {
-      executor.AddReplica(i, fx.MakeReplica(i));
-    }
+    std::unique_ptr<rpc::RpcExecutor> executor =
+        fx.dw.MakeExecutor(NetworkConfig{}, SoakOptions(&injector));
+    ASSERT_EQ(executor->num_sites(), kSites);
     ExecStats stats;
-    Table result = executor.Execute(plan, &stats).ValueOrDie();
+    Table result = executor->Execute(plan, &stats).ValueOrDie();
     EXPECT_EQ(TableBytes(result), expected);
     EXPECT_GT(stats.TotalSiteFailovers(), 0u);
     EXPECT_TRUE(stats.complete());
   }
-}
-
-TEST(ChaosSoakTest, RpcPermanentLossFailsOverToReplicaEndpoint) {
-  Fixture fx;
-  DistributedPlan plan =
-      fx.dw.Plan(QuerySuite()[0], OptimizerOptions::None()).ValueOrDie();
-  rpc::RpcExecutor clean(
-      std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
-      CleanOptions());
-  std::vector<uint8_t> expected =
-      TableBytes(clean.Execute(plan, nullptr).ValueOrDie());
-
-  // Endpoints 4..7 are replica processes hosting partitions 0..3.
-  std::vector<Site> sites = fx.MakeSites();
-  for (size_t i = 0; i < kSites; ++i) {
-    Catalog catalog;
-    catalog.Register("flow", fx.parts[i]);
-    sites.emplace_back(static_cast<int>(kSites + i), std::move(catalog));
-  }
-  ChaosInjector injector(SoakChaos(/*seed=*/43, /*dead_sites=*/{2}));
-  rpc::RpcExecutor executor(
-      std::make_unique<rpc::InProcessTransport>(std::move(sites)),
-      SoakOptions(&injector));
-  for (size_t i = 0; i < kSites; ++i) {
-    executor.AddReplica(i, kSites + i);
-  }
-  ExecStats stats;
-  Table result = executor.Execute(plan, &stats).ValueOrDie();
-  EXPECT_EQ(TableBytes(result), expected);
-  EXPECT_GT(stats.TotalSiteFailovers(), 0u);
 }
 
 TEST(ChaosSoakTest, UnreplicatedLossDegradesAndReportsTheSite) {
@@ -338,7 +286,8 @@ TEST(ChaosSoakTest, UnreplicatedLossDegradesAndReportsTheSite) {
   ChaosInjector injector(SoakChaos(/*seed=*/7, /*dead_sites=*/{2}));
   ExecutorOptions options = SoakOptions(&injector);
   options.on_site_loss = OnSiteLoss::kDegrade;
-  DistributedExecutor executor(fx.MakeSites(), NetworkConfig{}, options);
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(fx.MakeSites()), options);
   ExecStats stats;
   Table result = executor.Execute(plan, &stats).ValueOrDie();
   EXPECT_GT(result.num_rows(), 0u);
@@ -411,9 +360,11 @@ TEST(ChaosSoakTest, TcpTransportChaosIsSurvivedByteIdentically) {
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
     SCOPED_TRACE(opts.ToString());
     DistributedPlan plan = fx.dw.Plan(QuerySuite()[0], opts).ValueOrDie();
-    DistributedExecutor star(fx.MakeSites(), NetworkConfig{}, CleanOptions());
+    rpc::RpcExecutor in_process(
+        std::make_unique<rpc::InProcessTransport>(fx.MakeSites()),
+        CleanOptions());
     std::vector<uint8_t> expected =
-        TableBytes(star.Execute(plan, nullptr).ValueOrDie());
+        TableBytes(in_process.Execute(plan, nullptr).ValueOrDie());
 
     ChaosCluster cluster(fx.MakeSites(), /*seed=*/29);
     rpc::TcpOptions tcp;

@@ -1,16 +1,19 @@
 // ExecStats / RoundStats accounting invariants — on hand-built stats and
 // on stats produced by really executing plans, sequentially and with
-// parallel sites — plus the EXPLAIN ANALYZE report's consistency with the
-// stats it renders.
+// parallel sites — the paper's cost accounting pinned to exact figures,
+// plus the EXPLAIN ANALYZE report's consistency with the stats it
+// renders.
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "dist/exec.h"
+#include "../bench/bench_common.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
+#include "net/network.h"
 #include "obs/stats_report.h"
+#include "rpc/rpc_executor.h"
 #include "storage/partition.h"
 #include "types/row.h"
 
@@ -171,7 +174,8 @@ TEST(ExecStatsTest, ParallelSitesSatisfyInvariants) {
     sites.emplace_back(static_cast<int>(i), std::move(catalog));
   }
   std::vector<Site> sequential_sites = sites;
-  DistributedExecutor executor(std::move(sites));
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(std::move(sites)), {});
   ExecStats stats;
   Result<Table> result = executor.Execute(plan, &stats);
   ASSERT_TRUE(result.ok());
@@ -180,12 +184,110 @@ TEST(ExecStatsTest, ParallelSitesSatisfyInvariants) {
   // And the concurrent run is the sequential one, row for row.
   ExecutorOptions one_by_one;
   one_by_one.fanout_threads = 1;
-  DistributedExecutor sequential(std::move(sequential_sites), NetworkConfig{},
-                                 one_by_one);
+  rpc::RpcExecutor sequential(
+      std::make_unique<rpc::InProcessTransport>(std::move(sequential_sites)),
+      one_by_one);
   Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
   ASSERT_EQ(result->num_rows(), expected.num_rows());
   for (size_t r = 0; r < expected.num_rows(); ++r) {
     EXPECT_TRUE(RowEquals(result->row(r), expected.row(r))) << "row " << r;
+  }
+}
+
+// --- The paper's cost accounting, pinned -----------------------------------
+
+TEST(CostAccountingTest, ModeledTransferTimeIsLatencyPlusBytesOverBandwidth) {
+  NetworkConfig config;
+  config.latency_s = 0.002;
+  config.bandwidth_bytes_per_s = 1000.0;
+  // 500 bytes at 1000 B/s = 0.5s plus 2ms latency.
+  EXPECT_DOUBLE_EQ(ModeledTransferTime(config, 500), 0.502);
+  EXPECT_DOUBLE_EQ(ModeledTransferTime(config, 0), 0.002);
+  config.latency_s = 0.001;
+  config.bandwidth_bytes_per_s = 1e6;
+  EXPECT_DOUBLE_EQ(ModeledTransferTime(config, 1000000), 1.001);
+}
+
+struct RoundBytes {
+  const char* label;
+  uint64_t to_sites;
+  uint64_t to_coord;
+};
+
+struct AccountingCase {
+  const char* query;
+  bool all_optimizations;
+  uint64_t total_bytes;
+  uint64_t total_tuples;
+  size_t sync_rounds;
+  std::vector<RoundBytes> rounds;
+  double comm_s;  // under the default NetworkConfig
+};
+
+TEST(CostAccountingTest, PinsBytesTuplesRoundsAndModeledTime) {
+  // Fig. 2's correlated query and Fig. 3's coalescing query over a small
+  // TPC-R on 4 sites: payload bytes only, per round, plus the modeled
+  // communication time of those payloads. The expected figures were
+  // recorded from an earlier, separate in-process implementation of the
+  // protocol, so they pin the paper's accounting independently of the
+  // executor under test.
+  const std::vector<AccountingCase> cases = {
+      {"correlated", false, 73947, 6698, 3,
+       {{"base", 0, 1164}, {"md1", 4528, 13287}, {"md2", 21912, 33056}},
+       0.0273947},
+      {"correlated", true, 10780, 394, 1,
+       {{"md1", 0, 0}, {"md2", 0, 10780}}, 0.005078},
+      {"coalescing", false, 447211, 21287, 3,
+       {{"base", 0, 19475}, {"md1", 64364, 91448}, {"md2", 118840, 153084}},
+       0.0647211},
+      {"coalescing", true, 46273, 1495, 1, {{"md1", 0, 46273}}, 0.0086273},
+  };
+  DistributedWarehouse dw(4);
+  dw.AddPartitionedTable("tpcr", bench::MakeTpcrPartitions(4000, 400, 4),
+                         bench::TrackedColumns())
+      .Check();
+  const NetworkConfig network;
+  for (const AccountingCase& c : cases) {
+    SCOPED_TRACE(StrCat(c.query, c.all_optimizations ? " All" : " None"));
+    GmdjExpr query = std::string(c.query) == "correlated"
+                         ? bench::CorrelatedQuery("CustKey")
+                         : bench::CoalescingQuery("Clerk");
+    ExecStats stats;
+    Table result =
+        dw.Execute(query,
+                   c.all_optimizations ? OptimizerOptions::All()
+                                       : OptimizerOptions::None(),
+                   &stats)
+            .ValueOrDie();
+    EXPECT_TRUE(
+        result.ApproxSameRows(dw.ExecuteCentralized(query).ValueOrDie(), 1e-9));
+    EXPECT_EQ(stats.TotalBytes(), c.total_bytes);
+    EXPECT_EQ(stats.TotalTuplesTransferred(), c.total_tuples);
+    EXPECT_EQ(stats.NumSyncRounds(), c.sync_rounds);
+    ASSERT_EQ(stats.rounds.size(), c.rounds.size());
+    // The model charged once per accounted shipment: each X a site
+    // received, and each fragment of a synchronized round.
+    double comm = 0;
+    for (size_t r = 0; r < c.rounds.size(); ++r) {
+      const RoundStats& round = stats.rounds[r];
+      SCOPED_TRACE(round.label);
+      EXPECT_EQ(round.label, c.rounds[r].label);
+      EXPECT_EQ(round.bytes_to_sites, c.rounds[r].to_sites);
+      EXPECT_EQ(round.bytes_to_coord, c.rounds[r].to_coord);
+      double round_comm = 0;
+      for (const SiteRoundProfile& site : round.site_profiles) {
+        if (site.bytes_in > 0) {
+          round_comm += ModeledTransferTime(network, site.bytes_in);
+        }
+        if (round.synchronized) {
+          round_comm += ModeledTransferTime(network, site.bytes_out);
+        }
+      }
+      EXPECT_DOUBLE_EQ(round.comm_time, round_comm);
+      comm += round_comm;
+    }
+    EXPECT_DOUBLE_EQ(stats.TotalCommTime(), comm);
+    EXPECT_NEAR(stats.TotalCommTime(), c.comm_s, 1e-9);
   }
 }
 

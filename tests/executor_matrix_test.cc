@@ -1,13 +1,12 @@
-// Cross-executor consistency matrix: the same optimized plan executed by
-// every engine variant — the in-process star (sequential fan-out, the
-// default concurrent fan-out with one worker per site, two workers,
-// row-oracle sites) and the rpc engine over in-process site services
-// (sequential and default fan-out) — through the unified skalla::Executor
-// interface, crossed with coordinator_shards ∈ {1, 4} and eval_threads ∈
-// {1, 4}. Every combination must produce results identical to the
-// centralized evaluator, reproduce the star baseline row for row, and
-// move exactly the star baseline's payload bytes and tuples; every round
-// reports its wall time.
+// Executor consistency matrix: the same optimized plan executed by every
+// executor variant over in-process site services — sequential fan-out,
+// the default concurrent fan-out with one worker per site, two workers,
+// row-oracle sites — through the skalla::Executor interface, crossed
+// with coordinator_shards ∈ {1, 4} and eval_threads ∈ {1, 4}. Every
+// combination must produce results identical to the centralized
+// evaluator, reproduce the sequential baseline row for row, and move
+// exactly the baseline's payload bytes and tuples; every round reports
+// its wall time.
 
 #include <gtest/gtest.h>
 
@@ -70,19 +69,14 @@ struct Variant {
   ExecutorOptions options;
 };
 
-// Builds the variant's engine behind the unified interface.
-std::unique_ptr<Executor> MakeExecutor(const std::string& name,
-                                       const std::vector<Table>& parts,
+// Builds the variant's executor behind the Executor interface.
+std::unique_ptr<Executor> MakeExecutor(const std::vector<Table>& parts,
                                        const ExecutorOptions& options) {
-  if (name.rfind("rpc", 0) == 0) {
-    return std::make_unique<rpc::RpcExecutor>(
-        std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
-  }
-  return std::make_unique<DistributedExecutor>(MakeSites(parts),
-                                               NetworkConfig{}, options);
+  return std::make_unique<rpc::RpcExecutor>(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
 }
 
-// Per-site profiles agree site by site in every round: whichever engine
+// Per-site profiles agree site by site in every round: whichever kernel
 // and fan-out width ran them, the same sites shipped and returned the
 // same payload bytes and rows.
 void ExpectSameSiteProfiles(const ExecStats& a, const ExecStats& b,
@@ -101,7 +95,7 @@ void ExpectSameSiteProfiles(const ExecStats& a, const ExecStats& b,
   }
 }
 
-// Every engine times every round it runs.
+// Every variant times every round it runs.
 void ExpectRoundsTimed(const ExecStats& stats, const std::string& what) {
   for (const RoundStats& round : stats.rounds) {
     EXPECT_GT(round.wall_time, 0) << what << " " << round.label;
@@ -135,8 +129,10 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
   ExecutorOptions row;
   row.engine = EvalEngine::kRow;
   const Variant variants[] = {
-      {"star", sequential}, {"parallel", {}},   {"parallel2", parallel2},
-      {"row", row},         {"rpc", sequential}, {"rpc_parallel", {}},
+      {"sequential", sequential},
+      {"parallel", {}},
+      {"parallel2", parallel2},
+      {"row", row},
   };
 
   for (int opt_mask : {0, 15}) {
@@ -149,26 +145,28 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
 
     Table reference = dw.ExecuteCentralized(query).ValueOrDie();
 
-    // Star baseline for cross-variant byte accounting.
-    ExecStats star_stats;
-    std::unique_ptr<Executor> star = MakeExecutor("star", parts, sequential);
-    Table star_result = star->Execute(plan, &star_stats).ValueOrDie();
-    ASSERT_TRUE(star_result.SameRows(reference)) << "star, opts " << opt_mask;
-    ExpectRoundsTimed(star_stats, "star baseline");
+    // Sequential baseline for cross-variant byte accounting.
+    ExecStats baseline_stats;
+    std::unique_ptr<Executor> baseline = MakeExecutor(parts, sequential);
+    Table baseline_result =
+        baseline->Execute(plan, &baseline_stats).ValueOrDie();
+    ASSERT_TRUE(baseline_result.SameRows(reference))
+        << "sequential, opts " << opt_mask;
+    ExpectRoundsTimed(baseline_stats, "sequential baseline");
     // A default in-process run evaluates every round columnar at every
     // site: the GMDJ rounds with the columnar kernel, the base round
     // with the columnar base-query scan, which reads every row of its
     // partition (the plan's base query has no WHERE).
-    EXPECT_EQ(star_stats.engines_used, kEngineBitColumnar);
-    for (const RoundStats& round : star_stats.rounds) {
+    EXPECT_EQ(baseline_stats.engines_used, kEngineBitColumnar);
+    for (const RoundStats& round : baseline_stats.rounds) {
       for (const SiteRoundProfile& site : round.site_profiles) {
         EXPECT_EQ(site.engines_used, kEngineBitColumnar)
             << round.label << " site " << site.site_id;
       }
     }
-    ASSERT_EQ(star_stats.rounds[0].site_profiles.size(), parts.size());
+    ASSERT_EQ(baseline_stats.rounds[0].site_profiles.size(), parts.size());
     for (size_t i = 0; i < parts.size(); ++i) {
-      EXPECT_EQ(star_stats.rounds[0].site_profiles[i].rows_scanned,
+      EXPECT_EQ(baseline_stats.rounds[0].site_profiles[i].rows_scanned,
                 parts[i].num_rows())
           << "base site " << i;
     }
@@ -177,8 +175,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       // Sequential-merge run: the pinned baseline for this variant.
       ExecutorOptions seq_options = variant.options;
       seq_options.coordinator_shards = 1;
-      std::unique_ptr<Executor> seq_exec =
-          MakeExecutor(variant.name, parts, seq_options);
+      std::unique_ptr<Executor> seq_exec = MakeExecutor(parts, seq_options);
       ExecStats seq_stats;
       Table seq_result = seq_exec->Execute(plan, &seq_stats).ValueOrDie();
       EXPECT_TRUE(seq_result.SameRows(reference))
@@ -190,14 +187,14 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
         EXPECT_EQ(seq_stats.engines_used, kEngineBitRow);
       }
 
-      EXPECT_TRUE(ExactlyEqual(seq_result, star_result))
+      EXPECT_TRUE(ExactlyEqual(seq_result, baseline_result))
           << variant.name << ", opts " << opt_mask;
-      EXPECT_EQ(seq_stats.TotalBytes(), star_stats.TotalBytes())
+      EXPECT_EQ(seq_stats.TotalBytes(), baseline_stats.TotalBytes())
           << variant.name << ", opts " << opt_mask;
       EXPECT_EQ(seq_stats.TotalTuplesTransferred(),
-                star_stats.TotalTuplesTransferred())
+                baseline_stats.TotalTuplesTransferred())
           << variant.name << ", opts " << opt_mask;
-      ExpectSameSiteProfiles(seq_stats, star_stats, variant.name);
+      ExpectSameSiteProfiles(seq_stats, baseline_stats, variant.name);
       ExpectRoundsTimed(seq_stats, variant.name);
 
       // Sharded-merge run: results (row for row), bytes, and tuples must
@@ -205,7 +202,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       ExecutorOptions sharded_options = variant.options;
       sharded_options.coordinator_shards = 4;
       std::unique_ptr<Executor> sharded_exec =
-          MakeExecutor(variant.name, parts, sharded_options);
+          MakeExecutor(parts, sharded_options);
       ExecStats sharded_stats;
       Table sharded_result =
           sharded_exec->Execute(plan, &sharded_stats).ValueOrDie();
@@ -230,7 +227,7 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
       ExecutorOptions threaded_options = variant.options;
       threaded_options.eval_threads = 4;
       std::unique_ptr<Executor> threaded_exec =
-          MakeExecutor(variant.name, parts, threaded_options);
+          MakeExecutor(parts, threaded_options);
       ExecStats threaded_stats;
       Table threaded_result =
           threaded_exec->Execute(plan, &threaded_stats).ValueOrDie();

@@ -1,7 +1,8 @@
-// Fault injection and recovery across every engine — star (sequential
-// and with parallel sites) and rpc: site retries, replica failover,
-// degraded execution (OnSiteLoss::kDegrade), and query/round deadlines
-// and cancellation, which share one policy via ExecutorOptions.
+// Fault injection and recovery over in-process site services, with
+// sites one after another and with the default concurrent fan-out: site
+// retries, replica failover, degraded execution (OnSiteLoss::kDegrade),
+// and query/round deadlines and cancellation, which share one policy via
+// ExecutorOptions.
 
 #include "dist/fault.h"
 
@@ -18,7 +19,6 @@
 #include "common/string_util.h"
 #include "core/cancellation.h"
 #include "core/local_eval.h"
-#include "dist/exec.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
 #include "rpc/rpc_executor.h"
@@ -59,8 +59,8 @@ GmdjExpr SimpleQuery() {
   return expr;
 }
 
-// Row-for-row equality including order: the parallel star is pinned to
-// the sequential one exactly, not just as a row set.
+// Row-for-row equality including order: the concurrent fan-out is pinned
+// to the sequential one exactly, not just as a row set.
 bool ExactlyEqual(const Table& a, const Table& b) {
   if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
     return false;
@@ -137,9 +137,8 @@ TEST(FaultTest, RecoveryWorksUnderAllOptimizations) {
   EXPECT_TRUE(result.SameRows(expected));
 }
 
-// Same scenario through the star with the default concurrent fan-out:
-// plans built by the warehouse, sites constructed directly so the options
-// are explicit.
+// Same scenario with the default concurrent fan-out: plans built by the
+// warehouse, sites constructed directly so the options are explicit.
 Result<Table> RunParallelWithFaults(const Table& flow, FaultInjector* injector,
                                     size_t retries, ExecStats* stats,
                                     const OptimizerOptions& opts) {
@@ -159,13 +158,16 @@ Result<Table> RunParallelWithFaults(const Table& flow, FaultInjector* injector,
   ExecutorOptions exec_options;
   exec_options.fault_injector = injector;
   exec_options.max_site_retries = retries;
-  DistributedExecutor executor(std::move(sites), NetworkConfig{},
-                               exec_options);
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(std::move(sites)),
+      exec_options);
   return executor.Execute(plan, stats);
 }
 
 TEST(FaultTest, ParallelTransientFailuresRecoverWithRetry) {
   Table flow = MakeFlow(600);
+  DistributedWarehouse reference_dw(4);
+  reference_dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"}).Check();
   TransientFaultInjector seq_injector(/*failures=*/1);
   Table expected = RunWithFaults(flow, &seq_injector, /*retries=*/2, nullptr,
                                  OptimizerOptions::None())
@@ -177,6 +179,8 @@ TEST(FaultTest, ParallelTransientFailuresRecoverWithRetry) {
                                        &stats, OptimizerOptions::None())
                      .ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
+  EXPECT_TRUE(result.SameRows(
+      reference_dw.ExecuteCentralized(SimpleQuery()).ValueOrDie()));
   EXPECT_GT(injector.injected(), 0);
   size_t total_retries = 0;
   for (const RoundStats& r : stats.rounds) total_retries += r.site_retries;
@@ -202,76 +206,11 @@ TEST(FaultTest, ParallelPermanentSiteFailureAborts) {
   EXPECT_NE(result.status().message().find("site 2"), std::string::npos);
 }
 
-// Same scenario again through the RpcExecutor (in-process transport):
-// the retry loop is the shared ExecuteSiteRound, so recovery and
-// accounting must be identical to the in-process engine.
-Result<Table> RunRpcWithFaults(const Table& flow, FaultInjector* injector,
-                               size_t retries, ExecStats* stats,
-                               const OptimizerOptions& opts) {
-  const size_t kSites = 4;
-  DistributedWarehouse dw(kSites);
-  Status s = dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"});
-  if (!s.ok()) return s;
-  SKALLA_ASSIGN_OR_RETURN(DistributedPlan plan, dw.Plan(SimpleQuery(), opts));
-  SKALLA_ASSIGN_OR_RETURN(std::vector<Table> parts,
-                          PartitionByValue(flow, "SAS", kSites));
-  std::vector<Site> sites;
-  for (size_t i = 0; i < kSites; ++i) {
-    Catalog catalog;
-    catalog.Register("flow", parts[i]);
-    sites.emplace_back(static_cast<int>(i), std::move(catalog));
-  }
-  ExecutorOptions exec_options;
-  exec_options.fault_injector = injector;
-  exec_options.max_site_retries = retries;
-  rpc::RpcExecutor executor(
-      std::make_unique<rpc::InProcessTransport>(std::move(sites)),
-      exec_options);
-  return executor.Execute(plan, stats);
-}
-
-TEST(FaultTest, RpcTransientFailuresRecoverWithRetry) {
-  Table flow = MakeFlow(600);
-  DistributedWarehouse reference_dw(4);
-  reference_dw.AddTablePartitionedBy("flow", flow, "SAS", {"NB"}).Check();
-  Table expected =
-      reference_dw.ExecuteCentralized(SimpleQuery()).ValueOrDie();
-
-  TransientFaultInjector injector(/*failures=*/1);
-  ExecStats stats;
-  Table result = RunRpcWithFaults(flow, &injector, /*retries=*/2, &stats,
-                                  OptimizerOptions::None())
-                     .ValueOrDie();
-  EXPECT_TRUE(result.SameRows(expected));
-  EXPECT_GT(injector.injected(), 0);
-  size_t total_retries = 0;
-  for (const RoundStats& r : stats.rounds) total_retries += r.site_retries;
-  // Every (site, round) pair failed once: 4 sites x 3 rounds.
-  EXPECT_EQ(total_retries, 12u);
-}
-
-TEST(FaultTest, RpcExhaustedRetriesSurfaceTheFailure) {
-  Table flow = MakeFlow(200);
-  TransientFaultInjector injector(/*failures=*/3);
-  auto result = RunRpcWithFaults(flow, &injector, /*retries=*/1, nullptr,
-                                 OptimizerOptions::None());
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsIOError());
-}
-
-TEST(FaultTest, RpcPermanentSiteFailureAborts) {
-  Table flow = MakeFlow(200);
-  PermanentSiteFailure injector(/*site=*/2);
-  auto result = RunRpcWithFaults(flow, &injector, /*retries=*/5, nullptr,
-                                 OptimizerOptions::None());
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("site 2"), std::string::npos);
-}
-
-TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
+TEST(FaultTest, RetryAccountingMatchesAcrossFanOutWidths) {
   // The same transient-fault schedule must produce the same per-round
-  // site_retries in every engine: the retry loop is shared, and the
-  // round labels the injector keys on are part of the executor contract.
+  // site_retries whether sites run one after another or concurrently:
+  // the retry loop is shared, and the round labels the injector keys on
+  // are part of the executor contract.
   Table flow = MakeFlow(600);
 
   TransientFaultInjector dist_injector(/*failures=*/1);
@@ -286,25 +225,14 @@ TEST(FaultTest, RetryAccountingMatchesAcrossEngines) {
                         &parallel_stats, OptimizerOptions::None())
       .ValueOrDie();
 
-  TransientFaultInjector rpc_injector(/*failures=*/1);
-  ExecStats rpc_stats;
-  RunRpcWithFaults(flow, &rpc_injector, /*retries=*/2, &rpc_stats,
-                   OptimizerOptions::None())
-      .ValueOrDie();
-
   ASSERT_EQ(dist_stats.rounds.size(), parallel_stats.rounds.size());
-  ASSERT_EQ(dist_stats.rounds.size(), rpc_stats.rounds.size());
   for (size_t r = 0; r < dist_stats.rounds.size(); ++r) {
     SCOPED_TRACE(dist_stats.rounds[r].label);
     EXPECT_EQ(parallel_stats.rounds[r].label, dist_stats.rounds[r].label);
-    EXPECT_EQ(rpc_stats.rounds[r].label, dist_stats.rounds[r].label);
     EXPECT_EQ(parallel_stats.rounds[r].site_retries,
-              dist_stats.rounds[r].site_retries);
-    EXPECT_EQ(rpc_stats.rounds[r].site_retries,
               dist_stats.rounds[r].site_retries);
   }
   EXPECT_EQ(dist_injector.injected(), parallel_injector.injected());
-  EXPECT_EQ(dist_injector.injected(), rpc_injector.injected());
 }
 
 TEST(FaultTest, NoInjectorMeansNoRetries) {
@@ -322,7 +250,7 @@ TEST(FaultTest, NoInjectorMeansNoRetries) {
 // ---- Replica failover ----------------------------------------------------
 
 // Shared scaffolding: partitions of `flow` as directly-constructed
-// sites, so each engine's replica registration can be exercised.
+// sites, so replica registration can be exercised.
 struct TestFleet {
   DistributedPlan plan;
   std::vector<Site> sites;
@@ -356,25 +284,28 @@ OptimizerOptions SyncReductionOnly() {
   return options;
 }
 
-// An rpc executor over the fleet's sites plus endpoint 4, a second
-// process hosting partition 2's data.
-std::unique_ptr<rpc::RpcExecutor> RpcWithReplicaOf2(TestFleet* fleet,
-                                                   ExecutorOptions options) {
-  Catalog replica_catalog;
-  replica_catalog.Register("flow", fleet->parts[2]);
-  fleet->sites.emplace_back(4, std::move(replica_catalog));
-  auto executor = std::make_unique<rpc::RpcExecutor>(
+// An executor over the fleet's sites.
+std::unique_ptr<rpc::RpcExecutor> InProcessExecutor(TestFleet* fleet,
+                                                    ExecutorOptions options) {
+  return std::make_unique<rpc::RpcExecutor>(
       std::make_unique<rpc::InProcessTransport>(std::move(fleet->sites)),
       options);
-  executor->AddReplica(/*partition=*/2, /*endpoint=*/4);
-  return executor;
 }
 
-// A replica of partition `i` under its own site id (100 + i).
-Site MakeReplica(const TestFleet& fleet, size_t i) {
-  Catalog catalog;
-  catalog.Register("flow", fleet.parts[i]);
-  return Site(static_cast<int>(100 + i), std::move(catalog));
+// Same, plus endpoint 4: a second service hosting partition
+// `replica_of`'s data, registered as its replica.
+std::unique_ptr<rpc::RpcExecutor> WithReplica(TestFleet* fleet,
+                                              size_t replica_of,
+                                              ExecutorOptions options) {
+  constexpr size_t kReplicaEndpoint = 4;
+  Catalog replica_catalog;
+  replica_catalog.Register("flow", fleet->parts[replica_of]);
+  fleet->sites.emplace_back(static_cast<int>(kReplicaEndpoint),
+                            std::move(replica_catalog));
+  std::unique_ptr<rpc::RpcExecutor> executor =
+      InProcessExecutor(fleet, options);
+  executor->AddReplica(replica_of, kReplicaEndpoint);
+  return executor;
 }
 
 // Sequential fan-out; the Parallel* tests switch to the concurrent
@@ -407,15 +338,15 @@ Table DegradedExpected(const TestFleet& fleet, size_t lost) {
   return EvalCentralized(SimpleQuery(), catalog).ValueOrDie();
 }
 
-TEST(FailoverTest, StarFailsOverToReplicaOnPermanentLoss) {
+TEST(FailoverTest, FailsOverToReplicaOnPermanentLoss) {
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   PermanentSiteFailure injector(/*site=*/2);
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               FaultOptions(&injector, /*retries=*/1));
-  executor.AddReplica(2, MakeReplica(fleet, 2));
+  std::unique_ptr<rpc::RpcExecutor> executor =
+      WithReplica(&fleet, 2, FaultOptions(&injector, /*retries=*/1));
+  EXPECT_EQ(executor->num_sites(), 4u);
   ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
+  Table result = executor->Execute(fleet.plan, &stats).ValueOrDie();
   EXPECT_TRUE(result.SameRows(fleet.expected));
   // The primary is consulted (and exhausted) every round; each of the 3
   // rounds fails over to the replica exactly once.
@@ -428,38 +359,17 @@ TEST(FailoverTest, ParallelFailsOverToReplicaOnPermanentLoss) {
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   PermanentSiteFailure injector(/*site=*/2);
-  DistributedExecutor sequential(fleet.sites, NetworkConfig{},
-                                 FaultOptions(&injector, /*retries=*/1));
-  sequential.AddReplica(2, MakeReplica(fleet, 2));
-  Table expected = sequential.Execute(fleet.plan, nullptr).ValueOrDie();
+  TestFleet sequential_fleet = fleet;
+  Table expected =
+      WithReplica(&sequential_fleet, 2, FaultOptions(&injector, /*retries=*/1))
+          ->Execute(fleet.plan, nullptr)
+          .ValueOrDie();
 
-  DistributedExecutor executor(
-      std::move(fleet.sites), NetworkConfig{},
-      ConcurrentFanOut(FaultOptions(&injector, /*retries=*/1)));
-  executor.AddReplica(2, MakeReplica(fleet, 2));
+  std::unique_ptr<rpc::RpcExecutor> executor = WithReplica(
+      &fleet, 2, ConcurrentFanOut(FaultOptions(&injector, /*retries=*/1)));
   ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
+  Table result = executor->Execute(fleet.plan, &stats).ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
-  EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
-  EXPECT_TRUE(stats.complete());
-}
-
-TEST(FailoverTest, RpcFailsOverToReplicaEndpoint) {
-  Table flow = MakeFlow(600);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  // Endpoint 4 is a second process hosting partition 2's data.
-  Catalog replica_catalog;
-  replica_catalog.Register("flow", fleet.parts[2]);
-  fleet.sites.emplace_back(4, std::move(replica_catalog));
-  PermanentSiteFailure injector(/*site=*/2);
-  rpc::RpcExecutor executor(
-      std::make_unique<rpc::InProcessTransport>(std::move(fleet.sites)),
-      FaultOptions(&injector, /*retries=*/1));
-  executor.AddReplica(/*partition=*/2, /*endpoint=*/4);
-  EXPECT_EQ(executor.num_sites(), 4u);
-  ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
-  EXPECT_TRUE(result.SameRows(fleet.expected));
   EXPECT_EQ(stats.TotalSiteFailovers(), 3u);
   EXPECT_TRUE(stats.complete());
 }
@@ -483,7 +393,7 @@ TEST(FailoverTest, RpcProp2RoundFailsOverToReplicaEndpoint) {
     ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
     options.fanout_threads = fanout;
     std::unique_ptr<rpc::RpcExecutor> executor =
-        RpcWithReplicaOf2(&run, options);
+        WithReplica(&run, 2, options);
     ExecStats stats;
     Table result = executor->Execute(run.plan, &stats).ValueOrDie();
     EXPECT_TRUE(result.SameRows(fleet.expected));
@@ -517,7 +427,7 @@ TEST(FailoverTest, RpcUnsynchronizedRoundNeverLeavesItsPrimary) {
       options.fanout_threads = fanout;
       options.on_site_loss = loss;
       std::unique_ptr<rpc::RpcExecutor> executor =
-          RpcWithReplicaOf2(&fleet, options);
+          WithReplica(&fleet, 2, options);
       ExecStats stats;
       Result<Table> result = executor->Execute(fleet.plan, &stats);
       if (loss == OnSiteLoss::kFail) {
@@ -536,7 +446,7 @@ TEST(FailoverTest, RpcUnsynchronizedRoundNeverLeavesItsPrimary) {
     ExecutorOptions options = FaultOptions(&transient, /*retries=*/2);
     options.fanout_threads = fanout;
     std::unique_ptr<rpc::RpcExecutor> executor =
-        RpcWithReplicaOf2(&fleet, options);
+        WithReplica(&fleet, 2, options);
     ExecStats stats;
     Table result = executor->Execute(fleet.plan, &stats).ValueOrDie();
     EXPECT_TRUE(result.SameRows(reference.expected));
@@ -567,11 +477,10 @@ TEST(FailoverTest, FailoverCountsSurfaceInRoundStats) {
   Table flow = MakeFlow(400);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   PermanentSiteFailure injector(/*site=*/1);
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               FaultOptions(&injector, /*retries=*/2));
-  executor.AddReplica(1, MakeReplica(fleet, 1));
   ExecStats stats;
-  executor.Execute(fleet.plan, &stats).ValueOrDie();
+  WithReplica(&fleet, 1, FaultOptions(&injector, /*retries=*/2))
+      ->Execute(fleet.plan, &stats)
+      .ValueOrDie();
   for (const RoundStats& r : stats.rounds) {
     SCOPED_TRACE(r.label);
     EXPECT_EQ(r.site_failovers, 1u);
@@ -589,10 +498,10 @@ TEST(DegradeTest, UnreplicatedPermanentLossCompletesAndReportsTheSite) {
   PermanentSiteFailure injector(/*site=*/2);
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
   options.on_site_loss = OnSiteLoss::kDegrade;
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               options);
   ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
+  Table result = InProcessExecutor(&fleet, options)
+                     ->Execute(fleet.plan, &stats)
+                     .ValueOrDie();
   EXPECT_TRUE(result.SameRows(expected));
   EXPECT_FALSE(stats.complete());
   ASSERT_EQ(stats.lost_sites.size(), 1u);
@@ -610,11 +519,10 @@ TEST(DegradeTest, DegradePrefersReplicaWhenOneExists) {
   PermanentSiteFailure injector(/*site=*/2);
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
   options.on_site_loss = OnSiteLoss::kDegrade;
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               options);
-  executor.AddReplica(2, MakeReplica(fleet, 2));
   ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
+  Table result = WithReplica(&fleet, 2, options)
+                     ->Execute(fleet.plan, &stats)
+                     .ValueOrDie();
   // With a live replica nothing is lost: kDegrade only covers the case
   // where the whole replica chain is gone.
   EXPECT_TRUE(result.SameRows(fleet.expected));
@@ -628,14 +536,16 @@ TEST(DegradeTest, ParallelDegradeCompletesOverSurvivors) {
   PermanentSiteFailure injector(/*site=*/2);
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
   options.on_site_loss = OnSiteLoss::kDegrade;
-  DistributedExecutor sequential(fleet.sites, NetworkConfig{}, options);
+  TestFleet sequential_fleet = fleet;
   ExecStats seq_stats;
-  Table expected = sequential.Execute(fleet.plan, &seq_stats).ValueOrDie();
+  Table expected = InProcessExecutor(&sequential_fleet, options)
+                       ->Execute(fleet.plan, &seq_stats)
+                       .ValueOrDie();
 
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               ConcurrentFanOut(options));
   ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
+  Table result = InProcessExecutor(&fleet, ConcurrentFanOut(options))
+                     ->Execute(fleet.plan, &stats)
+                     .ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
   ASSERT_EQ(stats.lost_sites.size(), 1u);
   EXPECT_EQ(stats.lost_sites[0], 2);
@@ -643,23 +553,6 @@ TEST(DegradeTest, ParallelDegradeCompletesOverSurvivors) {
   for (size_t r = 0; r < stats.rounds.size(); ++r) {
     EXPECT_EQ(stats.rounds[r].sites_lost, seq_stats.rounds[r].sites_lost);
   }
-}
-
-TEST(DegradeTest, RpcDegradeCompletesOverSurvivors) {
-  Table flow = MakeFlow(600);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  Table expected = DegradedExpected(fleet, 2);
-  PermanentSiteFailure injector(/*site=*/2);
-  ExecutorOptions options = FaultOptions(&injector, /*retries=*/1);
-  options.on_site_loss = OnSiteLoss::kDegrade;
-  rpc::RpcExecutor executor(
-      std::make_unique<rpc::InProcessTransport>(std::move(fleet.sites)),
-      options);
-  ExecStats stats;
-  Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
-  EXPECT_TRUE(result.SameRows(expected));
-  ASSERT_EQ(stats.lost_sites.size(), 1u);
-  EXPECT_EQ(stats.lost_sites[0], 2);
 }
 
 // ---- Deadlines -----------------------------------------------------------
@@ -680,35 +573,7 @@ class DelayInjector : public FaultInjector {
   uint64_t ms_;
 };
 
-TEST(DeadlineTest, StarQueryDeadlineSurfacesTyped) {
-  Table flow = MakeFlow(400);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  DelayInjector injector(/*ms=*/5);
-  ExecutorOptions options = FaultOptions(&injector, /*retries=*/3);
-  options.query_deadline_ms = 1;
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               options);
-  auto result = executor.Execute(fleet.plan, nullptr);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDeadlineExceeded())
-      << result.status().ToString();
-}
-
-TEST(DeadlineTest, ParallelQueryDeadlineSurfacesTyped) {
-  Table flow = MakeFlow(400);
-  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  DelayInjector injector(/*ms=*/5);
-  ExecutorOptions options = FaultOptions(&injector, /*retries=*/3);
-  options.query_deadline_ms = 1;
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               ConcurrentFanOut(options));
-  auto result = executor.Execute(fleet.plan, nullptr);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsDeadlineExceeded())
-      << result.status().ToString();
-}
-
-TEST(DeadlineTest, RpcQueryDeadlineSurfacesTyped) {
+TEST(DeadlineTest, QueryDeadlineSurfacesTyped) {
   Table flow = MakeFlow(400);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   DelayInjector injector(/*ms=*/5);
@@ -723,6 +588,21 @@ TEST(DeadlineTest, RpcQueryDeadlineSurfacesTyped) {
       << result.status().ToString();
 }
 
+TEST(DeadlineTest, ParallelQueryDeadlineSurfacesTyped) {
+  Table flow = MakeFlow(400);
+  TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
+  DelayInjector injector(/*ms=*/5);
+  ExecutorOptions options = FaultOptions(&injector, /*retries=*/3);
+  options.query_deadline_ms = 1;
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(std::move(fleet.sites)),
+      ConcurrentFanOut(options));
+  auto result = executor.Execute(fleet.plan, nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+}
+
 TEST(DeadlineTest, DeadlineFailuresDoNotRetryOrFailOver) {
   // A fired deadline is not a transient fault: retrying or failing over
   // would only burn more of a budget that is already gone.
@@ -731,11 +611,8 @@ TEST(DeadlineTest, DeadlineFailuresDoNotRetryOrFailOver) {
   DelayInjector injector(/*ms=*/5);
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/5);
   options.query_deadline_ms = 1;
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               options);
-  executor.AddReplica(2, MakeReplica(fleet, 2));
   ExecStats stats;
-  auto result = executor.Execute(fleet.plan, &stats);
+  auto result = WithReplica(&fleet, 2, options)->Execute(fleet.plan, &stats);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsDeadlineExceeded());
   EXPECT_EQ(stats.TotalSiteFailovers(), 0u);
@@ -747,8 +624,9 @@ TEST(DeadlineTest, GenerousDeadlineDoesNotFire) {
   ExecutorOptions options;
   options.query_deadline_ms = 60'000;
   options.round_deadline_ms = 30'000;
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               options);
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(std::move(fleet.sites)),
+      options);
   Table result = executor.Execute(fleet.plan, nullptr).ValueOrDie();
   EXPECT_TRUE(result.SameRows(fleet.expected));
 }
@@ -812,23 +690,21 @@ void ExpectCancellationIsNotDegraded(bool concurrent) {
   ExecutorOptions options = FaultOptions(&injector, /*retries=*/2);
   options.on_site_loss = OnSiteLoss::kDegrade;
   if (concurrent) options = ConcurrentFanOut(options);
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               options);
-  executor.AddReplica(1, MakeReplica(fleet, 1));
+  std::unique_ptr<rpc::RpcExecutor> executor = WithReplica(&fleet, 1, options);
   QueryRun run;
   run.cancellation = &query;
   ExecStats stats;
-  auto result = executor.Execute(fleet.plan, run, &stats);
+  auto result = executor->Execute(fleet.plan, run, &stats);
   ASSERT_FALSE(result.ok()) << "lost sites: " << stats.lost_sites.size();
   EXPECT_TRUE(result.status().IsCancelled()) << result.status().ToString();
   EXPECT_TRUE(stats.lost_sites.empty());
   EXPECT_EQ(stats.TotalSiteRetries(), 0u);
   EXPECT_EQ(stats.TotalSiteFailovers(), 0u);
-  // No site attempted the cancelled round twice, and no replica (ids
-  // 100 + i) took it over.
+  // No site attempted the cancelled round twice, and the replica
+  // (endpoint 4) did not take it over.
   for (const auto& [site, attempts] : injector.attempts()) {
     EXPECT_EQ(attempts, 1) << "site " << site;
-    EXPECT_LT(site, 100) << "failed over to replica " << site;
+    EXPECT_LT(site, 4) << "failed over to replica " << site;
   }
 }
 
@@ -901,8 +777,9 @@ TEST(FaultInjectorTest, AfterSiteRoundFaultRecoversWithRetry) {
   Table flow = MakeFlow(600);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
   AfterRoundInjector injector(/*site=*/1, "md1");
-  DistributedExecutor executor(std::move(fleet.sites), NetworkConfig{},
-                               FaultOptions(&injector, /*retries=*/2));
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(std::move(fleet.sites)),
+      FaultOptions(&injector, /*retries=*/2));
   ExecStats stats;
   Table result = executor.Execute(fleet.plan, &stats).ValueOrDie();
   EXPECT_TRUE(result.SameRows(fleet.expected));

@@ -1,25 +1,29 @@
-// RpcExecutor over the in-process transport versus DistributedExecutor:
-// the full query battery must come back row-for-row identical with
-// identical bytes_to_sites / bytes_to_coord accounting, under both
-// extreme optimizer configurations. Every exchange round-trips through
-// the framed wire encoding, so this pins the whole protocol stack short
-// of the sockets.
+// RpcExecutor over the in-process transport: the full query battery must
+// match the centralized reference under both extreme optimizer
+// configurations, row-for-row identical with identical accounting
+// whether a round fans out concurrently or one site after another. Every
+// exchange round-trips through the framed wire encoding, so this pins
+// the whole protocol stack short of the sockets (rpc_tcp_test adds them).
 
 #include "rpc/rpc_executor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/macros.h"
 #include "data/flow_gen.h"
 #include "data/tpcr_gen.h"
-#include "dist/exec.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
+#include "obs/obs.h"
 #include "rpc/plan_serde.h"
 #include "rpc/transport.h"
 #include "sql/parser.h"
@@ -210,7 +214,14 @@ std::vector<Table>* RpcExecutorTest::flow_parts_ = nullptr;
 std::vector<Table>* RpcExecutorTest::tpcr_parts_ = nullptr;
 std::vector<Table>* RpcExecutorTest::recent_parts_ = nullptr;
 
-TEST_F(RpcExecutorTest, MatchesDistributedExecutorByteForByte) {
+TEST_F(RpcExecutorTest, MatchesCentralizedAndSequentialFanOut) {
+  // Against the centralized reference, and byte for byte against the
+  // same plan run one site after another: the merge order is the site
+  // order either way, so even row order must match, and so must the
+  // accounting (the paper's exact figures are pinned in
+  // exec_stats_test's CostAccountingTest).
+  ExecutorOptions sequential_options;
+  sequential_options.fanout_threads = 1;
   for (const QueryCase& q : kQueries) {
     SCOPED_TRACE(q.name);
     GmdjExpr expr = ParseQuery(q.text).ValueOrDie();
@@ -220,28 +231,28 @@ TEST_F(RpcExecutorTest, MatchesDistributedExecutorByteForByte) {
       SCOPED_TRACE(opts.ToString());
       DistributedPlan plan = warehouse_->Plan(expr, opts).ValueOrDie();
 
-      DistributedExecutor star(MakeSites(), NetworkConfig{}, {});
-      ExecStats star_stats;
-      Table star_result = star.Execute(plan, &star_stats).ValueOrDie();
-      ASSERT_TRUE(star_result.ApproxSameRows(reference, 1e-9));
+      RpcExecutor sequential(std::make_unique<InProcessTransport>(MakeSites()),
+                             sequential_options);
+      ExecStats sequential_stats;
+      Table sequential_result =
+          sequential.Execute(plan, &sequential_stats).ValueOrDie();
+      ASSERT_TRUE(sequential_result.ApproxSameRows(reference, 1e-9));
 
       RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()), {});
       ExecStats rpc_stats;
       auto rpc_result = rpc.Execute(plan, &rpc_stats);
       ASSERT_TRUE(rpc_result.ok()) << rpc_result.status().ToString();
 
-      // Byte-for-byte: the merge orders are identical, so even row order
-      // must match the star engine exactly.
-      EXPECT_TRUE(ExactlyEqual(*rpc_result, star_result))
+      EXPECT_TRUE(ExactlyEqual(*rpc_result, sequential_result))
           << "expected:\n"
-          << star_result.ToString(30) << "actual:\n"
+          << sequential_result.ToString(30) << "actual:\n"
           << rpc_result->ToString(30);
 
       // And the accounting, round by round.
-      ASSERT_EQ(rpc_stats.rounds.size(), star_stats.rounds.size());
+      ASSERT_EQ(rpc_stats.rounds.size(), sequential_stats.rounds.size());
       for (size_t r = 0; r < rpc_stats.rounds.size(); ++r) {
         const RoundStats& a = rpc_stats.rounds[r];
-        const RoundStats& b = star_stats.rounds[r];
+        const RoundStats& b = sequential_stats.rounds[r];
         SCOPED_TRACE(b.label);
         EXPECT_EQ(a.label, b.label);
         EXPECT_EQ(a.synchronized, b.synchronized);
@@ -258,8 +269,8 @@ TEST_F(RpcExecutorTest, MatchesDistributedExecutorByteForByte) {
 TEST_F(RpcExecutorTest, WireBytesExceedAccountedPayloadBytes) {
   // Frame headers, handshakes, and request envelopes are transport
   // overhead: visible in wire_bytes(), absent from the ExecStats byte
-  // accounting (which counts table payloads only, like the simulated
-  // engines).
+  // accounting (which counts table payloads only, as the paper's byte
+  // figures do).
   GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
@@ -351,22 +362,26 @@ TEST_F(RpcExecutorTest, RoundProfilesReconcileWithRoundStats) {
   }
 }
 
-TEST_F(RpcExecutorTest, ProfilesMatchAcrossEngines) {
-  // The same plan through the star (sequential and with the default
-  // concurrent fan-out) and rpc engines must agree on the
+TEST_F(RpcExecutorTest, ProfilesMatchAcrossFanOutWidths) {
+  // The same plan one site after another, on a two-worker pool and with
+  // the default one worker per site must agree on the
   // reconciliation-relevant profile columns (bytes shipped per site,
-  // result rows) — the engines differ only in transport.
+  // result rows).
   GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
 
   ExecutorOptions sequential;
   sequential.fanout_threads = 1;
-  DistributedExecutor star(MakeSites(), NetworkConfig{}, sequential);
-  ExecStats star_stats;
-  ASSERT_TRUE(star.Execute(plan, &star_stats).ok());
+  RpcExecutor one_by_one(std::make_unique<InProcessTransport>(MakeSites()),
+                         sequential);
+  ExecStats one_by_one_stats;
+  ASSERT_TRUE(one_by_one.Execute(plan, &one_by_one_stats).ok());
 
-  DistributedExecutor parallel(MakeSites());
+  ExecutorOptions two_workers;
+  two_workers.fanout_threads = 2;
+  RpcExecutor parallel(std::make_unique<InProcessTransport>(MakeSites()),
+                       two_workers);
   ExecStats parallel_stats;
   ASSERT_TRUE(parallel.Execute(plan, &parallel_stats).ok());
 
@@ -374,12 +389,12 @@ TEST_F(RpcExecutorTest, ProfilesMatchAcrossEngines) {
   ExecStats rpc_stats;
   ASSERT_TRUE(rpc.Execute(plan, &rpc_stats).ok());
 
-  ASSERT_EQ(star_stats.rounds.size(), rpc_stats.rounds.size());
+  ASSERT_EQ(one_by_one_stats.rounds.size(), rpc_stats.rounds.size());
   ASSERT_EQ(parallel_stats.rounds.size(), rpc_stats.rounds.size());
   for (size_t r = 0; r < rpc_stats.rounds.size(); ++r) {
     SCOPED_TRACE(rpc_stats.rounds[r].label);
     const std::vector<SiteRoundProfile>& a =
-        star_stats.rounds[r].site_profiles;
+        one_by_one_stats.rounds[r].site_profiles;
     const std::vector<SiteRoundProfile>& b =
         parallel_stats.rounds[r].site_profiles;
     const std::vector<SiteRoundProfile>& c =
@@ -418,14 +433,17 @@ TEST_F(RpcExecutorTest, SiteStatsReturnsMetricsJson) {
 
 TEST_F(RpcExecutorTest, EngineKnobForwardsToSites) {
   // The engine ships to every site in BeginPlan; the sites' round
-  // profiles report the kernel that actually ran, and both engines agree
-  // with the star byte for byte.
+  // profiles report the kernel that actually ran, and every kernel
+  // agrees with the centralized reference, and byte for byte with the
+  // default columnar kernel.
   GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
 
-  DistributedExecutor star(MakeSites(), NetworkConfig{}, {});
-  Table expected = star.Execute(plan, nullptr).ValueOrDie();
+  RpcExecutor columnar(std::make_unique<InProcessTransport>(MakeSites()), {});
+  Table expected = columnar.Execute(plan, nullptr).ValueOrDie();
+  ASSERT_TRUE(expected.ApproxSameRows(
+      warehouse_->ExecuteCentralized(expr).ValueOrDie(), 1e-9));
 
   for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kRow,
                             EvalEngine::kNestedLoop}) {
@@ -457,16 +475,18 @@ TEST_F(RpcExecutorTest, EngineKnobForwardsToSites) {
 
 TEST_F(RpcExecutorTest, EvalThreadsForwardsAndPreservesResults) {
   // eval_threads ships to every site in BeginPlan; parallel intra-site
-  // evaluation must leave results byte-identical to the star engine's
-  // sequential evaluation, for both optimizer presets.
+  // evaluation must leave results byte-identical to sequential
+  // evaluation (eval_threads = 1, the default), for both optimizer
+  // presets.
   for (const OptimizerOptions& opts :
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
     for (const QueryCase& q : kQueries) {
       GmdjExpr expr = ParseQuery(q.text).ValueOrDie();
       DistributedPlan plan = warehouse_->Plan(expr, opts).ValueOrDie();
 
-      DistributedExecutor star(MakeSites(), NetworkConfig{}, {});
-      Table expected = star.Execute(plan, nullptr).ValueOrDie();
+      RpcExecutor sequential(std::make_unique<InProcessTransport>(MakeSites()),
+                             {});
+      Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
 
       ExecutorOptions options;
       options.eval_threads = 4;
@@ -677,6 +697,112 @@ TEST_F(RpcExecutorTest, ShutdownReachesEverySite) {
   for (size_t i = 0; i < kSites; ++i) {
     EXPECT_TRUE(raw->service(i)->shutdown_requested()) << "site " << i;
   }
+}
+
+
+TEST_F(RpcExecutorTest, SitesWithEmptyCatalogsFailNotFound) {
+  // Every site answers the catalog probe, with an empty catalog: the
+  // probe succeeded, so Connect is OK (and does not probe again), and the
+  // query fails NotFound for its unknown table, as DistExecTest pins for
+  // the warehouse.
+  std::vector<Site> sites;
+  for (int i = 0; i < 2; ++i) sites.emplace_back(i, Catalog());
+  RpcExecutor rpc(std::make_unique<InProcessTransport>(std::move(sites)), {});
+  Status connected = rpc.Connect();
+  ASSERT_TRUE(connected.ok()) << connected.ToString();
+  const uint64_t wire_after_probe = rpc.wire_bytes();
+  ASSERT_TRUE(rpc.Connect().ok());
+  EXPECT_EQ(rpc.wire_bytes(), wire_after_probe);
+
+  GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
+  DistributedPlan plan =
+      warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
+  auto result = rpc.Execute(plan, nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+}
+
+TEST_F(RpcExecutorTest, MoreReplicasThanEndpointsFailTyped) {
+  // Three replica registrations over a two-endpoint transport leave no
+  // primary. The query must fail InvalidArgument before anything is
+  // sized from the partition count.
+  std::vector<Site> sites = MakeSites();
+  sites.erase(sites.begin() + 2, sites.end());
+  RpcExecutor rpc(std::make_unique<InProcessTransport>(std::move(sites)), {});
+  rpc.AddReplica(0, 1);
+  rpc.AddReplica(0, 1);
+  rpc.AddReplica(1, 0);
+  EXPECT_EQ(rpc.num_sites(), 0u);
+  GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
+  DistributedPlan plan =
+      warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
+  auto result = rpc.Execute(plan, nullptr);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+}
+
+TEST_F(RpcExecutorTest, InProcessSiteSpansAppearOnceUnderTheirOwnRound) {
+  // In-process sites record into the coordinator's own tracer. Under
+  // concurrent queries and a concurrent fan-out, each site.round span
+  // must appear exactly once, below the rpc.round that issued it (same
+  // site, same query), and never in another site's lane.
+  if (!obs::TracingCompiledIn()) GTEST_SKIP() << "tracing compiled out";
+  constexpr int kQueriesInFlight = 5;
+  GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
+  DistributedPlan plan =
+      warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
+  RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()), {});
+  ASSERT_TRUE(rpc.Connect().ok());
+
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.set_enabled(true);
+  std::vector<ExecStats> stats(kQueriesInFlight);
+  std::vector<std::thread> clients;
+  for (int q = 0; q < kQueriesInFlight; ++q) {
+    clients.emplace_back(
+        [&, q] { EXPECT_TRUE(rpc.Execute(plan, &stats[q]).ok()); });
+  }
+  for (std::thread& client : clients) client.join();
+  std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  tracer.set_enabled(false);
+  tracer.Clear();
+
+  auto attr = [](const obs::TraceEvent& e, const std::string& key) {
+    for (const auto& [k, v] : e.attrs) {
+      if (k == key) return v;
+    }
+    return std::string();
+  };
+  std::map<uint64_t, const obs::TraceEvent*> by_id;
+  for (const obs::TraceEvent& e : events) by_id[e.id] = &e;
+
+  std::set<std::tuple<std::string, std::string, std::string>> seen;
+  size_t site_rounds = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name.rfind("site.round:", 0) != 0) continue;
+    ++site_rounds;
+    const std::string site = attr(e, "site");
+    const std::string query = attr(e, "query_id");
+    SCOPED_TRACE(e.name + " site " + site + " query " + query);
+    EXPECT_TRUE(seen.insert({e.name, site, query}).second) << "duplicated";
+    EXPECT_TRUE(e.pid == obs::kLocalPid ||
+                e.pid == static_cast<uint32_t>(std::stoi(site)) + 2)
+        << "in lane " << e.pid;
+    const obs::TraceEvent* round = nullptr;
+    for (auto it = by_id.find(e.parent_id); it != by_id.end();
+         it = by_id.find(it->second->parent_id)) {
+      if (it->second->name == "rpc.round") {
+        round = it->second;
+        break;
+      }
+    }
+    ASSERT_NE(round, nullptr) << "not below an rpc.round";
+    EXPECT_EQ(attr(*round, "site"), site);
+    EXPECT_EQ(attr(*round, "query_id"), query);
+  }
+  EXPECT_EQ(site_rounds, kQueriesInFlight * stats[0].rounds.size() * kSites);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "dist/exec.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
 #include "net/serde.h"
@@ -156,10 +155,9 @@ class RpcInterleaveTest : public ::testing::Test {
     plan_a_ = dw_.Plan(QueryA(), OptimizerOptions::All()).ValueOrDie();
     plan_b_ = dw_.Plan(QueryB(), OptimizerOptions::None()).ValueOrDie();
 
-    // Isolated baselines from the in-process star engine.
-    DistributedExecutor star(MakeSites(parts_));
-    expected_a_ = TableBytes(star.Execute(plan_a_, nullptr).ValueOrDie());
-    expected_b_ = TableBytes(star.Execute(plan_b_, nullptr).ValueOrDie());
+    // Isolated baselines from the warehouse's in-process sites.
+    expected_a_ = TableBytes(dw_.ExecutePlan(plan_a_).ValueOrDie());
+    expected_b_ = TableBytes(dw_.ExecutePlan(plan_b_).ValueOrDie());
   }
 
   // Submits `rounds` copies of both plans concurrently through one

@@ -1,7 +1,7 @@
 // End-to-end multi-process smoke: four real skalla-site processes are
 // spawned over a saved warehouse, and the RpcExecutor drives the full
 // query_suite battery through them over loopback TCP. Results must be
-// byte-identical to the DistributedExecutor with identical
+// byte-identical to the warehouse's in-process sites, with identical
 // bytes_to_sites / bytes_to_coord accounting, and an injected mid-round
 // connection drop (a site hanging up via --drop-request) must be
 // survived by reconnect + retry without changing the result.

@@ -1,7 +1,7 @@
 // The TCP transport against real loopback sockets: in-process SiteServer
 // threads serve SiteServices, the RpcExecutor dials them, and the
-// results (and table-payload byte accounting) must match the
-// DistributedExecutor exactly. Also covers the recovery story — an
+// results (and table-payload byte accounting) must match the in-process
+// transport exactly. Also covers the recovery story — an
 // injected mid-round connection drop survived via reconnect + retry —
 // and the typed rejection of foreign protocol versions.
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "dist/exec.h"
 #include "dist/fault.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
@@ -143,7 +142,7 @@ TcpOptions FastTcpOptions() {
   return options;
 }
 
-TEST(RpcTcpTest, MatchesDistributedExecutorOverLoopback) {
+TEST(RpcTcpTest, MatchesInProcessTransportOverLoopback) {
   Table flow = MakeFlow(500);
   std::vector<Table> parts = PartitionByValue(flow, "SAS", kSites)
                                  .ValueOrDie();
@@ -158,9 +157,10 @@ TEST(RpcTcpTest, MatchesDistributedExecutorOverLoopback) {
     SCOPED_TRACE(opts.ToString());
     DistributedPlan plan = dw.Plan(SimpleQuery(), opts).ValueOrDie();
 
-    DistributedExecutor star(MakeSites(parts), NetworkConfig{}, {});
-    ExecStats star_stats;
-    Table expected = star.Execute(plan, &star_stats).ValueOrDie();
+    RpcExecutor local(
+        std::make_unique<InProcessTransport>(MakeSites(parts)), {});
+    ExecStats local_stats;
+    Table expected = local.Execute(plan, &local_stats).ValueOrDie();
 
     Cluster cluster(MakeSites(parts));
     RpcExecutor executor(
@@ -171,10 +171,10 @@ TEST(RpcTcpTest, MatchesDistributedExecutorOverLoopback) {
     auto result = executor.Execute(plan, &stats);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(ExactlyEqual(*result, expected));
-    EXPECT_EQ(stats.TotalBytesToSites(), star_stats.TotalBytesToSites());
-    EXPECT_EQ(stats.TotalBytesToCoord(), star_stats.TotalBytesToCoord());
+    EXPECT_EQ(stats.TotalBytesToSites(), local_stats.TotalBytesToSites());
+    EXPECT_EQ(stats.TotalBytesToCoord(), local_stats.TotalBytesToCoord());
     EXPECT_EQ(stats.TotalTuplesTransferred(),
-              star_stats.TotalTuplesTransferred());
+              local_stats.TotalTuplesTransferred());
     // Real sockets moved more than the accounted table payloads.
     EXPECT_GT(executor.wire_bytes(), stats.TotalBytes());
   }
@@ -191,8 +191,9 @@ TEST(RpcTcpTest, MidRoundConnectionDropRecoversViaRetry) {
   }
   DistributedPlan plan =
       dw.Plan(SimpleQuery(), OptimizerOptions::None()).ValueOrDie();
-  DistributedExecutor star(MakeSites(parts), NetworkConfig{}, {});
-  Table expected = star.Execute(plan, nullptr).ValueOrDie();
+  RpcExecutor local(std::make_unique<InProcessTransport>(MakeSites(parts)),
+                    {});
+  Table expected = local.Execute(plan, nullptr).ValueOrDie();
 
   // Site 1 hangs up instead of answering its 4th request — the first
   // GMDJ round (after catalog probe, begin-plan, and base round). The
@@ -278,8 +279,9 @@ TEST(RpcTcpTest, DeadPrimaryEndpointFailsOverToReplica) {
   }
   DistributedPlan plan =
       dw.Plan(SimpleQuery(), OptimizerOptions::None()).ValueOrDie();
-  DistributedExecutor star(MakeSites(parts), NetworkConfig{}, {});
-  Table expected = star.Execute(plan, nullptr).ValueOrDie();
+  RpcExecutor local(std::make_unique<InProcessTransport>(MakeSites(parts)),
+                    {});
+  Table expected = local.Execute(plan, nullptr).ValueOrDie();
 
   // Live servers for sites 0, 1, 3, and a replica of partition 2 under
   // site id 4. Endpoint 2 points at a closed port: the primary for
@@ -324,16 +326,17 @@ TEST(RpcTcpTest, DeadUnreplicatedEndpointDegradesWhenAllowed) {
   DistributedPlan plan =
       dw.Plan(SimpleQuery(), OptimizerOptions::None()).ValueOrDie();
 
-  // The degraded ground truth: the star engine losing site 2 the same
+  // The degraded ground truth: in-process sites losing site 2 the same
   // way (permanently, no replica) under kDegrade.
   PermanentSiteFailure down(2);
   ExecutorOptions degrade;
   degrade.fault_injector = &down;
   degrade.on_site_loss = OnSiteLoss::kDegrade;
-  DistributedExecutor star(MakeSites(parts), NetworkConfig{}, degrade);
-  ExecStats star_stats;
-  Table expected = star.Execute(plan, &star_stats).ValueOrDie();
-  ASSERT_EQ(star_stats.lost_sites, (std::vector<int>{2}));
+  RpcExecutor local(
+      std::make_unique<InProcessTransport>(MakeSites(parts)), degrade);
+  ExecStats local_stats;
+  Table expected = local.Execute(plan, &local_stats).ValueOrDie();
+  ASSERT_EQ(local_stats.lost_sites, (std::vector<int>{2}));
 
   std::vector<Site> sites;
   for (int id : {0, 1, 3}) {

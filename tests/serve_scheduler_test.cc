@@ -1,8 +1,8 @@
 // QueryScheduler determinism: the same batch of queries submitted
 // through a QuerySession at admission width 1 (strictly sequential) and
 // width 8 (everything in flight at once, sites shared) must resolve to
-// byte-identical per-query results, for every engine — star (sequential
-// and with parallel sites) and rpc over real loopback sockets.
+// byte-identical per-query results, for every executor — in-process
+// sites (sequential and with parallel sites) and real loopback sockets.
 // Also covers admission bookkeeping, cancellation, and queue-expired
 // deadlines.
 
@@ -22,6 +22,7 @@
 #include "rpc/server.h"
 #include "rpc/site_service.h"
 #include "rpc/tcp.h"
+#include "rpc/transport.h"
 #include "serve/session.h"
 #include "sql/parser.h"
 #include "storage/partition.h"
@@ -133,7 +134,7 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
   }
   const std::vector<DistributedPlan> batch = PlanBatch(dw);
 
-  // Loopback cluster for the rpc engine; every RunBatch dials it anew.
+  // Loopback cluster for the TCP case; every RunBatch dials it anew.
   std::vector<std::unique_ptr<rpc::SiteService>> services;
   std::vector<std::unique_ptr<rpc::SiteServer>> servers;
   std::vector<std::thread> server_threads;
@@ -158,18 +159,20 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
   }
 
   const EngineCase engines[] = {
-      {"star",
+      {"sequential",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
          ExecutorOptions options;
          options.fanout_threads = 1;
-         return std::make_unique<DistributedExecutor>(MakeSites(p),
-                                                      NetworkConfig{}, options);
+         return std::make_unique<rpc::RpcExecutor>(
+             std::make_unique<rpc::InProcessTransport>(MakeSites(p)), options);
        }},
       {"parallel",
        [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
-         return std::make_unique<DistributedExecutor>(MakeSites(p));
+         return std::make_unique<rpc::RpcExecutor>(
+             std::make_unique<rpc::InProcessTransport>(MakeSites(p)),
+             ExecutorOptions{});
        }},
-      {"rpc",
+      {"tcp",
        [&](const std::vector<Table>&) -> std::unique_ptr<Executor> {
          rpc::TcpOptions tcp;
          tcp.io_timeout_s = 5.0;

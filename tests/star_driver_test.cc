@@ -24,7 +24,6 @@
 
 #include "common/macros.h"
 #include "common/random.h"
-#include "dist/exec.h"
 #include "dist/fault.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
@@ -161,18 +160,20 @@ TEST_P(ParallelEquivalenceTest, MatchesSequentialExactly) {
   std::vector<Table> parts =
       PartitionByValue(flow, "SAS", kSites).ValueOrDie();
 
-  DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
-                                 Sequential());
+  rpc::RpcExecutor sequential(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)),
+      Sequential());
   ExecStats seq_stats;
   Table seq_result = sequential.Execute(plan, &seq_stats).ValueOrDie();
 
-  DistributedExecutor parallel(MakeSites(parts));
+  rpc::RpcExecutor parallel(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), {});
   ExecStats par_stats;
   Table par_result = parallel.Execute(plan, &par_stats).ValueOrDie();
 
   EXPECT_TRUE(ExactlyEqual(par_result, seq_result)) << "mask " << mask;
   ExpectSameAccounting(par_stats, seq_stats);
-  // Both engines report real wall time per round.
+  // Both runs report real wall time per round.
   for (const ExecStats* stats : {&seq_stats, &par_stats}) {
     for (const RoundStats& r : stats->rounds) EXPECT_GT(r.wall_time, 0.0);
   }
@@ -242,9 +243,10 @@ class CountingTransport : public rpc::Transport {
 
 TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
   // A plan that skips the base synchronization (Prop. 2) computes each
-  // site's base inside md1: no base round on either engine, one round
-  // per stage, and the first round fused at every site. A plan that
-  // synchronizes its base still sends one base round per site.
+  // site's base inside md1: no base round reaches the driver or the
+  // wire, one round per stage, and the first round fused at every site.
+  // A plan that synchronizes its base still sends one base round per
+  // site.
   const size_t kSites = 4;
   Table flow = MakeFlow(79, 700);
   DistributedWarehouse dw(kSites);
@@ -262,34 +264,27 @@ TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
     RoundRecorder recorder;
     ExecutorOptions options;
     options.fault_injector = &recorder;
-    DistributedExecutor star(MakeSites(parts), NetworkConfig{}, options);
-    ExecStats star_stats;
-    Table star_result = star.Execute(plan, &star_stats).ValueOrDie();
-    EXPECT_TRUE(star_result.SameRows(expected));
-    EXPECT_EQ(recorder.rounds().count("base"), plan.sync_base ? 1u : 0u);
-    EXPECT_EQ(recorder.rounds().size(), rounds);
-
     auto transport = std::make_unique<CountingTransport>(MakeSites(parts));
     CountingTransport* counting = transport.get();
-    rpc::RpcExecutor rpc(std::move(transport), ExecutorOptions{});
-    ExecStats rpc_stats;
-    Table rpc_result = rpc.Execute(plan, &rpc_stats).ValueOrDie();
-    EXPECT_TRUE(ExactlyEqual(rpc_result, star_result));
+    rpc::RpcExecutor rpc(std::move(transport), options);
+    ExecStats stats;
+    Table result = rpc.Execute(plan, &stats).ValueOrDie();
+    EXPECT_TRUE(result.SameRows(expected));
+    EXPECT_EQ(recorder.rounds().count("base"), plan.sync_base ? 1u : 0u);
+    EXPECT_EQ(recorder.rounds().size(), rounds);
     EXPECT_EQ(counting->requests(rpc::MessageType::kBaseRound),
               plan.sync_base ? static_cast<int>(kSites) : 0);
     EXPECT_EQ(counting->requests(rpc::MessageType::kGmdjRound),
               static_cast<int>(kSites * plan.stages.size()));
 
-    for (const ExecStats* stats : {&star_stats, &rpc_stats}) {
-      ASSERT_EQ(stats->rounds.size(), rounds);
-      EXPECT_EQ(stats->NumSyncRounds(), plan.NumSyncRounds());
-      const RoundStats& first = stats->rounds[0];
-      EXPECT_EQ(first.label, plan.sync_base ? "base" : "md1");
-      EXPECT_EQ(first.fused_base, !plan.sync_base);
-      ASSERT_EQ(first.site_profiles.size(), kSites);
-      for (const SiteRoundProfile& p : first.site_profiles) {
-        EXPECT_EQ(p.fused, !plan.sync_base) << "site " << p.site_id;
-      }
+    ASSERT_EQ(stats.rounds.size(), rounds);
+    EXPECT_EQ(stats.NumSyncRounds(), plan.NumSyncRounds());
+    const RoundStats& first = stats.rounds[0];
+    EXPECT_EQ(first.label, plan.sync_base ? "base" : "md1");
+    EXPECT_EQ(first.fused_base, !plan.sync_base);
+    ASSERT_EQ(first.site_profiles.size(), kSites);
+    for (const SiteRoundProfile& p : first.site_profiles) {
+      EXPECT_EQ(p.fused, !plan.sync_base) << "site " << p.site_id;
     }
   }
 }
@@ -304,11 +299,13 @@ TEST(StarDriverTest, RepeatedParallelRunsAreByteIdentical) {
   DistributedPlan plan =
       dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
 
-  DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
-                                 Sequential());
+  rpc::RpcExecutor sequential(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)),
+      Sequential());
   Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
   for (int run = 0; run < 5; ++run) {
-    DistributedExecutor parallel(MakeSites(parts));
+    rpc::RpcExecutor parallel(
+        std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), {});
     Table result = parallel.Execute(plan, nullptr).ValueOrDie();
     EXPECT_TRUE(ExactlyEqual(result, expected)) << "run " << run;
   }
@@ -329,7 +326,8 @@ TEST(StarDriverTest, ParallelSiteErrorsPropagate) {
   DistributedPlan plan =
       dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
 
-  DistributedExecutor parallel(std::move(sites));
+  rpc::RpcExecutor parallel(
+      std::make_unique<rpc::InProcessTransport>(std::move(sites)), {});
   auto result = parallel.Execute(plan, nullptr);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
@@ -345,14 +343,16 @@ TEST(StarDriverTest, NarrowPoolStillExact) {
   DistributedPlan plan =
       dw.Plan(Example1(), OptimizerOptions::All()).ValueOrDie();
 
-  DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
-                                 Sequential());
+  rpc::RpcExecutor sequential(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)),
+      Sequential());
   ExecStats seq_stats;
   Table expected = sequential.Execute(plan, &seq_stats).ValueOrDie();
 
   ExecutorOptions options;
   options.fanout_threads = 2;
-  DistributedExecutor narrow(MakeSites(parts), NetworkConfig{}, options);
+  rpc::RpcExecutor narrow(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
   ExecStats stats;
   Table result = narrow.Execute(plan, &stats).ValueOrDie();
   EXPECT_TRUE(ExactlyEqual(result, expected));
@@ -399,8 +399,9 @@ TEST(StarDriverTest, ReverseCompletionStillMergesInSiteOrder) {
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
     SCOPED_TRACE(opts.ToString());
     DistributedPlan plan = dw.Plan(Example1(), opts).ValueOrDie();
-    DistributedExecutor sequential(MakeSites(parts), NetworkConfig{},
-                                   Sequential());
+    rpc::RpcExecutor sequential(
+        std::make_unique<rpc::InProcessTransport>(MakeSites(parts)),
+        Sequential());
     ExecStats seq_stats;
     Table expected = sequential.Execute(plan, &seq_stats).ValueOrDie();
 
@@ -410,7 +411,8 @@ TEST(StarDriverTest, ReverseCompletionStillMergesInSiteOrder) {
     ExecutorOptions options;
     options.fanout_threads = 2;
     options.fault_injector = &injector;
-    DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, options);
+    rpc::RpcExecutor parallel(
+        std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
     ExecStats stats;
     Table result = parallel.Execute(plan, &stats).ValueOrDie();
 
@@ -437,7 +439,8 @@ TEST(StarDriverTest, DefaultOptionsFanOutConcurrently) {
   SlowFirstSite injector(/*ms=*/40);
   ExecutorOptions options;
   options.fault_injector = &injector;
-  DistributedExecutor executor(MakeSites(parts), NetworkConfig{}, options);
+  rpc::RpcExecutor executor(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
   ASSERT_TRUE(executor.Execute(plan, nullptr).ok());
   std::vector<int> order = injector.md1_order();
   ASSERT_EQ(order.size(), kSites);
@@ -473,7 +476,8 @@ TEST(StarDriverTest, ErrorWhileOtherSitesRunReturnsThatError) {
   FailWhileSlow injector(/*ms=*/100, /*failing=*/2);
   ExecutorOptions options;
   options.fault_injector = &injector;
-  DistributedExecutor parallel(MakeSites(parts), NetworkConfig{}, options);
+  rpc::RpcExecutor parallel(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
   ExecStats stats;
   auto result = parallel.Execute(plan, &stats);
   ASSERT_FALSE(result.ok());
@@ -481,7 +485,8 @@ TEST(StarDriverTest, ErrorWhileOtherSitesRunReturnsThatError) {
   EXPECT_NE(result.status().message().find("site 2"), std::string::npos)
       << result.status().ToString();
   // The executor is reusable afterwards: no task outlived the call.
-  DistributedExecutor again(MakeSites(parts));
+  rpc::RpcExecutor again(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), {});
   EXPECT_TRUE(again.Execute(plan, nullptr).ok());
 }
 
