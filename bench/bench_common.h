@@ -101,9 +101,9 @@ inline Table Execute(const DistributedWarehouse& dw, const GmdjExpr& query,
   return std::move(answer.table);
 }
 
-// Same, for an already-built plan on a caller-built engine (parallel
-// star, rpc, ...): wraps the engine in a session and submits through it.
-inline Table ExecutePlan(std::unique_ptr<Executor> executor,
+// Same, for an already-built plan on a caller-built executor: wraps it
+// in a session and submits through it.
+inline Table ExecutePlan(std::unique_ptr<rpc::RpcExecutor> executor,
                          const DistributedPlan& plan,
                          ExecStats* stats = nullptr) {
   serve::SessionOptions session_options;

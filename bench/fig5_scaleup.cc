@@ -13,21 +13,9 @@
 //
 // A third series stresses the coordinator: eight sites, every round
 // synchronized, so the merge of eight sub-aggregate fragments per round
-// dominates coordinator time. `--shards=N` shards that merge structure
-// (0 = one shard per hardware thread, the default is 1 = sequential);
-// byte/tuple counts and results are invariant under the shard count, so
-// running the bench twice with --metrics-out and different --shards
-// isolates the coordinator merge wall time (`skalla.coord.merge_us`).
-//
-// `--eval-threads=N` turns on intra-site morsel parallelism for every
-// series (0 = one worker per hardware thread). Like --shards, it leaves
-// results and byte/tuple counts untouched, so sweeping it isolates site
-// computation time (`skalla.site.eval_us`).
+// dominates coordinator time (`skalla.coord.merge_us` in --metrics-out).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <thread>
 
 #include "bench_common.h"
 #include "common/flags.h"
@@ -39,23 +27,6 @@ constexpr size_t kSites = 4;
 constexpr int64_t kBaseRows = 32000;
 constexpr int64_t kBaseCustomers = 4000;
 
-// Coordinator shard count for every executor in this bench (--shards=N).
-size_t g_shards = 1;
-
-// Intra-site morsel parallelism for every executor in this bench
-// (--eval-threads=N, 0 = one worker per hardware thread). Results and
-// byte/tuple counts are invariant under this knob, so comparing
-// site_ms (or skalla.site.eval_us in --metrics-out) across runs with
-// different values isolates the site-evaluation wall time.
-size_t g_eval_threads = 1;
-
-ExecutorOptions ExecOptions() {
-  ExecutorOptions options = bench::SequentialFanOut();
-  options.coordinator_shards = g_shards;
-  options.eval_threads = g_eval_threads;
-  return options;
-}
-
 void RunSeries(const char* title, bool scale_groups) {
   std::printf("--- %s ---\n", title);
   bench::PrintSeriesHeader("scale");
@@ -66,8 +37,8 @@ void RunSeries(const char* title, bool scale_groups) {
     std::vector<Table> partitions = bench::MakeTpcrPartitions(
         kBaseRows * scale,
         scale_groups ? kBaseCustomers * scale : kBaseCustomers, kSites);
-    DistributedWarehouse dw =
-        bench::MakeWarehouse(partitions, kSites, {}, ExecOptions());
+    DistributedWarehouse dw = bench::MakeWarehouse(
+        partitions, kSites, {}, bench::SequentialFanOut());
 
     ExecStats none_stats;
     ExecStats all_stats;
@@ -93,21 +64,18 @@ void RunSeries(const char* title, bool scale_groups) {
 }
 
 // Coordinator-bound configuration: 8 sites, unoptimized plan (every
-// round synchronizes), so the root merges 8 fragments per round. This is
-// the series where coordinator sharding pays off.
+// round synchronizes), so the root merges 8 fragments per round.
 void RunCoordinatorSeries() {
-  const size_t kShardSites = 8;
-  std::printf("--- coordinator-bound (8 sites, no reductions, shards=%zu) "
-              "---\n",
-              ResolveCoordinatorShards(g_shards));
+  const size_t kCoordSites = 8;
+  std::printf("--- coordinator-bound (8 sites, no reductions) ---\n");
   GmdjExpr query = bench::CombinedQuery("CustName");
   std::printf("%5s %14s %14s %14s %14s %12s\n", "scale", "coord_ms",
               "site_ms", "total_ms", "bytes", "tuples");
   for (int64_t scale = 1; scale <= 4; ++scale) {
     std::vector<Table> partitions = bench::MakeTpcrPartitions(
-        kBaseRows * scale, kBaseCustomers * scale, kShardSites);
-    DistributedWarehouse dw =
-        bench::MakeWarehouse(partitions, kShardSites, {}, ExecOptions());
+        kBaseRows * scale, kBaseCustomers * scale, kCoordSites);
+    DistributedWarehouse dw = bench::MakeWarehouse(
+        partitions, kCoordSites, {}, bench::SequentialFanOut());
     ExecStats stats;
     bench::Execute(dw, query, OptimizerOptions::None(), &stats);
     std::printf("%5zu %14.2f %14.2f %14.2f %14llu %12llu\n",
@@ -117,20 +85,13 @@ void RunCoordinatorSeries() {
                 static_cast<unsigned long long>(
                     stats.TotalTuplesTransferred()));
   }
-  std::printf("\nBytes/tuples are invariant under --shards; compare "
-              "coord_ms (or skalla.coord.merge_us\nin --metrics-out) "
-              "across runs with different shard counts.\n\n");
+  std::printf("\n");
 }
 
 void Run() {
   std::printf(
       "=== Figure 5: combined reductions query (scale-up, 4 sites, x1..x4 "
-      "data) ===\n");
-  std::printf("coordinator shards: %zu, eval threads: %zu "
-              "(of %u hardware threads)\n\n",
-              ResolveCoordinatorShards(g_shards),
-              ResolveEvalThreads(g_eval_threads),
-              std::thread::hardware_concurrency());
+      "data) ===\n\n");
   RunSeries("groups scale with data (customers x1..x4)", true);
   RunSeries("constant group count (customers fixed)", false);
   RunCoordinatorSeries();
@@ -141,9 +102,6 @@ void Run() {
 
 int main(int argc, char** argv) {
   skalla::FlagSet flags;
-  flags.SizeT("--shards", &skalla::g_shards, "coordinator merge shards");
-  flags.SizeT("--eval-threads", &skalla::g_eval_threads,
-              "intra-site eval workers");
   flags.IgnorePrefix("--trace-out=");
   flags.IgnorePrefix("--metrics-out=");
   skalla::Status parsed = flags.Parse(&argc, argv);

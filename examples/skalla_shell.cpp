@@ -115,7 +115,6 @@ class Shell {
     if (name == ".help") {
       std::printf(
           ".tables | .schema <t> | .opt all|none|+coal|+igr|+agr|+sync | "
-          ".engine columnar|row|nested | "
           ".explain on|off | .analyze on|off | .trace <path>|off | "
           ".load <csv> <name> <col> | .save <dir> | .quit\n");
     } else if (name == ".tables") {
@@ -145,22 +144,6 @@ class Shell {
         else std::printf("unknown flag %s\n", flag.c_str());
       }
       std::printf("optimizations: %s\n", options_.ToString().c_str());
-    } else if (name == ".engine" && args.size() >= 2) {
-      // Byte-identical either way (docs/KERNELS.md); EXPLAIN ANALYZE's
-      // `engines:` line reports what actually ran.
-      if (args[1] == "columnar") warehouse_.set_engine(EvalEngine::kColumnar);
-      else if (args[1] == "row") warehouse_.set_engine(EvalEngine::kRow);
-      else if (args[1] == "nested")
-        warehouse_.set_engine(EvalEngine::kNestedLoop);
-      else {
-        std::printf("unknown engine %s (columnar|row|nested)\n",
-                    args[1].c_str());
-        return true;
-      }
-      session_.reset();  // Reopen with the new engine on the next query.
-      std::printf("engine: %s\n",
-                  std::string(EvalEngineName(warehouse_.exec_options().engine))
-                      .c_str());
     } else if (name == ".explain" && args.size() >= 2) {
       explain_ = args[1] == "on";
       std::printf("explain %s\n", explain_ ? "on" : "off");
@@ -247,7 +230,7 @@ class Shell {
     if (session_ == nullptr) {
       serve::SessionOptions session_options;
       // SessionOptions::exec replaces the warehouse's own executor
-      // options, so .engine changes must be carried across explicitly.
+      // options, so carry them across.
       session_options.exec = warehouse_.exec_options();
       auto session = serve::QuerySession::Open(&warehouse_, session_options);
       if (!session.ok()) {

@@ -1,8 +1,5 @@
 #include "dist/coordinator.h"
 
-#include <algorithm>
-#include <mutex>
-
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -11,105 +8,15 @@
 
 namespace skalla {
 
-void Coordinator::RunSharded(const std::function<void(size_t)>& fn) {
-  if (num_shards_ == 1) {
-    fn(0);
-    return;
-  }
-  if (merge_pool_ == nullptr) {
-    // ParallelFor runs shard 0 inline, so num_shards - 1 workers suffice.
-    merge_pool_ = std::make_unique<ThreadPool>(num_shards_ - 1);
-  }
-  merge_pool_->ParallelFor(num_shards_, fn);
-}
-
-std::vector<Coordinator::HashedRows> Coordinator::BucketRows(
-    const Table& fragment,
-    const std::function<uint64_t(const Row&)>& hash_row) const {
-  std::vector<HashedRows> buckets(num_shards_);
-  for (HashedRows& b : buckets) {
-    b.reserve(fragment.num_rows() / num_shards_ + 1);
-  }
-  for (size_t r = 0; r < fragment.num_rows(); ++r) {
-    uint64_t h = hash_row(fragment.row(r));
-    buckets[h % num_shards_].emplace_back(static_cast<uint32_t>(r), h);
-  }
-  return buckets;
-}
-
-Table Coordinator::ConcatShards(std::vector<Shard>& shards,
-                                SchemaPtr schema) {
-  size_t total = 0;
-  for (const Shard& s : shards) total += s.rows.num_rows();
-  Table out(std::move(schema));
-  out.Reserve(total);
-  if (shards.size() == 1) {
-    Shard& s = shards[0];
-    for (size_t r = 0; r < s.rows.num_rows(); ++r) {
-      out.AppendUnchecked(std::move(s.rows.mutable_row(r)));
-    }
-    return out;
-  }
-  // Each shard's rows are already in stream order; a k-way cursor merge
-  // on seq restores the exact order of the sequential merge.
-  std::vector<size_t> cursor(shards.size(), 0);
-  for (size_t emitted = 0; emitted < total; ++emitted) {
-    size_t best = shards.size();
-    uint64_t best_seq = 0;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      if (cursor[s] >= shards[s].rows.num_rows()) continue;
-      uint64_t seq = shards[s].seq[cursor[s]];
-      if (best == shards.size() || seq < best_seq) {
-        best = s;
-        best_seq = seq;
-      }
-    }
-    out.AppendUnchecked(
-        std::move(shards[best].rows.mutable_row(cursor[best])));
-    ++cursor[best];
-  }
-  return out;
-}
-
 // --- Base-values round ----------------------------------------------------
 
 Status Coordinator::InitBase(SchemaPtr base_schema) {
   base_schema_ = std::move(base_schema);
-  base_shards_.assign(num_shards_, Shard{});
-  for (Shard& s : base_shards_) s.rows = Table(base_schema_);
-  base_seq_ = 0;
+  base_ = Rows{Table(base_schema_), {}};
   x_ = Table(base_schema_);
   in_base_ = true;
   in_round_ = false;
   return Status::OK();
-}
-
-void Coordinator::MergeBaseFragmentShard(size_t shard, const Table& fragment,
-                                         const HashedRows& rows,
-                                         uint64_t base_seq) {
-  SKALLA_TRACE_SPAN(shard_span, "coord.merge.shard", "coordinator");
-  SKALLA_SPAN_ATTR(shard_span, "shard", static_cast<uint64_t>(shard));
-  SKALLA_SPAN_ATTR(shard_span, "rows", static_cast<uint64_t>(rows.size()));
-  SKALLA_OBS_ONLY(Stopwatch shard_timer;)
-  Shard& s = base_shards_[shard];
-  for (const auto& [r, h] : rows) {
-    const Row& row = fragment.row(r);
-    std::vector<uint32_t>& bucket = s.map[h];
-    bool duplicate = false;
-    for (uint32_t prev : bucket) {
-      if (RowEquals(s.rows.row(prev), row)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      bucket.push_back(static_cast<uint32_t>(s.rows.num_rows()));
-      s.seq.push_back(base_seq + r);
-      s.rows.AppendUnchecked(row);
-    }
-  }
-  SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_shard_us",
-                          static_cast<double>(shard_timer.ElapsedMicros()));
 }
 
 Status Coordinator::MergeBaseFragment(const Table& fragment) {
@@ -126,13 +33,21 @@ Status Coordinator::MergeBaseFragment(const Table& fragment) {
   SKALLA_SPAN_ATTR(merge_span, "rows",
                    static_cast<uint64_t>(fragment.num_rows()));
   SKALLA_OBS_ONLY(Stopwatch merge_timer;)
-  std::vector<HashedRows> buckets =
-      BucketRows(fragment, [](const Row& row) { return HashRow(row); });
-  uint64_t base_seq = base_seq_;
-  base_seq_ += fragment.num_rows();
-  RunSharded([&](size_t shard) {
-    MergeBaseFragmentShard(shard, fragment, buckets[shard], base_seq);
-  });
+  for (size_t r = 0; r < fragment.num_rows(); ++r) {
+    const Row& row = fragment.row(r);
+    std::vector<uint32_t>& bucket = base_.map[HashRow(row)];
+    bool duplicate = false;
+    for (uint32_t prev : bucket) {
+      if (RowEquals(base_.rows.row(prev), row)) {
+        duplicate = true;
+        break;
+      }
+    }
+    if (!duplicate) {
+      bucket.push_back(static_cast<uint32_t>(base_.rows.num_rows()));
+      base_.rows.AppendUnchecked(row);
+    }
+  }
   SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_us",
                           static_cast<double>(merge_timer.ElapsedMicros()));
   return Status::OK();
@@ -140,16 +55,16 @@ Status Coordinator::MergeBaseFragment(const Table& fragment) {
 
 Status Coordinator::FinalizeBase() {
   if (!in_base_) return Status::Internal("FinalizeBase outside a base round");
-  x_ = ConcatShards(base_shards_, base_schema_);
-  base_shards_.clear();
+  x_ = std::move(base_.rows);
+  base_ = Rows();
   in_base_ = false;
   return Status::OK();
 }
 
 // --- GMDJ round -----------------------------------------------------------
 
-int64_t Coordinator::LookupKeyInShard(const Shard& s, const Row& key_row,
-                                      uint64_t hash) const {
+int64_t Coordinator::LookupKey(const Rows& s, const Row& key_row,
+                               uint64_t hash) const {
   auto it = s.map.find(hash);
   if (it == s.map.end()) return -1;
   for (uint32_t row_id : it->second) {
@@ -169,12 +84,11 @@ Status Coordinator::BeginRound(const GmdjOp& op,
     return Status::Internal("BeginRound during an unfinished round");
   }
   in_base_ = false;
-  base_shards_.clear();
+  base_ = Rows();
   in_round_ = true;
   from_scratch_ = from_scratch;
   round_op_ = op;
   upstream_width_ = upstream_schema.num_fields();
-  merge_seq_ = 0;
 
   parts_.clear();
   agg_part_ranges_.clear();
@@ -201,8 +115,7 @@ Status Coordinator::BeginRound(const GmdjOp& op,
     key_indices_.push_back(idx);
   }
 
-  work_shards_.assign(num_shards_, Shard{});
-  for (Shard& s : work_shards_) s.rows = Table(working_schema_);
+  work_ = Rows{Table(working_schema_), {}};
 
   if (!from_scratch_) {
     if (!x_.schema()->Equals(upstream_schema)) {
@@ -211,66 +124,19 @@ Status Coordinator::BeginRound(const GmdjOp& op,
                  " does not match stage upstream schema ",
                  upstream_schema.ToString()));
     }
-    // Seed the shards with X's rows (seq = X row index, so concatenation
-    // restores X's order), splitting by key hash as fragments will.
-    std::vector<HashedRows> buckets = BucketRows(x_, [this](const Row& row) {
-      return HashRowKey(row, key_indices_);
-    });
-    RunSharded([&](size_t shard) {
-      Shard& s = work_shards_[shard];
-      s.rows.Reserve(buckets[shard].size());
-      for (const auto& [r, h] : buckets[shard]) {
-        Row row = x_.row(r);
-        row.reserve(row.size() + parts_.size());
-        for (const SubAggregate& part : parts_) {
-          row.push_back(InitialPartValue(part));
-        }
-        s.map[h].push_back(static_cast<uint32_t>(s.rows.num_rows()));
-        s.seq.push_back(r);
-        s.rows.AppendUnchecked(std::move(row));
-      }
-    });
-  }
-  return Status::OK();
-}
-
-Status Coordinator::MergeFragmentShard(size_t shard, const Table& h,
-                                       const HashedRows& rows,
-                                       uint64_t base_seq) {
-  SKALLA_TRACE_SPAN(shard_span, "coord.merge.shard", "coordinator");
-  SKALLA_SPAN_ATTR(shard_span, "shard", static_cast<uint64_t>(shard));
-  SKALLA_SPAN_ATTR(shard_span, "rows", static_cast<uint64_t>(rows.size()));
-  SKALLA_OBS_ONLY(Stopwatch shard_timer;)
-  Shard& s = work_shards_[shard];
-  const size_t expected = upstream_width_ + parts_.size();
-  for (const auto& [r, hash] : rows) {
-    const Row& incoming = h.row(r);
-    int64_t row_id = LookupKeyInShard(s, incoming, hash);
-    if (row_id < 0) {
-      if (!from_scratch_) {
-        return Status::Internal(
-            StrCat("site shipped unknown group ", RowToString(incoming)));
-      }
-      Row fresh(incoming.begin(),
-                incoming.begin() + static_cast<int64_t>(upstream_width_));
-      fresh.reserve(expected);
+    // Seed the working structure with X's rows, in X's order.
+    work_.rows.Reserve(x_.num_rows());
+    for (size_t r = 0; r < x_.num_rows(); ++r) {
+      Row row = x_.row(r);
+      row.reserve(row.size() + parts_.size());
       for (const SubAggregate& part : parts_) {
-        fresh.push_back(InitialPartValue(part));
+        row.push_back(InitialPartValue(part));
       }
-      row_id = static_cast<int64_t>(s.rows.num_rows());
-      s.map[hash].push_back(static_cast<uint32_t>(row_id));
-      s.seq.push_back(base_seq + r);
-      s.rows.AppendUnchecked(std::move(fresh));
-    }
-    Row& target = s.rows.mutable_row(static_cast<size_t>(row_id));
-    for (size_t p = 0; p < parts_.size(); ++p) {
-      size_t col = upstream_width_ + p;
-      target[col] =
-          MergePartial(target[col], incoming[col], parts_[p].merge);
+      work_.map[HashRowKey(row, key_indices_)].push_back(
+          static_cast<uint32_t>(r));
+      work_.rows.AppendUnchecked(std::move(row));
     }
   }
-  SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_shard_us",
-                          static_cast<double>(shard_timer.ElapsedMicros()));
   return Status::OK();
 }
 
@@ -285,18 +151,31 @@ Status Coordinator::MergeFragment(const Table& h) {
   SKALLA_TRACE_SPAN(merge_span, "coord.merge", "coordinator");
   SKALLA_SPAN_ATTR(merge_span, "rows", static_cast<uint64_t>(h.num_rows()));
   SKALLA_OBS_ONLY(Stopwatch merge_timer;)
-  std::vector<HashedRows> buckets = BucketRows(h, [this](const Row& row) {
-    return HashRowKey(row, key_indices_);
-  });
-  uint64_t base_seq = merge_seq_;
-  merge_seq_ += h.num_rows();
-  std::vector<Status> shard_status(num_shards_);
-  RunSharded([&](size_t shard) {
-    shard_status[shard] =
-        MergeFragmentShard(shard, h, buckets[shard], base_seq);
-  });
-  for (Status& s : shard_status) {
-    SKALLA_RETURN_NOT_OK(s);
+  for (size_t r = 0; r < h.num_rows(); ++r) {
+    const Row& incoming = h.row(r);
+    const uint64_t hash = HashRowKey(incoming, key_indices_);
+    int64_t row_id = LookupKey(work_, incoming, hash);
+    if (row_id < 0) {
+      if (!from_scratch_) {
+        return Status::Internal(
+            StrCat("site shipped unknown group ", RowToString(incoming)));
+      }
+      Row fresh(incoming.begin(),
+                incoming.begin() + static_cast<int64_t>(upstream_width_));
+      fresh.reserve(expected);
+      for (const SubAggregate& part : parts_) {
+        fresh.push_back(InitialPartValue(part));
+      }
+      row_id = static_cast<int64_t>(work_.rows.num_rows());
+      work_.map[hash].push_back(static_cast<uint32_t>(row_id));
+      work_.rows.AppendUnchecked(std::move(fresh));
+    }
+    Row& target = work_.rows.mutable_row(static_cast<size_t>(row_id));
+    for (size_t p = 0; p < parts_.size(); ++p) {
+      size_t col = upstream_width_ + p;
+      target[col] =
+          MergePartial(target[col], incoming[col], parts_[p].merge);
+    }
   }
   SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_us",
                           static_cast<double>(merge_timer.ElapsedMicros()));
@@ -305,10 +184,10 @@ Status Coordinator::MergeFragment(const Table& h) {
 
 Status Coordinator::FinalizeRound() {
   if (!in_round_) return Status::Internal("FinalizeRound outside a round");
-  size_t groups = 0;
-  for (const Shard& s : work_shards_) groups += s.rows.num_rows();
+  const Table& working = work_.rows;
   SKALLA_TRACE_SPAN(finalize_span, "coord.finalize", "coordinator");
-  SKALLA_SPAN_ATTR(finalize_span, "groups", static_cast<uint64_t>(groups));
+  SKALLA_SPAN_ATTR(finalize_span, "groups",
+                   static_cast<uint64_t>(working.num_rows()));
   std::vector<Field> fields;
   fields.reserve(upstream_width_ + agg_specs_.size());
   for (size_t i = 0; i < upstream_width_; ++i) {
@@ -317,7 +196,7 @@ Status Coordinator::FinalizeRound() {
   // Output types: algebraic aggregates finalize to FLOAT64; distributive
   // (single-part) aggregates keep their part column type.
   for (size_t ai = 0; ai < agg_specs_.size(); ++ai) {
-    auto [start, len] = agg_part_ranges_[ai];
+    const size_t start = agg_part_ranges_[ai].first;
     ValueType type;
     switch (agg_specs_[ai]->kind) {
       case AggKind::kAvg:
@@ -331,39 +210,28 @@ Status Coordinator::FinalizeRound() {
         break;
     }
     fields.push_back(Field{agg_specs_[ai]->output, type});
-    (void)len;
   }
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr out_schema,
                           Schema::Make(std::move(fields)));
-  // Super-aggregate each shard in place (shard-parallel), then
-  // concatenate in stream order.
-  std::vector<Shard> out_shards(num_shards_);
-  RunSharded([&](size_t shard) {
-    SKALLA_TRACE_SPAN(shard_span, "coord.finalize.shard", "coordinator");
-    SKALLA_SPAN_ATTR(shard_span, "shard", static_cast<uint64_t>(shard));
-    Shard& in = work_shards_[shard];
-    Shard& fin = out_shards[shard];
-    fin.rows = Table(out_schema);
-    fin.rows.Reserve(in.rows.num_rows());
-    fin.seq = std::move(in.seq);
-    for (size_t r = 0; r < in.rows.num_rows(); ++r) {
-      const Row& w = in.rows.row(r);
-      Row row(w.begin(), w.begin() + static_cast<int64_t>(upstream_width_));
-      row.reserve(out_schema->num_fields());
-      for (size_t ai = 0; ai < agg_specs_.size(); ++ai) {
-        auto [start, len] = agg_part_ranges_[ai];
-        std::vector<Value> parts;
-        parts.reserve(len);
-        for (size_t p = 0; p < len; ++p) {
-          parts.push_back(w[upstream_width_ + start + p]);
-        }
-        row.push_back(FinalizeAggregate(*agg_specs_[ai], parts));
+  Table out(out_schema);
+  out.Reserve(working.num_rows());
+  for (size_t r = 0; r < working.num_rows(); ++r) {
+    const Row& w = working.row(r);
+    Row row(w.begin(), w.begin() + static_cast<int64_t>(upstream_width_));
+    row.reserve(out_schema->num_fields());
+    for (size_t ai = 0; ai < agg_specs_.size(); ++ai) {
+      auto [start, len] = agg_part_ranges_[ai];
+      std::vector<Value> parts;
+      parts.reserve(len);
+      for (size_t p = 0; p < len; ++p) {
+        parts.push_back(w[upstream_width_ + start + p]);
       }
-      fin.rows.AppendUnchecked(std::move(row));
+      row.push_back(FinalizeAggregate(*agg_specs_[ai], parts));
     }
-  });
-  x_ = ConcatShards(out_shards, out_schema);
-  work_shards_.clear();
+    out.AppendUnchecked(std::move(row));
+  }
+  x_ = std::move(out);
+  work_ = Rows();
   in_round_ = false;
   return Status::OK();
 }

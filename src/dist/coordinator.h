@@ -6,22 +6,14 @@
 // specialised to a hash merge on the key attributes K — O(|H_i|) per
 // arriving fragment, and incremental: fragments merge as they arrive.
 //
-// The merge structure is sharded by hash of the group-by key into
-// `num_shards` independent (key map, working table) pairs. Arriving
-// fragments are split once in a bucketing pass and merged shard-parallel
-// on a ThreadPool; FinalizeRound computes super-aggregates shard-parallel
-// too. Equal keys always hash to the same shard, so shards are
-// key-disjoint and merging stays associative — results are bit-identical
-// to the sequential (num_shards = 1) merge. Row order is preserved
-// exactly as well: every inserted row remembers its position in the
-// arrival stream, and concatenation restores that order.
+// The merge structure is one working table plus a map from key hash to
+// its rows. Rows keep arrival order: a seeded round keeps X's order, a
+// from-scratch round the order in which keys first arrived.
 
 #ifndef SKALLA_DIST_COORDINATOR_H_
 #define SKALLA_DIST_COORDINATOR_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -29,7 +21,6 @@
 
 #include "agg/aggregate.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/gmdj.h"
 #include "storage/table.h"
 
@@ -37,28 +28,21 @@ namespace skalla {
 
 class Coordinator {
  public:
-  /// `num_shards` (at least 1) splits the merge structures by key hash;
-  /// 1 keeps the sequential merge. With num_shards > 1 the coordinator
-  /// lazily creates a pool for the shard merges.
-  explicit Coordinator(std::vector<std::string> key_columns,
-                       size_t num_shards = 1)
-      : key_columns_(std::move(key_columns)),
-        num_shards_(num_shards == 0 ? 1 : num_shards) {}
+  explicit Coordinator(std::vector<std::string> key_columns)
+      : key_columns_(std::move(key_columns)) {}
 
   const std::vector<std::string>& key_columns() const { return key_columns_; }
-  size_t num_shards() const { return num_shards_; }
 
   // --- Base-values round -------------------------------------------------
 
   /// Starts collecting the global base-values relation.
   Status InitBase(SchemaPtr base_schema);
 
-  /// Distinct-unions a site's local base result into the sharded base
-  /// structure.
+  /// Distinct-unions a site's local base result into the base structure.
   Status MergeBaseFragment(const Table& fragment);
 
-  /// Ends the base round: concatenates the base shards (in arrival
-  /// order) and installs the deduplicated union as X.
+  /// Ends the base round: installs the deduplicated union (in arrival
+  /// order) as X.
   Status FinalizeBase();
 
   // --- GMDJ round ---------------------------------------------------------
@@ -79,11 +63,11 @@ class Coordinator {
                     const Schema& detail_schema, bool from_scratch);
 
   /// Merges one site's partial result (schema: upstream columns followed
-  /// by part columns) into the working structure, shard-parallel.
+  /// by part columns) into the working structure.
   Status MergeFragment(const Table& h);
 
-  /// Computes super-aggregates' final values (shard-parallel) and
-  /// installs the round result as the new X.
+  /// Computes super-aggregates' final values and installs the round
+  /// result as the new X.
   Status FinalizeRound();
 
   /// The current base-result structure.
@@ -93,55 +77,17 @@ class Coordinator {
   void SetResult(Table x) { x_ = std::move(x); }
 
  private:
-  // One hash shard of the round's merge structure. `seq[r]` is the
-  // position row r's key first appeared at in the arrival stream (or its
-  // X row index for seeded rounds) — concatenating shards sorted by seq
-  // reproduces the sequential merge's row order exactly.
-  struct Shard {
+  // Rows of one round's structure plus key hash -> row ids (chained for
+  // hash collisions).
+  struct Rows {
     Table rows;
-    std::vector<uint64_t> seq;
-    // Key hash -> row ids in `rows` (chained for hash collisions).
     std::unordered_map<uint64_t, std::vector<uint32_t>> map;
-
-    void Clear() {
-      rows = Table();
-      seq.clear();
-      map.clear();
-    }
   };
 
-  // (row index in the arriving fragment, its key hash): the bucketing
-  // pass computes each hash once; shard merges reuse it.
-  using HashedRows = std::vector<std::pair<uint32_t, uint64_t>>;
-
-  // Splits fragment rows across shards by hash. `hash_row` computes the
-  // shard-selection (and map) hash for one row.
-  std::vector<HashedRows> BucketRows(
-      const Table& fragment,
-      const std::function<uint64_t(const Row&)>& hash_row) const;
-
-  // Runs fn(shard) for every shard — inline when there is one shard,
-  // otherwise on the merge pool (created on first use).
-  void RunSharded(const std::function<void(size_t)>& fn);
-
-  // Returns the row id in shard s holding `key_row`'s key, or -1.
-  int64_t LookupKeyInShard(const Shard& s, const Row& key_row,
-                           uint64_t hash) const;
-
-  // Merges one shard's slice of an arriving GMDJ fragment.
-  Status MergeFragmentShard(size_t shard, const Table& h,
-                            const HashedRows& rows, uint64_t base_seq);
-  // Dedups one shard's slice of an arriving base fragment.
-  void MergeBaseFragmentShard(size_t shard, const Table& fragment,
-                              const HashedRows& rows, uint64_t base_seq);
-
-  // Concatenates shard tables into one with `schema`, restoring arrival
-  // order via the per-row sequence numbers.
-  Table ConcatShards(std::vector<Shard>& shards, SchemaPtr schema);
+  // The row id in `s` whose key equals `key_row`'s, or -1.
+  int64_t LookupKey(const Rows& s, const Row& key_row, uint64_t hash) const;
 
   std::vector<std::string> key_columns_;
-  size_t num_shards_;
-  std::unique_ptr<ThreadPool> merge_pool_;  // Lazily created.
 
   Table x_;
 
@@ -154,15 +100,13 @@ class Coordinator {
   std::vector<std::pair<size_t, size_t>> agg_part_ranges_;
   std::vector<const AggSpec*> agg_specs_;
   SchemaPtr working_schema_;
-  std::vector<Shard> work_shards_;
+  Rows work_;
   std::vector<size_t> key_indices_;  // Into working rows (== fragments).
-  uint64_t merge_seq_ = 0;  // Rows merged so far this round (stream pos).
 
   // Base-round state.
   bool in_base_ = false;
   SchemaPtr base_schema_;
-  std::vector<Shard> base_shards_;
-  uint64_t base_seq_ = 0;
+  Rows base_;
 };
 
 }  // namespace skalla

@@ -1,7 +1,5 @@
 #include "dist/executor.h"
 
-#include <thread>
-
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "obs/obs.h"
@@ -9,26 +7,10 @@
 
 namespace skalla {
 
-size_t ResolveCoordinatorShards(size_t configured) {
-  if (configured != 0) return configured;
-  size_t hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-EvalContext StageEvalContext(const ExecutorOptions& options,
-                             const PlanStage& stage) {
+EvalContext StageEvalContext(const PlanStage& stage) {
   EvalContext context;
   context.sub_aggregates = stage.sync_after;
   context.compute_rng = stage.sync_after && stage.indep_group_reduction;
-  context.eval_threads = options.eval_threads;
-  context.engine = options.engine;
-  return context;
-}
-
-EvalContext StageEvalContext(const ExecutorOptions& options,
-                             const QueryRun& run, const PlanStage& stage) {
-  EvalContext context = StageEvalContext(options, stage);
-  if (run.eval_threads > 0) context.eval_threads = run.eval_threads;
   return context;
 }
 

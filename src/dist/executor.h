@@ -1,4 +1,5 @@
-// The executor API. One engine implements it: rpc::RpcExecutor
+// The executor vocabulary: ExecutorOptions, QueryRun, ExecStats and the
+// retry ladder. One executor class uses it, rpc::RpcExecutor
 // (rpc/rpc_executor.h), which runs the one round driver
 // (dist/star_driver.h) over a Transport — in-process SiteServices (what
 // DistributedWarehouse runs on) or skalla-site processes over TCP. It is
@@ -53,15 +54,6 @@ struct ExecutorOptions {
   /// out over the per-site connections.
   size_t fanout_threads = 0;
 
-  /// Which GMDJ kernel sites evaluate rounds with
-  /// (EvalContext::engine; routing in core/evaluate.h): the columnar
-  /// kernel by default, or one of the row oracle's modes. Results are
-  /// byte-identical across engines — this is a differential-testing
-  /// lever. Applied through StageEvalContext; the rpc executor ships it
-  /// to site servers in BeginPlan. ExecStats::engines_used reports what
-  /// actually ran.
-  EvalEngine engine = EvalEngine::kColumnar;
-
   /// Fault hook (dist/fault.h); nullptr = no injection. Not owned.
   FaultInjector* fault_injector = nullptr;
 
@@ -83,32 +75,11 @@ struct ExecutorOptions {
   /// servers with each round request.
   uint64_t round_deadline_ms = 0;
   uint64_t query_deadline_ms = 0;
-
-  /// Number of hash shards the coordinator's merge structures split
-  /// into. Arriving fragments are split once by hash of the group-by key
-  /// and merged shard-parallel on a thread pool; super-aggregation
-  /// finalizes shard-parallel too. 1 (default) = the sequential merge;
-  /// 0 = one shard per hardware thread. Results and transfer byte counts
-  /// are identical for every value (sub-aggregate merging is associative
-  /// and key-disjoint across shards).
-  size_t coordinator_shards = 1;
-
-  /// Worker threads for intra-site morsel-parallel GMDJ evaluation
-  /// (EvalContext::eval_threads at every site): 1 (default) = evaluate
-  /// each site round on one thread, 0 = one worker per hardware thread.
-  /// Applied through StageEvalContext — the rpc executor ships the value
-  /// to site servers in BeginPlan. Results are byte-identical for every
-  /// value (see core/eval_context.h).
-  size_t eval_threads = 1;
 };
-
-/// Resolves the coordinator_shards option: 0 means one shard per
-/// hardware thread (at least 1).
-size_t ResolveCoordinatorShards(size_t configured);
 
 /// Per-submission parameters, distinct from the per-engine
 /// ExecutorOptions an executor is constructed around: ExecutorOptions
-/// describe the engine (sites, shards, fault policy), a QueryRun
+/// describe the engine (fan-out, fault policy, deadlines), a QueryRun
 /// describes one query flowing through it. The scheduler submits many
 /// QueryRuns against one executor concurrently; each carries its own
 /// identity, cancellation hook, and budget carve-outs. Every field's
@@ -131,11 +102,6 @@ struct QueryRun {
   /// options.query_deadline_ms. The scheduler carves per-query budgets
   /// out of a global limit here (queue wait included).
   uint64_t query_deadline_ms = 0;
-
-  /// Per-query intra-site parallelism override; 0 = inherit
-  /// options.eval_threads. Fair-share admission divides a global worker
-  /// budget across the queries currently running.
-  size_t eval_threads = 0;
 };
 
 /// The query id this run executes under: the run's own id when set, a
@@ -143,17 +109,11 @@ struct QueryRun {
 uint64_t ResolveQueryId(const QueryRun& run);
 
 /// The EvalContext a site evaluates `stage` with: sub-aggregate mode when
-/// the stage synchronizes, the __rng indicator when it additionally runs
-/// the distribution-independent group reduction (Prop. 1), and intra-site
-/// parallelism from options.eval_threads. Every engine derives its
-/// per-round context here so evaluation semantics cannot drift apart.
-EvalContext StageEvalContext(const ExecutorOptions& options,
-                             const PlanStage& stage);
-
-/// Same, with the run's per-query eval_threads override applied
-/// (0 = inherit the options value).
-EvalContext StageEvalContext(const ExecutorOptions& options,
-                             const QueryRun& run, const PlanStage& stage);
+/// the stage synchronizes, and the __rng indicator when it additionally
+/// runs the distribution-independent group reduction (Prop. 1). The
+/// kernel and its worker count are each site's own (Site::engine,
+/// EvalContext's one-worker default), not the coordinator's.
+EvalContext StageEvalContext(const PlanStage& stage);
 
 /// What one site measured evaluating one round, as reported back to the
 /// coordinator: filled from the RoundProfile each kRoundResult carries.
@@ -268,15 +228,15 @@ struct ExecStats {
   /// GMDJ kernels used across the execution's GMDJ rounds
   /// (kEngineBitRow / kEngineBitColumnar OR-ed over their
   /// SiteRoundProfile::engines_used; EngineSetToString renders it). The
-  /// base round is left out: its scan is columnar whatever `engine`
-  /// selects. EXPLAIN ANALYZE prints it per site and in the totals line.
+  /// base round is left out: its scan is columnar whatever kernel the
+  /// sites run (Site::engine). EXPLAIN ANALYZE prints it per site and in
+  /// the totals line.
   uint8_t engines_used = 0;
 
-  /// Framed wire bytes this execution moved, measured from after
-  /// Connect (the once-per-session hello/catalog traffic is excluded);
-  /// setup_wire_bytes is the non-round share — BeginPlan and its acks.
+  /// Framed wire bytes this execution's rounds moved: the sum of
+  /// RoundStats::wire_bytes. The once-per-session hello/catalog traffic
+  /// and the best-effort kEndPlan after the query are not counted.
   uint64_t total_wire_bytes = 0;
-  uint64_t setup_wire_bytes = 0;
 
   /// Replica failovers performed across all rounds.
   uint64_t TotalSiteFailovers() const;
@@ -302,33 +262,6 @@ struct ExecStats {
   size_t NumSyncRounds() const;
 
   std::string ToString() const;
-};
-
-/// The executor interface. Call sites that do not need the transport
-/// accessors (replicas, site stats, shutdown) should depend on this, not
-/// on rpc::RpcExecutor.
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  /// Runs the plan under the per-submission parameters in `run`; returns
-  /// the final base-result structure. `stats` (may be nullptr) receives
-  /// per-round accounting. Engines are safe to call concurrently from
-  /// multiple threads with distinct runs: per-query state lives on the
-  /// Execute stack, and the shared site pool serializes per-site rounds
-  /// internally (per-connection locks, and Site round locks in-process).
-  virtual Result<Table> Execute(const DistributedPlan& plan,
-                                const QueryRun& run, ExecStats* stats) = 0;
-
-  /// Classic single-query entry point: Execute with default QueryRun.
-  Result<Table> Execute(const DistributedPlan& plan, ExecStats* stats) {
-    return Execute(plan, QueryRun{}, stats);
-  }
-
-  /// Engine name, for logs and test labels.
-  virtual const char* name() const = 0;
-
-  virtual size_t num_sites() const = 0;
 };
 
 /// Shared retry policy: runs `attempt` for site `site_id` in round

@@ -30,13 +30,18 @@ namespace skalla {
 /// partition.
 class Site {
  public:
-  Site(int id, Catalog catalog)
+  /// `engine` is the GMDJ kernel the site evaluates rounds with: the
+  /// columnar kernel, or one of the row oracle's modes, which tests use
+  /// as a reference. Results are byte-identical across engines.
+  Site(int id, Catalog catalog, EvalEngine engine = EvalEngine::kColumnar)
       : id_(id),
         catalog_(std::move(catalog)),
+        engine_(engine),
         round_mu_(std::make_shared<std::mutex>()) {}
 
   int id() const { return id_; }
   const Catalog& catalog() const { return catalog_; }
+  EvalEngine engine() const { return engine_; }
 
   /// Evaluates the base-values query against the local partition. The
   /// scan polls `context.cancellation` per chunk and fills
@@ -49,8 +54,9 @@ class Site {
 
   /// Evaluates one GMDJ operator against the local detail partition for
   /// the given base-values relation. All engine routing lives in
-  /// core::EvaluateGmdj — `context.engine` picks the kernel, and the
-  /// engine actually used lands in `context.profile->engines_used`.
+  /// core::EvaluateGmdj — `context.engine` picks the kernel (the site
+  /// service sets it to engine()), and the engine actually used lands in
+  /// `context.profile->engines_used`.
   Result<Table> EvalGmdjRound(const Table& base, const GmdjOp& op,
                               const EvalContext& context) const {
     std::lock_guard<std::mutex> round(*round_mu_);
@@ -75,6 +81,7 @@ class Site {
  private:
   int id_;
   Catalog catalog_;
+  EvalEngine engine_;
   // Per-site round queue; shared_ptr so copies of this Site queue on the
   // same lock.
   std::shared_ptr<std::mutex> round_mu_;

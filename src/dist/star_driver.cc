@@ -111,7 +111,6 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
   st.rounds.clear();
   st.lost_sites.clear();
   st.engines_used = 0;
-  st.setup_wire_bytes = 0;
 
   // Tag every span and metric this execution records with the run's
   // query id (site tasks re-establish the scope on their threads).
@@ -124,10 +123,8 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
   SKALLA_SPAN_ATTR(exec_span, "stages",
                    static_cast<uint64_t>(plan.stages.size()));
   SKALLA_COUNTER_ADD("skalla.exec.plans", 1);
-  SKALLA_RETURN_NOT_OK(link.BeginPlan(query_id, &st));
 
-  Coordinator coordinator(plan.key_columns,
-                          ResolveCoordinatorShards(options.coordinator_shards));
+  Coordinator coordinator(plan.key_columns);
   const QueryDeadline deadline(options, run);
   // fanout_threads: 0 = one worker per site, 1 = inline on this thread.
   const size_t width = std::min(
@@ -171,7 +168,7 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
     round.self_contained = round.base != nullptr || distribute;
     SKALLA_RETURN_NOT_OK(
         deadline.ArmRound(rs.label, &round_cancel, &round.deadline_ms));
-    if (stage != nullptr) round.eval = StageEvalContext(options, run, *stage);
+    if (stage != nullptr) round.eval = StageEvalContext(*stage);
     round.eval.cancellation = &round_cancel;
     round.eval.query_id = query_id;
     SKALLA_OBS_ONLY(if (round_span.armed()) {
@@ -282,7 +279,6 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
       rs.tuples_to_sites += slot.traffic.tuples_to_sites;
       rs.comm_time += slot.traffic.comm_time;
       rs.wire_bytes += slot.traffic.wire_bytes;
-      st.setup_wire_bytes += slot.traffic.setup_wire_bytes;
       rs.site_retries += slot.counts.retries;
       rs.site_failovers += slot.counts.failovers;
       if (slot.skipped) {
@@ -324,7 +320,7 @@ Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
   }
 
   std::sort(st.lost_sites.begin(), st.lost_sites.end());
-  st.total_wire_bytes = st.setup_wire_bytes;
+  st.total_wire_bytes = 0;
   for (const RoundStats& rs : st.rounds) st.total_wire_bytes += rs.wire_bytes;
   return coordinator.result();
 }

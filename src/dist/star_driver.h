@@ -6,10 +6,9 @@
 // ladder, and synchronizes the fragments at the coordinator. It owns all
 // per-round accounting (RoundStats, site profiles, lost sites).
 //
-// How a site is reached — request encoding, per-plan setup and
-// teardown, connection locking — sits behind a small per-Execute
-// SiteLink, implemented by RpcExecutor (rpc/rpc_executor.cc) over any
-// Transport.
+// How a site is reached — request encoding, per-query teardown,
+// connection locking — sits behind a small per-Execute SiteLink,
+// implemented by RpcExecutor (rpc/rpc_executor.cc) over any Transport.
 //
 // Fan-out: by default a round's sites run concurrently, one worker per
 // site, so a round costs its slowest site rather than the sum of them;
@@ -71,7 +70,6 @@ struct SiteTraffic {
   uint64_t tuples_to_sites = 0;
   double comm_time = 0;          // modeled time of the X shipment
   uint64_t wire_bytes = 0;       // framed round traffic, retries included
-  uint64_t setup_wire_bytes = 0; // non-round traffic (BeginPlan re-sends)
 };
 
 /// What one site-round attempt reported besides its fragment. Only the
@@ -91,11 +89,6 @@ class SiteLink {
 
   /// Number of partitions (primary sites).
   virtual size_t num_sites() const = 0;
-
-  /// Called once, after plan validation and before the first round:
-  /// validates replica registrations and readies the sites. Setup
-  /// traffic goes to stats->setup_wire_bytes.
-  virtual Status BeginPlan(uint64_t query_id, ExecStats* stats) = 0;
 
   /// Schema of a site-resident relation.
   virtual Result<SchemaPtr> TableSchema(const std::string& table) = 0;

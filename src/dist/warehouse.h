@@ -91,11 +91,6 @@ class DistributedWarehouse {
   const NetworkConfig& net_config() const { return net_config_; }
   const ExecutorOptions& exec_options() const { return exec_options_; }
 
-  /// Selects the evaluation engine for subsequent executions (results
-  /// are byte-identical across engines — docs/KERNELS.md). Executors
-  /// already constructed from these options keep their old setting.
-  void set_engine(EvalEngine engine) { exec_options_.engine = engine; }
-
   /// Registers a fact relation given one partition per site. Distribution
   /// knowledge (exact per-site value sets and numeric ranges) is computed
   /// for `tracked_columns` and made available to the optimizer. The union

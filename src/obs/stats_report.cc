@@ -146,9 +146,8 @@ std::string FormatStatsReport(const DistributedPlan& plan,
   }
   if (stats.total_wire_bytes > 0) {
     out += StrPrintf(
-        "  wire: %llu bytes on the wire (%llu outside rounds)\n",
-        static_cast<unsigned long long>(stats.total_wire_bytes),
-        static_cast<unsigned long long>(stats.setup_wire_bytes));
+        "  wire: %llu bytes on the wire\n",
+        static_cast<unsigned long long>(stats.total_wire_bytes));
   }
 
   if (options.include_trace_tree) {

@@ -71,7 +71,13 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //      flags byte (a base round always ships its result, so there is no
 //      carried base); RoundProfile grows a `fused` varint after
 //      bytes_loaded
-inline constexpr uint8_t kProtocolVersion = 10;
+//  11  the BeginPlan frame (type 5) is retired: a site answers it like
+//      any type it cannot serve. A site creates a query's round state on
+//      the first round that reads or leaves a carried structure, and the
+//      coordinator sends kEndPlan only to the endpoints it sent such a
+//      round to. A plan of self-contained synchronized rounds sends
+//      nothing but its rounds.
+inline constexpr uint8_t kProtocolVersion = 11;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// What a frame carries. Requests flow coordinator -> site; responses
@@ -83,7 +89,7 @@ enum class MessageType : uint8_t {
   kHello = 2,        // both ways: varint site id (connection handshake)
   kCatalogRequest = 3,   // request: empty payload
   kCatalogResponse = 4,  // response: table names + schemas
-  kBeginPlan = 5,    // request: per-plan knobs; resets site round state
+  // 5 was BeginPlan (retired in v11).
   kBaseRound = 6,    // request: BaseRoundRequest
   kGmdjRound = 7,    // request: GmdjRoundRequest
   kTableResult = 8,  // response: net/serde table payload

@@ -360,32 +360,6 @@ Result<GmdjOp> ReadGmdjOp(ByteReader* reader) {
   return op;
 }
 
-std::vector<uint8_t> EncodeBeginPlanRequest(const BeginPlanRequest& req) {
-  std::vector<uint8_t> out;
-  PutVarint(&out, req.eval_threads);
-  PutVarint(&out, req.query_id);
-  PutVarint(&out, static_cast<uint64_t>(req.engine));
-  return out;
-}
-
-Result<BeginPlanRequest> DecodeBeginPlanRequest(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload.data(), payload.size());
-  BeginPlanRequest req;
-  SKALLA_ASSIGN_OR_RETURN(uint64_t eval_threads, reader.ReadVarint());
-  req.eval_threads = static_cast<size_t>(eval_threads);
-  SKALLA_ASSIGN_OR_RETURN(req.query_id, reader.ReadVarint());
-  SKALLA_ASSIGN_OR_RETURN(uint64_t engine_raw, reader.ReadVarint());
-  if (engine_raw > static_cast<uint64_t>(EvalEngine::kNestedLoop)) {
-    return Status::IOError("unknown eval engine");
-  }
-  req.engine = static_cast<EvalEngine>(engine_raw);
-  if (reader.remaining() != 0) {
-    return Status::IOError("trailing bytes after begin-plan request");
-  }
-  return req;
-}
-
 std::vector<uint8_t> EncodeEndPlanRequest(uint64_t query_id) {
   std::vector<uint8_t> out;
   PutVarint(&out, query_id);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/eval_context.h"
 #include "core/gmdj.h"
 #include "expr/expr.h"
 #include "net/serde.h"
@@ -112,32 +111,12 @@ Result<RoundProfile> ReadRoundProfile(ByteReader* reader);
 
 // --- Request/response payloads -------------------------------------------
 
-/// kBeginPlan: opens (or resets) one query's round state at the site and
-/// applies per-plan knobs. Since protocol version 5 a site holds one
-/// such state per in-flight query id, so rounds of different queries may
-/// interleave over the same connection. Wire format (protocol version
-/// 7): three varints — eval_threads, query_id, engine — and nothing
-/// else.
-struct BeginPlanRequest {
-  /// EvalContext::eval_threads for every round of the plan (0 = one
-  /// worker per hardware thread of the *site* host).
-  size_t eval_threads = 1;
-  /// The query this plan state belongs to; round requests select it via
-  /// TraceContext::query_id. 0 = the single anonymous pre-v5 slot.
-  uint64_t query_id = 0;
-  /// EvalContext::engine for every GMDJ round of the plan (routing in
-  /// core/evaluate.h).
-  EvalEngine engine = EvalEngine::kColumnar;
-};
-std::vector<uint8_t> EncodeBeginPlanRequest(const BeginPlanRequest& req);
-/// Rejects truncated payloads, trailing bytes, and engine values outside
-/// EvalEngine.
-Result<BeginPlanRequest> DecodeBeginPlanRequest(
-    const std::vector<uint8_t>& payload);
-
 /// kEndPlan: releases the site-side round state of one query (varint
-/// query id). Best-effort — sites also cap and evict the state map, so a
-/// coordinator that dies mid-query leaks nothing permanently.
+/// query id). A site creates that state on the first round that reads or
+/// leaves a carried structure, so the coordinator sends kEndPlan only to
+/// the endpoints it sent such a round to. Best-effort — sites also cap
+/// and evict the state map, so a coordinator that dies mid-query leaks
+/// nothing permanently.
 std::vector<uint8_t> EncodeEndPlanRequest(uint64_t query_id);
 /// Rejects truncated payloads and trailing bytes.
 Result<uint64_t> DecodeEndPlanRequest(const std::vector<uint8_t>& payload);

@@ -262,67 +262,32 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
 // The rpc SiteLink: sites are separate processes reached through the
 // transport. X (or, in a Prop. 2 plan's first round, the base query)
 // travels inside the round request; a round that continues a site's
-// carried-over structure, or leaves one, stays on the primary.
-// Per-endpoint state is touched only by the task of the partition owning
-// the endpoint (BeginPlan rejects an endpoint registered twice), so it
-// needs no lock under a concurrent fan-out.
+// carried-over structure, or leaves one, stays on the primary, and only
+// such rounds create per-query state at a site. Per-endpoint state is
+// touched only by the task of the partition owning the endpoint
+// (ValidateReplicas rejects an endpoint registered twice), so it needs
+// no lock under a concurrent fan-out.
 class RpcExecutor::Link : public SiteLink {
  public:
-  Link(RpcExecutor* executor, const QueryRun& run)
+  Link(RpcExecutor* executor, uint64_t query_id)
       : executor_(executor),
-        run_eval_threads_(run.eval_threads),
-        base_bytes_(executor->num_sites()) {}
+        query_id_(query_id),
+        base_bytes_(executor->num_sites()),
+        holds_state_(executor->num_sites(), 0) {}
 
-  // Best-effort per-query state release at the sites (sites also cap and
-  // evict, so a lost coordinator leaks nothing). Runs after the stats
-  // are final, so it stays out of the query's wire accounting.
+  // Best-effort release of the per-query state at the endpoints that
+  // were sent a carried round (sites also cap and evict, so a lost
+  // coordinator leaks nothing). Runs after the stats are final, so it
+  // stays out of the query's wire accounting.
   ~Link() override {
-    if (!begun_) return;
     const std::vector<uint8_t> payload = EncodeEndPlanRequest(query_id_);
-    for (size_t e = 0; e < endpoint_down_.size(); ++e) {
-      if (!endpoint_down_[e].ok()) continue;
+    for (size_t e = 0; e < holds_state_.size(); ++e) {
+      if (!holds_state_[e]) continue;
       (void)executor_->CallLocked(e, MessageType::kEndPlan, payload, nullptr);
     }
   }
 
   size_t num_sites() const override { return executor_->num_sites(); }
-
-  Status BeginPlan(uint64_t query_id, ExecStats* stats) override {
-    const size_t total_endpoints = executor_->transport_->num_sites();
-    SKALLA_RETURN_NOT_OK(executor_->Connect());
-
-    // Reset every site's round state (and forward the per-plan knobs).
-    // Not routed through the retry loop: BeginPlan is not a site round,
-    // and it is idempotent anyway.
-    const ExecutorOptions& options = executor_->options_;
-    BeginPlanRequest begin;
-    begin.eval_threads = run_eval_threads_ > 0 ? run_eval_threads_
-                                               : options.eval_threads;
-    begin.query_id = query_id;
-    begin.engine = options.engine;
-    begin_payload_ = EncodeBeginPlanRequest(begin);
-    query_id_ = query_id;
-    // Broadcast to every endpoint, replicas included: a replica must be
-    // in the same per-plan state as its primary to take over a round. An
-    // endpoint unreachable here is marked down instead of failing the
-    // query — when the retry -> failover -> degrade ladder can absorb the
-    // loss; a round attempt at a down endpoint first re-tries BeginPlan,
-    // so an endpoint that comes back mid-query rejoins.
-    endpoint_down_.assign(total_endpoints, Status::OK());
-    for (size_t e = 0; e < total_endpoints; ++e) {
-      RoundCallStats call;
-      Status begun =
-          executor_->CallRound(e, MessageType::kBeginPlan, begin_payload_,
-                               &call)
-              .status();
-      stats->setup_wire_bytes += call.wire_bytes;
-      if (begun.ok()) continue;
-      if (!executor_->TolerableLoss(e, begun)) return begun;
-      endpoint_down_[e] = std::move(begun);
-    }
-    begun_ = true;
-    return Status::OK();
-  }
 
   Result<SchemaPtr> TableSchema(const std::string& table) override {
     return executor_->TableSchema(table);
@@ -349,7 +314,11 @@ class RpcExecutor::Link : public SiteLink {
   Result<Table> Attempt(size_t i, size_t r, const SiteRound& round,
                         SiteAttempt* attempt, SiteTraffic* traffic) override {
     const size_t endpoint = Endpoints(i, round)[r];
-    SKALLA_RETURN_NOT_OK(EnsureBegun(endpoint, traffic));
+    // The site keeps state for this query from this round on, even if
+    // the attempt fails after the request reached it.
+    if (!round.self_contained || !round.synchronized) {
+      holds_state_[endpoint] = 1;
+    }
     TraceContext trace;
     trace.query_id = round.eval.query_id;
     if (round.eval.trace_parent_span != 0) {
@@ -404,36 +373,22 @@ class RpcExecutor::Link : public SiteLink {
                : std::vector<size_t>{i};
   }
 
-  // A down endpoint must re-run BeginPlan before serving a round: it
-  // must not serve this plan with a stale round state.
-  Status EnsureBegun(size_t endpoint, SiteTraffic* traffic) {
-    if (endpoint_down_[endpoint].ok()) return Status::OK();
-    RoundCallStats call;
-    Status begun = executor_
-                       ->CallRound(endpoint, MessageType::kBeginPlan,
-                                   begin_payload_, &call)
-                       .status();
-    traffic->setup_wire_bytes += call.wire_bytes;
-    if (!begun.ok()) return endpoint_down_[endpoint];
-    endpoint_down_[endpoint] = Status::OK();
-    return Status::OK();
-  }
-
   RpcExecutor* executor_;
-  size_t run_eval_threads_;  // the run's override, shipped in BeginPlan
-  bool begun_ = false;
-  uint64_t query_id_ = 0;
-  std::vector<uint8_t> begin_payload_;
-  std::vector<Status> endpoint_down_;
+  const uint64_t query_id_;
   // Serialized X per site for the current round's requests.
   std::vector<std::vector<uint8_t>> base_bytes_;
+  // Primaries that were sent a carried round: they get kEndPlan.
+  std::vector<uint8_t> holds_state_;
 };
 
 Result<Table> RpcExecutor::Execute(const DistributedPlan& plan,
                                    const QueryRun& run, ExecStats* stats) {
   SKALLA_RETURN_NOT_OK(ValidateReplicas());
-  Link link(this, run);
-  return RunStarPlan(plan, run, options_, link, stats);
+  SKALLA_RETURN_NOT_OK(Connect());
+  QueryRun resolved = run;
+  resolved.query_id = ResolveQueryId(run);
+  Link link(this, resolved.query_id);
+  return RunStarPlan(plan, resolved, options_, link, stats);
 }
 
 Result<StatsResult> RpcExecutor::SiteStats(size_t endpoint) {

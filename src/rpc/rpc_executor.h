@@ -1,14 +1,15 @@
 // RpcExecutor: the coordinator side of the distributed runtime — the one
-// engine. Implements skalla::Executor against a Transport (in-process
-// SiteServices, which is what DistributedWarehouse runs on, or
-// TCP-connected skalla-site processes), driving Alg. GMDJDistribEval
-// through the shared round driver (dist/star_driver.h).
+// executor. It runs against a Transport (in-process SiteServices, which
+// is what DistributedWarehouse runs on, or TCP-connected skalla-site
+// processes), driving Alg. GMDJDistribEval through the shared round
+// driver (dist/star_driver.h). Each round request carries what the site
+// needs; the kernel and its worker count are the site's own.
 //
 // Accounting semantics (docs/RPC.md): bytes_to_sites / bytes_to_coord
 // count table payload bytes only, so results AND byte counts are
 // identical across transports and comparable with the paper's bounds.
 // Frame headers and handshakes land in the skalla.rpc.bytes.sent/.recv
-// metrics and in RoundStats::wire_bytes / ExecStats::*_wire_bytes
+// metrics and in RoundStats::wire_bytes / ExecStats::total_wire_bytes
 // instead. comm_time charges Transport::TransferTime for each accounted
 // payload (the X shipment, a synchronized round's fragment): modeled
 // in-process, 0 over TCP, where site_time_* (the measured request
@@ -44,16 +45,15 @@ struct RoundCallStats {
   RoundProfile profile;
 };
 
-class RpcExecutor : public Executor {
+class RpcExecutor {
  public:
   /// `options` maps as documented in docs/RPC.md: fault_injector and
   /// max_site_retries drive the retry loop (with the TCP transport, a
-  /// retry reconnects with backoff); engine and eval_threads are
-  /// forwarded to the sites via kBeginPlan; fanout_threads fans a
-  /// round's requests out over the per-site connections (default: all
-  /// sites at once; 1 = one site after the other), with results, byte
-  /// counts and profiles identical either way; coordinator_shards works
-  /// unchanged.
+  /// retry reconnects with backoff); fanout_threads fans a round's
+  /// requests out over the per-site connections (default: all sites at
+  /// once; 1 = one site after the other), with results, byte counts and
+  /// profiles identical either way; the deadlines ship with each round
+  /// request.
   RpcExecutor(std::unique_ptr<Transport> transport, ExecutorOptions options);
 
   /// Dials every site (TCP: kHello handshake) and fetches the catalog
@@ -61,14 +61,21 @@ class RpcExecutor : public Executor {
   /// thread-safe; Execute calls it on demand.
   Status Connect();
 
+  /// Runs the plan under the per-submission parameters in `run`
+  /// (connecting first when needed); returns the final base-result
+  /// structure. `stats` (may be nullptr) receives per-round accounting.
   /// Thread-safe: concurrent Executes with distinct runs multiplex their
   /// round frames over the shared connections (each request/response
   /// pair holds its connection's lock — frame-granularity interleaving),
-  /// tagged with the run's query id so v5 sites keep the queries' round
+  /// tagged with the run's query id so the sites keep the queries' round
   /// states apart.
-  using Executor::Execute;
   Result<Table> Execute(const DistributedPlan& plan, const QueryRun& run,
-                        ExecStats* stats) override;
+                        ExecStats* stats);
+
+  /// Execute with a default QueryRun.
+  Result<Table> Execute(const DistributedPlan& plan, ExecStats* stats) {
+    return Execute(plan, QueryRun{}, stats);
+  }
 
   /// Declares transport endpoint `endpoint` (an index into the
   /// transport's sites, >= num_sites()) to be a replica of partition
@@ -81,12 +88,10 @@ class RpcExecutor : public Executor {
   /// saw the prior rounds.
   void AddReplica(size_t partition, size_t endpoint);
 
-  const char* name() const override { return "rpc"; }
-
   /// Number of partitions (primary endpoints); replica endpoints are
   /// not counted. 0 when more replicas are registered than the transport
   /// has endpoints (Execute rejects that registration).
-  size_t num_sites() const override {
+  size_t num_sites() const {
     const size_t replicas = NumReplicaEndpoints();
     const size_t endpoints = transport_->num_sites();
     return replicas >= endpoints ? 0 : endpoints - replicas;
@@ -151,9 +156,9 @@ class RpcExecutor : public Executor {
   // one registered twice. Runs before any per-partition state is sized.
   Status ValidateReplicas() const;
 
-  // Whether losing `endpoint` entirely (unreachable at connect or
-  // BeginPlan, failing with `loss`) can be absorbed by the retry ->
-  // failover -> degrade ladder instead of failing the query up front:
+  // Whether losing `endpoint` entirely (unreachable at connect, failing
+  // with `loss`) can be absorbed by the retry -> failover -> degrade
+  // ladder instead of failing the query up front:
   // true for replica endpoints, when the loss degrades (DegradesOnLoss),
   // and for primaries that have replicas.
   bool TolerableLoss(size_t endpoint, const Status& loss) const;

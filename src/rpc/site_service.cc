@@ -129,8 +129,6 @@ Result<Frame> SiteService::Handle(const Frame& request) {
       frame.payload = EncodeCatalogResponse(entries);
       return frame;
     }
-    case MessageType::kBeginPlan:
-      return HandleBeginPlan(request);
     case MessageType::kEndPlan:
       return HandleEndPlan(request);
     case MessageType::kBaseRound:
@@ -172,18 +170,6 @@ void SiteService::FillEvalCounts(const EvalProfile& eval,
       chaos_faults_ == nullptr
           ? 0
           : static_cast<uint64_t>(chaos_faults_->load(std::memory_order_relaxed));
-}
-
-Result<Frame> SiteService::HandleBeginPlan(const Frame& request) {
-  SKALLA_ASSIGN_OR_RETURN(BeginPlanRequest req,
-                          DecodeBeginPlanRequest(request.payload));
-  PlanState& plan = PlanFor(req.query_id);
-  plan.local_base.reset();
-  plan.last_round.clear();
-  plan.last_input = Table();
-  plan.eval_threads = req.eval_threads;
-  plan.engine = req.engine;
-  return AckFrame();
 }
 
 Result<Frame> SiteService::HandleEndPlan(const Frame& request) {
@@ -247,7 +233,6 @@ Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
 Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   SKALLA_ASSIGN_OR_RETURN(GmdjRoundRequest req,
                           DecodeGmdjRoundRequest(request.payload));
-  PlanState& plan = PlanFor(req.trace.query_id);
   Stopwatch wall;
   const bool traced =
       req.trace.parent_span_id != 0 || req.trace.trace_id != 0;
@@ -262,18 +247,22 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   // earlier unsynchronized round left here. A carried round reads that
   // structure in place, so a failed evaluation leaves it for the retry.
   const bool carried = !req.has_base && !req.has_base_query;
+  // Only a round that reads or leaves a carried structure has per-query
+  // state; a self-contained synchronized round touches none.
+  PlanState* plan =
+      carried || !req.ship_result ? &PlanFor(req.trace.query_id) : nullptr;
   const Table* input = &req.base;
   bool replay = false;
   if (carried) {
-    if (!req.label.empty() && req.label == plan.last_round) {
+    if (!req.label.empty() && req.label == plan->last_round) {
       // A coordinator retry of the round that already consumed the
       // carried structure: re-evaluate from the saved input, do not
       // double-apply.
       ++duplicate_rounds_;
-      input = &plan.last_input;
+      input = &plan->last_input;
       replay = true;
-    } else if (plan.local_base.has_value()) {
-      input = &*plan.local_base;
+    } else if (plan->local_base.has_value()) {
+      input = &*plan->local_base;
     } else {
       return ErrorFrame(Status::FailedPrecondition(
           StrCat("site ", site_.id(), " holds no carried structure for round ",
@@ -293,8 +282,7 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   EvalContext eval_context;
   eval_context.sub_aggregates = req.sub_aggregates;
   eval_context.compute_rng = req.apply_rng;
-  eval_context.eval_threads = plan.eval_threads;
-  eval_context.engine = plan.engine;
+  eval_context.engine = site_.engine();
   eval_context.cancellation = req.deadline_ms > 0 ? &cancel : nullptr;
   eval_context.query_id = req.trace.query_id;
   eval_context.profile = &eval_profile;
@@ -325,22 +313,22 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
                           static_cast<double>(profile.eval_us));
   if (!h.ok()) return ErrorFrame(h.status());
 
-  if (!carried) {
-    plan.last_round.clear();
-    plan.last_input = Table();
-  } else if (!replay) {
-    plan.last_round = req.label;
-    plan.last_input = std::move(*plan.local_base);
+  if (plan != nullptr && !carried) {
+    plan->last_round.clear();
+    plan->last_input = Table();
+  } else if (carried && !replay) {
+    plan->last_round = req.label;
+    plan->last_input = std::move(*plan->local_base);
   }
   FillEvalCounts(eval_profile, &profile);
   profile.result_rows = h->num_rows();
   if (req.ship_result) {
-    plan.local_base.reset();
+    if (plan != nullptr) plan->local_base.reset();
     profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
     profile.spans = capture.Drain();
     return RoundResultFrame(&profile, &*h);
   }
-  plan.local_base = std::move(*h);
+  plan->local_base = std::move(*h);
   profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
   profile.spans = capture.Drain();
   return RoundResultFrame(&profile, nullptr);

@@ -6,11 +6,15 @@
 // request.
 //
 // Since protocol v5 the service multiplexes queries: it holds one round
-// state per in-flight query id (BeginPlan opens one, EndPlan releases
-// it, round requests select theirs via TraceContext::query_id), so a
+// state per in-flight query id, selected by TraceContext::query_id, so a
 // coordinator may interleave rounds of different queries over a single
-// connection. The state map is capped; the oldest entry is evicted when
-// a coordinator never sends EndPlan.
+// connection. Since v11 the first round that reads or leaves a carried
+// structure creates the state and EndPlan releases it; self-contained
+// synchronized rounds touch no per-query state. The state map is capped;
+// the oldest entry is evicted when a coordinator never sends EndPlan.
+//
+// The GMDJ kernel is the site's own (Site::engine): the columnar kernel,
+// or in tests one of the row oracle's modes.
 //
 // Transport-agnostic: SiteServer drives it from a TCP connection, the
 // in-process transport calls it directly. Handle() is serialized by an
@@ -81,14 +85,6 @@ class SiteService {
   /// Round state for one in-flight query (protocol v5: one per query
   /// id; id 0 is the anonymous pre-v5 slot).
   struct PlanState {
-    // Intra-site eval parallelism for this plan, set by BeginPlan
-    // (EvalContext::eval_threads; never changes results).
-    size_t eval_threads = 1;
-
-    // GMDJ kernel selection for this plan, set by BeginPlan
-    // (EvalContext::engine; never changes results).
-    EvalEngine engine = EvalEngine::kColumnar;
-
     // Carried-over base structure: the output of the last round that
     // did not ship its result; absent until such a round ran.
     std::optional<Table> local_base;
@@ -102,7 +98,6 @@ class SiteService {
     Table last_input;
   };
 
-  Result<Frame> HandleBeginPlan(const Frame& request);
   Result<Frame> HandleEndPlan(const Frame& request);
   Result<Frame> HandleBaseRound(const Frame& request);
   Result<Frame> HandleGmdjRound(const Frame& request);
@@ -116,9 +111,8 @@ class SiteService {
   PlanState& PlanFor(uint64_t query_id);
 
   /// Coordinators that never EndPlan are bounded by eviction: oldest
-  /// BeginPlan order first. Generous — an evicted-but-live query only
-  /// loses its carried-over structure, which self-contained rounds
-  /// rebuild.
+  /// state first. Generous — an evicted-but-live query only loses its
+  /// carried-over structure, which self-contained rounds rebuild.
   static constexpr size_t kMaxOpenPlans = 64;
 
   Site site_;
@@ -127,7 +121,7 @@ class SiteService {
   mutable std::mutex mu_;  // serializes Handle (concurrent callers)
 
   std::map<uint64_t, PlanState> plans_;     // keyed by query id
-  std::deque<uint64_t> plan_order_;         // BeginPlan order, for eviction
+  std::deque<uint64_t> plan_order_;         // creation order, for eviction
 
   bool shutdown_ = false;
 

@@ -11,7 +11,8 @@
 namespace skalla {
 namespace serve {
 
-QueryScheduler::QueryScheduler(Executor* executor, SchedulerOptions options)
+QueryScheduler::QueryScheduler(rpc::RpcExecutor* executor,
+                               SchedulerOptions options)
     : executor_(executor),
       options_(options),
       cache_(options.cache_max_bytes) {
@@ -74,7 +75,9 @@ QueryScheduler::Submission QueryScheduler::Submit(DistributedPlan plan,
       SKALLA_SPAN_ATTR(serve_span, "outcome", "cache_hit");
       SKALLA_HISTOGRAM_RECORD("skalla.serve.queue_wait_us", 0.0);
       SKALLA_COUNTER_ADD("skalla.serve.submitted", 1);
-      ResolveHit(*ticket, std::move(*hit));
+      // The span ends before the answer is visible.
+      SKALLA_SPAN_END(serve_span);
+      ticket->promise.set_value(HitAnswer(*ticket, std::move(*hit)));
       return submission;
     }
     std::lock_guard<std::mutex> lock(mu_);
@@ -141,12 +144,12 @@ size_t QueryScheduler::queued_queries() const {
   return queue_.size();
 }
 
-void QueryScheduler::ResolveHit(Ticket& ticket, Table table) {
+QueryResult QueryScheduler::HitAnswer(const Ticket& ticket, Table table) {
   QueryResult answer;
   answer.table = std::move(table);
   answer.stats.query_id = ticket.query_id;
   answer.stats.from_cache = true;
-  ticket.promise.set_value(std::move(answer));
+  return answer;
 }
 
 void QueryScheduler::WorkerLoop() {
@@ -160,16 +163,18 @@ void QueryScheduler::WorkerLoop() {
       queue_.pop_front();
       ++running_;
     }
-    Serve(ticket);
+    Result<QueryResult> answer = Serve(ticket);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --running_;
       live_.erase(ticket->query_id);
     }
+    ticket->promise.set_value(std::move(answer));
   }
 }
 
-void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
+Result<QueryResult> QueryScheduler::Serve(
+    const std::shared_ptr<Ticket>& ticket) {
   const double queue_wait_s = ticket->queued_at.ElapsedSeconds();
   obs::QueryIdScope query_scope(ticket->query_id);
   SKALLA_TRACE_SPAN(serve_span, "serve.query", "serve");
@@ -179,8 +184,7 @@ void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
 
   if (ticket->cancel.cancelled()) {
     SKALLA_SPAN_ATTR(serve_span, "outcome", "cancelled_in_queue");
-    ticket->promise.set_value(ticket->cancel.Check());
-    return;
+    return ticket->cancel.Check();
   }
 
   // Queue wait consumes the deadline budget: the query's latency clock
@@ -193,22 +197,11 @@ void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
     const uint64_t waited_ms = static_cast<uint64_t>(queue_wait_s * 1e3);
     if (waited_ms >= deadline_ms) {
       SKALLA_SPAN_ATTR(serve_span, "outcome", "deadline_in_queue");
-      ticket->promise.set_value(Status::DeadlineExceeded(
+      return Status::DeadlineExceeded(
           StrCat("query deadline (", deadline_ms,
-                 " ms) expired after ", waited_ms, " ms in the queue")));
-      return;
+                 " ms) expired after ", waited_ms, " ms in the queue"));
     }
     remaining_ms = deadline_ms - waited_ms;
-  }
-
-  // Fair share: the global worker budget divided by the admission width,
-  // so a full scheduler never oversubscribes intra-site evaluation. The
-  // static divisor keeps per-query behavior (and results) independent of
-  // what else happens to be running.
-  size_t eval_threads = ticket->options.eval_threads;
-  if (eval_threads == 0 && options_.global_eval_threads > 0) {
-    const size_t width = std::max<size_t>(1, options_.max_concurrent_queries);
-    eval_threads = std::max<size_t>(1, options_.global_eval_threads / width);
   }
 
   // Looked up again: an identical miss queued ahead may have filled the
@@ -218,8 +211,7 @@ void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
     std::optional<Table> hit = cache_.Lookup(ticket->fingerprint, epoch);
     if (hit.has_value()) {
       SKALLA_SPAN_ATTR(serve_span, "outcome", "cache_hit");
-      ResolveHit(*ticket, std::move(*hit));
-      return;
+      return HitAnswer(*ticket, std::move(*hit));
     }
   }
 
@@ -230,12 +222,10 @@ void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
   run.query_id = ticket->query_id;
   run.cancellation = &ticket->cancel;
   run.query_deadline_ms = remaining_ms;
-  run.eval_threads = eval_threads;
   Result<Table> result = executor_->Execute(ticket->plan, run, &answer.stats);
   if (!result.ok()) {
     SKALLA_SPAN_ATTR(serve_span, "outcome", "error");
-    ticket->promise.set_value(result.status());
-    return;
+    return result.status();
   }
   SKALLA_SPAN_ATTR(serve_span, "outcome", "ok");
   answer.table = std::move(*result);
@@ -244,7 +234,7 @@ void QueryScheduler::Serve(const std::shared_ptr<Ticket>& ticket) {
   if (ticket->options.use_cache && answer.stats.complete()) {
     cache_.Insert(ticket->fingerprint, epoch, answer.table);
   }
-  ticket->promise.set_value(std::move(answer));
+  return answer;
 }
 
 }  // namespace serve

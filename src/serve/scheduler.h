@@ -6,9 +6,8 @@
 // plans execute at once; the rest wait in the queue, their deadline
 // budget ticking (queue wait is part of the query's latency, so a query
 // whose budget expires while queued fails with DeadlineExceeded without
-// ever reaching the sites). Each admitted query gets a fair share of
-// the global intra-site worker budget: eval_threads =
-// max(1, global_eval_threads / width), carved into its QueryRun.
+// ever reaching the sites). How many workers a site evaluates a round
+// with is the site's own decision, not the scheduler's.
 //
 // Repeated queries are answered from the SubAggregateCache (cache.h)
 // when the plan fingerprint and partition epoch match a resident entry:
@@ -19,10 +18,10 @@
 // cancelled. A worker looks up again before executing, so a query
 // queued behind an identical miss still hits.
 //
-// Concurrency safety is the executor's contract (Executor::Execute with
-// distinct QueryRuns): the executor interleaves tagged frames per site
-// connection, and in-process sites also serialize rounds on their Site
-// round locks. The scheduler adds no cross-query ordering beyond
+// Concurrency safety is the executor's contract (RpcExecutor::Execute
+// with distinct QueryRuns): the executor interleaves tagged frames per
+// site connection, and in-process sites also serialize rounds on their
+// Site round locks. The scheduler adds no cross-query ordering beyond
 // admission.
 
 #ifndef SKALLA_SERVE_SCHEDULER_H_
@@ -43,6 +42,7 @@
 #include "core/cancellation.h"
 #include "dist/executor.h"
 #include "dist/plan.h"
+#include "rpc/rpc_executor.h"
 #include "serve/cache.h"
 
 namespace skalla {
@@ -51,12 +51,6 @@ namespace serve {
 struct SchedulerOptions {
   /// Admission width: plans executing at once. 0 = 1.
   size_t max_concurrent_queries = 4;
-
-  /// Global intra-site worker budget, divided fairly across the
-  /// admission width (each admitted query runs with
-  /// max(1, global_eval_threads / width) workers per site round).
-  /// 0 = inherit the executor's own eval_threads untouched.
-  size_t global_eval_threads = 0;
 
   /// Default per-query deadline for submissions that do not set their
   /// own, in milliseconds; 0 = unbounded. Queue wait counts against it.
@@ -80,7 +74,6 @@ struct SchedulerOptions {
 /// means "scheduler decides").
 struct QueryOptions {
   uint64_t query_deadline_ms = 0;  // 0 = SchedulerOptions default
-  size_t eval_threads = 0;         // 0 = fair share
   bool use_cache = true;           // lookup AND fill
 };
 
@@ -94,7 +87,7 @@ struct QueryResult {
 class QueryScheduler {
  public:
   /// `executor` is borrowed, not owned, and must outlive the scheduler.
-  QueryScheduler(Executor* executor, SchedulerOptions options);
+  QueryScheduler(rpc::RpcExecutor* executor, SchedulerOptions options);
 
   /// Drains: queued queries are cancelled, running ones are allowed to
   /// finish, workers join.
@@ -144,11 +137,15 @@ class QueryScheduler {
   };
 
   void WorkerLoop();
-  void Serve(const std::shared_ptr<Ticket>& ticket);
-  // Resolves the ticket with a cached table (from_cache, zero rounds).
-  static void ResolveHit(Ticket& ticket, Table table);
+  // Runs one admitted ticket to its answer inside its serve.query span.
+  // The caller retires the ticket and only then fulfils the promise, so
+  // a caller woken by get() finds the span ended and the query gone
+  // from running_queries() and Cancel.
+  Result<QueryResult> Serve(const std::shared_ptr<Ticket>& ticket);
+  // A cache hit's answer: the cached table, from_cache, zero rounds.
+  static QueryResult HitAnswer(const Ticket& ticket, Table table);
 
-  Executor* const executor_;
+  rpc::RpcExecutor* const executor_;
   const SchedulerOptions options_;
   SubAggregateCache cache_;
 

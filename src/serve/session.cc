@@ -63,7 +63,6 @@ Result<QuerySession> QuerySession::Open(
   SKALLA_RETURN_NOT_OK(executor->Connect());
 
   QuerySession session;
-  session.rpc_ = executor.get();
   session.executor_ = std::move(executor);
   session.scheduler_ = std::make_unique<QueryScheduler>(
       session.executor_.get(), options.scheduler);
@@ -72,7 +71,7 @@ Result<QuerySession> QuerySession::Open(
   return session;
 }
 
-QuerySession QuerySession::Wrap(std::unique_ptr<Executor> executor,
+QuerySession QuerySession::Wrap(std::unique_ptr<rpc::RpcExecutor> executor,
                                 SessionOptions options) {
   QuerySession session;
   session.executor_ = std::move(executor);

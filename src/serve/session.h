@@ -13,10 +13,10 @@
 //   SKALLA_ASSIGN_OR_RETURN(auto session,
 //                           serve::QuerySession::Open(endpoints, opts));
 //
-// Everything below the session — Executor::Execute, the engines, the
-// scheduler — is library internals: tools, shells, and benches should
-// submit through a session. The classic synchronous call is one line:
-// Submit(...)->result.get().
+// Everything below the session — RpcExecutor::Execute, the round
+// driver, the scheduler — is library internals: tools, shells, and
+// benches should submit through a session. The classic synchronous call
+// is one line: Submit(...)->result.get().
 
 #ifndef SKALLA_SERVE_SESSION_H_
 #define SKALLA_SERVE_SESSION_H_
@@ -48,7 +48,7 @@ struct SessionOptions {
   /// the network is real there).
   NetworkConfig net;
 
-  /// Admission width, worker budget, deadlines, cache capacity.
+  /// Admission width, deadlines, cache capacity.
   SchedulerOptions scheduler;
 
   /// How Submit(GmdjExpr) plans. Distribution-aware reductions apply
@@ -82,7 +82,7 @@ class QuerySession {
 
   /// Wraps a caller-built executor (in-process or TCP transport) in a
   /// session. Plans with generic (distribution-free) optimization.
-  static QuerySession Wrap(std::unique_ptr<Executor> executor,
+  static QuerySession Wrap(std::unique_ptr<rpc::RpcExecutor> executor,
                            SessionOptions options = {});
 
   /// Plans `query` and submits the plan; returns immediately. The
@@ -109,21 +109,19 @@ class QuerySession {
   void InvalidateCachedResults() { scheduler_->BumpPartitionEpoch(); }
 
   QueryScheduler& scheduler() { return *scheduler_; }
-  Executor& executor() { return *executor_; }
   size_t num_sites() const { return executor_->num_sites(); }
 
-  /// The underlying rpc executor when this session was opened over
-  /// endpoints (for site stats / site shutdown); nullptr for in-process
-  /// sites.
-  rpc::RpcExecutor* rpc_executor() { return rpc_; }
+  /// The session's executor (for site stats / site shutdown). Never
+  /// null: in-process sessions run the same RpcExecutor over an
+  /// in-process transport.
+  rpc::RpcExecutor* rpc_executor() { return executor_.get(); }
 
  private:
   QuerySession() = default;
 
-  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<rpc::RpcExecutor> executor_;
   std::unique_ptr<QueryScheduler> scheduler_;
   Planner planner_;
-  rpc::RpcExecutor* rpc_ = nullptr;  // aliases executor_ when rpc-backed
 };
 
 }  // namespace serve

@@ -13,8 +13,11 @@
 #include "expr/builder.h"
 #include "net/serde.h"
 #include "relalg/operators.h"
+#include "rpc/rpc_executor.h"
+#include "rpc/transport.h"
 #include "storage/catalog.h"
 #include "storage/data_provider.h"
+#include "storage/partition.h"
 
 namespace skalla {
 namespace {
@@ -218,15 +221,22 @@ TEST(PredicateCompileTest, PartitionInfoSuppliesRangeHints) {
 }
 
 TEST(ColumnarSitesTest, DistributedExecutionMatches) {
-  // Sites evaluate with the default columnar kernel in one warehouse and
-  // with the row oracle in the other; answers must agree byte for byte.
+  // The warehouse's sites evaluate with the default columnar kernel;
+  // sites built over the same partitions with the row oracle run the
+  // same plans. Answers must agree byte for byte.
   Table detail = MakeDetail(17, 900);
-  ExecutorOptions row_options;
-  row_options.engine = EvalEngine::kRow;
-  DistributedWarehouse row_dw(4, NetworkConfig{}, row_options);
   DistributedWarehouse col_dw(4);
-  row_dw.AddTablePartitionedBy("d", detail, "g", {"h", "iv"}).Check();
   col_dw.AddTablePartitionedBy("d", detail, "g", {"h", "iv"}).Check();
+  std::vector<Site> row_sites;
+  std::vector<Table> parts = PartitionByValue(detail, "g", 4).ValueOrDie();
+  for (size_t i = 0; i < parts.size(); ++i) {
+    Catalog catalog;
+    catalog.Register("d", std::move(parts[i]));
+    row_sites.emplace_back(static_cast<int>(i), std::move(catalog),
+                           EvalEngine::kRow);
+  }
+  rpc::RpcExecutor row_exec(
+      std::make_unique<rpc::InProcessTransport>(std::move(row_sites)), {});
 
   // Mixed query: md1 pure equality (grouped kernels at the sites), md2
   // correlated (candidate-filter kernels) — both vectorized now.
@@ -247,8 +257,9 @@ TEST(ColumnarSitesTest, DistributedExecutionMatches) {
   for (const OptimizerOptions& opts :
        {OptimizerOptions::None(), OptimizerOptions::All()}) {
     ExecStats row_stats, col_stats;
-    Table row_result = row_dw.Execute(expr, opts, &row_stats).ValueOrDie();
-    Table col_result = col_dw.Execute(expr, opts, &col_stats).ValueOrDie();
+    DistributedPlan plan = col_dw.Plan(expr, opts).ValueOrDie();
+    Table row_result = row_exec.Execute(plan, &row_stats).ValueOrDie();
+    Table col_result = col_dw.ExecutePlan(plan, &col_stats).ValueOrDie();
     EXPECT_EQ(Bytes(col_result), Bytes(row_result))
         << "opts=" << opts.ToString();
     EXPECT_EQ(row_stats.engines_used, kEngineBitRow);

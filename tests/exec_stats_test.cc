@@ -14,6 +14,7 @@
 #include "net/network.h"
 #include "obs/stats_report.h"
 #include "rpc/rpc_executor.h"
+#include "rpc/transport.h"
 #include "storage/partition.h"
 #include "types/row.h"
 
@@ -363,12 +364,18 @@ TEST(ExecStatsTest, StatsReportShowsTheFusedBaseRound) {
   DistributedPlan plan =
       dw.Plan(CorrelatedExpr(), OptimizerOptions::All()).ValueOrDie();
   ASSERT_FALSE(plan.sync_base);
+  std::vector<Table> parts = PartitionByValue(flow, "SAS", 3).ValueOrDie();
   for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kRow}) {
-    ExecutorOptions options;
-    options.engine = engine;
+    std::vector<Site> sites;
+    for (size_t i = 0; i < parts.size(); ++i) {
+      Catalog catalog;
+      catalog.Register("flow", parts[i]);
+      sites.emplace_back(static_cast<int>(i), std::move(catalog), engine);
+    }
+    rpc::RpcExecutor executor(
+        std::make_unique<rpc::InProcessTransport>(std::move(sites)), {});
     ExecStats stats;
-    ASSERT_TRUE(
-        dw.MakeExecutor({}, options)->Execute(plan, &stats).ok());
+    ASSERT_TRUE(executor.Execute(plan, &stats).ok());
     std::string report = obs::FormatStatsReport(plan, stats, 3);
     EXPECT_NE(report.find("[no-sync, fused into md1]"), std::string::npos)
         << report;

@@ -1,12 +1,10 @@
 // Executor consistency matrix: the same optimized plan executed by every
 // executor variant over in-process site services — sequential fan-out,
 // the default concurrent fan-out with one worker per site, two workers,
-// row-oracle sites — through the skalla::Executor interface, crossed
-// with coordinator_shards ∈ {1, 4} and eval_threads ∈ {1, 4}. Every
-// combination must produce results identical to the centralized
-// evaluator, reproduce the sequential baseline row for row, and move
-// exactly the baseline's payload bytes and tuples; every round reports
-// its wall time.
+// and sites that evaluate with the row oracle. Every variant must
+// produce results identical to the centralized evaluator, reproduce the
+// sequential baseline row for row, and move exactly the baseline's
+// payload bytes and tuples; every round reports its wall time.
 
 #include <gtest/gtest.h>
 
@@ -42,18 +40,20 @@ Table MakeData() {
   return t;
 }
 
-std::vector<Site> MakeSites(const std::vector<Table>& parts) {
+std::vector<Site> MakeSites(const std::vector<Table>& parts,
+                            EvalEngine engine) {
   std::vector<Site> sites;
   for (size_t i = 0; i < parts.size(); ++i) {
     Catalog catalog;
     catalog.Register("d", parts[i]);
-    sites.emplace_back(static_cast<int>(i), std::move(catalog));
+    sites.emplace_back(static_cast<int>(i), std::move(catalog), engine);
   }
   return sites;
 }
 
-// Row-for-row equality including order — pins that sharded merging
-// reproduces the sequential merge's output exactly, not just as a set.
+// Row-for-row equality including order — pins that every fan-out width
+// and kernel reproduces the sequential merge's output exactly, not just
+// as a set.
 bool ExactlyEqual(const Table& a, const Table& b) {
   if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
     return false;
@@ -67,13 +67,16 @@ bool ExactlyEqual(const Table& a, const Table& b) {
 struct Variant {
   const char* name;
   ExecutorOptions options;
+  EvalEngine engine = EvalEngine::kColumnar;
 };
 
-// Builds the variant's executor behind the Executor interface.
-std::unique_ptr<Executor> MakeExecutor(const std::vector<Table>& parts,
-                                       const ExecutorOptions& options) {
+// Builds the variant's executor over sites that evaluate with `engine`.
+std::unique_ptr<rpc::RpcExecutor> MakeExecutor(
+    const std::vector<Table>& parts, const ExecutorOptions& options,
+    EvalEngine engine = EvalEngine::kColumnar) {
   return std::make_unique<rpc::RpcExecutor>(
-      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), options);
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts, engine)),
+      options);
 }
 
 // Per-site profiles agree site by site in every round: whichever kernel
@@ -102,7 +105,7 @@ void ExpectRoundsTimed(const ExecStats& stats, const std::string& what) {
   }
 }
 
-TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
+TEST(ExecutorMatrixTest, AllVariantsAgree) {
   Table data = MakeData();
   std::vector<Table> parts = PartitionByValue(data, "g", kSites).ValueOrDie();
 
@@ -126,13 +129,11 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
   sequential.fanout_threads = 1;
   ExecutorOptions parallel2;
   parallel2.fanout_threads = 2;
-  ExecutorOptions row;
-  row.engine = EvalEngine::kRow;
   const Variant variants[] = {
       {"sequential", sequential},
       {"parallel", {}},
       {"parallel2", parallel2},
-      {"row", row},
+      {"row", {}, EvalEngine::kRow},
   };
 
   for (int opt_mask : {0, 15}) {
@@ -147,7 +148,8 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
 
     // Sequential baseline for cross-variant byte accounting.
     ExecStats baseline_stats;
-    std::unique_ptr<Executor> baseline = MakeExecutor(parts, sequential);
+    std::unique_ptr<rpc::RpcExecutor> baseline =
+        MakeExecutor(parts, sequential);
     Table baseline_result =
         baseline->Execute(plan, &baseline_stats).ValueOrDie();
     ASSERT_TRUE(baseline_result.SameRows(reference))
@@ -172,73 +174,28 @@ TEST(ExecutorMatrixTest, AllEnginesAgreeAcrossShardCounts) {
     }
 
     for (const Variant& variant : variants) {
-      // Sequential-merge run: the pinned baseline for this variant.
-      ExecutorOptions seq_options = variant.options;
-      seq_options.coordinator_shards = 1;
-      std::unique_ptr<Executor> seq_exec = MakeExecutor(parts, seq_options);
-      ExecStats seq_stats;
-      Table seq_result = seq_exec->Execute(plan, &seq_stats).ValueOrDie();
-      EXPECT_TRUE(seq_result.SameRows(reference))
+      std::unique_ptr<rpc::RpcExecutor> executor =
+          MakeExecutor(parts, variant.options, variant.engine);
+      ExecStats stats;
+      Table result = executor->Execute(plan, &stats).ValueOrDie();
+      EXPECT_TRUE(result.SameRows(reference))
           << variant.name << ", opts " << opt_mask;
-      EXPECT_EQ(seq_stats.rounds.size(),
+      EXPECT_EQ(stats.rounds.size(),
                 plan.stages.size() + (plan.sync_base ? 1 : 0))
           << variant.name << ", opts " << opt_mask;
       if (std::string(variant.name) == "row") {
-        EXPECT_EQ(seq_stats.engines_used, kEngineBitRow);
+        EXPECT_EQ(stats.engines_used, kEngineBitRow);
       }
 
-      EXPECT_TRUE(ExactlyEqual(seq_result, baseline_result))
+      EXPECT_TRUE(ExactlyEqual(result, baseline_result))
           << variant.name << ", opts " << opt_mask;
-      EXPECT_EQ(seq_stats.TotalBytes(), baseline_stats.TotalBytes())
+      EXPECT_EQ(stats.TotalBytes(), baseline_stats.TotalBytes())
           << variant.name << ", opts " << opt_mask;
-      EXPECT_EQ(seq_stats.TotalTuplesTransferred(),
+      EXPECT_EQ(stats.TotalTuplesTransferred(),
                 baseline_stats.TotalTuplesTransferred())
           << variant.name << ", opts " << opt_mask;
-      ExpectSameSiteProfiles(seq_stats, baseline_stats, variant.name);
-      ExpectRoundsTimed(seq_stats, variant.name);
-
-      // Sharded-merge run: results (row for row), bytes, and tuples must
-      // be exactly what the sequential merge produced.
-      ExecutorOptions sharded_options = variant.options;
-      sharded_options.coordinator_shards = 4;
-      std::unique_ptr<Executor> sharded_exec =
-          MakeExecutor(parts, sharded_options);
-      ExecStats sharded_stats;
-      Table sharded_result =
-          sharded_exec->Execute(plan, &sharded_stats).ValueOrDie();
-      EXPECT_TRUE(ExactlyEqual(sharded_result, seq_result))
-          << variant.name << " shards=4, opts " << opt_mask;
-      EXPECT_EQ(sharded_stats.TotalBytes(), seq_stats.TotalBytes())
-          << variant.name << " shards=4, opts " << opt_mask;
-      EXPECT_EQ(sharded_stats.TotalBytesToSites(),
-                seq_stats.TotalBytesToSites())
-          << variant.name << " shards=4, opts " << opt_mask;
-      EXPECT_EQ(sharded_stats.TotalBytesToCoord(),
-                seq_stats.TotalBytesToCoord())
-          << variant.name << " shards=4, opts " << opt_mask;
-      EXPECT_EQ(sharded_stats.TotalTuplesTransferred(),
-                seq_stats.TotalTuplesTransferred())
-          << variant.name << " shards=4, opts " << opt_mask;
-      ExpectRoundsTimed(sharded_stats, variant.name);
-
-      // Intra-site parallel run: eval_threads is scheduling-only, so
-      // results (row for row) and every byte count must be exactly the
-      // sequential-evaluation baseline's.
-      ExecutorOptions threaded_options = variant.options;
-      threaded_options.eval_threads = 4;
-      std::unique_ptr<Executor> threaded_exec =
-          MakeExecutor(parts, threaded_options);
-      ExecStats threaded_stats;
-      Table threaded_result =
-          threaded_exec->Execute(plan, &threaded_stats).ValueOrDie();
-      EXPECT_TRUE(ExactlyEqual(threaded_result, seq_result))
-          << variant.name << " eval_threads=4, opts " << opt_mask;
-      EXPECT_EQ(threaded_stats.TotalBytes(), seq_stats.TotalBytes())
-          << variant.name << " eval_threads=4, opts " << opt_mask;
-      EXPECT_EQ(threaded_stats.TotalTuplesTransferred(),
-                seq_stats.TotalTuplesTransferred())
-          << variant.name << " eval_threads=4, opts " << opt_mask;
-      ExpectRoundsTimed(threaded_stats, variant.name);
+      ExpectSameSiteProfiles(stats, baseline_stats, variant.name);
+      ExpectRoundsTimed(stats, variant.name);
     }
   }
 }

@@ -16,6 +16,7 @@
 
 #include "columnar/vector_eval.h"
 #include "common/random.h"
+#include "core/evaluate.h"
 #include "core/local_eval.h"
 #include "data/flow_gen.h"
 #include "dist/site.h"
@@ -298,9 +299,12 @@ TEST(ParallelEvalTest, IndexCacheKeyedOnFullPairing) {
   }
 }
 
-// End to end: the full flow query battery through the distributed
-// executor must come back byte-identical for every eval_threads value,
-// under both extreme optimizer presets.
+// The full flow query battery, each query's operators evaluated one
+// after another with the production kernel over a partitioned
+// warehouse's central catalog (BaseQuery::Execute, then EvaluateGmdj per
+// operator), must come back byte-identical for every eval_threads value.
+// Sites evaluate with EvalContext's one-worker default; this pins what a
+// site that picks its own worker count would compute.
 TEST(ParallelEvalTest, QuerySuiteByteIdenticalAcrossThreadCounts) {
   const char* queries[] = {
       R"(
@@ -334,31 +338,32 @@ TEST(ParallelEvalTest, QuerySuiteByteIdenticalAcrossThreadCounts) {
   config.num_as = 25;
   Table flows = GenerateFlows(config);
 
-  auto make_warehouse = [&](size_t eval_threads) {
-    ExecutorOptions options;
-    options.eval_threads = eval_threads;
-    auto dw = std::make_unique<DistributedWarehouse>(4, NetworkConfig{},
-                                                     options);
-    dw->AddTablePartitionedBy("flow", flows, "RouterId",
-                              {"SourceAS", "DestAS", "SourcePort",
-                               "NumBytes", "NumPackets"})
-        .Check();
-    return dw;
+  DistributedWarehouse dw(4);
+  dw.AddTablePartitionedBy("flow", flows, "RouterId",
+                           {"SourceAS", "DestAS", "SourcePort", "NumBytes",
+                            "NumPackets"})
+      .Check();
+  const Catalog& catalog = dw.central_catalog();
+  auto evaluate = [&](const GmdjExpr& expr, size_t eval_threads) {
+    EvalContext context;
+    context.eval_threads = eval_threads;
+    Table x = expr.base.Execute(catalog, context).ValueOrDie();
+    for (const GmdjOp& op : expr.ops) {
+      x = EvaluateGmdj(x, op, catalog, context).ValueOrDie();
+    }
+    return x;
   };
 
-  auto sequential = make_warehouse(1);
   for (const char* text : queries) {
     GmdjExpr expr = ParseQuery(text).ValueOrDie();
-    for (const OptimizerOptions& opts :
-         {OptimizerOptions::None(), OptimizerOptions::All()}) {
-      Table baseline = sequential->Execute(expr, opts).ValueOrDie();
-      std::vector<uint8_t> expected = Bytes(baseline);
-      for (size_t threads : kThreadCounts) {
-        Table result =
-            make_warehouse(threads)->Execute(expr, opts).ValueOrDie();
-        EXPECT_EQ(Bytes(result), expected)
-            << "threads=" << threads << " opts=" << opts.ToString();
-      }
+    Table baseline = evaluate(expr, 1);
+    ASSERT_TRUE(baseline.ApproxSameRows(
+        dw.ExecuteCentralized(expr).ValueOrDie(), 1e-9))
+        << text;
+    std::vector<uint8_t> expected = Bytes(baseline);
+    for (size_t threads : kThreadCounts) {
+      EXPECT_EQ(Bytes(evaluate(expr, threads)), expected)
+          << "threads=" << threads << " query=" << text;
     }
   }
 }

@@ -191,14 +191,16 @@ class RpcExecutorTest : public ::testing::Test {
     flow_parts_ = tpcr_parts_ = recent_parts_ = nullptr;
   }
 
-  static std::vector<Site> MakeSites() {
+  // The sites evaluate GMDJ rounds with `engine`.
+  static std::vector<Site> MakeSites(
+      EvalEngine engine = EvalEngine::kColumnar) {
     std::vector<Site> sites;
     for (size_t i = 0; i < kSites; ++i) {
       Catalog catalog;
       catalog.Register("flow", (*flow_parts_)[i]);
       catalog.Register("tpcr", (*tpcr_parts_)[i]);
       catalog.Register("flow_recent", (*recent_parts_)[i]);
-      sites.emplace_back(static_cast<int>(i), std::move(catalog));
+      sites.emplace_back(static_cast<int>(i), std::move(catalog), engine);
     }
     return sites;
   }
@@ -355,7 +357,9 @@ TEST_F(RpcExecutorTest, RoundProfilesReconcileWithRoundStats) {
       // strictly dominates its payload traffic.
       EXPECT_GT(rs.wire_bytes, rs.bytes_to_sites + rs.bytes_to_coord);
     }
-    EXPECT_EQ(stats.total_wire_bytes, round_wire + stats.setup_wire_bytes);
+    // No frame outside the rounds counts: the query's wire total is
+    // exactly the sum of its rounds.
+    EXPECT_EQ(stats.total_wire_bytes, round_wire);
     // The connection-level counter additionally covers the hello/catalog
     // handshake, which total_wire_bytes (per-execution) excludes.
     EXPECT_LT(stats.total_wire_bytes, rpc.wire_bytes());
@@ -431,11 +435,11 @@ TEST_F(RpcExecutorTest, SiteStatsReturnsMetricsJson) {
   EXPECT_FALSE(rpc.SiteStats(kSites + 7).ok());
 }
 
-TEST_F(RpcExecutorTest, EngineKnobForwardsToSites) {
-  // The engine ships to every site in BeginPlan; the sites' round
-  // profiles report the kernel that actually ran, and every kernel
-  // agrees with the centralized reference, and byte for byte with the
-  // default columnar kernel.
+TEST_F(RpcExecutorTest, OracleSitesAgreeWithColumnarSites) {
+  // Sites built with a row-oracle engine evaluate every GMDJ round with
+  // it; the round profiles report the kernel that actually ran, and
+  // every kernel agrees with the centralized reference, and byte for
+  // byte with the default columnar kernel.
   GmdjExpr expr = ParseQuery(kQueries[0].text).ValueOrDie();
   DistributedPlan plan =
       warehouse_->Plan(expr, OptimizerOptions::None()).ValueOrDie();
@@ -447,10 +451,8 @@ TEST_F(RpcExecutorTest, EngineKnobForwardsToSites) {
 
   for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kRow,
                             EvalEngine::kNestedLoop}) {
-    ExecutorOptions options;
-    options.engine = engine;
-    RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()),
-                    options);
+    RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites(engine)),
+                    {});
     ExecStats stats;
     Table result = rpc.Execute(plan, &stats).ValueOrDie();
     EXPECT_TRUE(ExactlyEqual(result, expected)) << EvalEngineName(engine);
@@ -473,29 +475,18 @@ TEST_F(RpcExecutorTest, EngineKnobForwardsToSites) {
   }
 }
 
-TEST_F(RpcExecutorTest, EvalThreadsForwardsAndPreservesResults) {
-  // eval_threads ships to every site in BeginPlan; parallel intra-site
-  // evaluation must leave results byte-identical to sequential
-  // evaluation (eval_threads = 1, the default), for both optimizer
-  // presets.
-  for (const OptimizerOptions& opts :
-       {OptimizerOptions::None(), OptimizerOptions::All()}) {
-    for (const QueryCase& q : kQueries) {
-      GmdjExpr expr = ParseQuery(q.text).ValueOrDie();
-      DistributedPlan plan = warehouse_->Plan(expr, opts).ValueOrDie();
-
-      RpcExecutor sequential(std::make_unique<InProcessTransport>(MakeSites()),
-                             {});
-      Table expected = sequential.Execute(plan, nullptr).ValueOrDie();
-
-      ExecutorOptions options;
-      options.eval_threads = 4;
-      RpcExecutor rpc(std::make_unique<InProcessTransport>(MakeSites()),
-                      options);
-      Table result = rpc.Execute(plan, nullptr).ValueOrDie();
-      EXPECT_TRUE(ExactlyEqual(result, expected)) << q.name;
-    }
-  }
+TEST_F(RpcExecutorTest, RetiredBeginPlanFrameIsRejectedTyped) {
+  // Type 5 was BeginPlan until protocol v11. A site answers it like any
+  // type it cannot serve: a typed InvalidArgument, and no query state.
+  std::vector<Site> sites = MakeSites();
+  rpc::SiteService service(std::move(sites[0]));
+  rpc::Frame retired;
+  retired.type = static_cast<rpc::MessageType>(5);
+  rpc::Frame response = service.Handle(retired).ValueOrDie();
+  ASSERT_EQ(response.type, rpc::MessageType::kError);
+  Status status = rpc::ReadStatusPayload(response.payload);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_EQ(service.open_plans(), 0u);
 }
 
 TEST_F(RpcExecutorTest, SiteErrorCodeSurvivesTheWire) {
@@ -538,12 +529,6 @@ TEST_F(RpcExecutorTest, ResentRoundIsIdempotent) {
   // above_average_pairs: md1 computes the base locally and keeps its
   // output at the site (Prop. 2 + Theorem 5); md2 continues it.
   GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
-
-  rpc::Frame begin;
-  begin.type = rpc::MessageType::kBeginPlan;
-  begin.payload = rpc::EncodeBeginPlanRequest({});
-  ASSERT_TRUE(service.Handle(begin).ValueOrDie().type ==
-              rpc::MessageType::kAck);
 
   rpc::GmdjRoundRequest fused;
   fused.op = expr.ops[0];
@@ -591,14 +576,6 @@ TEST_F(RpcExecutorTest, ResentRoundIsIdempotent) {
   EXPECT_EQ(again_result.profile.duplicate_rounds, 1u);
 }
 
-// A kBeginPlan frame for the anonymous query slot.
-rpc::Frame BeginPlanFrame() {
-  rpc::Frame frame;
-  frame.type = rpc::MessageType::kBeginPlan;
-  frame.payload = rpc::EncodeBeginPlanRequest({});
-  return frame;
-}
-
 // Encodes a GMDJ round request as a frame.
 rpc::Frame GmdjRoundFrame(const rpc::GmdjRoundRequest& request) {
   rpc::Frame frame;
@@ -620,15 +597,12 @@ Result<Table> RoundTable(const rpc::Frame& response) {
 
 TEST_F(RpcExecutorTest, CarriedRoundWithNothingCarriedFailsTyped) {
   // A round that continues a carried structure the site never built
-  // (a replica, or a plan state reset by BeginPlan) must fail with a
-  // typed error naming the round — every time it is re-sent, and
+  // (a replica, or a site whose query state was released) must fail
+  // with a typed error naming the round — every time it is re-sent, and
   // without touching a moved-from table.
   std::vector<Site> sites = MakeSites();
   rpc::SiteService service(std::move(sites[0]));
   GmdjExpr expr = ParseQuery(kQueries[1].text).ValueOrDie();
-
-  ASSERT_EQ(service.Handle(BeginPlanFrame()).ValueOrDie().type,
-            rpc::MessageType::kAck);
 
   rpc::GmdjRoundRequest carried;
   carried.op = expr.ops[1];
@@ -654,8 +628,6 @@ TEST_F(RpcExecutorTest, FailedCarriedRoundLeavesTheStructureForTheRetry) {
   auto run = [&](bool fail_first) -> Result<Table> {
     std::vector<Site> sites = MakeSites();
     rpc::SiteService service(std::move(sites[0]));
-    EXPECT_EQ(service.Handle(BeginPlanFrame()).ValueOrDie().type,
-              rpc::MessageType::kAck);
 
     rpc::GmdjRoundRequest fused;
     fused.op = expr.ops[0];

@@ -158,14 +158,15 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV10) {
-  // v10: a GmdjRound may carry the base query (flag bit 16), BaseRound
-  // has no flags byte, and RoundProfile ends with a `fused` varint after
-  // v9's pages_loaded / bytes_loaded (docs/RPC.md). The version byte is
-  // the wire contract for all of that, so pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 10);
+TEST(FrameTest, ProtocolVersionIsV11) {
+  // v11: the BeginPlan frame (type 5) is retired; a site creates a
+  // query's round state on its first carried round, and kEndPlan goes
+  // only to the endpoints that ran one (docs/RPC.md). v10's payloads are
+  // unchanged. The version byte is the wire contract for all of that, so
+  // pin it explicitly.
+  EXPECT_EQ(kProtocolVersion, 11);
   std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 10);
+  EXPECT_EQ(wire[4], 11);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {

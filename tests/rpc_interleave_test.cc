@@ -1,7 +1,7 @@
 // Protocol-v5 frame multiplexing: two different queries submitted
 // concurrently through one RpcExecutor share its per-site TCP
 // connections, so each site sees rounds of both queries interleaved on
-// one socket, keyed by the BeginPlan query id. Results must be
+// one socket, keyed by each round's query id. Results must be
 // byte-identical to isolated sequential runs — with and without seeded
 // transport chaos (drops, CRC corruption, mid-frame resets, delays)
 // forcing reconnects and idempotent round retries mid-interleave.

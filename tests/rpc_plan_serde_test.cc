@@ -154,26 +154,6 @@ TEST(PlanSerdeTest, GmdjOpsRoundTrip) {
   }
 }
 
-TEST(PlanSerdeTest, BeginPlanRequestRoundTrips) {
-  for (size_t eval_threads : {size_t{0}, size_t{1}, size_t{8}}) {
-    for (uint64_t query_id : {uint64_t{0}, uint64_t{7}, uint64_t{1} << 40}) {
-      for (EvalEngine engine : {EvalEngine::kColumnar, EvalEngine::kRow,
-                                EvalEngine::kNestedLoop}) {
-        BeginPlanRequest request;
-        request.eval_threads = eval_threads;
-        request.query_id = query_id;
-        request.engine = engine;
-        BeginPlanRequest decoded =
-            DecodeBeginPlanRequest(EncodeBeginPlanRequest(request))
-                .ValueOrDie();
-        EXPECT_EQ(decoded.eval_threads, eval_threads);
-        EXPECT_EQ(decoded.query_id, query_id);
-        EXPECT_EQ(decoded.engine, engine);
-      }
-    }
-  }
-}
-
 TEST(PlanSerdeTest, EndPlanRequestRoundTrips) {
   for (uint64_t query_id : {uint64_t{0}, uint64_t{42}, uint64_t{1} << 50}) {
     uint64_t decoded =
@@ -183,39 +163,6 @@ TEST(PlanSerdeTest, EndPlanRequestRoundTrips) {
   EXPECT_FALSE(DecodeEndPlanRequest({}).ok());
 }
 
-TEST(PlanSerdeTest, BeginPlanRequestRejectsUnknownEngine) {
-  // The engine varint ends the payload; values past kNestedLoop are
-  // foreign.
-  BeginPlanRequest request;
-  request.engine = EvalEngine::kNestedLoop;
-  std::vector<uint8_t> wire = EncodeBeginPlanRequest(request);
-  ASSERT_EQ(wire.back(), 2);  // kNestedLoop, single-byte varint.
-  for (uint8_t foreign : {uint8_t{3}, uint8_t{7}, uint8_t{127}}) {
-    wire.back() = foreign;
-    EXPECT_FALSE(DecodeBeginPlanRequest(wire).ok()) << int{foreign};
-  }
-}
-
-TEST(PlanSerdeTest, BeginPlanRequestRejectsTrailingBytes) {
-  // Protocol v7's BeginPlan is exactly three varints. A v6 payload (a
-  // leading flags byte, so one varint too many) or any other junk after
-  // the engine must not decode.
-  BeginPlanRequest request;
-  request.eval_threads = 4;
-  request.query_id = 99;
-  request.engine = EvalEngine::kRow;
-  std::vector<uint8_t> wire = EncodeBeginPlanRequest(request);
-  ASSERT_TRUE(DecodeBeginPlanRequest(wire).ok());
-  std::vector<uint8_t> v6_shape = wire;
-  v6_shape.insert(v6_shape.begin(), uint8_t{1});  // columnar-cache flag
-  EXPECT_FALSE(DecodeBeginPlanRequest(v6_shape).ok());
-  for (uint8_t junk : {uint8_t{0}, uint8_t{1}, uint8_t{0xff}}) {
-    std::vector<uint8_t> padded = wire;
-    padded.push_back(junk);
-    EXPECT_FALSE(DecodeBeginPlanRequest(padded).ok()) << int{junk};
-  }
-}
-
 TEST(PlanSerdeTest, EndPlanRequestRejectsTrailingBytes) {
   std::vector<uint8_t> wire = EncodeEndPlanRequest(42);
   ASSERT_TRUE(DecodeEndPlanRequest(wire).ok());
@@ -223,17 +170,6 @@ TEST(PlanSerdeTest, EndPlanRequestRejectsTrailingBytes) {
     std::vector<uint8_t> padded = wire;
     padded.push_back(junk);
     EXPECT_FALSE(DecodeEndPlanRequest(padded).ok()) << int{junk};
-  }
-}
-
-TEST(PlanSerdeTest, BeginPlanRequestRejectsTruncatedPayload) {
-  // Every prefix of a full payload is missing at least one varint.
-  BeginPlanRequest request;
-  request.query_id = uint64_t{1} << 40;
-  std::vector<uint8_t> wire = EncodeBeginPlanRequest(request);
-  for (size_t len = 0; len < wire.size(); ++len) {
-    std::vector<uint8_t> prefix(wire.begin(), wire.begin() + len);
-    EXPECT_FALSE(DecodeBeginPlanRequest(prefix).ok()) << "len=" << len;
   }
 }
 
@@ -566,7 +502,7 @@ TEST(PlanSerdeTest, TruncatedPayloadsFailCleanly) {
   std::vector<uint8_t> payload = EncodeGmdjRoundRequest(request, {});
   payload.resize(payload.size() / 2);
   EXPECT_FALSE(DecodeGmdjRoundRequest(payload).ok());
-  EXPECT_FALSE(DecodeBeginPlanRequest({}).ok());
+  EXPECT_FALSE(DecodeEndPlanRequest({}).ok());
   EXPECT_FALSE(DecodeHello({}).ok());
 }
 

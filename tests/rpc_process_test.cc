@@ -431,7 +431,9 @@ TEST_F(RpcProcessTest, TraceAndProfilesSpanTheProcessBoundary) {
       }
       EXPECT_GT(rs.wire_bytes, rs.bytes_to_sites + rs.bytes_to_coord);
     }
-    EXPECT_EQ(stats.total_wire_bytes, round_wire + stats.setup_wire_bytes);
+    // No frame outside the rounds counts: the query's wire total is
+    // exactly the sum of its rounds.
+    EXPECT_EQ(stats.total_wire_bytes, round_wire);
 
     // (b) The merged trace crosses the process boundary.
     if (tracing) {

@@ -286,8 +286,8 @@ TEST(RpcTcpTest, DeadPrimaryEndpointFailsOverToReplica) {
   // Live servers for sites 0, 1, 3, and a replica of partition 2 under
   // site id 4. Endpoint 2 points at a closed port: the primary for
   // partition 2 is down before the coordinator ever dials it, so the
-  // catalog probe and BeginPlan there fail and every round must fail
-  // over to endpoint 4.
+  // catalog probe fails there, every round's first attempt there fails,
+  // and every round must fail over to endpoint 4.
   std::vector<Site> sites;
   for (int id : {0, 1, 3, 4}) {
     Catalog catalog;

@@ -198,7 +198,8 @@ TEST_F(ServeCacheTest, CachedPlanAfterShutdownIsRejected) {
   GateInjector gate;
   ExecutorOptions exec;
   exec.fault_injector = &gate;
-  std::unique_ptr<Executor> executor = dw_.MakeExecutor(NetworkConfig{}, exec);
+  std::unique_ptr<rpc::RpcExecutor> executor =
+      dw_.MakeExecutor(NetworkConfig{}, exec);
   serve::SchedulerOptions options;
   options.max_concurrent_queries = 1;
   auto scheduler =

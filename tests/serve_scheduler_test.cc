@@ -3,8 +3,8 @@
 // width 8 (everything in flight at once, sites shared) must resolve to
 // byte-identical per-query results, for every executor — in-process
 // sites (sequential and with parallel sites) and real loopback sockets.
-// Also covers admission bookkeeping, cancellation, and queue-expired
-// deadlines.
+// Also covers admission bookkeeping, cancellation, queue-expired
+// deadlines, and that a query is retired before its answer is visible.
 
 #include "serve/scheduler.h"
 
@@ -18,6 +18,8 @@
 #include "common/random.h"
 #include "dist/warehouse.h"
 #include "net/serde.h"
+#include "obs/obs.h"
+#include "obs/trace.h"
 #include "rpc/rpc_executor.h"
 #include "rpc/server.h"
 #include "rpc/site_service.h"
@@ -92,7 +94,7 @@ std::vector<DistributedPlan> PlanBatch(const DistributedWarehouse& dw) {
 // admission width and returns each query's serialized result. Caching
 // is off: every submission must actually evaluate.
 std::vector<std::vector<uint8_t>> RunBatch(
-    std::unique_ptr<Executor> executor,
+    std::unique_ptr<rpc::RpcExecutor> executor,
     const std::vector<DistributedPlan>& batch, size_t width) {
   serve::SessionOptions options;
   options.scheduler.max_concurrent_queries = width;
@@ -121,7 +123,8 @@ std::vector<std::vector<uint8_t>> RunBatch(
 
 struct EngineCase {
   const char* name;
-  std::function<std::unique_ptr<Executor>(const std::vector<Table>&)> make;
+  std::function<std::unique_ptr<rpc::RpcExecutor>(const std::vector<Table>&)>
+      make;
 };
 
 TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
@@ -160,20 +163,22 @@ TEST(ServeSchedulerTest, ConcurrencyIsByteInvariantAcrossEngines) {
 
   const EngineCase engines[] = {
       {"sequential",
-       [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
+       [&](const std::vector<Table>& p)
+           -> std::unique_ptr<rpc::RpcExecutor> {
          ExecutorOptions options;
          options.fanout_threads = 1;
          return std::make_unique<rpc::RpcExecutor>(
              std::make_unique<rpc::InProcessTransport>(MakeSites(p)), options);
        }},
       {"parallel",
-       [&](const std::vector<Table>& p) -> std::unique_ptr<Executor> {
+       [&](const std::vector<Table>& p)
+           -> std::unique_ptr<rpc::RpcExecutor> {
          return std::make_unique<rpc::RpcExecutor>(
              std::make_unique<rpc::InProcessTransport>(MakeSites(p)),
              ExecutorOptions{});
        }},
       {"tcp",
-       [&](const std::vector<Table>&) -> std::unique_ptr<Executor> {
+       [&](const std::vector<Table>&) -> std::unique_ptr<rpc::RpcExecutor> {
          rpc::TcpOptions tcp;
          tcp.io_timeout_s = 5.0;
          tcp.backoff_initial_s = 0.005;
@@ -266,6 +271,56 @@ TEST(ServeSchedulerTest, DeadlineExpiresInQueue) {
   for (auto& submission : head) {
     auto r = submission.result.get();
     EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+}
+
+TEST(ServeSchedulerTest, FinishedQueryIsRetiredBeforeItsAnswerIsVisible) {
+  // A caller woken by get() must find the query finished everywhere:
+  // not cancellable, not counted as running, and (tracing on) its
+  // serve.query span ended and recorded. 200 one-at-a-time queries give
+  // a worker that fulfils the promise first plenty of chances to lose
+  // the race.
+  Table data = MakeData();
+  std::vector<Table> parts = PartitionByValue(data, "g", kSites).ValueOrDie();
+  DistributedWarehouse dw(kSites);
+  {
+    std::vector<Table> copy = parts;
+    dw.AddPartitionedTable("d", std::move(copy), {"g", "h", "v"}).Check();
+  }
+  serve::SessionOptions options;
+  options.scheduler.max_concurrent_queries = 1;
+  options.scheduler.cache_max_bytes = 0;
+  auto session = serve::QuerySession::Open(&dw, options).ValueOrDie();
+  DistributedPlan plan = PlanBatch(dw)[3];
+
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const bool traced = obs::TracingCompiledIn();
+  if (traced) {
+    tracer.Clear();
+    tracer.set_enabled(true);
+  }
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t mark = tracer.CommitMark();
+    auto submission = session.SubmitPlan(plan);
+    auto answer = submission.result.get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_FALSE(session.Cancel(submission.query_id)) << "query " << i;
+    EXPECT_EQ(session.scheduler().running_queries(), 0u) << "query " << i;
+    if (!traced) continue;
+    bool span_found = false;
+    for (const obs::TraceEvent& e : tracer.SnapshotSince(mark)) {
+      if (e.name != "serve.query") continue;
+      for (const auto& [key, value] : e.attrs) {
+        if (key == "query_id" && value == std::to_string(submission.query_id)) {
+          span_found = true;
+        }
+      }
+    }
+    EXPECT_TRUE(span_found) << "query " << i;
+  }
+  if (traced) {
+    tracer.set_enabled(false);
+    tracer.Clear();
   }
 }
 

@@ -139,7 +139,6 @@ void ExpectSameAccounting(const ExecStats& a, const ExecStats& b) {
   }
   EXPECT_EQ(a.lost_sites, b.lost_sites);
   EXPECT_EQ(a.engines_used, b.engines_used);
-  EXPECT_EQ(a.setup_wire_bytes, b.setup_wire_bytes);
 }
 
 class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -201,11 +200,12 @@ class RoundRecorder : public FaultInjector {
 };
 
 // In-process sites behind a transport that counts the requests it
-// carries, by message type.
+// carries, by endpoint and message type.
 class CountingTransport : public rpc::Transport {
  public:
   explicit CountingTransport(std::vector<Site> sites)
-      : inner_(std::move(sites)) {}
+      : inner_(std::move(sites)),
+        counts_(new std::atomic<int>[inner_.num_sites() * kTypes]()) {}
 
   size_t num_sites() const override { return inner_.num_sites(); }
 
@@ -213,33 +213,63 @@ class CountingTransport : public rpc::Transport {
     SKALLA_ASSIGN_OR_RETURN(std::unique_ptr<rpc::Connection> inner,
                             inner_.Connect(site));
     return std::unique_ptr<rpc::Connection>(
-        new Counted(std::move(inner), this));
+        new Counted(std::move(inner), &counts_[site * kTypes]));
   }
 
+  // Requests of `type` to every endpoint.
   int requests(rpc::MessageType type) const {
-    return counts_[static_cast<uint8_t>(type)].load();
+    int total = 0;
+    for (size_t e = 0; e < num_sites(); ++e) total += requests(e, type);
+    return total;
+  }
+
+  // Requests of `type` to endpoint `endpoint`.
+  int requests(size_t endpoint, rpc::MessageType type) const {
+    return counts_[endpoint * kTypes + static_cast<uint8_t>(type)].load();
+  }
+
+  // Requests of any type to endpoint `endpoint`.
+  int requests(size_t endpoint) const {
+    int total = 0;
+    for (size_t t = 0; t < kTypes; ++t) {
+      total += counts_[endpoint * kTypes + t].load();
+    }
+    return total;
+  }
+
+  rpc::SiteService* service(size_t endpoint) {
+    return inner_.service(endpoint);
   }
 
  private:
+  static constexpr size_t kTypes = 256;
+
   class Counted : public rpc::Connection {
    public:
-    Counted(std::unique_ptr<rpc::Connection> inner, CountingTransport* owner)
-        : inner_(std::move(inner)), owner_(owner) {}
+    Counted(std::unique_ptr<rpc::Connection> inner, std::atomic<int>* counts)
+        : inner_(std::move(inner)), counts_(counts) {}
     Result<rpc::Frame> Call(rpc::MessageType type,
                             const std::vector<uint8_t>& payload) override {
-      owner_->counts_[static_cast<uint8_t>(type)].fetch_add(1);
+      counts_[static_cast<uint8_t>(type)].fetch_add(1);
       return inner_->Call(type, payload);
     }
     uint64_t wire_bytes() const override { return inner_->wire_bytes(); }
 
    private:
     std::unique_ptr<rpc::Connection> inner_;
-    CountingTransport* owner_;
+    std::atomic<int>* counts_;  // this endpoint's row, kTypes wide
   };
 
   rpc::InProcessTransport inner_;
-  std::atomic<int> counts_[256] = {};
+  std::unique_ptr<std::atomic<int>[]> counts_;
 };
+
+// No site holds round state for a query once its Execute has returned.
+void ExpectNoOpenPlans(CountingTransport* transport) {
+  for (size_t e = 0; e < transport->num_sites(); ++e) {
+    EXPECT_EQ(transport->service(e)->open_plans(), 0u) << "endpoint " << e;
+  }
+}
 
 TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
   // A plan that skips the base synchronization (Prop. 2) computes each
@@ -286,6 +316,89 @@ TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
     for (const SiteRoundProfile& p : first.site_profiles) {
       EXPECT_EQ(p.fused, !plan.sync_base) << "site " << p.site_id;
     }
+    ExpectNoOpenPlans(counting);
+  }
+}
+
+TEST(StarDriverTest, Prop2PlanSendsOnlyItsRound) {
+  // A one-operator Prop. 2 plan is one self-contained synchronized
+  // round: each site gets exactly one kGmdjRound and no other frame —
+  // no per-query setup before it, no kEndPlan after it — and keeps no
+  // state for the query.
+  const size_t kSites = 4;
+  Table flow = MakeFlow(83, 600);
+  DistributedWarehouse dw(kSites);
+  dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  GmdjExpr query = Example1();
+  query.ops.resize(1);
+  OptimizerOptions prop2 = OptimizerOptions::None();
+  prop2.sync_reduction = true;
+  DistributedPlan plan = dw.Plan(query, prop2).ValueOrDie();
+  ASSERT_FALSE(plan.sync_base);
+  ASSERT_EQ(plan.stages.size(), 1u);
+  ASSERT_TRUE(plan.stages[0].sync_after);
+
+  auto transport = std::make_unique<CountingTransport>(MakeSites(parts));
+  CountingTransport* counting = transport.get();
+  rpc::RpcExecutor rpc(std::move(transport), {});
+  ASSERT_TRUE(rpc.Connect().ok());
+  std::vector<int> before(kSites);
+  for (size_t e = 0; e < kSites; ++e) before[e] = counting->requests(e);
+  Table result = rpc.Execute(plan, nullptr).ValueOrDie();
+  EXPECT_TRUE(result.SameRows(dw.ExecuteCentralized(query).ValueOrDie()));
+  for (size_t e = 0; e < kSites; ++e) {
+    EXPECT_EQ(counting->requests(e) - before[e], 1) << "site " << e;
+    EXPECT_EQ(counting->requests(e, rpc::MessageType::kGmdjRound), 1)
+        << "site " << e;
+  }
+  ExpectNoOpenPlans(counting);
+}
+
+TEST(StarDriverTest, EndPlanGoesOnlyToPrimariesThatRanACarriedRound) {
+  // Partitioned on SAS, a grouping on (SAS, DAS) lets Example1's md1
+  // stay at the sites (Theorem 5): md1 leaves its output there and md2
+  // reads it. Both rounds are pinned to the primaries, so each primary
+  // gets exactly one kEndPlan and the replicas get no frame at all
+  // beyond the catalog probe. No site keeps state afterwards.
+  const size_t kSites = 4;
+  Table flow = MakeFlow(89, 600);
+  DistributedWarehouse dw(kSites);
+  dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  OptimizerOptions prop2 = OptimizerOptions::None();
+  prop2.sync_reduction = true;
+  DistributedPlan plan = dw.Plan(Example1(), prop2).ValueOrDie();
+  ASSERT_EQ(plan.stages.size(), 2u);
+  ASSERT_FALSE(plan.stages[0].sync_after);
+
+  std::vector<Table> endpoint_parts = parts;
+  endpoint_parts.insert(endpoint_parts.end(), parts.begin(), parts.end());
+  auto transport =
+      std::make_unique<CountingTransport>(MakeSites(endpoint_parts));
+  CountingTransport* counting = transport.get();
+  rpc::RpcExecutor rpc(std::move(transport), {});
+  for (size_t i = 0; i < kSites; ++i) rpc.AddReplica(i, kSites + i);
+  ASSERT_TRUE(rpc.Connect().ok());
+  std::vector<int> before(2 * kSites);
+  for (size_t e = 0; e < 2 * kSites; ++e) before[e] = counting->requests(e);
+  for (int run = 1; run <= 2; ++run) {
+    SCOPED_TRACE(run);
+    Table result = rpc.Execute(plan, nullptr).ValueOrDie();
+    EXPECT_TRUE(
+        result.SameRows(dw.ExecuteCentralized(Example1()).ValueOrDie()));
+    for (size_t e = 0; e < kSites; ++e) {
+      EXPECT_EQ(counting->requests(e, rpc::MessageType::kEndPlan), run)
+          << "primary " << e;
+      EXPECT_EQ(counting->requests(e, rpc::MessageType::kGmdjRound), 2 * run)
+          << "primary " << e;
+    }
+    for (size_t e = kSites; e < 2 * kSites; ++e) {
+      EXPECT_EQ(counting->requests(e), before[e]) << "replica " << e;
+    }
+    ExpectNoOpenPlans(counting);
   }
 }
 

@@ -278,7 +278,9 @@ int main(int argc, char** argv) {
   }
   for (std::thread& t : clients) t.join();
 
-  if (shutdown_sites && session->rpc_executor() != nullptr) {
+  // Only remote sites are shut down; in-process sites end with the
+  // session.
+  if (shutdown_sites && !endpoints_spec.empty()) {
     skalla::Status s = session->rpc_executor()->Shutdown();
     if (!s.ok()) {
       std::fprintf(stderr, "site shutdown: %s\n", s.ToString().c_str());
