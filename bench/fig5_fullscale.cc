@@ -1,13 +1,13 @@
 // Figure 5 at the paper's scale, over real site processes and real
-// disk: the combined reductions query against a chunked warehouse
-// (skalla-dataset --chunked) served by one skalla-site process per
+// disk: the combined reductions query against a warehouse written by
+// skalla-dataset, served by one skalla-site process per
 // partition, each paging its partition through a bounded buffer pool.
 //
 // The paper ran 6M TPC(R) tuples partitioned by NationKey across 8
 // local warehouses whose detail data lived in Daytona, not in memory.
 // This bench reproduces that setting end to end:
 //
-//   skalla-dataset --chunked --out DIR --sites 8 --tpcr-rows 6000000
+//   skalla-dataset --out DIR --sites 8 --tpcr-rows 6000000
 //       --tpcr-customers 100000 --tpcr-clerks 3000   (one line)
 //   fig5_fullscale --data DIR [--budgets 16777216,0] [--json-out F]
 //
@@ -228,19 +228,17 @@ void Run() {
   const std::string binary = SiteBinary();
   if (binary.empty() || g_data.empty()) {
     std::fprintf(stderr,
-                 "need --data DIR (a skalla-dataset --chunked warehouse) "
+                 "need --data DIR (a skalla-dataset warehouse) "
                  "and a skalla-site binary\n(--site-bin or "
                  "SKALLA_SITE_BIN)\n");
     std::exit(2);
   }
 
-  // The chunked warehouse loads lazily: opening it here costs only the
-  // manifest, STATS, and chunk-file footers, and gives the planner the
-  // same distribution knowledge the eager warehouse would have.
-  StorageOptions storage;
-  storage.buffer_bytes = 1 << 20;
+  // The warehouse loads lazily: opening it here costs only the manifest,
+  // STATS, and chunk-file footers, and gives the planner the same
+  // distribution knowledge the resident warehouse would have.
   DistributedWarehouse dw =
-      DistributedWarehouse::Load(g_data, {}, {}, storage).ValueOrDie();
+      DistributedWarehouse::Load(g_data, {}, {}, 1 << 20).ValueOrDie();
   if (dw.num_sites() != g_sites) {
     std::fprintf(stderr, "--sites %zu but the warehouse has %zu\n", g_sites,
                  dw.num_sites());
@@ -353,7 +351,7 @@ void Run() {
 int main(int argc, char** argv) {
   skalla::FlagSet flags;
   flags.String("--data", &skalla::g_data,
-               "chunked warehouse directory (skalla-dataset --chunked)");
+               "warehouse directory (written by skalla-dataset)");
   flags.String("--site-bin", &skalla::g_site_bin,
                "skalla-site binary (default: $SKALLA_SITE_BIN)");
   flags.SizeT("--sites", &skalla::g_sites, "number of site processes");

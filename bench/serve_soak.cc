@@ -4,8 +4,8 @@
 // query we record submit-to-resolve latency (queue wait included — that
 // is what a user of skalla-coord experiences) and report p50/p99 plus
 // aggregate QPS per concurrency level, then a cached series showing the
-// sub-aggregate cache fast path. Output is the JSON committed as
-// BENCH_serve_soak.json.
+// sub-aggregate cache fast path. Output is a JSON record on stdout,
+// conventionally saved as BENCH_serve_soak.json (not committed).
 //
 //   ./bench/serve_soak [--queries N] [--rows N] [--trace-out=F]
 //                      [--metrics-out=F]

@@ -22,7 +22,7 @@
 //                          accumulated Chrome trace-event JSON to <path>
 //                          (open in chrome://tracing or ui.perfetto.dev)
 //   .load <file.csv> <name> <partition_column>
-//   .save <directory>      persist the warehouse (binary partitions)
+//   .save <directory>      persist the warehouse (chunk files + STATS)
 //   .quit
 
 #include <cstdio>

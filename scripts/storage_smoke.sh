@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Disk-backed storage smoke: the same queries over the same data must be
-# byte-identical whether sites serve resident tables or page fixed-size
+# byte-identical whether sites hold every chunk resident or page small
 # chunks through a buffer budget far below the partition size.
 #
 #   scripts/storage_smoke.sh [BUILD_DIR]   (default: ./build)
 #
-# Generates the benchmark warehouse twice from one seed — once eager
-# (version-1 row files), once chunked (version-2 layout, tpcr streamed
-# straight to chunk files) — then runs a query mix against a real
-# 4-site cluster over each and diffs the reply tables. The chunked
-# cluster runs with --buffer-bytes small enough that every partition
-# must be paged.
+# Generates the benchmark warehouse twice from one seed in the one
+# persisted layout (chunk files, tpcr streamed straight to them) — once
+# at the default --chunk-rows, served with --buffer-bytes 0 (unlimited),
+# once at --chunk-rows 512, served with a budget small enough that every
+# partition must be paged — then runs a query mix against a real 4-site
+# cluster over each and diffs the reply tables.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -42,17 +42,19 @@ wait_port() {  # wait_port LOGFILE NAME -> port
   echo "$port"
 }
 
-"$BUILD_DIR/tools/skalla-dataset" --out "$WORK/eager" --sites "$SITES" \
+"$BUILD_DIR/tools/skalla-dataset" --out "$WORK/resident" --sites "$SITES" \
     --flows 3000 --tpcr-rows 6000
-"$BUILD_DIR/tools/skalla-dataset" --out "$WORK/chunked" --sites "$SITES" \
-    --flows 3000 --tpcr-rows 6000 --chunked --chunk-rows 512
+"$BUILD_DIR/tools/skalla-dataset" --out "$WORK/small" --sites "$SITES" \
+    --flows 3000 --tpcr-rows 6000 --chunk-rows 512
 
-# The chunked directory really is the version-2 layout...
-head -1 "$WORK/chunked/MANIFEST" | grep -q '^skalla-warehouse 2 chunked$'
-test -f "$WORK/chunked/STATS"
-ls "$WORK/chunked"/tpcr.part*.skc >/dev/null
+# Both directories are the version-2 layout...
+for dir in "$WORK/resident" "$WORK/small"; do
+  head -1 "$dir/MANIFEST" | grep -q '^skalla-warehouse 2 chunked$'
+  test -f "$dir/STATS"
+  ls "$dir"/tpcr.part*.skc >/dev/null
+done
 # ...and the budget is genuinely below the partitions it will page.
-largest="$(wc -c "$WORK/chunked"/tpcr.part*.skc | sort -n | tail -2 | head -1 \
+largest="$(wc -c "$WORK/small"/tpcr.part*.skc | sort -n | tail -2 | head -1 \
     | awk '{print $1}')"
 if [ "$largest" -le "$BUDGET" ]; then
   echo "budget $BUDGET does not undercut partition size $largest" >&2
@@ -113,16 +115,16 @@ run_cluster() {
   for pid in "${cluster_pids[@]}"; do wait "$pid" 2>/dev/null || true; done
 }
 
-run_cluster eager "$WORK/eager"
-run_cluster paged "$WORK/chunked" --buffer-bytes "$BUDGET"
+run_cluster resident "$WORK/resident" --buffer-bytes 0
+run_cluster paged "$WORK/small" --buffer-bytes "$BUDGET"
 
 for i in "${!QUERIES[@]}"; do
-  if ! diff "$WORK/eager.q$i" "$WORK/paged.q$i" >/dev/null; then
+  if ! diff "$WORK/resident.q$i" "$WORK/paged.q$i" >/dev/null; then
     echo "query $i: paged cluster disagrees with resident cluster:" >&2
-    diff "$WORK/eager.q$i" "$WORK/paged.q$i" >&2 || true
+    diff "$WORK/resident.q$i" "$WORK/paged.q$i" >&2 || true
     exit 1
   fi
-  test -s "$WORK/eager.q$i"  # non-empty answer, not trivially equal
+  test -s "$WORK/resident.q$i"  # non-empty answer, not trivially equal
 done
 
 echo "storage_smoke: OK"

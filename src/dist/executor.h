@@ -72,7 +72,9 @@ struct ExecutorOptions {
   /// the CancellationToken in EvalContext (morsel-granular, so the grace
   /// period is bounded) and surfaces as Status::DeadlineExceeded. The
   /// rpc executor additionally ships the remaining budget to site
-  /// servers with each round request.
+  /// servers with each round request. Under a QueryScheduler the query
+  /// deadline is the default for every submission and counts from
+  /// Submit, queue wait included.
   uint64_t round_deadline_ms = 0;
   uint64_t query_deadline_ms = 0;
 };

@@ -1,13 +1,12 @@
 #include "dist/warehouse.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "data/table_io.h"
 #include "net/serde.h"
 #include "relalg/operators.h"
 #include "storage/chunk_file.h"
@@ -17,26 +16,35 @@ namespace skalla {
 
 namespace {
 
+// Most sites a MANIFEST may name. Loading sizes one catalog per site
+// before it opens a file, so a larger count is a corrupt manifest, not a
+// warehouse.
+constexpr size_t kMaxWarehouseSites = 1 << 16;
+
 // --- STATS file: serialized distribution knowledge ------------------------
 //
-// A chunked warehouse persists its PartitionInfo map at save time so that
-// a lazy load plans identically to the eager warehouse it came from
-// without scanning a single chunk. Binary layout (varint/WriteValue from
+// A saved warehouse persists its PartitionInfo map so that a lazy load
+// plans identically to the resident warehouse it came from without
+// scanning a single chunk. Binary layout (varint/WriteValue from
 // net/serde.h):
 //
 //   "SKALLASTATS1"
 //   varint num_tables
 //   per table: string name, varint num_sites, varint num_columns,
 //     per column: string name,
-//       per site: flags u8 (1 = value set, 2 = min, 4 = max,
-//                 8 = histogram),
+//       per site: flags u8 (1 = value set, 2 = min, 4 = max),
 //         [varint count, count * WriteValue]  (value set)
 //         [WriteValue]                        (min)   as FLOAT64
 //         [WriteValue]                        (max)   as FLOAT64
-//         [varint len, len * varint]          (histogram)
+//
+// Every table's num_sites must equal the MANIFEST's, and nothing may
+// follow the last table.
 
 constexpr char kStatsMagic[] = "SKALLASTATS1";
 constexpr size_t kStatsMagicLen = 12;
+constexpr uint8_t kStatsValueSet = 1;
+constexpr uint8_t kStatsMin = 2;
+constexpr uint8_t kStatsMax = 4;
 
 void PutString(std::vector<uint8_t>* out, const std::string& s) {
   PutVarint(out, s.size());
@@ -67,10 +75,9 @@ std::vector<uint8_t> EncodePartitionStats(
         const ColumnDistribution* dist = info.GetDistribution(site, column);
         uint8_t flags = 0;
         if (dist != nullptr) {
-          if (dist->values.has_value()) flags |= 1;
-          if (dist->min.has_value()) flags |= 2;
-          if (dist->max.has_value()) flags |= 4;
-          if (!dist->histogram.empty()) flags |= 8;
+          if (dist->values.has_value()) flags |= kStatsValueSet;
+          if (dist->min.has_value()) flags |= kStatsMin;
+          if (dist->max.has_value()) flags |= kStatsMax;
         }
         out.push_back(flags);
         if (dist == nullptr) continue;
@@ -81,10 +88,6 @@ std::vector<uint8_t> EncodePartitionStats(
         }
         if (dist->min.has_value()) WriteValue(&out, Value(*dist->min));
         if (dist->max.has_value()) WriteValue(&out, Value(*dist->max));
-        if (!dist->histogram.empty()) {
-          PutVarint(&out, dist->histogram.size());
-          for (uint32_t bucket : dist->histogram) PutVarint(&out, bucket);
-        }
       }
     }
   }
@@ -92,7 +95,7 @@ std::vector<uint8_t> EncodePartitionStats(
 }
 
 Result<std::map<std::string, PartitionInfo>> DecodePartitionStats(
-    const std::vector<uint8_t>& bytes) {
+    const std::vector<uint8_t>& bytes, size_t num_sites) {
   ByteReader reader(bytes.data(), bytes.size());
   SKALLA_ASSIGN_OR_RETURN(const uint8_t* magic,
                           reader.ReadBytes(kStatsMagicLen));
@@ -103,15 +106,25 @@ Result<std::map<std::string, PartitionInfo>> DecodePartitionStats(
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_tables, reader.ReadVarint());
   for (uint64_t t = 0; t < num_tables; ++t) {
     SKALLA_ASSIGN_OR_RETURN(std::string table, ReadString(&reader));
-    SKALLA_ASSIGN_OR_RETURN(uint64_t num_sites, reader.ReadVarint());
-    PartitionInfo info(static_cast<size_t>(num_sites));
+    SKALLA_ASSIGN_OR_RETURN(uint64_t table_sites, reader.ReadVarint());
+    if (table_sites != num_sites) {
+      return Status::ParseError(
+          StrCat("STATS table '", table, "' has ", table_sites,
+                 " sites, manifest says ", num_sites));
+    }
+    PartitionInfo info(num_sites);
     SKALLA_ASSIGN_OR_RETURN(uint64_t num_columns, reader.ReadVarint());
     for (uint64_t c = 0; c < num_columns; ++c) {
       SKALLA_ASSIGN_OR_RETURN(std::string column, ReadString(&reader));
-      for (uint64_t site = 0; site < num_sites; ++site) {
+      for (size_t site = 0; site < num_sites; ++site) {
         SKALLA_ASSIGN_OR_RETURN(uint8_t flags, reader.ReadByte());
+        if ((flags & ~(kStatsValueSet | kStatsMin | kStatsMax)) != 0) {
+          return Status::ParseError(
+              StrCat("bad STATS flags ", int{flags}, " for '", table, ".",
+                     column, "'"));
+        }
         ColumnDistribution dist;
-        if (flags & 1) {
+        if (flags & kStatsValueSet) {
           SKALLA_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
           ValueSet set;
           for (uint64_t i = 0; i < count; ++i) {
@@ -120,29 +133,21 @@ Result<std::map<std::string, PartitionInfo>> DecodePartitionStats(
           }
           dist.values = std::move(set);
         }
-        if (flags & 2) {
+        if (flags & kStatsMin) {
           SKALLA_ASSIGN_OR_RETURN(Value v, ReadValue(&reader));
           dist.min = v.AsDouble();
         }
-        if (flags & 4) {
+        if (flags & kStatsMax) {
           SKALLA_ASSIGN_OR_RETURN(Value v, ReadValue(&reader));
           dist.max = v.AsDouble();
         }
-        if (flags & 8) {
-          SKALLA_ASSIGN_OR_RETURN(uint64_t len, reader.ReadVarint());
-          dist.histogram.reserve(static_cast<size_t>(len));
-          for (uint64_t i = 0; i < len; ++i) {
-            SKALLA_ASSIGN_OR_RETURN(uint64_t bucket, reader.ReadVarint());
-            dist.histogram.push_back(static_cast<uint32_t>(bucket));
-          }
-        }
-        if (flags != 0) {
-          info.SetDistribution(static_cast<size_t>(site), column,
-                               std::move(dist));
-        }
+        if (flags != 0) info.SetDistribution(site, column, std::move(dist));
       }
     }
     infos[std::move(table)] = std::move(info);
+  }
+  if (reader.remaining() != 0) {
+    return Status::ParseError("trailing bytes after STATS");
   }
   return infos;
 }
@@ -269,35 +274,8 @@ const PartitionInfo* DistributedWarehouse::partition_info(
   return it == partition_info_.end() ? nullptr : &it->second;
 }
 
-Status DistributedWarehouse::Save(const std::string& directory) const {
-  std::string manifest = StrCat("skalla-warehouse 1\nsites ", num_sites_,
-                                "\n");
-  for (const std::string& name : central_.TableNames()) {
-    std::vector<Table> partitions;
-    partitions.reserve(num_sites_);
-    for (size_t i = 0; i < num_sites_; ++i) {
-      SKALLA_ASSIGN_OR_RETURN(const Table* part, site_catalogs_[i].Get(name));
-      partitions.push_back(*part);
-    }
-    SKALLA_RETURN_NOT_OK(SavePartitions(partitions, directory, name));
-    auto tracked = tracked_columns_.find(name);
-    manifest += StrCat(
-        "table ", name, " tracked ",
-        tracked == tracked_columns_.end() ? "" : Join(tracked->second, ","),
-        "\n");
-  }
-  std::ofstream out(directory + "/MANIFEST", std::ios::binary);
-  if (!out) {
-    return Status::IOError(
-        StrCat("cannot write manifest under '", directory, "'"));
-  }
-  out << manifest;
-  if (!out) return Status::IOError("failed writing manifest");
-  return Status::OK();
-}
-
-Status DistributedWarehouse::SaveChunked(const std::string& directory,
-                                         size_t chunk_rows) const {
+Status DistributedWarehouse::Save(const std::string& directory,
+                                  size_t chunk_rows) const {
   std::vector<WarehouseManifest::TableEntry> tables;
   for (const std::string& name : central_.TableNames()) {
     for (size_t i = 0; i < num_sites_; ++i) {
@@ -349,25 +327,30 @@ Result<WarehouseManifest> ReadWarehouseManifest(
         StrCat("no warehouse manifest under '", directory, "'"));
   }
   std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IOError("unrecognized warehouse manifest header");
-  }
-  WarehouseManifest parsed_header;
+  std::getline(in, line);
   if (line == "skalla-warehouse 1") {
-    parsed_header.chunked = false;
-  } else if (line == "skalla-warehouse 2 chunked") {
-    parsed_header.chunked = true;
-  } else {
+    return Status::IOError(StrCat(
+        "'", directory, "' holds a version 1 warehouse (row files), which "
+        "no longer loads; regenerate it as version 2 (chunk files) with "
+        "skalla-dataset or DistributedWarehouse::Save"));
+  }
+  if (line != "skalla-warehouse 2 chunked") {
     return Status::IOError("unrecognized warehouse manifest header");
   }
   if (!std::getline(in, line) || line.rfind("sites ", 0) != 0) {
     return Status::IOError("manifest missing site count");
   }
-  WarehouseManifest manifest = std::move(parsed_header);
-  manifest.num_sites = static_cast<size_t>(
-      std::strtoull(line.c_str() + 6, nullptr, 10));
-  if (manifest.num_sites == 0) {
-    return Status::IOError("manifest has zero sites");
+  WarehouseManifest manifest;
+  const char* first = line.data() + 6;
+  const char* last = line.data() + line.size();
+  auto [end, ec] = std::from_chars(first, last, manifest.num_sites);
+  if (ec != std::errc() || end != last) {
+    return Status::IOError(StrCat("bad manifest site count: ", line));
+  }
+  if (manifest.num_sites == 0 || manifest.num_sites > kMaxWarehouseSites) {
+    return Status::IOError(StrCat("manifest site count ", manifest.num_sites,
+                                  " is outside [1, ", kMaxWarehouseSites,
+                                  "]"));
   }
   while (std::getline(in, line)) {
     std::string_view stripped = StripWhitespace(line);
@@ -388,8 +371,7 @@ Result<WarehouseManifest> ReadWarehouseManifest(
 }
 
 Result<Catalog> LoadSiteCatalog(const std::string& directory,
-                                size_t site_index,
-                                const StorageOptions& storage) {
+                                size_t site_index, uint64_t buffer_bytes) {
   SKALLA_ASSIGN_OR_RETURN(WarehouseManifest manifest,
                           ReadWarehouseManifest(directory));
   if (site_index >= manifest.num_sites) {
@@ -397,67 +379,34 @@ Result<Catalog> LoadSiteCatalog(const std::string& directory,
         StrCat("site ", site_index, " out of range: warehouse has ",
                manifest.num_sites, " sites"));
   }
+  auto buffers = std::make_shared<BufferManager>(buffer_bytes);
   Catalog catalog;
-  if (manifest.chunked) {
-    std::shared_ptr<BufferManager> buffers =
-        storage.buffer_manager != nullptr
-            ? storage.buffer_manager
-            : std::make_shared<BufferManager>(storage.buffer_bytes);
-    for (const WarehouseManifest::TableEntry& entry : manifest.tables) {
-      SKALLA_ASSIGN_OR_RETURN(
-          std::shared_ptr<ChunkFileDataProvider> provider,
-          ChunkFileDataProvider::Open(
-              PartitionChunkPath(directory, entry.name, site_index),
-              buffers));
-      catalog.RegisterProvider(entry.name, std::move(provider));
-    }
-    return catalog;
-  }
   for (const WarehouseManifest::TableEntry& entry : manifest.tables) {
     SKALLA_ASSIGN_OR_RETURN(
-        Table partition, LoadPartition(directory, entry.name, site_index));
-    catalog.Register(entry.name, std::move(partition));
+        std::shared_ptr<ChunkFileDataProvider> provider,
+        ChunkFileDataProvider::Open(
+            PartitionChunkPath(directory, entry.name, site_index), buffers));
+    catalog.RegisterProvider(entry.name, std::move(provider));
   }
   return catalog;
 }
 
-Result<Catalog> LoadSiteCatalog(const std::string& directory,
-                                size_t site_index) {
-  return LoadSiteCatalog(directory, site_index, StorageOptions{});
-}
-
 Result<DistributedWarehouse> DistributedWarehouse::Load(
     const std::string& directory, NetworkConfig net_config,
-    ExecutorOptions exec_options, const StorageOptions& storage) {
+    ExecutorOptions exec_options, uint64_t buffer_bytes) {
   SKALLA_ASSIGN_OR_RETURN(WarehouseManifest manifest,
                           ReadWarehouseManifest(directory));
+  SKALLA_ASSIGN_OR_RETURN(std::vector<uint8_t> stats_bytes,
+                          ReadFileBytes(directory + "/STATS"));
   DistributedWarehouse dw(manifest.num_sites, net_config, exec_options);
-  if (manifest.chunked) {
-    dw.storage_dir_ = directory;
-    dw.buffers_ = storage.buffer_manager != nullptr
-                      ? storage.buffer_manager
-                      : std::make_shared<BufferManager>(storage.buffer_bytes);
-    for (const WarehouseManifest::TableEntry& entry : manifest.tables) {
-      SKALLA_RETURN_NOT_OK(dw.OpenChunkedTable(entry.name));
-      dw.tracked_columns_[entry.name] = entry.tracked;
-    }
-    SKALLA_ASSIGN_OR_RETURN(std::vector<uint8_t> stats_bytes,
-                            ReadFileBytes(directory + "/STATS"));
-    SKALLA_ASSIGN_OR_RETURN(dw.partition_info_,
-                            DecodePartitionStats(stats_bytes));
-    return dw;
-  }
+  SKALLA_ASSIGN_OR_RETURN(dw.partition_info_,
+                          DecodePartitionStats(stats_bytes,
+                                               manifest.num_sites));
+  dw.storage_dir_ = directory;
+  dw.buffers_ = std::make_shared<BufferManager>(buffer_bytes);
   for (const WarehouseManifest::TableEntry& entry : manifest.tables) {
-    SKALLA_ASSIGN_OR_RETURN(std::vector<Table> partitions,
-                            LoadPartitions(directory, entry.name));
-    if (partitions.size() != manifest.num_sites) {
-      return Status::IOError(
-          StrCat("table '", entry.name, "' has ", partitions.size(),
-                 " partitions, manifest says ", manifest.num_sites,
-                 " sites"));
-    }
-    SKALLA_RETURN_NOT_OK(dw.AddPartitionedTable(
-        entry.name, std::move(partitions), entry.tracked));
+    SKALLA_RETURN_NOT_OK(dw.OpenChunkedTable(entry.name));
+    dw.tracked_columns_[entry.name] = entry.tracked;
   }
   return dw;
 }
@@ -473,7 +422,7 @@ Status DistributedWarehouse::OpenChunkedTable(const std::string& name) {
     site_catalogs_[i].RegisterProvider(name, provider);
     parts.push_back(std::move(provider));
   }
-  // Site order matches the UnionAll order of an eager load, so the
+  // Site order matches AddPartitionedTable's UnionAll order, so the
   // centralized reference evaluation stays byte-identical.
   central_.RegisterProvider(
       name, std::make_shared<ConcatDataProvider>(std::move(parts)));

@@ -28,23 +28,11 @@
 
 namespace skalla {
 
-/// How a loaded warehouse/site pages its chunk-backed relations.
-struct StorageOptions {
-  /// BufferManager byte budget shared by every chunk-backed relation of
-  /// the load; 0 = unlimited. Ignored when `buffer_manager` is set.
-  uint64_t buffer_bytes = 0;
-
-  /// An existing manager to share (e.g. across warehouses); created from
-  /// `buffer_bytes` when null.
-  std::shared_ptr<BufferManager> buffer_manager;
-};
-
-/// Parsed MANIFEST of a warehouse saved with DistributedWarehouse::Save
-/// (version 1, eager row files) or SaveChunked (version 2, chunk files
-/// read lazily through a BufferManager).
+/// Parsed MANIFEST of a warehouse directory. The one persisted layout
+/// (version 2) is per-site chunk files read lazily through a
+/// BufferManager, plus STATS (the serialized distribution knowledge).
 struct WarehouseManifest {
   size_t num_sites = 0;
-  bool chunked = false;
   struct TableEntry {
     std::string name;
     std::vector<std::string> tracked;
@@ -52,19 +40,22 @@ struct WarehouseManifest {
   std::vector<TableEntry> tables;
 };
 
+/// Reads <directory>/MANIFEST. Only "skalla-warehouse 2 chunked" is
+/// accepted; a version 1 (row file) manifest fails with an IOError that
+/// names the version. The site count must be a plain decimal in
+/// [1, 65536].
 Result<WarehouseManifest> ReadWarehouseManifest(const std::string& directory);
 
-/// Path of one site's chunk file for `name` under a chunked warehouse
+/// Path of one site's chunk file for `name` under a warehouse
 /// directory: <directory>/<name>.part<site>.skc.
 std::string PartitionChunkPath(const std::string& directory,
                                const std::string& name, size_t site_index);
 
-/// Writes the MANIFEST (version 2) and STATS files of a chunked
-/// warehouse directory whose chunk files were produced externally —
-/// skalla-dataset streams generated rows through ChunkFileWriter and
-/// then stamps the directory loadable with this. `tables` lists each
-/// table's tracked columns; `stats` the distribution knowledge to
-/// persist.
+/// Writes the MANIFEST and STATS files of a warehouse directory whose
+/// chunk files were produced externally — skalla-dataset streams
+/// generated rows through ChunkFileWriter and then stamps the directory
+/// loadable with this. `tables` lists each table's tracked columns;
+/// `stats` the distribution knowledge to persist.
 Status WriteChunkedWarehouseMeta(
     const std::string& directory, size_t num_sites,
     const std::vector<WarehouseManifest::TableEntry>& tables,
@@ -73,13 +64,10 @@ Status WriteChunkedWarehouseMeta(
 /// Loads site `site_index`'s partition of every manifest table — what a
 /// skalla-site process loads at startup. Unlike DistributedWarehouse::
 /// Load it reads only that site's files, never the peers' partitions.
-/// Chunked warehouses register paged providers (nothing resident until
-/// pinned); `storage` sizes their shared BufferManager.
+/// It registers paged providers (nothing resident until pinned) sharing
+/// one BufferManager of `buffer_bytes` (0 = unlimited).
 Result<Catalog> LoadSiteCatalog(const std::string& directory,
-                                size_t site_index,
-                                const StorageOptions& storage);
-Result<Catalog> LoadSiteCatalog(const std::string& directory,
-                                size_t site_index);
+                                size_t site_index, uint64_t buffer_bytes = 0);
 
 class DistributedWarehouse {
  public:
@@ -152,29 +140,25 @@ class DistributedWarehouse {
   /// The centralized (union) catalog, for direct inspection.
   const Catalog& central_catalog() const { return central_; }
 
-  /// Persists the warehouse (every table's partitions plus a manifest)
-  /// under `directory`, which must exist. Requires resident partitions
-  /// (a chunk-loaded warehouse saves nothing new — its chunk files ARE
-  /// the persistent form).
-  Status Save(const std::string& directory) const;
+  /// Persists the warehouse under `directory`, which must exist:
+  /// per-site chunk files (<name>.part<i>.skc, `chunk_rows` rows per
+  /// chunk), a STATS file carrying the serialized distribution knowledge
+  /// (so a load plans exactly like this warehouse without scanning any
+  /// chunk), and the MANIFEST. Requires resident partitions (a loaded
+  /// warehouse saves nothing new — its chunk files ARE the persistent
+  /// form).
+  Status Save(const std::string& directory,
+              size_t chunk_rows = kDefaultChunkRows) const;
 
-  /// Persists the warehouse as a version-2 chunked layout: per-site
-  /// chunk files (<name>.part<i>.skc), a STATS file carrying the
-  /// serialized distribution knowledge (so a lazy load plans exactly
-  /// like this eager warehouse without scanning any chunk), and the
-  /// manifest. Requires resident partitions.
-  Status SaveChunked(const std::string& directory,
-                     size_t chunk_rows = kDefaultChunkRows) const;
-
-  /// Restores a warehouse saved with Save or SaveChunked. Network/
-  /// executor options are the caller's. Version-1 directories load
-  /// eagerly and recompute distribution knowledge from the partitions;
-  /// version-2 directories register lazy chunk providers (paged through
-  /// one shared BufferManager per `storage`) and read the distribution
-  /// knowledge from STATS.
-  static Result<DistributedWarehouse> Load(
-      const std::string& directory, NetworkConfig net_config = {},
-      ExecutorOptions exec_options = {}, const StorageOptions& storage = {});
+  /// Restores a warehouse written by Save (or skalla-dataset).
+  /// Network/executor options are the caller's. Every table registers
+  /// lazy chunk providers paged through one shared BufferManager of
+  /// `buffer_bytes` (0 = unlimited); the distribution knowledge comes
+  /// from STATS.
+  static Result<DistributedWarehouse> Load(const std::string& directory,
+                                           NetworkConfig net_config = {},
+                                           ExecutorOptions exec_options = {},
+                                           uint64_t buffer_bytes = 0);
 
   /// Monotonic data epoch: bumped whenever a registered table's data is
   /// replaced (AddPartitionedTable over an existing name, ReloadTable).

@@ -1,6 +1,6 @@
 // The Skalla wire frame: every message between a coordinator and a site
-// — over TCP, over an in-process channel, or through the simulated
-// network — travels inside one of these.
+// — over TCP or through the InProcessTransport (rpc/transport.h) —
+// travels inside one of these.
 //
 // Layout (little-endian, fixed 16-byte header):
 //
@@ -81,8 +81,8 @@ inline constexpr uint8_t kProtocolVersion = 11;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// What a frame carries. Requests flow coordinator -> site; responses
-/// site -> coordinator; kTableResult doubles as the payload type for
-/// fragments on the in-process channel transport.
+/// site -> coordinator. kTableResult is the pre-v4 round response, kept
+/// only as a reserved tag: no v11 site sends it.
 enum class MessageType : uint8_t {
   kError = 0,        // response: encoded Status (rpc/plan_serde.h)
   kAck = 1,          // response: empty payload

@@ -16,6 +16,7 @@
 
 #include "common/result.h"
 #include "core/gmdj.h"
+#include "dist/executor.h"
 #include "expr/expr.h"
 #include "net/serde.h"
 #include "obs/trace.h"
@@ -70,38 +71,14 @@ struct TraceContext {
 void WriteTraceContext(std::vector<uint8_t>* out, const TraceContext& ctx);
 Result<TraceContext> ReadTraceContext(ByteReader* reader);
 
-/// What one site measured evaluating one round. Travels back to the
-/// coordinator inside every kRoundResult payload, self-delimiting so the
-/// table payload can follow it.
-struct RoundProfile {
-  int site_id = 0;
-  uint64_t wall_us = 0;     // Round wall time inside the site service.
-  uint64_t eval_us = 0;     // Of which: base/GMDJ evaluation proper.
-  uint64_t morsel_us = 0;   // Summed per-morsel time (overlaps if parallel).
-  uint64_t rows_scanned = 0;
-  uint64_t rows_matched = 0;
-  uint64_t index_hits = 0;
-  uint64_t bytes_in = 0;    // Table payload bytes the request carried.
-  uint64_t bytes_out = 0;   // Table payload bytes the response carries.
-  uint64_t result_rows = 0;
-  uint64_t duplicate_rounds = 0;  // Idempotency-cache replays so far.
-  uint64_t chaos_faults = 0;      // Transport faults injected so far.
-  /// Kernels the round's evaluation used (kEngineBitRow /
-  /// kEngineBitColumnar OR-ed; kEngineBitColumnar for base rounds). Wire
-  /// format: varint after chaos_faults (protocol version 6).
-  uint8_t engines_used = 0;
-  /// Chunks the round skipped unpinned by stat pruning. Wire format:
-  /// varint after engines_used (protocol version 8).
-  uint64_t chunks_pruned = 0;
-  /// Column pages the round's pins loaded (buffer misses) and their
-  /// estimated bytes. Wire format: two varints after chunks_pruned
-  /// (protocol version 9).
-  uint64_t pages_loaded = 0;
-  uint64_t bytes_loaded = 0;
-  /// A round carrying the base query ran it fused into the GMDJ pass
-  /// (EvalProfile::fused_base). Wire format: varint 0/1 after
-  /// bytes_loaded (protocol version 10).
-  bool fused = false;
+/// What one site measured evaluating one round (the SiteRoundProfile
+/// counters the coordinator keeps), plus the span subtree that rides
+/// along. Travels back inside every kRoundResult payload, self-delimiting
+/// so the table payload can follow it. Wire order (all varints, site_id
+/// zigzag): site_id through chaos_faults as declared, then engines_used
+/// (protocol v6), chunks_pruned (v8), pages_loaded and bytes_loaded (v9),
+/// fused as 0/1 (v10), then the spans.
+struct RoundProfile : SiteRoundProfile {
   /// The site's span subtree for this round (empty when untraced). Span
   /// ids/parents are site-local; the coordinator remaps them on import.
   std::vector<obs::TraceEvent> spans;
@@ -141,7 +118,7 @@ Result<BaseRoundRequest> DecodeBaseRoundRequest(
 
 /// kGmdjRound: evaluate one GMDJ operator. When has_base, the request
 /// tail carries the (coordinator-filtered) base structure, encoded with
-/// net/serde exactly as the simulated transports ship it. When
+/// net/serde exactly as a synchronized round ships it back. When
 /// has_base_query (a Prop. 2 plan's first round), the site computes its
 /// base B_i from the carried base query and evaluates the operator over
 /// it in the same request (Site::EvalBaseAndGmdjRound). Otherwise the

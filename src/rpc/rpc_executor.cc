@@ -14,32 +14,6 @@
 namespace skalla {
 namespace rpc {
 
-namespace {
-
-SiteRoundProfile ToSiteProfile(const RoundProfile& p) {
-  SiteRoundProfile sp;
-  sp.site_id = p.site_id;
-  sp.wall_us = p.wall_us;
-  sp.eval_us = p.eval_us;
-  sp.morsel_us = p.morsel_us;
-  sp.rows_scanned = p.rows_scanned;
-  sp.rows_matched = p.rows_matched;
-  sp.index_hits = p.index_hits;
-  sp.bytes_in = p.bytes_in;
-  sp.bytes_out = p.bytes_out;
-  sp.result_rows = p.result_rows;
-  sp.duplicate_rounds = p.duplicate_rounds;
-  sp.chaos_faults = p.chaos_faults;
-  sp.engines_used = p.engines_used;
-  sp.chunks_pruned = p.chunks_pruned;
-  sp.pages_loaded = p.pages_loaded;
-  sp.bytes_loaded = p.bytes_loaded;
-  sp.fused = p.fused;
-  return sp;
-}
-
-}  // namespace
-
 RpcExecutor::RpcExecutor(std::unique_ptr<Transport> transport,
                          ExecutorOptions options)
     : transport_(std::move(transport)), options_(options) {}
@@ -221,11 +195,6 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
     case MessageType::kAck:
       if (call_stats != nullptr) call_stats->table_bytes = 0;
       return Table();
-    case MessageType::kTableResult:
-      if (call_stats != nullptr) {
-        call_stats->table_bytes = response->payload.size();
-      }
-      return ReadTable(response->payload.data(), response->payload.size());
     case MessageType::kRoundResult: {
       SKALLA_ASSIGN_OR_RETURN(RoundResult result,
                               DecodeRoundResult(response->payload));
@@ -246,7 +215,6 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
 #endif
       if (call_stats != nullptr) {
         call_stats->table_bytes = result.table_bytes;
-        call_stats->has_profile = true;
         call_stats->profile = std::move(result.profile);
       }
       if (!result.has_table) return Table();
@@ -355,7 +323,7 @@ class RpcExecutor::Link : public SiteLink {
         endpoint, type, payload, &call, round.eval.trace_parent_span);
     traffic->wire_bytes += call.wire_bytes;
     attempt->bytes_to_coord = call.table_bytes;
-    attempt->profile = ToSiteProfile(call.profile);
+    attempt->profile = call.profile;
     if (fragment.ok() && round.synchronized) {
       attempt->comm_time =
           executor_->transport_->TransferTime(call.table_bytes);

@@ -37,11 +37,10 @@ namespace rpc {
 /// What one CallRound observed: the accounted table payload bytes, the
 /// framed wire bytes the call moved (all attempts' frames, headers and
 /// CRCs included), and the site's RoundProfile when the response was a
-/// kRoundResult.
+/// kRoundResult (zeros otherwise).
 struct RoundCallStats {
   uint64_t table_bytes = 0;
   uint64_t wire_bytes = 0;
-  bool has_profile = false;
   RoundProfile profile;
 };
 
@@ -55,6 +54,8 @@ class RpcExecutor {
   /// profiles identical either way; the deadlines ship with each round
   /// request.
   RpcExecutor(std::unique_ptr<Transport> transport, ExecutorOptions options);
+
+  const ExecutorOptions& options() const { return options_; }
 
   /// Dials every site (TCP: kHello handshake) and fetches the catalog
   /// schemas the coordinator needs for schema inference. Idempotent and
@@ -117,8 +118,8 @@ class RpcExecutor {
   /// One request/response against site `i`, translating the response:
   /// kRoundResult decodes to the table plus the site's RoundProfile
   /// (remote spans are merged into the coordinator tracer, parented
-  /// under this call's rpc.round span); kTableResult / kAck are the
-  /// pre-v4 shapes; kError decodes back to the site's original Status.
+  /// under this call's rpc.round span); kAck (a shutdown's answer) to an
+  /// empty table; kError decodes back to the site's original Status.
   /// `call_stats` (may be nullptr) receives per-call accounting even
   /// when the call fails.
   /// The call's rpc.round span nests under `parent_span` (0 = the

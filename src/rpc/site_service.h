@@ -82,8 +82,8 @@ class SiteService {
   size_t open_plans() const;
 
  private:
-  /// Round state for one in-flight query (protocol v5: one per query
-  /// id; id 0 is the anonymous pre-v5 slot).
+  /// Round state for one in-flight query, keyed by the query id the
+  /// request's TraceContext carries (protocol v5).
   struct PlanState {
     // Carried-over base structure: the output of the last round that
     // did not ship its result; absent until such a round ran.

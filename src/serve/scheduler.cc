@@ -188,10 +188,12 @@ Result<QueryResult> QueryScheduler::Serve(
   }
 
   // Queue wait consumes the deadline budget: the query's latency clock
-  // started at Submit, not at admission.
-  const uint64_t deadline_ms = ticket->options.query_deadline_ms > 0
-                                   ? ticket->options.query_deadline_ms
-                                   : options_.default_query_deadline_ms;
+  // started at Submit, not at admission — for the executor's default
+  // deadline as much as for a per-query one.
+  const uint64_t deadline_ms =
+      ticket->options.query_deadline_ms > 0
+          ? ticket->options.query_deadline_ms
+          : executor_->options().query_deadline_ms;
   uint64_t remaining_ms = 0;
   if (deadline_ms > 0) {
     const uint64_t waited_ms = static_cast<uint64_t>(queue_wait_s * 1e3);

@@ -52,10 +52,6 @@ struct SchedulerOptions {
   /// Admission width: plans executing at once. 0 = 1.
   size_t max_concurrent_queries = 4;
 
-  /// Default per-query deadline for submissions that do not set their
-  /// own, in milliseconds; 0 = unbounded. Queue wait counts against it.
-  uint64_t default_query_deadline_ms = 0;
-
   /// SubAggregateCache capacity in serialized result bytes; 0 disables
   /// result caching.
   uint64_t cache_max_bytes = 64ull << 20;
@@ -73,8 +69,11 @@ struct SchedulerOptions {
 /// Per-submission knobs (the serving-layer analogue of QueryRun; zero
 /// means "scheduler decides").
 struct QueryOptions {
-  uint64_t query_deadline_ms = 0;  // 0 = SchedulerOptions default
-  bool use_cache = true;           // lookup AND fill
+  /// Per-query deadline in milliseconds, counted from Submit (queue wait
+  /// included); 0 = the executor's ExecutorOptions::query_deadline_ms,
+  /// also counted from Submit.
+  uint64_t query_deadline_ms = 0;
+  bool use_cache = true;  // lookup AND fill
 };
 
 /// What a served query resolves to: the final base-result structure and

@@ -48,7 +48,8 @@ struct SessionOptions {
   /// the network is real there).
   NetworkConfig net;
 
-  /// Admission width, deadlines, cache capacity.
+  /// Admission width and cache capacity. The default query deadline is
+  /// exec.query_deadline_ms (counted from Submit).
   SchedulerOptions scheduler;
 
   /// How Submit(GmdjExpr) plans. Distribution-aware reductions apply

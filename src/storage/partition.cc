@@ -11,13 +11,6 @@ bool ColumnDistribution::MayContain(const Value& v) const {
     double d = v.AsDouble();
     if (min.has_value() && d < *min) return false;
     if (max.has_value() && d > *max) return false;
-    if (!histogram.empty() && min.has_value() && max.has_value() &&
-        *max > *min) {
-      double width = (*max - *min) / static_cast<double>(histogram.size());
-      size_t bucket = static_cast<size_t>((d - *min) / width);
-      if (bucket >= histogram.size()) bucket = histogram.size() - 1;
-      if (histogram[bucket] == 0) return false;
-    }
   }
   return true;  // Nothing known: conservatively possible.
 }
@@ -62,52 +55,18 @@ std::vector<std::string> PartitionInfo::TrackedColumns() const {
 
 Result<PartitionInfo> PartitionInfo::ComputeFromPartitions(
     const std::vector<Table>& partitions,
-    const std::vector<std::string>& columns, size_t histogram_buckets,
-    size_t max_value_set_size) {
+    const std::vector<std::string>& columns) {
   PartitionInfo info(partitions.size());
   for (const std::string& column : columns) {
     for (size_t site = 0; site < partitions.size(); ++site) {
       const Table& part = partitions[site];
       SKALLA_ASSIGN_OR_RETURN(size_t col,
                               part.schema()->RequireIndex(column));
-      ColumnDistribution dist;
-      dist.values.emplace();
-      bool any_numeric = false;
+      DistributionBuilder builder;
       for (size_t r = 0; r < part.num_rows(); ++r) {
-        const Value& v = part.at(r, col);
-        if (dist.values.has_value()) {
-          dist.values->Insert(v);
-          if (max_value_set_size > 0 &&
-              dist.values->size() > max_value_set_size) {
-            dist.values.reset();  // Too many distincts: keep range only.
-          }
-        }
-        if (v.is_numeric()) {
-          double d = v.AsDouble();
-          if (!any_numeric) {
-            dist.min = d;
-            dist.max = d;
-            any_numeric = true;
-          } else {
-            if (d < *dist.min) dist.min = d;
-            if (d > *dist.max) dist.max = d;
-          }
-        }
+        builder.Add(part.at(r, col));
       }
-      if (histogram_buckets > 0 && any_numeric && *dist.max > *dist.min) {
-        dist.histogram.assign(histogram_buckets, 0);
-        double width =
-            (*dist.max - *dist.min) / static_cast<double>(histogram_buckets);
-        for (size_t r = 0; r < part.num_rows(); ++r) {
-          const Value& v = part.at(r, col);
-          if (!v.is_numeric()) continue;
-          size_t bucket = static_cast<size_t>(
-              (v.AsDouble() - *dist.min) / width);
-          if (bucket >= histogram_buckets) bucket = histogram_buckets - 1;
-          ++dist.histogram[bucket];
-        }
-      }
-      info.SetDistribution(site, column, std::move(dist));
+      info.SetDistribution(site, column, builder.Finish());
     }
   }
   return info;

@@ -10,7 +10,6 @@
 #ifndef SKALLA_STORAGE_PARTITION_H_
 #define SKALLA_STORAGE_PARTITION_H_
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -33,15 +32,9 @@ struct ColumnDistribution {
   std::optional<double> min;
   std::optional<double> max;
 
-  /// Equi-width histogram over [min, max]: bucket i covers
-  /// [min + i*w, min + (i+1)*w) with w = (max-min)/buckets (the last
-  /// bucket is closed). Empty vector = no histogram. A zero bucket count
-  /// proves a value's absence even when it falls inside the range.
-  std::vector<uint32_t> histogram;
-
   /// Whether value `v` may occur at the site. Conservative: returns true
-  /// when nothing is known; consults (in order of precision) the exact
-  /// value set, the histogram, then the range.
+  /// when nothing is known; consults the exact value set when known,
+  /// else the range.
   bool MayContain(const Value& v) const;
 };
 
@@ -69,16 +62,11 @@ class PartitionInfo {
   std::vector<std::string> TrackedColumns() const;
 
   /// Builds exact distribution knowledge by scanning actual partitions:
-  /// for each listed column, per-site value sets, numeric ranges, and —
-  /// when `histogram_buckets` > 0 — equi-width histograms are computed.
-  /// When a column's per-site distinct count exceeds
-  /// `max_value_set_size` (0 = unlimited), the exact set is dropped and
-  /// the optimizer falls back to range/histogram knowledge — the
-  /// realistic trade-off for high-cardinality columns.
+  /// for each listed column, each site's DistributionBuilder (exact value
+  /// set plus numeric range) is fed the partition's values in row order.
   static Result<PartitionInfo> ComputeFromPartitions(
       const std::vector<Table>& partitions,
-      const std::vector<std::string>& columns,
-      size_t histogram_buckets = 0, size_t max_value_set_size = 0);
+      const std::vector<std::string>& columns);
 
  private:
   size_t num_sites_ = 0;
@@ -86,11 +74,11 @@ class PartitionInfo {
   std::unordered_map<std::string, std::vector<ColumnDistribution>> columns_;
 };
 
-/// Streaming accumulator for one site x column ColumnDistribution:
-/// exactly ComputeFromPartitions' exact-set + range knowledge (default
-/// knobs), but fed values one at a time instead of scanning a resident
-/// partition — how skalla-dataset computes distribution knowledge while
-/// routing generated rows straight to chunk files.
+/// Accumulator for one site x column ColumnDistribution: the exact value
+/// set plus the numeric range, fed one value at a time. The one source
+/// of distribution knowledge — ComputeFromPartitions scans resident
+/// partitions through it, and skalla-dataset feeds it while routing
+/// generated rows straight to chunk files.
 class DistributionBuilder {
  public:
   DistributionBuilder() { dist_.values.emplace(); }

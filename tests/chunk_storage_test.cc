@@ -210,7 +210,7 @@ TEST_F(ChunkStorageTest, ChunkedWarehouseRoundTripAndReload) {
       .AddTablePartitionedBy("tpcr", tpcr, "NationKey",
                              {"CustKey", "Clerk", "Quantity"})
       .Check();
-  eager.SaveChunked(dir_, /*chunk_rows=*/256).Check();
+  eager.Save(dir_, /*chunk_rows=*/256).Check();
 
   GmdjExpr query = ParseQuery(R"(
     BASE SELECT DISTINCT Clerk FROM tpcr;
@@ -225,10 +225,9 @@ TEST_F(ChunkStorageTest, ChunkedWarehouseRoundTripAndReload) {
   // Load with a budget far below any partition: the whole pipeline runs
   // paged and still matches the eager warehouse byte for byte, with the
   // same plan economics (STATS preserved the distribution knowledge).
-  StorageOptions storage;
-  storage.buffer_bytes = 64 * 1024;
   DistributedWarehouse lazy =
-      DistributedWarehouse::Load(dir_, {}, {}, storage).ValueOrDie();
+      DistributedWarehouse::Load(dir_, {}, {}, /*buffer_bytes=*/64 * 1024)
+          .ValueOrDie();
   EXPECT_EQ(lazy.num_sites(), 3u);
   EXPECT_NE(lazy.buffer_manager(), nullptr);
   ASSERT_NE(lazy.partition_info("tpcr"), nullptr);
@@ -263,11 +262,10 @@ TEST_F(ChunkStorageTest, LoadSiteCatalogServesChunkedPartitions) {
   Table detail = MakeDetail(21, 500);
   DistributedWarehouse dw(2);
   dw.AddTablePartitionedBy("d", detail, "g").Check();
-  dw.SaveChunked(dir_, /*chunk_rows=*/64).Check();
+  dw.Save(dir_, /*chunk_rows=*/64).Check();
 
-  StorageOptions storage;
-  storage.buffer_bytes = 1;  // pathological: page everything
-  Catalog site0 = LoadSiteCatalog(dir_, 0, storage).ValueOrDie();
+  // A 1-byte budget is pathological: it pages everything.
+  Catalog site0 = LoadSiteCatalog(dir_, 0, /*buffer_bytes=*/1).ValueOrDie();
   EXPECT_TRUE(site0.IsChunkBacked("d"));
   // Get() refuses chunk-backed entries; the provider path serves them.
   EXPECT_TRUE(site0.Get("d").status().IsFailedPrecondition());

@@ -274,6 +274,48 @@ TEST(ServeSchedulerTest, DeadlineExpiresInQueue) {
   }
 }
 
+TEST(ServeSchedulerTest, ExecutorDefaultDeadlineCountsQueueWait) {
+  // The session's one default deadline is exec.query_deadline_ms, and
+  // the scheduler counts it from Submit like a per-query budget: a query
+  // that relies on it expires in the queue, never reaching the sites.
+  Table data = MakeData();
+  std::vector<Table> parts = PartitionByValue(data, "g", kSites).ValueOrDie();
+  DistributedWarehouse dw(kSites);
+  {
+    std::vector<Table> copy = parts;
+    dw.AddPartitionedTable("d", std::move(copy), {"g", "h", "v"}).Check();
+  }
+  serve::SessionOptions options;
+  options.exec.query_deadline_ms = 1;
+  options.scheduler.max_concurrent_queries = 1;
+  options.scheduler.cache_max_bytes = 0;
+  auto session = serve::QuerySession::Open(&dw, options).ValueOrDie();
+  DistributedPlan plan = PlanBatch(dw)[0];
+
+  // The head queries carry a generous budget of their own and hold the
+  // single admission slot.
+  serve::QueryOptions generous;
+  generous.query_deadline_ms = 600000;
+  std::vector<serve::QueryScheduler::Submission> head;
+  for (int i = 0; i < 4; ++i) {
+    head.push_back(session.SubmitPlan(plan, generous));
+  }
+  serve::QueryOptions uncached;
+  uncached.use_cache = false;
+  auto doomed = session.SubmitPlan(plan, uncached);
+  auto answer = doomed.result.get();
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded)
+      << answer.status().ToString();
+  EXPECT_NE(answer.status().message().find("in the queue"),
+            std::string::npos)
+      << answer.status().ToString();
+  for (auto& submission : head) {
+    auto r = submission.result.get();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+}
+
 TEST(ServeSchedulerTest, FinishedQueryIsRetiredBeforeItsAnswerIsVisible) {
   // A caller woken by get() must find the query finished everywhere:
   // not cancellable, not counted as running, and (tracing on) its

@@ -211,53 +211,6 @@ TEST(PartitionInfoTest, ColumnDistributionMayContain) {
   EXPECT_FALSE(dist.MayContain(Value(5)));  // Exact set dominates.
 }
 
-TEST(PartitionInfoTest, HistogramRefinesMayContain) {
-  ColumnDistribution dist;
-  dist.min = 0.0;
-  dist.max = 100.0;
-  // 10 buckets of width 10; bucket 5 ([50,60)) is empty.
-  dist.histogram = {5, 3, 9, 1, 2, 0, 4, 7, 8, 6};
-  EXPECT_TRUE(dist.MayContain(Value(25)));
-  EXPECT_FALSE(dist.MayContain(Value(55)));   // Empty bucket.
-  EXPECT_TRUE(dist.MayContain(Value(100)));   // Last bucket is closed.
-  EXPECT_FALSE(dist.MayContain(Value(101)));  // Out of range.
-}
-
-TEST(PartitionInfoTest, ComputeFromPartitionsBuildsHistograms) {
-  SchemaPtr schema = Schema::Make({{"v", ValueType::kInt64}}).ValueOrDie();
-  Table low(schema);
-  Table high(schema);
-  for (int i = 0; i < 50; ++i) {
-    low.AppendUnchecked({Value(i)});         // [0, 49].
-    high.AppendUnchecked({Value(100 + i)});  // [100, 149].
-  }
-  // One partition with a gap in the middle of its range.
-  Table gappy(schema);
-  for (int i = 0; i < 10; ++i) gappy.AppendUnchecked({Value(i)});
-  for (int i = 90; i < 100; ++i) gappy.AppendUnchecked({Value(i)});
-
-  // Cap the exact value sets at 5 distincts so MayContain exercises the
-  // histogram fallback, as it would for high-cardinality columns.
-  PartitionInfo info =
-      PartitionInfo::ComputeFromPartitions({low, high, gappy}, {"v"},
-                                           /*histogram_buckets=*/10,
-                                           /*max_value_set_size=*/5)
-          .ValueOrDie();
-  const ColumnDistribution* g = info.GetDistribution(2, "v");
-  ASSERT_NE(g, nullptr);
-  EXPECT_FALSE(g->values.has_value());  // Dropped: 20 distincts > cap.
-  ASSERT_EQ(g->histogram.size(), 10u);
-  // gappy spans [0, 99]: middle buckets are empty.
-  EXPECT_FALSE(g->MayContain(Value(50)));
-  EXPECT_TRUE(g->MayContain(Value(5)));
-  EXPECT_TRUE(g->MayContain(Value(95)));
-  // With sets dropped, ranges alone cannot exclude cross-site overlap...
-  const ColumnDistribution* l = info.GetDistribution(0, "v");
-  ASSERT_NE(l, nullptr);
-  EXPECT_FALSE(l->values.has_value());
-  EXPECT_FALSE(l->MayContain(Value(75)));  // Above low's max of 49.
-}
-
 TEST(ValueSetTest, InsertContainsIntersects) {
   ValueSet a;
   a.Insert(Value(1));

@@ -192,9 +192,8 @@ int main(int argc, char** argv) {
   flags.SizeT("--max-concurrent",
               &session_options.scheduler.max_concurrent_queries,
               "admission width (concurrent queries)");
-  flags.Uint64("--deadline-ms",
-               &session_options.scheduler.default_query_deadline_ms,
-               "default per-query deadline");
+  flags.Uint64("--deadline-ms", &session_options.exec.query_deadline_ms,
+               "default per-query deadline, counted from submission");
   flags.Uint64("--cache-bytes", &session_options.scheduler.cache_max_bytes,
                "sub-aggregate cache capacity (0 disables)");
   flags.Bool("--shutdown-sites", &shutdown_sites,

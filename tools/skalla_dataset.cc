@@ -4,12 +4,11 @@
 // processes can serve it.
 //
 //   skalla-dataset --out DIR [--sites 4] [--flows 4000] [--tpcr-rows 6000]
-//                  [--seed 7] [--chunked] [--chunk-rows K]
+//                  [--seed 7] [--chunk-rows K]
 //
-// Default mode builds the warehouse in memory and saves it eagerly
-// (DistributedWarehouse::Save, version-1 row files). --chunked writes
-// the version-2 chunked layout instead — and generates the tpcr
-// relation *streamed*: rows flow from the generator straight into
+// It writes the warehouse's one persisted layout (docs/STORAGE.md):
+// per-site chunk files plus MANIFEST and STATS. The tpcr relation is
+// generated *streamed*: rows flow from the generator straight into
 // per-site chunk files (TpcrStream batches, routed by NationKey hash
 // exactly like PartitionByValue) while distribution knowledge
 // accumulates incrementally, so the paper-scale relation (6M tuples,
@@ -35,8 +34,8 @@ namespace {
 
 constexpr size_t kStreamBatchRows = 65536;
 
-// Tracked columns mirror the eager path's AddTablePartitionedBy calls:
-// the extra tracked columns plus the partition column last.
+// Tracked columns follow AddTablePartitionedBy's order: the extra
+// tracked columns, then the partition column last.
 const std::vector<std::string> kFlowTracked = {
     "SourceAS", "DestAS",    "DestPort",  "SourcePort",
     "NumBytes", "NumPackets", "RouterId"};
@@ -44,14 +43,14 @@ const std::vector<std::string> kTpcrTracked = {
     "CustKey",  "CustName",      "Clerk",       "MktSegment",
     "OrderPriority", "Quantity", "ExtendedPrice", "NationKey"};
 
-skalla::Status WriteChunkedDataset(const std::string& out_dir, size_t sites,
+skalla::Status WriteDataset(const std::string& out_dir, size_t sites,
                                    size_t chunk_rows,
                                    const skalla::FlowConfig& flow_config,
                                    const skalla::TpcrConfig& tpcr_config) {
   std::map<std::string, skalla::PartitionInfo> stats;
 
   // flow is small at any configured scale: generate resident, partition
-  // by router hash (same rule as the eager path), chunk out each part.
+  // by router hash (PartitionByValue), chunk out each part.
   {
     skalla::Table flow = skalla::GenerateFlows(flow_config);
     auto parts = skalla::PartitionByValue(flow, "RouterId", sites);
@@ -128,7 +127,6 @@ int main(int argc, char** argv) {
   size_t sites = 4;
   uint64_t seed = 0;
   bool seed_set = false;
-  bool chunked = false;
   size_t chunk_rows = skalla::kDefaultChunkRows;
   skalla::FlowConfig flow_config;
   flow_config.num_flows = 4000;
@@ -148,9 +146,7 @@ int main(int argc, char** argv) {
               "distinct tpcr customers (paper full scale: 100000)");
   flags.Int64("--tpcr-clerks", &tpcr_config.num_clerks,
               "distinct tpcr clerks (paper full scale: 3000)");
-  flags.Bool("--chunked", &chunked,
-             "write the version-2 chunked layout, streaming tpcr");
-  flags.SizeT("--chunk-rows", &chunk_rows, "rows per chunk (chunked mode)");
+  flags.SizeT("--chunk-rows", &chunk_rows, "rows per chunk");
   flags.Func("--seed",
              [&seed, &seed_set](const std::string& v) -> skalla::Status {
                seed = static_cast<uint64_t>(std::atoll(v.c_str()));
@@ -179,39 +175,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (chunked) {
-    skalla::Status written = WriteChunkedDataset(
-        out_dir, sites, chunk_rows, flow_config, tpcr_config);
-    if (!written.ok()) {
-      std::fprintf(stderr, "chunked save failed: %s\n",
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("saved %zu-site chunked warehouse under %s\n", sites,
-                out_dir.c_str());
-    return 0;
-  }
-
-  skalla::DistributedWarehouse warehouse(sites);
-  warehouse
-      .AddTablePartitionedBy(
-          "flow", skalla::GenerateFlows(flow_config), "RouterId",
-          {"SourceAS", "DestAS", "DestPort", "SourcePort", "NumBytes",
-           "NumPackets"})
-      .Check();
-  warehouse
-      .AddTablePartitionedBy(
-          "tpcr", skalla::GenerateTpcr(tpcr_config), "NationKey",
-          {"CustKey", "CustName", "Clerk", "MktSegment", "OrderPriority",
-           "Quantity", "ExtendedPrice"})
-      .Check();
-
-  skalla::Status saved = warehouse.Save(out_dir);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "save failed: %s\n", saved.ToString().c_str());
+  skalla::Status written =
+      WriteDataset(out_dir, sites, chunk_rows, flow_config, tpcr_config);
+  if (!written.ok()) {
+    std::fprintf(stderr, "save failed: %s\n", written.ToString().c_str());
     return 1;
   }
-  std::printf("saved %zu-site warehouse under %s\n", sites,
-              out_dir.c_str());
+  std::printf("saved %zu-site warehouse under %s\n", sites, out_dir.c_str());
   return 0;
 }

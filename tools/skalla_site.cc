@@ -22,18 +22,17 @@
 // responses, corrupt frame checksums, reset connections mid-frame, or
 // delay responses, each with the given probability.
 //
-// A chunked warehouse directory (skalla-dataset --chunked, or
-// DistributedWarehouse::SaveChunked) loads lazily: the site registers
-// paged providers and pages chunks through a BufferManager sized by
-// --buffer-bytes (0 = unlimited), so it can serve a partition larger
-// than memory. Version-1 directories load eagerly as before and ignore
-// --buffer-bytes.
+// The warehouse directory (skalla-dataset, or DistributedWarehouse::Save)
+// loads lazily: the site registers paged providers and pages chunks
+// through a BufferManager sized by --buffer-bytes (0 = unlimited), so it
+// can serve a partition larger than memory.
 //
 // --trace-out=F / --metrics-out=F (obs/session.h) dump this process's
 // local trace / metrics on clean shutdown — in addition to the per-round
 // profile the site already ships back in every kRoundResult
 // (docs/OBSERVABILITY.md).
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
   std::string data_dir;
   int site_index = -1;
   int partition = -1;
-  skalla::StorageOptions storage;
+  uint64_t buffer_bytes = 0;
   skalla::rpc::SiteServerOptions options;
 
   skalla::FlagSet flags;
@@ -58,8 +57,8 @@ int main(int argc, char** argv) {
   flags.Int("--partition", &partition,
             "partition to load (default: --site; a replica loads another "
             "site's)");
-  flags.Uint64("--buffer-bytes", &storage.buffer_bytes,
-               "chunk buffer budget for chunked warehouses (0 = unlimited)");
+  flags.Uint64("--buffer-bytes", &buffer_bytes,
+               "chunk buffer budget (0 = unlimited)");
   flags.String("--host", &options.host, "listen address");
   flags.Int("--port", &options.port, "listen port (0 = OS-assigned)");
   flags.Int("--drop-request", &options.drop_request_index,
@@ -87,7 +86,7 @@ int main(int argc, char** argv) {
   if (partition < 0) partition = site_index;
 
   auto catalog = skalla::LoadSiteCatalog(
-      data_dir, static_cast<size_t>(partition), storage);
+      data_dir, static_cast<size_t>(partition), buffer_bytes);
   if (!catalog.ok()) {
     std::fprintf(stderr, "cannot load partition %d from %s: %s\n", partition,
                  data_dir.c_str(), catalog.status().ToString().c_str());
