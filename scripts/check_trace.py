@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Validate a Skalla Chrome trace-event JSON dump.
 
-Used by CI after a multi-process `skalla-rpc-query --trace-out=` run to
-check the merged cross-process timeline (docs/OBSERVABILITY.md):
+Used by scripts/serve_smoke.sh after a multi-process
+`skalla-coord --trace-out=` run to check the merged cross-process
+timeline (docs/OBSERVABILITY.md):
 
   - the file is a valid Chrome trace-event JSON array, every complete
     ("X") event carrying name/cat/ts/dur/pid/tid;

@@ -9,8 +9,12 @@
 # distinct queries twice each. Checks every reply is OK, that both
 # submissions of each query return byte-identical tables, that a repeat
 # query is served from the sub-aggregate cache (zero bytes transferred),
-# and validates the coordinator's merged cross-process trace with
-# scripts/check_trace.py.
+# that 16 more sequential clients grow the coordinator's VmSize by less
+# than 32 MiB (finished client threads are joined while serving), that
+# an `.analyze on` reply carries the EXPLAIN ANALYZE per-site table and
+# wire-bytes line, that `.metrics` returns one STATS entry per site, and
+# validates the coordinator's merged cross-process trace (a coordinator
+# lane plus one lane per site process) with scripts/check_trace.py.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -117,6 +121,34 @@ done
 python3 "$HERE/coord_client.py" "$COORD" "${QUERIES[0]}" >"$WORK/repeat.out"
 grep -q '^total: 0 bytes, 0 tuples' "$WORK/repeat.out"
 diff <(table_of "$WORK/repeat.out") <(table_of "$WORK/client0.out")
+
+# Finished client threads are joined while the coordinator serves, so
+# sequential clients do not pile up thread stacks (about 8 MiB each).
+vm_size_kb() { sed -n 's/^VmSize:[[:space:]]*\([0-9]*\) kB/\1/p' "/proc/$COORD_PID/status"; }
+VM_BEFORE="$(vm_size_kb)"
+for _ in $(seq 1 16); do
+  python3 "$HERE/coord_client.py" "$COORD" "${QUERIES[0]}" >/dev/null
+done
+sleep 0.5  # one accept-loop pass (0.2 s) reaps the last client
+VM_AFTER="$(vm_size_kb)"
+if [ $((VM_AFTER - VM_BEFORE)) -ge $((32 * 1024)) ]; then
+  echo "coordinator VmSize grew ${VM_BEFORE} -> ${VM_AFTER} kB over 16 clients" >&2
+  exit 1
+fi
+
+# EXPLAIN ANALYZE over the line protocol: after `.analyze on`, an OK reply
+# (here a cache miss, so it ran rounds) ends with the report's per-site
+# profile table and wire line.
+python3 "$HERE/coord_client.py" "$COORD" '.analyze on' \
+    'BASE SELECT DISTINCT DestAS FROM flow;
+     MD USING flow COMPUTE MIN(NumBytes) AS low WHERE r.DestAS = b.DestAS;' \
+    >"$WORK/analyze.out"
+grep -q 'site    wall_ms' "$WORK/analyze.out"
+grep -q 'bytes on the wire' "$WORK/analyze.out"
+
+# Every site answers kGetStats.
+python3 "$HERE/coord_client.py" "$COORD" .metrics >"$WORK/metrics.out"
+[ "$(grep -c '^SITE [0-9]* STATS {' "$WORK/metrics.out")" -eq "$SITES" ]
 
 python3 "$HERE/coord_client.py" "$COORD" .shutdown
 wait "$COORD_PID"

@@ -129,8 +129,18 @@ Status Live(CancellationToken* cancel) {
   return cancel == nullptr ? Status::OK() : cancel->Check();
 }
 
-}  // namespace
-
+// The retry rung of the ladder: runs `attempt` for site `site_id` in
+// round `round`, consulting options.fault_injector before each try (and
+// after each, via AfterSiteRound — a non-OK response fault discards a
+// successful attempt's result) and re-attempting up to
+// options.max_site_retries times. Adds the number of retries performed
+// to *retries_out (may be nullptr). `cancel` (may be nullptr) is checked
+// before the first attempt and after every failed one: once it is
+// cancelled — a fired deadline, a session Cancel — its latched cause is
+// returned without another attempt. An attempt failing with
+// kDeadlineExceeded or kCancelled is not retried either (neither is
+// transient). Thread-safe as long as the injector is (the FaultInjector
+// contract).
 Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
                                const std::string& round,
                                const std::function<Result<Table>()>& attempt,
@@ -163,6 +173,8 @@ Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
     SKALLA_COUNTER_ADD("skalla.net.retries", 1);
   }
 }
+
+}  // namespace
 
 Result<Table> ExecuteSiteRoundReplicated(
     const ExecutorOptions& options, const std::vector<int>& replica_site_ids,

@@ -1,7 +1,7 @@
 // The executor vocabulary: ExecutorOptions, QueryRun, ExecStats and the
 // retry ladder. One executor class uses it, rpc::RpcExecutor
 // (rpc/rpc_executor.h), which runs the one round driver
-// (dist/star_driver.h) over a Transport — in-process SiteServices (what
+// (rpc/star_driver.cc) over a Transport — in-process SiteServices (what
 // DistributedWarehouse runs on) or skalla-site processes over TCP. It is
 // configured through ExecutorOptions and reports per-round accounting
 // into ExecStats. Results are bit-identical across transports — same
@@ -266,24 +266,6 @@ struct ExecStats {
   std::string ToString() const;
 };
 
-/// Shared retry policy: runs `attempt` for site `site_id` in round
-/// `round`, consulting options.fault_injector before each try (and after
-/// each, via AfterSiteRound — a non-OK response fault discards a
-/// successful attempt's result) and re-attempting up to
-/// options.max_site_retries times. Adds the number of retries performed
-/// to *retries_out (may be nullptr). `cancel` (may be nullptr) is
-/// checked before the first attempt and after every failed one: once it
-/// is cancelled — a fired deadline, a session Cancel — its latched cause
-/// is returned without another attempt. An attempt failing with
-/// kDeadlineExceeded or kCancelled is not retried either (neither is
-/// transient). Thread-safe as long as the injector is (the FaultInjector
-/// contract).
-Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
-                               const std::string& round,
-                               const std::function<Result<Table>()>& attempt,
-                               size_t* retries_out,
-                               CancellationToken* cancel = nullptr);
-
 /// Per-site-round retry/failover accounting, filled by
 /// ExecuteSiteRoundReplicated (single-writer; the caller folds it into
 /// RoundStats under its own locking discipline).
@@ -325,15 +307,11 @@ bool DegradesOnLoss(const ExecutorOptions& options, const Status& loss);
 /// (Check() is always OK), so the plumbing costs nothing.
 class QueryDeadline {
  public:
-  explicit QueryDeadline(const ExecutorOptions& options)
-      : round_ms_(options.round_deadline_ms),
-        query_ms_(options.query_deadline_ms) {}
-
-  /// Per-submission form: the run's query_deadline_ms overrides the
-  /// engine default when non-zero, and the run's external cancellation
-  /// token (when present) is chained under every round token ArmRound
-  /// arms — so QuerySession::Cancel propagates into morsel loops through
-  /// the same polling the deadlines use.
+  /// The run's query_deadline_ms overrides the engine default when
+  /// non-zero, and the run's external cancellation token (when present)
+  /// is chained under every round token ArmRound arms — so
+  /// QuerySession::Cancel propagates into morsel loops through the same
+  /// polling the deadlines use.
   QueryDeadline(const ExecutorOptions& options, const QueryRun& run)
       : round_ms_(options.round_deadline_ms),
         query_ms_(run.query_deadline_ms > 0 ? run.query_deadline_ms

@@ -23,11 +23,12 @@ namespace skalla {
 /// round leaves for the next one.
 ///
 /// Concurrency: a site evaluates one round at a time. Every entry point
-/// that touches local data takes the site's round lock, so concurrent
-/// queries sharing one site pool queue behind each other per site. The
-/// lock is shared across copies of a Site (each executor a warehouse
-/// builds copies its sites), so the queue covers every handle to the
-/// partition.
+/// that touches local data takes the site's round lock, which copies of
+/// a Site share. In production it never contends:
+/// DistributedWarehouse::MakeExecutor builds fresh Sites from the site
+/// catalogs for each executor, and the SiteService that owns a Site
+/// already serializes every call into it (SiteService::mu_), which is
+/// the per-site round queue concurrent queries wait in.
 class Site {
  public:
   /// `engine` is the GMDJ kernel the site evaluates rounds with: the
@@ -82,8 +83,7 @@ class Site {
   int id_;
   Catalog catalog_;
   EvalEngine engine_;
-  // Per-site round queue; shared_ptr so copies of this Site queue on the
-  // same lock.
+  // Round lock; shared_ptr so copies of this Site share it.
   std::shared_ptr<std::mutex> round_mu_;
 };
 

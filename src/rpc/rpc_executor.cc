@@ -6,8 +6,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "dist/star_driver.h"
-#include "net/serde.h"
 #include "obs/obs.h"
 #include "rpc/plan_serde.h"
 
@@ -47,9 +45,13 @@ Status RpcExecutor::ValidateReplicas() const {
                " endpoints: at least one must remain a primary"));
   }
   const size_t n = num_sites();
-  SKALLA_RETURN_NOT_OK(ValidateReplicaPartitions(replica_endpoints_, n));
   std::vector<uint8_t> claimed(total_endpoints, 0);
   for (const auto& [partition, endpoints] : replica_endpoints_) {
+    if (partition >= n) {
+      return Status::InvalidArgument(
+          StrCat("replica registered for partition ", partition, " but only ",
+                 n, " partitions exist"));
+    }
     for (size_t endpoint : endpoints) {
       if (endpoint < n || endpoint >= total_endpoints) {
         return Status::InvalidArgument(
@@ -225,138 +227,6 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
           StrCat("unexpected response type ",
                  static_cast<int>(response->type)));
   }
-}
-
-// The rpc SiteLink: sites are separate processes reached through the
-// transport. X (or, in a Prop. 2 plan's first round, the base query)
-// travels inside the round request; a round that continues a site's
-// carried-over structure, or leaves one, stays on the primary, and only
-// such rounds create per-query state at a site. Per-endpoint state is
-// touched only by the task of the partition owning the endpoint
-// (ValidateReplicas rejects an endpoint registered twice), so it needs
-// no lock under a concurrent fan-out.
-class RpcExecutor::Link : public SiteLink {
- public:
-  Link(RpcExecutor* executor, uint64_t query_id)
-      : executor_(executor),
-        query_id_(query_id),
-        base_bytes_(executor->num_sites()),
-        holds_state_(executor->num_sites(), 0) {}
-
-  // Best-effort release of the per-query state at the endpoints that
-  // were sent a carried round (sites also cap and evict, so a lost
-  // coordinator leaks nothing). Runs after the stats are final, so it
-  // stays out of the query's wire accounting.
-  ~Link() override {
-    const std::vector<uint8_t> payload = EncodeEndPlanRequest(query_id_);
-    for (size_t e = 0; e < holds_state_.size(); ++e) {
-      if (!holds_state_[e]) continue;
-      (void)executor_->CallLocked(e, MessageType::kEndPlan, payload, nullptr);
-    }
-  }
-
-  size_t num_sites() const override { return executor_->num_sites(); }
-
-  Result<SchemaPtr> TableSchema(const std::string& table) override {
-    return executor_->TableSchema(table);
-  }
-
-  std::vector<int> ReplicaChain(size_t i, const SiteRound& round) override {
-    std::vector<int> ids;
-    for (size_t endpoint : Endpoints(i, round)) {
-      ids.push_back(static_cast<int>(endpoint));
-    }
-    return ids;
-  }
-
-  Status ShipBase(size_t i, const Table& x, SiteTraffic* traffic) override {
-    base_bytes_[i].clear();
-    WriteTable(x, &base_bytes_[i]);
-    traffic->bytes_to_sites += base_bytes_[i].size();
-    traffic->tuples_to_sites += x.num_rows();
-    traffic->comm_time +=
-        executor_->transport_->TransferTime(base_bytes_[i].size());
-    return Status::OK();
-  }
-
-  Result<Table> Attempt(size_t i, size_t r, const SiteRound& round,
-                        SiteAttempt* attempt, SiteTraffic* traffic) override {
-    const size_t endpoint = Endpoints(i, round)[r];
-    // The site keeps state for this query from this round on, even if
-    // the attempt fails after the request reached it.
-    if (!round.self_contained || !round.synchronized) {
-      holds_state_[endpoint] = 1;
-    }
-    TraceContext trace;
-    trace.query_id = round.eval.query_id;
-    if (round.eval.trace_parent_span != 0) {
-      trace.trace_id = round.eval.query_id;
-      trace.parent_span_id = round.eval.trace_parent_span;
-    }
-    MessageType type;
-    std::vector<uint8_t> payload;
-    if (round.stage == nullptr) {
-      BaseRoundRequest request;
-      request.query = *round.base;
-      request.deadline_ms = round.deadline_ms;
-      request.trace = trace;
-      type = MessageType::kBaseRound;
-      payload = EncodeBaseRoundRequest(request);
-    } else {
-      GmdjRoundRequest request;
-      request.op = round.stage->op;
-      request.label = round.label;
-      request.sub_aggregates = round.eval.sub_aggregates;
-      request.apply_rng = round.eval.compute_rng;
-      request.ship_result = round.synchronized;
-      request.has_base_query = round.base != nullptr;
-      if (request.has_base_query) request.base_query = *round.base;
-      request.has_base = round.self_contained && !request.has_base_query;
-      request.deadline_ms = round.deadline_ms;
-      request.trace = trace;
-      type = MessageType::kGmdjRound;
-      payload = EncodeGmdjRoundRequest(
-          request, request.has_base ? base_bytes_[i] : std::vector<uint8_t>{});
-    }
-    RoundCallStats call;
-    Result<Table> fragment = executor_->CallRound(
-        endpoint, type, payload, &call, round.eval.trace_parent_span);
-    traffic->wire_bytes += call.wire_bytes;
-    attempt->bytes_to_coord = call.table_bytes;
-    attempt->profile = call.profile;
-    if (fragment.ok() && round.synchronized) {
-      attempt->comm_time =
-          executor_->transport_->TransferTime(call.table_bytes);
-    }
-    return fragment;
-  }
-
- private:
-  // A replica process holds no structure it did not build: a round that
-  // reads a carried structure, or leaves its output at the site for the
-  // next one, stays on the primary.
-  std::vector<size_t> Endpoints(size_t i, const SiteRound& round) const {
-    return round.self_contained && round.synchronized
-               ? executor_->ReplicaEndpoints(i)
-               : std::vector<size_t>{i};
-  }
-
-  RpcExecutor* executor_;
-  const uint64_t query_id_;
-  // Serialized X per site for the current round's requests.
-  std::vector<std::vector<uint8_t>> base_bytes_;
-  // Primaries that were sent a carried round: they get kEndPlan.
-  std::vector<uint8_t> holds_state_;
-};
-
-Result<Table> RpcExecutor::Execute(const DistributedPlan& plan,
-                                   const QueryRun& run, ExecStats* stats) {
-  SKALLA_RETURN_NOT_OK(ValidateReplicas());
-  SKALLA_RETURN_NOT_OK(Connect());
-  QueryRun resolved = run;
-  resolved.query_id = ResolveQueryId(run);
-  Link link(this, resolved.query_id);
-  return RunStarPlan(plan, resolved, options_, link, stats);
 }
 
 Result<StatsResult> RpcExecutor::SiteStats(size_t endpoint) {

@@ -1,9 +1,9 @@
 // RpcExecutor: the coordinator side of the distributed runtime — the one
 // executor. It runs against a Transport (in-process SiteServices, which
 // is what DistributedWarehouse runs on, or TCP-connected skalla-site
-// processes), driving Alg. GMDJDistribEval through the shared round
-// driver (dist/star_driver.h). Each round request carries what the site
-// needs; the kernel and its worker count are the site's own.
+// processes), driving Alg. GMDJDistribEval through its round driver
+// (RunStarPlan, rpc/star_driver.cc). Each round request carries what the
+// site needs; the kernel and its worker count are the site's own.
 //
 // Accounting semantics (docs/RPC.md): bytes_to_sites / bytes_to_coord
 // count table payload bytes only, so results AND byte counts are
@@ -143,8 +143,16 @@ class RpcExecutor {
   /// nothing). Caller holds connect_mu_.
   Status DialLocked();
 
-  // The per-Execute SiteLink the star driver runs the plan over.
+  // How one Execute reaches its sites (rpc/star_driver.cc): request
+  // encoding, X serialization and the per-query kEndPlan teardown.
   class Link;
+
+  /// The round driver, Alg. GMDJDistribEval: runs `plan` over `link`
+  /// under `run` (its query id resolved) and returns the final
+  /// base-result structure; `stats` (may be nullptr) receives per-round
+  /// accounting.
+  Result<Table> RunStarPlan(const DistributedPlan& plan, const QueryRun& run,
+                            Link& link, ExecStats* stats);
 
   // Endpoint indices of partition i's evaluation chain: primary, then
   // replicas in registration order.

@@ -185,63 +185,73 @@ Result<Frame> SiteService::HandleEndPlan(const Frame& request) {
   return AckFrame();
 }
 
-Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
-  SKALLA_ASSIGN_OR_RETURN(BaseRoundRequest req,
-                          DecodeBaseRoundRequest(request.payload));
+Result<Frame> SiteService::RunRound(const TraceContext& trace,
+                                    uint64_t deadline_ms,
+                                    const std::string& label,
+                                    EvalContext context, uint64_t bytes_in,
+                                    const RoundEval& evaluate,
+                                    const RoundSettle& settle) {
   Stopwatch wall;
-  const bool traced =
-      req.trace.parent_span_id != 0 || req.trace.trace_id != 0;
+  const bool traced = trace.parent_span_id != 0 || trace.trace_id != 0;
   RoundTraceCapture capture(traced, ship_spans_);
-  obs::QueryIdScope query_scope(req.trace.query_id);
+  obs::QueryIdScope query_scope(trace.query_id);
   RoundProfile profile;
   profile.site_id = site_.id();
-  // The coordinator ships the remaining round budget; the scan polls the
-  // token once per chunk, so a fired deadline stops paging the partition
-  // and surfaces as a typed kDeadlineExceeded error response.
+  profile.bytes_in = bytes_in;
+  // The coordinator ships the remaining round budget; the base scan polls
+  // the token once per chunk and the GMDJ kernels once per morsel, so a
+  // fired deadline stops evaluation early and surfaces as a typed
+  // kDeadlineExceeded error response.
   CancellationToken cancel;
-  if (req.deadline_ms > 0) {
-    cancel.ArmDeadline(req.deadline_ms, StrCat("site ", site_.id(), " base"));
+  if (deadline_ms > 0) {
+    cancel.ArmDeadline(deadline_ms, StrCat("site ", site_.id(), " ", label));
   }
   EvalProfile eval_profile;
-  EvalContext eval_context;
-  eval_context.cancellation = &cancel;
-  eval_context.query_id = req.trace.query_id;
-  eval_context.profile = &eval_profile;
-  // Recomputing from the durable local partition makes retries of this
-  // round naturally idempotent; the base round keeps no state.
-  Result<Table> base = Status::Internal("unset");
+  context.engine = site_.engine();
+  context.cancellation = deadline_ms > 0 ? &cancel : nullptr;
+  context.query_id = trace.query_id;
+  context.profile = &eval_profile;
+  Result<Table> output = Status::Internal("unset");
   {
     obs::Span round_span =
-        traced ? obs::Tracer::Global().StartSpan("site.round:base", "site")
+        traced ? obs::Tracer::Global().StartSpan(StrCat("site.round:", label),
+                                                 "site")
                : obs::Span();
     if (round_span.armed()) {
       round_span.AddAttr("site", static_cast<int64_t>(site_.id()));
     }
+    context.trace_parent_span = round_span.id();
     Stopwatch eval_watch;
-    base = site_.ExecuteBaseQuery(req.query, eval_context);
+    output = evaluate(context, &round_span);
     profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
   }
   SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us",
                           static_cast<double>(profile.eval_us));
-  if (!base.ok()) return ErrorFrame(base.status());
+  if (!output.ok()) return ErrorFrame(output.status());
   FillEvalCounts(eval_profile, &profile);
+  profile.result_rows = output->num_rows();
+  const Table* shipped = settle(&*output);
   profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
   profile.spans = capture.Drain();
-  return RoundResultFrame(&profile, &*base);
+  return RoundResultFrame(&profile, shipped);
+}
+
+Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
+  SKALLA_ASSIGN_OR_RETURN(BaseRoundRequest req,
+                          DecodeBaseRoundRequest(request.payload));
+  // Recomputing from the durable local partition makes retries of this
+  // round naturally idempotent; the base round keeps no state.
+  return RunRound(
+      req.trace, req.deadline_ms, "base", EvalContext(), /*bytes_in=*/0,
+      [&](const EvalContext& context, obs::Span*) {
+        return site_.ExecuteBaseQuery(req.query, context);
+      },
+      [](Table* base) { return base; });
 }
 
 Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   SKALLA_ASSIGN_OR_RETURN(GmdjRoundRequest req,
                           DecodeGmdjRoundRequest(request.payload));
-  Stopwatch wall;
-  const bool traced =
-      req.trace.parent_span_id != 0 || req.trace.trace_id != 0;
-  RoundTraceCapture capture(traced, ship_spans_);
-  obs::QueryIdScope query_scope(req.trace.query_id);
-  RoundProfile profile;
-  profile.site_id = site_.id();
-  profile.bytes_in = req.base_table_bytes;
-
   // What the operator evaluates over: the shipped X, the base query's
   // local result (computed inside the round), or the structure an
   // earlier unsynchronized round left here. A carried round reads that
@@ -270,68 +280,41 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
     }
   }
 
-  // Arm the coordinator-shipped round deadline; the morsel loops poll
-  // the token, so an expired deadline stops evaluation within one
-  // morsel's worth of work and surfaces as kDeadlineExceeded.
-  CancellationToken cancel;
-  if (req.deadline_ms > 0) {
-    cancel.ArmDeadline(req.deadline_ms,
-                       StrCat("site ", site_.id(), " ", req.label));
-  }
-  EvalProfile eval_profile;
-  EvalContext eval_context;
-  eval_context.sub_aggregates = req.sub_aggregates;
-  eval_context.compute_rng = req.apply_rng;
-  eval_context.engine = site_.engine();
-  eval_context.cancellation = req.deadline_ms > 0 ? &cancel : nullptr;
-  eval_context.query_id = req.trace.query_id;
-  eval_context.profile = &eval_profile;
-  Result<Table> h = Status::Internal("unset");
-  {
-    obs::Span round_span =
-        traced ? obs::Tracer::Global().StartSpan(
-                     StrCat("site.round:", req.label), "site")
-               : obs::Span();
-    if (round_span.armed()) {
-      round_span.AddAttr("site", static_cast<int64_t>(site_.id()));
-      round_span.AddAttr("label", req.label);
-    }
-    eval_context.trace_parent_span = round_span.id();
-    Stopwatch eval_watch;
-    h = req.has_base_query
-            ? site_.EvalBaseAndGmdjRound(req.base_query, req.op, eval_context)
-            : site_.EvalGmdjRound(*input, req.op, eval_context);
+  EvalContext context;
+  context.sub_aggregates = req.sub_aggregates;
+  context.compute_rng = req.apply_rng;
+  auto evaluate = [&](const EvalContext& eval,
+                      obs::Span* span) -> Result<Table> {
+    if (span->armed()) span->AddAttr("label", req.label);
+    Result<Table> h =
+        req.has_base_query
+            ? site_.EvalBaseAndGmdjRound(req.base_query, req.op, eval)
+            : site_.EvalGmdjRound(*input, req.op, eval);
     if (h.ok() && req.apply_rng) h = ApplyRngFilter(*h);
-    if (round_span.armed() && req.has_base_query) {
-      round_span.AddAttr("base", eval_profile.fused_base.load() != 0
-                                     ? std::string("fused")
-                                     : StrCat("base, then ", req.label));
+    if (span->armed() && req.has_base_query) {
+      span->AddAttr("base", eval.profile->fused_base.load() != 0
+                                ? std::string("fused")
+                                : StrCat("base, then ", req.label));
     }
-    profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
-  }
-  SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us",
-                          static_cast<double>(profile.eval_us));
-  if (!h.ok()) return ErrorFrame(h.status());
-
-  if (plan != nullptr && !carried) {
-    plan->last_round.clear();
-    plan->last_input = Table();
-  } else if (carried && !replay) {
-    plan->last_round = req.label;
-    plan->last_input = std::move(*plan->local_base);
-  }
-  FillEvalCounts(eval_profile, &profile);
-  profile.result_rows = h->num_rows();
-  if (req.ship_result) {
-    if (plan != nullptr) plan->local_base.reset();
-    profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
-    profile.spans = capture.Drain();
-    return RoundResultFrame(&profile, &*h);
-  }
-  plan->local_base = std::move(*h);
-  profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
-  profile.spans = capture.Drain();
-  return RoundResultFrame(&profile, nullptr);
+    return h;
+  };
+  auto settle = [&](Table* h) -> const Table* {
+    if (plan != nullptr && !carried) {
+      plan->last_round.clear();
+      plan->last_input = Table();
+    } else if (carried && !replay) {
+      plan->last_round = req.label;
+      plan->last_input = std::move(*plan->local_base);
+    }
+    if (req.ship_result) {
+      if (plan != nullptr) plan->local_base.reset();
+      return h;
+    }
+    plan->local_base = std::move(*h);
+    return nullptr;
+  };
+  return RunRound(req.trace, req.deadline_ms, req.label, std::move(context),
+                  req.base_table_bytes, evaluate, settle);
 }
 
 }  // namespace rpc

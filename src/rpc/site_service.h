@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -39,6 +40,10 @@
 #include "rpc/plan_serde.h"
 
 namespace skalla {
+namespace obs {
+class Span;
+}  // namespace obs
+
 namespace rpc {
 
 /// Builds a kError frame carrying `status` (code preserved end to end).
@@ -101,6 +106,27 @@ class SiteService {
   Result<Frame> HandleEndPlan(const Frame& request);
   Result<Frame> HandleBaseRound(const Frame& request);
   Result<Frame> HandleGmdjRound(const Frame& request);
+
+  /// A round's evaluation: its output, computed under `context` while
+  /// `span` (the site.round span, armed when the request is traced) is
+  /// open.
+  using RoundEval =
+      std::function<Result<Table>(const EvalContext& context, obs::Span* span)>;
+  /// Settles a successful round's output: returns the table to ship, or
+  /// nullptr when the output stays at the site.
+  using RoundSettle = std::function<const Table*(Table* output)>;
+
+  /// The scaffold both evaluation rounds share: trace capture, the query
+  /// id scope, the shipped deadline (armed only when `deadline_ms` > 0),
+  /// the rest of `context` (engine, cancellation, query id, profile,
+  /// trace parent), the site.round:<label> span, eval timing, and the
+  /// kRoundResult response with the round's profile (`bytes_in`: the
+  /// shipped X's payload bytes). An evaluation failure becomes a kError
+  /// frame.
+  Result<Frame> RunRound(const TraceContext& trace, uint64_t deadline_ms,
+                         const std::string& label, EvalContext context,
+                         uint64_t bytes_in, const RoundEval& evaluate,
+                         const RoundSettle& settle);
 
   /// Copies one round's evaluation counters, plus the service's replay
   /// and chaos tallies, into its wire profile.

@@ -66,6 +66,11 @@ Status WaitWritable(int fd, const Stopwatch& timer, double timeout_s) {
 }
 
 Result<struct sockaddr_in> ResolveV4(const std::string& host, int port) {
+  // htons would wrap an out-of-range port onto an unrelated one.
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument(
+        StrCat("port ", port, " is outside [0, 65535]"));
+  }
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;

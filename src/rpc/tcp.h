@@ -6,9 +6,9 @@
 // Failure model: every Call is one attempt. A transport error closes the
 // connection and the next Call reconnects lazily, sleeping an
 // exponentially growing backoff per consecutive failure; the *retry*
-// decision stays with the coordinator's ExecuteSiteRound /
-// max_site_retries machinery, so the recovery policy is identical across
-// the simulated and the real transports.
+// decision stays with the coordinator's retry ladder
+// (ExecuteSiteRoundReplicated, max_site_retries), so the recovery policy
+// is identical across the simulated and the real transports.
 
 #ifndef SKALLA_RPC_TCP_H_
 #define SKALLA_RPC_TCP_H_

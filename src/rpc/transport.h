@@ -36,8 +36,9 @@ class Connection {
   /// One request/response exchange. Returns the decoded response frame
   /// (which may be kError — protocol-level success, application-level
   /// failure). A non-OK Result is a transport failure: the request may
-  /// or may not have reached the site, and the caller's retry policy
-  /// (ExecuteSiteRound + max_site_retries) decides what happens next.
+  /// or may not have reached the site, and the caller's retry ladder
+  /// (ExecuteSiteRoundReplicated + max_site_retries) decides what
+  /// happens next.
   virtual Result<Frame> Call(MessageType type,
                              const std::vector<uint8_t>& payload) = 0;
 

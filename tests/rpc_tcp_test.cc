@@ -258,6 +258,17 @@ TEST(RpcTcpTest, ForeignVersionFrameGetsTypedRejection) {
   EXPECT_TRUE(rejection.IsVersionMismatch()) << rejection.ToString();
 }
 
+// A port outside [0, 65535] is rejected, not wrapped onto another port
+// (70001 would otherwise dial 4465, -1 would bind 65535).
+TEST(RpcTcpTest, OutOfRangePortsAreRejected) {
+  EXPECT_TRUE(TcpListener::Bind("127.0.0.1", 65536).status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(TcpListener::Bind("127.0.0.1", -1).status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(TcpSocket::ConnectTo("127.0.0.1", 70001, 1.0).status()
+                  .IsInvalidArgument());
+}
+
 // A port that was bound a moment ago but has no listener now: connects
 // are refused immediately, modelling a site that is down before the
 // query starts.

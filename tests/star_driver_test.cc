@@ -9,8 +9,6 @@
 // profiles, across a replica failover too; and a served query over TCP
 // with default options waits for its slowest site, not the sum of them.
 
-#include "dist/star_driver.h"
-
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +22,7 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "dist/fault.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"

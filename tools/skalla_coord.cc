@@ -20,6 +20,13 @@
 //           stats, terminated by a line reading "END"
 //           — or "ERR <message>" + "END"
 //   client: ".cancel <query_id>"  -> "OK cancelled true|false" + "END"
+//   client: ".analyze on|off"     -> "OK analyze on|off" + "END"; from
+//           then on each OK reply on this connection also carries the
+//           EXPLAIN ANALYZE report (per round, per site) before "END"
+//   client: ".metrics"            -> per site "SITE <id> STATS <json>"
+//           (its metrics registry; the JSON spans lines), or
+//           "ERR site <i>: ..." for a site that did not answer, then
+//           "END"
 //   client: ".shutdown"           -> "BYE" + "END"; the server stops
 //           accepting, drains its clients, and exits (with
 //           --shutdown-sites it also asks rpc-backed sites to exit)
@@ -30,8 +37,10 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -45,6 +54,7 @@
 #include "common/string_util.h"
 #include "dist/warehouse.h"
 #include "obs/session.h"
+#include "obs/stats_report.h"
 #include "rpc/tcp.h"
 #include "serve/session.h"
 #include "sql/parser.h"
@@ -67,15 +77,23 @@ std::vector<skalla::rpc::SiteEndpoint> ParseEndpoints(
   std::stringstream stream(spec);
   std::string item;
   while (std::getline(stream, item, ',')) {
-    size_t colon = item.rfind(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "bad endpoint '%s' (want host:port)\n",
+    const size_t colon = item.rfind(':');
+    const char* last = item.data() + item.size();
+    int port = 0;
+    std::from_chars_result parsed{};
+    if (colon != std::string::npos) {
+      parsed = std::from_chars(item.data() + colon + 1, last, port);
+    }
+    if (colon == std::string::npos || parsed.ec != std::errc() ||
+        parsed.ptr != last || port < 1 || port > 65535) {
+      std::fprintf(stderr,
+                   "bad endpoint '%s' (want host:port, port 1-65535)\n",
                    item.c_str());
       std::exit(2);
     }
     skalla::rpc::SiteEndpoint endpoint;
     endpoint.host = item.substr(0, colon);
-    endpoint.port = std::atoi(item.c_str() + colon + 1);
+    endpoint.port = port;
     endpoints.push_back(std::move(endpoint));
   }
   return endpoints;
@@ -100,20 +118,22 @@ void Reply(TcpSocket* socket, const std::string& text) {
   (void)sent;
 }
 
-void RunQuery(TcpSocket* socket, const std::string& text) {
+// `analyze` appends the EXPLAIN ANALYZE report to an OK reply.
+void RunQuery(TcpSocket* socket, const std::string& text, bool analyze) {
   auto parsed = skalla::ParseQuery(text);
   if (!parsed.ok()) {
     Reply(socket, skalla::StrCat("ERR ", parsed.status().ToString(),
                                  "\nEND\n"));
     return;
   }
-  auto submission = g_session->Submit(*parsed);
-  if (!submission.ok()) {
-    Reply(socket, skalla::StrCat("ERR ", submission.status().ToString(),
+  auto plan = g_session->Plan(*parsed);
+  if (!plan.ok()) {
+    Reply(socket, skalla::StrCat("ERR ", plan.status().ToString(),
                                  "\nEND\n"));
     return;
   }
-  auto answer = submission->result.get();
+  auto submission = g_session->SubmitPlan(*plan);
+  auto answer = submission.result.get();
   if (!answer.ok()) {
     Reply(socket, skalla::StrCat("ERR ", answer.status().ToString(),
                                  "\nEND\n"));
@@ -121,14 +141,31 @@ void RunQuery(TcpSocket* socket, const std::string& text) {
   }
   answer->table.SortRows();
   Reply(socket,
-        skalla::StrCat("OK ", submission->query_id, " ",
-                       answer->table.num_rows(), "\n",
-                       answer->table.ToString(100),
-                       answer->stats.ToString(), "END\n"));
+        skalla::StrCat(
+            "OK ", submission.query_id, " ", answer->table.num_rows(), "\n",
+            answer->table.ToString(100), answer->stats.ToString(),
+            analyze ? skalla::obs::FormatStatsReport(*plan, answer->stats,
+                                                     g_session->num_sites())
+                    : std::string(),
+            "END\n"));
+}
+
+// Each site's metrics registry (kGetStats), one entry per site.
+std::string SiteMetrics() {
+  std::string reply;
+  for (size_t e = 0; e < g_session->num_sites(); ++e) {
+    auto stats = g_session->rpc_executor()->SiteStats(e);
+    reply += stats.ok() ? skalla::StrCat("SITE ", stats->site_id, " STATS ",
+                                         stats->metrics_json, "\n")
+                        : skalla::StrCat("ERR site ", e, ": ",
+                                         stats.status().ToString(), "\n");
+  }
+  return reply + "END\n";
 }
 
 void HandleClient(TcpSocket socket) {
   std::string pending;
+  bool analyze = false;
   while (!g_stop.load()) {
     auto line = ReadLine(&socket);
     if (!line.ok()) break;  // client went away (or .shutdown unblocked us)
@@ -148,6 +185,16 @@ void HandleClient(TcpSocket socket) {
                              "\nEND\n"));
         continue;
       }
+      if (stripped == ".analyze on" || stripped == ".analyze off") {
+        analyze = stripped == ".analyze on";
+        Reply(&socket, skalla::StrCat("OK analyze ", analyze ? "on" : "off",
+                                      "\nEND\n"));
+        continue;
+      }
+      if (stripped == ".metrics") {
+        Reply(&socket, SiteMetrics());
+        continue;
+      }
       Reply(&socket, "ERR unknown command\nEND\n");
       continue;
     }
@@ -159,7 +206,7 @@ void HandleClient(TcpSocket socket) {
     if (pending.empty()) continue;
     std::string text;
     std::swap(text, pending);
-    RunQuery(&socket, text);
+    RunQuery(&socket, text, analyze);
   }
   std::lock_guard<std::mutex> lock(g_clients_mu);
   for (size_t i = 0; i < g_client_fds.size(); ++i) {
@@ -254,8 +301,24 @@ int main(int argc, char** argv) {
               session->num_sites());
   std::fflush(stdout);
 
-  std::vector<std::thread> clients;
+  // One handler thread per connection. A handler marks itself done as
+  // its last act, and each accept-loop pass joins the done ones: an
+  // exited thread keeps its stack mapped until it is joined. std::list
+  // keeps each `done` flag in place while the list changes.
+  struct Client {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Client> clients;
   while (!g_stop.load()) {
+    for (auto it = clients.begin(); it != clients.end();) {
+      if (!it->done.load()) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = clients.erase(it);
+    }
     auto accepted = listener->Accept(/*timeout_s=*/0.2);
     if (!accepted.ok()) break;
     if (!accepted->has_value()) continue;  // timeout: poll the stop flag
@@ -264,8 +327,13 @@ int main(int argc, char** argv) {
       std::lock_guard<std::mutex> lock(g_clients_mu);
       g_client_fds.push_back(socket.fd());
     }
-    clients.emplace_back(
-        [](TcpSocket s) { HandleClient(std::move(s)); }, std::move(socket));
+    Client& client = clients.emplace_back();
+    client.thread = std::thread(
+        [&client](TcpSocket s) {
+          HandleClient(std::move(s));
+          client.done.store(true);
+        },
+        std::move(socket));
   }
   listener->Close();
 
@@ -275,7 +343,7 @@ int main(int argc, char** argv) {
     std::lock_guard<std::mutex> lock(g_clients_mu);
     for (int fd : g_client_fds) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : clients) t.join();
+  for (Client& client : clients) client.thread.join();
 
   // Only remote sites are shut down; in-process sites end with the
   // session.
