@@ -242,35 +242,63 @@ void BM_DeserializeTable(benchmark::State& state) {
 }
 BENCHMARK(BM_DeserializeTable)->Arg(1000)->Arg(10000);
 
-void BM_CoordinatorMerge(benchmark::State& state) {
-  // One fragment of partial aggregates merged into a seeded structure.
-  const int64_t kGroups = state.range(0);
-  SchemaPtr base_schema =
-      Schema::Make({{"g", ValueType::kInt64}}).ValueOrDie();
-  Table base(base_schema);
-  for (int64_t g = 0; g < kGroups; ++g) base.AppendUnchecked({Value(g)});
-
-  Table detail = MakeDetail(static_cast<size_t>(kGroups) * 4,
-                            kGroups);
+// One fragment of partial aggregates, as the coordinator receives it:
+// serialized by the site and decoded into typed columns.
+struct MergeFixture {
+  Table base;
+  Table detail;
   GmdjOp op = SimpleOp();
-  EvalContext options;
-  options.sub_aggregates = true;
-  Table fragment = EvalGmdj(base, detail, op, options).ValueOrDie();
+  ChunkPtr fragment;
 
+  explicit MergeFixture(int64_t groups) {
+    base = Table(Schema::Make({{"g", ValueType::kInt64}}).ValueOrDie());
+    for (int64_t g = 0; g < groups; ++g) base.AppendUnchecked({Value(g)});
+    detail = MakeDetail(static_cast<size_t>(groups) * 4, groups);
+    EvalContext options;
+    options.sub_aggregates = true;
+    Table h = EvalGmdj(base, detail, op, options).ValueOrDie();
+    std::vector<uint8_t> bytes;
+    WriteTable(h, &bytes);
+    fragment = ReadTableColumns(bytes.data(), bytes.size()).ValueOrDie();
+  }
+};
+
+void BM_CoordinatorMerge(benchmark::State& state) {
+  // One fragment merged into a seeded structure: the in-order walk over X.
+  const int64_t kGroups = state.range(0);
+  MergeFixture f(kGroups);
   for (auto _ : state) {
     Coordinator coordinator({"g"});
-    coordinator.SetResult(base);
+    coordinator.SetResult(f.base);
     coordinator
-        .BeginRound(op, *base_schema, *detail.schema(),
+        .BeginRound(f.op, *f.base.schema(), *f.detail.schema(),
                     /*from_scratch=*/false)
         .Check();
-    coordinator.MergeFragment(fragment).Check();
+    coordinator.MergeFragment(f.fragment).Check();
     coordinator.FinalizeRound().Check();
     benchmark::DoNotOptimize(coordinator.result());
   }
   state.SetItemsProcessed(state.iterations() * kGroups);
 }
 BENCHMARK(BM_CoordinatorMerge)->Arg(1000)->Arg(10000);
+
+void BM_CoordinatorMergeFromScratch(benchmark::State& state) {
+  // The same fragment merged with no X: groups created by KeyGroups.
+  const int64_t kGroups = state.range(0);
+  MergeFixture f(kGroups);
+  for (auto _ : state) {
+    Coordinator coordinator({"g"});
+    coordinator
+        .BeginRound(f.op, *f.base.schema(), *f.detail.schema(),
+                    /*from_scratch=*/true)
+        .Check();
+    coordinator.MergeFragment(f.fragment).Check();
+    coordinator.FinalizeRound().Check();
+    benchmark::DoNotOptimize(coordinator.result());
+  }
+  state.SetItemsProcessed(state.iterations() * kGroups);
+}
+BENCHMARK(BM_CoordinatorMergeFromScratch)->Arg(1000)->Arg(10000);
 
 }  // namespace
 }  // namespace skalla

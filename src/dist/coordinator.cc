@@ -1,5 +1,8 @@
 #include "dist/coordinator.h"
 
+#include <cmath>
+#include <cstring>
+
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -8,46 +11,114 @@
 
 namespace skalla {
 
+namespace {
+
+AggKind MergeAggKind(MergeKind merge) {
+  switch (merge) {
+    case MergeKind::kMin:
+      return AggKind::kMin;
+    case MergeKind::kMax:
+      return AggKind::kMax;
+    case MergeKind::kSum:
+      break;
+  }
+  return AggKind::kSum;
+}
+
+// Grows `part` to `n` slots. A FLOAT64 sum starts at -0.0, the identity
+// of +, so its first partial is taken as it is (as MergePartial adopts
+// it into a NULL cell): a lone -0.0 stays -0.0.
+void GrowSlots(AggPart* part, size_t n) {
+  const size_t old = part->num_slots();
+  EnsureSlots(part, n);
+  if (part->spec.kind == AggKind::kSum &&
+      part->input_type == ValueType::kFloat64) {
+    for (size_t g = old; g < n; ++g) part->dvals[g] = -0.0;
+  }
+}
+
+// Whether fragment cell (col, r) and X's boxed cell are the same cell:
+// both NULL, or the same type with the same bits (NaN payloads and -0.0
+// included) or the same string bytes.
+bool SameCell(const Column& col, size_t r, const Value& v) {
+  if (col.IsNull(r)) return v.is_null();
+  switch (col.type()) {
+    case ValueType::kInt64:
+      return v.is_int64() && v.int64() == col.Int64At(r);
+    case ValueType::kFloat64: {
+      if (!v.is_float64()) return false;
+      const double a = col.Float64At(r);
+      const double b = v.float64();
+      return std::memcmp(&a, &b, sizeof(double)) == 0;
+    }
+    case ValueType::kString:
+      return v.is_string() && v.str() == col.StringAt(r);
+    case ValueType::kNull:
+      break;
+  }
+  return false;
+}
+
+Row BoxRow(const Chunk& h, size_t r) {
+  Row row;
+  row.reserve(h.num_columns());
+  for (size_t c = 0; c < h.num_columns(); ++c) {
+    row.push_back(h.column(c).GetValue(r));
+  }
+  return row;
+}
+
+// A COUNT part's merged count: no partial arrived means 0.
+int64_t CountAt(const AggPart& p, size_t g) { return p.any[g] ? p.ivals[g] : 0; }
+
+double SumAsDouble(const AggPart& p, size_t g) {
+  return p.input_type == ValueType::kInt64 ? static_cast<double>(p.ivals[g])
+                                           : p.dvals[g];
+}
+
+}  // namespace
+
+Status Coordinator::CheckFragment(const Chunk& h, const Schema& schema) const {
+  if (h.num_columns() != schema.num_fields()) {
+    return Status::InvalidArgument(
+        StrCat("fragment arity ", h.num_columns(), ", expected ",
+               schema.num_fields()));
+  }
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    const ValueType got = h.schema()->field(c).type;
+    if (got != schema.field(c).type) {
+      return Status::InvalidArgument(
+          StrCat("fragment column '", schema.field(c).name, "' is ",
+                 ValueTypeToString(got), ", expected ",
+                 ValueTypeToString(schema.field(c).type)));
+    }
+  }
+  return Status::OK();
+}
+
 // --- Base-values round ----------------------------------------------------
 
 Status Coordinator::InitBase(SchemaPtr base_schema) {
   base_schema_ = std::move(base_schema);
-  base_ = Rows{Table(base_schema_), {}};
+  std::vector<size_t> all(base_schema_->num_fields());
+  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+  base_groups_.emplace(std::move(all));
   x_ = Table(base_schema_);
   in_base_ = true;
   in_round_ = false;
   return Status::OK();
 }
 
-Status Coordinator::MergeBaseFragment(const Table& fragment) {
+Status Coordinator::MergeBaseFragment(const Chunk& fragment) {
   if (!in_base_) {
     return Status::Internal("MergeBaseFragment outside a base round");
   }
-  if (fragment.num_columns() != base_schema_->num_fields()) {
-    return Status::InvalidArgument(
-        StrCat("base fragment arity ", fragment.num_columns(),
-               " does not match base schema arity ",
-               base_schema_->num_fields()));
-  }
+  SKALLA_RETURN_NOT_OK(CheckFragment(fragment, *base_schema_));
   SKALLA_TRACE_SPAN(merge_span, "coord.merge_base", "coordinator");
   SKALLA_SPAN_ATTR(merge_span, "rows",
                    static_cast<uint64_t>(fragment.num_rows()));
   SKALLA_OBS_ONLY(Stopwatch merge_timer;)
-  for (size_t r = 0; r < fragment.num_rows(); ++r) {
-    const Row& row = fragment.row(r);
-    std::vector<uint32_t>& bucket = base_.map[HashRow(row)];
-    bool duplicate = false;
-    for (uint32_t prev : bucket) {
-      if (RowEquals(base_.rows.row(prev), row)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) {
-      bucket.push_back(static_cast<uint32_t>(base_.rows.num_rows()));
-      base_.rows.AppendUnchecked(row);
-    }
-  }
+  base_groups_->Assign(fragment, nullptr, &row_slots_);
   SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_us",
                           static_cast<double>(merge_timer.ElapsedMicros()));
   return Status::OK();
@@ -55,26 +126,13 @@ Status Coordinator::MergeBaseFragment(const Table& fragment) {
 
 Status Coordinator::FinalizeBase() {
   if (!in_base_) return Status::Internal("FinalizeBase outside a base round");
-  x_ = std::move(base_.rows);
-  base_ = Rows();
+  x_ = Table(base_schema_, base_groups_->TakeKeys());
+  base_groups_.reset();
   in_base_ = false;
   return Status::OK();
 }
 
 // --- GMDJ round -----------------------------------------------------------
-
-int64_t Coordinator::LookupKey(const Rows& s, const Row& key_row,
-                               uint64_t hash) const {
-  auto it = s.map.find(hash);
-  if (it == s.map.end()) return -1;
-  for (uint32_t row_id : it->second) {
-    if (RowKeyEquals(key_row, key_indices_, s.rows.row(row_id),
-                     key_indices_)) {
-      return row_id;
-    }
-  }
-  return -1;
-}
 
 Status Coordinator::BeginRound(const GmdjOp& op,
                                const Schema& upstream_schema,
@@ -84,98 +142,114 @@ Status Coordinator::BeginRound(const GmdjOp& op,
     return Status::Internal("BeginRound during an unfinished round");
   }
   in_base_ = false;
-  base_ = Rows();
-  in_round_ = true;
+  base_groups_.reset();
   from_scratch_ = from_scratch;
-  round_op_ = op;
   upstream_width_ = upstream_schema.num_fields();
 
-  parts_.clear();
-  agg_part_ranges_.clear();
+  std::vector<SubAggregate> parts;
   agg_specs_.clear();
+  agg_first_part_.clear();
   std::vector<Field> fields = upstream_schema.fields();
-  for (const GmdjBlock& block : round_op_.blocks) {
+  for (const GmdjBlock& block : op.blocks) {
     for (const AggSpec& spec : block.aggs) {
-      agg_specs_.push_back(&spec);
-      std::vector<SubAggregate> parts = Decompose(spec);
-      agg_part_ranges_.emplace_back(parts_.size(), parts.size());
-      for (SubAggregate& part : parts) {
+      agg_specs_.push_back(spec);
+      agg_first_part_.push_back(parts.size());
+      for (SubAggregate& part : Decompose(spec)) {
         SKALLA_ASSIGN_OR_RETURN(ValueType type,
                                 PartOutputType(part, detail_schema));
         fields.push_back(Field{part.part_name, type});
-        parts_.push_back(std::move(part));
+        parts.push_back(std::move(part));
       }
     }
   }
   SKALLA_ASSIGN_OR_RETURN(working_schema_, Schema::Make(std::move(fields)));
+
+  // Each part folds its fragment column under its merge kind.
+  parts_.clear();
+  for (size_t p = 0; p < parts.size(); ++p) {
+    SubAggregate merge{MergeAggKind(parts[p].merge),
+                       working_schema_->field(upstream_width_ + p).name,
+                       parts[p].part_name, parts[p].merge};
+    SKALLA_ASSIGN_OR_RETURN(AggPart part,
+                            CompileAggPart(std::move(merge), *working_schema_));
+    parts_.push_back(std::move(part));
+  }
 
   key_indices_.clear();
   for (const std::string& key : key_columns_) {
     SKALLA_ASSIGN_OR_RETURN(size_t idx, upstream_schema.RequireIndex(key));
     key_indices_.push_back(idx);
   }
+  fragments_.clear();
+  origins_.clear();
 
-  work_ = Rows{Table(working_schema_), {}};
-
-  if (!from_scratch_) {
+  if (from_scratch_) {
+    groups_.emplace(key_indices_);
+    num_groups_ = 0;
+  } else {
     if (!x_.schema()->Equals(upstream_schema)) {
       return Status::Internal(
           StrCat("coordinator structure schema ", x_.schema()->ToString(),
                  " does not match stage upstream schema ",
                  upstream_schema.ToString()));
     }
-    // Seed the working structure with X's rows, in X's order.
-    work_.rows.Reserve(x_.num_rows());
-    for (size_t r = 0; r < x_.num_rows(); ++r) {
-      Row row = x_.row(r);
-      row.reserve(row.size() + parts_.size());
-      for (const SubAggregate& part : parts_) {
-        row.push_back(InitialPartValue(part));
+    groups_.reset();
+    num_groups_ = x_.num_rows();
+  }
+  for (AggPart& part : parts_) GrowSlots(&part, num_groups_);
+  in_round_ = true;
+  return Status::OK();
+}
+
+Status Coordinator::WalkX(const Chunk& h) {
+  const size_t n = h.num_rows();
+  const size_t x_rows = x_.num_rows();
+  row_slots_.resize(n);
+  size_t next = 0;
+  for (size_t r = 0; r < n; ++r) {
+    for (; next < x_rows; ++next) {
+      const Row& x_row = x_.row(next);
+      bool same = true;
+      for (size_t c = 0; c < upstream_width_ && same; ++c) {
+        same = SameCell(h.column(c), r, x_row[c]);
       }
-      work_.map[HashRowKey(row, key_indices_)].push_back(
-          static_cast<uint32_t>(r));
-      work_.rows.AppendUnchecked(std::move(row));
+      if (same) break;
     }
+    if (next == x_rows) {
+      return Status::Internal(
+          StrCat("site shipped unknown group ", RowToString(BoxRow(h, r))));
+    }
+    row_slots_[r] = static_cast<uint32_t>(next++);
   }
   return Status::OK();
 }
 
-Status Coordinator::MergeFragment(const Table& h) {
+Status Coordinator::MergeFragment(ChunkPtr h) {
   if (!in_round_) return Status::Internal("MergeFragment outside a round");
-  const size_t expected = upstream_width_ + parts_.size();
-  if (h.num_columns() != expected) {
-    return Status::InvalidArgument(
-        StrCat("partial result arity ", h.num_columns(), ", expected ",
-               expected));
-  }
+  SKALLA_RETURN_NOT_OK(CheckFragment(*h, *working_schema_));
   SKALLA_TRACE_SPAN(merge_span, "coord.merge", "coordinator");
-  SKALLA_SPAN_ATTR(merge_span, "rows", static_cast<uint64_t>(h.num_rows()));
+  SKALLA_SPAN_ATTR(merge_span, "rows", static_cast<uint64_t>(h->num_rows()));
   SKALLA_OBS_ONLY(Stopwatch merge_timer;)
-  for (size_t r = 0; r < h.num_rows(); ++r) {
-    const Row& incoming = h.row(r);
-    const uint64_t hash = HashRowKey(incoming, key_indices_);
-    int64_t row_id = LookupKey(work_, incoming, hash);
-    if (row_id < 0) {
-      if (!from_scratch_) {
-        return Status::Internal(
-            StrCat("site shipped unknown group ", RowToString(incoming)));
+  const size_t n = h->num_rows();
+  if (from_scratch_) {
+    groups_->Assign(*h, nullptr, &row_slots_);
+    // Groups are numbered in order of creation, so the first row that
+    // names the next new group is the one that created it.
+    const auto fragment = static_cast<uint32_t>(fragments_.size());
+    for (size_t r = 0; r < n; ++r) {
+      if (row_slots_[r] == num_groups_) {
+        origins_.emplace_back(fragment, static_cast<uint32_t>(r));
+        ++num_groups_;
       }
-      Row fresh(incoming.begin(),
-                incoming.begin() + static_cast<int64_t>(upstream_width_));
-      fresh.reserve(expected);
-      for (const SubAggregate& part : parts_) {
-        fresh.push_back(InitialPartValue(part));
-      }
-      row_id = static_cast<int64_t>(work_.rows.num_rows());
-      work_.map[hash].push_back(static_cast<uint32_t>(row_id));
-      work_.rows.AppendUnchecked(std::move(fresh));
     }
-    Row& target = work_.rows.mutable_row(static_cast<size_t>(row_id));
-    for (size_t p = 0; p < parts_.size(); ++p) {
-      size_t col = upstream_width_ + p;
-      target[col] =
-          MergePartial(target[col], incoming[col], parts_[p].merge);
-    }
+    fragments_.push_back(h);
+    for (AggPart& part : parts_) GrowSlots(&part, num_groups_);
+  } else {
+    SKALLA_RETURN_NOT_OK(WalkX(*h));
+  }
+  for (AggPart& part : parts_) {
+    part.fold_dense(part, &h->column(static_cast<size_t>(part.input_col)),
+                    row_slots_.data(), n);
   }
   SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_us",
                           static_cast<double>(merge_timer.ElapsedMicros()));
@@ -184,10 +258,9 @@ Status Coordinator::MergeFragment(const Table& h) {
 
 Status Coordinator::FinalizeRound() {
   if (!in_round_) return Status::Internal("FinalizeRound outside a round");
-  const Table& working = work_.rows;
+  const size_t groups = num_groups_;
   SKALLA_TRACE_SPAN(finalize_span, "coord.finalize", "coordinator");
-  SKALLA_SPAN_ATTR(finalize_span, "groups",
-                   static_cast<uint64_t>(working.num_rows()));
+  SKALLA_SPAN_ATTR(finalize_span, "groups", static_cast<uint64_t>(groups));
   std::vector<Field> fields;
   fields.reserve(upstream_width_ + agg_specs_.size());
   for (size_t i = 0; i < upstream_width_; ++i) {
@@ -196,9 +269,8 @@ Status Coordinator::FinalizeRound() {
   // Output types: algebraic aggregates finalize to FLOAT64; distributive
   // (single-part) aggregates keep their part column type.
   for (size_t ai = 0; ai < agg_specs_.size(); ++ai) {
-    const size_t start = agg_part_ranges_[ai].first;
     ValueType type;
-    switch (agg_specs_[ai]->kind) {
+    switch (agg_specs_[ai].kind) {
       case AggKind::kAvg:
       case AggKind::kVarPop:
       case AggKind::kStdDevPop:
@@ -206,32 +278,102 @@ Status Coordinator::FinalizeRound() {
         type = ValueType::kFloat64;
         break;
       default:
-        type = working_schema_->field(upstream_width_ + start).type;
+        type = working_schema_->field(upstream_width_ + agg_first_part_[ai])
+                   .type;
         break;
     }
-    fields.push_back(Field{agg_specs_[ai]->output, type});
+    fields.push_back(Field{agg_specs_[ai].output, type});
   }
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr out_schema,
                           Schema::Make(std::move(fields)));
-  Table out(out_schema);
-  out.Reserve(working.num_rows());
-  for (size_t r = 0; r < working.num_rows(); ++r) {
-    const Row& w = working.row(r);
-    Row row(w.begin(), w.begin() + static_cast<int64_t>(upstream_width_));
-    row.reserve(out_schema->num_fields());
-    for (size_t ai = 0; ai < agg_specs_.size(); ++ai) {
-      auto [start, len] = agg_part_ranges_[ai];
-      std::vector<Value> parts;
-      parts.reserve(len);
-      for (size_t p = 0; p < len; ++p) {
-        parts.push_back(w[upstream_width_ + start + p]);
-      }
-      row.push_back(FinalizeAggregate(*agg_specs_[ai], parts));
+  const size_t width = out_schema->num_fields();
+
+  // The upstream cells: X's own rows, moved; or each group's first
+  // arrival: its key cells as KeyGroups boxed them, the other cells
+  // boxed from the fragment that created the group.
+  std::vector<Row> rows(groups);
+  if (!from_scratch_) {
+    for (size_t g = 0; g < groups; ++g) {
+      rows[g] = std::move(x_.mutable_row(g));
+      rows[g].reserve(width);
     }
-    out.AppendUnchecked(std::move(row));
+  } else {
+    std::vector<int64_t> key_of(upstream_width_, -1);
+    for (size_t k = 0; k < key_indices_.size(); ++k) {
+      key_of[key_indices_[k]] = static_cast<int64_t>(k);
+    }
+    std::vector<Row> keys = groups_->TakeKeys();
+    for (size_t g = 0; g < groups; ++g) {
+      const Chunk& h = *fragments_[origins_[g].first];
+      const size_t r = origins_[g].second;
+      rows[g].reserve(width);
+      for (size_t c = 0; c < upstream_width_; ++c) {
+        if (key_of[c] >= 0) {
+          rows[g].push_back(std::move(keys[g][key_of[c]]));
+        } else {
+          rows[g].push_back(h.column(c).GetValue(r));
+        }
+      }
+    }
   }
-  x_ = std::move(out);
-  work_ = Rows();
+
+  // The aggregates, one column at a time, with FinalizeAggregate's
+  // rules: COUNT over nothing is 0; AVG/VAR/STDDEV with no sum or a zero
+  // count are NULL.
+  for (size_t ai = 0; ai < agg_specs_.size(); ++ai) {
+    const AggSpec& spec = agg_specs_[ai];
+    const AggPart& p0 = parts_[agg_first_part_[ai]];
+    switch (spec.kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
+        for (size_t g = 0; g < groups; ++g) {
+          rows[g].emplace_back(CountAt(p0, g));
+        }
+        break;
+      case AggKind::kSum:
+      case AggKind::kMin:
+      case AggKind::kMax:
+      case AggKind::kSumSq:
+        for (size_t g = 0; g < groups; ++g) rows[g].push_back(p0.Final(g));
+        break;
+      case AggKind::kAvg: {
+        const AggPart& cnt = parts_[agg_first_part_[ai] + 1];
+        for (size_t g = 0; g < groups; ++g) {
+          const int64_t n = CountAt(cnt, g);
+          if (!p0.any[g] || n == 0) {
+            rows[g].emplace_back();
+          } else {
+            rows[g].emplace_back(SumAsDouble(p0, g) / static_cast<double>(n));
+          }
+        }
+        break;
+      }
+      case AggKind::kVarPop:
+      case AggKind::kStdDevPop: {
+        const AggPart& sumsq = parts_[agg_first_part_[ai] + 1];
+        const AggPart& cnt = parts_[agg_first_part_[ai] + 2];
+        for (size_t g = 0; g < groups; ++g) {
+          const int64_t count = CountAt(cnt, g);
+          if (!p0.any[g] || !sumsq.any[g] || count == 0) {
+            rows[g].emplace_back();
+            continue;
+          }
+          const double n = static_cast<double>(count);
+          const double mean = SumAsDouble(p0, g) / n;
+          double var = sumsq.dvals[g] / n - mean * mean;
+          if (var < 0.0) var = 0.0;  // Guard against rounding.
+          rows[g].emplace_back(spec.kind == AggKind::kVarPop ? var
+                                                             : std::sqrt(var));
+        }
+        break;
+      }
+    }
+  }
+  x_ = Table(std::move(out_schema), std::move(rows));
+  parts_.clear();
+  groups_.reset();
+  fragments_.clear();
+  origins_.clear();
   in_round_ = false;
   return Status::OK();
 }

@@ -3,25 +3,42 @@
 //
 //   X = MD(B, H_1 ⊔ … ⊔ H_n, l'', θ_K)
 //
-// specialised to a hash merge on the key attributes K — O(|H_i|) per
-// arriving fragment, and incremental: fragments merge as they arrive.
-//
-// The merge structure is one working table plus a map from key hash to
-// its rows. Rows keep arrival order: a seeded round keeps X's order, a
-// from-scratch round the order in which keys first arrived.
+// Fragments arrive as typed columns (a Chunk decoded straight off the
+// wire by ReadTableColumns) and stay typed until X is boxed, once per
+// round, into its Table. Fragments merge as they arrive, in site order and
+// then row order:
+//  - the base round's distinct union groups each fragment on all of its
+//    columns with KeyGroups, the grouping the sites use; first arrival
+//    fixes each row's position and cells;
+//  - a from-scratch round (Prop. 2 / Corollary 1 plans) groups on the key
+//    columns with KeyGroups; first arrival fixes a group's position and
+//    its upstream cells;
+//  - a seeded round walks X in order. A site's fragment keeps X's row
+//    order and may skip rows (reduction filters and the rng filter keep
+//    order), so each fragment row belongs to the next X row whose upstream
+//    cells are bitwise identical to its own — no hashing, and a NaN key
+//    finds its row like any other.
+// Each sub-aggregate part folds into per-group typed state with the
+// AggPart kernels under its merge kind (SUM/MIN/MAX): distributive and
+// algebraic aggregates super-aggregate from their partial states alone
+// (Gray et al.). FinalizeRound computes the declared outputs column-wise
+// with FinalizeAggregate's rules and boxes X.
 
 #ifndef SKALLA_DIST_COORDINATOR_H_
 #define SKALLA_DIST_COORDINATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "agg/aggregate.h"
+#include "columnar/agg_kernels.h"
 #include "common/result.h"
 #include "core/gmdj.h"
+#include "relalg/key_groups.h"
+#include "storage/chunk.h"
 #include "storage/table.h"
 
 namespace skalla {
@@ -39,7 +56,7 @@ class Coordinator {
   Status InitBase(SchemaPtr base_schema);
 
   /// Distinct-unions a site's local base result into the base structure.
-  Status MergeBaseFragment(const Table& fragment);
+  Status MergeBaseFragment(const Chunk& fragment);
 
   /// Ends the base round: installs the deduplicated union (in arrival
   /// order) as X.
@@ -54,17 +71,16 @@ class Coordinator {
   /// synchronized; the chain-derived schema otherwise). `detail_schema`
   /// types the sub-aggregate part columns.
   ///
-  /// When `from_scratch` is false, the working structure is seeded with
-  /// X's rows (every global group present, aggregates at their neutral
-  /// values); fragments may only update existing groups. When true
-  /// (Prop. 2 / Corollary 1 plans), the working structure starts empty and
-  /// fragments insert groups as they arrive.
+  /// When `from_scratch` is false, every row of X is a group (aggregates
+  /// at their neutral state) and fragments may only update them. When
+  /// true (Prop. 2 / Corollary 1 plans), there are no groups yet and
+  /// fragments create them as they arrive.
   Status BeginRound(const GmdjOp& op, const Schema& upstream_schema,
                     const Schema& detail_schema, bool from_scratch);
 
-  /// Merges one site's partial result (schema: upstream columns followed
-  /// by part columns) into the working structure.
-  Status MergeFragment(const Table& h);
+  /// Merges one site's partial result (upstream columns followed by part
+  /// columns, typed as the round's working schema).
+  Status MergeFragment(ChunkPtr h);
 
   /// Computes super-aggregates' final values and installs the round
   /// result as the new X.
@@ -73,19 +89,18 @@ class Coordinator {
   /// The current base-result structure.
   const Table& result() const { return x_; }
 
+  /// Moves X out (the final result of a plan).
+  Table TakeResult() { return std::move(x_); }
+
   /// Replaces X (used when a plan starts from a precomputed structure).
   void SetResult(Table x) { x_ = std::move(x); }
 
  private:
-  // Rows of one round's structure plus key hash -> row ids (chained for
-  // hash collisions).
-  struct Rows {
-    Table rows;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> map;
-  };
+  // Checks a fragment's arity and column types against `schema`.
+  Status CheckFragment(const Chunk& h, const Schema& schema) const;
 
-  // The row id in `s` whose key equals `key_row`'s, or -1.
-  int64_t LookupKey(const Rows& s, const Row& key_row, uint64_t hash) const;
+  // Seeded rounds: row_slots_[r] = the X row fragment row r belongs to.
+  Status WalkX(const Chunk& h);
 
   std::vector<std::string> key_columns_;
 
@@ -94,19 +109,24 @@ class Coordinator {
   // Round state.
   bool in_round_ = false;
   bool from_scratch_ = false;
-  GmdjOp round_op_;
   size_t upstream_width_ = 0;
-  std::vector<SubAggregate> parts_;  // Flattened across blocks/aggs.
-  std::vector<std::pair<size_t, size_t>> agg_part_ranges_;
-  std::vector<const AggSpec*> agg_specs_;
-  SchemaPtr working_schema_;
-  Rows work_;
-  std::vector<size_t> key_indices_;  // Into working rows (== fragments).
+  SchemaPtr working_schema_;  // upstream columns, then the part columns
+  std::vector<AggPart> parts_;  // flattened across blocks/aggs
+  std::vector<AggSpec> agg_specs_;
+  std::vector<size_t> agg_first_part_;  // per aggregate, into parts_
+  size_t num_groups_ = 0;
+  std::vector<uint32_t> row_slots_;  // per fragment row, its group
+  // From-scratch rounds: the groups over the key columns, and for each
+  // group the fragment and row that created it.
+  std::optional<KeyGroups> groups_;
+  std::vector<size_t> key_indices_;
+  std::vector<ChunkPtr> fragments_;
+  std::vector<std::pair<uint32_t, uint32_t>> origins_;
 
   // Base-round state.
   bool in_base_ = false;
   SchemaPtr base_schema_;
-  Rows base_;
+  std::optional<KeyGroups> base_groups_;
 };
 
 }  // namespace skalla

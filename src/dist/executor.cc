@@ -141,18 +141,18 @@ Status Live(CancellationToken* cancel) {
 // kDeadlineExceeded or kCancelled is not retried either (neither is
 // transient). Thread-safe as long as the injector is (the FaultInjector
 // contract).
-Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
-                               const std::string& round,
-                               const std::function<Result<Table>()>& attempt,
-                               size_t* retries_out,
-                               CancellationToken* cancel) {
+Result<ChunkPtr> ExecuteSiteRound(
+    const ExecutorOptions& options, int site_id, const std::string& round,
+    const std::function<Result<ChunkPtr>()>& attempt, size_t* retries_out,
+    CancellationToken* cancel) {
   SKALLA_RETURN_NOT_OK(Live(cancel));
   for (size_t tries = 0;; ++tries) {
     Status injected = options.fault_injector == nullptr
                           ? Status::OK()
                           : options.fault_injector->BeforeSiteRound(site_id,
                                                                     round);
-    Result<Table> result = injected.ok() ? attempt() : Result<Table>(injected);
+    Result<ChunkPtr> result =
+        injected.ok() ? attempt() : Result<ChunkPtr>(injected);
     if (options.fault_injector != nullptr) {
       // Response-path fault: the site computed, the answer was lost. The
       // result is discarded and the attempt counts as failed; re-running
@@ -176,12 +176,12 @@ Result<Table> ExecuteSiteRound(const ExecutorOptions& options, int site_id,
 
 }  // namespace
 
-Result<Table> ExecuteSiteRoundReplicated(
+Result<ChunkPtr> ExecuteSiteRoundReplicated(
     const ExecutorOptions& options, const std::vector<int>& replica_site_ids,
     const std::string& round,
-    const std::function<Result<Table>(size_t)>& attempt,
+    const std::function<Result<ChunkPtr>(size_t)>& attempt,
     SiteRoundCounts* counts, CancellationToken* cancel) {
-  Result<Table> result = Status::Internal("no replica attempted");
+  Result<ChunkPtr> result = Status::Internal("no replica attempted");
   for (size_t r = 0; r < replica_site_ids.size(); ++r) {
     if (r > 0) {
       if (counts != nullptr) ++counts->failovers;

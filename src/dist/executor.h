@@ -24,6 +24,7 @@
 #include "core/eval_context.h"
 #include "dist/fault.h"
 #include "dist/plan.h"
+#include "storage/chunk.h"
 #include "storage/table.h"
 
 namespace skalla {
@@ -286,10 +287,10 @@ struct SiteRoundCounts {
 /// failures do not fail over (the budget, or the caller, is gone
 /// everywhere), nor does anything once `cancel` is cancelled. Returns the
 /// last replica's error when all are exhausted.
-Result<Table> ExecuteSiteRoundReplicated(
+Result<ChunkPtr> ExecuteSiteRoundReplicated(
     const ExecutorOptions& options, const std::vector<int>& replica_site_ids,
     const std::string& round,
-    const std::function<Result<Table>(size_t)>& attempt,
+    const std::function<Result<ChunkPtr>(size_t)>& attempt,
     SiteRoundCounts* counts, CancellationToken* cancel = nullptr);
 
 /// The degrade rung of the ladder: whether a partition whose replica

@@ -1,6 +1,8 @@
 #include "net/serde.h"
 
 #include <cstring>
+#include <memory>
+#include <string>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -110,7 +112,7 @@ Result<uint8_t> ByteReader::ReadByte() {
 }
 
 Result<const uint8_t*> ByteReader::ReadBytes(size_t n) {
-  if (pos_ + n > size_) return Status::IOError("truncated buffer");
+  if (n > size_ - pos_) return Status::IOError("truncated buffer");
   const uint8_t* p = data_ + pos_;
   pos_ += n;
   return p;
@@ -130,10 +132,23 @@ void WriteTable(const Table& table, std::vector<uint8_t>* out) {
   }
 }
 
-Result<Table> ReadTable(const uint8_t* data, size_t size) {
+namespace {
+
+// The one parser of the table format. It reads the schema, then hands
+// every cell to `sink` in row-major order — sink->Null(c), Int64(c, v),
+// Float64(c, v) or String(c, bytes, len), between BeginRow() and
+// EndRow() — after checking that a non-NULL cell carries its field's
+// declared type tag.
+template <typename Sink>
+Status ParseTable(const uint8_t* data, size_t size, Sink* sink) {
   ByteReader reader(data, size);
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_fields, reader.ReadVarint());
-  if (num_fields > 1u << 20) return Status::IOError("implausible field count");
+  // A field takes at least two bytes (name length, type), a cell at least
+  // its tag byte: corrupted counts fail here, before anything is sized
+  // after them.
+  if (num_fields > reader.remaining() / 2) {
+    return Status::IOError("implausible field count");
+  }
   std::vector<Field> fields;
   fields.reserve(num_fields);
   for (uint64_t i = 0; i < num_fields; ++i) {
@@ -151,21 +166,119 @@ Result<Table> ReadTable(const uint8_t* data, size_t size) {
   }
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr schema, Schema::Make(std::move(fields)));
   SKALLA_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadVarint());
-  Table table(schema);
-  table.Reserve(num_rows);
+  if (num_fields == 0 ? num_rows > 1u << 24
+                      : num_rows > reader.remaining() / num_fields) {
+    return Status::IOError(StrCat("implausible row count ", num_rows));
+  }
+  sink->Begin(schema, num_rows);
   for (uint64_t r = 0; r < num_rows; ++r) {
-    Row row;
-    row.reserve(num_fields);
-    for (uint64_t c = 0; c < num_fields; ++c) {
-      SKALLA_ASSIGN_OR_RETURN(Value v, ReadValue(&reader));
-      row.push_back(std::move(v));
+    sink->BeginRow();
+    for (size_t c = 0; c < num_fields; ++c) {
+      SKALLA_ASSIGN_OR_RETURN(uint8_t tag, reader.ReadByte());
+      if (tag == static_cast<uint8_t>(ValueType::kNull)) {
+        sink->Null(c);
+        continue;
+      }
+      const Field& field = schema->field(c);
+      if (tag != static_cast<uint8_t>(field.type)) {
+        if (tag > static_cast<uint8_t>(ValueType::kString)) {
+          return Status::IOError(StrCat("bad value type tag ", int{tag}));
+        }
+        return Status::IOError(StrCat(
+            ValueTypeToString(static_cast<ValueType>(tag)), " cell in ",
+            ValueTypeToString(field.type), " column '", field.name, "'"));
+      }
+      switch (field.type) {
+        case ValueType::kInt64: {
+          SKALLA_ASSIGN_OR_RETURN(uint64_t raw, reader.ReadVarint());
+          sink->Int64(c, ZigzagDecode(raw));
+          break;
+        }
+        case ValueType::kFloat64: {
+          SKALLA_ASSIGN_OR_RETURN(const uint8_t* raw, reader.ReadBytes(8));
+          double d;
+          std::memcpy(&d, raw, 8);
+          sink->Float64(c, d);
+          break;
+        }
+        case ValueType::kString: {
+          SKALLA_ASSIGN_OR_RETURN(uint64_t len, reader.ReadVarint());
+          SKALLA_ASSIGN_OR_RETURN(const uint8_t* bytes,
+                                  reader.ReadBytes(len));
+          sink->String(c, bytes, len);
+          break;
+        }
+        case ValueType::kNull:
+          break;  // unreachable: a NULL tag was handled above
+      }
     }
-    table.AppendUnchecked(std::move(row));
+    sink->EndRow();
   }
   if (reader.remaining() != 0) {
     return Status::IOError("trailing bytes after table payload");
   }
-  return table;
+  return Status::OK();
+}
+
+// Boxes each row into a Table.
+struct TableSink {
+  Table table;
+  Row row;
+
+  void Begin(SchemaPtr schema, uint64_t num_rows) {
+    table = Table(std::move(schema));
+    table.Reserve(num_rows);
+  }
+  void BeginRow() { row.reserve(table.num_columns()); }
+  void EndRow() { table.AppendUnchecked(std::move(row)); row = Row(); }
+  void Null(size_t) { row.emplace_back(); }
+  void Int64(size_t, int64_t v) { row.emplace_back(v); }
+  void Float64(size_t, double v) { row.emplace_back(v); }
+  void String(size_t, const uint8_t* bytes, size_t len) {
+    row.emplace_back(std::string(reinterpret_cast<const char*>(bytes), len));
+  }
+};
+
+// Appends each cell to its typed column.
+struct ColumnSink {
+  SchemaPtr schema;
+  uint64_t num_rows = 0;
+  std::vector<std::shared_ptr<Column>> columns;
+
+  void Begin(SchemaPtr s, uint64_t n) {
+    schema = std::move(s);
+    num_rows = n;
+    for (const Field& f : schema->fields()) {
+      columns.push_back(std::make_shared<Column>(f.type));
+      columns.back()->Reserve(n);
+    }
+  }
+  void BeginRow() {}
+  void EndRow() {}
+  void Null(size_t c) { columns[c]->AppendNull(); }
+  void Int64(size_t c, int64_t v) { columns[c]->AppendInt64(v); }
+  void Float64(size_t c, double v) { columns[c]->AppendFloat64(v); }
+  void String(size_t c, const uint8_t* bytes, size_t len) {
+    columns[c]->AppendString(
+        std::string(reinterpret_cast<const char*>(bytes), len));
+  }
+};
+
+}  // namespace
+
+Result<Table> ReadTable(const uint8_t* data, size_t size) {
+  TableSink sink;
+  SKALLA_RETURN_NOT_OK(ParseTable(data, size, &sink));
+  return std::move(sink.table);
+}
+
+Result<ChunkPtr> ReadTableColumns(const uint8_t* data, size_t size) {
+  ColumnSink sink;
+  SKALLA_RETURN_NOT_OK(ParseTable(data, size, &sink));
+  std::vector<ColumnPtr> pages(sink.columns.begin(), sink.columns.end());
+  std::vector<ChunkColumnStats> stats(pages.size());
+  return Chunk::FromPages(std::move(sink.schema), 0, sink.num_rows,
+                          std::move(pages), std::move(stats));
 }
 
 uint64_t SerializedTableSize(const Table& table) {

@@ -9,6 +9,9 @@
 //   cell    := type:u8 payload
 //   payload := (null: empty) | (int64: zigzag varint)
 //            | (float64: 8 raw bytes) | (string: len:varint bytes)
+//
+// A cell's type tag is NULL or its field's declared type; readers reject
+// any other tag rather than coerce it.
 
 #ifndef SKALLA_NET_SERDE_H_
 #define SKALLA_NET_SERDE_H_
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "storage/chunk.h"
 #include "storage/table.h"
 
 namespace skalla {
@@ -59,8 +63,14 @@ Result<Value> ReadValue(ByteReader* reader);
 /// Serializes a full table (schema + rows).
 void WriteTable(const Table& table, std::vector<uint8_t>* out);
 
-/// Deserializes a table written by WriteTable.
+/// Deserializes a table written by WriteTable into boxed rows.
 Result<Table> ReadTable(const uint8_t* data, size_t size);
+
+/// Deserializes a table written by WriteTable straight into typed
+/// columns: a chunk holding every column, rows [0, num_rows). It accepts
+/// exactly what ReadTable accepts (one parser), and its cells box to
+/// ReadTable's.
+Result<ChunkPtr> ReadTableColumns(const uint8_t* data, size_t size);
 
 /// The exact encoded size of `table`, without materializing the buffer
 /// (used for byte accounting on the hot path).

@@ -513,8 +513,8 @@ Result<RoundResult> DecodeRoundResult(const std::vector<uint8_t>& payload) {
   if (result.has_table) {
     result.table_bytes = payload.size() - table_offset;
     SKALLA_ASSIGN_OR_RETURN(
-        result.table, ReadTable(payload.data() + table_offset,
-                                payload.size() - table_offset));
+        result.table, ReadTableColumns(payload.data() + table_offset,
+                                       payload.size() - table_offset));
   } else if (reader.remaining() != 0) {
     return Status::IOError("trailing bytes after round result");
   }

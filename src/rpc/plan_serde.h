@@ -176,11 +176,13 @@ Result<int> DecodeHello(const std::vector<uint8_t>& payload);
 /// RoundProfile, then the raw net/serde table bytes when shipped. The
 /// table tail is byte-identical to what a v3 kTableResult carried, so
 /// `payload.size() - table offset` preserves the byte-accounting
-/// contract (bytes_to_coord counts table payload bytes only).
+/// contract (bytes_to_coord counts table payload bytes only). The table
+/// decodes straight into typed columns (ReadTableColumns): the fragment
+/// the coordinator merges is never boxed.
 struct RoundResult {
   RoundProfile profile;
   bool has_table = false;
-  Table table;                   // meaningful when has_table
+  ChunkPtr table;                // set when has_table
   uint64_t table_bytes = 0;      // decoder-filled size of the table tail
 };
 

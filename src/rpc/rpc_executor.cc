@@ -170,10 +170,10 @@ Result<Frame> RpcExecutor::CallLocked(size_t i, MessageType type,
   return response;
 }
 
-Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
-                                     const std::vector<uint8_t>& payload,
-                                     RoundCallStats* call_stats,
-                                     uint64_t parent_span) {
+Result<ChunkPtr> RpcExecutor::CallRound(size_t i, MessageType type,
+                                        const std::vector<uint8_t>& payload,
+                                        RoundCallStats* call_stats,
+                                        uint64_t parent_span) {
   SKALLA_TRACE_SPAN_UNDER(span, "rpc.round", "rpc", parent_span);
   (void)parent_span;
   SKALLA_SPAN_ATTR(span, "site", static_cast<int64_t>(i));
@@ -196,7 +196,7 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
       return ReadStatusPayload(response->payload);
     case MessageType::kAck:
       if (call_stats != nullptr) call_stats->table_bytes = 0;
-      return Table();
+      return ChunkPtr();
     case MessageType::kRoundResult: {
       SKALLA_ASSIGN_OR_RETURN(RoundResult result,
                               DecodeRoundResult(response->payload));
@@ -219,7 +219,6 @@ Result<Table> RpcExecutor::CallRound(size_t i, MessageType type,
         call_stats->table_bytes = result.table_bytes;
         call_stats->profile = std::move(result.profile);
       }
-      if (!result.has_table) return Table();
       return std::move(result.table);
     }
     default:

@@ -116,18 +116,19 @@ class RpcExecutor {
 
  private:
   /// One request/response against site `i`, translating the response:
-  /// kRoundResult decodes to the table plus the site's RoundProfile
-  /// (remote spans are merged into the coordinator tracer, parented
-  /// under this call's rpc.round span); kAck (a shutdown's answer) to an
-  /// empty table; kError decodes back to the site's original Status.
+  /// kRoundResult decodes to the shipped table, as typed columns (null
+  /// when the round shipped none), plus the site's RoundProfile (remote
+  /// spans are merged into the coordinator tracer, parented under this
+  /// call's rpc.round span); kAck (a shutdown's answer) to null; kError
+  /// decodes back to the site's original Status.
   /// `call_stats` (may be nullptr) receives per-call accounting even
   /// when the call fails.
   /// The call's rpc.round span nests under `parent_span` (0 = the
   /// calling thread's innermost open span).
-  Result<Table> CallRound(size_t i, MessageType type,
-                          const std::vector<uint8_t>& payload,
-                          RoundCallStats* call_stats,
-                          uint64_t parent_span = 0);
+  Result<ChunkPtr> CallRound(size_t i, MessageType type,
+                             const std::vector<uint8_t>& payload,
+                             RoundCallStats* call_stats,
+                             uint64_t parent_span = 0);
 
   /// One Call against endpoint `i` under its connection lock; the wire
   /// delta the call moved lands in *wire_delta (exact even when other

@@ -98,7 +98,7 @@ struct SiteSlot {
   SiteRoundCounts counts;
   SiteTraffic traffic;
   SiteAttempt attempt;
-  Table fragment;
+  ChunkPtr fragment;  // typed, as decoded; null when nothing shipped
   uint64_t fragment_rows = 0;
 };
 
@@ -223,10 +223,10 @@ class RpcExecutor::Link {
   }
 
   // One attempt of `round` at replica r of partition i. Returns the
-  // fragment (empty when the round is not synchronized) and fills
+  // fragment (null when the round is not synchronized) and fills
   // *attempt.
-  Result<Table> Attempt(size_t i, size_t r, const SiteRound& round,
-                        SiteAttempt* attempt, SiteTraffic* traffic) {
+  Result<ChunkPtr> Attempt(size_t i, size_t r, const SiteRound& round,
+                           SiteAttempt* attempt, SiteTraffic* traffic) {
     const size_t endpoint = Endpoints(i, round)[r];
     // The site keeps state for this query from this round on, even if
     // the attempt fails after the request reached it.
@@ -265,7 +265,7 @@ class RpcExecutor::Link {
           request, request.has_base ? base_bytes_[i] : std::vector<uint8_t>{});
     }
     RoundCallStats call;
-    Result<Table> fragment = executor_->CallRound(
+    Result<ChunkPtr> fragment = executor_->CallRound(
         endpoint, type, payload, &call, round.eval.trace_parent_span);
     traffic->wire_bytes += call.wire_bytes;
     attempt->bytes_to_coord = call.table_bytes;
@@ -428,7 +428,7 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
       const std::vector<int> chain = link.ReplicaChain(i, round);
       slot.site_id = chain.front();
       Stopwatch timer;
-      Result<Table> fragment = ExecuteSiteRoundReplicated(
+      Result<ChunkPtr> fragment = ExecuteSiteRoundReplicated(
           options_, chain, rs.label,
           [&](size_t r) {
             slot.attempt = SiteAttempt();
@@ -444,8 +444,10 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
         slot.lost = true;
         return Status::OK();
       }
-      slot.fragment_rows = fragment->num_rows();
       slot.fragment = std::move(*fragment);
+      if (slot.fragment != nullptr) {
+        slot.fragment_rows = slot.fragment->num_rows();
+      }
       return Status::OK();
     };
     double merge_time = 0;
@@ -454,12 +456,18 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
       if (!rs.synchronized || lost[i] || slot.skipped || slot.lost) {
         return Status::OK();
       }
+      if (slot.fragment == nullptr) {
+        return Status::InvalidArgument(
+            StrCat("site ", slot.site_id, " shipped no fragment for round ",
+                   rs.label));
+      }
       Stopwatch merge_timer;
-      SKALLA_RETURN_NOT_OK(stage == nullptr
-                               ? coordinator.MergeBaseFragment(slot.fragment)
-                               : coordinator.MergeFragment(slot.fragment));
+      SKALLA_RETURN_NOT_OK(
+          stage == nullptr
+              ? coordinator.MergeBaseFragment(*slot.fragment)
+              : coordinator.MergeFragment(std::move(slot.fragment)));
       merge_time += merge_timer.ElapsedSeconds();
-      slot.fragment = Table();
+      slot.fragment = nullptr;
       return Status::OK();
     };
     Stopwatch fanout_timer;
@@ -525,7 +533,7 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
   std::sort(st.lost_sites.begin(), st.lost_sites.end());
   st.total_wire_bytes = 0;
   for (const RoundStats& rs : st.rounds) st.total_wire_bytes += rs.wire_bytes;
-  return coordinator.result();
+  return coordinator.TakeResult();
 }
 
 }  // namespace rpc

@@ -130,6 +130,20 @@ void Chunk::AbortMissingColumn(size_t i) const {
   std::abort();
 }
 
+Table Chunk::ToTable() const {
+  Table table(schema_);
+  table.Reserve(num_rows_);
+  for (size_t r = 0; r < num_rows_; ++r) {
+    Row row;
+    row.reserve(pages_.size());
+    for (size_t c = 0; c < pages_.size(); ++c) {
+      row.push_back(column(c).GetValue(r));
+    }
+    table.AppendUnchecked(std::move(row));
+  }
+  return table;
+}
+
 uint64_t Chunk::byte_size() const {
   uint64_t bytes = 0;
   for (const ColumnPtr& page : pages_) {

@@ -95,6 +95,9 @@ class Chunk {
   }
   const ChunkColumnStats& column_stats(size_t i) const { return stats_[i]; }
 
+  /// Boxes every row into a Table; the view must hold every column.
+  Table ToTable() const;
+
   /// Resident footprint estimate in bytes of the pages this view holds
   /// (summed EstimateColumnBytes; walks string pages).
   uint64_t byte_size() const;

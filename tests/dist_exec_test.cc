@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "common/string_util.h"
 #include "dist/warehouse.h"
 #include "expr/builder.h"
+#include "net/serde.h"
 
 namespace skalla {
 namespace {
@@ -323,6 +328,68 @@ TEST(DistExecTest, MismatchedPartitionCountFails) {
   Status s = dw.AddPartitionedTable("flow", std::move(two_parts), {});
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsInvalidArgument());
+}
+
+// The rows of `t` as a sorted list of their serialized cells: a multiset
+// comparison that, unlike SameRows, holds NaN equal to itself and tells
+// -0.0 from 0.0.
+std::vector<std::vector<uint8_t>> RowBytes(const Table& t) {
+  std::vector<std::vector<uint8_t>> rows;
+  for (const Row& row : t.rows()) {
+    std::vector<uint8_t> bytes;
+    for (const Value& v : row) WriteValue(&bytes, v);
+    rows.push_back(std::move(bytes));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(DistExecTest, NaNGroupingKeyMatchesCentralized) {
+  // DISTINCT keeps every NaN row (NaN equals nothing), so X holds eight
+  // NaN groups; seeded rounds must still find each one. Every optimizer
+  // mask, 1, 2 and 5 round-robin sites.
+  SchemaPtr schema = Schema::Make({{"k", ValueType::kFloat64},
+                                   {"v", ValueType::kInt64}})
+                         .ValueOrDie();
+  const double keys[] = {1.0, std::numeric_limits<double>::quiet_NaN(), -0.0,
+                         0.0, 2.5};
+  Table t(schema);
+  for (int rep = 0; rep < 8; ++rep) {
+    for (int i = 0; i < 5; ++i) {
+      t.AppendUnchecked({Value(keys[i]), Value(int64_t{rep * 5 + i})});
+    }
+  }
+  GmdjExpr expr;
+  expr.base = BaseQuery{"t", {"k"}, true, nullptr};
+  GmdjOp md;
+  md.detail_table = "t";
+  md.blocks.push_back(GmdjBlock{
+      {{AggKind::kCountStar, "", "cnt"}, {AggKind::kSum, "v", "sum"}},
+      Eq(RCol("k"), BCol("k"))});
+  expr.ops = {md};
+  for (size_t sites : {1u, 2u, 5u}) {
+    DistributedWarehouse dw(sites);
+    dw.AddPartitionedTable("t", PartitionRoundRobin(t, sites).ValueOrDie(),
+                           {"k"})
+        .Check();
+    const Table expected = dw.ExecuteCentralized(expr).ValueOrDie();
+    ASSERT_EQ(expected.num_rows(), 11u);
+    for (int mask = 0; mask < 16; ++mask) {
+      OptimizerOptions o;
+      o.coalescing = mask & 1;
+      o.indep_group_reduction = mask & 2;
+      o.aware_group_reduction = mask & 4;
+      o.sync_reduction = mask & 8;
+      Result<Table> actual = dw.Execute(expr, o);
+      ASSERT_TRUE(actual.ok())
+          << "sites " << sites << " mask " << mask << ": "
+          << actual.status().ToString();
+      EXPECT_EQ(RowBytes(*actual), RowBytes(expected))
+          << "sites " << sites << " mask " << mask << "\n"
+          << actual->ToString(20) << "centralized:\n"
+          << expected.ToString(20);
+    }
+  }
 }
 
 TEST(DistExecTest, StatsAccounting) {

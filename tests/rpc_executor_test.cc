@@ -568,8 +568,8 @@ TEST_F(RpcExecutorTest, ResentRoundIsIdempotent) {
   EXPECT_EQ(first_result.table_bytes, again_result.table_bytes);
   std::vector<uint8_t> first_bytes;
   std::vector<uint8_t> again_bytes;
-  WriteTable(first_result.table, &first_bytes);
-  WriteTable(again_result.table, &again_bytes);
+  WriteTable(first_result.table->ToTable(), &first_bytes);
+  WriteTable(again_result.table->ToTable(), &again_bytes);
   EXPECT_EQ(first_bytes, again_bytes);
   // The duplicate delivery is visible in the site's profile.
   EXPECT_EQ(first_result.profile.duplicate_rounds, 0u);
@@ -592,7 +592,7 @@ Result<Table> RoundTable(const rpc::Frame& response) {
   SKALLA_ASSIGN_OR_RETURN(rpc::RoundResult result,
                           rpc::DecodeRoundResult(response.payload));
   if (!result.has_table) return Status::Internal("no table shipped");
-  return std::move(result.table);
+  return result.table->ToTable();
 }
 
 TEST_F(RpcExecutorTest, CarriedRoundWithNothingCarriedFailsTyped) {

@@ -465,8 +465,8 @@ TEST(PlanSerdeTest, RoundResultRoundTripsWithAndWithoutTable) {
   // The table tail must account byte-for-byte: this is what feeds
   // bytes_to_coord, pinned equal across every engine.
   EXPECT_EQ(with_table.table_bytes, table_bytes.size());
-  ASSERT_EQ(with_table.table.num_rows(), 2u);
-  EXPECT_EQ(with_table.table.at(1, 0).int64(), 9);
+  ASSERT_EQ(with_table.table->num_rows(), 2u);
+  EXPECT_EQ(with_table.table->column(0).Int64At(1), 9);
 
   RoundResult without =
       DecodeRoundResult(EncodeRoundResult(profile, nullptr)).ValueOrDie();

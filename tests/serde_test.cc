@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "common/random.h"
+#include "common/string_util.h"
 #include "data/tpcr_gen.h"
 
 namespace skalla {
@@ -146,6 +150,149 @@ TEST(SerdeTest, RandomTablesRoundTrip) {
     EXPECT_TRUE(decoded.SameRows(table));
     EXPECT_TRUE(decoded.schema()->Equals(*table.schema()));
   }
+}
+
+
+// --- The typed reader ---------------------------------------------------------
+
+// A table of every edge cell per type: NULL, NaN, -0.0/0.0, +-inf, the
+// INT64 extremes and empty strings.
+Table EdgeTable() {
+  SchemaPtr schema = Schema::Make({{"i", ValueType::kInt64},
+                                   {"f", ValueType::kFloat64},
+                                   {"s", ValueType::kString}})
+                         .ValueOrDie();
+  const double inf = std::numeric_limits<double>::infinity();
+  Table t(schema);
+  t.AppendUnchecked({Value::Null(), Value::Null(), Value::Null()});
+  t.AppendUnchecked({Value(std::numeric_limits<int64_t>::min()),
+                     Value(std::numeric_limits<double>::quiet_NaN()),
+                     Value("")});
+  t.AppendUnchecked({Value(std::numeric_limits<int64_t>::max()), Value(-0.0),
+                     Value(std::string("a\0b", 3))});
+  t.AppendUnchecked({Value(int64_t{0}), Value(0.0), Value("")});
+  t.AppendUnchecked({Value(int64_t{-1}), Value(inf), Value::Null()});
+  t.AppendUnchecked({Value::Null(), Value(-inf), Value("zz")});
+  return t;
+}
+
+Table RandomTable(Random& rng) {
+  size_t cols = 1 + rng.Uniform(5);
+  std::vector<Field> fields;
+  for (size_t c = 0; c < cols; ++c) {
+    ValueType t = static_cast<ValueType>(1 + rng.Uniform(3));
+    fields.push_back(Field{std::string(1, static_cast<char>('a' + c)), t});
+  }
+  Table table(Schema::Make(std::move(fields)).ValueOrDie());
+  size_t rows = rng.Uniform(60);
+  for (size_t r = 0; r < rows; ++r) {
+    Row row;
+    for (size_t c = 0; c < cols; ++c) {
+      if (rng.Bernoulli(0.15)) {
+        row.push_back(Value::Null());
+        continue;
+      }
+      switch (table.schema()->field(c).type) {
+        case ValueType::kInt64:
+          row.push_back(Value(static_cast<int64_t>(rng.Next())));
+          break;
+        case ValueType::kFloat64: {
+          // Any 64 bits: NaN payloads and subnormals included.
+          uint64_t bits = rng.Next();
+          double d;
+          std::memcpy(&d, &bits, sizeof(d));
+          row.push_back(Value(d));
+          break;
+        }
+        default:
+          row.push_back(Value(rng.NextString(rng.Uniform(20))));
+          break;
+      }
+    }
+    table.AppendUnchecked(std::move(row));
+  }
+  return table;
+}
+
+std::vector<uint8_t> Bytes(const Table& t) {
+  std::vector<uint8_t> out;
+  WriteTable(t, &out);
+  return out;
+}
+
+// Both readers over `data`: they accept the same inputs, and an accepted
+// input decodes to a well-formed chunk whose cells box to ReadTable's.
+void ExpectReadersAgree(const std::vector<uint8_t>& data,
+                        const std::string& what) {
+  Result<Table> boxed = ReadTable(data.data(), data.size());
+  Result<ChunkPtr> typed = ReadTableColumns(data.data(), data.size());
+  ASSERT_EQ(boxed.ok(), typed.ok()) << what;
+  if (!boxed.ok()) {
+    EXPECT_EQ(boxed.status().ToString(), typed.status().ToString()) << what;
+    return;
+  }
+  const Chunk& chunk = **typed;
+  ASSERT_EQ(chunk.num_rows(), boxed->num_rows()) << what;
+  ASSERT_TRUE(chunk.schema()->Equals(*boxed->schema())) << what;
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    ASSERT_EQ(chunk.column(c).size(), chunk.num_rows()) << what;
+    ASSERT_EQ(chunk.column(c).type(), chunk.schema()->field(c).type) << what;
+  }
+  EXPECT_EQ(Bytes(chunk.ToTable()), Bytes(*boxed)) << what;
+}
+
+TEST(SerdeTest, TypedReaderBoxesToReadTable) {
+  std::vector<Table> tables = {EdgeTable(), Table(EdgeTable().schema()),
+                               Table(), SampleTable()};
+  Random rng(2027);
+  for (int iter = 0; iter < 40; ++iter) tables.push_back(RandomTable(rng));
+  for (size_t i = 0; i < tables.size(); ++i) {
+    const std::vector<uint8_t> bytes = Bytes(tables[i]);
+    ChunkPtr typed = ReadTableColumns(bytes.data(), bytes.size()).ValueOrDie();
+    // Boxed back, the typed decode is exactly the table written.
+    EXPECT_EQ(Bytes(typed->ToTable()), bytes) << "table " << i;
+    ExpectReadersAgree(bytes, StrCat("table ", i));
+  }
+}
+
+TEST(SerdeTest, TypedReaderSurvivesTruncationAndBitFlips) {
+  Random rng(7);
+  for (const Table& t : {EdgeTable(), SampleTable(), RandomTable(rng)}) {
+    const std::vector<uint8_t> bytes = Bytes(t);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      std::vector<uint8_t> prefix(bytes.begin(),
+                                  bytes.begin() + static_cast<int64_t>(cut));
+      ExpectReadersAgree(prefix, StrCat("cut ", cut));
+    }
+    for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+      std::vector<uint8_t> flipped = bytes;
+      flipped[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ExpectReadersAgree(flipped, StrCat("bit ", bit));
+    }
+  }
+}
+
+TEST(SerdeTest, MismatchedCellTagAndTrailingBytesFail) {
+  // An INT64 column holding a FLOAT64 cell: rejected, not coerced.
+  SchemaPtr schema = Schema::Make({{"id", ValueType::kInt64}}).ValueOrDie();
+  Table t(schema);
+  t.AppendUnchecked({Value(1.0)});
+  std::vector<uint8_t> bytes = Bytes(t);
+  Result<Table> boxed = ReadTable(bytes.data(), bytes.size());
+  Result<ChunkPtr> typed = ReadTableColumns(bytes.data(), bytes.size());
+  ASSERT_FALSE(boxed.ok());
+  ASSERT_FALSE(typed.ok());
+  EXPECT_TRUE(boxed.status().IsIOError());
+  EXPECT_TRUE(typed.status().IsIOError());
+  EXPECT_NE(typed.status().message().find("'id'"), std::string::npos)
+      << typed.status().ToString();
+
+  std::vector<uint8_t> trailing = Bytes(SampleTable());
+  trailing.push_back(0x00);
+  EXPECT_TRUE(ReadTable(trailing.data(), trailing.size()).status().IsIOError());
+  EXPECT_TRUE(ReadTableColumns(trailing.data(), trailing.size())
+                  .status()
+                  .IsIOError());
 }
 
 }  // namespace
