@@ -12,9 +12,12 @@
 # that 16 more sequential clients grow the coordinator's VmSize by less
 # than 32 MiB (finished client threads are joined while serving), that
 # an `.analyze on` reply carries the EXPLAIN ANALYZE per-site table and
-# wire-bytes line, that `.metrics` returns one STATS entry per site, and
-# validates the coordinator's merged cross-process trace (a coordinator
-# lane plus one lane per site process) with scripts/check_trace.py.
+# wire-bytes line, that `.metrics` returns the coordinator's own STATS
+# entry plus one per site, and validates the coordinator's merged
+# cross-process trace (a coordinator lane plus one lane per site process)
+# with scripts/check_trace.py. A last leg serves the same warehouse from
+# in-process sites (`skalla-coord --data`), whose `.metrics` reply is the
+# coordinator's entry alone: its sites share the coordinator's registry.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -146,8 +149,10 @@ python3 "$HERE/coord_client.py" "$COORD" '.analyze on' \
 grep -q 'site    wall_ms' "$WORK/analyze.out"
 grep -q 'bytes on the wire' "$WORK/analyze.out"
 
-# Every site answers kGetStats.
+# The coordinator reports its own registry, and every site answers
+# kGetStats.
 python3 "$HERE/coord_client.py" "$COORD" .metrics >"$WORK/metrics.out"
+[ "$(grep -c '^COORD STATS {' "$WORK/metrics.out")" -eq 1 ]
 [ "$(grep -c '^SITE [0-9]* STATS {' "$WORK/metrics.out")" -eq "$SITES" ]
 
 python3 "$HERE/coord_client.py" "$COORD" .shutdown
@@ -156,4 +161,20 @@ wait "$COORD_PID"
 # Coordinator lane + one lane per site process in the merged trace.
 python3 "$HERE/check_trace.py" "$WORK/trace.json" --min-pids $((SITES + 1))
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$WORK/metrics.json"
+
+# In-process sites (--data): one query, then `.metrics` is the
+# coordinator's registry alone — no SITE entry repeating it.
+"$BUILD_DIR/tools/skalla-coord" --data "$WORK/wh" --port 0 \
+    >"$WORK/coord_data.log" 2>&1 &
+DATA_PID=$!
+PIDS+=($DATA_PID)
+DATA_COORD="127.0.0.1:$(wait_port "$WORK/coord_data.log" "coord --data")"
+python3 "$HERE/coord_client.py" "$DATA_COORD" "${QUERIES[0]}" \
+    >"$WORK/data_query.out"
+head -1 "$WORK/data_query.out" | grep -q '^OK '
+python3 "$HERE/coord_client.py" "$DATA_COORD" .metrics >"$WORK/data_metrics.out"
+[ "$(grep -c '^COORD STATS {' "$WORK/data_metrics.out")" -eq 1 ]
+[ "$(grep -c '^SITE ' "$WORK/data_metrics.out")" -eq 0 ]
+python3 "$HERE/coord_client.py" "$DATA_COORD" .shutdown
+wait "$DATA_PID"
 echo "serve_smoke: OK"

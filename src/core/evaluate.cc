@@ -50,6 +50,7 @@ Result<Table> EvaluateGmdj(const Table& base, const GmdjOp& op,
 Result<Table> EvaluateBaseAndGmdj(const BaseQuery& base, const GmdjOp& op,
                                   const Catalog& catalog,
                                   const EvalContext& context) {
+  if (op.blocks.empty()) return base.Execute(catalog, context);
   if (context.engine == EvalEngine::kColumnar && FusesBaseQuery(base, op)) {
     SKALLA_ASSIGN_OR_RETURN(const DataProvider* provider,
                             catalog.GetProvider(op.detail_table));

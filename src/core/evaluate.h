@@ -36,8 +36,11 @@ Result<Table> EvaluateGmdj(const Table& base, const GmdjOp& op,
                            const Catalog& catalog,
                            const EvalContext& context = {});
 
-/// One Prop. 2 round in one request: `base`'s result B_i computed from
-/// `catalog`'s partition, then `op` evaluated over it. Under kColumnar,
+/// One round that carries the base query: `base`'s result B_i computed
+/// from `catalog`'s partition, then `op` evaluated over it. An op with no
+/// blocks is the base scan alone (MD(B, R, ()) = B): BaseQuery::Execute
+/// under `context`, whose engine bit is columnar under every engine and
+/// which never sets profile->fused_base. Otherwise, under kColumnar,
 /// when FusesBaseQuery(base, op) holds (columnar/vector_eval.h), both run
 /// as one pass over the detail relation and profile->fused_base is set.
 /// Every other shape, and the row oracle, runs the base scan and then

@@ -96,44 +96,6 @@ Status Coordinator::CheckFragment(const Chunk& h, const Schema& schema) const {
   return Status::OK();
 }
 
-// --- Base-values round ----------------------------------------------------
-
-Status Coordinator::InitBase(SchemaPtr base_schema) {
-  base_schema_ = std::move(base_schema);
-  std::vector<size_t> all(base_schema_->num_fields());
-  for (size_t c = 0; c < all.size(); ++c) all[c] = c;
-  base_groups_.emplace(std::move(all));
-  x_ = Table(base_schema_);
-  in_base_ = true;
-  in_round_ = false;
-  return Status::OK();
-}
-
-Status Coordinator::MergeBaseFragment(const Chunk& fragment) {
-  if (!in_base_) {
-    return Status::Internal("MergeBaseFragment outside a base round");
-  }
-  SKALLA_RETURN_NOT_OK(CheckFragment(fragment, *base_schema_));
-  SKALLA_TRACE_SPAN(merge_span, "coord.merge_base", "coordinator");
-  SKALLA_SPAN_ATTR(merge_span, "rows",
-                   static_cast<uint64_t>(fragment.num_rows()));
-  SKALLA_OBS_ONLY(Stopwatch merge_timer;)
-  base_groups_->Assign(fragment, nullptr, &row_slots_);
-  SKALLA_HISTOGRAM_RECORD("skalla.coord.merge_us",
-                          static_cast<double>(merge_timer.ElapsedMicros()));
-  return Status::OK();
-}
-
-Status Coordinator::FinalizeBase() {
-  if (!in_base_) return Status::Internal("FinalizeBase outside a base round");
-  x_ = Table(base_schema_, base_groups_->TakeKeys());
-  base_groups_.reset();
-  in_base_ = false;
-  return Status::OK();
-}
-
-// --- GMDJ round -----------------------------------------------------------
-
 Status Coordinator::BeginRound(const GmdjOp& op,
                                const Schema& upstream_schema,
                                const Schema& detail_schema,
@@ -141,8 +103,6 @@ Status Coordinator::BeginRound(const GmdjOp& op,
   if (in_round_) {
     return Status::Internal("BeginRound during an unfinished round");
   }
-  in_base_ = false;
-  base_groups_.reset();
   from_scratch_ = from_scratch;
   upstream_width_ = upstream_schema.num_fields();
 
@@ -176,8 +136,10 @@ Status Coordinator::BeginRound(const GmdjOp& op,
   }
 
   key_indices_.clear();
+  whole_key_ = key_columns_.size() == upstream_width_;
   for (const std::string& key : key_columns_) {
     SKALLA_ASSIGN_OR_RETURN(size_t idx, upstream_schema.RequireIndex(key));
+    whole_key_ = whole_key_ && idx == key_indices_.size();
     key_indices_.push_back(idx);
   }
   fragments_.clear();
@@ -233,16 +195,20 @@ Status Coordinator::MergeFragment(ChunkPtr h) {
   const size_t n = h->num_rows();
   if (from_scratch_) {
     groups_->Assign(*h, nullptr, &row_slots_);
-    // Groups are numbered in order of creation, so the first row that
-    // names the next new group is the one that created it.
-    const auto fragment = static_cast<uint32_t>(fragments_.size());
-    for (size_t r = 0; r < n; ++r) {
-      if (row_slots_[r] == num_groups_) {
-        origins_.emplace_back(fragment, static_cast<uint32_t>(r));
-        ++num_groups_;
+    const size_t old_groups = num_groups_;
+    num_groups_ = groups_->size();
+    if (!whole_key_) {
+      // Groups are numbered in order of creation, so the first row that
+      // names the next new group is the one that created it.
+      const auto fragment = static_cast<uint32_t>(fragments_.size());
+      for (size_t r = 0, next = old_groups; next < num_groups_; ++r) {
+        if (row_slots_[r] == next) {
+          origins_.emplace_back(fragment, static_cast<uint32_t>(r));
+          ++next;
+        }
       }
+      fragments_.push_back(h);
     }
-    fragments_.push_back(h);
     for (AggPart& part : parts_) GrowSlots(&part, num_groups_);
   } else {
     SKALLA_RETURN_NOT_OK(WalkX(*h));
@@ -289,15 +255,21 @@ Status Coordinator::FinalizeRound() {
   const size_t width = out_schema->num_fields();
 
   // The upstream cells: X's own rows, moved; or each group's first
-  // arrival: its key cells as KeyGroups boxed them, the other cells
-  // boxed from the fragment that created the group.
-  std::vector<Row> rows(groups);
+  // arrival: its key cells as KeyGroups boxed them — the whole row when
+  // the keys are the whole upstream — the other cells boxed from the
+  // fragment that created the group.
+  std::vector<Row> rows;
   if (!from_scratch_) {
+    rows.resize(groups);
     for (size_t g = 0; g < groups; ++g) {
       rows[g] = std::move(x_.mutable_row(g));
       rows[g].reserve(width);
     }
+  } else if (whole_key_) {
+    rows = groups_->TakeKeys();
+    for (Row& row : rows) row.reserve(width);
   } else {
+    rows.resize(groups);
     std::vector<int64_t> key_of(upstream_width_, -1);
     for (size_t k = 0; k < key_indices_.size(); ++k) {
       key_of[key_indices_[k]] = static_cast<int64_t>(k);

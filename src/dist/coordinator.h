@@ -7,12 +7,12 @@
 // wire by ReadTableColumns) and stay typed until X is boxed, once per
 // round, into its Table. Fragments merge as they arrive, in site order and
 // then row order:
-//  - the base round's distinct union groups each fragment on all of its
-//    columns with KeyGroups, the grouping the sites use; first arrival
-//    fixes each row's position and cells;
-//  - a from-scratch round (Prop. 2 / Corollary 1 plans) groups on the key
-//    columns with KeyGroups; first arrival fixes a group's position and
-//    its upstream cells;
+//  - a from-scratch round groups on the key columns with KeyGroups, the
+//    grouping the sites use; first arrival fixes a group's position and
+//    its upstream cells. The synchronized base round is such a round over
+//    an operator with no blocks (MD(B, R, ()) = B), keyed on all of B's
+//    columns: the distinct union of the sites' B_i. So are Prop. 2 /
+//    Corollary 1 plans' first synchronized rounds;
 //  - a seeded round walks X in order. A site's fragment keeps X's row
 //    order and may skip rows (reduction filters and the rng filter keep
 //    order), so each fragment row belongs to the next X row whose upstream
@@ -50,20 +50,6 @@ class Coordinator {
 
   const std::vector<std::string>& key_columns() const { return key_columns_; }
 
-  // --- Base-values round -------------------------------------------------
-
-  /// Starts collecting the global base-values relation.
-  Status InitBase(SchemaPtr base_schema);
-
-  /// Distinct-unions a site's local base result into the base structure.
-  Status MergeBaseFragment(const Chunk& fragment);
-
-  /// Ends the base round: installs the deduplicated union (in arrival
-  /// order) as X.
-  Status FinalizeBase();
-
-  // --- GMDJ round ---------------------------------------------------------
-
   /// Starts a synchronization round for `op`.
   ///
   /// `upstream_schema` is the schema of the base-result structure as the
@@ -73,8 +59,8 @@ class Coordinator {
   ///
   /// When `from_scratch` is false, every row of X is a group (aggregates
   /// at their neutral state) and fragments may only update them. When
-  /// true (Prop. 2 / Corollary 1 plans), there are no groups yet and
-  /// fragments create them as they arrive.
+  /// true (the base round, Prop. 2 / Corollary 1 plans), there are no
+  /// groups yet and fragments create them as they arrive.
   Status BeginRound(const GmdjOp& op, const Schema& upstream_schema,
                     const Schema& detail_schema, bool from_scratch);
 
@@ -116,17 +102,15 @@ class Coordinator {
   std::vector<size_t> agg_first_part_;  // per aggregate, into parts_
   size_t num_groups_ = 0;
   std::vector<uint32_t> row_slots_;  // per fragment row, its group
-  // From-scratch rounds: the groups over the key columns, and for each
-  // group the fragment and row that created it.
+  // From-scratch rounds: the groups over the key columns, and — unless
+  // the keys are the whole upstream row in order (`whole_key_`), so each
+  // group's key is its upstream row — for each group the fragment and row
+  // that created it.
   std::optional<KeyGroups> groups_;
   std::vector<size_t> key_indices_;
+  bool whole_key_ = false;
   std::vector<ChunkPtr> fragments_;
   std::vector<std::pair<uint32_t, uint32_t>> origins_;
-
-  // Base-round state.
-  bool in_base_ = false;
-  SchemaPtr base_schema_;
-  std::optional<KeyGroups> base_groups_;
 };
 
 }  // namespace skalla

@@ -7,7 +7,6 @@
 
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <utility>
 
 #include "common/result.h"
@@ -44,15 +43,6 @@ class Site {
   const Catalog& catalog() const { return catalog_; }
   EvalEngine engine() const { return engine_; }
 
-  /// Evaluates the base-values query against the local partition. The
-  /// scan polls `context.cancellation` per chunk and fills
-  /// `context.profile` (BaseQuery::Execute).
-  Result<Table> ExecuteBaseQuery(const BaseQuery& query,
-                                 const EvalContext& context = {}) const {
-    std::lock_guard<std::mutex> round(*round_mu_);
-    return query.Execute(catalog_, context);
-  }
-
   /// Evaluates one GMDJ operator against the local detail partition for
   /// the given base-values relation. All engine routing lives in
   /// core::EvaluateGmdj — `context.engine` picks the kernel (the site
@@ -64,19 +54,16 @@ class Site {
     return EvaluateGmdj(base, op, catalog_, context);
   }
 
-  /// The fused first round of a Prop. 2 plan: the base query's local
-  /// result B_i and the GMDJ operator over it, in one request and — when
-  /// the shapes allow — one pass over the partition
-  /// (core::EvaluateBaseAndGmdj, which also holds the fallback).
+  /// A round that carries the base query: the base query's local result
+  /// B_i and the GMDJ operator over it, in one request. A blockless
+  /// operator is the synchronized base round (the base scan alone); a
+  /// Prop. 2 plan's md1 runs — when the shapes allow — as one pass over
+  /// the partition (core::EvaluateBaseAndGmdj, which also holds the
+  /// fallback).
   Result<Table> EvalBaseAndGmdjRound(const BaseQuery& base, const GmdjOp& op,
                                      const EvalContext& context) const {
     std::lock_guard<std::mutex> round(*round_mu_);
     return EvaluateBaseAndGmdj(base, op, catalog_, context);
-  }
-
-  /// The local partition of the named detail relation.
-  Result<const Table*> DetailTable(std::string_view name) const {
-    return catalog_.Get(name);
   }
 
  private:

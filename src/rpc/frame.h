@@ -77,12 +77,16 @@ inline constexpr uint32_t kFrameMagic = 0x414C4B53;  // "SKLA"
 //      coordinator sends kEndPlan only to the endpoints it sent such a
 //      round to. A plan of self-contained synchronized rounds sends
 //      nothing but its rounds.
-inline constexpr uint8_t kProtocolVersion = 11;
+//  12  the BaseRound frame (type 6) is retired: a synchronized base
+//      round is a kGmdjRound whose operator has no blocks and which
+//      carries the base query (flag bit 16), as MD(B, R, ()) = B. A site
+//      answers type 6 like any type it cannot serve.
+inline constexpr uint8_t kProtocolVersion = 12;
 inline constexpr size_t kFrameHeaderSize = 16;
 
 /// What a frame carries. Requests flow coordinator -> site; responses
 /// site -> coordinator. kTableResult is the pre-v4 round response, kept
-/// only as a reserved tag: no v11 site sends it.
+/// only as a reserved tag: no v12 site sends it.
 enum class MessageType : uint8_t {
   kError = 0,        // response: encoded Status (rpc/plan_serde.h)
   kAck = 1,          // response: empty payload
@@ -90,7 +94,7 @@ enum class MessageType : uint8_t {
   kCatalogRequest = 3,   // request: empty payload
   kCatalogResponse = 4,  // response: table names + schemas
   // 5 was BeginPlan (retired in v11).
-  kBaseRound = 6,    // request: BaseRoundRequest
+  // 6 was BaseRound (retired in v12).
   kGmdjRound = 7,    // request: GmdjRoundRequest
   kTableResult = 8,  // response: net/serde table payload
   kShutdown = 9,     // request: site server stops after acknowledging

@@ -375,27 +375,6 @@ Result<uint64_t> DecodeEndPlanRequest(const std::vector<uint8_t>& payload) {
   return query_id;
 }
 
-std::vector<uint8_t> EncodeBaseRoundRequest(const BaseRoundRequest& req) {
-  std::vector<uint8_t> out;
-  PutVarint(&out, req.deadline_ms);
-  WriteTraceContext(&out, req.trace);
-  WriteBaseQuery(&out, req.query);
-  return out;
-}
-
-Result<BaseRoundRequest> DecodeBaseRoundRequest(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload.data(), payload.size());
-  BaseRoundRequest req;
-  SKALLA_ASSIGN_OR_RETURN(req.deadline_ms, reader.ReadVarint());
-  SKALLA_ASSIGN_OR_RETURN(req.trace, ReadTraceContext(&reader));
-  SKALLA_ASSIGN_OR_RETURN(req.query, ReadBaseQuery(&reader));
-  if (reader.remaining() != 0) {
-    return Status::IOError("trailing bytes after base-round request");
-  }
-  return req;
-}
-
 std::vector<uint8_t> EncodeGmdjRoundRequest(
     const GmdjRoundRequest& req,
     const std::vector<uint8_t>& base_table_bytes) {

@@ -61,7 +61,7 @@ Result<GmdjOp> ReadGmdjOp(ByteReader* reader);
 /// Trace context a coordinator propagates with every round request so a
 /// site's spans and metrics land in the same distributed trace. All
 /// fields zero = untraced (sites skip span capture). Wire format: three
-/// varints after deadline_ms in BaseRound/GmdjRound (protocol version 4;
+/// varints after deadline_ms in every round request (protocol version 4;
 /// always present, zeros when tracing is off).
 struct TraceContext {
   uint64_t trace_id = 0;        // Coordinator tracer identity (diagnostic).
@@ -98,30 +98,13 @@ std::vector<uint8_t> EncodeEndPlanRequest(uint64_t query_id);
 /// Rejects truncated payloads and trailing bytes.
 Result<uint64_t> DecodeEndPlanRequest(const std::vector<uint8_t>& payload);
 
-/// kBaseRound: evaluate the base-values query and ship the table back
-/// (the synchronized base round). A plan that skips the base
-/// synchronization (Prop. 2) sends no base round: its first kGmdjRound
-/// carries the base query instead. Wire format (protocol version 10):
-/// deadline_ms, the trace context, then the base query.
-struct BaseRoundRequest {
-  BaseQuery query;
-  /// Round deadline in milliseconds, 0 = none. The site arms a
-  /// CancellationToken for the round's evaluation; a fired deadline
-  /// surfaces as a kDeadlineExceeded error response.
-  uint64_t deadline_ms = 0;
-  /// Distributed trace propagation (protocol version 4).
-  TraceContext trace;
-};
-std::vector<uint8_t> EncodeBaseRoundRequest(const BaseRoundRequest& req);
-Result<BaseRoundRequest> DecodeBaseRoundRequest(
-    const std::vector<uint8_t>& payload);
-
 /// kGmdjRound: evaluate one GMDJ operator. When has_base, the request
 /// tail carries the (coordinator-filtered) base structure, encoded with
 /// net/serde exactly as a synchronized round ships it back. When
-/// has_base_query (a Prop. 2 plan's first round), the site computes its
-/// base B_i from the carried base query and evaluates the operator over
-/// it in the same request (Site::EvalBaseAndGmdjRound). Otherwise the
+/// has_base_query (a Prop. 2 plan's first round, or the synchronized
+/// base round, whose operator has no blocks), the site computes its base
+/// B_i from the carried base query and evaluates the operator over it in
+/// the same request (Site::EvalBaseAndGmdjRound). Otherwise the
 /// site evaluates against its carried-over local structure (Theorem 5
 /// unsynchronized continuation). apply_rng mirrors Prop. 1: the site
 /// drops |RNG| = 0 groups before shipping.
@@ -137,7 +120,9 @@ struct GmdjRoundRequest {
   bool has_base_query = false;
   BaseQuery base_query;  // meaningful when has_base_query
   /// Round deadline in milliseconds, 0 = none (varint after the flags
-  /// byte, protocol version 3). See BaseRoundRequest::deadline_ms.
+  /// byte, protocol version 3). The site arms a CancellationToken for
+  /// the round's evaluation; a fired deadline surfaces as a
+  /// kDeadlineExceeded error response.
   uint64_t deadline_ms = 0;
   /// Distributed trace propagation (protocol version 4).
   TraceContext trace;
@@ -171,7 +156,7 @@ Result<std::vector<CatalogEntry>> DecodeCatalogResponse(
 std::vector<uint8_t> EncodeHello(int site_id);
 Result<int> DecodeHello(const std::vector<uint8_t>& payload);
 
-/// kRoundResult: the protocol-v4 response to every base/GMDJ round —
+/// kRoundResult: the protocol-v4 response to every round request —
 /// a flags byte (bit 0: a table payload follows), the round's
 /// RoundProfile, then the raw net/serde table bytes when shipped. The
 /// table tail is byte-identical to what a v3 kTableResult carried, so

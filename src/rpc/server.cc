@@ -116,8 +116,7 @@ Status SiteServer::ServeConnection(TcpSocket* connection) {
     // Seeded transport chaos, round requests only: the request was
     // handled, the response gets lost or mangled in flight. Never two
     // in a row, so the coordinator's reconnect-and-retry recovers.
-    const bool round_request = request.type == MessageType::kBaseRound ||
-                               request.type == MessageType::kGmdjRound;
+    const bool round_request = request.type == MessageType::kGmdjRound;
     if (round_request && options_.chaos.seed != 0) {
       ChaosFault fault =
           chaos_last_faulted_

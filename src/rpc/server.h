@@ -34,7 +34,7 @@ struct SiteServerOptions {
   /// falling over mid-round.
   int drop_request_index = -1;
   /// Seeded transport-level chaos (docs/FAULTS.md). Applied only to
-  /// round requests (kBaseRound / kGmdjRound), after the request has
+  /// round requests (kGmdjRound), after the request has
   /// been handled — the site's state advances, the coordinator's
   /// response is lost or mangled, and its retry path must recover.
   /// Decisions are a pure function of (seed, request index), so a given

@@ -131,8 +131,6 @@ Result<Frame> SiteService::Handle(const Frame& request) {
     }
     case MessageType::kEndPlan:
       return HandleEndPlan(request);
-    case MessageType::kBaseRound:
-      return HandleBaseRound(request);
     case MessageType::kGmdjRound:
       return HandleGmdjRound(request);
     case MessageType::kGetStats: {
@@ -185,70 +183,6 @@ Result<Frame> SiteService::HandleEndPlan(const Frame& request) {
   return AckFrame();
 }
 
-Result<Frame> SiteService::RunRound(const TraceContext& trace,
-                                    uint64_t deadline_ms,
-                                    const std::string& label,
-                                    EvalContext context, uint64_t bytes_in,
-                                    const RoundEval& evaluate,
-                                    const RoundSettle& settle) {
-  Stopwatch wall;
-  const bool traced = trace.parent_span_id != 0 || trace.trace_id != 0;
-  RoundTraceCapture capture(traced, ship_spans_);
-  obs::QueryIdScope query_scope(trace.query_id);
-  RoundProfile profile;
-  profile.site_id = site_.id();
-  profile.bytes_in = bytes_in;
-  // The coordinator ships the remaining round budget; the base scan polls
-  // the token once per chunk and the GMDJ kernels once per morsel, so a
-  // fired deadline stops evaluation early and surfaces as a typed
-  // kDeadlineExceeded error response.
-  CancellationToken cancel;
-  if (deadline_ms > 0) {
-    cancel.ArmDeadline(deadline_ms, StrCat("site ", site_.id(), " ", label));
-  }
-  EvalProfile eval_profile;
-  context.engine = site_.engine();
-  context.cancellation = deadline_ms > 0 ? &cancel : nullptr;
-  context.query_id = trace.query_id;
-  context.profile = &eval_profile;
-  Result<Table> output = Status::Internal("unset");
-  {
-    obs::Span round_span =
-        traced ? obs::Tracer::Global().StartSpan(StrCat("site.round:", label),
-                                                 "site")
-               : obs::Span();
-    if (round_span.armed()) {
-      round_span.AddAttr("site", static_cast<int64_t>(site_.id()));
-    }
-    context.trace_parent_span = round_span.id();
-    Stopwatch eval_watch;
-    output = evaluate(context, &round_span);
-    profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
-  }
-  SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us",
-                          static_cast<double>(profile.eval_us));
-  if (!output.ok()) return ErrorFrame(output.status());
-  FillEvalCounts(eval_profile, &profile);
-  profile.result_rows = output->num_rows();
-  const Table* shipped = settle(&*output);
-  profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
-  profile.spans = capture.Drain();
-  return RoundResultFrame(&profile, shipped);
-}
-
-Result<Frame> SiteService::HandleBaseRound(const Frame& request) {
-  SKALLA_ASSIGN_OR_RETURN(BaseRoundRequest req,
-                          DecodeBaseRoundRequest(request.payload));
-  // Recomputing from the durable local partition makes retries of this
-  // round naturally idempotent; the base round keeps no state.
-  return RunRound(
-      req.trace, req.deadline_ms, "base", EvalContext(), /*bytes_in=*/0,
-      [&](const EvalContext& context, obs::Span*) {
-        return site_.ExecuteBaseQuery(req.query, context);
-      },
-      [](Table* base) { return base; });
-}
-
 Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   SKALLA_ASSIGN_OR_RETURN(GmdjRoundRequest req,
                           DecodeGmdjRoundRequest(request.payload));
@@ -256,6 +190,8 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
   // local result (computed inside the round), or the structure an
   // earlier unsynchronized round left here. A carried round reads that
   // structure in place, so a failed evaluation leaves it for the retry.
+  // Recomputing from the durable local partition makes retries of a
+  // round that carries its base query naturally idempotent.
   const bool carried = !req.has_base && !req.has_base_query;
   // Only a round that reads or leaves a carried structure has per-query
   // state; a self-contained synchronized round touches none.
@@ -280,41 +216,77 @@ Result<Frame> SiteService::HandleGmdjRound(const Frame& request) {
     }
   }
 
+  Stopwatch wall;
+  const bool traced = req.trace.parent_span_id != 0 || req.trace.trace_id != 0;
+  RoundTraceCapture capture(traced, ship_spans_);
+  obs::QueryIdScope query_scope(req.trace.query_id);
+  RoundProfile profile;
+  profile.site_id = site_.id();
+  profile.bytes_in = req.base_table_bytes;
+  // The coordinator ships the remaining round budget; the base scan polls
+  // the token once per chunk and the GMDJ kernels once per morsel, so a
+  // fired deadline stops evaluation early and surfaces as a typed
+  // kDeadlineExceeded error response.
+  CancellationToken cancel;
+  if (req.deadline_ms > 0) {
+    cancel.ArmDeadline(req.deadline_ms,
+                       StrCat("site ", site_.id(), " ", req.label));
+  }
+  EvalProfile eval_profile;
   EvalContext context;
   context.sub_aggregates = req.sub_aggregates;
   context.compute_rng = req.apply_rng;
-  auto evaluate = [&](const EvalContext& eval,
-                      obs::Span* span) -> Result<Table> {
-    if (span->armed()) span->AddAttr("label", req.label);
-    Result<Table> h =
-        req.has_base_query
-            ? site_.EvalBaseAndGmdjRound(req.base_query, req.op, eval)
-            : site_.EvalGmdjRound(*input, req.op, eval);
+  context.engine = site_.engine();
+  context.cancellation = req.deadline_ms > 0 ? &cancel : nullptr;
+  context.query_id = req.trace.query_id;
+  context.profile = &eval_profile;
+  Result<Table> h = Status::Internal("unset");
+  {
+    obs::Span span = traced ? obs::Tracer::Global().StartSpan(
+                                  StrCat("site.round:", req.label), "site")
+                            : obs::Span();
+    if (span.armed()) {
+      span.AddAttr("site", static_cast<int64_t>(site_.id()));
+      span.AddAttr("label", req.label);
+    }
+    context.trace_parent_span = span.id();
+    Stopwatch eval_watch;
+    h = req.has_base_query
+            ? site_.EvalBaseAndGmdjRound(req.base_query, req.op, context)
+            : site_.EvalGmdjRound(*input, req.op, context);
     if (h.ok() && req.apply_rng) h = ApplyRngFilter(*h);
-    if (span->armed() && req.has_base_query) {
-      span->AddAttr("base", eval.profile->fused_base.load() != 0
-                                ? std::string("fused")
-                                : StrCat("base, then ", req.label));
+    // A blockless round is the base scan alone: nothing to fuse.
+    if (span.armed() && req.has_base_query && !req.op.blocks.empty()) {
+      span.AddAttr("base", eval_profile.fused_base.load() != 0
+                               ? std::string("fused")
+                               : StrCat("base, then ", req.label));
     }
-    return h;
-  };
-  auto settle = [&](Table* h) -> const Table* {
-    if (plan != nullptr && !carried) {
-      plan->last_round.clear();
-      plan->last_input = Table();
-    } else if (carried && !replay) {
-      plan->last_round = req.label;
-      plan->last_input = std::move(*plan->local_base);
-    }
-    if (req.ship_result) {
-      if (plan != nullptr) plan->local_base.reset();
-      return h;
-    }
+    profile.eval_us = static_cast<uint64_t>(eval_watch.ElapsedMicros());
+  }
+  SKALLA_HISTOGRAM_RECORD("skalla.site.eval_us",
+                          static_cast<double>(profile.eval_us));
+  if (!h.ok()) return ErrorFrame(h.status());
+  FillEvalCounts(eval_profile, &profile);
+  profile.result_rows = h->num_rows();
+
+  // Settle the output: ship it, or leave it here for the next round.
+  if (plan != nullptr && !carried) {
+    plan->last_round.clear();
+    plan->last_input = Table();
+  } else if (carried && !replay) {
+    plan->last_round = req.label;
+    plan->last_input = std::move(*plan->local_base);
+  }
+  const Table* shipped = nullptr;
+  if (req.ship_result) {
+    if (plan != nullptr) plan->local_base.reset();
+    shipped = &*h;
+  } else {
     plan->local_base = std::move(*h);
-    return nullptr;
-  };
-  return RunRound(req.trace, req.deadline_ms, req.label, std::move(context),
-                  req.base_table_bytes, evaluate, settle);
+  }
+  profile.wall_us = static_cast<uint64_t>(wall.ElapsedMicros());
+  profile.spans = capture.Drain();
+  return RoundResultFrame(&profile, shipped);
 }
 
 }  // namespace rpc

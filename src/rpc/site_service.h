@@ -1,9 +1,10 @@
 // SiteService: the server half of the rpc protocol. Handles decoded
 // request frames against one Site and owns the site's state between
 // rounds — the output an unsynchronized GMDJ round leaves at the site
-// for the next round to continue (Theorem 5). A Prop. 2 plan's base
-// B_i is never carried: the first GMDJ round computes it in the same
-// request.
+// for the next round to continue (Theorem 5). Every round is a
+// kGmdjRound; a site's base B_i is never carried: the round that needs
+// it computes it in the same request (the synchronized base round is the
+// blockless operator over B_i, a Prop. 2 plan's md1 the first stage).
 //
 // Since protocol v5 the service multiplexes queries: it holds one round
 // state per in-flight query id, selected by TraceContext::query_id, so a
@@ -27,7 +28,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -40,10 +40,6 @@
 #include "rpc/plan_serde.h"
 
 namespace skalla {
-namespace obs {
-class Span;
-}  // namespace obs
-
 namespace rpc {
 
 /// Builds a kError frame carrying `status` (code preserved end to end).
@@ -104,29 +100,7 @@ class SiteService {
   };
 
   Result<Frame> HandleEndPlan(const Frame& request);
-  Result<Frame> HandleBaseRound(const Frame& request);
   Result<Frame> HandleGmdjRound(const Frame& request);
-
-  /// A round's evaluation: its output, computed under `context` while
-  /// `span` (the site.round span, armed when the request is traced) is
-  /// open.
-  using RoundEval =
-      std::function<Result<Table>(const EvalContext& context, obs::Span* span)>;
-  /// Settles a successful round's output: returns the table to ship, or
-  /// nullptr when the output stays at the site.
-  using RoundSettle = std::function<const Table*(Table* output)>;
-
-  /// The scaffold both evaluation rounds share: trace capture, the query
-  /// id scope, the shipped deadline (armed only when `deadline_ms` > 0),
-  /// the rest of `context` (engine, cancellation, query id, profile,
-  /// trace parent), the site.round:<label> span, eval timing, and the
-  /// kRoundResult response with the round's profile (`bytes_in`: the
-  /// shipped X's payload bytes). An evaluation failure becomes a kError
-  /// frame.
-  Result<Frame> RunRound(const TraceContext& trace, uint64_t deadline_ms,
-                         const std::string& label, EvalContext context,
-                         uint64_t bytes_in, const RoundEval& evaluate,
-                         const RoundSettle& settle);
 
   /// Copies one round's evaluation counters, plus the service's replay
   /// and chaos tallies, into its wire profile.

@@ -1,6 +1,8 @@
 // The star round protocol — Alg. GMDJDistribEval — written once, as
 // RpcExecutor::RunStarPlan. It drives a DistributedPlan: a base round,
-// then per GMDJ round it distributes the base-result structure X (with
+// which is the GMDJ round of an operator with no blocks (MD(B, R, ()) =
+// B, Gray et al.'s group-by without aggregates), then per GMDJ round it
+// distributes the base-result structure X (with
 // distribution-aware reduction and the S_MD ⊂ S_B site skip), evaluates
 // sub-aggregates at the sites through the retry -> failover -> degrade
 // ladder, and synchronizes the fragments at the coordinator. It owns all
@@ -48,11 +50,12 @@ namespace {
 struct SiteRound {
   // "base", "md1", ...: the fault injector's round key.
   std::string label;
-  // The base query, when the round evaluates it: the synchronized base
-  // round (no `stage`), or a Prop. 2 plan's first GMDJ round, where each
-  // site computes its B_i and evaluates `stage` over it in one request.
+  // The base query, when the round evaluates it: the plan's first round,
+  // where each site computes its B_i and evaluates `stage` over it in one
+  // request — the synchronized base round's blockless operator, or a
+  // Prop. 2 plan's md1.
   const BaseQuery* base = nullptr;
-  // The GMDJ round's stage; nullptr for the base round.
+  // The round's stage.
   const PlanStage* stage = nullptr;
   // Fragments return to the coordinator; otherwise outputs stay at the
   // sites as the next round's carried-over structures.
@@ -61,8 +64,8 @@ struct SiteRound {
   // query, or X ships with it).
   bool self_contained = true;
   // Site evaluation context: cancellation (the armed round token), query
-  // id, the round span as trace parent, and for GMDJ rounds the
-  // StageEvalContext settings.
+  // id, the round span as trace parent, and the StageEvalContext
+  // settings.
   EvalContext eval;
   // The armed round budget in milliseconds, 0 = unbounded.
   uint64_t deadline_ms = 0;
@@ -145,11 +148,16 @@ Status FanOut(size_t n, ThreadPool* pool, CancellationToken* cancel,
 }
 
 // Rejects plans the driver cannot run over `num_sites` sites: no sites,
-// an unsynchronized final stage (or base-only plan), and per-site filter
-// lists of the wrong length.
+// an unsynchronized final stage (or base-only plan), a synchronized base
+// keyed on other columns than its own (the base round's distinct union
+// groups on the keys), and per-site filter lists of the wrong length.
 Status ValidatePlan(const DistributedPlan& plan, size_t num_sites) {
   if (num_sites == 0) {
     return Status::InvalidArgument("executor has no sites");
+  }
+  if (plan.sync_base && plan.key_columns != plan.base.columns) {
+    return Status::InvalidArgument(
+        "a plan that synchronizes its base must key on the base columns");
   }
   if (!plan.stages.empty() && !plan.stages.back().sync_after) {
     return Status::InvalidArgument(
@@ -239,34 +247,23 @@ class RpcExecutor::Link {
       trace.trace_id = round.eval.query_id;
       trace.parent_span_id = round.eval.trace_parent_span;
     }
-    MessageType type;
-    std::vector<uint8_t> payload;
-    if (round.stage == nullptr) {
-      BaseRoundRequest request;
-      request.query = *round.base;
-      request.deadline_ms = round.deadline_ms;
-      request.trace = trace;
-      type = MessageType::kBaseRound;
-      payload = EncodeBaseRoundRequest(request);
-    } else {
-      GmdjRoundRequest request;
-      request.op = round.stage->op;
-      request.label = round.label;
-      request.sub_aggregates = round.eval.sub_aggregates;
-      request.apply_rng = round.eval.compute_rng;
-      request.ship_result = round.synchronized;
-      request.has_base_query = round.base != nullptr;
-      if (request.has_base_query) request.base_query = *round.base;
-      request.has_base = round.self_contained && !request.has_base_query;
-      request.deadline_ms = round.deadline_ms;
-      request.trace = trace;
-      type = MessageType::kGmdjRound;
-      payload = EncodeGmdjRoundRequest(
-          request, request.has_base ? base_bytes_[i] : std::vector<uint8_t>{});
-    }
+    GmdjRoundRequest request;
+    request.op = round.stage->op;
+    request.label = round.label;
+    request.sub_aggregates = round.eval.sub_aggregates;
+    request.apply_rng = round.eval.compute_rng;
+    request.ship_result = round.synchronized;
+    request.has_base_query = round.base != nullptr;
+    if (request.has_base_query) request.base_query = *round.base;
+    request.has_base = round.self_contained && !request.has_base_query;
+    request.deadline_ms = round.deadline_ms;
+    request.trace = trace;
+    const std::vector<uint8_t> payload = EncodeGmdjRoundRequest(
+        request, request.has_base ? base_bytes_[i] : std::vector<uint8_t>{});
     RoundCallStats call;
-    Result<ChunkPtr> fragment = executor_->CallRound(
-        endpoint, type, payload, &call, round.eval.trace_parent_span);
+    Result<ChunkPtr> fragment =
+        executor_->CallRound(endpoint, MessageType::kGmdjRound, payload,
+                             &call, round.eval.trace_parent_span);
     traffic->wire_bytes += call.wire_bytes;
     attempt->bytes_to_coord = call.table_bytes;
     attempt->profile = call.profile;
@@ -347,52 +344,52 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
   SKALLA_ASSIGN_OR_RETURN(SchemaPtr upstream,
                           plan.base.OutputSchema(*base_schema));
 
-  // Round 0 is the base round; round k evaluates plan.stages[k - 1]. A
-  // Prop. 2 plan (sync_base = false) has no base round: its first GMDJ
-  // round carries the base query, and each site computes its B_i inside
-  // that round (fused_base).
-  for (size_t k = plan.sync_base ? 0 : 1; k <= plan.stages.size(); ++k) {
-    const PlanStage* stage = k == 0 ? nullptr : &plan.stages[k - 1];
+  // Round 0 is the base round: a synchronized GMDJ round whose operator
+  // has no blocks, so each site ships its B_i and the coordinator keeps
+  // their distinct union (keyed on the base columns, ValidatePlan). Round
+  // k evaluates plan.stages[k - 1]. A Prop. 2 plan (sync_base = false)
+  // has no base round: its first GMDJ round carries the base query, and
+  // each site computes its B_i inside that round (fused_base).
+  PlanStage base_stage;
+  base_stage.op.detail_table = plan.base.table;
+  const size_t first = plan.sync_base ? 0 : 1;
+  for (size_t k = first; k <= plan.stages.size(); ++k) {
+    const PlanStage* stage = k == 0 ? &base_stage : &plan.stages[k - 1];
     RoundStats rs;
     rs.label = k == 0 ? "base" : StrCat("md", k);
-    rs.synchronized = stage == nullptr || stage->sync_after;
+    rs.synchronized = stage->sync_after;
     rs.fused_base = k == 1 && !plan.sync_base;
     SKALLA_TRACE_SPAN(round_span, StrCat("round:", rs.label), "executor");
     SKALLA_SPAN_ATTR(round_span, "sync", rs.synchronized ? "true" : "false");
     Stopwatch wall;
 
-    // X ships with every GMDJ round that follows a synchronization.
-    const bool distribute = stage != nullptr && have_global;
+    // X ships with every round that follows a synchronization.
+    const bool distribute = have_global;
     CancellationToken round_cancel;
     SiteRound round;
     round.label = rs.label;
-    round.base = stage == nullptr || rs.fused_base ? &plan.base : nullptr;
+    round.base = k == first ? &plan.base : nullptr;
     round.stage = stage;
     round.synchronized = rs.synchronized;
     round.self_contained = round.base != nullptr || distribute;
     SKALLA_RETURN_NOT_OK(
         deadline.ArmRound(rs.label, &round_cancel, &round.deadline_ms));
-    if (stage != nullptr) round.eval = StageEvalContext(*stage);
+    round.eval = StageEvalContext(*stage);
     round.eval.cancellation = &round_cancel;
     round.eval.query_id = query_id;
     SKALLA_OBS_ONLY(if (round_span.armed()) {
       round.eval.trace_parent_span = round_span.id();
     });
 
-    SchemaPtr detail_schema;
-    if (stage != nullptr) {
-      SKALLA_ASSIGN_OR_RETURN(detail_schema,
-                              TableSchema(stage->op.detail_table));
-    }
+    SKALLA_ASSIGN_OR_RETURN(SchemaPtr detail_schema,
+                            TableSchema(stage->op.detail_table));
     // Synchronization starts before the sites do, so each fragment can
     // merge as soon as it is next in line.
     if (rs.synchronized) {
       Stopwatch begin_timer;
       SKALLA_RETURN_NOT_OK(
-          stage == nullptr
-              ? coordinator.InitBase(upstream)
-              : coordinator.BeginRound(stage->op, *upstream, *detail_schema,
-                                       /*from_scratch=*/!have_global));
+          coordinator.BeginRound(stage->op, *upstream, *detail_schema,
+                                 /*from_scratch=*/!have_global));
       rs.coord_time += begin_timer.ElapsedSeconds();
     }
 
@@ -462,10 +459,7 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
                    rs.label));
       }
       Stopwatch merge_timer;
-      SKALLA_RETURN_NOT_OK(
-          stage == nullptr
-              ? coordinator.MergeBaseFragment(*slot.fragment)
-              : coordinator.MergeFragment(std::move(slot.fragment)));
+      SKALLA_RETURN_NOT_OK(coordinator.MergeFragment(std::move(slot.fragment)));
       merge_time += merge_timer.ElapsedSeconds();
       slot.fragment = nullptr;
       return Status::OK();
@@ -476,8 +470,7 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
     rs.coord_time += merge_time;
     if (rs.synchronized) {
       Stopwatch finalize_timer;
-      SKALLA_RETURN_NOT_OK(stage == nullptr ? coordinator.FinalizeBase()
-                                            : coordinator.FinalizeRound());
+      SKALLA_RETURN_NOT_OK(coordinator.FinalizeRound());
       rs.coord_time += finalize_timer.ElapsedSeconds();
     }
     have_global = rs.synchronized;
@@ -510,16 +503,12 @@ Result<Table> RpcExecutor::RunStarPlan(const DistributedPlan& plan,
       }
       // The totals name the GMDJ kernel; base rounds scan columnar
       // under every engine.
-      if (stage != nullptr) {
-        st.engines_used |= slot.attempt.profile.engines_used;
-      }
+      if (k != 0) st.engines_used |= slot.attempt.profile.engines_used;
       rs.site_profiles.push_back(slot.attempt.profile);
     }
     for (uint8_t l : lost) rs.sites_lost += l;
-    if (stage != nullptr) {
-      SKALLA_ASSIGN_OR_RETURN(
-          upstream, stage->op.OutputSchema(*upstream, *detail_schema));
-    }
+    SKALLA_ASSIGN_OR_RETURN(upstream,
+                            stage->op.OutputSchema(*upstream, *detail_schema));
     rs.wall_time = wall.ElapsedSeconds();
     SKALLA_COUNTER_ADD("skalla.round.bytes_to_sites", rs.bytes_to_sites);
     SKALLA_COUNTER_ADD("skalla.round.bytes_to_coord", rs.bytes_to_coord);

@@ -111,22 +111,34 @@ TEST_P(Theorem1Test, MergedFragmentsEqualDirectEvaluation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem1Test,
                          ::testing::Range(uint64_t{0}, uint64_t{15}));
 
+// The base round as RunStarPlan runs it: a from-scratch round over an
+// operator with no blocks (MD(B, R, ()) = B). The coordinator must be
+// keyed on every column of `schema`, as a plan's key columns are its base
+// columns.
+Status BeginBase(Coordinator& c, const Schema& schema) {
+  GmdjOp blockless;
+  blockless.detail_table = "d";
+  return c.BeginRound(blockless, schema, schema, /*from_scratch=*/true);
+}
+
 TEST(CoordinatorTest, BaseFragmentsDeduplicate) {
   Coordinator coordinator({"g"});
   SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64}}).ValueOrDie();
-  coordinator.InitBase(schema).Check();
+  BeginBase(coordinator, *schema).Check();
   Table f1(schema);
   f1.AppendUnchecked({Value(1)});
   f1.AppendUnchecked({Value(2)});
   Table f2(schema);
   f2.AppendUnchecked({Value(2)});
   f2.AppendUnchecked({Value(3)});
-  coordinator.MergeBaseFragment(*Typed(f1)).Check();
-  coordinator.MergeBaseFragment(*Typed(f2)).Check();
-  coordinator.FinalizeBase().Check();
+  coordinator.MergeFragment(Typed(f1)).Check();
+  coordinator.MergeFragment(Typed(f2)).Check();
+  coordinator.FinalizeRound().Check();
   EXPECT_EQ(coordinator.result().num_rows(), 3u);
-  // The base round is over; a second finalize is a protocol violation.
-  EXPECT_TRUE(coordinator.FinalizeBase().IsInternal());
+  // The base round is over; a second finalize, or a late fragment, is a
+  // protocol violation.
+  EXPECT_TRUE(coordinator.FinalizeRound().IsInternal());
+  EXPECT_TRUE(coordinator.MergeFragment(Typed(f2)).IsInternal());
 }
 
 TEST(CoordinatorTest, BaseDedupKeepsFirstArrivalOrder) {
@@ -146,10 +158,10 @@ TEST(CoordinatorTest, BaseDedupKeepsFirstArrivalOrder) {
     }
     fragments.push_back(std::move(t));
   }
-  Coordinator c({"g"});
-  c.InitBase(schema).Check();
-  for (const Table& f : fragments) c.MergeBaseFragment(*Typed(f)).Check();
-  c.FinalizeBase().Check();
+  Coordinator c({"g", "h"});
+  BeginBase(c, *schema).Check();
+  for (const Table& f : fragments) c.MergeFragment(Typed(f)).Check();
+  c.FinalizeRound().Check();
 
   Table expected(schema);
   for (const Table& f : fragments) {
@@ -168,13 +180,18 @@ TEST(CoordinatorTest, BaseDedupKeepsFirstArrivalOrder) {
 TEST(CoordinatorTest, BaseFragmentArityMismatchFails) {
   Coordinator coordinator({"g"});
   SchemaPtr schema = Schema::Make({{"g", ValueType::kInt64}}).ValueOrDie();
-  coordinator.InitBase(schema).Check();
+  BeginBase(coordinator, *schema).Check();
   SchemaPtr wide = Schema::Make({{"g", ValueType::kInt64},
                                  {"x", ValueType::kInt64}})
                        .ValueOrDie();
   Table f(wide);
   f.AppendUnchecked({Value(1), Value(2)});
-  EXPECT_TRUE(coordinator.MergeBaseFragment(*Typed(f)).IsInvalidArgument());
+  EXPECT_TRUE(coordinator.MergeFragment(Typed(f)).IsInvalidArgument());
+  // A column of the wrong type is rejected the same way.
+  SchemaPtr strings = Schema::Make({{"g", ValueType::kString}}).ValueOrDie();
+  Table g(strings);
+  g.AppendUnchecked({Value("1")});
+  EXPECT_TRUE(coordinator.MergeFragment(Typed(g)).IsInvalidArgument());
 }
 
 TEST(CoordinatorTest, UnknownGroupRejectedWhenSeeded) {
@@ -233,7 +250,6 @@ TEST(CoordinatorTest, RoundProtocolViolations) {
   EXPECT_TRUE(coordinator.FinalizeRound().IsInternal());
   Table t;
   EXPECT_TRUE(coordinator.MergeFragment(Typed(t)).IsInternal());
-  EXPECT_TRUE(coordinator.MergeBaseFragment(*Typed(t)).IsInternal());
 
   Table detail = MakeDetail(1, 10);
   Table base = Project(detail, {"g"}, true).ValueOrDie();
@@ -296,9 +312,6 @@ std::vector<uint8_t> Bytes(const Table& t) {
 // How a test hands a fragment to the coordinator.
 Status Merge(Coordinator& c, const Table& fragment) {
   return c.MergeFragment(Typed(fragment));
-}
-Status MergeBase(Coordinator& c, const Table& fragment) {
-  return c.MergeBaseFragment(*Typed(fragment));
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -630,10 +643,10 @@ TEST(CoordinatorBytesTest, BaseDedupKeepsFirstArrivalOfSpecialCells) {
   for (int order = 0; order < 2; ++order) {
     std::vector<const Table*> frags = {&f1, &f2, &f3};
     if (order == 1) frags = {&f3, &f2, &f1};
-    Coordinator c({"k"});
-    c.InitBase(schema).Check();
-    for (const Table* f : frags) MergeBase(c, *f).Check();
-    c.FinalizeBase().Check();
+    Coordinator c({"k", "s", "i"});
+    BeginBase(c, *schema).Check();
+    for (const Table* f : frags) Merge(c, *f).Check();
+    c.FinalizeRound().Check();
 
     Table want(schema);
     for (const Table* f : frags) {
@@ -645,6 +658,41 @@ TEST(CoordinatorBytesTest, BaseDedupKeepsFirstArrivalOfSpecialCells) {
     }
     EXPECT_EQ(want.num_rows(), 5u);
     EXPECT_EQ(Bytes(c.result()), Bytes(want)) << "order " << order;
+  }
+}
+
+// When the keys are the whole upstream row in order (a base round, or a
+// Prop. 2 round over B's columns), FinalizeRound takes each group's key
+// row as its upstream row. The bytes must equal the reference merge, and
+// the same keys in another order, which box cells one by one.
+TEST(CoordinatorTest, FromScratchWholeKeyMatchesReferenceBytes) {
+  const GmdjOp op = AllKindsOp();
+  const SchemaPtr upstream = UpstreamSchema();
+  const SchemaPtr frag_schema = FragmentSchema(op, *upstream);
+  const std::vector<Row> pool = EdgeUpstreamRows();
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    Random rng(seed);
+    std::vector<Table> fragments;
+    for (size_t s = 0; s < 3; ++s) {
+      Table f(frag_schema);
+      const size_t n = rng.Uniform(10);
+      for (size_t r = 0; r < n; ++r) {
+        Row up = pool[rng.Uniform(pool.size())];
+        if (rng.Bernoulli(0.1)) up[0] = Value(kNaN);
+        AppendFragmentRow(rng, op, *frag_schema, std::move(up), &f);
+      }
+      fragments.push_back(std::move(f));
+    }
+    const Table want =
+        ReferenceRound(op, *upstream, {0, 1, 2, 3}, nullptr, fragments);
+    EXPECT_EQ(Bytes(RunRound(op, *upstream, {"k", "s", "t", "u"}, nullptr,
+                             fragments)),
+              Bytes(want))
+        << "seed " << seed;
+    EXPECT_EQ(Bytes(RunRound(op, *upstream, {"s", "k", "u", "t"}, nullptr,
+                             fragments)),
+              Bytes(want))
+        << "seed " << seed << " reordered keys";
   }
 }
 

@@ -452,7 +452,8 @@ TEST(EnginePruningTest, StatsPruneChunksWithoutChangingBytes) {
 // bitmap, stat pruning, first-occurrence typed distinct). Its oracle is
 // the resident Select -> Project(distinct) pipeline; results must match
 // byte for byte across WHERE shapes, key columns, distinct on/off, chunk
-// sizes, buffer budgets and pruning on/off.
+// sizes, buffer budgets and pruning on/off. A blockless GMDJ round, which
+// is how the synchronized base round runs at a site, must be that scan.
 
 // Detail relation with every key type the typed distinct handles: int g,
 // float fk carrying NULL, -0.0, 0.0 and NaN, string h carrying NULL, and
@@ -634,6 +635,84 @@ TEST_P(BaseQueryDifferentialTest, ColumnarScanMatchesSelectProject) {
           EXPECT_EQ(profile.rows_scanned.load(),
                     never_true ? 0 : detail.num_rows())
               << label;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A blockless GMDJ round is the base scan: MD(B, R, ()) = B. Under every
+// engine, EvaluateBaseAndGmdj over an operator with no blocks returns
+// BaseQuery::Execute's bytes and reports the same data-plane counts, the
+// columnar engine bit and no fused base — what the synchronized base
+// round reports — with and without a WHERE, over paged providers at
+// every budget.
+TEST_P(BaseQueryDifferentialTest, BlocklessRoundIsTheBaseScan) {
+  const uint64_t seed = GetParam();
+  Random rng(seed * 7919 + 3);
+  const size_t rows = seed % 9 == 4 ? 0 : 150 + seed * 41;
+  Table detail = MakeBaseDetail(seed, rows);
+  const std::string path =
+      dir_ + "/blockless_" + std::to_string(seed) + ".skc";
+  WriteChunkFile(detail, path, /*chunk_rows=*/32).Check();
+  GmdjOp blockless;
+  blockless.detail_table = "d";
+
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"g"}, {"fk"}, {"h"}, {"h", "fk", "g"}};
+  for (bool with_where : {false, true}) {
+    bool never_true = false;
+    BaseQuery query{"d", key_sets[rng.Uniform(key_sets.size())],
+                    rng.Bernoulli(0.75),
+                    with_where ? RandomBaseConjunct(&rng, &never_true)
+                               : nullptr};
+    const std::vector<uint8_t> oracle = Bytes(BaseOracle(detail, query));
+    for (EvalEngine engine :
+         {EvalEngine::kColumnar, EvalEngine::kRow, EvalEngine::kNestedLoop}) {
+      for (uint64_t budget : {uint64_t{1}, uint64_t{2048}, uint64_t{0}}) {
+        for (bool pruning : {true, false}) {
+          const std::string label =
+              "seed=" + std::to_string(seed) + " " + query.ToString() +
+              " engine=" + std::to_string(static_cast<int>(engine)) +
+              " budget=" + std::to_string(budget) +
+              " pruning=" + std::to_string(pruning);
+          // Each side runs on its own buffer pool, so both start cold.
+          auto run = [&](bool as_round, EvalProfile* profile) {
+            Catalog paged;
+            paged.RegisterProvider(
+                "d", ChunkFileDataProvider::Open(
+                         path, std::make_shared<BufferManager>(budget))
+                         .ValueOrDie());
+            EvalContext context;
+            context.engine = engine;
+            context.chunk_pruning = pruning;
+            context.profile = profile;
+            return as_round
+                       ? EvaluateBaseAndGmdj(query, blockless, paged, context)
+                             .ValueOrDie()
+                       : query.Execute(paged, context).ValueOrDie();
+          };
+          EvalProfile scan_profile;
+          EvalProfile round_profile;
+          const std::vector<uint8_t> scan = Bytes(run(false, &scan_profile));
+          EXPECT_EQ(scan, oracle) << label;
+          EXPECT_EQ(Bytes(run(true, &round_profile)), scan) << label;
+          EXPECT_EQ(round_profile.rows_scanned.load(),
+                    scan_profile.rows_scanned.load())
+              << label;
+          EXPECT_EQ(round_profile.chunks_pruned.load(),
+                    scan_profile.chunks_pruned.load())
+              << label;
+          EXPECT_EQ(round_profile.pages_loaded.load(),
+                    scan_profile.pages_loaded.load())
+              << label;
+          EXPECT_EQ(round_profile.engines_used.load(),
+                    scan_profile.engines_used.load())
+              << label;
+          EXPECT_EQ(round_profile.engines_used.load(), kEngineBitColumnar)
+              << label;
+          EXPECT_EQ(round_profile.fused_base.load(), 0) << label;
         }
       }
     }

@@ -637,7 +637,7 @@ TEST(DeadlineTest, CancellationStopsKernelEvaluation) {
   // round deadline uses to stop in-flight site work.
   Table flow = MakeFlow(400);
   TestFleet fleet = MakeFleet(flow, OptimizerOptions::None()).ValueOrDie();
-  Table base = fleet.sites[0].ExecuteBaseQuery(fleet.plan.base).ValueOrDie();
+  Table base = fleet.plan.base.Execute(fleet.sites[0].catalog()).ValueOrDie();
   CancellationToken token;
   token.Cancel(Status::DeadlineExceeded("test: cancelled before eval"));
   EvalContext context;

@@ -476,17 +476,20 @@ TEST_F(RpcExecutorTest, OracleSitesAgreeWithColumnarSites) {
 }
 
 TEST_F(RpcExecutorTest, RetiredBeginPlanFrameIsRejectedTyped) {
-  // Type 5 was BeginPlan until protocol v11. A site answers it like any
-  // type it cannot serve: a typed InvalidArgument, and no query state.
+  // Type 5 was BeginPlan until protocol v11, type 6 BaseRound until v12.
+  // A site answers each like any type it cannot serve: a typed
+  // InvalidArgument, and no query state.
   std::vector<Site> sites = MakeSites();
   rpc::SiteService service(std::move(sites[0]));
-  rpc::Frame retired;
-  retired.type = static_cast<rpc::MessageType>(5);
-  rpc::Frame response = service.Handle(retired).ValueOrDie();
-  ASSERT_EQ(response.type, rpc::MessageType::kError);
-  Status status = rpc::ReadStatusPayload(response.payload);
-  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  EXPECT_EQ(service.open_plans(), 0u);
+  for (uint8_t type : {uint8_t{5}, uint8_t{6}}) {
+    rpc::Frame retired;
+    retired.type = static_cast<rpc::MessageType>(type);
+    rpc::Frame response = service.Handle(retired).ValueOrDie();
+    ASSERT_EQ(response.type, rpc::MessageType::kError) << int{type};
+    Status status = rpc::ReadStatusPayload(response.payload);
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(service.open_plans(), 0u) << int{type};
+  }
 }
 
 TEST_F(RpcExecutorTest, SiteErrorCodeSurvivesTheWire) {

@@ -129,14 +129,14 @@ TEST(FrameTest, HeaderLayoutIsPinned) {
 
 TEST(FrameTest, DecodeHeaderReturnsTypeAndCrc) {
   std::vector<uint8_t> payload = {7, 7};
-  std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, payload);
+  std::vector<uint8_t> wire = EncodeFrame(MessageType::kGmdjRound, payload);
   MessageType type;
   uint32_t crc;
   Result<uint32_t> len =
       DecodeFrameHeader(wire.data(), kFrameHeaderSize, &type, &crc);
   ASSERT_TRUE(len.ok());
   EXPECT_EQ(*len, 2u);
-  EXPECT_EQ(type, MessageType::kBaseRound);
+  EXPECT_EQ(type, MessageType::kGmdjRound);
   // Since v3 the checksum covers the first 12 header bytes + payload.
   EXPECT_EQ(crc, FrameCrc(wire.data(), payload.data(), payload.size()));
 }
@@ -150,7 +150,7 @@ TEST(FrameTest, WrongMagicIsIOError) {
 }
 
 TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
-  std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {1, 2});
+  std::vector<uint8_t> wire = EncodeFrame(MessageType::kGmdjRound, {1, 2});
   wire[4] = kProtocolVersion + 1;
   Result<Frame> decoded = DecodeFrame(wire);
   ASSERT_FALSE(decoded.ok());
@@ -158,21 +158,20 @@ TEST(FrameTest, ForeignVersionIsTypedVersionMismatch) {
       << decoded.status().ToString();
 }
 
-TEST(FrameTest, ProtocolVersionIsV11) {
-  // v11: the BeginPlan frame (type 5) is retired; a site creates a
-  // query's round state on its first carried round, and kEndPlan goes
-  // only to the endpoints that ran one (docs/RPC.md). v10's payloads are
-  // unchanged. The version byte is the wire contract for all of that, so
-  // pin it explicitly.
-  EXPECT_EQ(kProtocolVersion, 11);
-  std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {});
-  EXPECT_EQ(wire[4], 11);
+TEST(FrameTest, ProtocolVersionIsV12) {
+  // v12: the BaseRound frame (type 6) is retired; the synchronized base
+  // round is a kGmdjRound with a blockless operator that carries the base
+  // query (docs/RPC.md). v11's payloads are unchanged. The version byte is
+  // the wire contract for all of that, so pin it explicitly.
+  EXPECT_EQ(kProtocolVersion, 12);
+  std::vector<uint8_t> wire = EncodeFrame(MessageType::kGmdjRound, {});
+  EXPECT_EQ(wire[4], 12);
 }
 
 TEST(FrameTest, V3PeerRejectedWithVersionMismatch) {
   // A pre-trace-context (v3) peer must get the typed version-mismatch
   // status, not a generic IO error — coordinators surface it verbatim.
-  std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {1, 2});
+  std::vector<uint8_t> wire = EncodeFrame(MessageType::kGmdjRound, {1, 2});
   wire[4] = 3;
   Result<Frame> decoded = DecodeFrame(wire);
   ASSERT_FALSE(decoded.ok());
@@ -223,8 +222,8 @@ TEST(FrameTest, PayloadCorruptionCaughtByChecksum) {
 TEST(FrameTest, HeaderCorruptionCaughtByChecksum) {
   // A type byte flipped to another *valid* type decoded silently before
   // v3; the header-covering checksum must reject it now.
-  std::vector<uint8_t> wire = EncodeFrame(MessageType::kBaseRound, {1, 2, 3});
-  wire[5] = static_cast<uint8_t>(MessageType::kGmdjRound);
+  std::vector<uint8_t> wire = EncodeFrame(MessageType::kGmdjRound, {1, 2, 3});
+  wire[5] = static_cast<uint8_t>(MessageType::kEndPlan);
   Result<Frame> decoded = DecodeFrame(wire);
   ASSERT_FALSE(decoded.ok());
   EXPECT_TRUE(decoded.status().IsIOError());

@@ -173,14 +173,46 @@ TEST(PlanSerdeTest, EndPlanRequestRejectsTrailingBytes) {
   }
 }
 
-TEST(PlanSerdeTest, BaseRoundRequestRoundTrips) {
-  BaseRoundRequest request;
-  request.query = BaseQuery{"flow", {"SourceAS"}, true, nullptr};
-  BaseRoundRequest decoded =
-      DecodeBaseRoundRequest(EncodeBaseRoundRequest(request)).ValueOrDie();
-  EXPECT_EQ(decoded.query.table, "flow");
-  EXPECT_EQ(decoded.query.columns, request.query.columns);
+TEST(PlanSerdeTest, BlocklessBaseRoundRequestRoundTrips) {
+  // Protocol v12: the synchronized base round is a kGmdjRound whose
+  // operator has no blocks and which carries the base query. Its base
+  // query, deadline and trace context survive the wire.
+  GmdjRoundRequest request;
+  request.op.detail_table = "flow";
+  request.label = "base";
+  request.has_base_query = true;
+  request.base_query = BaseQuery{"flow", {"SourceAS"}, true, nullptr};
+  GmdjRoundRequest decoded =
+      DecodeGmdjRoundRequest(EncodeGmdjRoundRequest(request, {}))
+          .ValueOrDie();
+  EXPECT_EQ(decoded.label, "base");
+  EXPECT_EQ(decoded.op.detail_table, "flow");
+  EXPECT_TRUE(decoded.op.blocks.empty());
+  EXPECT_TRUE(decoded.has_base_query);
+  EXPECT_FALSE(decoded.has_base);
+  EXPECT_TRUE(decoded.ship_result);
+  EXPECT_EQ(decoded.base_query.table, "flow");
+  EXPECT_EQ(decoded.base_query.columns, request.base_query.columns);
   EXPECT_EQ(decoded.deadline_ms, 0u);
+
+  for (uint64_t deadline : {uint64_t{1}, uint64_t{250}, uint64_t{1} << 40}) {
+    request.deadline_ms = deadline;
+    EXPECT_EQ(DecodeGmdjRoundRequest(EncodeGmdjRoundRequest(request, {}))
+                  .ValueOrDie()
+                  .deadline_ms,
+              deadline);
+  }
+  for (uint64_t seed : {uint64_t{0}, uint64_t{7}}) {
+    request.trace.trace_id = seed * 1000003;
+    request.trace.parent_span_id = seed * 17;
+    request.trace.query_id = seed * 3;
+    GmdjRoundRequest traced =
+        DecodeGmdjRoundRequest(EncodeGmdjRoundRequest(request, {}))
+            .ValueOrDie();
+    EXPECT_EQ(traced.trace.trace_id, request.trace.trace_id);
+    EXPECT_EQ(traced.trace.parent_span_id, request.trace.parent_span_id);
+    EXPECT_EQ(traced.trace.query_id, request.trace.query_id);
+  }
 }
 
 TEST(PlanSerdeTest, GmdjRoundRequestCarriesTheBaseQuery) {
@@ -221,13 +253,6 @@ TEST(PlanSerdeTest, RoundRequestDeadlinesSurviveTheWire) {
   // deadline_ms is how a coordinator's round/query budget reaches the
   // site-side cancellation token (protocol v3).
   for (uint64_t deadline : {uint64_t{1}, uint64_t{250}, uint64_t{1} << 40}) {
-    BaseRoundRequest base;
-    base.query = BaseQuery{"flow", {"SourceAS"}, true, nullptr};
-    base.deadline_ms = deadline;
-    BaseRoundRequest base_decoded =
-        DecodeBaseRoundRequest(EncodeBaseRoundRequest(base)).ValueOrDie();
-    EXPECT_EQ(base_decoded.deadline_ms, deadline);
-
     GmdjRoundRequest gmdj;
     gmdj.op = ExampleOp();
     gmdj.label = "md1";
@@ -240,9 +265,8 @@ TEST(PlanSerdeTest, RoundRequestDeadlinesSurviveTheWire) {
 }
 
 TEST(PlanSerdeTest, RoundRequestRejectsPayloadTruncatedAtDeadline) {
-  // A flags byte with nothing after it (a version-2 BaseRound shape)
-  // must not decode: the deadline varint is required in v3.
-  EXPECT_FALSE(DecodeBaseRoundRequest({0}).ok());
+  // A flags byte with nothing after it (a version-2 round shape) must
+  // not decode: the deadline varint is required in v3.
   EXPECT_FALSE(DecodeGmdjRoundRequest({0}).ok());
 }
 
@@ -311,22 +335,13 @@ TEST(PlanSerdeTest, HelloRoundTrips) {
 }
 
 TEST(PlanSerdeTest, TraceContextRidesEveryRoundRequest) {
-  // v4: both round request shapes carry the trace context after the
-  // deadline; zeros (the untraced default) round-trip too.
+  // v4: round requests carry the trace context after the deadline;
+  // zeros (the untraced default) round-trip too.
   for (uint64_t seed : {uint64_t{0}, uint64_t{7}}) {
     TraceContext trace;
     trace.trace_id = seed * 1000003;
     trace.parent_span_id = seed * 17;
     trace.query_id = seed * 3;
-
-    BaseRoundRequest base;
-    base.query = BaseQuery{"flow", {"SourceAS"}, true, nullptr};
-    base.trace = trace;
-    BaseRoundRequest base_decoded =
-        DecodeBaseRoundRequest(EncodeBaseRoundRequest(base)).ValueOrDie();
-    EXPECT_EQ(base_decoded.trace.trace_id, trace.trace_id);
-    EXPECT_EQ(base_decoded.trace.parent_span_id, trace.parent_span_id);
-    EXPECT_EQ(base_decoded.trace.query_id, trace.query_id);
 
     GmdjRoundRequest gmdj;
     gmdj.op = ExampleOp();

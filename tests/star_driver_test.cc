@@ -274,8 +274,8 @@ TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
   // A plan that skips the base synchronization (Prop. 2) computes each
   // site's base inside md1: no base round reaches the driver or the
   // wire, one round per stage, and the first round fused at every site.
-  // A plan that synchronizes its base still sends one base round per
-  // site.
+  // A plan that synchronizes its base still runs one base round per
+  // site, sent as a kGmdjRound; no site sees the retired type 6.
   const size_t kSites = 4;
   Table flow = MakeFlow(79, 700);
   DistributedWarehouse dw(kSites);
@@ -301,10 +301,9 @@ TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
     EXPECT_TRUE(result.SameRows(expected));
     EXPECT_EQ(recorder.rounds().count("base"), plan.sync_base ? 1u : 0u);
     EXPECT_EQ(recorder.rounds().size(), rounds);
-    EXPECT_EQ(counting->requests(rpc::MessageType::kBaseRound),
-              plan.sync_base ? static_cast<int>(kSites) : 0);
+    EXPECT_EQ(counting->requests(static_cast<rpc::MessageType>(6)), 0);
     EXPECT_EQ(counting->requests(rpc::MessageType::kGmdjRound),
-              static_cast<int>(kSites * plan.stages.size()));
+              static_cast<int>(kSites * rounds));
 
     ASSERT_EQ(stats.rounds.size(), rounds);
     EXPECT_EQ(stats.NumSyncRounds(), plan.NumSyncRounds());
@@ -317,6 +316,40 @@ TEST(StarDriverTest, Prop2PlanSendsNoBaseRound) {
     }
     ExpectNoOpenPlans(counting);
   }
+}
+
+TEST(StarDriverTest, SyncBasePlanMustKeyOnTheBaseColumns) {
+  // The base round's distinct union groups on the plan's key columns, so
+  // a synchronized base keyed on anything but its own columns (a subset,
+  // or the same columns reordered) would dedup on the wrong key: the
+  // executor rejects the plan before any site sees a round. A Prop. 2 plan
+  // has no base round and keeps its keys.
+  const size_t kSites = 4;
+  Table flow = MakeFlow(89, 300);
+  DistributedWarehouse dw(kSites);
+  dw.AddTablePartitionedBy("flow", flow, "SAS", {"DAS", "NB"}).Check();
+  std::vector<Table> parts =
+      PartitionByValue(flow, "SAS", kSites).ValueOrDie();
+  DistributedPlan plan =
+      dw.Plan(Example1(), OptimizerOptions::None()).ValueOrDie();
+  ASSERT_TRUE(plan.sync_base);
+  for (const std::vector<std::string>& keys :
+       {std::vector<std::string>{"SAS"},
+        std::vector<std::string>{"DAS", "SAS"}}) {
+    DistributedPlan bad = plan;
+    bad.key_columns = keys;
+    auto transport = std::make_unique<CountingTransport>(MakeSites(parts));
+    CountingTransport* counting = transport.get();
+    rpc::RpcExecutor rpc(std::move(transport), {});
+    auto result = rpc.Execute(bad, nullptr);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+    EXPECT_EQ(counting->requests(rpc::MessageType::kGmdjRound), 0);
+  }
+  rpc::RpcExecutor rpc(
+      std::make_unique<rpc::InProcessTransport>(MakeSites(parts)), {});
+  EXPECT_TRUE(rpc.Execute(plan, nullptr).ok());
 }
 
 TEST(StarDriverTest, Prop2PlanSendsOnlyItsRound) {

@@ -23,10 +23,11 @@
 //   client: ".analyze on|off"     -> "OK analyze on|off" + "END"; from
 //           then on each OK reply on this connection also carries the
 //           EXPLAIN ANALYZE report (per round, per site) before "END"
-//   client: ".metrics"            -> per site "SITE <id> STATS <json>"
-//           (its metrics registry; the JSON spans lines), or
-//           "ERR site <i>: ..." for a site that did not answer, then
-//           "END"
+//   client: ".metrics"            -> "COORD STATS <json>" (this
+//           process's metrics registry; the JSON spans lines), then
+//           with --endpoints per site "SITE <id> STATS <json>" (its
+//           process's registry), or "ERR site <i>: ..." for a site that
+//           did not answer, then "END"
 //   client: ".shutdown"           -> "BYE" + "END"; the server stops
 //           accepting, drains its clients, and exits (with
 //           --shutdown-sites it also asks rpc-backed sites to exit)
@@ -53,6 +54,7 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "dist/warehouse.h"
+#include "obs/metrics.h"
 #include "obs/session.h"
 #include "obs/stats_report.h"
 #include "rpc/tcp.h"
@@ -64,6 +66,8 @@ namespace {
 using skalla::rpc::TcpSocket;
 
 skalla::serve::QuerySession* g_session = nullptr;
+// --data: the sites run in this process and share its registry.
+bool g_sites_in_process = false;
 std::atomic<bool> g_stop{false};
 
 // Live client fds, so .shutdown can unblock handler threads parked in a
@@ -150,10 +154,14 @@ void RunQuery(TcpSocket* socket, const std::string& text, bool analyze) {
             "END\n"));
 }
 
-// Each site's metrics registry (kGetStats), one entry per site.
-std::string SiteMetrics() {
-  std::string reply;
-  for (size_t e = 0; e < g_session->num_sites(); ++e) {
+// This process's metrics registry, then each site process's (kGetStats),
+// one entry per site. In-process sites answer with this process's
+// registry, so they add no entry of their own.
+std::string Metrics() {
+  std::string reply = skalla::StrCat(
+      "COORD STATS ", skalla::obs::MetricsRegistry::Global().ToJson(), "\n");
+  const size_t sites = g_sites_in_process ? 0 : g_session->num_sites();
+  for (size_t e = 0; e < sites; ++e) {
     auto stats = g_session->rpc_executor()->SiteStats(e);
     reply += stats.ok() ? skalla::StrCat("SITE ", stats->site_id, " STATS ",
                                          stats->metrics_json, "\n")
@@ -192,7 +200,7 @@ void HandleClient(TcpSocket socket) {
         continue;
       }
       if (stripped == ".metrics") {
-        Reply(&socket, SiteMetrics());
+        Reply(&socket, Metrics());
         continue;
       }
       Reply(&socket, "ERR unknown command\nEND\n");
@@ -271,6 +279,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     warehouse.emplace(std::move(*loaded));
+    g_sites_in_process = true;
     auto opened = skalla::serve::QuerySession::Open(&*warehouse,
                                                     std::move(session_options));
     if (!opened.ok()) {
